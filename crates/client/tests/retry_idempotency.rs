@@ -13,7 +13,7 @@
 //!   failure instead of guessing.
 
 use rrre_client::{Client, ClientConfig, ErrorClass};
-use rrre_serve::protocol::{decode_request, encode_response, Op};
+use rrre_wire::{decode_request, encode_response, Op};
 use rrre_serve::{Engine, EngineConfig, ModelArtifact, Request};
 use rrre_testkit::chaos::{ChaosConfig, ChaosProxy, Fault};
 use rrre_testkit::{trained_fixture, TempDir};

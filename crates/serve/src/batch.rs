@@ -10,7 +10,7 @@
 //! it before processing, so the next worker collects the next batch while
 //! the first one computes.
 
-use crate::protocol::{Request, Response};
+use rrre_wire::{Request, Response};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -42,62 +42,41 @@ impl Drop for QueuePermit {
     }
 }
 
-enum CompletionKind {
-    Channel(Sender<Response>),
-    Callback(Box<dyn FnOnce(Response) + Send>),
-}
-
-/// Where a job's response goes: a blocking caller's channel
-/// ([`crate::Engine::submit`]) or a completion callback
-/// ([`crate::Engine::submit_async`] — the event loop's path, which must
-/// never park a thread per request).
+/// Where a job's response goes: a callback invoked on whichever thread
+/// completes the job (a worker, or the submitting thread for refusals).
+/// The event loop's callback queues the response on its connection — it
+/// must never park a thread per request — and blocking
+/// [`crate::Engine::submit`] passes one that sends on its channel.
 ///
 /// A `Completion` is **guaranteed to fire exactly once**: dropping one
 /// unfired (a queue torn down mid-shutdown with jobs still aboard)
 /// synthesizes a structured `internal` response, so neither a blocked
 /// caller nor an event-loop connection can be left waiting forever.
 pub struct Completion {
-    kind: Option<CompletionKind>,
+    callback: Option<Box<dyn FnOnce(Response) + Send>>,
     /// The request's correlation id, for the synthesized never-fired
     /// response.
     id: Option<u64>,
 }
 
 impl Completion {
-    /// A completion that sends on `tx` (send failures are ignored — the
-    /// client gave up on its half of the channel).
-    pub fn channel(tx: Sender<Response>, id: Option<u64>) -> Self {
-        Self { kind: Some(CompletionKind::Channel(tx)), id }
-    }
-
-    /// A completion that invokes `f` on whichever thread completes the
-    /// job (a worker, or the submitting thread for refusals).
-    pub fn callback(f: Box<dyn FnOnce(Response) + Send>, id: Option<u64>) -> Self {
-        Self { kind: Some(CompletionKind::Callback(f)), id }
+    /// A completion that invokes `callback` with the response.
+    pub fn new(callback: Box<dyn FnOnce(Response) + Send>, id: Option<u64>) -> Self {
+        Self { callback: Some(callback), id }
     }
 
     /// Delivers the response.
     pub fn complete(mut self, response: Response) {
-        match self.kind.take() {
-            Some(CompletionKind::Channel(tx)) => {
-                let _ = tx.send(response);
-            }
-            Some(CompletionKind::Callback(f)) => f(response),
-            None => {}
+        if let Some(callback) = self.callback.take() {
+            callback(response);
         }
     }
 }
 
 impl Drop for Completion {
     fn drop(&mut self) {
-        if let Some(kind) = self.kind.take() {
-            let response = Response::internal(self.id, "engine dropped the request");
-            match kind {
-                CompletionKind::Channel(tx) => {
-                    let _ = tx.send(response);
-                }
-                CompletionKind::Callback(f) => f(response),
-            }
+        if let Some(callback) = self.callback.take() {
+            callback(Response::internal(self.id, "engine dropped the request"));
         }
     }
 }
@@ -110,19 +89,15 @@ pub struct Job {
     pub enqueued: Instant,
     /// Where the response goes.
     pub reply: Completion,
-    /// The queue slot this job occupies (absent for unbounded callers).
-    pub permit: Option<QueuePermit>,
+    /// The queue slot this job occupies.
+    pub permit: QueuePermit,
 }
 
 impl Job {
-    /// Wraps a request, stamping the enqueue time now.
-    pub fn new(request: Request, reply: Completion) -> Self {
-        Self { request, enqueued: Instant::now(), reply, permit: None }
-    }
-
-    /// Wraps a request that holds a bounded-queue slot.
+    /// Wraps a request that holds a bounded-queue slot, stamping the
+    /// enqueue time now.
     pub fn with_permit(request: Request, reply: Completion, permit: QueuePermit) -> Self {
-        Self { permit: Some(permit), ..Self::new(request, reply) }
+        Self { request, enqueued: Instant::now(), reply, permit }
     }
 }
 
@@ -193,12 +168,19 @@ impl BatchQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Request;
+
+    fn channel_completion(id: Option<u64>) -> (Completion, Receiver<Response>) {
+        let (tx, rx) = mpsc::channel();
+        let send = move |response| {
+            let _ = tx.send(response);
+        };
+        (Completion::new(Box::new(send), id), rx)
+    }
 
     fn job(req: Request) -> (Job, Receiver<Response>) {
-        let (tx, rx) = mpsc::channel();
-        let id = req.id;
-        (Job::new(req, Completion::channel(tx, id)), rx)
+        let (reply, rx) = channel_completion(req.id);
+        let permit = QueuePermit::acquire(&Arc::default(), 1).unwrap();
+        (Job::with_permit(req, reply, permit), rx)
     }
 
     #[test]
@@ -247,8 +229,8 @@ mod tests {
 
     #[test]
     fn dropped_completion_synthesizes_a_response() {
-        let (tx, rx) = mpsc::channel();
-        drop(Completion::channel(tx, Some(9)));
+        let (completion, rx) = channel_completion(Some(9));
+        drop(completion);
         let resp = rx.recv().unwrap();
         assert!(!resp.ok);
         assert_eq!(resp.id, Some(9));

@@ -10,27 +10,21 @@
 //! rrre-serve attack-eval [--out FILE] [...]  robustness grid under fraud campaigns
 //! ```
 
-use rrre_client::{
-    Client, ClientConfig, ClientError, IngestSequencer, Pipelined, PipelinedClient, ShardedClient,
-};
+use rrre_client::{Client, ClientConfig, ClientError, IngestSequencer, ShardedClient};
 use rrre_core::{run_robustness_sweep, AttackEvalConfig, CheckpointConfig, EpochStats, Rrre, RrreConfig};
 use rrre_data::synth::{generate, AttackCampaign, AttackFamily, SynthConfig};
 use rrre_data::{CorpusConfig, Dataset, EncodedCorpus};
-use rrre_serve::protocol::{decode_request, encode_response};
-use rrre_serve::wal::FsyncPolicy;
 use rrre_serve::{
     AckLevel, Engine, EngineConfig, IngestConfig, ModelArtifact, ReplRole, ReplicationConfig,
     Server, ServerConfig,
 };
 use rrre_shard::ShardTopology;
 use rrre_text::word2vec::Word2VecConfig;
-use rrre_wire::{Request, Response, ShardSpec};
-use std::collections::HashMap;
+use rrre_wire::{decode_request, encode_response, Request, Response, ShardSpec};
 use std::io::{BufRead, IsTerminal};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
@@ -60,8 +54,7 @@ USAGE:
                          [--max-conns N] [--read-timeout-ms N] [--drain-ms N]
                          [--idle-timeout-ms N] [--max-inflight N]
                          [--write-buf-kb N] [--ingest] [--segment-kb N]
-                         [--fsync-batch N] [--refresh-every N]
-                         [--cold-start-min N]
+                         [--refresh-every N] [--cold-start-min N]
                          [--followers a,b | --replicate-from ADDR]
                          [--ack leader|quorum] [--epoch N]
                          [--quorum-timeout-ms N]
@@ -81,9 +74,8 @@ USAGE:
       (default 1; 0 = only on Compact), and Compact folds the WAL into a
       new artifact generation. On startup --ingest replays the WAL (torn
       tails repaired, mid-log corruption refuses to start) and completes
-      any interrupted compaction. --fsync-batch N relaxes to one fsync per
-      N records (benchmarking only — acks between syncs are not yet
-      durable). --segment-kb sets WAL rotation (default 4096).
+      any interrupted compaction. --segment-kb sets WAL rotation (default
+      4096).
       --cold-start-min N answers thin pairs (either side under N reviews)
       with a calibrated reliability prior instead of the head score.
       Replication (needs --ingest): --followers a,b starts this replica as
@@ -166,21 +158,13 @@ USAGE:
 
   rrre-serve burst (--replicas a,b,c | --shard-map FILE)
                    [--requests N] [--gap-ms N] [--users N] [--items N]
-                   [--recommend-k K] [--open-loop] [--rate R]
-                   [--concurrency N] [--pipeline-depth D] [--conns N]
-                   [--json] [--probe-interval-ms N] [CLIENT FLAGS]
+                   [--recommend-k K] [--probe-interval-ms N] [CLIENT FLAGS]
       Drive N requests (default 100; Predicts cycling under --users/--items,
       or Recommends with --recommend-k K) through the resilient client —
-      flat with --replicas, shard-routed scatter-gather with --shard-map.
-      Default is closed-loop (--gap-ms between completions); --open-loop
-      fires on a fixed schedule of --rate req/s (default 200) from
-      --concurrency workers (default 8), which keeps arrival times honest
-      under slow replicas. --pipeline-depth D and/or --conns N switch to
-      the pipelined open-loop mode (needs --replicas): N raw connections
-      (round-robin over the replica list) each keep up to D requests in
-      flight on one socket, matching responses by correlation id — no
-      retries, no failover. Prints per-replica lines, p50/p99 latency and
-      throughput; --json emits one machine-readable summary line. Exits
+      flat with --replicas, shard-routed scatter-gather with --shard-map —
+      one at a time, closed-loop, --gap-ms (default 2) between completions.
+      A failover drill, not a load generator: numbers come from benchmark/.
+      Prints per-replica lines and a summary with p50/p99 latency. Exits
       nonzero if any request failed client-visibly (degraded answers are
       not failures). Health probes are on by default (100 ms).
 
@@ -419,10 +403,6 @@ fn cmd_serve(mut args: Vec<String>) -> ExitCode {
     let mut ingest_cfg = IngestConfig::default();
     ingest_cfg.segment_bytes =
         parse_flag::<u64>(take_flag(&mut args, "--segment-kb"), "--segment-kb", 4096) * 1024;
-    let fsync_batch: usize = parse_flag(take_flag(&mut args, "--fsync-batch"), "--fsync-batch", 0);
-    if fsync_batch > 1 {
-        ingest_cfg.fsync = FsyncPolicy::Batched { every: fsync_batch };
-    }
     ingest_cfg.refresh_every = parse_flag(
         take_flag(&mut args, "--refresh-every"),
         "--refresh-every",
@@ -473,9 +453,15 @@ fn cmd_serve(mut args: Vec<String>) -> ExitCode {
             })
         }
     };
-    let [dir] = args.as_slice() else {
+    // Every known flag has been taken by now, so the first bare word is
+    // the directory and anything left over is named in the refusal.
+    let Some(pos) = args.iter().position(|a| !a.starts_with("--")) else {
         return fail("serve needs exactly one <dir>");
     };
+    let dir = &args.remove(pos);
+    if !args.is_empty() {
+        return fail(&format!("serve got unrecognised arguments: {args:?}"));
+    }
 
     // Validate --shard-id against the manifest *before* constructing the
     // engine (whose own range assert is a panic, not an operator message).
@@ -1046,21 +1032,13 @@ fn cmd_oneshot(mut args: Vec<String>) -> ExitCode {
         EngineConfig { workers: 1, max_wait: Duration::ZERO, ..EngineConfig::default() },
     );
     let response = engine.submit_line(line);
-    println!("{}", rrre_serve::protocol::encode_response(&response));
+    println!("{}", encode_response(&response));
     engine.shutdown();
     if response.ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// Per-request outcome tallies shared across burst workers.
-#[derive(Default)]
-struct BurstTally {
-    ok: AtomicUsize,
-    failed: AtomicUsize,
-    degraded: AtomicUsize,
 }
 
 fn cmd_burst(mut args: Vec<String>) -> ExitCode {
@@ -1074,15 +1052,6 @@ fn cmd_burst(mut args: Vec<String>) -> ExitCode {
     let users: u32 = parse_flag(take_flag(&mut args, "--users"), "--users", 2);
     let items: u32 = parse_flag(take_flag(&mut args, "--items"), "--items", 2);
     let recommend_k: usize = parse_flag(take_flag(&mut args, "--recommend-k"), "--recommend-k", 0);
-    let open_loop = take_switch(&mut args, "--open-loop");
-    let rate: f64 = parse_flag(take_flag(&mut args, "--rate"), "--rate", 200.0);
-    let concurrency: usize = parse_flag(take_flag(&mut args, "--concurrency"), "--concurrency", 8);
-    let depth_flag = take_flag(&mut args, "--pipeline-depth");
-    let conns_flag = take_flag(&mut args, "--conns");
-    let pipelined = depth_flag.is_some() || conns_flag.is_some();
-    let depth: usize = parse_flag(depth_flag, "--pipeline-depth", 1);
-    let conns: usize = parse_flag(conns_flag, "--conns", 1);
-    let json_out = take_switch(&mut args, "--json");
     let probe_ms: u64 =
         parse_flag(take_flag(&mut args, "--probe-interval-ms"), "--probe-interval-ms", 100);
     cfg.probe_interval = if probe_ms == 0 { None } else { Some(Duration::from_millis(probe_ms)) };
@@ -1092,128 +1061,57 @@ fn cmd_burst(mut args: Vec<String>) -> ExitCode {
     if users == 0 || items == 0 {
         return fail("burst needs --users and --items ≥ 1");
     }
-    if open_loop && (!(rate > 0.0) || concurrency == 0) {
-        return fail("--open-loop needs --rate > 0 and --concurrency ≥ 1");
-    }
-    if pipelined {
-        let Some(endpoints) = replicas else {
-            return fail("pipelined burst (--pipeline-depth/--conns) needs --replicas");
-        };
-        if depth == 0 || conns == 0 {
-            return fail("--pipeline-depth and --conns must be ≥ 1");
-        }
-        if !(rate > 0.0) {
-            return fail("pipelined burst needs --rate > 0");
-        }
-        return burst_pipelined(
-            &endpoints,
-            conns,
-            depth,
-            requests,
-            rate,
-            concurrency,
-            cfg.request_timeout,
-            users,
-            items,
-            recommend_k,
-            json_out,
-        );
-    }
 
     let fleet = match build_fleet(replicas, topology, cfg) {
         Ok(f) => f,
         Err(code) => return code,
     };
-    // Recommends exercise the scatter-gather path end to end; Predicts
-    // exercise point routing. Both are deterministic in `i`.
-    let make_req = |i: usize| {
-        if recommend_k > 0 {
+    let (mut ok, mut failed, mut degraded) = (0usize, 0usize, 0usize);
+    let mut lats = Vec::with_capacity(requests);
+    for i in 0..requests {
+        // Recommends exercise the scatter-gather path end to end; Predicts
+        // exercise point routing. Both are deterministic in `i`.
+        let req = if recommend_k > 0 {
             Request::recommend(i as u32 % users, recommend_k)
         } else {
             Request::predict(i as u32 % users, i as u32 % items)
-        }
-    };
-
-    let tally = BurstTally::default();
-    let latencies = Mutex::new(Vec::with_capacity(requests));
-    let record = |i: usize, outcome: Result<Response, ClientError>, elapsed: Duration| {
+        };
+        let fired = Instant::now();
+        let outcome = fleet.request(req);
+        lats.push(fired.elapsed());
         match outcome {
             Ok(resp) if resp.ok => {
-                tally.ok.fetch_add(1, Ordering::Relaxed);
+                ok += 1;
                 if resp.degraded == Some(true) {
-                    tally.degraded.fetch_add(1, Ordering::Relaxed);
+                    degraded += 1;
                 }
             }
             Ok(resp) => {
-                tally.failed.fetch_add(1, Ordering::Relaxed);
+                failed += 1;
                 eprintln!("request {i} refused: {:?}: {:?}", resp.kind, resp.error);
             }
             Err(e) => {
-                tally.failed.fetch_add(1, Ordering::Relaxed);
+                failed += 1;
                 eprintln!("request {i} failed: {e}");
             }
         }
-        latencies.lock().unwrap().push(elapsed);
-    };
-
-    let start = Instant::now();
-    if open_loop {
-        // Fixed arrival schedule: request i fires at start + i/rate no
-        // matter how long earlier requests take, so slow replicas inflate
-        // measured latency instead of silently thinning the load.
-        let interval = Duration::from_secs_f64(1.0 / rate);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..concurrency.min(requests) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= requests {
-                        break;
-                    }
-                    let due = start + interval * i as u32;
-                    if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                        std::thread::sleep(wait);
-                    }
-                    let fired = Instant::now();
-                    let outcome = fleet.request(make_req(i));
-                    record(i, outcome, fired.elapsed());
-                });
-            }
-        });
-    } else {
-        for i in 0..requests {
-            let fired = Instant::now();
-            let outcome = fleet.request(make_req(i));
-            record(i, outcome, fired.elapsed());
-            if gap_ms > 0 {
-                std::thread::sleep(Duration::from_millis(gap_ms));
-            }
+        if gap_ms > 0 {
+            std::thread::sleep(Duration::from_millis(gap_ms));
         }
     }
-    let elapsed = start.elapsed();
-    let (ok, failed, degraded) = (
-        tally.ok.load(Ordering::Relaxed),
-        tally.failed.load(Ordering::Relaxed),
-        tally.degraded.load(Ordering::Relaxed),
-    );
-
-    let mut lats = latencies.into_inner().unwrap();
     lats.sort_unstable();
     let (p50, p99) = (percentile_ms(&lats, 0.50), percentile_ms(&lats, 0.99));
-    let throughput = requests as f64 / elapsed.as_secs_f64().max(1e-9);
 
-    let (retries, hedges, shard_stats_json) = match &fleet {
+    let (retries, hedges) = match &fleet {
         Fleet::Flat(client) => {
             let snap = client.snapshot();
-            if !json_out {
-                for r in &snap.replicas {
-                    println!(
-                        "replica {} attempts={} failures={} hedges={} breaker_opens={} breaker_open={} probe_ready={}",
-                        r.addr, r.attempts, r.failures, r.hedges, r.breaker_opens, r.breaker_open, r.probe_ready
-                    );
-                }
+            for r in &snap.replicas {
+                println!(
+                    "replica {} attempts={} failures={} hedges={} breaker_opens={} breaker_open={} probe_ready={}",
+                    r.addr, r.attempts, r.failures, r.hedges, r.breaker_opens, r.breaker_open, r.probe_ready
+                );
             }
-            (snap.retries, snap.hedges, "[]".to_string())
+            (snap.retries, snap.hedges)
         }
         Fleet::Sharded(client) => {
             let snap = client.snapshot();
@@ -1221,70 +1119,42 @@ fn cmd_burst(mut args: Vec<String>) -> ExitCode {
             for (shard, s) in snap.shards.iter().enumerate() {
                 retries += s.retries;
                 hedges += s.hedges;
-                if !json_out {
-                    for r in &s.replicas {
-                        println!(
-                            "shard {shard} replica {} attempts={} failures={} hedges={} breaker_opens={} breaker_open={} probe_ready={}",
-                            r.addr, r.attempts, r.failures, r.hedges, r.breaker_opens, r.breaker_open, r.probe_ready
-                        );
-                    }
+                for r in &s.replicas {
+                    println!(
+                        "shard {shard} replica {} attempts={} failures={} hedges={} breaker_opens={} breaker_open={} probe_ready={}",
+                        r.addr, r.attempts, r.failures, r.hedges, r.breaker_opens, r.breaker_open, r.probe_ready
+                    );
                 }
             }
-            if !json_out {
-                println!(
-                    "scatter fanout={} degraded_responses={}",
-                    snap.scatter_fanout, snap.degraded_responses
-                );
-            }
+            println!(
+                "scatter fanout={} degraded_responses={}",
+                snap.scatter_fanout, snap.degraded_responses
+            );
             // Each shard's *server-side* counters, queried point-to-point
             // so the scatter-merge doesn't collapse them into one total:
             // scatter_fanout says how much gather traffic the shard served,
             // cross_shard_rejects says how much traffic was misrouted to it.
-            let mut rows: Vec<String> = Vec::with_capacity(shard_count as usize);
             for shard in 0..shard_count {
                 match client.shard_client(shard).request(Request::stats()) {
                     Ok(resp) => {
                         if let Some(s) = resp.stats {
-                            if !json_out {
-                                println!(
-                                    "shard {shard} server scatter_fanout={} cross_shard_rejects={}",
-                                    s.scatter_fanout, s.cross_shard_rejects
-                                );
-                            }
-                            rows.push(format!(
-                                "{{\"shard\":{shard},\"scatter_fanout\":{},\
-                                 \"cross_shard_rejects\":{}}}",
+                            println!(
+                                "shard {shard} server scatter_fanout={} cross_shard_rejects={}",
                                 s.scatter_fanout, s.cross_shard_rejects
-                            ));
+                            );
                         }
                     }
                     Err(e) => eprintln!("shard {shard} stats query failed: {e}"),
                 }
             }
-            (retries, hedges, format!("[{}]", rows.join(",")))
+            (retries, hedges)
         }
     };
 
-    let mode = if open_loop { "open" } else { "closed" };
-    if json_out {
-        let rate_target = if open_loop { format!("{rate}") } else { "null".into() };
-        let workload = if recommend_k > 0 { "recommend" } else { "predict" };
-        println!(
-            "{{\"mode\":\"{mode}\",\"shards\":{shard_count},\"workload\":\"{workload}\",\
-             \"requests\":{requests},\"ok\":{ok},\"failed\":{failed},\"degraded\":{degraded},\
-             \"rate_target_rps\":{rate_target},\"throughput_rps\":{throughput:.2},\
-             \"p50_ms\":{p50:.3},\"p99_ms\":{p99:.3},\"elapsed_ms\":{:.1},\
-             \"retries\":{retries},\"hedges\":{hedges},\
-             \"shard_stats\":{shard_stats_json}}}",
-            elapsed.as_secs_f64() * 1e3
-        );
-    } else {
-        println!(
-            "burst mode={mode} shards={shard_count} requests={requests} ok={ok} failed={failed} \
-             degraded={degraded} p50_ms={p50:.2} p99_ms={p99:.2} throughput_rps={throughput:.1} \
-             retries={retries} hedges={hedges}"
-        );
-    }
+    println!(
+        "burst shards={shard_count} requests={requests} ok={ok} failed={failed} \
+         degraded={degraded} p50_ms={p50:.2} p99_ms={p99:.2} retries={retries} hedges={hedges}"
+    );
     fleet.shutdown();
     if failed == 0 {
         ExitCode::SUCCESS
@@ -1301,261 +1171,4 @@ fn percentile_ms(sorted: &[Duration], q: f64) -> f64 {
     }
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1].as_secs_f64() * 1e3
-}
-
-/// One pipelined connection and the send timestamps of its in-flight ids.
-struct ConnState {
-    client: PipelinedClient,
-    sent_at: HashMap<u64, Instant>,
-}
-
-/// What one receive attempt on a pipelined connection produced.
-enum Recv {
-    Got,
-    Timeout,
-    Dead,
-}
-
-/// The pipelined open-loop burst: `conns` raw connections (round-robin
-/// over `endpoints`), each keeping up to `depth` requests in flight on one
-/// socket via [`PipelinedClient`]. Request `i` fires at `start + i/rate`
-/// on connection `i % conns`; responses arrive in whatever order the
-/// server completed them and are matched by correlation id. The
-/// connections are multiplexed over `workers` client threads (connection
-/// `c` belongs to worker `c % workers`) — a thread per connection would
-/// make the *client's* scheduler the tail-latency story on small
-/// machines. Every connection is established before the arrival clock
-/// starts (each worker connects its own sequentially, so the listen
-/// backlog never sees a herd): the row measures steady-state request
-/// latency over a standing population, not connect cost. No retries, no
-/// failover — this mode measures the server's pipelined path, not the
-/// resilient client.
-#[allow(clippy::too_many_arguments)]
-fn burst_pipelined(
-    endpoints: &[String],
-    conns: usize,
-    depth: usize,
-    requests: usize,
-    rate: f64,
-    workers: usize,
-    timeout: Duration,
-    users: u32,
-    items: u32,
-    recommend_k: usize,
-    json_out: bool,
-) -> ExitCode {
-    let make_req = |i: usize| {
-        if recommend_k > 0 {
-            Request::recommend(i as u32 % users, recommend_k)
-        } else {
-            Request::predict(i as u32 % users, i as u32 % items)
-        }
-    };
-    let workers = workers.clamp(1, conns);
-    let tally = BurstTally::default();
-    let latencies = Mutex::new(Vec::with_capacity(requests));
-    let interval = Duration::from_secs_f64(1.0 / rate);
-    // The arrival clock starts only after every worker has its
-    // connections established: the barrier releases them together and the
-    // first one through stamps the shared start instant.
-    let barrier = std::sync::Barrier::new(workers);
-    let start_cell: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (tally, latencies) = (&tally, &latencies);
-            let (barrier, start_cell) = (&barrier, &start_cell);
-            scope.spawn(move || {
-                let recv_one = |conn: &mut ConnState, c: usize, wait: Duration| -> Recv {
-                    match conn.client.recv(wait) {
-                        Ok(Pipelined::Response(resp)) => {
-                            let elapsed = resp
-                                .id
-                                .and_then(|id| conn.sent_at.remove(&id))
-                                .map_or(Duration::ZERO, |t| t.elapsed());
-                            if resp.ok {
-                                tally.ok.fetch_add(1, Ordering::Relaxed);
-                                if resp.degraded == Some(true) {
-                                    tally.degraded.fetch_add(1, Ordering::Relaxed);
-                                }
-                            } else {
-                                tally.failed.fetch_add(1, Ordering::Relaxed);
-                                eprintln!(
-                                    "conn {c}: request {:?} refused: {:?}: {:?}",
-                                    resp.id, resp.kind, resp.error
-                                );
-                            }
-                            latencies.lock().unwrap().push(elapsed);
-                            Recv::Got
-                        }
-                        Ok(Pipelined::Unmatched(resp)) => {
-                            tally.failed.fetch_add(1, Ordering::Relaxed);
-                            eprintln!("conn {c}: unmatched response id {:?}", resp.id);
-                            Recv::Got
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::TimedOut => Recv::Timeout,
-                        Err(e) => {
-                            eprintln!("conn {c}: recv failed: {e}");
-                            Recv::Dead
-                        }
-                    }
-                };
-
-                // Live connections this worker owns, by connection index.
-                let mut open: HashMap<usize, ConnState> = HashMap::new();
-                // Connections given up on: their remaining requests fail
-                // fast instead of reconnecting (no retries by design).
-                let mut dead: Vec<bool> = vec![false; conns];
-                for c in (w..conns.min(requests)).step_by(workers) {
-                    let addr = &endpoints[c % endpoints.len()];
-                    match PipelinedClient::connect(addr.as_str(), timeout) {
-                        Ok(client) => {
-                            open.insert(c, ConnState { client, sent_at: HashMap::new() });
-                        }
-                        Err(e) => {
-                            eprintln!("conn {c}: connect to {addr} failed: {e}");
-                            dead[c] = true;
-                        }
-                    }
-                }
-                barrier.wait();
-                let start = *start_cell.get_or_init(Instant::now);
-                // This worker's schedule: every request whose connection
-                // it owns, in arrival order.
-                for i in (0..requests).filter(|i| (i % conns) % workers == w) {
-                    let c = i % conns;
-                    if dead[c] {
-                        tally.failed.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    let due = start + interval * i as u32;
-                    // Wait out the schedule, draining early arrivals on
-                    // owned connections meanwhile so measured latency is
-                    // response time, not time-sat-unread.
-                    loop {
-                        let Some(wait) = due.checked_duration_since(Instant::now()) else {
-                            break;
-                        };
-                        let pending: Vec<usize> = open
-                            .iter()
-                            .filter(|(_, s)| s.client.pending() > 0)
-                            .map(|(&k, _)| k)
-                            .collect();
-                        if pending.is_empty() {
-                            std::thread::sleep(wait);
-                            break;
-                        }
-                        // One pending conn gets the full wait; several
-                        // share it in short slices.
-                        let slice = if pending.len() == 1 {
-                            wait
-                        } else {
-                            (wait / pending.len() as u32).max(Duration::from_millis(1))
-                        };
-                        for k in pending {
-                            let conn = open.get_mut(&k).unwrap();
-                            if let Recv::Dead = recv_one(conn, k, slice) {
-                                tally.failed
-                                    .fetch_add(conn.client.pending(), Ordering::Relaxed);
-                                open.remove(&k);
-                                dead[k] = true;
-                            }
-                            if due.checked_duration_since(Instant::now()).is_none() {
-                                break;
-                            }
-                        }
-                    }
-                    if dead[c] {
-                        tally.failed.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    let conn = open.get_mut(&c).unwrap();
-                    // The window bound: block for real once it is full.
-                    while conn.client.pending() >= depth && !dead[c] {
-                        match recv_one(conn, c, timeout) {
-                            Recv::Got => {}
-                            Recv::Timeout | Recv::Dead => dead[c] = true,
-                        }
-                    }
-                    if dead[c] {
-                        let conn = open.remove(&c).unwrap();
-                        tally.failed.fetch_add(1 + conn.client.pending(), Ordering::Relaxed);
-                        continue;
-                    }
-                    match conn.client.send(make_req(i)) {
-                        Ok(id) => {
-                            conn.sent_at.insert(id, Instant::now());
-                        }
-                        Err(e) => {
-                            eprintln!("conn {c}: send failed: {e}");
-                            let conn = open.remove(&c).unwrap();
-                            tally.failed
-                                .fetch_add(1 + conn.client.pending(), Ordering::Relaxed);
-                            dead[c] = true;
-                            continue;
-                        }
-                    }
-                    // A single-slot window wants the exact round trip:
-                    // read the answer now rather than on a later sweep.
-                    if depth == 1 {
-                        match recv_one(conn, c, timeout) {
-                            Recv::Got => {}
-                            Recv::Timeout | Recv::Dead => {
-                                let conn = open.remove(&c).unwrap();
-                                tally.failed
-                                    .fetch_add(conn.client.pending(), Ordering::Relaxed);
-                                dead[c] = true;
-                            }
-                        }
-                    }
-                }
-                // Final drain: every in-flight id gets its answer (or the
-                // connection is declared dead and its window counted).
-                for (c, mut conn) in open {
-                    while conn.client.pending() > 0 {
-                        match recv_one(&mut conn, c, timeout) {
-                            Recv::Got => {}
-                            Recv::Timeout | Recv::Dead => {
-                                tally.failed
-                                    .fetch_add(conn.client.pending(), Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let elapsed = start_cell.get().copied().unwrap_or_else(Instant::now).elapsed();
-    let (ok, failed, degraded) = (
-        tally.ok.load(Ordering::Relaxed),
-        tally.failed.load(Ordering::Relaxed),
-        tally.degraded.load(Ordering::Relaxed),
-    );
-    let mut lats = latencies.into_inner().unwrap();
-    lats.sort_unstable();
-    let (p50, p99) = (percentile_ms(&lats, 0.50), percentile_ms(&lats, 0.99));
-    let throughput = requests as f64 / elapsed.as_secs_f64().max(1e-9);
-    if json_out {
-        let workload = if recommend_k > 0 { "recommend" } else { "predict" };
-        println!(
-            "{{\"mode\":\"pipelined\",\"conns\":{conns},\"depth\":{depth},\
-             \"workload\":\"{workload}\",\
-             \"requests\":{requests},\"ok\":{ok},\"failed\":{failed},\"degraded\":{degraded},\
-             \"rate_target_rps\":{rate},\"throughput_rps\":{throughput:.2},\
-             \"p50_ms\":{p50:.3},\"p99_ms\":{p99:.3},\"elapsed_ms\":{:.1},\
-             \"retries\":0,\"hedges\":0,\"shard_stats\":[]}}",
-            elapsed.as_secs_f64() * 1e3
-        );
-    } else {
-        println!(
-            "burst mode=pipelined conns={conns} depth={depth} requests={requests} ok={ok} \
-             failed={failed} degraded={degraded} p50_ms={p50:.2} p99_ms={p99:.2} \
-             throughput_rps={throughput:.1}"
-        );
-    }
-    if failed == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }

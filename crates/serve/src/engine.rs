@@ -33,10 +33,10 @@
 use crate::artifact::{ModelArtifact, MANIFEST_FILE};
 use crate::batch::{BatchConfig, BatchQueue, Completion, Job, QueuePermit};
 use crate::cache::{CacheAxis, TowerCache};
-use crate::protocol::{ErrorKind, HealthDto, Op, ReplRecordDto, Request, Response};
 use crate::replication::{self, AckLevel, QuorumError, Replication, ReplicationConfig};
 use crate::stats::{EngineStats, FrontendStats, StatsSnapshot};
 use crate::wal::{self, FsyncPolicy, IngestLedger, SeqSet, WalRecord, WalWriter};
+use rrre_wire::{ErrorKind, HealthDto, Op, ReplRecordDto, Request, Response};
 use rrre_core::{rank_candidates, ColdStartPrior, Prediction, EXPLANATION_RELIABILITY_THRESHOLD};
 use rrre_shard::ShardMap;
 use rrre_data::{ItemId, Label, Review, UserId};
@@ -113,7 +113,8 @@ pub struct IngestConfig {
     pub segment_bytes: u64,
     /// When appended records reach the platter. [`FsyncPolicy::EveryRecord`]
     /// (the default) makes every ack a durability promise;
-    /// [`FsyncPolicy::Batched`] is a relaxed benchmarking knob.
+    /// [`FsyncPolicy::Batched`] is relaxed — the WAL tests and the
+    /// benchmark's no-sync append probe construct it, no CLI flag does.
     pub fsync: FsyncPolicy,
     /// Auto-refresh the serving towers once this many accepted records are
     /// pending. `1` (the default) folds every review in before its ack
@@ -454,7 +455,9 @@ impl Engine {
     pub fn submit(&self, request: Request) -> Response {
         let id = request.id;
         let (reply_tx, reply_rx) = mpsc::channel();
-        self.submit_with(request, Completion::channel(reply_tx, id));
+        self.submit_async(request, move |response| {
+            let _ = reply_tx.send(response);
+        });
         reply_rx
             .recv()
             .unwrap_or_else(|_| Response::internal(id, "engine dropped the request"))
@@ -467,12 +470,11 @@ impl Engine {
     /// path: thousands of in-flight requests without a parked thread each.
     pub fn submit_async(&self, request: Request, complete: impl FnOnce(Response) + Send + 'static) {
         let id = request.id;
-        self.submit_with(request, Completion::callback(Box::new(complete), id));
+        self.submit_with(request, Completion::new(Box::new(complete), id));
     }
 
-    /// The single submission path behind [`Engine::submit`] and
-    /// [`Engine::submit_async`]: shed/breaker/health interception, then
-    /// the bounded queue.
+    /// The non-generic body of [`Engine::submit_async`]:
+    /// shed/breaker/health interception, then the bounded queue.
     fn submit_with(&self, request: Request, completion: Completion) {
         let id = request.id;
         // Health bypasses the queue, the shed gate and the breaker: a
@@ -521,13 +523,13 @@ impl Engine {
     /// Parses one protocol line and submits it; parse failures become
     /// error responses rather than dropped connections.
     pub fn submit_line(&self, line: &str) -> Response {
-        match crate::protocol::decode_request(line) {
+        match rrre_wire::decode_request(line) {
             Ok(req) => self.submit(req),
             // Even an undecodable request should correlate its error when
             // possible: pipelining clients match replies by id, and a
             // `null`-id error desynchronises their whole window.
             Err(e) => Response::error_kind(
-                crate::protocol::extract_id(line),
+                rrre_wire::extract_id(line),
                 ErrorKind::BadRequest,
                 e,
             ),
@@ -539,10 +541,10 @@ impl Engine {
     /// `BadRequest` (and best-effort id recovery) the blocking path
     /// produces.
     pub fn submit_line_async(&self, line: &str, complete: impl FnOnce(Response) + Send + 'static) {
-        match crate::protocol::decode_request(line) {
+        match rrre_wire::decode_request(line) {
             Ok(req) => self.submit_async(req, complete),
             Err(e) => complete(Response::error_kind(
-                crate::protocol::extract_id(line),
+                rrre_wire::extract_id(line),
                 ErrorKind::BadRequest,
                 e,
             )),
@@ -1152,7 +1154,7 @@ fn worker_loop(shared: &Shared, queue: &BatchQueue) {
     while let Some(batch) = queue.next_batch() {
         shared.stats.record_batch(batch.len());
         let mut panicked = false;
-        for mut job in batch {
+        for job in batch {
             // Pin the generation per job: a reload mid-batch must not mix
             // weights between jobs, let alone within one.
             let generation = shared.generation();
@@ -1176,8 +1178,9 @@ fn worker_loop(shared: &Shared, queue: &BatchQueue) {
             // Release the queue slot *before* replying: a client that has
             // seen its response must be able to resubmit immediately
             // without racing the permit drop for its own old slot.
-            drop(job.permit.take());
-            job.reply.complete(response);
+            let Job { reply, permit, .. } = job;
+            drop(permit);
+            reply.complete(response);
         }
         if panicked {
             std::thread::sleep(shared.cfg.panic_backoff);
@@ -1324,7 +1327,7 @@ fn process(shared: &Shared, generation: &Generation, job: &Job) -> Response {
             resp.recommendations = Some(
                 scored
                     .into_iter()
-                    .map(|(item, p)| crate::protocol::RecommendationDto {
+                    .map(|(item, p)| rrre_wire::RecommendationDto {
                         item: item.0,
                         item_name: ds.item_name(item),
                         rating: p.rating,
@@ -1363,7 +1366,7 @@ fn process(shared: &Shared, generation: &Generation, job: &Job) -> Response {
                     .into_iter()
                     .map(|(ri, p)| {
                         let r = &ds.reviews[ri];
-                        crate::protocol::ExplanationDto {
+                        rrre_wire::ExplanationDto {
                             review_idx: ri,
                             user: r.user.0,
                             user_name: ds.user_name(r.user),
@@ -1502,7 +1505,7 @@ fn process(shared: &Shared, generation: &Generation, job: &Job) -> Response {
                     }
                 }
                 let mut resp = Response::ok(req.id);
-                resp.ingest = Some(crate::protocol::IngestDto { seq, duplicate: true });
+                resp.ingest = Some(rrre_wire::IngestDto { seq, duplicate: true });
                 resp
             } else {
                 match inner.wal.append(&rec) {
@@ -1553,7 +1556,7 @@ fn process(shared: &Shared, generation: &Generation, job: &Job) -> Response {
                         }
                         let mut resp = Response::ok(req.id);
                         resp.ingest =
-                            Some(crate::protocol::IngestDto { seq, duplicate: false });
+                            Some(rrre_wire::IngestDto { seq, duplicate: false });
                         resp
                     }
                 }
@@ -1562,7 +1565,7 @@ fn process(shared: &Shared, generation: &Generation, job: &Job) -> Response {
         Op::Compact => match do_compact(shared) {
             Ok((folded, new_generation)) => {
                 let mut resp = Response::ok(req.id);
-                resp.compaction = Some(crate::protocol::CompactionDto {
+                resp.compaction = Some(rrre_wire::CompactionDto {
                     folded,
                     generation: new_generation,
                 });

@@ -19,11 +19,11 @@
 use crate::conn::Conn;
 use crate::engine::Engine;
 use crate::frame::FrameEvent;
-use crate::protocol::{encode_response, ErrorKind, Response, MAX_LINE_BYTES};
 use crate::server::ServerConfig;
 use crate::stats::FrontendStats;
 use crate::sys::{self, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::timer::TimerWheel;
+use rrre_wire::{encode_response, ErrorKind, Response, MAX_LINE_BYTES};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpListener;

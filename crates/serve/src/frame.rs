@@ -8,7 +8,7 @@
 //! the chunk boundaries fall.
 //!
 //! The line bound is enforced incrementally: the moment a frame's buffered
-//! prefix exceeds [`crate::protocol::MAX_LINE_BYTES`], the decoder emits
+//! prefix exceeds [`rrre_wire::MAX_LINE_BYTES`], the decoder emits
 //! one structured [`FrameError::Oversized`] and switches to discard mode,
 //! dropping bytes (never buffering them) until the terminating newline.
 //! Memory per connection is therefore bounded by `max_line + 1` regardless

@@ -17,7 +17,7 @@
 //!   ([`batch::BatchQueue`]) that serves predict / recommend / explain with
 //!   per-request deadlines, engine-wide counters ([`stats`]) and graceful
 //!   shutdown.
-//! * [`protocol`] + [`server`] — newline-delimited JSON over TCP (and a
+//! * [`rrre_wire`] + [`server`] — newline-delimited JSON over TCP (and a
 //!   single-shot CLI in `src/bin/serve.rs`): one request per line, one
 //!   response per line, stable across process restarts because ranking ties
 //!   break deterministically ([`rrre_core::rank_candidates`]).
@@ -42,7 +42,6 @@ pub mod conn;
 pub mod engine;
 mod event_loop;
 pub mod frame;
-pub mod protocol;
 pub mod replication;
 pub mod server;
 pub mod stats;
@@ -55,7 +54,7 @@ pub use batch::Completion;
 pub use cache::{CacheAxis, TowerCache};
 pub use engine::{Engine, EngineConfig, Generation, IngestConfig, WAL_DIR};
 pub use frame::{FrameDecoder, FrameError, FrameEvent};
-pub use protocol::{ErrorKind, HealthDto, Op, Request, Response};
+pub use rrre_wire::{ErrorKind, HealthDto, Op, Request, Response};
 pub use replication::{AckLevel, QuorumError, ReplRole, Replication, ReplicationConfig};
 pub use server::{Server, ServerConfig};
 pub use stats::{EngineStats, FrontendStats, StatsSnapshot};

@@ -39,8 +39,8 @@
 //! over `std::net::TcpStream` — one request in flight per follower, the
 //! same framing the public protocol uses, no new dependencies.
 
-use crate::protocol::{ErrorKind, ReplRecordDto, Request, Response};
 use crate::wal::WalRecord;
+use rrre_wire::{ErrorKind, ReplRecordDto, Request, Response};
 use std::collections::HashMap;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};

@@ -4,7 +4,7 @@
 //! the cache counters prove warm predictions skip the towers.
 
 use rrre_data::{ItemId, UserId};
-use rrre_serve::protocol::Response;
+use rrre_wire::Response;
 use rrre_serve::{Engine, EngineConfig, ModelArtifact, Server};
 use rrre_testkit::{trained_fixture, TempDir};
 use std::io::{BufRead, BufReader, Write};

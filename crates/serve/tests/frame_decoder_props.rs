@@ -9,7 +9,7 @@
 //! both a fresh decoder and a reference model and demand exact agreement.
 
 use proptest::prelude::*;
-use rrre_serve::protocol::MAX_LINE_BYTES;
+use rrre_wire::MAX_LINE_BYTES;
 use rrre_serve::{FrameDecoder, FrameError, FrameEvent};
 
 /// What a decode run produced: every claimable event, then the EOF tail.

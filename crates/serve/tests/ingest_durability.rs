@@ -18,7 +18,7 @@
 //!   keeps replay idempotent across every interleaving.
 
 use rrre_serve::artifact::MANIFEST_FILE;
-use rrre_serve::protocol::PredictionDto;
+use rrre_wire::PredictionDto;
 use rrre_serve::wal::{self, FsyncPolicy, IngestLedger, SeqSet};
 use rrre_serve::{Engine, EngineConfig, IngestConfig, ModelArtifact, Request, WAL_DIR};
 use rrre_testkit::fault::{flip_byte, shave_tail, wal_segments};

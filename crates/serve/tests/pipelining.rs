@@ -154,7 +154,7 @@ fn deadlines_are_honored_per_request_within_the_pipeline() {
 
 #[test]
 fn oversized_frame_mid_pipeline_fails_alone_and_the_pipeline_keeps_answering() {
-    use rrre_serve::protocol::MAX_LINE_BYTES;
+    use rrre_wire::MAX_LINE_BYTES;
     use rrre_testkit::fault::oversized_line;
     use std::io::{BufRead, BufReader, Write};
 

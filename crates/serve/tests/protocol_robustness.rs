@@ -3,7 +3,7 @@
 //! errors — never a panic, never a silently dropped connection, and never
 //! unbounded buffering.
 
-use rrre_serve::protocol::{Response, MAX_LINE_BYTES};
+use rrre_wire::{Response, MAX_LINE_BYTES};
 use rrre_serve::{Engine, EngineConfig, ModelArtifact, Server};
 use rrre_testkit::fault::{oversized_line, roundtrip_line, send_partial_line};
 use rrre_testkit::{trained_fixture, TempDir};

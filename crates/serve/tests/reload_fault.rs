@@ -5,7 +5,7 @@
 //! zero failed requests.
 
 use rrre_serve::artifact::{DATASET_FILE, MANIFEST_FILE, MODEL_FILE, VECTORS_FILE};
-use rrre_serve::protocol::PredictionDto;
+use rrre_wire::PredictionDto;
 use rrre_serve::{Engine, EngineConfig, ModelArtifact, Request};
 use rrre_testkit::fault::{flip_byte, truncate_file};
 use rrre_testkit::sync::run_concurrently;

@@ -11,7 +11,7 @@
 use rrre_core::Rrre;
 use rrre_data::{Dataset, EncodedCorpus, ItemId, UserId};
 use rrre_serve::engine::Engine;
-use rrre_serve::protocol::Request;
+use rrre_wire::Request;
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

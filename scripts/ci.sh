@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Full local CI gate: everything must build in release, every workspace
-# test must pass, and the Criterion benches must at least compile.
+# test must pass, the paper-table/figure Criterion benches must at least
+# compile, and the frozen benchmark crate must build, pass its unit tests
+# and `check` against the current crates/.
 # Run from anywhere; operates on the repo this script lives in.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -13,8 +15,15 @@ cargo build --release --workspace
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> cargo build --benches"
-cargo build --benches
+echo "==> cargo build --benches (rrre-bench: paper tables, figures, ablations)"
+cargo build --benches -p rrre-bench
+
+echo "==> frozen benchmark (build, unit tests, check)"
+# benchmark/ is its own workspace with path deps on crates/*: a rename or
+# a dropped metric there must fail here, not in the benchmark driver.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- check
 
 # Thread-matrix smoke: the tier-1 root suite must pass with the training
 # thread count forced through the RRRE_THREADS override — the fixtures every
