@@ -6,9 +6,11 @@
 //!    and Explain *bit-identically* to a single whole-model engine over the
 //!    same artifact, across three master seeds. Sharding is a deployment
 //!    detail, never a model change.
-//! 2. **Degraded answers** — with one shard entirely down, ranking answers
-//!    still come back `ok`, flagged `degraded` with the missing shard id,
-//!    and every row they do contain carries the exact whole-model score.
+//! 2. **Degraded answers** — with one shard entirely down (both replicas
+//!    killed mid-burst), no request fails client-visibly, the other shards
+//!    see no failed attempt, ranking answers come back `ok`, flagged
+//!    `degraded` with the missing shard id, and every row they do contain
+//!    carries the exact whole-model score.
 //! 3. **Deadline splitting** — a black-holed shard consumes only the
 //!    scatter's shared budget, not `shards × timeout`, and retry attempts
 //!    advertise a shrinking `deadline_ms` to the server.
@@ -117,15 +119,17 @@ fn three_shard_scatter_matches_single_node_across_seeds() {
     }
 }
 
-/// One shard entirely down: point lookups for its entities fail, ranking
-/// over the survivors comes back `ok` + `degraded` + missing shard id, and
-/// every surviving row is still the whole-model score for that item.
+/// One shard entirely down — both its replicas killed mid-burst: the burst
+/// finishes with zero client-visible failures, the unaffected shards never
+/// see a failed attempt, point lookups for the dead shard's entities fail,
+/// ranking over the survivors comes back `ok` + `degraded` + missing shard
+/// id, and every surviving row is still the whole-model score for that item.
 #[test]
 fn kill_one_shard_yields_flagged_exact_partial_answers() {
     // Micro's catalog is a single item; this drill needs items on both
     // sides of the kill, so scale the catalog up to 8 items.
     let fx = trained_fixture_with(FixtureSpec { scale: 0.2, ..FixtureSpec::micro() });
-    let mut dep = ShardedDeployment::launch(&fx, 3, 1);
+    let mut dep = ShardedDeployment::launch(&fx, 3, 2);
     let reference = dep.whole_model_engine();
     let map = rrre_shard::ShardMap::new(dep.spec()).unwrap();
     let client = ShardedClient::new(
@@ -143,9 +147,29 @@ fn kill_one_shard_yields_flagged_exact_partial_answers() {
     let items = fx.dataset.n_items as u32;
 
     // Kill whichever shard owns item 0 — guaranteed to strand ≥1 item even
-    // on a tiny catalog.
+    // on a tiny catalog — a third of the way into a scatter-gather burst.
     let dead = map.shard_of_item(0);
-    dep.kill_shard(dead);
+    for i in 0..30u32 {
+        if i == 10 {
+            dep.kill_shard(dead);
+        }
+        let resp = client
+            .request(Request::recommend(i % users, 5))
+            .unwrap_or_else(|e| panic!("request {i} must not fail client-visibly: {e}"));
+        assert!(resp.ok, "request {i} refused: {:?}", resp.error);
+        assert_eq!(resp.degraded == Some(true), i >= 10, "request {i}: degraded iff a shard is gone");
+    }
+    let snap = client.snapshot();
+    for live in (0..3).filter(|&s| s != dead) {
+        for replica in &snap.shards[live as usize].replicas {
+            assert_eq!(replica.failures, 0, "unaffected shard {live} saw a failed attempt: {replica:?}");
+        }
+        // The survivors' own counters are live: they served the scatter
+        // legs, and the shard-routed client misrouted nothing to them.
+        let served: Vec<_> = (0..2).map(|r| dep.engine(live, r).unwrap().stats()).collect();
+        assert!(served.iter().map(|s| s.scatter_fanout).sum::<u64>() > 0, "shard {live} served no leg");
+        assert!(served.iter().all(|s| s.cross_shard_rejects == 0), "shard {live} got misrouted traffic");
+    }
 
     // Point lookups split by ownership: dead shard's items error, others work.
     let (mut dead_items, mut live_items) = (0, 0);

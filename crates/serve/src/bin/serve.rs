@@ -1,183 +1,258 @@
 //! `rrre-serve` — train, serve and query RRRE artifacts from the shell.
 //!
-//! ```text
-//! rrre-serve demo <dir> [--scale F]          train a small model, save an artifact
-//! rrre-serve train <dir> [...]               crash-safe training with checkpoints
-//! rrre-serve serve <dir> [--addr A] [...]    serve an artifact over TCP (NDJSON)
-//! rrre-serve query <addr> <json-line>        send one request, resiliently
-//! rrre-serve oneshot <dir> <json-line>       answer one request in-process, no server
-//! rrre-serve burst --replicas a,b,c [...]    drive a request burst through the client
-//! rrre-serve attack-eval [--out FILE] [...]  robustness grid under fraud campaigns
-//! ```
+//! Eleven verbs over one flag table: each verb declares its flags once in
+//! [`verbs`] (name, value or switch, help, default, prerequisites), and
+//! parsing, `--help` and every refusal are derived from that declaration.
+//! A command line the table does not accept exits with status 2 and names
+//! the offending argument; an operational failure exits with status 1.
+//! `rrre-serve --help` prints the whole table.
 
 use rrre_client::{Client, ClientConfig, ClientError, IngestSequencer, ShardedClient};
 use rrre_core::{run_robustness_sweep, AttackEvalConfig, CheckpointConfig, EpochStats, Rrre, RrreConfig};
 use rrre_data::synth::{generate, AttackCampaign, AttackFamily, SynthConfig};
 use rrre_data::{CorpusConfig, Dataset, EncodedCorpus};
 use rrre_serve::{
-    AckLevel, Engine, EngineConfig, IngestConfig, ModelArtifact, ReplRole, ReplicationConfig,
-    Server, ServerConfig,
+    AckLevel, ArtifactManifest, Engine, EngineConfig, IngestConfig, ModelArtifact, ReplRole,
+    ReplicationConfig, Server, ServerConfig,
 };
 use rrre_shard::ShardTopology;
 use rrre_text::word2vec::Word2VecConfig;
 use rrre_wire::{decode_request, encode_response, Request, Response, ShardSpec};
+use std::fmt::Write as _;
 use std::io::{BufRead, IsTerminal};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "\
-rrre-serve: inference serving for the RRRE model
+/// One row of a verb's flag table.
+struct Flag {
+    name: &'static str,
+    /// Metavariable of the value the flag takes; `None` for a bare switch.
+    value: Option<&'static str>,
+    help: &'static str,
+    /// What leaving the flag out means: shown by `--help`, parsed by
+    /// [`Args::get`], so the two cannot disagree.
+    default: Option<String>,
+    /// The flag only means something beside one of these.
+    needs: &'static [&'static str],
+}
 
-USAGE:
-  rrre-serve demo <dir> [--scale F] [--shards N]
-      Generate a synthetic YelpChi-like dataset (default --scale 0.05),
-      train a small RRRE model and write a serving artifact to <dir>.
-      --shards N (default 1) records an N-way consistent-hash shard spec
-      in the manifest; every shard's replicas serve from this one artifact.
+fn val(name: &'static str, value: &'static str, help: &'static str) -> Flag {
+    Flag { name, value: Some(value), help, default: None, needs: &[] }
+}
 
-  rrre-serve train <dir> [--scale F] [--epochs N] [--every N] [--threads N]
-                         [--resume] [--abort-after-epoch N]
-      Crash-safe training over the same synthetic dataset: atomic
-      checkpoints into <dir> every --every epochs (default 1). --resume
-      continues from the newest checkpoint in <dir>, bit-identically to an
-      uninterrupted run. --abort-after-epoch N exits with status 137 right
-      after epoch N's checkpoint lands — a scripted SIGKILL for crash
-      drills. --threads N (default $RRRE_THREADS, else 1) trains
-      data-parallel; every thread count yields the same bits, so a run may
-      resume with a different count. The final stdout line carries the
-      exact loss bits.
+fn switch(name: &'static str, help: &'static str) -> Flag {
+    Flag { name, value: None, help, default: None, needs: &[] }
+}
 
-  rrre-serve serve <dir> [--addr HOST:PORT] [--shard-id N] [--workers N]
-                         [--max-batch N] [--max-wait-ms N] [--queue-cap N]
-                         [--max-conns N] [--read-timeout-ms N] [--drain-ms N]
-                         [--idle-timeout-ms N] [--max-inflight N]
-                         [--write-buf-kb N] [--ingest] [--segment-kb N]
-                         [--refresh-every N] [--cold-start-min N]
-                         [--followers a,b | --replicate-from ADDR]
-                         [--ack leader|quorum] [--epoch N]
-                         [--quorum-timeout-ms N]
-      Load the artifact in <dir> and serve newline-delimited JSON over TCP
-      (default --addr 127.0.0.1:7878). One epoll event loop multiplexes
-      every connection; requests pipeline per connection up to
-      --max-inflight (default 64), --write-buf-kb (default 256) bounds
-      queued response bytes per connection before reads pause, and
-      --idle-timeout-ms reaps silent connections (default: never).
-      --shard-id N scopes this replica to
-      shard N of the manifest's shard map: it answers only for entities it
-      owns (WrongShard otherwise) and scores only its own catalog slice on
-      Recommend; omit it for the whole-model fallback. --ingest enables
-      durable streaming ingest: IngestReview appends to a checksummed WAL
-      under <dir>/wal (fsync per record; an ack is a durability promise),
-      refreshed into the serving towers every --refresh-every records
-      (default 1; 0 = only on Compact), and Compact folds the WAL into a
-      new artifact generation. On startup --ingest replays the WAL (torn
-      tails repaired, mid-log corruption refuses to start) and completes
-      any interrupted compaction. --segment-kb sets WAL rotation (default
-      4096).
-      --cold-start-min N answers thin pairs (either side under N reviews)
-      with a calibrated reliability prior instead of the head score.
-      Replication (needs --ingest): --followers a,b starts this replica as
-      the shard's ingest leader, shipping its WAL to the listed follower
-      addresses; --replicate-from ADDR starts it as a follower of ADDR
-      (refuses client ingest with NotLeader, applies Replicate shipments,
-      pulls catch-up ranges after restart). --ack quorum (the default when
-      replicating) releases each ingest ack only once a majority of the
-      replica set holds the record durably; --ack leader keeps single-copy
-      acks. --epoch N (default 1) sets the leader's starting term — a
-      higher persisted term from a previous incarnation always wins — and
-      --quorum-timeout-ms (default 5000) bounds how long an ack may wait
-      for quorum before refusing Unavailable (retry-safe: the record stays
-      durable on the leader and the retry dedups).
-      Stdin verbs: `quit` stops the server gracefully, `reload` hot-swaps
-      the artifact from <dir>, `compact` folds the WAL now, `stats` prints
-      the counters, `health` prints liveness/readiness. On stdin EOF
-      (detached/daemonized) it keeps serving until killed.
+impl Flag {
+    fn default(mut self, default: impl ToString) -> Self {
+        self.default = Some(default.to_string());
+        self
+    }
 
-  rrre-serve shardmap <dir> --replicas \"a,b;c,d;e,f\"
-      Print a shard-topology JSON document (for --shard-map) binding the
-      artifact's shard spec to replica endpoints: shard lists separated by
-      `;`, replicas within a shard by `,`. The list count must match the
-      manifest's shard count.
+    fn needs(mut self, needs: &'static [&'static str]) -> Self {
+        self.needs = needs;
+        self
+    }
+}
 
-  rrre-serve ingest (<addr> | --replicas a,b,c | --shard-map FILE)
-                    --count N [--seq-start S] [--users N] [--items N]
-                    [--campaign FAMILY] [--attack-seed N] [CLIENT FLAGS]
-      Stream N reviews through the resilient client with the ingest
-      sequencer: review k carries seq S+k (default S=0) and a payload
-      derived deterministically from its seq, so re-running the same
-      command replays byte-identical reviews — the server acks replays as
-      duplicates without re-applying (exactly-once drills). Prints one
-      `seq=K duplicate=BOOL` line per ack and a machine-readable summary.
-      Exits nonzero if any review failed to ack.
-      --campaign FAMILY (template|ramp|burst|mimicry) replaces the bland
-      seq-derived payloads with a seeded fraud campaign confined to the
-      --users/--items id space (sybils squat the tail of the user range) —
-      the ingest-under-attack drill for the serving tier's cold-start
-      prior and incremental refresh. --attack-seed N (default 0xA77AC4)
-      pins the campaign; payloads stay a pure function of the flags, so
-      replays still dedup.
+/// Operational failure: `main` prints the message and exits with status 1.
+type Outcome = Result<ExitCode, String>;
 
-  rrre-serve attack-eval [--out FILE] [--scale F] [--families a,b,c]
-                         [--strengths x,y,z] [--epochs N] [--threads N]
-                         [--seed N]
-      Train-on-poisoned / evaluate-on-clean robustness sweep: for every
-      attack family × strength cell, inject a seeded fraud campaign into
-      the synthetic YelpChi-like base (default --scale 0.05), re-train the
-      model on the label-poisoned corpus, and evaluate on the clean
-      held-out test set. Emits the Table-IV-style CSV grid (reliability-AP
-      degradation and rating-RMSE poisoning per cell) to stdout and, with
-      --out, to FILE. Families default to all four
-      (template,ramp,burst,mimicry), strengths to 0.1,0.25,0.5, --seed
-      (default 0xA77AC4) pins the campaigns. The sweep is bit-identical
-      per seed at every --threads count; CI diffs the emitted grid against
-      the committed results/adversarial_grid.csv.
+struct Verb {
+    name: &'static str,
+    /// Positionals and required flags, as the usage line shows them.
+    synopsis: &'static str,
+    about: &'static str,
+    run: fn(Args) -> Outcome,
+    flags: Vec<Flag>,
+    /// Whether the verb also takes the shared [`client_flags`].
+    client: bool,
+}
 
-  rrre-serve compact (<addr> | --replicas a,b,c | --shard-map FILE)
-                     [CLIENT FLAGS]
-      Fold the WAL into a new artifact generation on every shard
-      (broadcast) and print what was folded.
+/// The flag table: every verb, and every flag it accepts, declared once.
+fn verbs() -> Vec<Verb> {
+    let verb = |name, synopsis, run, about, flags| Verb { name, synopsis, about, run, flags, client: false };
+    let client = |name, synopsis, run, about, flags| Verb { client: true, ..verb(name, synopsis, run, about, flags) };
+    let threads = || {
+        val("--threads", "N", "data-parallel training threads; every count yields the same bits")
+            .default(RrreConfig::env_threads().unwrap_or(1))
+    };
+    let sweep = AttackEvalConfig::small();
+    let families: Vec<&str> = sweep.families.iter().map(|f| f.name()).collect();
+    let strengths: Vec<String> = sweep.strengths.iter().map(f64::to_string).collect();
+    vec![
+        verb("demo", "<dir> [FLAGS]", cmd_demo,
+            "Generate a synthetic YelpChi-like dataset, train a small RRRE model and write a \
+             serving artifact to <dir>.",
+            vec![
+                val("--scale", "F", "synthetic dataset scale").default(0.05),
+                val("--shards", "N", "shards in the manifest's consistent-hash map; every shard's \
+                     replicas serve from this one artifact").default(1),
+            ]),
+        verb("train", "<dir> [FLAGS]", cmd_train,
+            "Crash-safe training over the same synthetic dataset, with atomic checkpoints into \
+             <dir>. The final stdout line carries the exact loss bits.",
+            vec![
+                val("--scale", "F", "synthetic dataset scale").default(0.04),
+                val("--epochs", "N", "epochs to train").default(4),
+                val("--every", "N", "checkpoint every N epochs").default(1),
+                threads(),
+                switch("--resume", "continue from the newest checkpoint in <dir>, bit-identically to \
+                     an uninterrupted run, at any --threads"),
+                val("--abort-after-epoch", "N", "exit with status 137 right after epoch N's \
+                     checkpoint lands: a scripted SIGKILL for crash drills"),
+            ]),
+        verb("serve", "<dir> [FLAGS]", cmd_serve,
+            "Load the artifact in <dir> and serve newline-delimited JSON over TCP: one epoll event \
+             loop multiplexes every connection, requests pipeline per connection. Stdin verbs: \
+             `quit` (graceful stop), `reload` (hot-swap the artifact from <dir>), `compact` (fold \
+             the WAL now), `stats`, `health`; on stdin EOF (detached) it serves until killed.",
+            serve_flags()),
+        verb("shardmap", "<dir> --replicas \"a,b;c,d;e,f\"", cmd_shardmap,
+            "Print the shard-topology JSON document --shard-map takes, binding the artifact's \
+             shard spec to replica endpoints.",
+            vec![val("--replicas", "LISTS", "required: shards separated by `;`, replicas within a \
+                 shard by `,`; the shard count must match the manifest's")]),
+        client("ingest", "(<addr> | --replicas a,b,c | --shard-map FILE) --count N [FLAGS] [CLIENT FLAGS]",
+            cmd_ingest,
+            "Stream N reviews through the resilient client. Every payload is a pure function of \
+             its seq, so re-running the same command replays byte-identical reviews and the \
+             server acks them as duplicates without re-applying (exactly-once drills). Prints one \
+             `seq=K duplicate=BOOL` line per ack and a machine-readable summary; exits nonzero if \
+             any review failed to ack.",
+            vec![
+                val("--count", "N", "reviews to send, required"),
+                val("--seq-start", "S", "seq id of the first review").default(0),
+                val("--users", "N", "user ids the reviews cycle through").default(2),
+                val("--items", "N", "item ids the reviews cycle through").default(2),
+                val("--campaign", "FAMILY", "send a seeded fraud campaign (template|ramp|burst|\
+                     mimicry) confined to the --users/--items id space instead of the bland \
+                     seq-derived payloads; replays still dedup"),
+                val("--attack-seed", "N", "campaign seed").default(sweep.campaign_seed).needs(&["--campaign"]),
+            ]),
+        verb("attack-eval", "[FLAGS]", cmd_attack_eval,
+            "Train-on-poisoned / evaluate-on-clean robustness sweep: per attack family × strength \
+             cell, inject a seeded fraud campaign into the synthetic base, re-train on the \
+             label-poisoned corpus, evaluate on the clean held-out test set. Emits the \
+             Table-IV-style CSV grid on stdout, bit-identical per seed at every thread count; the \
+             default sweep is the committed results/adversarial_grid.csv.",
+            vec![
+                val("--out", "FILE", "also write the grid to FILE"),
+                val("--scale", "F", "synthetic dataset scale").default(0.05),
+                val("--families", "a,b,c", "attack families").default(families.join(",")),
+                val("--strengths", "x,y,z", "attack strengths").default(strengths.join(",")),
+                val("--epochs", "N", "epochs per re-training").default(sweep.model.epochs),
+                threads(),
+                val("--seed", "N", "campaign seed").default(sweep.campaign_seed),
+            ]),
+        client("compact", "(<addr> | --replicas a,b,c | --shard-map FILE) [CLIENT FLAGS]", cmd_compact,
+            "Fold the WAL into a new artifact generation on every shard (broadcast) and print \
+             what was folded.",
+            vec![]),
+        client("promote", "(<addr> | --replicas a,b,c | --shard-map FILE) --epoch N [FLAGS] [CLIENT FLAGS]",
+            cmd_promote,
+            "Install the addressed replica as its shard's ingest leader. The new term fences the \
+             old leader: its Replicate/IngestReview traffic is refused with StaleEpoch.",
+            vec![
+                val("--epoch", "N", "the new term, required; must exceed the replica's current one"),
+                val("--peers", "a,b", "follower addresses the new leader ships to"),
+            ]),
+        client("query", "(<addr> | --replicas a,b,c | --shard-map FILE) <json-line> [CLIENT FLAGS]",
+            cmd_query,
+            "Send one request through the resilient client (retries, failover, breakers) and \
+             print the response line.",
+            vec![]),
+        client("oneshot", "(<dir> | --replicas a,b,c | --shard-map FILE) <json-line> [CLIENT FLAGS]",
+            cmd_oneshot,
+            "Answer a single request: in-process from the artifact in <dir> (no socket), or over \
+             the network exactly like `query`.",
+            vec![]),
+        client("burst", "(--replicas a,b,c | --shard-map FILE) [FLAGS] [CLIENT FLAGS]", cmd_burst,
+            "Drive requests through the resilient client — flat with --replicas, shard-routed \
+             scatter-gather with --shard-map — one at a time, closed-loop. A failover drill, not \
+             a load generator: numbers come from benchmark/. Prints per-replica lines and a \
+             summary with p50/p99 latency; exits nonzero if any request failed client-visibly \
+             (degraded answers are not failures).",
+            vec![
+                val("--requests", "N", "requests to send").default(100),
+                val("--gap-ms", "N", "pause between a completion and the next request").default(2),
+                val("--users", "N", "user ids the requests cycle through").default(2),
+                val("--items", "N", "item ids the Predicts cycle through").default(2),
+                val("--recommend-k", "K", "send Recommends with this k; 0 sends Predicts").default(0),
+                val("--probe-interval-ms", "N", "health-probe period; 0 turns probes off").default(100),
+            ]),
+    ]
+}
 
-  rrre-serve promote <addr> --epoch N [--peers a,b] [CLIENT FLAGS]
-      Install the replica at <addr> as its shard's ingest leader under
-      term N (which must exceed its current term), shipping to the
-      --peers follower addresses. The new term fences the old leader:
-      its Replicate/IngestReview traffic is refused with StaleEpoch.
+fn serve_flags() -> Vec<Flag> {
+    let (engine, server) = (EngineConfig::default(), ServerConfig::default());
+    let (ingest, repl) = (IngestConfig::default(), ReplicationConfig::default());
+    const INGEST: &[&str] = &["--ingest"];
+    const REPLICATED: &[&str] = &["--followers", "--replicate-from"];
+    vec![
+        val("--addr", "HOST:PORT", "listen address").default("127.0.0.1:7878"),
+        val("--shard-id", "N", "serve shard N of the manifest's shard map: WrongShard for entities \
+             it does not own, Recommend scores its own catalog slice (default: the whole model)"),
+        val("--workers", "N", "engine worker threads").default(engine.workers),
+        val("--max-batch", "N", "jobs per micro-batch").default(engine.max_batch),
+        val("--max-wait-ms", "N", "batch collection window").default(engine.max_wait.as_millis()),
+        val("--queue-cap", "N", "queued jobs before requests are shed Overloaded").default(engine.queue_cap),
+        val("--max-conns", "N", "concurrent connections; excess ones get one Unavailable and are \
+             closed").default(server.max_connections),
+        val("--read-timeout-ms", "N", "event-loop poll tick").default(server.read_timeout.as_millis()),
+        val("--drain-ms", "N", "how long `quit` waits for in-flight work to drain")
+            .default(server.drain_deadline.as_millis()),
+        val("--idle-timeout-ms", "N", "reap connections silent this long (default: never)"),
+        val("--max-inflight", "N", "pipelined requests per connection before reads pause")
+            .default(server.max_inflight_per_conn),
+        val("--write-buf-kb", "N", "queued response KiB per connection before reads pause")
+            .default(server.write_buffer_cap / 1024),
+        switch("--ingest", "durable streaming ingest: IngestReview appends to a checksummed WAL under \
+             <dir>/wal, fsynced before the ack (an ack is a durability promise), and Compact folds \
+             it into a new artifact generation; startup replays the WAL (torn tails repaired, \
+             mid-log corruption refuses to start) and completes an interrupted compaction"),
+        val("--segment-kb", "N", "WAL segment rotation threshold, KiB")
+            .default(ingest.segment_bytes / 1024).needs(INGEST),
+        val("--refresh-every", "N", "fold ingested reviews into the serving towers every N records; \
+             0 folds only on Compact").default(ingest.refresh_every).needs(INGEST),
+        val("--cold-start-min", "N", "answer pairs with either side under N reviews from the \
+             calibrated reliability prior instead of the head score")
+            .default(ingest.cold_start_min).needs(INGEST),
+        val("--followers", "a,b", "start as the shard's ingest leader, shipping the WAL to these \
+             follower addresses").needs(INGEST),
+        val("--replicate-from", "ADDR", "start as a follower of ADDR: refuses client ingest with \
+             NotLeader, applies Replicate shipments, pulls catch-up ranges after a restart").needs(INGEST),
+        val("--ack", "leader|quorum", "release an ingest ack after the leader's own fsync, or only \
+             once a majority of the replica set holds the record durably")
+            .default(format!("{:?}", repl.ack).to_lowercase()).needs(REPLICATED),
+        val("--epoch", "N", "the leader's starting term; a higher persisted term from a previous \
+             incarnation always wins").default(1).needs(&["--followers"]),
+        val("--quorum-timeout-ms", "N", "how long an ack may wait for quorum before refusing \
+             Unavailable (retry-safe: the record stays durable on the leader, the retry dedups)")
+            .default(repl.quorum_timeout.as_millis()).needs(REPLICATED),
+    ]
+}
 
-  rrre-serve query <addr> <json-line> [CLIENT FLAGS]
-  rrre-serve query --replicas a,b,c <json-line> [CLIENT FLAGS]
-      Send one request through the resilient client (retries, failover,
-      breakers) and print the response. With --replicas, the request fails
-      over across all listed endpoints instead of targeting one <addr>.
+/// The resilient-client flags every client verb shares.
+fn client_flags() -> Vec<Flag> {
+    let client = ClientConfig::default();
+    vec![
+        val("--replicas", "a,b,c", "comma-separated replica endpoints"),
+        val("--shard-map", "FILE", "shard-topology JSON (see `shardmap`): routes by shard and \
+             scatter-gathers ranking queries"),
+        val("--retries", "N", "extra attempts per request").default(client.retries),
+        val("--timeout-ms", "N", "per-attempt timeout, also sent as deadline_ms (a scatter splits it \
+             across its sub-requests)").default(client.request_timeout.as_millis()),
+        val("--hedge-after-ms", "N", "hedge idempotent requests after this latency (default: never)"),
+        val("--seed", "N", "jitter-RNG seed (fixed seed = fixed schedule)").default(client.seed),
+    ]
+}
 
-  rrre-serve oneshot <dir> <json-line>
-  rrre-serve oneshot --replicas a,b,c <json-line> [CLIENT FLAGS]
-      Answer a single request: in-process from the artifact in <dir>, or —
-      with --replicas — over the network through the resilient client.
-
-  rrre-serve burst (--replicas a,b,c | --shard-map FILE)
-                   [--requests N] [--gap-ms N] [--users N] [--items N]
-                   [--recommend-k K] [--probe-interval-ms N] [CLIENT FLAGS]
-      Drive N requests (default 100; Predicts cycling under --users/--items,
-      or Recommends with --recommend-k K) through the resilient client —
-      flat with --replicas, shard-routed scatter-gather with --shard-map —
-      one at a time, closed-loop, --gap-ms (default 2) between completions.
-      A failover drill, not a load generator: numbers come from benchmark/.
-      Prints per-replica lines and a summary with p50/p99 latency. Exits
-      nonzero if any request failed client-visibly (degraded answers are
-      not failures). Health probes are on by default (100 ms).
-
-  CLIENT FLAGS (query/oneshot/burst):
-      --replicas a,b,c      comma-separated replica endpoints
-      --shard-map FILE      shard-topology JSON (see `shardmap`); routes by
-                            shard and scatter-gathers ranking queries
-      --retries N           extra attempts per request (default 2)
-      --timeout-ms N        per-attempt timeout, also sent as deadline_ms
-                            (a scatter splits it across its sub-requests)
-      --hedge-after-ms N    hedge idempotent requests after this latency
-      --seed N              jitter-RNG seed (fixed seed = fixed schedule)
-
+const PROTOCOL: &str = "\
 PROTOCOL (one JSON object per line):
   {\"op\":\"Predict\",\"user\":3,\"item\":7}
   {\"op\":\"Recommend\",\"user\":3,\"k\":5}
@@ -188,75 +263,193 @@ PROTOCOL (one JSON object per line):
   {\"op\":\"Health\"}
 ";
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("rrre-serve: {msg}\n\n{USAGE}");
-    ExitCode::FAILURE
-}
-
-/// Operator-facing error: print cleanly, no panic backtrace.
-fn die(msg: impl std::fmt::Display) -> ExitCode {
-    eprintln!("rrre-serve: {msg}");
-    ExitCode::FAILURE
-}
-
-/// Pulls `--flag value` out of `args`, leaving positional arguments.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("rrre-serve: {flag} needs a value");
-        std::process::exit(2);
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
-}
-
-/// Pulls a bare `--flag` out of `args`, returning whether it was present.
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        Some(pos) => {
-            args.remove(pos);
-            true
+/// Appends `text` word-wrapped to 80 columns: the first line continues
+/// whatever `out` already holds, the rest are indented by `indent`.
+fn wrap(out: &mut String, text: &str, indent: usize) {
+    let mut col = out.len() - out.rfind('\n').map_or(0, |nl| nl + 1);
+    for word in text.split_whitespace() {
+        if col + word.len() > 80 {
+            out.truncate(out.trim_end().len());
+            let _ = write!(out, "\n{:indent$}", "");
+            col = indent;
         }
-        None => false,
+        let _ = write!(out, "{word} ");
+        col += word.len() + 1;
+    }
+    out.truncate(out.trim_end().len());
+    out.push('\n');
+}
+
+fn render_flags(out: &mut String, flags: &[Flag]) {
+    for flag in flags {
+        let default = flag.default.iter().map(|d| format!("default {d}"));
+        let needs = (!flag.needs.is_empty()).then(|| format!("needs {}", flag.needs.join(" or ")));
+        let notes: Vec<String> = default.chain(needs).collect();
+        let mut help = flag.help.to_string();
+        if !notes.is_empty() {
+            let _ = write!(help, " ({})", notes.join("; "));
+        }
+        let _ = write!(out, "      {:<23}", format!("{} {}", flag.name, flag.value.unwrap_or("")));
+        wrap(out, &help, 29);
     }
 }
 
-/// Parses a flag value, or exits with a clean message instead of a panic.
-fn parse_flag<T: std::str::FromStr>(value: Option<String>, flag: &str, default: T) -> T {
-    match value {
-        None => default,
-        Some(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("rrre-serve: {flag} got `{s}`, which does not parse");
-            std::process::exit(2);
-        }),
+impl Verb {
+    /// Usage line, description and flag rows.
+    fn help(&self) -> String {
+        let mut out = format!("  rrre-serve {} {}\n      ", self.name, self.synopsis);
+        wrap(&mut out, self.about, 6);
+        render_flags(&mut out, &self.flags);
+        out
     }
+}
+
+/// The whole table: every verb with its own flags, the shared client flags
+/// once, and the wire protocol.
+fn usage() -> String {
+    let mut out = String::from("rrre-serve: inference serving for the RRRE model\n\nUSAGE:\n");
+    for verb in verbs() {
+        out.push_str(&verb.help());
+        out.push('\n');
+    }
+    out.push_str("  CLIENT FLAGS:\n");
+    render_flags(&mut out, &client_flags());
+    out.push('\n');
+    out.push_str(PROTOCOL);
+    out
+}
+
+/// Refuses the command line: the message, then the usage it violated, exit
+/// status 2.
+fn refuse(msg: impl std::fmt::Display, usage: &str) -> ! {
+    eprintln!("rrre-serve: {msg}\n\n{usage}");
+    std::process::exit(2);
+}
+
+/// A verb's parsed command line.
+struct Args {
+    /// The verb, its flag rows extended by the client flags if it takes them.
+    verb: Verb,
+    /// Flags present on the command line, with their values (`""` for
+    /// switches).
+    given: Vec<(&'static str, String)>,
+    positional: Vec<String>,
+}
+
+impl Args {
+    /// Sorts `raw` into flags and positionals against the verb's table.
+    /// Prints the verb's help and exits on `--help`; refuses an unknown
+    /// flag, a repeated flag, a flag in another flag's value position and a
+    /// flag given without its prerequisite.
+    fn parse(mut verb: Verb, raw: Vec<String>) -> Args {
+        if verb.client {
+            verb.flags.extend(client_flags());
+        }
+        let mut args = Args { verb, given: Vec::new(), positional: Vec::new() };
+        let mut raw = raw.into_iter();
+        while let Some(arg) = raw.next() {
+            if arg == "--help" || arg == "-h" {
+                println!("{}", args.verb.help());
+                std::process::exit(0);
+            }
+            if !arg.starts_with("--") {
+                args.positional.push(arg);
+                continue;
+            }
+            let Some(flag) = args.verb.flags.iter().find(|f| f.name == arg) else {
+                args.refuse(format!("{} got unrecognised arguments: [{arg:?}]", args.verb.name));
+            };
+            if args.has(flag.name) {
+                args.refuse(format!("{arg} given more than once"));
+            }
+            let value = match flag.value {
+                None => String::new(),
+                Some(_) => match raw.next() {
+                    Some(value) if !value.starts_with("--") => value,
+                    Some(next) => args.refuse(format!(
+                        "{arg} needs a value, but the next argument is the flag `{next}`"
+                    )),
+                    None => args.refuse(format!("{arg} needs a value")),
+                },
+            };
+            args.given.push((flag.name, value));
+        }
+        for flag in &args.verb.flags {
+            if args.has(flag.name) && !flag.needs.is_empty() && !flag.needs.iter().any(|n| args.has(n)) {
+                args.refuse(format!("{} needs {}", flag.name, flag.needs.join(" or ")));
+            }
+        }
+        args
+    }
+
+    fn refuse(&self, msg: impl std::fmt::Display) -> ! {
+        refuse(msg, &self.verb.help())
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.given.iter().any(|(n, _)| *n == name)
+    }
+
+    /// The flag's value — from the command line, else its declared default,
+    /// else `None`. A value that does not parse is refused.
+    fn opt<T: FromStr>(&self, name: &str) -> Option<T> {
+        let flag = self.verb.flags.iter().find(|f| f.name == name).expect("flag is in the verb's table");
+        let value = self.given.iter().find(|(n, _)| *n == name).map(|(_, v)| v).or(flag.default.as_ref())?;
+        match value.parse() {
+            Ok(parsed) => Some(parsed),
+            Err(_) => self.refuse(format!("{name} got `{value}`, which does not parse")),
+        }
+    }
+
+    /// [`Args::opt`] for a flag that declares a default.
+    fn get<T: FromStr>(&self, name: &str) -> T {
+        self.opt(name).expect("flag declares a default")
+    }
+
+    /// [`Args::opt`] for a required flag.
+    fn required<T: FromStr>(&self, name: &str) -> T {
+        self.opt(name).unwrap_or_else(|| self.refuse(format!("{} needs {name}", self.verb.name)))
+    }
+
+    /// A comma-separated flag value, which must name at least one entry.
+    fn list(&self, name: &str) -> Option<Vec<String>> {
+        let list = split_list(&self.opt::<String>(name)?, ',');
+        if list.is_empty() {
+            self.refuse(format!("{name} got an empty list"));
+        }
+        Some(list)
+    }
+
+    /// The positionals, which must number exactly `N`.
+    fn positionals<const N: usize>(&self, what: &str) -> &[String; N] {
+        self.positional.as_slice().try_into().unwrap_or_else(|_| {
+            self.refuse(format!("{} needs {what}, got {:?}", self.verb.name, self.positional))
+        })
+    }
+}
+
+fn split_list(s: &str, sep: char) -> Vec<String> {
+    s.split(sep).map(|x| x.trim().to_string()).filter(|x| !x.is_empty()).collect()
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        return fail("missing subcommand");
+    let mut raw: Vec<String> = std::env::args().skip(1).collect();
+    if raw.is_empty() {
+        refuse("missing subcommand", &usage());
     }
-    let cmd = args.remove(0);
-    match cmd.as_str() {
-        "demo" => cmd_demo(args),
-        "train" => cmd_train(args),
-        "serve" => cmd_serve(args),
-        "shardmap" => cmd_shardmap(args),
-        "ingest" => cmd_ingest(args),
-        "attack-eval" => cmd_attack_eval(args),
-        "compact" => cmd_compact(args),
-        "promote" => cmd_promote(args),
-        "query" => cmd_query(args),
-        "oneshot" => cmd_oneshot(args),
-        "burst" => cmd_burst(args),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        other => fail(&format!("unknown subcommand `{other}`")),
+    let name = raw.remove(0);
+    if matches!(name.as_str(), "--help" | "-h" | "help") {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
     }
+    let Some(verb) = verbs().into_iter().find(|v| v.name == name) else {
+        refuse(format!("unknown subcommand `{name}`"), &usage());
+    };
+    let run = verb.run;
+    run(Args::parse(verb, raw)).unwrap_or_else(|msg| {
+        eprintln!("rrre-serve: {msg}");
+        ExitCode::FAILURE
+    })
 }
 
 /// The deterministic synthetic training setup shared by `demo` and `train`
@@ -272,15 +465,13 @@ fn synth_corpus(scale: f64, max_len: usize, dim: usize, w2v_epochs: usize) -> (D
     (ds, corpus, corpus_cfg.min_count)
 }
 
-fn cmd_demo(mut args: Vec<String>) -> ExitCode {
-    let scale: f64 = parse_flag(take_flag(&mut args, "--scale"), "--scale", 0.05);
-    let shards: u32 = parse_flag(take_flag(&mut args, "--shards"), "--shards", 1);
+fn cmd_demo(args: Args) -> Outcome {
+    let scale: f64 = args.get("--scale");
+    let shards: u32 = args.get("--shards");
     if shards == 0 {
-        return fail("--shards must be ≥ 1");
+        args.refuse("--shards must be ≥ 1");
     }
-    let [dir] = args.as_slice() else {
-        return fail("demo needs exactly one <dir>");
-    };
+    let [dir] = args.positionals("exactly one <dir>");
 
     eprintln!("generating synthetic dataset (scale {scale})...");
     let (ds, corpus, min_count) = synth_corpus(scale, 16, 16, 2);
@@ -293,9 +484,8 @@ fn cmd_demo(mut args: Vec<String>) -> ExitCode {
     let train: Vec<usize> = (0..ds.len()).collect();
     let model = Rrre::fit(&ds, &corpus, &train, RrreConfig { epochs: 5, ..RrreConfig::tiny() });
     let spec = ShardSpec::with_shards(shards);
-    if let Err(e) = ModelArtifact::save_with_shards(dir, &ds, &corpus, &model, min_count, spec) {
-        return die(format!("failed to write artifact to `{dir}`: {e}"));
-    }
+    ModelArtifact::save_with_shards(dir, &ds, &corpus, &model, min_count, spec)
+        .map_err(|e| format!("failed to write artifact to `{dir}`: {e}"))?;
     if shards > 1 {
         println!("artifact written to {dir} ({shards}-way shard map, version {})", spec.version);
     } else {
@@ -303,33 +493,22 @@ fn cmd_demo(mut args: Vec<String>) -> ExitCode {
     }
     println!("next: rrre-serve serve {dir}");
     println!("then: rrre-serve query 127.0.0.1:7878 '{{\"op\":\"Recommend\",\"user\":0,\"k\":3}}'");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_train(mut args: Vec<String>) -> ExitCode {
-    let scale: f64 = parse_flag(take_flag(&mut args, "--scale"), "--scale", 0.04);
-    let epochs: usize = parse_flag(take_flag(&mut args, "--epochs"), "--epochs", 4);
-    let every: usize = parse_flag(take_flag(&mut args, "--every"), "--every", 1);
-    let abort_after: Option<usize> =
-        take_flag(&mut args, "--abort-after-epoch").map(|s| parse_flag(Some(s), "--abort-after-epoch", 0));
-    let threads: usize = parse_flag(
-        take_flag(&mut args, "--threads"),
-        "--threads",
-        RrreConfig::env_threads().unwrap_or(1),
-    );
-    let resume = take_switch(&mut args, "--resume");
-    let [dir] = args.as_slice() else {
-        return fail("train needs exactly one <dir>");
-    };
-    if threads == 0 {
-        return fail("--threads must be ≥ 1");
+fn cmd_train(args: Args) -> Outcome {
+    let scale: f64 = args.get("--scale");
+    let abort_after: Option<usize> = args.opt("--abort-after-epoch");
+    let cfg = RrreConfig { epochs: args.get("--epochs"), threads: args.get("--threads"), ..RrreConfig::tiny() };
+    if cfg.threads == 0 {
+        args.refuse("--threads must be ≥ 1");
     }
+    let [dir] = args.positionals("exactly one <dir>");
+    let ckpt = CheckpointConfig { dir: PathBuf::from(dir), every: args.get("--every"), keep: 3 };
 
     eprintln!("generating synthetic dataset (scale {scale})...");
     let (ds, corpus, _) = synth_corpus(scale, 12, 8, 1);
     let train: Vec<usize> = (0..ds.len()).collect();
-    let cfg = RrreConfig { epochs, threads, ..RrreConfig::tiny() };
-    let ckpt = CheckpointConfig { dir: PathBuf::from(dir), every, keep: 3 };
 
     let mut last: Option<EpochStats> = None;
     // The hook runs *after* the epoch's checkpoint (if any) is on disk, so
@@ -342,160 +521,102 @@ fn cmd_train(mut args: Vec<String>) -> ExitCode {
             std::process::exit(137);
         }
     };
-    let outcome = if resume {
+    let out = if args.has("--resume") {
         Rrre::resume(&ds, &corpus, &train, cfg, &ckpt, hook)
     } else {
         Rrre::fit_checkpointed(&ds, &corpus, &train, cfg, &ckpt, hook)
-    };
-    match outcome {
-        Ok(out) => {
-            if let Some(from) = out.resumed_from {
-                eprintln!("resumed from checkpoint at {from} completed epochs");
-            }
-            if let Some(at) = out.diverged_at {
-                eprintln!(
-                    "training diverged at epoch {at}; rolled back to the checkpoint at {} epochs",
-                    out.completed_epochs
-                );
-            }
-            // `bits` pins the exact f32, so crash-drill scripts can compare
-            // runs without any float-formatting slack.
-            let (loss, bits) = last.map_or((f32::NAN, 0), |s| (s.loss, s.loss.to_bits()));
-            println!("final epochs={} loss={loss:.6} bits={bits:08x}", out.completed_epochs);
-            ExitCode::SUCCESS
-        }
-        Err(e) => die(format!("training failed: {e}")),
     }
+    .map_err(|e| format!("training failed: {e}"))?;
+    if let Some(from) = out.resumed_from {
+        eprintln!("resumed from checkpoint at {from} completed epochs");
+    }
+    if let Some(at) = out.diverged_at {
+        eprintln!(
+            "training diverged at epoch {at}; rolled back to the checkpoint at {} epochs",
+            out.completed_epochs
+        );
+    }
+    // `bits` pins the exact f32, so crash drills can compare runs without
+    // any float-formatting slack.
+    let (loss, bits) = last.map_or((f32::NAN, 0), |s| (s.loss, s.loss.to_bits()));
+    println!("final epochs={} loss={loss:.6} bits={bits:08x}", out.completed_epochs);
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_serve(mut args: Vec<String>) -> ExitCode {
-    let addr = take_flag(&mut args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".into());
-    let mut cfg = EngineConfig::default();
-    cfg.shard_id = take_flag(&mut args, "--shard-id").map(|s| parse_flag(Some(s), "--shard-id", 0));
-    cfg.workers = parse_flag(take_flag(&mut args, "--workers"), "--workers", cfg.workers);
-    cfg.max_batch = parse_flag(take_flag(&mut args, "--max-batch"), "--max-batch", cfg.max_batch);
-    if let Some(ms) = take_flag(&mut args, "--max-wait-ms") {
-        cfg.max_wait = Duration::from_millis(parse_flag(Some(ms), "--max-wait-ms", 2));
+fn read_manifest(dir: &str) -> Result<ArtifactManifest, String> {
+    let path = Path::new(dir).join(rrre_serve::artifact::MANIFEST_FILE);
+    let json = std::fs::read_to_string(&path).map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
+    serde_json::from_str(&json).map_err(|e| format!("`{}` does not parse as a manifest: {e}", path.display()))
+}
+
+fn cmd_serve(args: Args) -> Outcome {
+    let addr: String = args.get("--addr");
+    let cfg = EngineConfig {
+        shard_id: args.opt("--shard-id"),
+        workers: args.get("--workers"),
+        max_batch: args.get("--max-batch"),
+        max_wait: Duration::from_millis(args.get("--max-wait-ms")),
+        queue_cap: args.get("--queue-cap"),
+        ..EngineConfig::default()
+    };
+    let server_cfg = ServerConfig {
+        max_connections: args.get("--max-conns"),
+        read_timeout: Duration::from_millis(args.get("--read-timeout-ms")),
+        drain_deadline: Duration::from_millis(args.get("--drain-ms")),
+        idle_timeout: args.opt("--idle-timeout-ms").map(Duration::from_millis),
+        max_inflight_per_conn: args.get("--max-inflight"),
+        write_buffer_cap: args.get::<usize>("--write-buf-kb") * 1024,
+    };
+    let ingest_on = args.has("--ingest");
+    let ingest_cfg = IngestConfig {
+        segment_bytes: args.get::<u64>("--segment-kb") * 1024,
+        refresh_every: args.get("--refresh-every"),
+        cold_start_min: args.get("--cold-start-min"),
+        ..IngestConfig::default()
+    };
+    if args.has("--followers") && args.has("--replicate-from") {
+        args.refuse("--followers and --replicate-from are mutually exclusive");
     }
-    cfg.queue_cap = parse_flag(take_flag(&mut args, "--queue-cap"), "--queue-cap", cfg.queue_cap);
-    let mut server_cfg = ServerConfig::default();
-    server_cfg.max_connections =
-        parse_flag(take_flag(&mut args, "--max-conns"), "--max-conns", server_cfg.max_connections);
-    if let Some(ms) = take_flag(&mut args, "--read-timeout-ms") {
-        server_cfg.read_timeout = Duration::from_millis(parse_flag(Some(ms), "--read-timeout-ms", 100));
-    }
-    if let Some(ms) = take_flag(&mut args, "--drain-ms") {
-        server_cfg.drain_deadline = Duration::from_millis(parse_flag(Some(ms), "--drain-ms", 2000));
-    }
-    if let Some(ms) = take_flag(&mut args, "--idle-timeout-ms") {
-        server_cfg.idle_timeout =
-            Some(Duration::from_millis(parse_flag(Some(ms), "--idle-timeout-ms", 30_000)));
-    }
-    server_cfg.max_inflight_per_conn = parse_flag(
-        take_flag(&mut args, "--max-inflight"),
-        "--max-inflight",
-        server_cfg.max_inflight_per_conn,
-    );
-    if let Some(kb) = take_flag(&mut args, "--write-buf-kb") {
-        server_cfg.write_buffer_cap = parse_flag::<usize>(Some(kb), "--write-buf-kb", 256) * 1024;
-    }
-    let ingest_on = take_switch(&mut args, "--ingest");
-    let mut ingest_cfg = IngestConfig::default();
-    ingest_cfg.segment_bytes =
-        parse_flag::<u64>(take_flag(&mut args, "--segment-kb"), "--segment-kb", 4096) * 1024;
-    ingest_cfg.refresh_every = parse_flag(
-        take_flag(&mut args, "--refresh-every"),
-        "--refresh-every",
-        ingest_cfg.refresh_every,
-    );
-    ingest_cfg.cold_start_min = parse_flag(
-        take_flag(&mut args, "--cold-start-min"),
-        "--cold-start-min",
-        ingest_cfg.cold_start_min,
-    );
-    let followers = take_flag(&mut args, "--followers").map(|s| {
-        s.split(',').map(|x| x.trim().to_string()).filter(|x| !x.is_empty()).collect::<Vec<_>>()
+    let role = match (args.list("--followers"), args.opt("--replicate-from")) {
+        (Some(followers), _) => Some(ReplRole::Leader { followers, epoch: args.get("--epoch") }),
+        (None, Some(leader)) => Some(ReplRole::Follower { leader: Some(leader) }),
+        (None, None) => None,
+    };
+    let repl_cfg = role.map(|role| ReplicationConfig {
+        role,
+        ack: match args.get::<String>("--ack").as_str() {
+            "quorum" => AckLevel::Quorum,
+            "leader" => AckLevel::Leader,
+            other => args.refuse(format!("--ack got `{other}`, want leader|quorum")),
+        },
+        quorum_timeout: Duration::from_millis(args.get("--quorum-timeout-ms")),
+        self_addr: Some(addr.clone()),
+        ..ReplicationConfig::default()
     });
-    let replicate_from = take_flag(&mut args, "--replicate-from");
-    let ack_flag = take_flag(&mut args, "--ack");
-    let epoch: u64 = parse_flag(take_flag(&mut args, "--epoch"), "--epoch", 1);
-    let quorum_timeout_ms: u64 =
-        parse_flag(take_flag(&mut args, "--quorum-timeout-ms"), "--quorum-timeout-ms", 5000);
-    if followers.is_some() && replicate_from.is_some() {
-        return fail("--followers and --replicate-from are mutually exclusive");
-    }
-    let repl_cfg = match (followers, replicate_from) {
-        (None, None) => {
-            if ack_flag.is_some() {
-                return fail("--ack needs replication (--followers or --replicate-from)");
-            }
-            None
-        }
-        (followers, leader) => {
-            if !ingest_on {
-                return fail("replication (--followers/--replicate-from) needs --ingest");
-            }
-            let ack = match ack_flag.as_deref() {
-                None | Some("quorum") => AckLevel::Quorum,
-                Some("leader") => AckLevel::Leader,
-                Some(other) => return fail(&format!("--ack got `{other}`, want leader|quorum")),
-            };
-            let role = match followers {
-                Some(followers) => ReplRole::Leader { followers, epoch },
-                None => ReplRole::Follower { leader },
-            };
-            Some(ReplicationConfig {
-                role,
-                ack,
-                quorum_timeout: Duration::from_millis(quorum_timeout_ms),
-                self_addr: Some(addr.clone()),
-                ..ReplicationConfig::default()
-            })
-        }
-    };
-    // Every known flag has been taken by now, so the first bare word is
-    // the directory and anything left over is named in the refusal.
-    let Some(pos) = args.iter().position(|a| !a.starts_with("--")) else {
-        return fail("serve needs exactly one <dir>");
-    };
-    let dir = &args.remove(pos);
-    if !args.is_empty() {
-        return fail(&format!("serve got unrecognised arguments: {args:?}"));
-    }
+    let [dir] = args.positionals("exactly one <dir>");
 
     // Validate --shard-id against the manifest *before* constructing the
     // engine (whose own range assert is a panic, not an operator message).
     if let Some(shard) = cfg.shard_id {
-        let manifest_path = PathBuf::from(dir).join(rrre_serve::artifact::MANIFEST_FILE);
-        if let Ok(json) = std::fs::read_to_string(&manifest_path) {
-            if let Ok(m) = serde_json::from_str::<rrre_serve::ArtifactManifest>(&json) {
-                if shard >= m.shard_spec.shards {
-                    return die(format!(
-                        "--shard-id {shard} out of range: artifact `{dir}` declares {} shard(s)",
-                        m.shard_spec.shards
-                    ));
-                }
-            }
+        if let Some(m) = read_manifest(dir).ok().filter(|m| shard >= m.shard_spec.shards) {
+            return Err(format!(
+                "--shard-id {shard} out of range: artifact `{dir}` declares {} shard(s)",
+                m.shard_spec.shards
+            ));
         }
     }
     eprintln!("loading artifact from {dir}...");
-    let engine = if let Some(repl) = repl_cfg {
-        match Engine::open_replicated(dir, cfg, ingest_cfg, repl) {
-            Ok(e) => Arc::new(e),
-            Err(e) => return die(format!("failed to open artifact `{dir}` replicated: {e}")),
-        }
+    let engine = Arc::new(if let Some(repl) = repl_cfg {
+        Engine::open_replicated(dir, cfg, ingest_cfg, repl)
+            .map_err(|e| format!("failed to open artifact `{dir}` replicated: {e}"))?
     } else if ingest_on {
-        match Engine::open_with_ingest(dir, cfg, ingest_cfg) {
-            Ok(e) => Arc::new(e),
-            Err(e) => return die(format!("failed to open artifact `{dir}` for ingest: {e}")),
-        }
+        Engine::open_with_ingest(dir, cfg, ingest_cfg)
+            .map_err(|e| format!("failed to open artifact `{dir}` for ingest: {e}"))?
     } else {
-        let artifact = match ModelArtifact::load(dir) {
-            Ok(a) => a,
-            Err(e) => return die(format!("failed to load artifact `{dir}`: {e}")),
-        };
-        Arc::new(Engine::new(artifact, cfg))
-    };
+        let artifact =
+            ModelArtifact::load(dir).map_err(|e| format!("failed to load artifact `{dir}`: {e}"))?;
+        Engine::new(artifact, cfg)
+    });
     {
         let generation = engine.generation();
         let manifest = &generation.artifact.manifest;
@@ -529,7 +650,7 @@ fn cmd_serve(mut args: Vec<String>) -> ExitCode {
         Ok(s) => s,
         Err(e) => {
             engine.shutdown();
-            return die(format!("failed to bind {addr}: {e}"));
+            return Err(format!("failed to bind {addr}: {e}"));
         }
     };
     println!("listening on {}", server.local_addr());
@@ -614,40 +735,23 @@ fn cmd_serve(mut args: Vec<String>) -> ExitCode {
         stats.shed,
         stats.cache_hit_rate * 100.0
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_shardmap(mut args: Vec<String>) -> ExitCode {
-    let Some(replicas_arg) = take_flag(&mut args, "--replicas") else {
-        return fail("shardmap needs --replicas \"a,b;c,d;e,f\"");
-    };
-    let [dir] = args.as_slice() else {
-        return fail("shardmap needs <dir> --replicas \"a,b;c,d;e,f\"");
-    };
-    let manifest_path = PathBuf::from(dir).join(rrre_serve::artifact::MANIFEST_FILE);
-    let json = match std::fs::read_to_string(&manifest_path) {
-        Ok(j) => j,
-        Err(e) => return die(format!("cannot read `{}`: {e}", manifest_path.display())),
-    };
-    let manifest: rrre_serve::ArtifactManifest = match serde_json::from_str(&json) {
-        Ok(m) => m,
-        Err(e) => return die(format!("`{}` does not parse as a manifest: {e}", manifest_path.display())),
-    };
-    let replicas: Vec<Vec<String>> = replicas_arg
-        .split(';')
-        .map(|shard| {
-            shard.split(',').map(|x| x.trim().to_string()).filter(|x| !x.is_empty()).collect()
-        })
-        .collect();
+fn cmd_shardmap(args: Args) -> Outcome {
+    let replicas_arg: String = args.required("--replicas");
+    let [dir] = args.positionals("exactly one <dir>");
+    let manifest = read_manifest(dir)?;
+    let replicas = split_list(&replicas_arg, ';').iter().map(|shard| split_list(shard, ',')).collect();
     let topology = ShardTopology { spec: manifest.shard_spec, replicas };
-    if let Err(e) = topology.validate() {
-        return die(format!(
+    topology.validate().map_err(|e| {
+        format!(
             "replica lists don't fit the artifact's shard map ({} shard(s), version {}): {e}",
             manifest.shard_spec.shards, manifest.shard_spec.version
-        ));
-    }
+        )
+    })?;
     println!("{}", topology.to_json());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// How a client command reaches the fleet: one failover pool over a flat
@@ -673,159 +777,83 @@ impl Fleet {
     }
 }
 
-/// Pulls the shared resilient-client flags (`--replicas`, `--shard-map`,
-/// `--retries`, `--timeout-ms`, `--hedge-after-ms`, `--seed`) out of
-/// `args`. `--replicas` and `--shard-map` are mutually exclusive.
-fn client_flags(args: &mut Vec<String>) -> (Option<Vec<String>>, Option<ShardTopology>, ClientConfig) {
-    let replicas = take_flag(args, "--replicas").map(|s| {
-        let list: Vec<String> =
-            s.split(',').map(|x| x.trim().to_string()).filter(|x| !x.is_empty()).collect();
-        if list.is_empty() {
-            eprintln!("rrre-serve: --replicas got an empty list");
-            std::process::exit(2);
-        }
-        list
-    });
-    let topology = take_flag(args, "--shard-map").map(|path| {
-        let json = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("rrre-serve: cannot read --shard-map `{path}`: {e}");
-            std::process::exit(2);
-        });
-        ShardTopology::from_json(&json).unwrap_or_else(|e| {
-            eprintln!("rrre-serve: --shard-map `{path}` is not a valid topology: {e}");
-            std::process::exit(2);
-        })
-    });
-    if replicas.is_some() && topology.is_some() {
-        eprintln!("rrre-serve: --replicas and --shard-map are mutually exclusive");
-        std::process::exit(2);
-    }
-    let mut cfg = ClientConfig::default();
-    cfg.retries = parse_flag(take_flag(args, "--retries"), "--retries", cfg.retries);
-    if let Some(ms) = take_flag(args, "--timeout-ms") {
-        cfg.request_timeout = Duration::from_millis(parse_flag(Some(ms), "--timeout-ms", 2000));
-    }
-    if let Some(ms) = take_flag(args, "--hedge-after-ms") {
-        cfg.hedge_after = Some(Duration::from_millis(parse_flag(Some(ms), "--hedge-after-ms", 50)));
-    }
-    cfg.seed = parse_flag(take_flag(args, "--seed"), "--seed", cfg.seed);
-    (replicas, topology, cfg)
-}
-
-/// Builds the right client for whichever routing flag was given.
-fn build_fleet(
-    replicas: Option<Vec<String>>,
-    topology: Option<ShardTopology>,
-    cfg: ClientConfig,
-) -> Result<Fleet, ExitCode> {
-    match (replicas, topology) {
-        (Some(endpoints), None) => Ok(Fleet::Flat(Client::new(endpoints, cfg))),
-        (None, Some(topo)) => match ShardedClient::new(topo, cfg) {
-            Ok(c) => Ok(Fleet::Sharded(c)),
-            Err(e) => Err(die(format!("shard map rejected: {e}"))),
-        },
-        _ => unreachable!("caller checked exactly one routing flag"),
-    }
-}
-
-/// Sends one decoded request through the resilient client and prints the
-/// response line; the exit code reflects the response's `ok`.
-fn client_roundtrip(fleet: Fleet, line: &str) -> ExitCode {
-    let request = match decode_request(line) {
-        Ok(r) => r,
-        Err(e) => return die(format!("request line does not parse: {e}")),
-    };
-    let outcome = fleet.request(request);
-    fleet.shutdown();
-    match outcome {
-        Ok(resp) => {
-            println!("{}", encode_response(&resp));
-            if resp.ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => die(format!("request failed: {e}")),
-    }
-}
-
-fn cmd_query(mut args: Vec<String>) -> ExitCode {
-    let (replicas, topology, cfg) = client_flags(&mut args);
-    let (replicas, line) = match (replicas, topology.is_some(), args.as_slice()) {
-        (Some(reps), false, [line]) => (Some(reps), line.clone()),
-        (None, true, [line]) => (None, line.clone()),
-        (None, false, [addr, line]) => (Some(vec![addr.clone()]), line.clone()),
-        (_, true, _) => return fail("query with --shard-map needs exactly one <json-line>"),
-        (Some(_), _, _) => return fail("query with --replicas needs exactly one <json-line>"),
-        (None, _, _) => return fail("query needs <addr> <json-line>"),
-    };
-    match build_fleet(replicas, topology, cfg) {
-        Ok(fleet) => client_roundtrip(fleet, &line),
-        Err(code) => code,
+/// The resilient-client configuration the shared client flags describe.
+fn client_config(args: &Args) -> ClientConfig {
+    ClientConfig {
+        retries: args.get("--retries"),
+        request_timeout: Duration::from_millis(args.get("--timeout-ms")),
+        hedge_after: args.opt("--hedge-after-ms").map(Duration::from_millis),
+        seed: args.get("--seed"),
+        ..ClientConfig::default()
     }
 }
 
 /// Resolves the `(<addr> | --replicas | --shard-map)` routing triad the
-/// client verbs share: one positional address becomes a single-replica
-/// flat fleet.
-fn routed_fleet(
-    verb: &str,
-    mut args: Vec<String>,
-) -> Result<(Fleet, Vec<String>), ExitCode> {
-    let (mut replicas, topology, cfg) = client_flags(&mut args);
-    if replicas.is_none() && topology.is_none() {
-        if args.is_empty() {
-            return Err(fail(&format!(
-                "{verb} needs <addr>, --replicas a,b,c or --shard-map FILE"
-            )));
-        }
-        replicas = Some(vec![args.remove(0)]);
+/// client verbs share — one positional address becomes a single-replica
+/// flat fleet — and returns the positionals after it, which must be the
+/// ones `rest` names.
+fn routed_fleet<'a>(args: &'a Args, cfg: ClientConfig, rest: &[&str]) -> Result<(Fleet, &'a [String]), String> {
+    if args.has("--replicas") && args.has("--shard-map") {
+        args.refuse("--replicas and --shard-map are mutually exclusive");
     }
-    let fleet = build_fleet(replicas, topology, cfg)?;
-    Ok((fleet, args))
+    let flagged = args.has("--replicas") || args.has("--shard-map");
+    let want: Vec<&str> = (!flagged).then_some("<addr>").into_iter().chain(rest.iter().copied()).collect();
+    if args.positional.len() != want.len() {
+        args.refuse(format!(
+            "{} needs {}, got {:?}",
+            args.verb.name,
+            if want.is_empty() { "no positional argument".into() } else { want.join(" ") },
+            args.positional
+        ));
+    }
+    let (addr, rest) = args.positional.split_at(want.len() - rest.len());
+    let fleet = match args.opt::<String>("--shard-map") {
+        Some(path) => {
+            let json = std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read --shard-map `{path}`: {e}"))?;
+            let topology = ShardTopology::from_json(&json)
+                .map_err(|e| format!("--shard-map `{path}` is not a valid topology: {e}"))?;
+            Fleet::Sharded(ShardedClient::new(topology, cfg).map_err(|e| format!("shard map rejected: {e}"))?)
+        }
+        None => Fleet::Flat(Client::new(args.list("--replicas").unwrap_or_else(|| addr.to_vec()), cfg)),
+    };
+    Ok((fleet, rest))
+}
+
+/// Sends one request line through the resilient client and prints the
+/// response line; the exit code reflects the response's `ok`.
+fn cmd_query(args: Args) -> Outcome {
+    let (fleet, rest) = routed_fleet(&args, client_config(&args), &["<json-line>"])?;
+    let outcome = decode_request(&rest[0])
+        .map_err(|e| format!("request line does not parse: {e}"))
+        .and_then(|request| fleet.request(request).map_err(|e| format!("request failed: {e}")));
+    fleet.shutdown();
+    let resp = outcome?;
+    println!("{}", encode_response(&resp));
+    Ok(if resp.ok { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
 /// The train-on-poisoned / evaluate-on-clean robustness sweep. Emits the
 /// Table-IV-style grid CSV; every byte is a pure function of the flags.
-fn cmd_attack_eval(mut args: Vec<String>) -> ExitCode {
-    let out = take_flag(&mut args, "--out");
-    let scale: f64 = parse_flag(take_flag(&mut args, "--scale"), "--scale", 0.05);
-    let epochs: usize = parse_flag(take_flag(&mut args, "--epochs"), "--epochs", 8);
-    let threads: usize =
-        parse_flag(take_flag(&mut args, "--threads"), "--threads", RrreConfig::env_threads().unwrap_or(1));
-    let seed: u64 = parse_flag(take_flag(&mut args, "--seed"), "--seed", 0xA77AC4);
-    let families_arg =
-        take_flag(&mut args, "--families").unwrap_or_else(|| "template,ramp,burst,mimicry".into());
-    let strengths_arg = take_flag(&mut args, "--strengths").unwrap_or_else(|| "0.1,0.25,0.5".into());
-    if !args.is_empty() {
-        return fail(&format!("attack-eval got unrecognised arguments: {args:?}"));
-    }
-    let mut families = Vec::new();
-    for name in families_arg.split(',').filter(|s| !s.is_empty()) {
-        match AttackFamily::parse(name) {
-            Some(f) => families.push(f),
-            None => return die(format!("unknown attack family `{name}`")),
-        }
-    }
-    let mut strengths = Vec::new();
-    for s in strengths_arg.split(',').filter(|s| !s.is_empty()) {
-        match s.parse::<f64>() {
-            Ok(v) if v >= 0.0 => strengths.push(v),
-            _ => return die(format!("bad attack strength `{s}`")),
-        }
-    }
-    if families.is_empty() || strengths.is_empty() {
-        return die("attack-eval needs at least one family and one strength");
-    }
-
+fn cmd_attack_eval(args: Args) -> Outcome {
+    args.positionals::<0>("no positional argument");
     let mut cfg = AttackEvalConfig::small();
-    cfg.base = SynthConfig::yelp_chi().scaled(scale);
-    cfg.model.epochs = epochs;
-    cfg.model.threads = threads.max(1);
-    cfg.campaign_seed = seed;
-    cfg.families = families;
-    cfg.strengths = strengths;
+    cfg.base = SynthConfig::yelp_chi().scaled(args.get("--scale"));
+    cfg.model.epochs = args.get("--epochs");
+    cfg.model.threads = args.get::<usize>("--threads").max(1);
+    cfg.campaign_seed = args.get("--seed");
+    cfg.families = args
+        .list("--families")
+        .expect("declares a default")
+        .iter()
+        .map(|name| AttackFamily::parse(name).ok_or_else(|| format!("unknown attack family `{name}`")))
+        .collect::<Result<_, _>>()?;
+    cfg.strengths = args
+        .list("--strengths")
+        .expect("declares a default")
+        .iter()
+        .map(|s| s.parse().ok().filter(|v| *v >= 0.0).ok_or_else(|| format!("bad attack strength `{s}`")))
+        .collect::<Result<_, _>>()?;
 
     let started = Instant::now();
     let report = run_robustness_sweep(&cfg, |family, strength| {
@@ -834,10 +862,8 @@ fn cmd_attack_eval(mut args: Vec<String>) -> ExitCode {
     let grid = report.grid();
     let csv = grid.to_csv();
     print!("{csv}");
-    if let Some(path) = out {
-        if let Err(e) = std::fs::write(&path, &csv) {
-            return die(format!("cannot write {path}: {e}"));
-        }
+    if let Some(path) = args.opt::<String>("--out") {
+        std::fs::write(&path, &csv).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("attack-eval: wrote {path}");
     }
     eprintln!(
@@ -852,56 +878,36 @@ fn cmd_attack_eval(mut args: Vec<String>) -> ExitCode {
             if m.is_empty() { "none".to_string() } else { m.join(",") }
         },
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_ingest(args: Vec<String>) -> ExitCode {
-    let (fleet, mut args) = match routed_fleet("ingest", args) {
-        Ok(pair) => pair,
-        Err(code) => return code,
-    };
-    let Some(count) = take_flag(&mut args, "--count") else {
-        fleet.shutdown();
-        return fail("ingest needs --count N");
-    };
-    let count: u64 = parse_flag(Some(count), "--count", 0);
-    let seq_start: u64 = parse_flag(take_flag(&mut args, "--seq-start"), "--seq-start", 0);
-    let users: u64 = parse_flag(take_flag(&mut args, "--users"), "--users", 2);
-    let items: u64 = parse_flag(take_flag(&mut args, "--items"), "--items", 2);
-    let campaign_arg = take_flag(&mut args, "--campaign");
-    let attack_seed: u64 =
-        parse_flag(take_flag(&mut args, "--attack-seed"), "--attack-seed", 0xA77AC4);
+fn cmd_ingest(args: Args) -> Outcome {
+    let count: u64 = args.required("--count");
+    let users: u64 = args.get("--users");
+    let items: u64 = args.get("--items");
     if users == 0 || items == 0 {
-        fleet.shutdown();
-        return fail("ingest needs --users and --items ≥ 1");
-    }
-    if !args.is_empty() {
-        fleet.shutdown();
-        return fail(&format!("ingest got unrecognised arguments: {args:?}"));
+        args.refuse("ingest needs --users and --items ≥ 1");
     }
     // Campaign mode: the payload stream comes from a seeded fraud campaign
     // confined to the --users/--items id space instead of the bland
     // seq-derived reviews — still a pure function of the flags, so replays
     // dedup the same way.
-    let campaign_stream = match campaign_arg {
+    let campaign_stream = match args.opt::<String>("--campaign") {
         None => None,
-        Some(name) => match AttackFamily::parse(&name) {
-            Some(family) => {
-                let campaign = AttackCampaign::new(family, 0.0, attack_seed);
-                Some(campaign.stream(users as usize, items as usize, count as usize))
-            }
-            None => {
-                fleet.shutdown();
-                return die(format!("unknown attack family `{name}`"));
-            }
-        },
+        Some(name) => {
+            let family =
+                AttackFamily::parse(&name).ok_or_else(|| format!("unknown attack family `{name}`"))?;
+            let campaign = AttackCampaign::new(family, 0.0, args.get("--attack-seed"));
+            Some(campaign.stream(users as usize, items as usize, count as usize))
+        }
     };
+    let sequencer = IngestSequencer::starting_at(args.get("--seq-start"));
+    let (fleet, _) = routed_fleet(&args, client_config(&args), &[])?;
 
     // Every field below is a pure function of the seq (or of the seeded
     // campaign), so re-running the same command line replays byte-identical
     // reviews — the durable unit the server's dedup needs for exactly-once
     // drills.
-    let sequencer = IngestSequencer::starting_at(seq_start);
     let (mut fresh, mut dup, mut failed) = (0u64, 0u64, 0u64);
     for k in 0..count {
         let seq = sequencer.next_seq();
@@ -945,88 +951,44 @@ fn cmd_ingest(args: Vec<String>) -> ExitCode {
     }
     fleet.shutdown();
     println!("ingested total={count} new={fresh} dup={dup} failed={failed}");
-    if failed == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(if failed == 0 { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
-fn cmd_compact(args: Vec<String>) -> ExitCode {
-    let (fleet, args) = match routed_fleet("compact", args) {
-        Ok(pair) => pair,
-        Err(code) => return code,
-    };
-    if !args.is_empty() {
-        fleet.shutdown();
-        return fail(&format!("compact got unrecognised arguments: {args:?}"));
-    }
-    let outcome = fleet.request(Request::compact());
+/// Sends one admin request and returns the `ok` response, or the refusal
+/// as an operational failure naming `what`.
+fn admin_request(args: &Args, what: &str, req: Request) -> Result<Response, String> {
+    let (fleet, _) = routed_fleet(args, client_config(args), &[])?;
+    let outcome = fleet.request(req);
     fleet.shutdown();
     match outcome {
-        Ok(resp) if resp.ok => {
-            match &resp.compaction {
-                Some(c) => println!(
-                    "compacted folded={} generation={}",
-                    c.folded, c.generation
-                ),
-                None => println!("compacted (no fold payload reported)"),
-            }
-            ExitCode::SUCCESS
-        }
-        Ok(resp) => die(format!("compact refused: {:?}: {:?}", resp.kind, resp.error)),
-        Err(e) => die(format!("compact failed: {e}")),
+        Ok(resp) if resp.ok => Ok(resp),
+        Ok(resp) => Err(format!("{what} refused: {:?}: {:?}", resp.kind, resp.error)),
+        Err(e) => Err(format!("{what} failed: {e}")),
     }
 }
 
-fn cmd_promote(mut args: Vec<String>) -> ExitCode {
-    let Some(epoch_arg) = take_flag(&mut args, "--epoch") else {
-        return fail("promote needs --epoch N");
-    };
-    let epoch: u64 = parse_flag(Some(epoch_arg), "--epoch", 0);
-    let peers: Vec<String> = take_flag(&mut args, "--peers").map_or_else(Vec::new, |s| {
-        s.split(',').map(|x| x.trim().to_string()).filter(|x| !x.is_empty()).collect()
-    });
-    let (fleet, args) = match routed_fleet("promote", args) {
-        Ok(pair) => pair,
-        Err(code) => return code,
-    };
-    if !args.is_empty() {
-        fleet.shutdown();
-        return fail(&format!("promote got unrecognised arguments: {args:?}"));
+fn cmd_compact(args: Args) -> Outcome {
+    match admin_request(&args, "compact", Request::compact())?.compaction {
+        Some(c) => println!("compacted folded={} generation={}", c.folded, c.generation),
+        None => println!("compacted (no fold payload reported)"),
     }
-    let outcome = fleet.request(Request::promote(epoch, peers));
-    fleet.shutdown();
-    match outcome {
-        Ok(resp) if resp.ok => {
-            println!("promoted epoch={}", resp.epoch.unwrap_or(epoch));
-            ExitCode::SUCCESS
-        }
-        Ok(resp) => die(format!("promote refused: {:?}: {:?}", resp.kind, resp.error)),
-        Err(e) => die(format!("promote failed: {e}")),
-    }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_oneshot(mut args: Vec<String>) -> ExitCode {
-    let (replicas, topology, cfg) = client_flags(&mut args);
-    if replicas.is_some() || topology.is_some() {
-        // Network one-shot: same client machinery as `query`.
-        let [line] = args.as_slice() else {
-            return fail("oneshot with --replicas/--shard-map needs exactly one <json-line>");
-        };
-        let line = line.clone();
-        return match build_fleet(replicas, topology, cfg) {
-            Ok(fleet) => client_roundtrip(fleet, &line),
-            Err(code) => code,
-        };
+fn cmd_promote(args: Args) -> Outcome {
+    let epoch: u64 = args.required("--epoch");
+    let peers = args.list("--peers").unwrap_or_default();
+    let resp = admin_request(&args, "promote", Request::promote(epoch, peers))?;
+    println!("promoted epoch={}", resp.epoch.unwrap_or(epoch));
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_oneshot(args: Args) -> Outcome {
+    if args.has("--replicas") || args.has("--shard-map") {
+        return cmd_query(args);
     }
-    let [dir, line] = args.as_slice() else {
-        return fail("oneshot needs <dir> <json-line>");
-    };
-    let artifact = match ModelArtifact::load(dir) {
-        Ok(a) => a,
-        Err(e) => return die(format!("failed to load artifact `{dir}`: {e}")),
-    };
+    let [dir, line] = args.positionals("<dir> <json-line>");
+    let artifact = ModelArtifact::load(dir).map_err(|e| format!("failed to load artifact `{dir}`: {e}"))?;
     let engine = Engine::new(
         artifact,
         EngineConfig { workers: 1, max_wait: Duration::ZERO, ..EngineConfig::default() },
@@ -1034,38 +996,28 @@ fn cmd_oneshot(mut args: Vec<String>) -> ExitCode {
     let response = engine.submit_line(line);
     println!("{}", encode_response(&response));
     engine.shutdown();
-    if response.ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(if response.ok { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
-fn cmd_burst(mut args: Vec<String>) -> ExitCode {
-    let (replicas, topology, mut cfg) = client_flags(&mut args);
-    if replicas.is_none() && topology.is_none() {
-        return fail("burst needs --replicas a,b,c or --shard-map FILE");
+fn cmd_burst(args: Args) -> Outcome {
+    if !args.has("--replicas") && !args.has("--shard-map") {
+        args.refuse("burst needs --replicas a,b,c or --shard-map FILE");
     }
-    let shard_count = topology.as_ref().map_or(1, |t| t.shards());
-    let requests: usize = parse_flag(take_flag(&mut args, "--requests"), "--requests", 100);
-    let gap_ms: u64 = parse_flag(take_flag(&mut args, "--gap-ms"), "--gap-ms", 2);
-    let users: u32 = parse_flag(take_flag(&mut args, "--users"), "--users", 2);
-    let items: u32 = parse_flag(take_flag(&mut args, "--items"), "--items", 2);
-    let recommend_k: usize = parse_flag(take_flag(&mut args, "--recommend-k"), "--recommend-k", 0);
-    let probe_ms: u64 =
-        parse_flag(take_flag(&mut args, "--probe-interval-ms"), "--probe-interval-ms", 100);
-    cfg.probe_interval = if probe_ms == 0 { None } else { Some(Duration::from_millis(probe_ms)) };
-    if !args.is_empty() {
-        return fail(&format!("burst got unrecognised arguments: {args:?}"));
-    }
+    let requests: usize = args.get("--requests");
+    let gap_ms: u64 = args.get("--gap-ms");
+    let users: u32 = args.get("--users");
+    let items: u32 = args.get("--items");
+    let recommend_k: usize = args.get("--recommend-k");
+    let probe_ms: u64 = args.get("--probe-interval-ms");
     if users == 0 || items == 0 {
-        return fail("burst needs --users and --items ≥ 1");
+        args.refuse("burst needs --users and --items ≥ 1");
     }
-
-    let fleet = match build_fleet(replicas, topology, cfg) {
-        Ok(f) => f,
-        Err(code) => return code,
+    let cfg = ClientConfig {
+        probe_interval: (probe_ms > 0).then(|| Duration::from_millis(probe_ms)),
+        ..client_config(&args)
     };
+    let (fleet, _) = routed_fleet(&args, cfg, &[])?;
+
     let (mut ok, mut failed, mut degraded) = (0usize, 0usize, 0usize);
     let mut lats = Vec::with_capacity(requests);
     for i in 0..requests {
@@ -1102,16 +1054,17 @@ fn cmd_burst(mut args: Vec<String>) -> ExitCode {
     lats.sort_unstable();
     let (p50, p99) = (percentile_ms(&lats, 0.50), percentile_ms(&lats, 0.99));
 
-    let (retries, hedges) = match &fleet {
+    let report = |shard: &str, r: &rrre_client::ReplicaSnapshot| {
+        println!(
+            "{shard}replica {} attempts={} failures={} hedges={} breaker_opens={} breaker_open={} probe_ready={}",
+            r.addr, r.attempts, r.failures, r.hedges, r.breaker_opens, r.breaker_open, r.probe_ready
+        );
+    };
+    let (shard_count, retries, hedges) = match &fleet {
         Fleet::Flat(client) => {
             let snap = client.snapshot();
-            for r in &snap.replicas {
-                println!(
-                    "replica {} attempts={} failures={} hedges={} breaker_opens={} breaker_open={} probe_ready={}",
-                    r.addr, r.attempts, r.failures, r.hedges, r.breaker_opens, r.breaker_open, r.probe_ready
-                );
-            }
-            (snap.retries, snap.hedges)
+            snap.replicas.iter().for_each(|r| report("", r));
+            (1, snap.retries, snap.hedges)
         }
         Fleet::Sharded(client) => {
             let snap = client.snapshot();
@@ -1119,12 +1072,7 @@ fn cmd_burst(mut args: Vec<String>) -> ExitCode {
             for (shard, s) in snap.shards.iter().enumerate() {
                 retries += s.retries;
                 hedges += s.hedges;
-                for r in &s.replicas {
-                    println!(
-                        "shard {shard} replica {} attempts={} failures={} hedges={} breaker_opens={} breaker_open={} probe_ready={}",
-                        r.addr, r.attempts, r.failures, r.hedges, r.breaker_opens, r.breaker_open, r.probe_ready
-                    );
-                }
+                s.replicas.iter().for_each(|r| report(&format!("shard {shard} "), r));
             }
             println!(
                 "scatter fanout={} degraded_responses={}",
@@ -1134,7 +1082,7 @@ fn cmd_burst(mut args: Vec<String>) -> ExitCode {
             // so the scatter-merge doesn't collapse them into one total:
             // scatter_fanout says how much gather traffic the shard served,
             // cross_shard_rejects says how much traffic was misrouted to it.
-            for shard in 0..shard_count {
+            for shard in 0..snap.shards.len() as u32 {
                 match client.shard_client(shard).request(Request::stats()) {
                     Ok(resp) => {
                         if let Some(s) = resp.stats {
@@ -1147,7 +1095,7 @@ fn cmd_burst(mut args: Vec<String>) -> ExitCode {
                     Err(e) => eprintln!("shard {shard} stats query failed: {e}"),
                 }
             }
-            (retries, hedges)
+            (snap.shards.len(), retries, hedges)
         }
     };
 
@@ -1156,11 +1104,7 @@ fn cmd_burst(mut args: Vec<String>) -> ExitCode {
          degraded={degraded} p50_ms={p50:.2} p99_ms={p99:.2} retries={retries} hedges={hedges}"
     );
     fleet.shutdown();
-    if failed == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(if failed == 0 { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
 /// Nearest-rank percentile (ceil(q·n) in 1-based ranks) over sorted

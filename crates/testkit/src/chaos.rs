@@ -178,16 +178,7 @@ impl ChaosProxy {
     /// Binds an ephemeral loopback port in front of `upstream` and starts
     /// proxying.
     pub fn start(upstream: impl Into<String>, cfg: ChaosConfig) -> std::io::Result<Self> {
-        Self::start_on("127.0.0.1:0", upstream, cfg)
-    }
-
-    /// [`ChaosProxy::start`] with an explicit listen address.
-    pub fn start_on(
-        listen: impl ToSocketAddrs,
-        upstream: impl Into<String>,
-        cfg: ChaosConfig,
-    ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(listen)?;
+        let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let inner = Arc::new(Inner {

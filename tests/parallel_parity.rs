@@ -17,9 +17,9 @@ use rrre_testkit::FixtureSpec;
 /// weight initialisations (the same trio the parity oracle uses).
 const SEEDS: [u64; 3] = [0x5EED, 0xA11CE, 0x0B0E];
 
-/// The thread counts under test: serial, even split, a count that does not
+/// The thread counts under test: serial, even splits, a count that does not
 /// divide the default batch, and more workers than this machine has cores.
-const THREADS: [usize; 4] = [1, 2, 3, 8];
+const THREADS: [usize; 5] = [1, 2, 3, 4, 8];
 
 /// Per-epoch loss bits and final weight bits of one training run.
 struct RunBits {
