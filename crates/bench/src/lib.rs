@@ -2,8 +2,9 @@
 //!
 //! Experiment harness reproducing every table and figure of the RRRE paper
 //! on the synthetic datasets, plus the ablations of DESIGN.md §4. The
-//! `repro` binary drives it; Criterion benches exercise smoke-scale slices
-//! of each experiment and the substrate kernels.
+//! `repro` binary drives it; tests run smoke-scale slices of each
+//! experiment. Kernel, serving and training costs are measured by the
+//! separate `benchmark/` crate, not here.
 
 #![warn(missing_docs)]
 

@@ -1,7 +1,7 @@
 //! Experiment scales.
 //!
 //! Every experiment runs at one of three scales so the same harness serves
-//! smoke tests / Criterion benches (`Smoke`), the default `repro` CLI
+//! smoke tests (`Smoke`), the default `repro` CLI
 //! (`Small`) and a patient full run (`Full`). The scale controls the
 //! synthetic dataset size multiplier and the training budgets.
 
@@ -10,7 +10,7 @@ use std::str::FromStr;
 /// Experiment scale selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Tiny: seconds per experiment; used by benches and CI smoke tests.
+    /// Tiny: seconds per experiment; used by smoke tests.
     Smoke,
     /// Default for `repro`: minutes for the whole suite.
     Small,

@@ -406,6 +406,39 @@ impl Rrre {
         Ok(model)
     }
 
+    /// Builds the architecture, restores trained `weights` and installs
+    /// `review_vectors` as the frozen review-embedding cache — the encoder
+    /// never runs. `review_vectors` must be `ds.len() × k`, the rows
+    /// [`ReviewEncoder::encode_all`] produces for `corpus` under these
+    /// weights; only the shape is checked here (mismatches fail with
+    /// `InvalidData`), so a caller that did not produce the rows itself
+    /// should compare a sample against [`Rrre::encode_review`].
+    pub fn from_frozen_parts(
+        ds: &Dataset,
+        corpus: &EncodedCorpus,
+        cfg: RrreConfig,
+        weights: &Params,
+        review_vectors: Tensor,
+    ) -> std::io::Result<Self> {
+        if review_vectors.shape() != (ds.len(), cfg.k) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "review vectors are {}x{} but the model needs {}x{} (reviews x k)",
+                    review_vectors.rows(),
+                    review_vectors.cols(),
+                    ds.len(),
+                    cfg.k
+                ),
+            ));
+        }
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut model = Self::new_untrained_with(ds, corpus, cfg, &mut rng);
+        model.restore_weights(weights)?;
+        model.cache = Some(ReviewVectors::from_flat(cfg.k, review_vectors.into_vec()));
+        Ok(model)
+    }
+
     fn set_mean_rating(&mut self, mean: f32) {
         self.mean_rating = mean;
         self.params.get_mut(self.mean_rating_id).set(0, 0, mean);
@@ -418,25 +451,25 @@ impl Rrre {
         ));
     }
 
-    /// Ensures the tape-free frozen prediction path is available by
-    /// materialising the review-embedding cache from the current encoder
-    /// weights. A no-op when the cache already exists (frozen-mode models
-    /// have it from construction).
-    ///
-    /// For [`EncoderMode::EndToEnd`] models this pins the encoder output at
-    /// its current weights — exactly what an inference server wants, since
-    /// per-request BiLSTM re-encoding is the cost the serving cache exists
-    /// to avoid.
-    pub fn freeze_for_inference(&mut self, corpus: &EncodedCorpus) {
-        if self.cache.is_none() {
-            self.rebuild_cache(corpus);
-        }
-    }
-
     /// Whether the tape-free frozen prediction path (and therefore
-    /// [`Rrre::infer_user_tower`] / [`Rrre::infer_item_tower`]) is ready.
+    /// [`Rrre::infer_user_tower`] / [`Rrre::infer_item_tower`]) is ready:
+    /// frozen-mode models have it from construction, and every model built
+    /// by [`Rrre::from_frozen_parts`] has it, which pins an
+    /// [`EncoderMode::EndToEnd`] encoder's output at its current weights.
     pub fn has_frozen_cache(&self) -> bool {
         self.cache.is_some()
+    }
+
+    /// The frozen review-embedding cache (one `k`-row per review the model
+    /// reflects), if materialised.
+    pub fn review_vectors(&self) -> Option<&ReviewVectors> {
+        self.cache.as_ref()
+    }
+
+    /// Tape-free encoding (`[1, k]`) of review `idx` of `corpus` with this
+    /// model's encoder weights — one row of [`ReviewEncoder::encode_all`].
+    pub fn encode_review(&self, corpus: &EncodedCorpus, idx: usize) -> Tensor {
+        self.encoder.encode_review(&self.params, corpus, idx)
     }
 
     /// Incrementally absorbs reviews appended to the dataset since this
@@ -448,7 +481,7 @@ impl Rrre {
     ///
     /// Because [`ReviewEncoder::encode_all`] is definitionally a loop over
     /// [`ReviewEncoder::encode_review`], the refreshed cache is
-    /// **bit-identical** to a full `freeze_for_inference` rebuild over the
+    /// **bit-identical** to a full `encode_all` rebuild over the
     /// grown corpus — the incremental path can never drift. (The parity
     /// drill in `rrre-serve` asserts exactly this.)
     ///
@@ -469,7 +502,7 @@ impl Rrre {
         }
         let cache_len = match &self.cache {
             Some(c) => c.len(),
-            None => return Err("refresh_towers requires the frozen review cache; call freeze_for_inference first".into()),
+            None => return Err("refresh_towers requires the frozen review cache; build the model with from_frozen_parts".into()),
         };
         if cache_len != first_new || self.input_items_of.len() != first_new {
             return Err(format!(
@@ -538,14 +571,20 @@ impl Rrre {
         path: impl AsRef<std::path::Path>,
         corpus: &EncodedCorpus,
     ) -> std::io::Result<()> {
-        let loaded = Params::load(path)?;
-        self.params
-            .restore_values(&loaded)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        self.mean_rating = self.params.get(self.mean_rating_id).item();
+        self.restore_weights(&Params::load(path)?)?;
         if self.cache.is_some() || matches!(self.cfg.encoder, EncoderMode::Frozen) {
             self.rebuild_cache(corpus);
         }
+        Ok(())
+    }
+
+    /// Copies checkpointed values into `params` (names and shapes must
+    /// match) and re-reads the mean rating they carry.
+    fn restore_weights(&mut self, loaded: &Params) -> std::io::Result<()> {
+        self.params
+            .restore_values(loaded)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        self.mean_rating = self.params.get(self.mean_rating_id).item();
         Ok(())
     }
 
@@ -717,11 +756,10 @@ impl Rrre {
     /// context contains the target item's ID embedding (paper §III-D), so a
     /// cache of these must be keyed by `(user, item)`.
     ///
-    /// Requires the frozen review cache — call
-    /// [`Rrre::freeze_for_inference`] first on end-to-end models.
+    /// Requires the frozen review cache ([`Rrre::has_frozen_cache`]).
     pub fn infer_user_tower(&self, user: UserId, item: ItemId) -> Tensor {
         let cache = self.cache.as_ref().expect(
-            "Rrre::infer_user_tower: no frozen review cache; call freeze_for_inference first",
+            "Rrre::infer_user_tower: no frozen review cache; build the model with from_frozen_parts",
         );
         let u_revs = self.user_inputs(user.index());
         let e_u = self.user_emb.infer(&self.params, &[user.index()]);
@@ -736,7 +774,7 @@ impl Rrre {
     /// [`Rrre::infer_user_tower`].
     pub fn infer_item_tower(&self, user: UserId, item: ItemId) -> Tensor {
         let cache = self.cache.as_ref().expect(
-            "Rrre::infer_item_tower: no frozen review cache; call freeze_for_inference first",
+            "Rrre::infer_item_tower: no frozen review cache; build the model with from_frozen_parts",
         );
         let i_revs = self.item_inputs(item.index());
         let e_u = self.user_emb.infer(&self.params, &[user.index()]);

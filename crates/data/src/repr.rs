@@ -59,6 +59,11 @@ impl ReviewVectors {
         &self.flat[idx * self.dim..(idx + 1) * self.dim]
     }
 
+    /// Every vector, row-major (`len() × dim()`).
+    pub fn as_flat(&self) -> &[f32] {
+        &self.flat
+    }
+
     /// Appends one review's vector (incremental cache growth for streamed
     /// reviews).
     ///

@@ -55,8 +55,9 @@ pub struct RobustnessGrid {
 }
 
 impl RobustnessGrid {
-    /// The grid's CSV header. `scripts/ci.sh` diffs emitted grids against
-    /// the committed artifact, so changing this is a schema break.
+    /// The grid's CSV header. `tests/adversarial_robustness.rs` compares
+    /// the emitted grid byte for byte against the committed
+    /// `results/adversarial_grid.csv`, so changing this is a schema break.
     pub const CSV_HEADER: &'static str = "family,strength,n_injected,ap_clean,ap_poisoned,ap_degradation,rmse_clean,rmse_poisoned,rmse_inflation,attack_auc";
 
     /// An empty grid.

@@ -5,9 +5,11 @@
 //! bottom to top:
 //!
 //! * [`artifact`] — [`ModelArtifact`]: a self-describing on-disk bundle
-//!   (manifest + dataset + word vectors + `RRRP` weights) that restores a
-//!   trained model with [`rrre_core::Rrre::from_checkpoint`], validating
-//!   every shape on the way in.
+//!   (manifest + dataset + word vectors + `RRRP` weights + frozen review
+//!   vectors) that restores a trained model with
+//!   [`rrre_core::Rrre::from_frozen_parts`] without re-running the BiLSTM,
+//!   validating every shape and a bit-exact sample of the review vectors on
+//!   the way in.
 //! * [`cache`] — [`TowerCache`]: sharded, lock-striped caches of the
 //!   pair-dependent UserNet/ItemNet representations, with explicit
 //!   invalidation when an entity gains a review. A warm prediction is two

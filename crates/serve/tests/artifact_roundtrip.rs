@@ -1,13 +1,15 @@
 //! Artifact save → load must reproduce the trained model bit-for-bit, and
 //! every kind of on-disk damage must be rejected at load time.
 
+use rrre_core::{Rrre, RrreConfig};
 use rrre_data::{ItemId, UserId};
 use rrre_serve::artifact::{
-    file_digest, DATASET_FILE, MANIFEST_FILE, MANIFEST_VERSION, MODEL_FILE, VECTORS_FILE,
+    DATASET_FILE, MANIFEST_FILE, MANIFEST_VERSION, MODEL_FILE, REVIEWS_FILE, VECTORS_FILE,
 };
 use rrre_serve::ModelArtifact;
-use rrre_testkit::fault::{flip_byte, truncate_file};
+use rrre_testkit::fault::{drop_last_row, flip_byte, rehash_artifact_file, truncate_file};
 use rrre_testkit::{trained_fixture, Fixture, TempDir};
+use std::io::ErrorKind;
 
 fn saved_fixture(tag: &str) -> (Fixture, TempDir) {
     let fx = trained_fixture();
@@ -128,7 +130,6 @@ fn tampered_dataset_fails_validation() {
     // Swap in a dataset with different review text. The checksum layer
     // sees the swap first — the file no longer hashes to what the manifest
     // recorded at save time.
-    let original = std::fs::read(dir.file(DATASET_FILE)).unwrap();
     let mut other = fx.dataset.clone();
     for r in &mut other.reviews {
         r.text = "entirely different words everywhere".into();
@@ -142,13 +143,75 @@ fn tampered_dataset_fails_validation() {
     // both files, or an honest re-export of a different dataset): the deeper
     // semantic check still refuses, because the rebuilt vocabulary no longer
     // matches the stored vector table.
-    let tampered = std::fs::read(dir.file(DATASET_FILE)).unwrap();
-    let manifest_path = dir.file(MANIFEST_FILE);
-    let json = std::fs::read_to_string(&manifest_path).unwrap();
-    let patched = json.replacen(&file_digest(&original), &file_digest(&tampered), 1);
-    assert_ne!(patched, json, "manifest did not record the original dataset digest");
-    std::fs::write(&manifest_path, patched).unwrap();
-
+    rehash_artifact_file(dir.path(), DATASET_FILE).unwrap();
     let err = ModelArtifact::load(dir.path()).err().expect("vocab mismatch must be rejected");
     assert!(err.to_string().contains("vocabulary"), "unexpected error: {err}");
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn loaded_review_vectors_equal_a_fresh_encode_of_the_loaded_corpus() {
+    let (fx, dir) = saved_fixture("review-vectors");
+    let art = ModelArtifact::load(dir.path()).unwrap();
+    let loaded = art.model.review_vectors().expect("a loaded model serves from review vectors");
+    assert_eq!(loaded.len(), art.dataset.len());
+
+    // `from_checkpoint` runs the BiLSTM over every review of the corpus the
+    // load rebuilt — the full re-encode the persisted rows replace.
+    let fresh = Rrre::from_checkpoint(&art.dataset, &art.corpus, art.manifest.config, dir.file(MODEL_FILE))
+        .unwrap();
+    let fresh = fresh.review_vectors().unwrap();
+    assert_eq!(bits(loaded.as_flat()), bits(fresh.as_flat()), "loaded rows differ from a fresh encode");
+    assert_eq!(
+        bits(loaded.as_flat()),
+        bits(fx.model.review_vectors().unwrap().as_flat()),
+        "loaded rows differ from the trained model's"
+    );
+}
+
+#[test]
+fn foreign_review_vectors_are_refused_by_the_spot_check() {
+    let (fx, dir) = saved_fixture("foreign-reviews");
+    // Same dataset, corpus and shape; other encoder weights.
+    let other_cfg = RrreConfig { seed: fx.spec.seed ^ 0xF0F0, epochs: 1, ..fx.spec.rrre_config() };
+    let other = Rrre::fit(&fx.dataset, &fx.corpus, &fx.train, other_cfg);
+    let other_dir = TempDir::new("foreign-reviews-source");
+    ModelArtifact::save(other_dir.path(), &fx.dataset, &fx.corpus, &other, fx.min_count()).unwrap();
+    std::fs::copy(other_dir.file(REVIEWS_FILE), dir.file(REVIEWS_FILE)).unwrap();
+
+    let err = ModelArtifact::load(dir.path()).err().expect("swapped review vectors must be rejected");
+    assert!(err.to_string().contains("checksum"), "unexpected error: {err}");
+
+    rehash_artifact_file(dir.path(), REVIEWS_FILE).unwrap();
+    let err = ModelArtifact::load(dir.path()).err().expect("foreign review vectors must be rejected");
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("review vectors"), "the error must name the review vectors: {err}");
+}
+
+#[test]
+fn damaged_or_misshapen_review_vectors_fail_with_invalid_data() {
+    let (_fx, dir) = saved_fixture("bad-reviews");
+    let path = dir.file(REVIEWS_FILE);
+    let pristine = std::fs::read(&path).unwrap();
+
+    truncate_file(&path, pristine.len() as u64 / 3).unwrap();
+    let err = ModelArtifact::load(dir.path()).err().expect("truncated review vectors must be rejected");
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    std::fs::write(&path, &pristine).unwrap();
+
+    flip_byte(&path, pristine.len() / 2).unwrap();
+    let err = ModelArtifact::load(dir.path()).err().expect("flipped review vectors must be rejected");
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    std::fs::write(&path, &pristine).unwrap();
+
+    // One row short, digest re-recorded: it parses and hashes cleanly, so
+    // only the shape check stands between it and serving.
+    drop_last_row(&path).unwrap();
+    rehash_artifact_file(dir.path(), REVIEWS_FILE).unwrap();
+    let err = ModelArtifact::load(dir.path()).err().expect("misshapen review vectors must be rejected");
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("review vectors"), "unexpected error: {err}");
 }

@@ -461,6 +461,10 @@ fn kill_the_leader_then_promote_dedups_the_resend_and_survivors_compact_byte_ide
         assert_eq!(folded, "compacted folded=12 generation=2", "survivor {survivor}");
     }
     let (a, b) = (artifact_fingerprint(Path::new(&dirs[1])), artifact_fingerprint(Path::new(&dirs[2])));
-    assert!(a.len() >= 3, "only {} artifact files compared — the fleet dirs look wrong", a.len());
+    assert!(a.len() >= 4, "only {} artifact files compared — the fleet dirs look wrong", a.len());
+    assert!(
+        a.iter().any(|(file, _)| file == rrre_serve::artifact::REVIEWS_FILE),
+        "the survivors' independently written review vectors must be compared too"
+    );
     assert_eq!(a, b, "a duplicate application would have changed the survivors' bytes");
 }

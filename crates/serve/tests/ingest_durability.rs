@@ -17,7 +17,7 @@
 //!   marker → roll back, COMMIT marker → roll forward, and the seq ledger
 //!   keeps replay idempotent across every interleaving.
 
-use rrre_serve::artifact::MANIFEST_FILE;
+use rrre_serve::artifact::{MANIFEST_FILE, MODEL_FILE};
 use rrre_wire::PredictionDto;
 use rrre_serve::wal::{self, FsyncPolicy, IngestLedger, SeqSet};
 use rrre_serve::{Engine, EngineConfig, IngestConfig, ModelArtifact, Request, WAL_DIR};
@@ -217,12 +217,15 @@ fn incremental_refresh_is_bit_identical_to_compaction_reload_and_restart() {
     let refreshed = probe(&engine);
 
     // Fold the WAL into a brand-new artifact generation and reload it from
-    // disk: the full load path re-encodes every review from bytes.
+    // disk. The load installs the review vectors compaction persisted (the
+    // refreshed rows), so those rows are checked against an independent
+    // re-encode of the compacted corpus: a refresh drift cannot hide in them.
     let (folded, generation) = engine.compact_now().unwrap();
     assert_eq!(folded, 5);
     assert_eq!(generation, 2, "compaction must publish a new generation");
     assert_eq!(engine.stats().compactions, 1);
     assert_eq!(served_reviews(&engine), base + 5);
+    assert_persisted_rows_match_a_full_reencode(dir.path(), base + 5);
     assert_eq!(
         probe(&engine),
         refreshed,
@@ -243,6 +246,41 @@ fn incremental_refresh_is_bit_identical_to_compaction_reload_and_restart() {
     }
     assert_eq!(served_reviews(&engine), base + 5);
     engine.shutdown();
+
+    // With refresh off the served model never absorbs the five reviews, so
+    // compaction saves a dataset longer than the model: the tail's rows are
+    // encoded at save time and must land on the same bits.
+    let (dir, _) = saved_fixture("ingest-parity-norefresh");
+    let engine = open(dir.path(), IngestConfig { refresh_every: 0, ..ingest_cfg() });
+    for seq in 0..5 {
+        ingest_one(&engine, seq, n_users, n_items, false);
+    }
+    assert_eq!(served_reviews(&engine), base, "refresh_every=0 folds nothing before compaction");
+    assert_eq!(engine.compact_now().unwrap(), (5, 2));
+    assert_persisted_rows_match_a_full_reencode(dir.path(), base + 5);
+    assert_eq!(probe(&engine), refreshed, "compaction without refresh must serve the same bits");
+    engine.shutdown();
+}
+
+/// The artifact at `dir` holds `n_reviews` persisted review vectors, each
+/// bit-identical to running the BiLSTM over the corpus its load rebuilds.
+fn assert_persisted_rows_match_a_full_reencode(dir: &Path, n_reviews: usize) {
+    let art = ModelArtifact::load(dir).unwrap();
+    let persisted = art.model.review_vectors().unwrap();
+    assert_eq!(persisted.len(), n_reviews);
+    let fresh = rrre_core::Rrre::from_checkpoint(
+        &art.dataset,
+        &art.corpus,
+        art.manifest.config,
+        dir.join(MODEL_FILE),
+    )
+    .unwrap();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(persisted.as_flat()),
+        bits(fresh.review_vectors().unwrap().as_flat()),
+        "persisted review vectors must equal a full re-encode of the compacted corpus"
+    );
 }
 
 #[test]

@@ -4,12 +4,14 @@
 //! clients hammering the engine while corrupted reloads are attempted see
 //! zero failed requests.
 
-use rrre_serve::artifact::{DATASET_FILE, MANIFEST_FILE, MODEL_FILE, VECTORS_FILE};
+use rrre_core::{Rrre, RrreConfig};
+use rrre_serve::artifact::{DATASET_FILE, MANIFEST_FILE, MODEL_FILE, REVIEWS_FILE, VECTORS_FILE};
 use rrre_wire::PredictionDto;
 use rrre_serve::{Engine, EngineConfig, ModelArtifact, Request};
-use rrre_testkit::fault::{flip_byte, truncate_file};
+use rrre_testkit::fault::{drop_last_row, flip_byte, rehash_artifact_file, truncate_file};
 use rrre_testkit::sync::run_concurrently;
 use rrre_testkit::{trained_fixture, TempDir};
+use std::io::ErrorKind;
 use std::sync::Arc;
 
 fn served_artifact(tag: &str) -> (TempDir, Engine) {
@@ -53,6 +55,7 @@ fn every_corruption_fails_closed_and_restore_recovers() {
         (DATASET_FILE, true),
         (VECTORS_FILE, true),
         (MODEL_FILE, true),
+        (REVIEWS_FILE, true),
         (MANIFEST_FILE, false),
     ];
     for (file, also_flip) in corruptions {
@@ -75,6 +78,9 @@ fn every_corruption_fails_closed_and_restore_recovers() {
 
         for (what, corrupt) in drills {
             corrupt();
+            let load_err =
+                ModelArtifact::load(dir.path()).err().expect("a damaged artifact must not load");
+            assert_eq!(load_err.kind(), ErrorKind::InvalidData, "{what} of {file}: {load_err}");
             let err = engine
                 .reload()
                 .expect_err(&format!("{what} of {file} must fail the reload"));
@@ -105,6 +111,46 @@ fn every_corruption_fails_closed_and_restore_recovers() {
     assert_eq!(stats.reloads, expected_failures + 1);
     assert_eq!(stats.reload_failures, expected_failures);
     assert_eq!(probe(&engine), baseline, "reloaded weights are the same weights");
+}
+
+#[test]
+fn rehashed_foreign_or_misshapen_review_vectors_fail_the_reload_closed() {
+    let fx = trained_fixture();
+    let dir = TempDir::new("reload-foreign-reviews");
+    ModelArtifact::save(dir.path(), &fx.dataset, &fx.corpus, &fx.model, fx.min_count()).unwrap();
+    let engine = Engine::new(
+        ModelArtifact::load(dir.path()).unwrap(),
+        EngineConfig { workers: 2, ..EngineConfig::default() },
+    );
+    let baseline = probe(&engine);
+
+    // Another model's rows over the same corpus: right shape, wrong bits.
+    let other_cfg = RrreConfig { seed: fx.spec.seed ^ 0xF0F0, epochs: 1, ..fx.spec.rrre_config() };
+    let other = Rrre::fit(&fx.dataset, &fx.corpus, &fx.train, other_cfg);
+    let other_dir = TempDir::new("reload-foreign-reviews-source");
+    ModelArtifact::save(other_dir.path(), &fx.dataset, &fx.corpus, &other, fx.min_count()).unwrap();
+
+    let (reviews, manifest) = (dir.file(REVIEWS_FILE), dir.file(MANIFEST_FILE));
+    let pristine = (std::fs::read(&reviews).unwrap(), std::fs::read(&manifest).unwrap());
+    for (failures, what) in (1..).zip(["foreign", "misshapen"]) {
+        if what == "foreign" {
+            std::fs::copy(other_dir.file(REVIEWS_FILE), &reviews).unwrap();
+        } else {
+            drop_last_row(&reviews).unwrap();
+        }
+        rehash_artifact_file(dir.path(), REVIEWS_FILE).unwrap();
+        let load_err = ModelArtifact::load(dir.path()).err().expect("must not load");
+        assert_eq!(load_err.kind(), ErrorKind::InvalidData, "{what}: {load_err}");
+        let err = engine.reload().expect_err(&format!("{what} review vectors must fail the reload"));
+        assert!(err.contains("review vectors") && err.contains("keeps serving"), "{what}: {err}");
+        let stats = engine.stats();
+        assert_eq!((stats.generation, stats.reload_failures), (1, failures));
+        assert_eq!(probe(&engine), baseline, "old generation must serve after {what} review vectors");
+        std::fs::write(&reviews, &pristine.0).unwrap();
+        std::fs::write(&manifest, &pristine.1).unwrap();
+    }
+    assert_eq!(engine.reload().unwrap(), 2);
+    assert_eq!(probe(&engine), baseline);
 }
 
 #[test]

@@ -30,6 +30,39 @@ pub fn flip_byte(path: impl AsRef<Path>, offset: usize) -> std::io::Result<u8> {
     Ok(original)
 }
 
+/// Records `file`'s current digest in the manifest of the artifact at
+/// `dir` — the edit of someone who can write both files, or an honest
+/// re-export of different content — so a test reaches the validation that
+/// sits behind the checksum layer.
+pub fn rehash_artifact_file(dir: impl AsRef<Path>, file: &str) -> std::io::Result<()> {
+    use rrre_serve::artifact::{file_digest, ArtifactManifest, MANIFEST_FILE};
+    let dir = dir.as_ref();
+    let path = dir.join(MANIFEST_FILE);
+    let mut manifest: ArtifactManifest =
+        serde_json::from_str(&std::fs::read_to_string(&path)?).map_err(std::io::Error::other)?;
+    let digest = file_digest(&std::fs::read(dir.join(file))?);
+    let entry = manifest.checksums.iter_mut().find(|c| c.file == file).ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::NotFound, format!("manifest records no checksum for {file}"))
+    })?;
+    entry.fnv1a = digest;
+    std::fs::write(&path, serde_json::to_string_pretty(&manifest).map_err(std::io::Error::other)?)
+}
+
+/// Rewrites an RRRP file with the last row of every tensor dropped: a
+/// payload that still parses, under the same tensor names, but has the
+/// wrong shape.
+pub fn drop_last_row(path: impl AsRef<Path>) -> std::io::Result<()> {
+    use rrre_tensor::{Params, Tensor};
+    let path = path.as_ref();
+    let full = Params::load(path)?;
+    let mut short = Params::new();
+    for (_, name, t) in full.iter() {
+        let (rows, cols) = t.shape();
+        short.register(name, Tensor::from_vec(rows - 1, cols, t.as_slice()[..(rows - 1) * cols].to_vec()));
+    }
+    short.save(path)
+}
+
 /// Shaves the last `bytes` bytes off a file — the shape of a torn write: a
 /// record whose tail never reached the disk before the crash. Returns the
 /// new length. Panics if the file is not strictly longer than `bytes`

@@ -39,7 +39,7 @@ pub fn deterministic_pairs(ds: &Dataset, seed: u64, count: usize) -> Vec<(UserId
 /// Asserts `predict` ≡ the decomposed frozen inference path on every pair.
 ///
 /// The model must already expose its frozen cache (train in frozen mode or
-/// call `freeze_for_inference` first).
+/// load it from an artifact).
 pub fn assert_model_parity(model: &Rrre, corpus: &EncodedCorpus, pairs: &[(UserId, ItemId)]) {
     assert!(model.has_frozen_cache(), "assert_model_parity: model has no frozen cache");
     for &(user, item) in pairs {

@@ -29,4 +29,15 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- check
 
+# Run the benchmark the way BENCHMARK.json declares it — full-length phases,
+# untraced and traced, every workload. A run whose oracles fail or that
+# panics exits non-zero. `--quick` is not a substitute: its 2-s phases never
+# drain recommend_cold's pool of unseen users.
+for workload in train_epoch recommend_cold predict_hot scatter_warm ingest_quorum; do
+  for trace in 0 1; do
+    cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+      run --workload "$workload" --seed 1 --seconds 12 --trace "$trace"
+  done
+done
+
 echo "==> CI gate: all green"
