@@ -9,9 +9,10 @@
 //!   straight to the owning shard's client;
 //! * **`Recommend`** scatters to every shard in parallel — each shard
 //!   scores only the catalog slice it owns — and the partial top-k lists
-//!   are gathered and re-ranked with the exact `rank_candidates` ordering,
-//!   so the merged answer is bit-identical to a single node holding the
-//!   whole model;
+//!   are gathered and re-ranked by the engine's own ordering function
+//!   (`rrre_core::rank_by_key`, through [`merge_recommendations`]), so the
+//!   merged answer is bit-identical to a single node holding the whole
+//!   model;
 //! * **`Stats`/`Health`** scatter and fold into one fleet-level snapshot;
 //! * **user-only `Invalidate` and `Reload`** broadcast, since every shard
 //!   holds state the side effect must reach.

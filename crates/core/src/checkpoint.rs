@@ -21,7 +21,7 @@
 //! (params, Adam `t`/`m`/`v`, the RNG, the epoch shuffle `order` — which is
 //! permuted *in place* each epoch and therefore cannot be regenerated).
 //! All four are persisted; [`Rrre::resume`] replays
-//! [`Rrre::training_setup`] (same seed ⇒ same architecture + label mask),
+//! `Rrre::training_setup` (same seed ⇒ same architecture + label mask),
 //! overwrites that state from the checkpoint, and continues the epoch loop
 //! on the identical trajectory — the golden-trace harness is the witness.
 

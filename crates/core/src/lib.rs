@@ -9,8 +9,12 @@
 //! * [`ReviewEncoder`] — BiLSTM review content embedding (§III-C);
 //! * [`Tower`] — UserNet/ItemNet with fraud-attention (§III-D);
 //! * [`Rrre`] — the joint model, heads and training loop (§III-E);
-//! * [`recommend`] / [`explain`] — the recommendation-with-reliable-
-//!   explanation procedure (§III-B);
+//! * [`recommend_with`] / [`explain_with`] — the recommendation-with-
+//!   reliable-explanation procedure (§III-B), written once over a per-pair
+//!   scoring closure: the scoring seam. [`recommend`] / [`explain`] call it
+//!   with [`Rrre::predict`], the serving engine with its tower-cached,
+//!   prior-gated scorer; [`rank_by_key`] is the one two-stage ordering, the
+//!   scatter-gather merge included;
 //! * [`RrreConfig::minus`] — the RRRE⁻ ablation (plain MSE, Eq. 13).
 
 #![warn(missing_docs)]
@@ -37,7 +41,7 @@ pub use coverage::{pipeline_report, PipelineReport};
 pub use eval::{evaluate, JointEvaluation};
 pub use model::{ColdStartPrior, EpochStats, Prediction, Rrre};
 pub use recommend::{
-    explain, rank_candidates, recommend, Explanation, Recommendation,
-    EXPLANATION_RELIABILITY_THRESHOLD,
+    explain, explain_with, rank_by_key, rank_candidates, recommend, recommend_with, Explanation,
+    Recommendation, EXPLANATION_RELIABILITY_THRESHOLD,
 };
 pub use tower::Tower;

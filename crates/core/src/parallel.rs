@@ -1,6 +1,6 @@
 //! Deterministic data-parallel training primitives.
 //!
-//! The training loop in [`crate::Rrre::train_epoch`] splits every minibatch
+//! The training loop (`Rrre::train_epoch`) splits every minibatch
 //! into *shards* of a fixed grain ([`SHARD_GRAIN`] examples), each worker of
 //! a persistent [`Pool`] claims shards off a shared counter and accumulates
 //! forward/backward results into that shard's own [`GradShard`], and a single

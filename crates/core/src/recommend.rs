@@ -6,9 +6,14 @@
 //! For a recommended item: score the reviews written to it, keep the top-𝒦
 //! by rating, re-rank by reliability, and surface the texts — filtering
 //! low-reliability reviews exactly as Table VIII's case study does.
+//!
+//! The procedure is written once, in [`recommend_with`] / [`explain_with`],
+//! over a per-pair scoring closure. [`recommend`] / [`explain`] pass
+//! [`Rrre::predict`]; the serving engine passes its cached, prior-gated
+//! scorer and its shard's slice of the catalog.
 
 use crate::model::{Prediction, Rrre};
-use rrre_data::{Dataset, EncodedCorpus, ItemId, UserId};
+use rrre_data::{Dataset, DatasetIndex, EncodedCorpus, ItemId, UserId};
 
 /// One recommended item with its scores.
 #[derive(Debug, Clone)]
@@ -48,26 +53,45 @@ pub struct Explanation {
 /// decision boundary).
 pub const EXPLANATION_RELIABILITY_THRESHOLD: f32 = 0.5;
 
-/// The paper's two-stage ranking (§III-B), shared by [`recommend`],
-/// [`explain`] and the serving engine: keep the top-`k` entries by predicted
-/// rating as the candidate set, then order the candidates by predicted
-/// reliability. Ties break on the entity key ascending so rankings are
+/// The paper's two-stage ranking (§III-B) over any row type: keep the
+/// top-`k` rows by predicted rating as the candidate set, then order the
+/// candidates by predicted reliability. `key` reads a row's scores and its
+/// entity key; ties break on the key ascending so rankings are
 /// deterministic across runs and processes.
-pub fn rank_candidates<T: Ord + Copy>(scored: &mut Vec<(T, Prediction)>, k: usize) {
-    scored.sort_by(|a, b| b.1.rating.total_cmp(&a.1.rating).then(a.0.cmp(&b.0)));
-    scored.truncate(k);
-    scored.sort_by(|a, b| b.1.reliability.total_cmp(&a.1.reliability).then(a.0.cmp(&b.0)));
+///
+/// The one place the ordering is written: [`rank_candidates`] ranks scored
+/// entities with it, and the scatter-gather tier re-ranks the union of
+/// per-shard wire rows with it, which is why the gathered answer equals the
+/// whole-model one bit for bit.
+pub fn rank_by_key<T, K: Ord>(rows: &mut Vec<T>, k: usize, key: impl Fn(&T) -> (Prediction, K)) {
+    rows.sort_by(|a, b| {
+        let ((pa, ka), (pb, kb)) = (key(a), key(b));
+        pb.rating.total_cmp(&pa.rating).then(ka.cmp(&kb))
+    });
+    rows.truncate(k);
+    rows.sort_by(|a, b| {
+        let ((pa, ka), (pb, kb)) = (key(a), key(b));
+        pb.reliability.total_cmp(&pa.reliability).then(ka.cmp(&kb))
+    });
 }
 
-/// Generates the top-𝒦 recommendations for `user`: candidates by rating,
-/// final order by reliability (§III-B).
-pub fn recommend(model: &Rrre, ds: &Dataset, corpus: &EncodedCorpus, user: UserId, k: usize) -> Vec<Recommendation> {
-    let mut scored: Vec<(ItemId, Prediction)> = (0..ds.n_items)
-        .map(|i| {
-            let item = ItemId(i as u32);
-            (item, model.predict(corpus, user, item))
-        })
-        .collect();
+/// [`rank_by_key`] over `(entity, prediction)` pairs.
+pub fn rank_candidates<T: Ord + Copy>(scored: &mut Vec<(T, Prediction)>, k: usize) {
+    rank_by_key(scored, k, |&(key, p)| (p, key));
+}
+
+/// Generates the top-𝒦 recommendations for `user` among `items`, scoring
+/// each pair with `score`: candidates by rating, final order by reliability
+/// (§III-B).
+pub fn recommend_with(
+    ds: &Dataset,
+    user: UserId,
+    items: impl IntoIterator<Item = ItemId>,
+    k: usize,
+    mut score: impl FnMut(UserId, ItemId) -> Prediction,
+) -> Vec<Recommendation> {
+    let mut scored: Vec<(ItemId, Prediction)> =
+        items.into_iter().map(|item| (item, score(user, item))).collect();
     rank_candidates(&mut scored, k);
     scored
         .into_iter()
@@ -80,17 +104,31 @@ pub fn recommend(model: &Rrre, ds: &Dataset, corpus: &EncodedCorpus, user: UserI
         .collect()
 }
 
-/// Generates up to `k` reliable explanation reviews for `item` (§III-B):
-/// top-`k` of the item's reviews by predicted rating, re-ranked by
-/// reliability, with sub-threshold reviews marked `filtered`.
-pub fn explain(model: &Rrre, ds: &Dataset, corpus: &EncodedCorpus, item: ItemId, k: usize) -> Vec<Explanation> {
-    let index = ds.index();
+/// Generates the top-𝒦 recommendations for `user` over the whole catalog
+/// with [`Rrre::predict`] ([`recommend_with`]).
+pub fn recommend(model: &Rrre, ds: &Dataset, corpus: &EncodedCorpus, user: UserId, k: usize) -> Vec<Recommendation> {
+    let items = (0..ds.n_items as u32).map(ItemId);
+    recommend_with(ds, user, items, k, |u, i| model.predict(corpus, u, i))
+}
+
+/// Generates up to `k` reliable explanation reviews for `item` (§III-B),
+/// scoring each review's `(author, item)` pair with `score`: top-`k` of the
+/// item's reviews (looked up in `index`, an index over `ds`) by predicted
+/// rating, re-ranked by reliability, with sub-threshold reviews marked
+/// `filtered`.
+pub fn explain_with(
+    ds: &Dataset,
+    index: &DatasetIndex,
+    item: ItemId,
+    k: usize,
+    mut score: impl FnMut(UserId, ItemId) -> Prediction,
+) -> Vec<Explanation> {
     let mut scored: Vec<(usize, Prediction)> = index
         .item_reviews(item)
         .iter()
         .map(|&ri| {
             let r = &ds.reviews[ri];
-            (ri, model.predict(corpus, r.user, r.item))
+            (ri, score(r.user, r.item))
         })
         .collect();
     rank_candidates(&mut scored, k);
@@ -109,6 +147,13 @@ pub fn explain(model: &Rrre, ds: &Dataset, corpus: &EncodedCorpus, item: ItemId,
             }
         })
         .collect()
+}
+
+/// Generates up to `k` reliable explanation reviews for `item` with
+/// [`Rrre::predict`] ([`explain_with`] over the model's own review index;
+/// `ds` must be the dataset the model was built over).
+pub fn explain(model: &Rrre, ds: &Dataset, corpus: &EncodedCorpus, item: ItemId, k: usize) -> Vec<Explanation> {
+    explain_with(ds, model.index(), item, k, |u, i| model.predict(corpus, u, i))
 }
 
 #[cfg(test)]

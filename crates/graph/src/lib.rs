@@ -7,12 +7,10 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod bipartite;
 pub mod bp;
 pub mod iterate;
 
-pub use analysis::{connected_components, core_numbers, density, largest_component_size};
 pub use bipartite::{Edge, ReviewGraph};
 pub use bp::{BpEdge, BpNetwork, BpResult};
 pub use iterate::{fixed_point, linf, FixedPointConfig, FixedPointResult};

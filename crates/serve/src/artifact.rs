@@ -28,7 +28,7 @@
 //! instead of producing a model that silently serves garbage.
 
 use rrre_core::{Rrre, RrreConfig};
-use rrre_data::{Dataset, DatasetIndex, EncodedCorpus};
+use rrre_data::{Dataset, EncodedCorpus};
 use rrre_tensor::{Params, Tensor};
 use rrre_text::WordVectors;
 use rrre_wire::ShardSpec;
@@ -135,8 +135,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A loaded serving bundle: dataset + rebuilt corpus + restored model,
-/// plus the review index the explain path needs.
+/// A loaded serving bundle: dataset + rebuilt corpus + restored model. The
+/// per-entity review index is the model's own ([`Rrre::index`]).
 pub struct ModelArtifact {
     /// The manifest the bundle was loaded from (or saved with).
     pub manifest: ArtifactManifest,
@@ -146,8 +146,6 @@ pub struct ModelArtifact {
     pub corpus: EncodedCorpus,
     /// The restored model, frozen-cache ready for tape-free inference.
     pub model: Rrre,
-    /// Per-user / per-item review index over `dataset`.
-    pub index: DatasetIndex,
     /// The directory this artifact was loaded from — the hot-reload path
     /// re-loads from here.
     pub source_dir: PathBuf,
@@ -423,7 +421,6 @@ impl ModelArtifact {
         let model = Rrre::from_frozen_parts(&dataset, &corpus, manifest.config, &weights, reviews)?;
         spot_check_review_vectors(&model, &corpus)?;
 
-        let index = dataset.index();
-        Ok(Self { manifest, dataset, corpus, model, index, source_dir: dir.to_path_buf() })
+        Ok(Self { manifest, dataset, corpus, model, source_dir: dir.to_path_buf() })
     }
 }

@@ -25,10 +25,17 @@
 //! `unavailable` until the window slides past — clients get fast, honest
 //! refusals instead of hung connections, and the breaker closes on its own.
 //!
-//! Results are bit-identical to direct `rrre_core` calls: the engine uses
-//! the same `infer_user_tower` / `infer_item_tower` / `infer_heads`
-//! decomposition that `Rrre::predict` uses internally, and the same
-//! [`rrre_core::rank_candidates`] ordering for recommend/explain.
+//! **The scoring seam.** The engine owns one per-pair scorer,
+//! `predict_pair`: towers through the generation's caches, heads recomputed,
+//! reliability gated by the cold-start prior. `Predict` is that scorer;
+//! `Recommend` and `Explain` are validation plus one call into
+//! [`rrre_core::recommend_with`] / [`rrre_core::explain_with`] with it, over
+//! the shard's owned item slice and the model's review index, so the
+//! ranking procedure is core's by construction. The scorer reproduces
+//! `Rrre::predict` bit for bit (the same `infer_user_tower` /
+//! `infer_item_tower` / `infer_heads` decomposition; `tests/parity_oracle.rs`
+//! holds it to that), so with the prior off every answer equals a direct
+//! `rrre_core` call.
 
 use crate::artifact::{ModelArtifact, MANIFEST_FILE};
 use crate::batch::{BatchConfig, BatchQueue, Completion, Job, QueuePermit};
@@ -37,7 +44,7 @@ use crate::replication::{self, AckLevel, QuorumError, Replication, ReplicationCo
 use crate::stats::{EngineStats, FrontendStats, StatsSnapshot};
 use crate::wal::{self, FsyncPolicy, IngestLedger, SeqSet, WalRecord, WalWriter};
 use rrre_wire::{ErrorKind, HealthDto, Op, ReplRecordDto, Request, Response};
-use rrre_core::{rank_candidates, ColdStartPrior, Prediction, EXPLANATION_RELIABILITY_THRESHOLD};
+use rrre_core::{explain_with, recommend_with, ColdStartPrior, Prediction};
 use rrre_shard::ShardMap;
 use rrre_data::{ItemId, Label, Review, UserId};
 use std::io;
@@ -191,6 +198,29 @@ pub struct Generation {
     pub prior: Option<ColdStartPrior>,
     pub(crate) user_cache: TowerCache,
     pub(crate) item_cache: TowerCache,
+}
+
+impl Generation {
+    /// A generation over `artifact` with empty tower caches and, when
+    /// `cold_start_min > 0`, the prior calibrated on the artifact's dataset.
+    fn new(
+        id: u64,
+        artifact: ModelArtifact,
+        shard_map: ShardMap,
+        cache_shards: usize,
+        cold_start_min: usize,
+    ) -> Self {
+        let prior = (cold_start_min > 0)
+            .then(|| ColdStartPrior::calibrate(&artifact.dataset, cold_start_min));
+        Self {
+            id,
+            artifact,
+            shard_map,
+            prior,
+            user_cache: TowerCache::new(CacheAxis::User, cache_shards),
+            item_cache: TowerCache::new(CacheAxis::Item, cache_shards),
+        }
+    }
 }
 
 /// State shared between the engine handle and its workers.
@@ -407,18 +437,9 @@ impl Engine {
                 shard_map.shards()
             );
         }
-        let prior = ingest.as_ref().and_then(|s| {
-            (s.cfg.cold_start_min > 0)
-                .then(|| ColdStartPrior::calibrate(&artifact.dataset, s.cfg.cold_start_min))
-        });
-        let generation = Arc::new(Generation {
-            id: 1,
-            artifact,
-            shard_map,
-            prior,
-            user_cache: TowerCache::new(CacheAxis::User, cfg.cache_shards),
-            item_cache: TowerCache::new(CacheAxis::Item, cfg.cache_shards),
-        });
+        let cold_start_min = ingest.as_ref().map_or(0, |s| s.cfg.cold_start_min);
+        let generation =
+            Arc::new(Generation::new(1, artifact, shard_map, cfg.cache_shards, cold_start_min));
         let shared = Arc::new(Shared {
             current: RwLock::new(generation),
             stats: EngineStats::default(),
@@ -709,20 +730,11 @@ fn do_reload(shared: &Shared) -> Result<u64, String> {
                     shard_map.version()
                 ));
             }
-            let prior = shared.ingest.as_ref().and_then(|s| {
-                (s.cfg.cold_start_min > 0)
-                    .then(|| ColdStartPrior::calibrate(&artifact.dataset, s.cfg.cold_start_min))
-            });
             let id = shared.next_generation.fetch_add(1, Ordering::Relaxed);
-            let generation = Arc::new(Generation {
-                id,
-                artifact,
-                shard_map,
-                prior,
-                user_cache: TowerCache::new(CacheAxis::User, shared.cfg.cache_shards),
-                item_cache: TowerCache::new(CacheAxis::Item, shared.cfg.cache_shards),
-            });
-            publish_loaded(shared, generation);
+            let cold_start_min = shared.ingest.as_ref().map_or(0, |s| s.cfg.cold_start_min);
+            let generation =
+                Generation::new(id, artifact, shard_map, shared.cfg.cache_shards, cold_start_min);
+            publish_loaded(shared, Arc::new(generation));
             Ok(id)
         }
         Err(e) => {
@@ -803,32 +815,27 @@ fn refresh_locked(shared: &Shared, state: &IngestState) -> Result<usize, String>
             corpus.append_doc(&rec.text);
         }
         model.refresh_towers(&dataset, &corpus, first_new)?;
-        let index = dataset.index();
-        let prior = (state.cfg.cold_start_min > 0)
-            .then(|| ColdStartPrior::calibrate(&dataset, state.cfg.cold_start_min));
         let artifact = ModelArtifact {
             manifest: base.artifact.manifest.clone(),
             dataset,
             corpus,
             model,
-            index,
             source_dir: base.artifact.source_dir.clone(),
         };
-        let generation = Arc::new(Generation {
-            // Same id: a refresh updates towers in place, it is not a
-            // generation swap — clients see no reload.
-            id: base.id,
+        // Same id: a refresh updates towers in place, it is not a
+        // generation swap — clients see no reload. Fresh caches =
+        // conservative entity invalidation. The touched entities' towers
+        // changed; a cache *shared* with the old generation could be
+        // repopulated with stale towers by in-flight jobs still pinned to
+        // it. Untouched entries recompute to bit-identical values on their
+        // next request.
+        let generation = Arc::new(Generation::new(
+            base.id,
             artifact,
-            shard_map: base.shard_map.clone(),
-            prior,
-            // Fresh caches = conservative entity invalidation. The touched
-            // entities' towers changed; a cache *shared* with the old
-            // generation could be repopulated with stale towers by
-            // in-flight jobs still pinned to it. Untouched entries
-            // recompute to bit-identical values on their next request.
-            user_cache: TowerCache::new(CacheAxis::User, shared.cfg.cache_shards),
-            item_cache: TowerCache::new(CacheAxis::Item, shared.cfg.cache_shards),
-        });
+            base.shard_map.clone(),
+            shared.cfg.cache_shards,
+            state.cfg.cold_start_min,
+        ));
         {
             let mut inner = state.inner.lock().unwrap_or_else(|e| e.into_inner());
             let mut cur = shared.current.write().unwrap_or_else(|e| e.into_inner());
@@ -1316,25 +1323,16 @@ fn process(shared: &Shared, generation: &Generation, job: &Job) -> Response {
             if shared.cfg.shard_id.is_some() {
                 shared.stats.scatter_fanout.fetch_add(1, Ordering::Relaxed);
             }
-            let mut scored: Vec<(ItemId, Prediction)> = (0..ds.n_items as u32)
+            let owned = (0..ds.n_items as u32)
                 .filter(|&i| {
                     shared.cfg.shard_id.map_or(true, |s| generation.shard_map.owns_item(s, i))
                 })
-                .map(|i| (ItemId(i), predict_pair(&shared.stats, generation, user, i)))
-                .collect();
-            rank_candidates(&mut scored, k);
+                .map(ItemId);
+            let recs = recommend_with(ds, UserId(user), owned, k, |u, i| {
+                predict_pair(&shared.stats, generation, u.0, i.0)
+            });
             let mut resp = Response::ok(req.id);
-            resp.recommendations = Some(
-                scored
-                    .into_iter()
-                    .map(|(item, p)| rrre_wire::RecommendationDto {
-                        item: item.0,
-                        item_name: ds.item_name(item),
-                        rating: p.rating,
-                        reliability: p.reliability,
-                    })
-                    .collect(),
-            );
+            resp.recommendations = Some(recs.into_iter().map(Into::into).collect());
             resp
         }
         Op::Explain => {
@@ -1349,35 +1347,12 @@ fn process(shared: &Shared, generation: &Generation, job: &Job) -> Response {
                 Some(k) if k > 0 => k,
                 _ => return bad_request(req.id, "missing or zero field `k`"),
             };
-            let mut scored: Vec<(usize, Prediction)> = generation
-                .artifact
-                .index
-                .item_reviews(ItemId(item))
-                .iter()
-                .map(|&ri| {
-                    let r = &ds.reviews[ri];
-                    (ri, predict_pair(&shared.stats, generation, r.user.0, r.item.0))
-                })
-                .collect();
-            rank_candidates(&mut scored, k);
+            let index = generation.artifact.model.index();
+            let explanations = explain_with(ds, index, ItemId(item), k, |u, i| {
+                predict_pair(&shared.stats, generation, u.0, i.0)
+            });
             let mut resp = Response::ok(req.id);
-            resp.explanations = Some(
-                scored
-                    .into_iter()
-                    .map(|(ri, p)| {
-                        let r = &ds.reviews[ri];
-                        rrre_wire::ExplanationDto {
-                            review_idx: ri,
-                            user: r.user.0,
-                            user_name: ds.user_name(r.user),
-                            text: r.text.clone(),
-                            rating: p.rating,
-                            reliability: p.reliability,
-                            filtered: p.reliability < EXPLANATION_RELIABILITY_THRESHOLD,
-                        }
-                    })
-                    .collect(),
-            );
+            resp.explanations = Some(explanations.into_iter().map(Into::into).collect());
             resp
         }
         Op::Stats => {

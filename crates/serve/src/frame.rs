@@ -9,7 +9,7 @@
 //!
 //! The line bound is enforced incrementally: the moment a frame's buffered
 //! prefix exceeds [`rrre_wire::MAX_LINE_BYTES`], the decoder emits
-//! one structured [`FrameError::Oversized`] and switches to discard mode,
+//! one structured [`FrameEvent::Oversized`] and switches to discard mode,
 //! dropping bytes (never buffering them) until the terminating newline.
 //! Memory per connection is therefore bounded by `max_line + 1` regardless
 //! of what the peer sends. A frame of exactly `max_line` bytes is legal —

@@ -33,7 +33,9 @@
 //!
 //! The engine reproduces `rrre_core` predictions *bit for bit*: it calls the
 //! same decomposed inference path (`infer_user_tower` / `infer_item_tower` /
-//! `infer_heads`) that `Rrre::predict` itself uses in frozen mode.
+//! `infer_heads`) that `Rrre::predict` itself uses in frozen mode, and its
+//! `Recommend` / `Explain` are [`rrre_core::recommend_with`] /
+//! [`rrre_core::explain_with`] called with that cached scorer.
 
 #![warn(missing_docs)]
 

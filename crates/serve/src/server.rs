@@ -1,7 +1,8 @@
 //! The TCP front end: newline-delimited JSON over an event-driven core.
 //!
-//! One event-loop thread ([`crate::event_loop`]) owns the listener and
-//! every connection, registered with an epoll instance ([`crate::sys`]) —
+//! One event-loop thread (the private `event_loop` module) owns the
+//! listener and every connection, registered with an epoll instance
+//! ([`crate::sys`]) —
 //! no thread per connection, so the front end scales to thousands of
 //! concurrent sockets. Reads are nonblocking into per-connection
 //! incremental NDJSON buffers ([`crate::frame::FrameDecoder`]); requests

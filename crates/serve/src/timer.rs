@@ -9,7 +9,8 @@
 //! entry back to be re-filed under the new time. Stale entries therefore
 //! cost one wasted slot visit instead of a cancellation data structure.
 //!
-//! Time is measured in ticks of [`TimerWheel::tick`] from wheel creation.
+//! Time is measured in ticks (the `tick` passed to [`TimerWheel::new`]) from
+//! wheel creation.
 //! Deadlines farther out than one wheel revolution are simply re-filed
 //! when their slot comes around early — correctness never depends on the
 //! horizon, only efficiency does.

@@ -17,8 +17,10 @@
 //!   marker → roll back, COMMIT marker → roll forward, and the seq ledger
 //!   keeps replay idempotent across every interleaving.
 
+use rrre_core::{explain_with, ColdStartPrior};
+use rrre_data::ItemId;
 use rrre_serve::artifact::{MANIFEST_FILE, MODEL_FILE};
-use rrre_wire::PredictionDto;
+use rrre_wire::{ExplanationDto, PredictionDto};
 use rrre_serve::wal::{self, FsyncPolicy, IngestLedger, SeqSet};
 use rrre_serve::{Engine, EngineConfig, IngestConfig, ModelArtifact, Request, WAL_DIR};
 use rrre_testkit::fault::{flip_byte, shave_tail, wal_segments};
@@ -427,6 +429,22 @@ fn cold_start_prior_answers_thin_pairs_with_the_calibrated_base_rate() {
             "thin pair ({u},{i}) must answer the calibrated prior"
         );
     }
+    // Explanations are scored by the same prior-gated scorer: `Explain`
+    // equals the core procedure over `Rrre::predict` gated the same way.
+    let prior = ColdStartPrior::calibrate(&fx.dataset, usize::MAX / 2);
+    let index = fx.model.index();
+    let want: Vec<ExplanationDto> = explain_with(&fx.dataset, index, ItemId(0), 3, |u, i| {
+        let pred = fx.model.predict(&fx.corpus, u, i);
+        prior.gate(pred, index.user_degree(u), index.item_degree(i))
+    })
+    .into_iter()
+    .map(Into::into)
+    .collect();
+    assert!(!want.is_empty(), "item 0 needs reviews to explain");
+    let resp = engine.submit(Request::explain(0, 3));
+    assert!(resp.ok, "prior-gated explain failed: {:?}", resp.error);
+    let got = resp.explanations.unwrap();
+    assert_eq!(got, want, "Explain must use the prior-gated scorer");
     engine.shutdown();
 
     // Threshold 0 disables the prior entirely: the head's scores return,

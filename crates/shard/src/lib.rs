@@ -18,9 +18,10 @@
 //! * [`plan`] — [`RoutePlan`] and the deterministic gather-side merges:
 //!   where each protocol op must go (point lookup by owning shard,
 //!   scatter for ranking, broadcast for invalidation/reload), and how to
-//!   fold per-shard answers back into one response with the exact
-//!   tie-break order of `rrre_core::rank_candidates`, so a scatter-gather
-//!   deployment is bit-identical to a single node holding the whole model.
+//!   fold per-shard answers back into one response. `Recommend` rows are
+//!   re-ranked by the engine's own ordering function
+//!   (`rrre_core::rank_by_key`), so a scatter-gather deployment is
+//!   bit-identical to a single node holding the whole model.
 
 #![warn(missing_docs)]
 

@@ -17,7 +17,7 @@
 //!
 //! Items and users hash under different domains, so the two entity spaces
 //! are spread independently. The serving tier routes by the **item**
-//! domain — `rank_candidates` scatters over the item catalog, so the
+//! domain — `Recommend` scatters over the item catalog, so the
 //! catalog is the partitioned axis; a pair's cached towers live on the
 //! shard owning the item.
 

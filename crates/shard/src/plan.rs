@@ -6,11 +6,11 @@
 //! holding the whole model. That holds because the global two-stage top-k
 //! is contained in the union of per-shard two-stage top-ks (stage one
 //! keeps the k highest ratings per shard, and the global k highest ratings
-//! are each the highest *somewhere*), so re-running the exact
-//! `rank_candidates` comparison over the union recovers the single-node
+//! are each the highest *somewhere*), so running the engine's ordering
+//! function ([`rank_by_key`]) over the union recovers the single-node
 //! answer, ties and all.
 
-use rrre_wire::{HealthDto, Op, RecommendationDto, Request, StatsSnapshot};
+use rrre_wire::{rank_by_key, HealthDto, Op, Prediction, RecommendationDto, Request, StatsSnapshot};
 
 use crate::map::ShardMap;
 
@@ -70,16 +70,14 @@ pub fn plan(map: &ShardMap, req: &Request) -> RoutePlan {
     }
 }
 
-/// Merges per-shard recommendation rows into the global top-`k`.
-///
-/// This mirrors `rrre_core::rank_candidates` exactly — stage one keeps the
-/// `k` best by rating (ties on the lower item id), stage two orders those
-/// for presentation by reliability (same tie-break) — so the merged list
-/// is bit-identical to ranking the union on one node.
+/// Merges per-shard recommendation rows into the global top-`k` by running
+/// the engine's own two-stage ordering ([`rank_by_key`], keyed by item id)
+/// over the union, so the merged list is bit-identical to ranking the
+/// whole catalog on one node.
 pub fn merge_recommendations(mut rows: Vec<RecommendationDto>, k: usize) -> Vec<RecommendationDto> {
-    rows.sort_by(|a, b| b.rating.total_cmp(&a.rating).then(a.item.cmp(&b.item)));
-    rows.truncate(k);
-    rows.sort_by(|a, b| b.reliability.total_cmp(&a.reliability).then(a.item.cmp(&b.item)));
+    rank_by_key(&mut rows, k, |r| {
+        (Prediction { rating: r.rating, reliability: r.reliability }, r.item)
+    });
     rows
 }
 
@@ -235,7 +233,7 @@ mod tests {
     fn merge_reranks_with_the_two_stage_tie_break() {
         // Stage one keeps the 3 best ratings (items 5, 2, 9); stage two
         // presents them by reliability. Item 7 has the best reliability but
-        // loses at stage one — exactly what rank_candidates would do.
+        // loses at stage one.
         let rows = vec![
             row(7, 1.0, 0.99),
             row(5, 4.0, 0.10),

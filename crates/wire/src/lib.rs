@@ -2,7 +2,7 @@
 //!
 //! The serving wire protocol: newline-delimited JSON, one request per line,
 //! one response per line. Extracted from `rrre-serve` so that the server
-//! and the resilient client ([`rrre-client`]) share one set of types
+//! and the resilient client (`rrre-client`) share one set of types
 //! without the client linking the whole serving stack.
 //!
 //! Requests are flat maps — an `op` discriminator plus optional operand
@@ -25,8 +25,13 @@
 
 #![warn(missing_docs)]
 
-use rrre_core::{Explanation, Prediction, Recommendation};
+use rrre_core::{Explanation, Recommendation};
 use serde::{Deserialize, Serialize};
+
+/// The two-stage top-`k` ordering and the score pair it orders by,
+/// re-exported so the gather side ranks [`RecommendationDto`] rows with the
+/// function the engine ranks with.
+pub use rrre_core::{rank_by_key, Prediction};
 
 /// Hard cap on one request line's byte length. Lines past this bound are
 /// answered with a structured error and discarded instead of being
@@ -292,7 +297,7 @@ impl From<Prediction> for PredictionDto {
 }
 
 /// One `Recommend` result row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecommendationDto {
     /// Recommended item id.
     pub item: u32,
@@ -311,7 +316,7 @@ impl From<Recommendation> for RecommendationDto {
 }
 
 /// One `Explain` result row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExplanationDto {
     /// Index of the review in the dataset.
     pub review_idx: usize,

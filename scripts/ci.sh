@@ -10,6 +10,10 @@ cd "$(dirname "$0")/.."
 cargo build --release --workspace
 cargo test --workspace -q
 
+# Every intra-doc link must resolve: a renamed item fails here, not in a
+# reader's browser.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # The fixtures every root test trains are bit-identical at any thread count,
 # so a failure here is a determinism regression in the parallel engine.
 RRRE_THREADS=4 cargo test -q

@@ -1,11 +1,10 @@
-//! Integration of the diagnostic toolkit around the core pipeline: graph
-//! structure analysis, probability calibration, ROC/PR curves, TF–IDF
-//! similarity and the pipeline report — the pieces an operator of this
-//! system would run alongside the model.
+//! Integration of the diagnostic toolkit around the core pipeline:
+//! probability calibration, ROC/PR curves, TF–IDF similarity and the
+//! pipeline report — the pieces an operator of this system would run
+//! alongside the model.
 
 use rand::{rngs::StdRng, SeedableRng};
 use rrre::core::{pipeline_report, Rrre, RrreConfig};
-use rrre::graph::{connected_components, core_numbers, density, ReviewGraph};
 use rrre::metrics::calibration::{brier_score, expected_calibration_error};
 use rrre::metrics::{auc, auc_from_curve, pr_curve, roc_curve};
 use rrre::prelude::*;
@@ -24,31 +23,6 @@ fn setup() -> (Dataset, EncodedCorpus, Vec<usize>, Vec<usize>) {
     );
     let split = train_test_split(&ds, 0.3, &mut StdRng::seed_from_u64(7));
     (ds, corpus, split.train, split.test)
-}
-
-#[test]
-fn graph_analysis_reflects_yelp_shape() {
-    let (ds, _, train, _) = setup();
-    let g = ReviewGraph::from_dataset(&ds, &train);
-    // Yelp shape: few high-degree items glue nearly everything into one
-    // giant component.
-    let (labels, _) = connected_components(&g);
-    let mut sizes = std::collections::HashMap::new();
-    for &l in &labels {
-        *sizes.entry(l).or_insert(0usize) += 1;
-    }
-    let giant = *sizes.values().max().unwrap();
-    let connected_nodes = labels.len();
-    assert!(
-        giant * 2 > connected_nodes / 2,
-        "giant component {giant} of {connected_nodes} too small for Yelp shape"
-    );
-    assert!(density(&g) > 0.0);
-    // Items carry the high core numbers; users sit in shallow cores.
-    let cores = core_numbers(&g);
-    let max_user_core = cores[..ds.n_users].iter().max().copied().unwrap_or(0);
-    let max_item_core = cores[ds.n_users..].iter().max().copied().unwrap_or(0);
-    assert!(max_item_core >= max_user_core);
 }
 
 #[test]

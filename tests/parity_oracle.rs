@@ -6,9 +6,11 @@
 //! implementations that happen to be close.
 
 use proptest::prelude::*;
+use rrre::core::{explain, recommend};
 use rrre_serve::{Engine, EngineConfig, ModelArtifact};
 use rrre_testkit::parity::{assert_model_parity, assert_serve_parity, deterministic_pairs};
 use rrre_testkit::{trained_fixture_with, Fixture, FixtureSpec, TempDir};
+use rrre_wire::{ExplanationDto, RecommendationDto};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -90,12 +92,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Randomized sweep: any (seed, user, item) drawn by proptest must
-    /// agree across all three code paths, including via the engine.
+    /// agree across all three code paths, including via the engine — and
+    /// the engine's `Recommend(user, k)` / `Explain(item, k)` must equal
+    /// `rrre_core::recommend` / `explain` row for row, names and texts
+    /// included.
     #[test]
     fn randomized_pairs_agree_across_all_three_paths(
         which in 0usize..3,
         user_draw in any::<u32>(),
         item_draw in any::<u32>(),
+        k in 1usize..16,
     ) {
         let h = &harnesses()[which];
         let ds = &h.fixture.dataset;
@@ -113,5 +119,18 @@ proptest! {
         let dto = resp.prediction.unwrap();
         prop_assert_eq!((dto.rating, dto.reliability), (full.rating, full.reliability),
             "engine diverged at u{}/i{}", user.0, item.0);
+
+        let fx = &h.fixture;
+        let resp = h.engine.submit(rrre_serve::Request::recommend(user.0, k));
+        prop_assert!(resp.ok, "engine refused Recommend u{} k{}: {:?}", user.0, k, resp.error);
+        let want: Vec<RecommendationDto> =
+            recommend(&fx.model, ds, &fx.corpus, user, k).into_iter().map(Into::into).collect();
+        prop_assert_eq!(resp.recommendations.unwrap(), want, "Recommend diverged at u{} k{}", user.0, k);
+
+        let resp = h.engine.submit(rrre_serve::Request::explain(item.0, k));
+        prop_assert!(resp.ok, "engine refused Explain i{} k{}: {:?}", item.0, k, resp.error);
+        let want: Vec<ExplanationDto> =
+            explain(&fx.model, ds, &fx.corpus, item, k).into_iter().map(Into::into).collect();
+        prop_assert_eq!(resp.explanations.unwrap(), want, "Explain diverged at i{} k{}", item.0, k);
     }
 }
