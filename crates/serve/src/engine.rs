@@ -36,17 +36,30 @@
 //! `infer_item_tower` / `infer_heads` decomposition; `tests/parity_oracle.rs`
 //! holds it to that), so with the prior off every answer equals a direct
 //! `rrre_core` call.
+//!
+//! **Ingest.** A client's `IngestReview` and a record replicated from the
+//! leader take the same `append`: the WAL first (fsync per
+//! [`FsyncPolicy`]), then the dedup set and the one in-memory store of
+//! unfolded records (`wal::IngestLog`), then the shippers are woken and,
+//! past [`IngestConfig::refresh_every`], the towers refreshed. Refresh,
+//! compaction, the shippers, `FetchWal` and `Stats` all read that store.
+//!
+//! **Lock order:** `maintenance` → the WAL `writer` → replication state →
+//! the ingest log → `current`. The WAL append and its fsync hold only
+//! `writer`, which no shipper, `FetchWal` or quorum waiter takes. An append
+//! wakes the shippers by notifying under the replication lock after the
+//! push — the lock they read the log count under — so no wakeup is lost.
 
 use crate::artifact::{ModelArtifact, MANIFEST_FILE};
 use crate::batch::{BatchConfig, BatchQueue, Completion, Job, QueuePermit};
 use crate::cache::{CacheAxis, TowerCache};
 use crate::replication::{self, AckLevel, QuorumError, Replication, ReplicationConfig};
 use crate::stats::{EngineStats, FrontendStats, StatsSnapshot};
-use crate::wal::{self, FsyncPolicy, IngestLedger, SeqSet, WalRecord, WalWriter};
-use rrre_wire::{ErrorKind, HealthDto, Op, ReplRecordDto, Request, Response};
+use crate::wal::{self, FsyncPolicy, IngestLedger, IngestLog, SeqSet, WalRecord, WalWriter};
+use rrre_wire::{ErrorKind, HealthDto, Op, ReplRecordDto, Request, Response, MAX_LINE_BYTES};
 use rrre_core::{explain_with, recommend_with, ColdStartPrior, Prediction};
 use rrre_shard::ShardMap;
-use rrre_data::{ItemId, Label, Review, UserId};
+use rrre_data::{Dataset, EncodedCorpus, ItemId, Label, Review, UserId};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -146,36 +159,29 @@ impl Default for IngestConfig {
     }
 }
 
-/// Mutable ingest bookkeeping, all under one lock so the WAL's append
-/// order and the dedup set can never disagree.
-struct IngestInner {
+/// The WAL writer and what must move with it, all under one lock so the
+/// WAL's append order, the dedup set and the log's order can never
+/// disagree.
+struct WalState {
     wal: WalWriter,
     /// Every sequence id ever durably accepted: the compaction ledger's
     /// set, plus WAL replay, plus live appends. Membership ⇒ the review is
     /// (or will be) applied, so a resend acks `duplicate` without side
     /// effects.
     accepted: SeqSet,
-    /// Accepted records not yet folded into the on-disk artifact, in WAL
-    /// append order. Compaction drains a prefix of this.
-    unfolded: Vec<WalRecord>,
-    /// Prefix of `unfolded` already published into the serving towers.
-    /// Reset to zero whenever the serving pointer is replaced by a
-    /// *loaded* generation (reload/compaction), which reflects only the
-    /// on-disk dataset.
-    refreshed: usize,
     /// The durable compaction ledger as of the last committed fold.
     ledger: IngestLedger,
 }
 
-/// The engine's ingest half: WAL, dedup state and the maintenance lock
-/// that serializes refreshes with compactions.
+/// The engine's ingest half: WAL, dedup state, the log of unfolded
+/// records and the maintenance lock that serializes refreshes with
+/// compactions.
 struct IngestState {
     cfg: IngestConfig,
     wal_dir: PathBuf,
-    inner: Mutex<IngestInner>,
-    /// Held across a whole refresh or compaction. Lock order:
-    /// `maintenance` → `inner` → `current` (write); never acquire left
-    /// after right.
+    writer: Mutex<WalState>,
+    log: Arc<IngestLog>,
+    /// Held across a whole refresh or compaction.
     maintenance: Mutex<()>,
 }
 
@@ -244,8 +250,8 @@ struct Shared {
     /// reports not-ready so health-aware clients route elsewhere.
     draining: AtomicBool,
     /// `Some` when this engine is one replica of a replicated shard
-    /// ([`Engine::open_replicated`]): leader-term fencing, the replication
-    /// log, shippers and quorum acks all hang off this.
+    /// ([`Engine::open_replicated`]): leader-term fencing, shippers and
+    /// quorum acks all hang off this.
     repl: Option<Arc<Replication>>,
 }
 
@@ -307,49 +313,34 @@ impl Engine {
         cfg: EngineConfig,
         ingest: IngestConfig,
     ) -> io::Result<Self> {
-        let dir = dir.as_ref();
-        wal::recover_staging(dir, MANIFEST_FILE)?;
-        let artifact = ModelArtifact::load(dir)?;
-        Self::with_ingest(artifact, cfg, ingest)
+        Self::open_ingest(dir.as_ref(), cfg, ingest, None)
     }
 
     /// [`Engine::open_with_ingest`] as one replica of a replicated shard:
     /// the WAL is shipped between replicas, ingest acks honour
     /// [`ReplicationConfig`]'s ack level, and leader terms fence stale
-    /// traffic. The replication log is seeded from the same replay set the
-    /// towers are, so positions line up across replicas that started from
-    /// the same artifact.
+    /// traffic. Log positions count from the same replay set the towers
+    /// fold, so they line up across replicas that started from the same
+    /// artifact.
     pub fn open_replicated(
         dir: impl AsRef<Path>,
         cfg: EngineConfig,
         ingest: IngestConfig,
         repl: ReplicationConfig,
     ) -> io::Result<Self> {
-        let dir = dir.as_ref();
-        wal::recover_staging(dir, MANIFEST_FILE)?;
-        let artifact = ModelArtifact::load(dir)?;
-        Self::with_ingest_impl(artifact, cfg, ingest, Some(repl))
+        Self::open_ingest(dir.as_ref(), cfg, ingest, Some(repl))
     }
 
-    /// [`Engine::new`] plus the durable ingest path (WAL, refresh,
-    /// compaction) rooted at `artifact.source_dir`. Prefer
-    /// [`Engine::open_with_ingest`] when opening from disk — it also
-    /// completes an interrupted compaction *before* the load reads the
-    /// manifest.
-    pub fn with_ingest(
-        artifact: ModelArtifact,
-        cfg: EngineConfig,
-        ingest: IngestConfig,
-    ) -> io::Result<Self> {
-        Self::with_ingest_impl(artifact, cfg, ingest, None)
-    }
-
-    fn with_ingest_impl(
-        artifact: ModelArtifact,
+    fn open_ingest(
+        dir: &Path,
         cfg: EngineConfig,
         ingest: IngestConfig,
         repl_cfg: Option<ReplicationConfig>,
     ) -> io::Result<Self> {
+        // Complete an interrupted compaction before the load reads the
+        // manifest.
+        wal::recover_staging(dir, MANIFEST_FILE)?;
+        let artifact = ModelArtifact::load(dir)?;
         let ledger = wal::load_ledger(&artifact.source_dir)?;
         let wal_dir = artifact.source_dir.join(WAL_DIR);
         let recovery = wal::replay_and_repair(&wal_dir)
@@ -357,37 +348,21 @@ impl Engine {
         // Rebuild the accepted set: everything the ledger says is already
         // folded, plus everything still sitting in the WAL. Replayed
         // records the ledger already covers were folded by a committed
-        // compaction — applying them again would double-count.
+        // compaction — applying them again would double-count. What the
+        // ledger folded sits below the log base and can no longer be
+        // fetched (a follower that far behind needs an artifact resync).
         let mut accepted = ledger.applied.clone();
-        let mut unfolded = Vec::new();
-        for rec in recovery.records {
-            if accepted.insert(rec.seq) {
-                unfolded.push(rec);
-            }
-        }
-        let repl = match repl_cfg {
-            Some(rc) => {
-                let repl = Arc::new(Replication::open(&artifact.source_dir, rc)?);
-                // Seed the replication log with the replayed-but-unfolded
-                // records; everything the ledger already folded sits below
-                // the log base and is no longer fetchable (a follower that
-                // far behind needs an artifact resync, not shipping).
-                repl.seed(unfolded.clone(), ledger.applied.len());
-                Some(repl)
-            }
-            None => None,
-        };
+        let unfolded = recovery.records.into_iter().filter(|rec| accepted.insert(rec.seq));
+        let log = Arc::new(IngestLog::new(ledger.applied.len(), unfolded.collect()));
+        let repl = repl_cfg
+            .map(|rc| Replication::open(&artifact.source_dir, rc, Arc::clone(&log)).map(Arc::new))
+            .transpose()?;
         let writer = WalWriter::open(&wal_dir, ingest.segment_bytes, ingest.fsync)?;
         let state = IngestState {
             cfg: ingest,
             wal_dir,
-            inner: Mutex::new(IngestInner {
-                wal: writer,
-                accepted,
-                unfolded,
-                refreshed: 0,
-                ledger,
-            }),
+            writer: Mutex::new(WalState { wal: writer, accepted, ledger }),
+            log,
             maintenance: Mutex::new(()),
         };
         let engine = Self::build(artifact, cfg, Some(state), repl.clone());
@@ -583,15 +558,7 @@ impl Engine {
     /// loaded. A *failed* reload never clears readiness — the previous
     /// generation keeps serving unimpaired.
     pub fn health(&self) -> HealthDto {
-        let draining = self.shared.draining.load(Ordering::SeqCst);
-        let breaker_open = self.shared.breaker_open();
-        HealthDto {
-            live: true,
-            ready: !draining && !breaker_open,
-            draining,
-            breaker_open,
-            generation: self.shared.generation().id,
-        }
+        health(&self.shared)
     }
 
     /// Marks the engine as draining (or not). Set by the TCP front end
@@ -621,12 +588,6 @@ impl Engine {
     /// `reload_failures`).
     pub fn reload(&self) -> Result<u64, String> {
         do_reload(&self.shared)
-    }
-
-    /// Whether this engine accepts `IngestReview`/`Compact` (opened via
-    /// [`Engine::open_with_ingest`]).
-    pub fn ingest_enabled(&self) -> bool {
-        self.shared.ingest.is_some()
     }
 
     /// The replication state, when this engine was opened via
@@ -749,17 +710,17 @@ fn do_reload(shared: &Shared) -> Result<u64, String> {
 
 /// Swaps the serving pointer to a generation *loaded from disk*. When
 /// ingest is enabled, the swap and the refresh low-water mark move
-/// together (lock order: ingest `inner` → `current`): a loaded generation
-/// reflects only the on-disk dataset, so every un-compacted WAL record
-/// must be re-applied by the next refresh.
+/// together: a loaded generation reflects only the on-disk dataset, so
+/// every un-compacted WAL record must be re-applied by the next refresh.
 fn publish_loaded(shared: &Shared, generation: Arc<Generation>) {
-    let mut inner_guard = shared
-        .ingest
-        .as_ref()
-        .map(|s| s.inner.lock().unwrap_or_else(|e| e.into_inner()));
-    *shared.current.write().unwrap_or_else(|e| e.into_inner()) = generation;
-    if let Some(inner) = inner_guard.as_deref_mut() {
-        inner.refreshed = 0;
+    let swap = || {
+        *shared.current.write().unwrap_or_else(|e| e.into_inner()) = generation;
+        Some(0)
+    };
+    if let Some(state) = shared.ingest.as_ref() {
+        state.log.set_refreshed(swap);
+    } else {
+        swap();
     }
 }
 
@@ -779,10 +740,7 @@ fn do_refresh(shared: &Shared) -> Result<usize, String> {
 /// holds the maintenance lock.
 fn refresh_locked(shared: &Shared, state: &IngestState) -> Result<usize, String> {
     loop {
-        let (batch, start) = {
-            let inner = state.inner.lock().unwrap_or_else(|e| e.into_inner());
-            (inner.unfolded[inner.refreshed..].to_vec(), inner.refreshed)
-        };
+        let (batch, start) = state.log.unrefreshed();
         if batch.is_empty() {
             return Ok(0);
         }
@@ -799,21 +757,7 @@ fn refresh_locked(shared: &Shared, state: &IngestState) -> Result<usize, String>
         let mut corpus = base.artifact.corpus.clone();
         let mut model = base.artifact.model.clone();
         let first_new = dataset.len();
-        for rec in &batch {
-            dataset.append_review(Review {
-                user: UserId(rec.user),
-                item: ItemId(rec.item),
-                rating: rec.rating,
-                // Ground truth is unknowable at ingest time; labels only
-                // matter to a future training run over the folded dataset,
-                // and the cold-start prior covers the reliability
-                // uncertainty until then.
-                label: Label::Benign,
-                timestamp: rec.ts,
-                text: rec.text.clone(),
-            })?;
-            corpus.append_doc(&rec.text);
-        }
+        fold(&mut dataset, &mut corpus, &batch)?;
         model.refresh_towers(&dataset, &corpus, first_new)?;
         let artifact = ModelArtifact {
             manifest: base.artifact.manifest.clone(),
@@ -836,20 +780,44 @@ fn refresh_locked(shared: &Shared, state: &IngestState) -> Result<usize, String>
             shared.cfg.cache_shards,
             state.cfg.cold_start_min,
         ));
-        {
-            let mut inner = state.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let published = state.log.set_refreshed(|| {
             let mut cur = shared.current.write().unwrap_or_else(|e| e.into_inner());
-            if !Arc::ptr_eq(&*cur, &base) {
-                // A reload swapped the pointer while we encoded; the clone
-                // is stale. Re-read the low-water mark and redo the fold.
-                continue;
-            }
-            *cur = generation;
-            inner.refreshed = start + batch.len();
+            // A reload that swapped the pointer while we encoded makes the
+            // clone stale: re-read the low-water mark and redo the fold.
+            Arc::ptr_eq(&*cur, &base).then(|| {
+                *cur = generation;
+                start + batch.len()
+            })
+        });
+        if published {
+            shared.stats.refreshes.fetch_add(1, Ordering::Relaxed);
+            return Ok(batch.len());
         }
-        shared.stats.refreshes.fetch_add(1, Ordering::Relaxed);
-        return Ok(batch.len());
     }
+}
+
+/// Appends `records` to a dataset and its corpus: the one place an
+/// ingested record becomes a [`Review`], for refresh and compaction alike.
+fn fold(
+    dataset: &mut Dataset,
+    corpus: &mut EncodedCorpus,
+    records: &[WalRecord],
+) -> Result<(), String> {
+    for rec in records {
+        dataset.append_review(Review {
+            user: UserId(rec.user),
+            item: ItemId(rec.item),
+            rating: rec.rating,
+            // Ground truth is unknowable at ingest time; labels only matter
+            // to a future training run over the folded dataset, and the
+            // cold-start prior covers the reliability uncertainty until then.
+            label: Label::Benign,
+            timestamp: rec.ts,
+            text: rec.text.clone(),
+        })?;
+        corpus.append_doc(&rec.text);
+    }
+    Ok(())
 }
 
 /// [`Engine::compact_now`]: fold the WAL into a new artifact generation
@@ -859,15 +827,15 @@ fn do_compact(shared: &Shared) -> Result<(u64, u64), String> {
         shared.ingest.as_ref().ok_or("ingest is not enabled on this engine")?;
     let _serialize = state.maintenance.lock().unwrap_or_else(|e| e.into_inner());
 
-    // Snapshot under the ingest lock: rotate first so every snapshotted
+    // Snapshot under the writer lock: rotate first so every snapshotted
     // record lives in a segment below the new watermark; appends arriving
     // after the rotation land in the fresh segment and simply miss this
     // compaction.
     let (snapshot, watermark, mut ledger) = {
-        let mut inner = state.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut writer = state.writer.lock().unwrap_or_else(|e| e.into_inner());
         let watermark =
-            inner.wal.rotate().map_err(|e| format!("wal rotate failed: {e}"))?;
-        (inner.unfolded.clone(), watermark, inner.ledger.clone())
+            writer.wal.rotate().map_err(|e| format!("wal rotate failed: {e}"))?;
+        (state.log.snapshot(), watermark, writer.ledger.clone())
     };
     if snapshot.is_empty() {
         return Ok((0, shared.generation().id));
@@ -882,19 +850,8 @@ fn do_compact(shared: &Shared) -> Result<(u64, u64), String> {
     dataset.reviews.truncate(disk_len);
     let mut corpus = base.artifact.corpus.clone();
     corpus.docs.truncate(disk_len);
-    for rec in &snapshot {
-        dataset
-            .append_review(Review {
-                user: UserId(rec.user),
-                item: ItemId(rec.item),
-                rating: rec.rating,
-                label: Label::Benign,
-                timestamp: rec.ts,
-                text: rec.text.clone(),
-            })
-            .map_err(|e| format!("compaction fold failed: {e}"))?;
-        corpus.append_doc(&rec.text);
-    }
+    fold(&mut dataset, &mut corpus, &snapshot)
+        .map_err(|e| format!("compaction fold failed: {e}"))?;
 
     // Phase one: stage the folded artifact plus its ledger beside the
     // artifact directory, then seal with a fsync'd COMMIT marker. Nothing
@@ -926,23 +883,12 @@ fn do_compact(shared: &Shared) -> Result<(u64, u64), String> {
         .map_err(|e| format!("compaction promote failed: {e}"))?;
     let generation = do_reload(shared)?;
     {
-        let mut inner = state.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.unfolded.drain(..snapshot.len());
-        inner.refreshed = 0;
-        inner.ledger = ledger;
-        // The folded prefix leaves the in-memory replication log too (lock
-        // order ingest `inner` → repl, matching the append paths; the log
-        // and `unfolded` grow in lockstep, so the drained prefixes match).
-        // `base` advances by the same amount, keeping every replica's
-        // absolute position — and the followers' acked watermarks — intact;
-        // positions below the new base are no longer fetchable, and
-        // shippers already park on a follower that far behind (it needs an
-        // artifact resync, not shipping).
-        if let Some(repl) = shared.repl.as_deref() {
-            let mut rinner = repl.lock();
-            rinner.log.drain(..snapshot.len());
-            rinner.base += snapshot.len() as u64;
-        }
+        // Positions below the new base can no longer be fetched; shippers
+        // already park on a follower that far behind (it needs an artifact
+        // resync, not shipping).
+        let mut writer = state.writer.lock().unwrap_or_else(|e| e.into_inner());
+        writer.ledger = ledger;
+        state.log.drain_folded(snapshot.len());
     }
     // Folded segments are garbage: their records live in the artifact and
     // the ledger remembers their seq ids. Best-effort — leftovers replay
@@ -984,67 +930,104 @@ fn snapshot(shared: &Shared) -> StatsSnapshot {
     )
 }
 
+/// [`Engine::health`], which `Op::Health` answers too.
+fn health(shared: &Shared) -> HealthDto {
+    let draining = shared.draining.load(Ordering::SeqCst);
+    let breaker_open = shared.breaker_open();
+    HealthDto {
+        live: true,
+        ready: !draining && !breaker_open,
+        draining,
+        breaker_open,
+        generation: shared.generation().id,
+    }
+}
+
+/// Why [`append`] stopped before the end of its batch.
+enum AppendStop {
+    /// This seq was accepted before: an ack on the client path, a
+    /// divergence on the replicated one.
+    Duplicate(u64),
+    /// The WAL write failed; the record may or may not be on disk.
+    Wal(io::Error),
+}
+
+/// The one append path, for client ingest and replicated apply alike.
+/// Under the writer lock, `pick` gets the log count and names the records
+/// to append, in order. Each goes to the WAL (fsync per policy), then into
+/// the dedup set and the log — the only push site. The first seq already
+/// accepted, or the first WAL failure, stops the batch. Then, with the
+/// writer lock released, the shippers are woken and the towers refreshed
+/// once `refresh_every` records wait. Returns the log count after the last
+/// push (the quorum target) and why the batch stopped short, if it did.
+fn append<I: IntoIterator<Item = WalRecord>>(
+    shared: &Shared,
+    state: &IngestState,
+    pick: impl FnOnce(u64) -> I,
+) -> (u64, Option<AppendStop>) {
+    let mut writer = state.writer.lock().unwrap_or_else(|e| e.into_inner());
+    let mut count = state.log.count();
+    let (mut pending, mut stop) = (0, None);
+    for rec in pick(count) {
+        if writer.accepted.contains(rec.seq) {
+            stop = Some(AppendStop::Duplicate(rec.seq));
+            break;
+        }
+        match writer.wal.append(&rec) {
+            Ok(bytes) => shared.stats.wal_bytes.fetch_add(bytes, Ordering::Relaxed),
+            Err(e) => {
+                stop = Some(AppendStop::Wal(e));
+                break;
+            }
+        };
+        writer.accepted.insert(rec.seq);
+        (count, pending) = state.log.push(rec);
+    }
+    drop(writer);
+    if pending > 0 {
+        if let Some(repl) = shared.repl.as_deref() {
+            repl.notify();
+        }
+        if state.cfg.refresh_every > 0 && pending >= state.cfg.refresh_every {
+            // Durability is decided; a refresh failure must not retract it.
+            // The records stay pending for the next refresh or compaction.
+            if let Err(e) = do_refresh(shared) {
+                eprintln!("rrre-serve: deferred ingest refresh failed: {e}");
+            }
+        }
+    }
+    (count, stop)
+}
+
 /// Applies a contiguous run of replicated records starting at log position
 /// `from` — the shared core of the `Replicate` push path and follower
 /// catch-up. Re-delivery is idempotent twice over: positions at or below
-/// the local count are skipped wholesale, and a skipped-position record
-/// whose seq is nonetheless already in the dedup set is a *divergence*
-/// (same position, different history) that fails closed rather than
-/// guessing. Returns the new durable count.
+/// the local count are skipped wholesale, and a new position whose seq is
+/// nonetheless already accepted is a *divergence* (same position,
+/// different history) that fails closed rather than guessing. Returns the
+/// new durable count.
 fn apply_replicated(shared: &Shared, from: u64, records: &[ReplRecordDto]) -> Result<u64, String> {
     let state = shared.ingest.as_ref().ok_or("ingest is not enabled on this engine")?;
-    let repl = shared.repl.as_deref().ok_or("replication is not enabled on this engine")?;
-    let (new_count, pending) = {
-        // Lock order: ingest `inner` → `repl` inner, same as the leader's
-        // append path, so WAL order and log order can never disagree.
-        let mut inner = state.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let mut rinner = repl.lock();
-        let count = rinner.count();
-        if from > count {
-            // A gap: the leader is shipping ahead of us. Don't apply —
-            // reporting our (unchanged) count makes the leader rewind.
-            return Ok(count);
-        }
-        let skip = (count - from) as usize;
-        for dto in records.iter().skip(skip) {
-            if !dto.verify() {
-                return Err(format!("replicated record seq {} failed its CRC in transit", dto.seq));
-            }
-            if inner.accepted.contains(dto.seq) {
-                // This position is new but the seq is not: the replicas'
-                // histories disagree. Applying would double-count and
-                // silently fork the shard — refuse instead.
-                return Err(format!(
-                    "replication divergence: seq {} already applied at an earlier position; \
-                     this replica needs a resync",
-                    dto.seq
-                ));
-            }
-            let rec = WalRecord {
-                seq: dto.seq,
-                user: dto.user,
-                item: dto.item,
-                rating: dto.rating,
-                ts: dto.ts,
-                text: dto.text.clone(),
-            };
-            let bytes = inner.wal.append(&rec).map_err(|e| format!("wal append failed: {e}"))?;
-            shared.stats.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
-            inner.accepted.insert(dto.seq);
-            inner.unfolded.push(rec.clone());
-            rinner.log.push(rec);
-        }
-        (rinner.count(), inner.unfolded.len() - inner.refreshed)
-    };
-    repl.notify();
-    if state.cfg.refresh_every > 0 && pending >= state.cfg.refresh_every {
-        // Same contract as client ingest: durability is decided, a refresh
-        // failure must not retract it.
-        if let Err(e) = do_refresh(shared) {
-            eprintln!("rrre-serve: deferred replication refresh failed: {e}");
-        }
+    if let Some(bad) = records.iter().find(|r| !r.verify()) {
+        return Err(format!("replicated record seq {} failed its CRC in transit", bad.seq));
     }
-    Ok(new_count)
+    let (count, stop) = append(shared, state, |count| {
+        // A gap (`from > count`) applies nothing: reporting our unchanged
+        // count makes the leader rewind.
+        let skip = count.checked_sub(from).map_or(records.len(), |s| {
+            usize::try_from(s).unwrap_or(usize::MAX)
+        });
+        records.iter().skip(skip).map(WalRecord::from)
+    });
+    match stop {
+        None => Ok(count),
+        // Applying would double-count and silently fork the shard.
+        Some(AppendStop::Duplicate(seq)) => Err(format!(
+            "replication divergence: seq {seq} already applied at an earlier position; this \
+             replica needs a resync"
+        )),
+        Some(AppendStop::Wal(e)) => Err(format!("wal append failed: {e}")),
+    }
 }
 
 /// Follower catch-up: pulls missing log positions from the last known
@@ -1072,7 +1055,7 @@ fn catchup_loop(shared: &Arc<Shared>) {
         }
         let (is_follower, hint, my_count, my_epoch) = {
             let inner = repl.lock();
-            (!inner.leader, inner.leader_hint.clone(), inner.count(), inner.epoch)
+            (!inner.leader, inner.leader_hint.clone(), repl.log.count(), inner.epoch)
         };
         let Some(addr) = hint.filter(|_| is_follower) else {
             std::thread::sleep(idle);
@@ -1237,6 +1220,10 @@ fn bad_request(id: Option<u64>, message: impl Into<String>) -> Response {
     Response::error_kind(id, ErrorKind::BadRequest, message)
 }
 
+fn needs_replication(req: &Request) -> Response {
+    bad_request(req.id, format!("{:?} needs a replication-enabled engine (open_replicated)", req.op))
+}
+
 /// Blocks an ingest ack on quorum durability of `target`, mapping each
 /// failure to its structured refusal. A timeout is `Unavailable` — the
 /// honest retryable: the record *is* durable here, and the retry's
@@ -1363,16 +1350,8 @@ fn process(shared: &Shared, generation: &Generation, job: &Job) -> Response {
         Op::Health => {
             // Normally intercepted in `submit` before queueing; answered
             // here too so a directly-processed job is never unreachable.
-            let breaker_open = shared.breaker_open();
-            let draining = shared.draining.load(Ordering::SeqCst);
             let mut resp = Response::ok(req.id);
-            resp.health = Some(HealthDto {
-                live: true,
-                ready: !draining && !breaker_open,
-                draining,
-                breaker_open,
-                generation: generation.id,
-            });
+            resp.health = Some(health(shared));
             resp
         }
         Op::Invalidate => {
@@ -1458,84 +1437,52 @@ fn process(shared: &Shared, generation: &Generation, job: &Job) -> Response {
                 ts: req.ts.unwrap_or(0),
                 text: req.text.clone().unwrap_or_default(),
             };
-            let mut inner = state.inner.lock().unwrap_or_else(|e| e.into_inner());
-            if inner.accepted.contains(seq) {
+            // A record no follower could take would stall every quorum ack
+            // behind it, so it never reaches the WAL.
+            let self_addr = shared.repl.as_deref().and_then(|r| r.self_addr.as_deref());
+            if !replication::fits_one_replicate(&rec, self_addr) {
+                return bad_request(
+                    req.id,
+                    format!(
+                        "review too long: its one-record Replicate line could exceed \
+                         {MAX_LINE_BYTES} bytes"
+                    ),
+                );
+            }
+            let (count, stop) = append(shared, state, |_| Some(rec));
+            let duplicate = match stop {
+                None => {
+                    shared.stats.ingested.fetch_add(1, Ordering::Relaxed);
+                    false
+                }
                 // Exactly-once: this seq was durably accepted before (the
                 // ack may have been lost to a crash or timeout). Ack again
-                // without re-applying anything — but at quorum ack level,
-                // re-prove quorum durability of everything up to the
-                // current count first: the original attempt may have timed
-                // out precisely because followers were behind.
-                shared.stats.ingest_duplicates.fetch_add(1, Ordering::Relaxed);
-                let quorum_target =
-                    shared.repl.as_deref().map(|repl| repl.lock().count());
-                drop(inner);
-                if let (Some(repl), Some(target)) =
-                    (shared.repl.as_deref(), quorum_target)
-                {
-                    if repl.ack == AckLevel::Quorum {
-                        if let Err(resp) = await_quorum(req.id, repl, target) {
-                            return resp;
-                        }
-                    }
+                // without re-applying anything.
+                Some(AppendStop::Duplicate(_)) => {
+                    shared.stats.ingest_duplicates.fetch_add(1, Ordering::Relaxed);
+                    true
                 }
-                let mut resp = Response::ok(req.id);
-                resp.ingest = Some(rrre_wire::IngestDto { seq, duplicate: true });
-                resp
-            } else {
-                match inner.wal.append(&rec) {
-                    Err(e) => {
-                        // No ack without durability: the bytes may or may
-                        // not have reached the platter, so the client must
-                        // retry with the same seq and let dedup decide.
-                        return Response::internal(
-                            req.id,
-                            format!("wal append failed: {e}; retry with the same seq"),
-                        );
-                    }
-                    Ok(bytes) => {
-                        shared.stats.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
-                        shared.stats.ingested.fetch_add(1, Ordering::Relaxed);
-                        inner.accepted.insert(seq);
-                        // Push onto the replication log while still holding
-                        // the ingest lock (lock order `inner` → repl), so
-                        // log positions follow WAL append order exactly.
-                        let quorum_target = shared.repl.as_deref().map(|repl| {
-                            let mut rinner = repl.lock();
-                            rinner.log.push(rec.clone());
-                            rinner.count()
-                        });
-                        inner.unfolded.push(rec);
-                        let pending = inner.unfolded.len() - inner.refreshed;
-                        drop(inner);
-                        if let Some(repl) = shared.repl.as_deref() {
-                            // Wake the shippers for the fresh position.
-                            repl.notify();
-                        }
-                        if state.cfg.refresh_every > 0 && pending >= state.cfg.refresh_every {
-                            // Durability is already decided; a refresh
-                            // failure must not retract the ack. The records
-                            // stay pending for the next refresh/compaction.
-                            if let Err(e) = do_refresh(shared) {
-                                eprintln!("rrre-serve: deferred ingest refresh failed: {e}");
-                            }
-                        }
-                        if let (Some(repl), Some(target)) =
-                            (shared.repl.as_deref(), quorum_target)
-                        {
-                            if repl.ack == AckLevel::Quorum {
-                                if let Err(resp) = await_quorum(req.id, repl, target) {
-                                    return resp;
-                                }
-                            }
-                        }
-                        let mut resp = Response::ok(req.id);
-                        resp.ingest =
-                            Some(rrre_wire::IngestDto { seq, duplicate: false });
-                        resp
-                    }
+                // No ack without durability: the bytes may or may not have
+                // reached the platter, so the client must retry with the
+                // same seq and let dedup decide.
+                Some(AppendStop::Wal(e)) => {
+                    return Response::internal(
+                        req.id,
+                        format!("wal append failed: {e}; retry with the same seq"),
+                    );
+                }
+            };
+            // At quorum ack level, prove quorum durability of everything up
+            // to `count` — a duplicate too: its first attempt may have timed
+            // out precisely because followers were behind.
+            if let Some(repl) = shared.repl.as_deref().filter(|r| r.ack == AckLevel::Quorum) {
+                if let Err(resp) = await_quorum(req.id, repl, count) {
+                    return resp;
                 }
             }
+            let mut resp = Response::ok(req.id);
+            resp.ingest = Some(rrre_wire::IngestDto { seq, duplicate });
+            resp
         }
         Op::Compact => match do_compact(shared) {
             Ok((folded, new_generation)) => {
@@ -1556,12 +1503,7 @@ fn process(shared: &Shared, generation: &Generation, job: &Job) -> Response {
             Err(e) => return Response::internal(req.id, e),
         },
         Op::Replicate => {
-            let Some(repl) = shared.repl.as_deref() else {
-                return bad_request(
-                    req.id,
-                    "Replicate needs a replication-enabled engine (open_replicated)",
-                );
-            };
+            let Some(repl) = shared.repl.as_deref() else { return needs_replication(req) };
             let Some(epoch) = req.epoch else {
                 return bad_request(req.id, "missing required field `epoch`");
             };
@@ -1610,12 +1552,7 @@ fn process(shared: &Shared, generation: &Generation, job: &Job) -> Response {
             }
         }
         Op::FetchWal => {
-            let Some(repl) = shared.repl.as_deref() else {
-                return bad_request(
-                    req.id,
-                    "FetchWal needs a replication-enabled engine (open_replicated)",
-                );
-            };
+            let Some(repl) = shared.repl.as_deref() else { return needs_replication(req) };
             // Fence the catch-up path in both directions. A requester
             // carrying a *higher* term proves this replica was fenced — a
             // deposed leader's log may hold records the new term never
@@ -1651,41 +1588,27 @@ fn process(shared: &Shared, generation: &Generation, job: &Job) -> Response {
                 return bad_request(req.id, "missing required field `from`");
             };
             let limit = req.limit.unwrap_or(16).clamp(1, 16) as usize;
-            let rinner = repl.lock();
-            if from < rinner.base {
-                return bad_request(
-                    req.id,
-                    format!(
-                        "position {from} was compacted below the log base {}; a full artifact \
-                         resync is required",
-                        rinner.base
-                    ),
-                );
-            }
-            let start = (from - rinner.base) as usize;
-            let records: Vec<ReplRecordDto> = rinner
-                .log
-                .get(start..)
-                .unwrap_or(&[])
-                .iter()
-                .take(limit)
-                .map(|r| ReplRecordDto::sealed(r.seq, r.user, r.item, r.rating, r.ts, r.text.clone()))
-                .collect();
-            let (count, epoch) = (rinner.count(), rinner.epoch);
-            drop(rinner);
+            // Read under the replication lock, so the stamped epoch is the
+            // one the records were read under.
+            let inner = repl.lock();
+            let records = match repl.log.read(from, limit) {
+                Ok(records) => records,
+                Err(base) => {
+                    let why = format!(
+                        "position {from} was compacted below the log base {base}; a full \
+                         artifact resync is required"
+                    );
+                    return bad_request(req.id, why);
+                }
+            };
             let mut resp = Response::ok(req.id);
             resp.records = Some(records);
-            resp.replicated = Some(count);
-            resp.epoch = Some(epoch);
+            resp.replicated = Some(repl.log.count());
+            resp.epoch = Some(inner.epoch);
             return resp;
         }
         Op::Promote => {
-            let Some(repl) = shared.repl.clone() else {
-                return bad_request(
-                    req.id,
-                    "Promote needs a replication-enabled engine (open_replicated)",
-                );
-            };
+            let Some(repl) = shared.repl.clone() else { return needs_replication(req) };
             let Some(epoch) = req.epoch else {
                 return bad_request(req.id, "missing required field `epoch`");
             };

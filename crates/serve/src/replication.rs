@@ -5,11 +5,16 @@
 //! The leader appends each accepted review to its own WAL (exactly as an
 //! unreplicated engine would), then ships it to every follower through the
 //! `Replicate` wire op — batched, CRC-checked per record, contiguous in
-//! *log position* (the dense count of records accepted since the last
-//! compaction base). Followers persist shipped records to their own WALs
-//! and apply them through the same `SeqSet` dedup the client-facing ingest
-//! path uses, so redelivery is idempotent at both the position and the
-//! sequence-id layer.
+//! *log position* (the dense count of records accepted, folded ones
+//! included). Shippers, `FetchWal` and the `replicated_seq` gauge read the
+//! engine's one in-memory store of unfolded records, the same one refresh
+//! and compaction read. Followers persist shipped records to their own WALs
+//! through the engine's one append path, the one client ingest takes, so
+//! redelivery is idempotent at both the position and the sequence-id layer.
+//!
+//! A record is refused at ingest when its one-record `Replicate` line could
+//! exceed the wire's `MAX_LINE_BYTES`; the shipper sizes each batch by its
+//! records' encoded length, so every accepted record can always be shipped.
 //!
 //! **Ack levels.** At [`AckLevel::Leader`] an ingest ack means what it
 //! always meant: fsync'd on the replica that took the write. At
@@ -39,8 +44,8 @@
 //! over `std::net::TcpStream` — one request in flight per follower, the
 //! same framing the public protocol uses, no new dependencies.
 
-use crate::wal::WalRecord;
-use rrre_wire::{ErrorKind, ReplRecordDto, Request, Response};
+use crate::wal::{IngestLog, WalRecord};
+use rrre_wire::{ErrorKind, ReplRecordDto, Request, Response, MAX_LINE_BYTES};
 use std::collections::HashMap;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
@@ -58,11 +63,9 @@ pub const EPOCH_FILE: &str = "repl_epoch";
 
 /// How many records one `Replicate` batch may carry.
 const BATCH_MAX: usize = 16;
-/// Soft byte budget for one encoded `Replicate` line — kept well under the
-/// wire layer's `MAX_LINE_BYTES` so a batch is never refused for size.
+/// Soft byte budget for the encoded records of one `Replicate` batch; a
+/// batch always carries at least one record.
 const BATCH_BYTE_BUDGET: usize = 8 * 1024;
-/// Per-record encoding overhead assumed against the byte budget.
-const RECORD_OVERHEAD: usize = 96;
 
 /// When an `IngestReview` ack is released to the client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,9 +138,8 @@ pub enum QuorumError {
     Timeout,
 }
 
-/// Mutable replication state, all under one lock (see field docs for what
-/// moves together). Lock order where both are held: ingest `inner` →
-/// `ReplInner`; the shippers and quorum waiters take only `ReplInner`.
+/// Mutable replication state, all under one lock (its place in the lock
+/// order: the [`crate::engine`] module docs).
 pub(crate) struct ReplInner {
     /// Persisted leader term this replica is fenced at.
     pub(crate) epoch: u64,
@@ -152,25 +154,10 @@ pub(crate) struct ReplInner {
     pub(crate) followers: Vec<String>,
     /// Durable record count each follower has confirmed.
     pub(crate) acked: HashMap<String, u64>,
-    /// The replication log: every record accepted since `base`, in WAL
-    /// append order. Position `base + i` holds `log[i]`.
-    pub(crate) log: Vec<WalRecord>,
-    /// Records folded into the artifact (before this process opened, or by
-    /// a compaction since) — the log's position offset. Positions below
-    /// `base` are not fetchable.
-    pub(crate) base: u64,
     /// Shipper generation: bumped by every promotion (same-term peer
     /// refreshes included), and checked by `shipper_loop` so superseded
     /// shippers exit instead of running duplicates against the new set.
     pub(crate) ship_gen: u64,
-}
-
-impl ReplInner {
-    /// Total records this replica holds durably (the `replicated_seq`
-    /// watermark): folded base plus the live log.
-    pub(crate) fn count(&self) -> u64 {
-        self.base + self.log.len() as u64
-    }
 }
 
 /// Shared replication state attached to an ingest-enabled engine.
@@ -179,8 +166,12 @@ pub struct Replication {
     pub ack: AckLevel,
     quorum_timeout: Duration,
     backoff: Duration,
-    self_addr: Option<String>,
+    /// This replica's advertised address (`peers[0]` of every shipment).
+    pub(crate) self_addr: Option<String>,
     dir: PathBuf,
+    /// The engine's store of unfolded records, which the shippers ship
+    /// from and whose count is the `replicated_seq` watermark.
+    pub(crate) log: Arc<IngestLog>,
     inner: Mutex<ReplInner>,
     /// Poked on: log appends (shippers wake), follower acks (quorum
     /// waiters wake), deposal and shutdown (everyone wakes to exit).
@@ -190,10 +181,9 @@ pub struct Replication {
 }
 
 impl Replication {
-    /// Builds the replication state for an artifact directory, loading (or
-    /// initialising) the persisted epoch. The log is empty until the
-    /// engine seeds it from WAL replay.
-    pub fn open(dir: &Path, cfg: ReplicationConfig) -> io::Result<Self> {
+    /// Builds the replication state for an artifact directory over the
+    /// engine's `log`, loading (or initialising) the persisted epoch.
+    pub(crate) fn open(dir: &Path, cfg: ReplicationConfig, log: Arc<IngestLog>) -> io::Result<Self> {
         let persisted = load_epoch(dir)?;
         let (epoch, leader, followers, leader_hint) = match cfg.role {
             ReplRole::Leader { followers, epoch } => {
@@ -213,6 +203,7 @@ impl Replication {
             backoff: cfg.reconnect_backoff,
             self_addr: cfg.self_addr,
             dir: dir.to_path_buf(),
+            log,
             inner: Mutex::new(ReplInner {
                 epoch,
                 leader,
@@ -220,8 +211,6 @@ impl Replication {
                 leader_hint,
                 followers,
                 acked: HashMap::new(),
-                log: Vec::new(),
-                base: 0,
                 ship_gen: 0,
             }),
             cv: Condvar::new(),
@@ -234,18 +223,13 @@ impl Replication {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Wakes every waiter (shippers, quorum waits) to re-check state.
+    /// Wakes every waiter (shippers, quorum waits) to re-check state. It
+    /// takes their lock first: a change made before this call (a log push
+    /// included, though the log has its own lock) cannot fall between a
+    /// waiter's check and its wait.
     pub(crate) fn notify(&self) {
+        let _checked = self.lock();
         self.cv.notify_all();
-    }
-
-    /// Seeds the log from WAL replay at engine open: `records` are the
-    /// replayed-but-unfolded records in append order, `base` the count the
-    /// ledger says compaction already folded.
-    pub(crate) fn seed(&self, records: Vec<WalRecord>, base: u64) {
-        let mut inner = self.lock();
-        inner.log = records;
-        inner.base = base;
     }
 
     /// Current persisted epoch.
@@ -268,7 +252,7 @@ impl Replication {
     /// `(epoch, replicated_seq, replication_lag)` for the stats snapshot.
     pub fn stats(&self) -> (u64, u64, u64) {
         let inner = self.lock();
-        let count = inner.count();
+        let count = self.log.count();
         let lag = if inner.leader && !inner.followers.is_empty() {
             let slowest =
                 inner.followers.iter().map(|f| inner.acked.get(f).copied().unwrap_or(0)).min();
@@ -402,9 +386,15 @@ impl Replication {
 fn shipper_loop(repl: &Arc<Replication>, addr: &str, my_epoch: u64, my_gen: u64) {
     let mut conn: Option<LineConn> = None;
     let mut link_failures = 0u64;
+    let self_addr = repl.self_addr.as_deref();
+    // Record bytes one line may carry: the soft budget, and never more than
+    // the follower's line cap leaves beside the widest envelope.
+    let room = MAX_LINE_BYTES
+        .saturating_sub(replicate_line_len(Vec::new(), self_addr))
+        .min(BATCH_BYTE_BUDGET);
     loop {
         // Decide what to ship under the lock; never hold it across I/O.
-        let (epoch, from, batch) = {
+        let (epoch, from, mut batch) = {
             let mut inner = repl.lock();
             loop {
                 if repl.stopping()
@@ -415,61 +405,37 @@ fn shipper_loop(repl: &Arc<Replication>, addr: &str, my_epoch: u64, my_gen: u64)
                 {
                     return;
                 }
-                let count = inner.count();
-                match inner.acked.get(addr).copied() {
+                let count = repl.log.count();
+                let park = match inner.acked.get(addr).copied() {
                     // Position unknown: probe with an empty batch so the
                     // follower tells us its durable count.
                     None => break (inner.epoch, count, Vec::new()),
-                    Some(a) if a < count => {
-                        if a < inner.base {
-                            // The follower is behind records this process
-                            // never saw (folded before open). It cannot be
-                            // caught up by shipping; it must pull a full
-                            // artifact resync out of band. Park until the
-                            // term changes rather than spinning.
-                            let (guard, _) = repl
-                                .cv
-                                .wait_timeout(inner, Duration::from_millis(500))
-                                .unwrap_or_else(|e| e.into_inner());
-                            inner = guard;
-                            continue;
-                        }
-                        let start = (a - inner.base) as usize;
-                        let mut bytes = 0usize;
-                        let mut batch = Vec::new();
-                        for rec in inner.log[start..].iter().take(BATCH_MAX) {
-                            bytes += rec.text.len() + RECORD_OVERHEAD;
-                            if !batch.is_empty() && bytes > BATCH_BYTE_BUDGET {
-                                break;
-                            }
-                            batch.push(ReplRecordDto::sealed(
-                                rec.seq,
-                                rec.user,
-                                rec.item,
-                                rec.rating,
-                                rec.ts,
-                                rec.text.clone(),
-                            ));
-                        }
-                        break (inner.epoch, a, batch);
-                    }
+                    Some(a) if a < count => match repl.log.read(a, BATCH_MAX) {
+                        Ok(batch) => break (inner.epoch, a, batch),
+                        // The follower is behind records this process never
+                        // saw (folded before open, or since). Shipping cannot
+                        // catch it up; it must pull a full artifact resync
+                        // out of band. Park until the term changes rather
+                        // than spinning.
+                        Err(_) => Duration::from_millis(500),
+                    },
                     // Fully caught up: wait for appends (or exit signals).
-                    Some(_) => {
-                        let (guard, _) = repl
-                            .cv
-                            .wait_timeout(inner, Duration::from_millis(200))
-                            .unwrap_or_else(|e| e.into_inner());
-                        inner = guard;
-                    }
-                }
+                    Some(_) => Duration::from_millis(200),
+                };
+                inner = repl.cv.wait_timeout(inner, park).unwrap_or_else(|e| e.into_inner()).0;
             }
         };
-        let mut req = Request::replicate(epoch, from, batch);
-        // peers[0] carries the leader's advertised address so followers can
-        // hand out accurate NotLeader redirects.
-        if let Some(self_addr) = &repl.self_addr {
-            req.peers = Some(vec![self_addr.clone()]);
-        }
+        // Size by encoded length, not text length: JSON escaping can
+        // multiply a text's size. The first record always goes; ingest
+        // refused any record whose one-record line could not fit.
+        let mut bytes = 0usize;
+        let over = batch.iter().position(|rec| {
+            let len = serde_json::to_string(rec).map_or(usize::MAX, |json| json.len());
+            bytes = bytes.saturating_add(len.saturating_add(1));
+            bytes > room
+        });
+        batch.truncate(over.map_or(batch.len(), |i| i.max(1)));
+        let req = replicate_request(epoch, from, batch, self_addr);
         match exchange_on(&mut conn, addr, &req, Duration::from_secs(2)) {
             Ok(resp) => {
                 if resp.kind == Some(ErrorKind::StaleEpoch) {
@@ -506,6 +472,36 @@ fn shipper_loop(repl: &Arc<Replication>, addr: &str, my_epoch: u64, my_gen: u64)
             }
         }
     }
+}
+
+/// The `Replicate` request a leader ships. `peers[0]` carries its
+/// advertised address so followers can hand out accurate `NotLeader`
+/// redirects.
+fn replicate_request(
+    epoch: u64,
+    from: u64,
+    records: Vec<ReplRecordDto>,
+    self_addr: Option<&str>,
+) -> Request {
+    let mut req = Request::replicate(epoch, from, records);
+    req.peers = self_addr.map(|addr| vec![addr.to_string()]);
+    req
+}
+
+/// Length of the `Replicate` line that ships `records`, with the epoch and
+/// `from` at their widest.
+fn replicate_line_len(records: Vec<ReplRecordDto>, self_addr: Option<&str>) -> usize {
+    let req = replicate_request(u64::MAX, u64::MAX, records, self_addr);
+    serde_json::to_string(&req).map_or(usize::MAX, |line| line.len())
+}
+
+/// Whether `rec` can always be shipped: its one-record `Replicate` line,
+/// with the epoch, `from`, seq, ts and CRC at their widest, fits a
+/// follower's `MAX_LINE_BYTES` — whatever term or position it ships at.
+pub(crate) fn fits_one_replicate(rec: &WalRecord, self_addr: Option<&str>) -> bool {
+    let widest =
+        ReplRecordDto { seq: u64::MAX, ts: i64::MIN, crc: u32::MAX, ..rec.clone().into() };
+    replicate_line_len(vec![widest], self_addr) <= MAX_LINE_BYTES
 }
 
 /// Logs a repeatedly-failing replica link on the first consecutive failure
@@ -644,17 +640,22 @@ mod tests {
         }
     }
 
+    /// Replication over an empty store.
+    fn open(dir: &Path, cfg: ReplicationConfig) -> Arc<Replication> {
+        Arc::new(Replication::open(dir, cfg, Arc::new(IngestLog::new(0, Vec::new()))).unwrap())
+    }
+
     #[test]
     fn epoch_persists_and_higher_term_wins_on_reopen() {
         let dir = tmp("epoch");
         assert_eq!(load_epoch(&dir).unwrap(), 0);
-        let repl = Replication::open(&dir, leader_cfg(vec![], 1)).unwrap();
+        let repl = open(&dir, leader_cfg(vec![], 1));
         assert_eq!(repl.current_epoch(), 1);
         assert_eq!(load_epoch(&dir).unwrap(), 1);
         persist_epoch(&dir, 7).unwrap();
         // Reopening as leader with a stale requested epoch keeps the
         // persisted (higher) term — a fenced replica can't self-unfence.
-        let repl = Replication::open(&dir, leader_cfg(vec![], 2)).unwrap();
+        let repl = open(&dir, leader_cfg(vec![], 2));
         assert_eq!(repl.current_epoch(), 7);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -662,9 +663,7 @@ mod tests {
     #[test]
     fn quorum_wait_releases_on_follower_ack_and_times_out_without() {
         let dir = tmp("quorum");
-        let repl = Arc::new(
-            Replication::open(&dir, leader_cfg(vec!["f1".into(), "f2".into()], 1)).unwrap(),
-        );
+        let repl = open(&dir, leader_cfg(vec!["f1".into(), "f2".into()], 1));
         // 3-replica set: quorum is 2, so one follower ack releases.
         assert_eq!(repl.quorum_wait(1), Err(QuorumError::Timeout));
         {
@@ -680,8 +679,7 @@ mod tests {
     #[test]
     fn deposed_leader_fails_quorum_waits_immediately() {
         let dir = tmp("deposed");
-        let repl =
-            Arc::new(Replication::open(&dir, leader_cfg(vec!["f1".into()], 3)).unwrap());
+        let repl = open(&dir, leader_cfg(vec!["f1".into()], 3));
         repl.adopt_epoch(4, Some("10.0.0.9:4000".into())).unwrap();
         assert!(!repl.is_leader());
         match repl.quorum_wait(1) {
@@ -695,9 +693,7 @@ mod tests {
     #[test]
     fn promote_installs_the_new_term_and_clears_deposal() {
         let dir = tmp("promote");
-        let repl = Arc::new(
-            Replication::open(&dir, ReplicationConfig::default()).unwrap(),
-        );
+        let repl = open(&dir, ReplicationConfig::default());
         assert!(!repl.is_leader());
         repl.promote(2, vec![]).unwrap();
         assert!(repl.is_leader());
@@ -713,9 +709,7 @@ mod tests {
     #[test]
     fn same_term_peer_refresh_replaces_rather_than_duplicates_shippers() {
         let dir = tmp("peer-refresh");
-        let repl = Arc::new(
-            Replication::open(&dir, leader_cfg(vec!["127.0.0.1:1".into()], 1)).unwrap(),
-        );
+        let repl = open(&dir, leader_cfg(vec!["127.0.0.1:1".into()], 1));
         repl.spawn_shippers();
         // Each refresh bumps the shipper generation; superseded shippers
         // observe the bump and exit instead of running duplicates.
@@ -766,28 +760,20 @@ mod tests {
     #[test]
     fn stats_report_lag_to_the_slowest_follower() {
         let dir = tmp("lag");
-        let repl = Arc::new(
-            Replication::open(&dir, leader_cfg(vec!["f1".into(), "f2".into()], 1)).unwrap(),
-        );
-        let recs = (0..4)
-            .map(|seq| WalRecord {
-                seq,
-                user: 0,
-                item: 0,
-                rating: 4.0,
-                ts: 0,
-                text: String::new(),
-            })
-            .collect();
-        repl.seed(recs, 10);
+        let rec = |seq| WalRecord { seq, user: 0, item: 0, rating: 4.0, ts: 0, text: String::new() };
+        // Ten records folded, four not: the watermark is 14.
+        let log = Arc::new(IngestLog::new(10, (0..4).map(rec).collect()));
+        let cfg = leader_cfg(vec!["f1".into(), "f2".into()], 1);
+        let repl = Replication::open(&dir, cfg, Arc::clone(&log)).unwrap();
         {
             let mut inner = repl.lock();
             inner.acked.insert("f1".into(), 14);
             inner.acked.insert("f2".into(), 11);
         }
-        let (epoch, count, lag) = repl.stats();
-        assert_eq!((epoch, count), (1, 14));
-        assert_eq!(lag, 3, "lag is to the slowest follower");
+        assert_eq!(repl.stats(), (1, 14, 3), "lag is to the slowest follower");
+        // Replication reads the engine's store itself: one push moves it.
+        log.push(rec(4));
+        assert_eq!(repl.stats(), (1, 15, 4));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -134,8 +134,8 @@ pub struct EngineStats {
     /// Replication epoch (leader term) this replica is fenced at — a gauge
     /// the replication layer stores into, 0 without replication.
     pub epoch: AtomicU64,
-    /// Records durably applied through the replication log (gauge; leader
-    /// appends plus follower-applied shipments).
+    /// Records durably accepted, folded ones included: the ingest log's
+    /// count (gauge; leader appends plus follower-applied shipments).
     pub replicated_seq: AtomicU64,
     /// Leader-side shipping backlog to the slowest live follower (gauge).
     pub replication_lag: AtomicU64,

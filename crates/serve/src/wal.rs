@@ -34,12 +34,19 @@
 //! the folded dataset and the [`IngestLedger`] recording what was folded
 //! commit *atomically* — there is no window where the artifact says one
 //! thing and the ledger another.
+//!
+//! The ledger's in-memory complement is `IngestLog`: every accepted
+//! record the artifact does not yet hold, stored once per replica. It is
+//! the only map from a log position to a record — refresh, compaction, the
+//! replication shippers, `FetchWal` and `Stats` all read it.
 
+use rrre_wire::{crc32, ReplRecordDto};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 
 /// One ingested review as logged. `seq` is the *client-supplied* sequence
 /// id that makes retries idempotent; everything else is the review payload
@@ -58,6 +65,18 @@ pub struct WalRecord {
     pub ts: i64,
     /// Review text.
     pub text: String,
+}
+
+impl From<WalRecord> for ReplRecordDto {
+    fn from(r: WalRecord) -> Self {
+        ReplRecordDto::sealed(r.seq, r.user, r.item, r.rating, r.ts, r.text)
+    }
+}
+
+impl From<&ReplRecordDto> for WalRecord {
+    fn from(r: &ReplRecordDto) -> Self {
+        WalRecord { seq: r.seq, user: r.user, item: r.item, rating: r.rating, ts: r.ts, text: r.text.clone() }
+    }
 }
 
 /// Why a WAL could not be replayed (or written).
@@ -108,20 +127,6 @@ pub enum FsyncPolicy {
         /// Records between forced syncs.
         every: usize,
     },
-}
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), bitwise —
-/// dependency-free and plenty fast for review-sized payloads.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 const RECORD_HEADER: usize = 8;
@@ -433,15 +438,6 @@ impl SeqSet {
         true
     }
 
-    /// Inserts every seq of `other`.
-    pub fn extend_from(&mut self, other: &SeqSet) {
-        for r in &other.ranges {
-            for seq in r.start..=r.end {
-                self.insert(seq);
-            }
-        }
-    }
-
     /// Number of ids in the set.
     pub fn len(&self) -> u64 {
         self.ranges.iter().map(|r| r.end - r.start + 1).sum()
@@ -491,6 +487,98 @@ pub fn save_ledger(dir: &Path, ledger: &IngestLedger) -> io::Result<()> {
     f.sync_data()?;
     fs::rename(&tmp, dir.join(LEDGER_FILE))?;
     Ok(())
+}
+
+/// The accepted records the artifact does not yet hold, one copy per
+/// replica: log position `base + i` is `records[i]`. Records enter only
+/// through [`IngestLog::push`], which the engine calls after the WAL append
+/// under its writer lock, so positions follow WAL order. This mutex is a
+/// reader's lock and is never held across a WAL append (lock order: the
+/// `engine` module docs).
+pub(crate) struct IngestLog {
+    inner: Mutex<LogInner>,
+}
+
+struct LogInner {
+    /// Records folded into the artifact, before this process opened or by a
+    /// compaction since. Positions below it can no longer be read.
+    base: u64,
+    /// Accepted records since `base`, in WAL append order.
+    records: Vec<WalRecord>,
+    /// Prefix of `records` already published into the serving towers.
+    refreshed: usize,
+}
+
+impl IngestLog {
+    /// A log over the replayed-but-unfolded `records` (in WAL order) above
+    /// the `base` records the ledger says a compaction folded.
+    pub(crate) fn new(base: u64, records: Vec<WalRecord>) -> Self {
+        Self { inner: Mutex::new(LogInner { base, records, refreshed: 0 }) }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, LogInner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Records accepted in all, folded or not: the `replicated_seq`
+    /// watermark, and the position the next record takes.
+    pub(crate) fn count(&self) -> u64 {
+        let inner = self.lock();
+        inner.base + inner.records.len() as u64
+    }
+
+    /// Appends one accepted record. Returns the new count and how many
+    /// records are not yet in the serving towers.
+    pub(crate) fn push(&self, rec: WalRecord) -> (u64, usize) {
+        let mut inner = self.lock();
+        inner.records.push(rec);
+        (inner.base + inner.records.len() as u64, inner.records.len() - inner.refreshed)
+    }
+
+    /// Up to `max` records from position `from`, sealed for the wire, or
+    /// `Err(base)` when `from` lies below the base.
+    pub(crate) fn read(&self, from: u64, max: usize) -> Result<Vec<ReplRecordDto>, u64> {
+        let picked: Vec<WalRecord> = {
+            let inner = self.lock();
+            let start = from.checked_sub(inner.base).ok_or(inner.base)?;
+            let start = usize::try_from(start).unwrap_or(usize::MAX);
+            inner.records.iter().skip(start).take(max).cloned().collect()
+        };
+        // Seal (CRC the text) after the lock is released.
+        Ok(picked.into_iter().map(ReplRecordDto::from).collect())
+    }
+
+    /// The records not yet in the serving towers, and the refreshed mark
+    /// they start at.
+    pub(crate) fn unrefreshed(&self) -> (Vec<WalRecord>, usize) {
+        let inner = self.lock();
+        (inner.records[inner.refreshed..].to_vec(), inner.refreshed)
+    }
+
+    /// Every unfolded record: what a compaction folds.
+    pub(crate) fn snapshot(&self) -> Vec<WalRecord> {
+        self.lock().records.clone()
+    }
+
+    /// Runs `swap`, which replaces the serving generation, under this lock
+    /// and sets the refreshed mark to what it returns, so the pointer and
+    /// the mark move together. `None` leaves the mark alone; returns
+    /// whether the mark moved.
+    pub(crate) fn set_refreshed(&self, swap: impl FnOnce() -> Option<usize>) -> bool {
+        let mut inner = self.lock();
+        swap().map(|mark| inner.refreshed = mark).is_some()
+    }
+
+    /// Drops the first `n` records, which a compaction just folded into the
+    /// artifact. The base advances by `n`, so every position — and each
+    /// follower's acked watermark — stays where it was; the reloaded
+    /// generation holds the fold, so nothing left is refreshed.
+    pub(crate) fn drain_folded(&self, n: usize) {
+        let mut inner = self.lock();
+        inner.records.drain(..n);
+        inner.base += n as u64;
+        inner.refreshed = 0;
+    }
 }
 
 /// Staging directory of the two-phase artifact commit: a sibling of the
@@ -777,11 +865,8 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: SeqSet = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
-        let mut t = SeqSet::new();
-        t.insert(2);
-        t.extend_from(&s);
-        assert_eq!(t.len(), 5);
-        assert_eq!(t.ranges, vec![SeqRange { start: 1, end: 5 }]);
+        assert!(s.insert(2), "joins both neighbours");
+        assert_eq!(s.ranges, vec![SeqRange { start: 1, end: 5 }]);
     }
 
     #[test]

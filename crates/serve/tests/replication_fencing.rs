@@ -11,16 +11,22 @@
 //!   committed), adopt the higher term, and depose any local leadership,
 //!   so a follower whose `leader_hint` still names a partitioned old
 //!   leader can never pull that leader's uncommitted records;
-//! * compaction drains the folded prefix out of the in-memory replication
-//!   log and advances its base (bounded memory), while absolute positions
-//!   — and therefore follower ack watermarks — stay intact.
+//! * compaction drains the folded prefix out of the in-memory ingest log
+//!   and advances its base (bounded memory), while absolute positions —
+//!   and therefore follower ack watermarks — stay intact; a reopen serves
+//!   the replayed records from the ledger's base;
+//! * a record whose one-record `Replicate` line could outgrow the wire's
+//!   line cap is refused before the WAL, so no accepted record can stall
+//!   the quorum behind it.
 
 use rrre_serve::{
     AckLevel, Engine, EngineConfig, ErrorKind, IngestConfig, ModelArtifact, ReplRole,
     ReplicationConfig, Request,
 };
-use rrre_testkit::{trained_fixture, TempDir};
+use rrre_testkit::{trained_fixture, ReplicatedDeployment, TempDir};
+use rrre_wire::MAX_LINE_BYTES;
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 fn saved_fixture(tag: &str) -> TempDir {
     let fx = trained_fixture();
@@ -148,6 +154,83 @@ fn compaction_trims_the_replication_log_and_keeps_positions_absolute() {
     let resp = engine.submit(Request::fetch_wal(1, 4, 16));
     assert!(!resp.ok, "position 4 was folded by the second compaction");
     assert_eq!(resp.kind, Some(ErrorKind::BadRequest));
+}
+
+#[test]
+fn a_reopen_serves_the_replayed_records_from_the_ledger_base() {
+    let dir = saved_fixture("reopen-ledger-and-wal");
+    let engine = open_leader(dir.path(), 1);
+    for seq in 1..=3 {
+        ingest(&engine, seq);
+    }
+    assert_eq!(engine.compact_now().expect("compaction must succeed").0, 3);
+    // Left in the WAL, in an order that is not seq order.
+    for seq in [7, 5, 6] {
+        ingest(&engine, seq);
+    }
+    drop(engine);
+
+    let engine = open_leader(dir.path(), 1);
+    assert_eq!(engine.stats().replicated_seq, 3 + 3, "folded + replayed");
+    let resp = engine.submit(Request::fetch_wal(1, 3, 16));
+    assert!(resp.ok, "fetch from the ledger base refused: {:?}", resp.error);
+    assert_eq!(resp.replicated, Some(6));
+    let records = resp.records.expect("fetch returns records");
+    assert!(records.iter().all(|r| r.verify()), "every record is sealed");
+    let got: Vec<(u64, &str)> = records.iter().map(|r| (r.seq, r.text.as_str())).collect();
+    assert_eq!(got, [(7, "review 7"), (5, "review 5"), (6, "review 6")], "WAL order");
+    // The folded records sit below the base.
+    let resp = engine.submit(Request::fetch_wal(1, 2, 16));
+    assert_eq!(resp.kind, Some(ErrorKind::BadRequest), "{:?}", resp.error);
+}
+
+#[test]
+fn the_longest_shippable_review_quorum_acks_and_one_byte_more_is_refused() {
+    let fx = trained_fixture();
+    let dep = ReplicatedDeployment::launch(&fx, 3, AckLevel::Quorum);
+    let review = |seq: u64, len: usize| {
+        Request::ingest_review(seq, 0, 0, 4.0, "x".repeat(len), seq as i64).with_id(seq)
+    };
+    // Start from the longest text whose own IngestReview line is legal and
+    // walk down: every refusal must leave the WAL untouched.
+    let mut len = MAX_LINE_BYTES - serde_json::to_string(&review(1, 0)).unwrap().len();
+    let wal_bytes = dep.engine(0).unwrap().stats().wal_bytes;
+    let mut refused = 0;
+    let resp = loop {
+        let resp = dep.submit(0, review(1, len));
+        if resp.ok {
+            break resp;
+        }
+        assert_eq!(resp.kind, Some(ErrorKind::BadRequest), "len {len}: {:?}", resp.error);
+        assert_eq!(dep.engine(0).unwrap().stats().wal_bytes, wal_bytes, "refused, yet written");
+        refused += 1;
+        len -= 1;
+    };
+    assert!(refused > 0, "a legal IngestReview line can carry an unshippable review");
+    // The longest accepted review acked at quorum, so a follower took it.
+    assert_eq!(resp.ingest.map(|i| i.duplicate), Some(false));
+    assert_eq!(dep.engine(0).unwrap().stats().ingested, 1);
+    // The shipper is not stuck behind it: a short review acks, and every
+    // follower acknowledges both.
+    let resp = dep.submit(0, review(2, 15));
+    assert!(resp.ok, "short review after the longest one refused: {:?}", resp.error);
+    assert!(dep.await_convergence(Duration::from_secs(10)), "followers never converged");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while dep.engine(0).unwrap().stats().replication_lag > 0 {
+        assert!(Instant::now() < deadline, "the leader's replication lag never drained");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn the_replicate_line_bound_counts_json_escapes() {
+    let dir = saved_fixture("escaped-review");
+    let engine = open_leader(dir.path(), 1);
+    // Equal text lengths, but each quote is two bytes once escaped.
+    let review = |seq, unit: &str| Request::ingest_review(seq, 0, 0, 4.0, unit.repeat(8_200), 1);
+    assert!(engine.submit(review(1, "x")).ok);
+    assert_eq!(engine.submit(review(2, "\"")).kind, Some(ErrorKind::BadRequest));
+    assert_eq!(engine.stats().ingested, 1);
 }
 
 #[test]

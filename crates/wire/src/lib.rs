@@ -419,10 +419,10 @@ pub struct ReplRecordDto {
     pub crc: u32,
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial), bitwise — the same function
-/// the serve WAL frames records with, duplicated here so the wire crate
-/// stays dependency-free.
-fn crc32(bytes: &[u8]) -> u32 {
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), bitwise —
+/// dependency-free and plenty fast for review-sized payloads. Stamps every
+/// [`ReplRecordDto`] and frames every record of the serving WAL.
+pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
         crc ^= b as u32;
@@ -840,8 +840,8 @@ pub struct StatsSnapshot {
     /// Replication epoch (leader term) this replica is fenced at (0 when
     /// replication is not configured). Fleet merges take the max.
     pub epoch: u64,
-    /// Records durably applied through the replication log on this replica
-    /// (leader appends plus follower-applied shipments).
+    /// Records durably accepted on this replica, folded ones included — its
+    /// log position (leader appends plus follower-applied shipments).
     pub replicated_seq: u64,
     /// Leader only: log records not yet acked by the slowest live
     /// follower (0 on followers and unreplicated engines).
