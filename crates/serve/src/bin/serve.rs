@@ -225,7 +225,8 @@ fn serve_flags() -> Vec<Flag> {
         val("--followers", "a,b", "start as the shard's ingest leader, shipping the WAL to these \
              follower addresses").needs(INGEST),
         val("--replicate-from", "ADDR", "start as a follower of ADDR: refuses client ingest with \
-             NotLeader, applies Replicate shipments, pulls catch-up ranges after a restart").needs(INGEST),
+             NotLeader naming ADDR, and applies the Replicate shipments of whichever leader lists \
+             this replica in --followers or a promote --peers set").needs(INGEST),
         val("--ack", "leader|quorum", "release an ingest ack after the leader's own fsync, or only \
              once a majority of the replica set holds the record durably")
             .default(format!("{:?}", repl.ack).to_lowercase()).needs(REPLICATED),

@@ -42,18 +42,26 @@
 //! [`FsyncPolicy`]), then the dedup set and the one in-memory store of
 //! unfolded records (`wal::IngestLog`), then the shippers are woken and,
 //! past [`IngestConfig::refresh_every`], the towers refreshed. Refresh,
-//! compaction, the shippers, `FetchWal` and `Stats` all read that store.
+//! compaction, the shippers and `Stats` all read that store.
+//!
+//! **Replication.** Every term read off the wire — an `IngestReview`'s, a
+//! `Replicate`'s, a `Promote`'s — is judged by the replication fence before
+//! its arm acts, and records reach a follower only as the leader's
+//! `Replicate` frames (the [`crate::replication`] module docs).
 //!
 //! **Lock order:** `maintenance` → the WAL `writer` → replication state →
 //! the ingest log → `current`. The WAL append and its fsync hold only
-//! `writer`, which no shipper, `FetchWal` or quorum waiter takes. An append
-//! wakes the shippers by notifying under the replication lock after the
-//! push — the lock they read the log count under — so no wakeup is lost.
+//! `writer`, which no shipper or quorum waiter takes; the one fsync under
+//! the replication lock is a term change's epoch file. An append wakes the
+//! shippers by notifying under the replication lock after the push — the
+//! lock they read the log count under — so no wakeup is lost.
 
 use crate::artifact::{ModelArtifact, MANIFEST_FILE};
 use crate::batch::{BatchConfig, BatchQueue, Completion, Job, QueuePermit};
 use crate::cache::{CacheAxis, TowerCache};
-use crate::replication::{self, AckLevel, QuorumError, Replication, ReplicationConfig};
+use crate::replication::{
+    self, AckLevel, QuorumError, Refusal, Replication, ReplicationConfig, Traffic,
+};
 use crate::stats::{EngineStats, FrontendStats, StatsSnapshot};
 use crate::wal::{self, FsyncPolicy, IngestLedger, IngestLog, SeqSet, WalRecord, WalWriter};
 use rrre_wire::{ErrorKind, HealthDto, Op, ReplRecordDto, Request, Response, MAX_LINE_BYTES};
@@ -350,7 +358,7 @@ impl Engine {
         // records the ledger already covers were folded by a committed
         // compaction — applying them again would double-count. What the
         // ledger folded sits below the log base and can no longer be
-        // fetched (a follower that far behind needs an artifact resync).
+        // shipped (a follower that far behind needs an artifact resync).
         let mut accepted = ledger.applied.clone();
         let unfolded = recovery.records.into_iter().filter(|rec| accepted.insert(rec.seq));
         let log = Arc::new(IngestLog::new(ledger.applied.len(), unfolded.collect()));
@@ -373,19 +381,8 @@ impl Engine {
         // again before the first post-restart request is served.
         do_refresh(&engine.shared)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if let Some(repl) = repl {
-            if repl.is_leader() {
-                repl.spawn_shippers();
-            }
-            // The catch-up thread runs on every replicated engine but only
-            // acts while the replica is a follower with a known leader; it
-            // exits with `Replication::stop`.
-            let shared = Arc::clone(&engine.shared);
-            let handle = std::thread::Builder::new()
-                .name("rrre-repl-catchup".into())
-                .spawn(move || catchup_loop(&shared))
-                .expect("failed to spawn replication catch-up thread");
-            engine.workers.lock().unwrap_or_else(|e| e.into_inner()).push(handle);
+        if let Some(repl) = repl.filter(|r| r.is_leader()) {
+            repl.spawn_shippers();
         }
         Ok(engine)
     }
@@ -618,8 +615,8 @@ impl Engine {
     /// Graceful shutdown: stop accepting, let queued jobs finish, join the
     /// workers. Idempotent; `Drop` calls it too.
     pub fn shutdown(&self) {
-        // Replication threads (shippers, catch-up) park on condvars and
-        // sleeps; stop them first so the join below cannot hang.
+        // Shippers park on condvars and sleeps; stop them first so the
+        // join below cannot hang.
         if let Some(repl) = self.shared.repl.as_deref() {
             repl.stop();
         }
@@ -883,9 +880,8 @@ fn do_compact(shared: &Shared) -> Result<(u64, u64), String> {
         .map_err(|e| format!("compaction promote failed: {e}"))?;
     let generation = do_reload(shared)?;
     {
-        // Positions below the new base can no longer be fetched; shippers
-        // already park on a follower that far behind (it needs an artifact
-        // resync, not shipping).
+        // Positions below the new base can no longer be shipped; shippers
+        // park on a follower that far behind (it needs an artifact resync).
         let mut writer = state.writer.lock().unwrap_or_else(|e| e.into_inner());
         writer.ledger = ledger;
         state.log.drain_folded(snapshot.len());
@@ -999,9 +995,8 @@ fn append<I: IntoIterator<Item = WalRecord>>(
     (count, stop)
 }
 
-/// Applies a contiguous run of replicated records starting at log position
-/// `from` — the shared core of the `Replicate` push path and follower
-/// catch-up. Re-delivery is idempotent twice over: positions at or below
+/// Applies a `Replicate` batch: a contiguous run of records starting at log
+/// position `from`. Re-delivery is idempotent twice over: positions at or below
 /// the local count are skipped wholesale, and a new position whose seq is
 /// nonetheless already accepted is a *divergence* (same position,
 /// different history) that fails closed rather than guessing. Returns the
@@ -1027,100 +1022,6 @@ fn apply_replicated(shared: &Shared, from: u64, records: &[ReplRecordDto]) -> Re
              replica needs a resync"
         )),
         Some(AppendStop::Wal(e)) => Err(format!("wal append failed: {e}")),
-    }
-}
-
-/// Follower catch-up: pulls missing log positions from the last known
-/// leader with `FetchWal` until level, then idles. Runs on every
-/// replicated engine but no-ops while this replica is the leader. The push
-/// path self-heals ongoing gaps; this loop exists for restart recovery,
-/// when a follower may be arbitrarily far behind before the leader's
-/// shipper even learns its address.
-///
-/// Every fetch is epoch-fenced end to end: the request carries this
-/// replica's term, a stale serving replica (a deposed leader the hint
-/// still names) refuses rather than hand out records its fenced term never
-/// committed, and nothing from a response whose epoch is *below* ours is
-/// ever applied. A higher response term is adopted (persisted) before the
-/// records are — catch-up can move this replica's term forward, never let
-/// a fenced log leak in.
-fn catchup_loop(shared: &Arc<Shared>) {
-    let Some(repl) = shared.repl.clone() else { return };
-    let mut conn = None;
-    let mut link_failures = 0u64;
-    let idle = Duration::from_millis(200);
-    loop {
-        if repl.stopping() {
-            return;
-        }
-        let (is_follower, hint, my_count, my_epoch) = {
-            let inner = repl.lock();
-            (!inner.leader, inner.leader_hint.clone(), repl.log.count(), inner.epoch)
-        };
-        let Some(addr) = hint.filter(|_| is_follower) else {
-            std::thread::sleep(idle);
-            continue;
-        };
-        let req = Request::fetch_wal(my_epoch, my_count, 16);
-        match replication::exchange_on(&mut conn, &addr, &req, Duration::from_secs(2)) {
-            Ok(resp) if resp.ok => {
-                link_failures = 0;
-                match resp.epoch {
-                    Some(e) if e < my_epoch => {
-                        // A replica still serving a term below ours — its
-                        // log may contain fenced records. Never apply.
-                        std::thread::sleep(idle);
-                        continue;
-                    }
-                    Some(e) if e > my_epoch => {
-                        // The leader moved terms; persist the new one
-                        // before applying anything shipped under it.
-                        if let Err(err) = repl.adopt_epoch(e, Some(addr.clone())) {
-                            eprintln!(
-                                "rrre-serve: catch-up failed to persist adopted epoch {e}: {err}"
-                            );
-                            std::thread::sleep(idle);
-                            continue;
-                        }
-                    }
-                    _ => {}
-                }
-                let records = resp.records.unwrap_or_default();
-                if records.is_empty() {
-                    std::thread::sleep(idle);
-                    continue;
-                }
-                if let Err(e) = apply_replicated(shared, my_count, &records) {
-                    eprintln!("rrre-serve: replication catch-up apply failed: {e}");
-                    std::thread::sleep(idle);
-                }
-                // Applied a batch: loop straight back for the next range.
-            }
-            Ok(resp) => {
-                link_failures = 0;
-                // `StaleEpoch` with a higher term means *we* were behind
-                // (a new leader we had not heard of): adopt it so the next
-                // fetch passes the fence. A lower term means the hint
-                // still names a fenced replica — do nothing and wait for
-                // the real leader's traffic to refresh the hint. Other
-                // refusals (e.g. compacted below our position) just back
-                // off.
-                if resp.kind == Some(ErrorKind::StaleEpoch) {
-                    if let Some(e) = resp.epoch.filter(|&e| e > my_epoch) {
-                        if let Err(err) = repl.adopt_epoch(e, None) {
-                            eprintln!(
-                                "rrre-serve: catch-up failed to persist adopted epoch {e}: {err}"
-                            );
-                        }
-                    }
-                }
-                std::thread::sleep(idle);
-            }
-            Err(e) => {
-                replication::log_link_failure(&mut link_failures, "catch-up", &addr, &e);
-                std::thread::sleep(idle);
-            }
-        }
     }
 }
 
@@ -1237,6 +1138,27 @@ fn await_quorum(id: Option<u64>, repl: &Replication, target: u64) -> Result<(), 
             "replication quorum not reached before the timeout; the record is durable on the \
              leader — retry with the same seq",
         )),
+    }
+}
+
+/// The answer to a wire term the replication fence refused; a stale one is
+/// counted.
+fn refused(shared: &Shared, id: Option<u64>, refusal: Refusal) -> Response {
+    match refusal {
+        Refusal::Stale { got, current } => {
+            shared.stats.stale_epoch_rejections.fetch_add(1, Ordering::Relaxed);
+            Response::stale_epoch(id, got, current)
+        }
+        Refusal::NotLeader(hint) => Response::not_leader(id, hint),
+        // Two leaders sharing a term is a protocol violation, not something
+        // to paper over.
+        Refusal::SameTermLeader(epoch) => Response::internal(
+            id,
+            format!("Replicate at epoch {epoch} reached the acting leader of that term"),
+        ),
+        Refusal::Persist(epoch, e) => {
+            Response::internal(id, format!("failed to persist epoch {epoch}: {e}"))
+        }
     }
 }
 
@@ -1397,15 +1319,8 @@ fn process(shared: &Shared, generation: &Generation, job: &Job) -> Response {
             // accepts a write (a follower redirects, a deposed leader
             // must never ack something the new term's quorum lacks).
             if let Some(repl) = shared.repl.as_deref() {
-                let current = repl.current_epoch();
-                if let Some(epoch) = req.epoch {
-                    if epoch < current {
-                        shared.stats.stale_epoch_rejections.fetch_add(1, Ordering::Relaxed);
-                        return Response::stale_epoch(req.id, epoch, current);
-                    }
-                }
-                if !repl.is_leader() {
-                    return Response::not_leader(req.id, repl.leader_hint());
+                if let Err(refusal) = repl.fence(req.epoch, Traffic::Ingest) {
+                    return refused(shared, req.id, refusal);
                 }
             }
             let Some(seq) = req.seq else {
@@ -1504,130 +1419,38 @@ fn process(shared: &Shared, generation: &Generation, job: &Job) -> Response {
         },
         Op::Replicate => {
             let Some(repl) = shared.repl.as_deref() else { return needs_replication(req) };
-            let Some(epoch) = req.epoch else {
-                return bad_request(req.id, "missing required field `epoch`");
+            let (Some(epoch), Some(from)) = (req.epoch, req.from) else {
+                return bad_request(req.id, "Replicate needs `epoch` and `from`");
             };
-            let current = repl.current_epoch();
-            if epoch < current {
-                shared.stats.stale_epoch_rejections.fetch_add(1, Ordering::Relaxed);
-                return Response::stale_epoch(req.id, epoch, current);
-            }
             // peers[0] is the shipping leader's advertised address — the
-            // redirect hint this follower hands to misrouted clients.
+            // redirect hint this follower hands to misrouted clients. A
+            // higher term is persisted before a single record is applied.
             let hint = req.peers.as_ref().and_then(|p| p.first().cloned());
-            if epoch > current {
-                // A higher term on the wire deposes any local leadership
-                // and is persisted before a single record is applied.
-                if let Err(e) = repl.adopt_epoch(epoch, hint) {
-                    return Response::internal(
-                        req.id,
-                        format!("failed to persist adopted epoch {epoch}: {e}"),
-                    );
-                }
-            } else {
-                if repl.is_leader() {
-                    // Two leaders sharing a term is a protocol violation,
-                    // not something to paper over.
-                    return Response::internal(
-                        req.id,
-                        format!("Replicate at epoch {epoch} reached the acting leader of that term"),
-                    );
-                }
-                if let Some(hint) = hint {
-                    repl.lock().leader_hint = Some(hint);
-                }
-            }
-            let Some(from) = req.from else {
-                return bad_request(req.id, "missing required field `from`");
+            let epoch = match repl.fence(Some(epoch), Traffic::Peer(hint)) {
+                Ok(epoch) => epoch,
+                Err(refusal) => return refused(shared, req.id, refusal),
             };
             let records = req.records.as_deref().unwrap_or(&[]);
             match apply_replicated(shared, from, records) {
                 Ok(count) => {
                     let mut resp = Response::ok(req.id);
                     resp.replicated = Some(count);
-                    resp.epoch = Some(repl.current_epoch());
+                    resp.epoch = Some(epoch);
                     return resp;
                 }
                 Err(e) => return Response::internal(req.id, e),
             }
-        }
-        Op::FetchWal => {
-            let Some(repl) = shared.repl.as_deref() else { return needs_replication(req) };
-            // Fence the catch-up path in both directions. A requester
-            // carrying a *higher* term proves this replica was fenced — a
-            // deposed leader's log may hold records the new term never
-            // committed, and serving them would replicate that divergence
-            // into the follower. Adopt the higher term (persisting it, and
-            // deposing any local leadership) and refuse; the response
-            // carries the term we were fenced at so the caller can see how
-            // stale we were. A requester *behind* our term is refused the
-            // standard way, learning the current term from the response.
-            if let Some(req_epoch) = req.epoch {
-                let current = repl.current_epoch();
-                if req_epoch > current {
-                    shared.stats.stale_epoch_rejections.fetch_add(1, Ordering::Relaxed);
-                    if let Err(e) = repl.adopt_epoch(req_epoch, None) {
-                        return Response::internal(
-                            req.id,
-                            format!("failed to persist adopted epoch {req_epoch}: {e}"),
-                        );
-                    }
-                    let mut resp = Response::stale_epoch(req.id, current, req_epoch);
-                    // Override the constructor's "current term" stamp: the
-                    // stale party here is *us*, and the requester must see
-                    // the term this log was last written under.
-                    resp.epoch = Some(current);
-                    return resp;
-                }
-                if req_epoch < current {
-                    shared.stats.stale_epoch_rejections.fetch_add(1, Ordering::Relaxed);
-                    return Response::stale_epoch(req.id, req_epoch, current);
-                }
-            }
-            let Some(from) = req.from else {
-                return bad_request(req.id, "missing required field `from`");
-            };
-            let limit = req.limit.unwrap_or(16).clamp(1, 16) as usize;
-            // Read under the replication lock, so the stamped epoch is the
-            // one the records were read under.
-            let inner = repl.lock();
-            let records = match repl.log.read(from, limit) {
-                Ok(records) => records,
-                Err(base) => {
-                    let why = format!(
-                        "position {from} was compacted below the log base {base}; a full \
-                         artifact resync is required"
-                    );
-                    return bad_request(req.id, why);
-                }
-            };
-            let mut resp = Response::ok(req.id);
-            resp.records = Some(records);
-            resp.replicated = Some(repl.log.count());
-            resp.epoch = Some(inner.epoch);
-            return resp;
         }
         Op::Promote => {
             let Some(repl) = shared.repl.clone() else { return needs_replication(req) };
             let Some(epoch) = req.epoch else {
                 return bad_request(req.id, "missing required field `epoch`");
             };
-            let current = repl.current_epoch();
             // The term must strictly advance — except that re-promoting
             // the *acting* leader at its own term just refreshes the peer
-            // set (a follower came back at a new address). A same-term
-            // promote on anything else is a split-brain attempt.
-            let peer_refresh = epoch == current && repl.is_leader();
-            if epoch < current || (epoch == current && !peer_refresh) {
-                shared.stats.stale_epoch_rejections.fetch_add(1, Ordering::Relaxed);
-                return Response::stale_epoch(req.id, epoch, current);
-            }
-            let peers = req.peers.clone().unwrap_or_default();
-            if let Err(e) = repl.promote(epoch, peers) {
-                return Response::internal(
-                    req.id,
-                    format!("failed to persist promotion to epoch {epoch}: {e}"),
-                );
+            // set (a follower came back at a new address).
+            if let Err(refusal) = repl.promote(epoch, req.peers.clone().unwrap_or_default()) {
+                return refused(shared, req.id, refusal);
             }
             let mut resp = Response::ok(req.id);
             resp.epoch = Some(epoch);

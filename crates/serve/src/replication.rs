@@ -6,9 +6,9 @@
 //! unreplicated engine would), then ships it to every follower through the
 //! `Replicate` wire op — batched, CRC-checked per record, contiguous in
 //! *log position* (the dense count of records accepted, folded ones
-//! included). Shippers, `FetchWal` and the `replicated_seq` gauge read the
-//! engine's one in-memory store of unfolded records, the same one refresh
-//! and compaction read. Followers persist shipped records to their own WALs
+//! included). The shippers and the `replicated_seq` gauge read the engine's
+//! one in-memory store of unfolded records, the same one refresh and
+//! compaction read. Followers persist shipped records to their own WALs
 //! through the engine's one append path, the one client ingest takes, so
 //! redelivery is idempotent at both the position and the sequence-id layer.
 //!
@@ -26,19 +26,25 @@
 //! seq and the duplicate path waits again.
 //!
 //! **Fencing.** Every replica persists a replication *epoch* (leader term)
-//! in its artifact directory. `Promote` installs a strictly higher epoch
-//! and turns the receiving replica into the leader; `Replicate` carries
-//! the shipping leader's epoch, and a follower whose persisted epoch is
-//! higher refuses with a structured `StaleEpoch`. A partitioned old leader
-//! learns it has been fenced from that refusal, marks itself *deposed*,
-//! and from then on refuses `IngestReview` with `NotLeader` — it can never
-//! ack a write the new term's quorum does not have.
+//! in its artifact directory, and every term read off the wire is judged in
+//! one place, `Replication::fence`, under the replication lock. A lower
+//! term is refused with a structured `StaleEpoch`. A higher term on peer
+//! traffic is persisted, installed, ends any local leadership and replaces
+//! the redirect hint, in that order, so memory never runs ahead of disk and
+//! two concurrent terms cannot land out of order. `Promote` installs a
+//! strictly higher epoch and turns the receiving replica into the leader. A
+//! partitioned old leader learns it has been fenced from a higher-term
+//! `Replicate` or from a follower's `StaleEpoch`, and from then on refuses
+//! `IngestReview` with `NotLeader` — it can never ack a write the new
+//! term's quorum does not have.
 //!
-//! **Catch-up.** A follower that restarts (or missed shipments) replays
-//! its own WAL, then pulls missing positions from the leader with
-//! `FetchWal` until it draws level; the push path self-heals the same way
-//! because a follower acks every `Replicate` with its durable count and
-//! the leader rewinds its shipping cursor to whatever the follower reports.
+//! **Convergence is push-only.** The leader's shippers are the only way a
+//! record reaches a follower. A follower acks every `Replicate` with its
+//! durable count and the shipper rewinds to it, so a gap heals on the next
+//! frame; every promotion (a same-term peer refresh included) probes each
+//! follower with an empty `Replicate`, and a dead link is redialled every
+//! `RECONNECT_BACKOFF`. A replica no leader ships to — one missing from the
+//! leader's followers and from every `Promote` peer set — receives nothing.
 //!
 //! The shipping transport is a deliberately minimal blocking NDJSON client
 //! over `std::net::TcpStream` — one request in flight per follower, the
@@ -66,6 +72,8 @@ const BATCH_MAX: usize = 16;
 /// Soft byte budget for the encoded records of one `Replicate` batch; a
 /// batch always carries at least one record.
 const BATCH_BYTE_BUDGET: usize = 8 * 1024;
+/// Sleep between attempts on a dead or refusing follower link.
+const RECONNECT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// When an `IngestReview` ack is released to the client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,11 +98,11 @@ pub enum ReplRole {
         /// Requested starting epoch (≥ 1).
         epoch: u64,
     },
-    /// Follower: refuses client ingest with `NotLeader`, applies
-    /// `Replicate` shipments, pulls catch-up ranges from `leader`.
+    /// Follower: refuses client ingest with `NotLeader` and applies the
+    /// `Replicate` shipments a leader sends it.
     Follower {
-        /// Last known leader address (the `NotLeader` redirect hint and
-        /// the catch-up target); `None` when not yet known.
+        /// Last known leader address (the `NotLeader` redirect hint);
+        /// `None` when not yet known.
         leader: Option<String>,
     },
 }
@@ -111,8 +119,6 @@ pub struct ReplicationConfig {
     /// This replica's own advertised address, shipped to followers so they
     /// can hand out `NotLeader` redirects that point at the right place.
     pub self_addr: Option<String>,
-    /// Sleep between reconnect attempts on a dead follower link.
-    pub reconnect_backoff: Duration,
 }
 
 impl Default for ReplicationConfig {
@@ -122,7 +128,6 @@ impl Default for ReplicationConfig {
             ack: AckLevel::Quorum,
             quorum_timeout: Duration::from_secs(5),
             self_addr: None,
-            reconnect_backoff: Duration::from_millis(50),
         }
     }
 }
@@ -130,34 +135,70 @@ impl Default for ReplicationConfig {
 /// Why a quorum ack was not released.
 #[derive(Debug, PartialEq, Eq)]
 pub enum QuorumError {
-    /// This replica was fenced mid-wait (a follower refused its epoch);
-    /// the hint, when present, names the new leader.
+    /// This replica was fenced mid-wait (a higher term reached it); the
+    /// hint, when present, names the new leader.
     Deposed(Option<String>),
     /// The quorum did not form before the timeout. The record *is* locally
     /// durable; a client retry with the same seq waits again.
     Timeout,
 }
 
+/// What a term read off the wire arrived on, which decides what
+/// `Replication::fence` does with it.
+#[derive(Debug)]
+pub(crate) enum Traffic {
+    /// A client's `IngestReview`: only the acting leader passes, and a
+    /// higher term is not adopted — clients follow leaders, they do not
+    /// name them.
+    Ingest,
+    /// A leader's `Replicate`, or a follower's `StaleEpoch` answer to one,
+    /// naming the leader to redirect clients at when it knows one. A higher
+    /// term is adopted; the same term at its own acting leader is refused.
+    Peer(Option<String>),
+    /// `Promote`: lead the term, shipping to these peers. The same term is
+    /// accepted only as the acting leader's peer-set refresh.
+    Promote(Vec<String>),
+}
+
+/// Why `Replication::fence` refused a term. Nothing changed.
+#[derive(Debug)]
+pub(crate) enum Refusal {
+    /// The term on the wire is below this replica's (for `Promote`, not
+    /// above it).
+    Stale {
+        /// The term on the wire.
+        got: u64,
+        /// This replica's term.
+        current: u64,
+    },
+    /// Client ingest at a replica that is not the acting leader; carries
+    /// the last known leader.
+    NotLeader(Option<String>),
+    /// A `Replicate` at this term reached the acting leader of that term:
+    /// two leaders in one term.
+    SameTermLeader(u64),
+    /// The term could not be persisted.
+    Persist(u64, io::Error),
+}
+
 /// Mutable replication state, all under one lock (its place in the lock
 /// order: the [`crate::engine`] module docs).
-pub(crate) struct ReplInner {
+struct ReplInner {
     /// Persisted leader term this replica is fenced at.
-    pub(crate) epoch: u64,
-    /// Whether this replica is currently the ingest leader.
-    pub(crate) leader: bool,
-    /// A leader that learned it was fenced: refuses ingest with
-    /// `NotLeader` until promoted again.
-    pub(crate) deposed: bool,
-    /// Last known leader address (redirect hint, catch-up target).
-    pub(crate) leader_hint: Option<String>,
+    epoch: u64,
+    /// Whether this replica is the acting ingest leader. A leader fenced by
+    /// a higher term is simply not one any more.
+    leader: bool,
+    /// Last known leader address (the `NotLeader` redirect hint).
+    leader_hint: Option<String>,
     /// Follower addresses the current term ships to (leader only).
-    pub(crate) followers: Vec<String>,
+    followers: Vec<String>,
     /// Durable record count each follower has confirmed.
-    pub(crate) acked: HashMap<String, u64>,
+    acked: HashMap<String, u64>,
     /// Shipper generation: bumped by every promotion (same-term peer
     /// refreshes included), and checked by `shipper_loop` so superseded
     /// shippers exit instead of running duplicates against the new set.
-    pub(crate) ship_gen: u64,
+    ship_gen: u64,
 }
 
 /// Shared replication state attached to an ingest-enabled engine.
@@ -165,16 +206,15 @@ pub struct Replication {
     /// Ack level for client ingest.
     pub ack: AckLevel,
     quorum_timeout: Duration,
-    backoff: Duration,
     /// This replica's advertised address (`peers[0]` of every shipment).
     pub(crate) self_addr: Option<String>,
     dir: PathBuf,
     /// The engine's store of unfolded records, which the shippers ship
     /// from and whose count is the `replicated_seq` watermark.
-    pub(crate) log: Arc<IngestLog>,
+    log: Arc<IngestLog>,
     inner: Mutex<ReplInner>,
     /// Poked on: log appends (shippers wake), follower acks (quorum
-    /// waiters wake), deposal and shutdown (everyone wakes to exit).
+    /// waiters wake), term changes and shutdown (everyone wakes to exit).
     cv: Condvar,
     stop: AtomicBool,
     shippers: Mutex<Vec<JoinHandle<()>>>,
@@ -200,14 +240,12 @@ impl Replication {
         Ok(Self {
             ack: cfg.ack,
             quorum_timeout: cfg.quorum_timeout,
-            backoff: cfg.reconnect_backoff,
             self_addr: cfg.self_addr,
             dir: dir.to_path_buf(),
             log,
             inner: Mutex::new(ReplInner {
                 epoch,
                 leader,
-                deposed: false,
                 leader_hint,
                 followers,
                 acked: HashMap::new(),
@@ -219,7 +257,7 @@ impl Replication {
         })
     }
 
-    pub(crate) fn lock(&self) -> MutexGuard<'_, ReplInner> {
+    fn lock(&self) -> MutexGuard<'_, ReplInner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -240,8 +278,7 @@ impl Replication {
     /// Whether this replica currently acts as ingest leader (promoted and
     /// not fenced).
     pub fn is_leader(&self) -> bool {
-        let inner = self.lock();
-        inner.leader && !inner.deposed
+        self.lock().leader
     }
 
     /// The `NotLeader` redirect hint.
@@ -275,7 +312,7 @@ impl Replication {
         let deadline = Instant::now() + self.quorum_timeout;
         let mut inner = self.lock();
         loop {
-            if inner.deposed || !inner.leader {
+            if !inner.leader {
                 return Err(QuorumError::Deposed(inner.leader_hint.clone()));
             }
             let need = Self::quorum_size(inner.followers.len()) - 1;
@@ -299,44 +336,71 @@ impl Replication {
         }
     }
 
-    /// Adopts a strictly higher epoch observed on incoming traffic: fences
-    /// any local leadership and persists the new term. Caller must have
-    /// verified `epoch > current`.
-    pub(crate) fn adopt_epoch(&self, epoch: u64, leader_hint: Option<String>) -> io::Result<()> {
-        persist_epoch(&self.dir, epoch)?;
+    /// The one judge of a term read off the wire (`epoch`; absent, the
+    /// current term). Under the replication lock it refuses a term below
+    /// this replica's. A higher term on `Traffic::Peer` is adopted in this
+    /// order: persisted, installed, leadership dropped, the redirect hint
+    /// replaced by the one the traffic names (none if it names none).
+    /// `Traffic::Promote` installs leadership the same way. Returns the
+    /// term in force afterwards.
+    pub(crate) fn fence(&self, epoch: Option<u64>, traffic: Traffic) -> Result<u64, Refusal> {
         let mut inner = self.lock();
-        inner.epoch = epoch;
-        if inner.leader {
-            inner.deposed = true;
+        let current = inner.epoch;
+        let got = epoch.unwrap_or(current);
+        if got < current {
+            return Err(Refusal::Stale { got, current });
         }
-        inner.leader = false;
-        if leader_hint.is_some() {
-            inner.leader_hint = leader_hint;
+        match traffic {
+            Traffic::Ingest if !inner.leader => {
+                return Err(Refusal::NotLeader(inner.leader_hint.clone()));
+            }
+            Traffic::Ingest => return Ok(current),
+            Traffic::Peer(hint) if got > current => {
+                self.install(&mut inner, got)?;
+                inner.leader = false;
+                inner.leader_hint = hint;
+            }
+            Traffic::Peer(_) if inner.leader => return Err(Refusal::SameTermLeader(got)),
+            Traffic::Peer(hint) => {
+                if hint.is_some() {
+                    inner.leader_hint = hint;
+                }
+                return Ok(current);
+            }
+            Traffic::Promote(_) if got == current && !inner.leader => {
+                return Err(Refusal::Stale { got, current });
+            }
+            Traffic::Promote(peers) => {
+                self.install(&mut inner, got)?;
+                inner.leader = true;
+                inner.leader_hint = self.self_addr.clone();
+                inner.followers = peers;
+                inner.acked.clear();
+                inner.ship_gen += 1;
+            }
         }
-        drop(inner);
-        self.notify();
+        // Shippers of the old term and quorum waiters re-check and leave.
+        self.cv.notify_all();
+        Ok(got)
+    }
+
+    /// Persists `epoch`, then installs it; a failed write installs nothing.
+    fn install(&self, inner: &mut ReplInner, epoch: u64) -> Result<(), Refusal> {
+        if epoch != inner.epoch {
+            persist_epoch(&self.dir, epoch).map_err(|e| Refusal::Persist(epoch, e))?;
+            inner.epoch = epoch;
+        }
         Ok(())
     }
 
     /// Installs this replica as leader under `epoch` (strictly higher than
     /// the current term — or the same term as a peer-set refresh on the
-    /// acting leader, caller-verified), shipping to `peers`. Spawns a
-    /// fresh shipper per follower; shippers of any earlier promotion
-    /// observe the generation bump and exit on their own, so a same-term
-    /// refresh replaces its shippers instead of duplicating them.
-    pub fn promote(self: &Arc<Self>, epoch: u64, peers: Vec<String>) -> io::Result<()> {
-        persist_epoch(&self.dir, epoch)?;
-        {
-            let mut inner = self.lock();
-            inner.epoch = epoch;
-            inner.leader = true;
-            inner.deposed = false;
-            inner.leader_hint = self.self_addr.clone();
-            inner.followers = peers;
-            inner.acked.clear();
-            inner.ship_gen += 1;
-        }
-        self.notify();
+    /// acting leader), shipping to `peers`. Spawns a fresh shipper per
+    /// follower; shippers of any earlier promotion observe the generation
+    /// bump and exit on their own, so a same-term refresh replaces its
+    /// shippers instead of duplicating them.
+    pub(crate) fn promote(self: &Arc<Self>, epoch: u64, peers: Vec<String>) -> Result<(), Refusal> {
+        self.fence(Some(epoch), Traffic::Promote(peers))?;
         self.spawn_shippers();
         Ok(())
     }
@@ -372,8 +436,7 @@ impl Replication {
         }
     }
 
-    /// Whether [`Replication::stop`] was called.
-    pub(crate) fn stopping(&self) -> bool {
+    fn stopping(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
     }
 }
@@ -400,7 +463,6 @@ fn shipper_loop(repl: &Arc<Replication>, addr: &str, my_epoch: u64, my_gen: u64)
                 if repl.stopping()
                     || inner.epoch != my_epoch
                     || inner.ship_gen != my_gen
-                    || inner.deposed
                     || !inner.leader
                 {
                     return;
@@ -436,40 +498,31 @@ fn shipper_loop(repl: &Arc<Replication>, addr: &str, my_epoch: u64, my_gen: u64)
         });
         batch.truncate(over.map_or(batch.len(), |i| i.max(1)));
         let req = replicate_request(epoch, from, batch, self_addr);
-        match exchange_on(&mut conn, addr, &req, Duration::from_secs(2)) {
-            Ok(resp) => {
-                if resp.kind == Some(ErrorKind::StaleEpoch) {
-                    // Fenced: a follower is already serving a higher term.
-                    // Depose ourselves so no further ingest is acked here.
-                    let mut inner = repl.lock();
-                    if inner.epoch == my_epoch {
-                        inner.deposed = true;
-                        if let Some(e) = resp.epoch {
-                            inner.epoch = inner.epoch.max(e);
-                            let _ = persist_epoch(&repl.dir, inner.epoch);
-                        }
-                    }
-                    drop(inner);
-                    repl.notify();
-                    return;
-                }
-                link_failures = 0;
-                if let (true, Some(confirmed)) = (resp.ok, resp.replicated) {
-                    let mut inner = repl.lock();
-                    inner.acked.insert(addr.to_string(), confirmed);
-                    drop(inner);
-                    repl.notify();
-                } else {
-                    // Structured refusal we cannot act on — back off and
-                    // retry from the follower's next report.
-                    std::thread::sleep(repl.backoff);
-                }
-            }
+        let resp = match exchange_on(&mut conn, addr, &req, Duration::from_secs(2)) {
+            Ok(resp) => resp,
             Err(e) => {
-                log_link_failure(&mut link_failures, "shipper", addr, &e);
-                conn = None;
-                std::thread::sleep(repl.backoff);
+                log_link_failure(&mut link_failures, addr, &e);
+                std::thread::sleep(RECONNECT_BACKOFF);
+                continue;
             }
+        };
+        link_failures = 0;
+        match (resp.ok, resp.replicated) {
+            (true, Some(confirmed)) => {
+                repl.lock().acked.insert(addr.to_string(), confirmed);
+                repl.notify();
+            }
+            // A follower already serves a higher term. Adopting it ends this
+            // replica's leadership, and with it this shipper.
+            _ if resp.kind == Some(ErrorKind::StaleEpoch) => {
+                if let Err(refusal) = repl.fence(resp.epoch, Traffic::Peer(None)) {
+                    eprintln!("rrre-serve: shipper to {addr} cannot adopt its term: {refusal:?}");
+                    std::thread::sleep(RECONNECT_BACKOFF);
+                }
+            }
+            // A refusal we cannot act on: back off and retry from the
+            // follower's next report.
+            _ => std::thread::sleep(RECONNECT_BACKOFF),
         }
     }
 }
@@ -504,14 +557,14 @@ pub(crate) fn fits_one_replicate(rec: &WalRecord, self_addr: Option<&str>) -> bo
     replicate_line_len(vec![widest], self_addr) <= MAX_LINE_BYTES
 }
 
-/// Logs a repeatedly-failing replica link on the first consecutive failure
+/// Logs a repeatedly-failing follower link on the first consecutive failure
 /// and every 100th thereafter — a dead or misconfigured follower address is
 /// visible in the logs without flooding them at the retry cadence.
-pub(crate) fn log_link_failure(failures: &mut u64, who: &str, addr: &str, err: &io::Error) {
+fn log_link_failure(failures: &mut u64, addr: &str, err: &io::Error) {
     *failures += 1;
     if *failures == 1 || *failures % 100 == 0 {
         eprintln!(
-            "rrre-serve: replication {who} link to {addr} failing \
+            "rrre-serve: replication shipper link to {addr} failing \
              ({} consecutive attempts): {err}",
             *failures
         );
@@ -531,7 +584,9 @@ pub fn load_epoch(dir: &Path) -> io::Result<u64> {
 
 /// Persists the epoch atomically (tmp + rename + fsync, then a directory
 /// fsync so the rename itself is on the platter): after this returns, a
-/// restart can never come back up fenced at a lower term.
+/// restart can never come back up fenced at a lower term. Two concurrent
+/// calls on one directory share the tmp file, so a live replica makes this
+/// call only under its replication lock.
 pub fn persist_epoch(dir: &Path, epoch: u64) -> io::Result<()> {
     let tmp = dir.join(format!("{EPOCH_FILE}.tmp"));
     let mut f = File::create(&tmp)?;
@@ -545,7 +600,7 @@ pub fn persist_epoch(dir: &Path, epoch: u64) -> io::Result<()> {
 }
 
 /// A blocking single-request-in-flight NDJSON connection.
-pub(crate) struct LineConn {
+struct LineConn {
     stream: TcpStream,
     buf: Vec<u8>,
 }
@@ -554,7 +609,7 @@ impl LineConn {
     /// Connects with a bounded timeout. Addresses resolve through
     /// `ToSocketAddrs`, so hostnames (`replica-2:7001`) work, not just
     /// socket-address literals.
-    pub(crate) fn connect(addr: &str, timeout: Duration) -> io::Result<Self> {
+    fn connect(addr: &str, timeout: Duration) -> io::Result<Self> {
         let sockaddr = addr
             .to_socket_addrs()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("bad addr {addr}: {e}")))?
@@ -571,7 +626,7 @@ impl LineConn {
     }
 
     /// Writes one request line and reads one response line.
-    pub(crate) fn exchange(&mut self, req: &Request, timeout: Duration) -> io::Result<Response> {
+    fn exchange(&mut self, req: &Request, timeout: Duration) -> io::Result<Response> {
         self.stream.set_read_timeout(Some(timeout))?;
         self.stream.set_write_timeout(Some(timeout))?;
         let mut line = serde_json::to_string(req).map_err(io::Error::other)?;
@@ -603,7 +658,7 @@ impl LineConn {
 /// Sends `req` over a cached connection to `addr`, dialling (or
 /// redialling) as needed. On any transport error the cache is cleared so
 /// the next call redials.
-pub(crate) fn exchange_on(
+fn exchange_on(
     conn: &mut Option<LineConn>,
     addr: &str,
     req: &Request,
@@ -680,7 +735,7 @@ mod tests {
     fn deposed_leader_fails_quorum_waits_immediately() {
         let dir = tmp("deposed");
         let repl = open(&dir, leader_cfg(vec!["f1".into()], 3));
-        repl.adopt_epoch(4, Some("10.0.0.9:4000".into())).unwrap();
+        repl.fence(Some(4), Traffic::Peer(Some("10.0.0.9:4000".into()))).unwrap();
         assert!(!repl.is_leader());
         match repl.quorum_wait(1) {
             Err(QuorumError::Deposed(hint)) => assert_eq!(hint.as_deref(), Some("10.0.0.9:4000")),
@@ -702,6 +757,12 @@ mod tests {
         // Quorum of a 1-replica set is the leader alone: waits release
         // immediately.
         assert_eq!(repl.quorum_wait(10), Ok(()));
+        // Fenced by a higher term, then promoted above it: leading again.
+        repl.fence(Some(3), Traffic::Peer(None)).unwrap();
+        assert!(!repl.is_leader());
+        assert!(matches!(repl.promote(3, vec![]), Err(Refusal::Stale { got: 3, current: 3 })));
+        repl.promote(4, vec![]).unwrap();
+        assert!(repl.is_leader());
         repl.stop();
         fs::remove_dir_all(&dir).unwrap();
     }

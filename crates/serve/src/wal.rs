@@ -38,7 +38,7 @@
 //! The ledger's in-memory complement is `IngestLog`: every accepted
 //! record the artifact does not yet hold, stored once per replica. It is
 //! the only map from a log position to a record — refresh, compaction, the
-//! replication shippers, `FetchWal` and `Stats` all read it.
+//! replication shippers and `Stats` all read it.
 
 use rrre_wire::{crc32, ReplRecordDto};
 use serde::{Deserialize, Serialize};
@@ -848,6 +848,40 @@ mod tests {
         let r = replay_and_repair(&dir).unwrap();
         assert_eq!(r.records.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![2]);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn ingest_log_reads_from_its_base_in_wal_order() {
+        // Three records folded by a compaction; three replayed above them
+        // in WAL order, which is not seq order.
+        let log = IngestLog::new(3, vec![rec(7), rec(5), rec(6)]);
+        assert_eq!(log.count(), 6);
+        let seqs = |from, max| {
+            log.read(from, max).map(|batch| {
+                assert!(batch.iter().all(ReplRecordDto::verify), "every record is sealed");
+                batch.iter().map(|r| r.seq).collect::<Vec<_>>()
+            })
+        };
+        assert_eq!(seqs(3, 16), Ok(vec![7, 5, 6]));
+        assert_eq!(seqs(4, 1), Ok(vec![5]));
+        assert_eq!(seqs(6, 16), Ok(vec![]), "the end of the log reads empty");
+        assert_eq!(seqs(2, 16), Err(3), "a folded position is below the base");
+    }
+
+    #[test]
+    fn drain_folded_keeps_positions_absolute_across_repeated_drains() {
+        let log = IngestLog::new(0, (1..=4).map(rec).collect());
+        log.drain_folded(4);
+        assert_eq!(log.count(), 4, "folding must not rewind the count");
+        assert_eq!(log.read(0, 16), Err(4));
+        // The next record takes the next absolute position.
+        assert_eq!(log.push(rec(5)), (5, 1));
+        assert_eq!(log.read(4, 16).map(|batch| batch[0].seq), Ok(5));
+        // A second drain moves the base again.
+        log.drain_folded(1);
+        assert_eq!(log.count(), 5);
+        assert_eq!(log.read(4, 16), Err(5));
+        assert_eq!(log.read(5, 16), Ok(vec![]));
     }
 
     #[test]

@@ -1,32 +1,37 @@
-//! Epoch fencing on the replication *catch-up* path, and replication-log
+//! Epoch fencing of every term a replica reads off the wire, and ingest-log
 //! hygiene across compaction.
 //!
-//! The push path (`Replicate`) was fenced from the start; these drills pin
-//! the pull path (`FetchWal`) to the same contract:
+//! Every wire term is judged by one fence under the replication lock. These
+//! drills pin that contract:
 //!
-//! * a requester carrying a **stale** term is refused `StaleEpoch` and
-//!   learns the current term from the response;
-//! * a requester carrying a **higher** term proves the serving replica was
-//!   fenced — it must refuse (its log may hold records the new term never
-//!   committed), adopt the higher term, and depose any local leadership,
-//!   so a follower whose `leader_hint` still names a partitioned old
-//!   leader can never pull that leader's uncommitted records;
+//! * concurrent higher terms only ever move the epoch forward, in memory and
+//!   on disk alike, and every lower one is refused `StaleEpoch`;
+//! * a higher-term `Replicate` deposes a leader, which then redirects
+//!   ingest with `NotLeader` and keeps the term across a reopen;
+//! * a fenced leader never names itself as the leader, whether the higher
+//!   term arrived in a `Replicate` or as a follower's refusal of its shipper;
+//! * a stale-term `IngestReview` is refused before the WAL;
 //! * compaction drains the folded prefix out of the in-memory ingest log
-//!   and advances its base (bounded memory), while absolute positions —
-//!   and therefore follower ack watermarks — stay intact; a reopen serves
-//!   the replayed records from the ledger's base;
+//!   while `replicated_seq`, an absolute position, stays put, and a reopen
+//!   counts folded and replayed records alike (what the drained log serves
+//!   from where is `wal.rs`'s `IngestLog` tests);
 //! * a record whose one-record `Replicate` line could outgrow the wire's
 //!   line cap is refused before the WAL, so no accepted record can stall
 //!   the quorum behind it.
 
+use rrre_serve::replication::load_epoch;
 use rrre_serve::{
     AckLevel, Engine, EngineConfig, ErrorKind, IngestConfig, ModelArtifact, ReplRole,
-    ReplicationConfig, Request,
+    ReplicationConfig, Request, Server,
 };
 use rrre_testkit::{trained_fixture, ReplicatedDeployment, TempDir};
 use rrre_wire::MAX_LINE_BYTES;
 use std::path::Path;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
+
+/// The address the fenced leaders below advertise; nothing listens there.
+const FENCED_SELF: &str = "10.9.9.9:7000";
 
 fn saved_fixture(tag: &str) -> TempDir {
     let fx = trained_fixture();
@@ -35,20 +40,30 @@ fn saved_fixture(tag: &str) -> TempDir {
     dir
 }
 
-/// A standalone leader at `epoch` with no followers: quorum of one, so
-/// every ingest acks immediately and the drills stay single-process.
-fn open_leader(dir: &Path, epoch: u64) -> Engine {
+fn open(dir: &Path, workers: usize, role: ReplRole, self_addr: Option<&str>) -> Engine {
     Engine::open_replicated(
         dir,
-        EngineConfig { workers: 2, ..EngineConfig::default() },
+        EngineConfig { workers, ..EngineConfig::default() },
         IngestConfig::default(),
         ReplicationConfig {
-            role: ReplRole::Leader { followers: vec![], epoch },
+            role,
             ack: AckLevel::Quorum,
+            self_addr: self_addr.map(str::to_string),
             ..ReplicationConfig::default()
         },
     )
     .expect("replicated open must succeed on an undamaged directory")
+}
+
+/// A standalone leader at `epoch` with no followers: quorum of one, so
+/// every ingest acks immediately and the drills stay single-process.
+fn open_leader(dir: &Path, epoch: u64) -> Engine {
+    open(dir, 2, ReplRole::Leader { followers: vec![], epoch }, None)
+}
+
+/// A follower that knows no leader yet.
+fn open_follower(dir: &Path, workers: usize, self_addr: Option<&str>) -> Engine {
+    open(dir, workers, ReplRole::Follower { leader: None }, self_addr)
 }
 
 fn ingest(engine: &Engine, seq: u64) {
@@ -58,39 +73,48 @@ fn ingest(engine: &Engine, seq: u64) {
 }
 
 #[test]
-fn fetch_wal_refuses_a_stale_requester_with_the_current_term() {
-    let dir = saved_fixture("fetchwal-stale-req");
-    let engine = open_leader(dir.path(), 3);
-    ingest(&engine, 1);
-
-    let resp = engine.submit(Request::fetch_wal(1, 0, 16));
-    assert!(!resp.ok);
-    assert_eq!(resp.kind, Some(ErrorKind::StaleEpoch));
-    // The refusal teaches the stale follower the term to adopt and retry.
-    assert_eq!(resp.epoch, Some(3));
-
-    // At the current term the same range serves.
-    let resp = engine.submit(Request::fetch_wal(3, 0, 16));
-    assert!(resp.ok, "current-term fetch refused: {:?}", resp.error);
-    assert_eq!(resp.records.as_ref().map(Vec::len), Some(1));
+fn concurrent_higher_terms_only_move_the_epoch_forward_in_memory_and_on_disk() {
+    const THREADS: u64 = 8;
+    let dir = saved_fixture("concurrent-terms");
+    let engine = open_follower(dir.path(), 4, None);
+    let repl = engine.replication().expect("replicated engine has replication state");
+    for round in 0..10u64 {
+        // Forty fresh terms, dealt round-robin to the threads, each sending
+        // its share highest first: most frames race a higher one.
+        let top = 41 + 40 * round;
+        let barrier = Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (engine, barrier) = (&engine, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    for epoch in (top - 39..=top).rev().filter(|e| e % THREADS == t) {
+                        let resp = engine.submit(Request::replicate(epoch, 0, Vec::new()));
+                        assert!(
+                            resp.ok || resp.kind == Some(ErrorKind::StaleEpoch),
+                            "round {round}: term {epoch} refused as {:?}: {:?}",
+                            resp.kind,
+                            resp.error
+                        );
+                    }
+                });
+            }
+        });
+        assert_eq!(repl.current_epoch(), top, "round {round}: the term in memory went back");
+        assert_eq!(load_epoch(dir.path()).unwrap(), top, "round {round}: the term on disk differs");
+    }
 }
 
 #[test]
-fn fetch_wal_from_a_fenced_replica_refuses_and_self_deposes() {
-    let dir = saved_fixture("fetchwal-fenced-server");
+fn a_higher_term_replicate_deposes_the_leader_and_the_term_survives_a_reopen() {
+    let dir = saved_fixture("higher-term-replicate");
     let engine = open_leader(dir.path(), 1);
     ingest(&engine, 1);
 
-    // A follower of term 5 (a new leader this deposed one never heard of)
-    // pulls catch-up from the old leader. The old leader's log may hold
-    // records term 5 never committed — it must refuse, not serve.
-    let resp = engine.submit(Request::fetch_wal(5, 0, 16));
-    assert!(!resp.ok, "a fenced replica must not serve its log");
-    assert_eq!(resp.kind, Some(ErrorKind::StaleEpoch));
-    assert!(resp.records.is_none(), "no records may leak past the fence");
-    // The response names the term the refusing log was last written under
-    // (ours, the lower one) — nothing here is worth adopting.
-    assert_eq!(resp.epoch, Some(1));
+    // A leader of term 5, which this one never heard of, ships to it: the
+    // partition healed.
+    let resp = engine.submit(Request::replicate(5, 1, Vec::new()));
+    assert!(resp.ok, "a higher-term probe refused: {:?}", resp.error);
 
     // Learning of the higher term fenced us: leadership is gone and the
     // term is persisted, so ingest now redirects instead of acking writes
@@ -102,8 +126,8 @@ fn fetch_wal_from_a_fenced_replica_refuses_and_self_deposes() {
     assert!(!resp.ok);
     assert_eq!(resp.kind, Some(ErrorKind::NotLeader));
 
-    // The adopted term survives a restart (it was persisted before the
-    // refusal went out).
+    // The adopted term survives a restart (it was persisted before it was
+    // installed).
     drop(engine);
     let reopened = open_leader(dir.path(), 1);
     assert_eq!(
@@ -111,6 +135,64 @@ fn fetch_wal_from_a_fenced_replica_refuses_and_self_deposes() {
         5,
         "a fenced replica must not resurrect its old term on reopen"
     );
+}
+
+/// The redirect a fenced replica hands a client: `NotLeader`, naming
+/// anyone but the replica itself.
+fn assert_redirects_elsewhere(engine: &Engine) {
+    let resp = engine.submit(Request::ingest_review(1, 0, 0, 4.0, "fenced", 1));
+    assert_eq!(resp.kind, Some(ErrorKind::NotLeader), "{:?}", resp.error);
+    assert_ne!(resp.leader.as_deref(), Some(FENCED_SELF), "a fenced leader redirects to itself");
+}
+
+#[test]
+fn a_leader_fenced_by_a_replicate_naming_no_leader_redirects_to_nobody() {
+    let dir = saved_fixture("fenced-hintless");
+    let engine = open_follower(dir.path(), 2, Some(FENCED_SELF));
+    assert!(engine.submit(Request::promote(2, Vec::new())).ok);
+    let resp = engine.submit(Request::replicate(4, 0, Vec::new()));
+    assert!(resp.ok, "a higher-term probe refused: {:?}", resp.error);
+    assert_redirects_elsewhere(&engine);
+    assert_eq!(engine.replication().unwrap().leader_hint(), None);
+}
+
+#[test]
+fn a_leader_fenced_through_its_shipper_never_redirects_to_itself() {
+    // A follower already at term 5, behind a real socket.
+    let follower_dir = saved_fixture("fenced-by-shipper-follower");
+    let follower = Arc::new(open_follower(follower_dir.path(), 2, None));
+    assert!(follower.submit(Request::replicate(5, 0, Vec::new())).ok);
+    let server = Server::start(Arc::clone(&follower), "127.0.0.1:0").expect("loopback bind");
+    let follower_addr = server.local_addr().to_string();
+
+    // A leader promoted to term 2 shipping to it: the first probe is
+    // refused `StaleEpoch` naming term 5.
+    let dir = saved_fixture("fenced-by-shipper-leader");
+    let engine = open_follower(dir.path(), 2, Some(FENCED_SELF));
+    assert!(engine.submit(Request::promote(2, vec![follower_addr])).ok);
+    let repl = engine.replication().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while repl.current_epoch() < 5 {
+        assert!(Instant::now() < deadline, "the shipper never adopted the follower's term");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(!repl.is_leader());
+    assert_redirects_elsewhere(&engine);
+}
+
+#[test]
+fn a_stale_term_ingest_is_refused_before_the_wal() {
+    let dir = saved_fixture("ingest-stale-term");
+    let engine = open_leader(dir.path(), 3);
+    let before = engine.stats();
+    let stale = Request { epoch: Some(1), ..Request::ingest_review(1, 0, 0, 4.0, "stale", 1) };
+    let resp = engine.submit(stale);
+    assert_eq!(resp.kind, Some(ErrorKind::StaleEpoch), "{:?}", resp.error);
+    assert_eq!(resp.epoch, Some(3), "the refusal names the current term");
+    let after = engine.stats();
+    assert_eq!(after.stale_epoch_rejections, before.stale_epoch_rejections + 1);
+    assert_eq!(after.wal_bytes, before.wal_bytes, "refused, yet written");
+    assert_eq!(after.ingested, 0);
 }
 
 #[test]
@@ -127,33 +209,13 @@ fn compaction_trims_the_replication_log_and_keeps_positions_absolute() {
     // The watermark is an absolute position: folding must not rewind it.
     assert_eq!(engine.stats().replicated_seq, 4);
 
-    // Folded positions left the in-memory log: fetching below the new base
-    // is a structured refusal (that follower needs an artifact resync)...
-    let resp = engine.submit(Request::fetch_wal(1, 0, 16));
-    assert!(!resp.ok);
-    assert_eq!(resp.kind, Some(ErrorKind::BadRequest));
-    assert!(
-        resp.error.as_deref().unwrap_or_default().contains("resync"),
-        "refusal should point at a resync: {:?}",
-        resp.error
-    );
-
-    // ...while the live tail still serves: a new record lands at the next
-    // absolute position and is fetchable from there.
+    // A new record lands at the next absolute position, and repeated
+    // compactions keep draining (bounded memory, not one-shot).
     ingest(&engine, 5);
-    let resp = engine.submit(Request::fetch_wal(1, 4, 16));
-    assert!(resp.ok, "post-compaction tail fetch refused: {:?}", resp.error);
-    let records = resp.records.expect("tail fetch returns records");
-    assert_eq!(records.len(), 1);
-    assert_eq!(records[0].seq, 5);
-    assert_eq!(resp.replicated, Some(5));
-
-    // Repeated compactions keep draining (bounded memory, not one-shot).
+    assert_eq!(engine.stats().replicated_seq, 5);
     let (folded, _) = engine.compact_now().expect("second compaction must succeed");
     assert_eq!(folded, 1);
-    let resp = engine.submit(Request::fetch_wal(1, 4, 16));
-    assert!(!resp.ok, "position 4 was folded by the second compaction");
-    assert_eq!(resp.kind, Some(ErrorKind::BadRequest));
+    assert_eq!(engine.stats().replicated_seq, 5);
 }
 
 #[test]
@@ -172,16 +234,6 @@ fn a_reopen_serves_the_replayed_records_from_the_ledger_base() {
 
     let engine = open_leader(dir.path(), 1);
     assert_eq!(engine.stats().replicated_seq, 3 + 3, "folded + replayed");
-    let resp = engine.submit(Request::fetch_wal(1, 3, 16));
-    assert!(resp.ok, "fetch from the ledger base refused: {:?}", resp.error);
-    assert_eq!(resp.replicated, Some(6));
-    let records = resp.records.expect("fetch returns records");
-    assert!(records.iter().all(|r| r.verify()), "every record is sealed");
-    let got: Vec<(u64, &str)> = records.iter().map(|r| (r.seq, r.text.as_str())).collect();
-    assert_eq!(got, [(7, "review 7"), (5, "review 5"), (6, "review 6")], "WAL order");
-    // The folded records sit below the base.
-    let resp = engine.submit(Request::fetch_wal(1, 2, 16));
-    assert_eq!(resp.kind, Some(ErrorKind::BadRequest), "{:?}", resp.error);
 }
 
 #[test]
@@ -231,17 +283,4 @@ fn the_replicate_line_bound_counts_json_escapes() {
     assert!(engine.submit(review(1, "x")).ok);
     assert_eq!(engine.submit(review(2, "\"")).kind, Some(ErrorKind::BadRequest));
     assert_eq!(engine.stats().ingested, 1);
-}
-
-#[test]
-fn fetch_wal_without_an_epoch_still_serves_for_compatibility() {
-    // Requests from peers that predate the fence carry no epoch; they are
-    // served (the push path still fences them the moment they apply).
-    let dir = saved_fixture("fetchwal-epochless");
-    let engine = open_leader(dir.path(), 2);
-    ingest(&engine, 1);
-    let req = Request { epoch: None, ..Request::fetch_wal(2, 0, 16) };
-    let resp = engine.submit(req);
-    assert!(resp.ok, "epochless fetch refused: {:?}", resp.error);
-    assert_eq!(resp.records.map(|r| r.len()), Some(1));
 }

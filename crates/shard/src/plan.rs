@@ -64,9 +64,9 @@ pub fn plan(map: &ShardMap, req: &Request) -> RoutePlan {
         },
         Op::Compact => RoutePlan::Broadcast,
         // Replication traffic addresses one specific replica (a follower
-        // being shipped to, the leader being fetched from, the replica
-        // being promoted) — it is never scatter-gathered across shards.
-        Op::Replicate | Op::FetchWal | Op::Promote => RoutePlan::Any,
+        // being shipped to, the replica being promoted) — it is never
+        // scatter-gathered across shards.
+        Op::Replicate | Op::Promote => RoutePlan::Any,
     }
 }
 

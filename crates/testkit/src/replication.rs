@@ -12,7 +12,8 @@
 //! drills: [`kill`](ReplicatedDeployment::kill) a replica (server down,
 //! engine shut down — the WAL stays, exactly like a machine rebooting),
 //! [`restart_follower`](ReplicatedDeployment::restart_follower) it on a
-//! fresh port to exercise catch-up from its own WAL,
+//! fresh port so it recovers from its own WAL and the leader's shipper
+//! brings it level,
 //! [`resync_follower`](ReplicatedDeployment::resync_follower) it from a
 //! copy of the current leader's directory (the full-resync path a deposed
 //! leader needs), and [`promote`](ReplicatedDeployment::promote) a new
@@ -206,9 +207,10 @@ impl ReplicatedDeployment {
     }
 
     /// Restarts a killed replica as a follower of the current leader, on a
-    /// *fresh* port, recovering from its own WAL — the catch-up path. The
-    /// acting leader (if alive) gets a same-term peer refresh so its
-    /// shippers aim at the new address.
+    /// *fresh* port, recovering from its own WAL. The acting leader (if
+    /// alive) gets a same-term peer refresh so its shippers aim at the new
+    /// address; their first probe learns the replica's count and ships it
+    /// the rest — a follower no leader ships to would never catch up.
     pub fn restart_follower(&mut self, i: usize) {
         assert!(!self.is_live(i), "restart_follower: replica {i} is still up");
         self.slots[i].addr = reserve_addr();

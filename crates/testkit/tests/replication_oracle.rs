@@ -8,10 +8,11 @@
 //!   promoted under a bumped epoch and the *whole* batch is resent: every
 //!   record acked before the kill must come back `duplicate: true` (zero
 //!   acked loss), every unacked one must apply exactly once.
-//! * **follower killed mid-batch, then killed again mid-catch-up** —
+//! * **follower killed mid-batch, then killed again while rejoining** —
 //!   quorum holds on the survivors; the follower restarts from its own
-//!   WAL, catches up, and a second kill in the middle of catch-up must
-//!   not duplicate anything when it recovers again.
+//!   WAL, the leader's shipper brings it level, and a second kill while
+//!   that shipping is under way must not duplicate anything when it
+//!   recovers again.
 //! * **stale leader fenced** — a follower is promoted while the old
 //!   leader is still alive (a healed partition): the old leader must end
 //!   up deposed, redirecting writes at the new leader, and a `Replicate`
@@ -68,7 +69,7 @@ fn replication_oracle_ten_seeded_rounds_lose_nothing_and_duplicate_nothing() {
     for round in 0..10 {
         match round % 4 {
             0 => drill_leader_killed_mid_batch(&mut dep, &mut rng, &mut next_seq, &mut acked),
-            1 => drill_follower_killed_mid_batch_and_mid_catchup(
+            1 => drill_follower_killed_mid_batch_and_while_rejoining(
                 &mut dep, &mut rng, &mut next_seq, &mut acked,
             ),
             2 => drill_stale_leader_fenced(&mut dep, &mut rng, &mut next_seq, &mut acked),
@@ -142,9 +143,9 @@ fn drill_leader_killed_mid_batch(
     dep.resync_follower(old_leader);
 }
 
-/// Drill: a follower dies mid-batch, restarts into catch-up, and dies
-/// again before catch-up finishes.
-fn drill_follower_killed_mid_batch_and_mid_catchup(
+/// Drill: a follower dies mid-batch, restarts, and dies again while the
+/// leader may still be shipping it the records it missed.
+fn drill_follower_killed_mid_batch_and_while_rejoining(
     dep: &mut ReplicatedDeployment,
     rng: &mut StdRng,
     next_seq: &mut u64,
@@ -166,7 +167,7 @@ fn drill_follower_killed_mid_batch_and_mid_catchup(
         acked.push(seq);
     }
     dep.restart_follower(follower);
-    // Kill it again somewhere inside catch-up (the exact point is seeded
+    // Kill it again somewhere while it rejoins (the exact point is seeded
     // jitter — every interleaving must be safe).
     std::thread::sleep(Duration::from_millis(rng.gen_range(0..40u64)));
     dep.kill(follower);

@@ -41,9 +41,9 @@ pub const MAX_LINE_BYTES: usize = 16 * 1024;
 /// The exhaustive set of accepted request fields. `decode_request` rejects
 /// anything else: a typo like `"deadine_ms"` must fail loudly instead of
 /// being silently dropped and serving with no deadline at all.
-const REQUEST_FIELDS: [&str; 15] = [
+const REQUEST_FIELDS: [&str; 14] = [
     "id", "op", "user", "item", "k", "deadline_ms", "seq", "rating", "text", "ts", "epoch",
-    "from", "limit", "records", "peers",
+    "from", "records", "peers",
 ];
 
 /// Request discriminator.
@@ -88,9 +88,6 @@ pub enum Op {
     /// post-apply log count in `replicated`, so a blind redelivery is
     /// position-skipped and a gap makes the leader rewind — idempotent.
     Replicate,
-    /// Follower→leader catch-up: fetch up to `limit` records starting at
-    /// leader-log position `from`. A pure read.
-    FetchWal,
     /// Fence-and-promote: make the receiving replica the shard's ingest
     /// leader under the (strictly higher) `epoch`, shipping to the `peers`
     /// follower addresses. Not idempotent: a resend with the same epoch is
@@ -105,8 +102,7 @@ impl Op {
     /// eviction (`Invalidate` — evicting twice converges to the same
     /// state) are idempotent, and so is `IngestReview` — its `seq` id
     /// dedups replays server-side. `Replicate` is position- and seq-deduped
-    /// by the follower and `FetchWal` is a pure read, so both resend
-    /// safely. `Reload` bumps the generation, `Crash` burns a worker,
+    /// by the follower, so it resends safely. `Reload` bumps the generation, `Crash` burns a worker,
     /// `Compact` commits a new generation and `Promote` fences a new
     /// leader term, so none of those may be blindly resent.
     pub fn is_idempotent(self) -> bool {
@@ -143,11 +139,8 @@ pub struct Request {
     /// (`Replicate`, `Promote`; optional fence on `IngestReview`). A
     /// replica whose persisted epoch is higher refuses with `StaleEpoch`.
     pub epoch: Option<u64>,
-    /// Leader-log position of the first record in the batch (`Replicate`)
-    /// or of the first record requested (`FetchWal`).
+    /// Leader-log position of the first record in the batch (`Replicate`).
     pub from: Option<u64>,
-    /// Maximum records to return (`FetchWal`).
-    pub limit: Option<u64>,
     /// The shipped record batch (`Replicate`), contiguous from `from`.
     pub records: Option<Vec<ReplRecordDto>>,
     /// Follower addresses the promoted leader ships to (`Promote`).
@@ -169,7 +162,6 @@ impl Request {
             ts: None,
             epoch: None,
             from: None,
-            limit: None,
             records: None,
             peers: None,
         }
@@ -247,18 +239,6 @@ impl Request {
             from: Some(from),
             records: Some(records),
             ..Self::bare(Op::Replicate)
-        }
-    }
-
-    /// A `FetchWal` catch-up request for log positions `[from, from+limit)`,
-    /// fenced by the requester's `epoch`: a replica serving a lower term
-    /// refuses rather than hand out records a fenced leader never committed.
-    pub fn fetch_wal(epoch: u64, from: u64, limit: u64) -> Self {
-        Self {
-            epoch: Some(epoch),
-            from: Some(from),
-            limit: Some(limit),
-            ..Self::bare(Op::FetchWal)
         }
     }
 
@@ -396,7 +376,7 @@ pub struct CompactionDto {
     pub generation: u64,
 }
 
-/// One shipped WAL record (`Replicate` batches, `FetchWal` replies). The
+/// One shipped WAL record (a `Replicate` batch holds several). The
 /// same payload the leader's WAL frames on disk, plus a per-record CRC so
 /// a relaying hop or a buggy batcher cannot silently hand a follower a
 /// mangled review: the follower recomputes [`ReplRecordDto::checksum`]
@@ -631,13 +611,9 @@ pub struct Response {
     /// Last known leader address, on `NotLeader` refusals — the
     /// follow-the-leader redirect hint.
     pub leader: Option<String>,
-    /// The responder's replication-log record count: on a `Replicate` ack,
-    /// how far the follower's durable log now extends (the leader rewinds
-    /// its shipping cursor to this on a gap); on `FetchWal`, the serving
-    /// log's total length (how far behind the fetcher still is).
+    /// On a `Replicate` ack, how far the follower's durable log now
+    /// extends: the leader rewinds its shipping cursor to this on a gap.
     pub replicated: Option<u64>,
-    /// `FetchWal` payload: the requested record range.
-    pub records: Option<Vec<ReplRecordDto>>,
 }
 
 impl Response {
@@ -664,7 +640,6 @@ impl Response {
             epoch: None,
             leader: None,
             replicated: None,
-            records: None,
         }
     }
 
@@ -996,9 +971,8 @@ mod tests {
             // that is the whole point of the client-supplied sequence id.
             Op::IngestReview,
             // Replication shipping is position- and seq-deduped by the
-            // follower; catch-up fetches are pure reads.
+            // follower.
             Op::Replicate,
-            Op::FetchWal,
         ] {
             assert!(op.is_idempotent(), "{op:?} must be retryable");
         }
@@ -1057,13 +1031,7 @@ mod tests {
     }
 
     #[test]
-    fn fetch_wal_and_promote_roundtrip() {
-        let r = Request::fetch_wal(5, 128, 16);
-        let back = decode_request(&serde_json::to_string(&r).unwrap()).unwrap();
-        assert_eq!(back.op, Op::FetchWal);
-        assert_eq!(back.epoch, Some(5));
-        assert_eq!((back.from, back.limit), (Some(128), Some(16)));
-
+    fn promote_roundtrips() {
         let r = Request::promote(3, vec!["127.0.0.1:7001".into(), "127.0.0.1:7002".into()]);
         let back = decode_request(&serde_json::to_string(&r).unwrap()).unwrap();
         assert_eq!(back.op, Op::Promote);
@@ -1108,7 +1076,16 @@ mod tests {
         assert_eq!(back.epoch, Some(3));
         let plain: Response = serde_json::from_str(&encode_response(&Response::ok(None))).unwrap();
         assert_eq!(plain.replicated, None);
-        assert_eq!(plain.records, None);
+    }
+
+    #[test]
+    fn the_retired_pull_op_and_its_limit_field_are_refused() {
+        // Followers converge by the leader's push alone; the pull op and
+        // its page size are gone from the protocol, not silently ignored.
+        let err = decode_request(r#"{"op":"FetchWal","epoch":1,"from":0}"#).unwrap_err();
+        assert!(err.contains("FetchWal"), "unhelpful error: {err}");
+        let err = decode_request(r#"{"op":"Replicate","epoch":1,"from":0,"limit":16}"#).unwrap_err();
+        assert!(err.contains("unknown field `limit`"), "unhelpful error: {err}");
     }
 
     #[test]
