@@ -5,8 +5,8 @@
 //! replica set) and a [`ShardMap`] built from the deployment's
 //! [`ShardTopology`]. Requests route by plan:
 //!
-//! * **point lookups** (`Predict`, `Explain`, item-scoped `Invalidate`) go
-//!   straight to the owning shard's client;
+//! * **point lookups** (`Predict`, `Explain`, `IngestReview`) go straight
+//!   to the owning shard's client;
 //! * **`Recommend`** scatters to every shard in parallel — each shard
 //!   scores only the catalog slice it owns — and the partial top-k lists
 //!   are gathered and re-ranked by the engine's own ordering function
@@ -14,8 +14,8 @@
 //!   merged answer is bit-identical to a single node holding the whole
 //!   model;
 //! * **`Stats`/`Health`** scatter and fold into one fleet-level snapshot;
-//! * **user-only `Invalidate` and `Reload`** broadcast, since every shard
-//!   holds state the side effect must reach.
+//! * **`Reload` and `Compact`** broadcast, since every shard holds state
+//!   the side effect must reach.
 //!
 //! **Deadline split.** A scatter shares *one* caller budget
 //! ([`ClientConfig::request_timeout`]): the overall deadline is fixed
@@ -237,15 +237,12 @@ impl ShardedClient {
         Ok(merged)
     }
 
-    /// Broadcast for side-effecting ops (`Reload`, user-only
-    /// `Invalidate`): the effect must land on *every* shard, so any
-    /// failure fails the whole call — a half-applied broadcast must not
-    /// report success.
+    /// Broadcast for side-effecting ops (`Reload`, `Compact`): the effect
+    /// must land on *every* shard, so any failure fails the whole call — a
+    /// half-applied broadcast must not report success.
     fn broadcast(&self, req: Request) -> Result<Response, ClientError> {
         let outcomes = self.fan_out(&req);
         let mut merged = Response::ok(req.id);
-        let mut evicted = 0u64;
-        let mut saw_evicted = false;
         let mut folded = 0u64;
         let mut saw_compaction = false;
         for outcome in outcomes {
@@ -257,17 +254,10 @@ impl ShardedClient {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
-            if let Some(n) = resp.evicted {
-                evicted += n;
-                saw_evicted = true;
-            }
             if let Some(c) = resp.compaction {
                 folded += c.folded;
                 saw_compaction = true;
             }
-        }
-        if saw_evicted {
-            merged.evicted = Some(evicted);
         }
         if saw_compaction {
             // Deployment-wide fold count; the generation is the *lowest*

@@ -258,7 +258,6 @@ PROTOCOL (one JSON object per line):
   {\"op\":\"Predict\",\"user\":3,\"item\":7}
   {\"op\":\"Recommend\",\"user\":3,\"k\":5}
   {\"op\":\"Explain\",\"item\":7,\"k\":3}
-  {\"op\":\"Invalidate\",\"user\":3}
   {\"op\":\"Reload\"}
   {\"op\":\"Stats\"}
   {\"op\":\"Health\"}

@@ -4,10 +4,16 @@
 //! attention conditions on both the user's and the item's ID embedding
 //! (paper Eq. 5) — so entries are keyed by the `(user, item)` pair, not by
 //! the entity alone. Shard selection, however, uses only the cache's
-//! *invalidation axis* (the user id for the UserNet cache, the item id for
-//! the ItemNet cache): every entry that a new review for entity `e` stales
-//! then lives in exactly one shard, and [`TowerCache::invalidate`] touches
-//! one lock instead of all of them.
+//! *axis* (the user id for the UserNet cache, the item id for the ItemNet
+//! cache), so one entity's entries share one lock.
+//!
+//! **An entry lives exactly as long as its generation.** A tower's output
+//! depends only on the weights, the pair's ids and each side's latest
+//! reviews, and none of those change inside a generation: a review reaches
+//! the towers only through a refresh, reload or compaction, each of which
+//! publishes a new [`crate::Generation`] with empty caches. So nothing is
+//! ever removed from a cache; the whole cache is dropped with the
+//! generation that owns it.
 //!
 //! Misses compute under the shard lock. That serialises concurrent misses
 //! *within* a shard (no duplicated tower evaluations, which keeps the
@@ -20,12 +26,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Which entity id invalidates (and therefore shards) a cache.
+/// Which entity id shards a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CacheAxis {
-    /// Entries stale when the *user* gains a review (UserNet cache).
+    /// Sharded by the *user* id (UserNet cache).
     User,
-    /// Entries stale when the *item* gains a review (ItemNet cache).
+    /// Sharded by the *item* id (ItemNet cache).
     Item,
 }
 
@@ -68,7 +74,7 @@ impl TowerCache {
 
     /// The cached representation for the pair, computing and storing it on
     /// a miss. `compute` runs under the pair's shard lock, so each pair is
-    /// evaluated at most once between invalidations.
+    /// evaluated at most once per cache.
     pub fn get_or_compute(
         &self,
         user: u32,
@@ -89,36 +95,6 @@ impl TowerCache {
                 t
             }
         }
-    }
-
-    /// Drops every entry whose axis entity is `entity` — call when that
-    /// entity gains (or loses) a review. Returns the number of evicted
-    /// entries. Only the entity's own shard is locked.
-    pub fn invalidate(&self, entity: u32) -> usize {
-        let shard = &self.shards[self.shard_index(entity)];
-        let mut map = shard.lock().unwrap_or_else(|e| e.into_inner());
-        let before = map.len();
-        match self.axis {
-            CacheAxis::User => map.retain(|k, _| (k >> 32) as u32 != entity),
-            CacheAxis::Item => map.retain(|k, _| *k as u32 != entity),
-        }
-        before - map.len()
-    }
-
-    /// Drops everything (e.g. after a weight reload), without resetting the
-    /// hit/miss counters.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-    }
-
-    /// Total cached entries across all shards.
-    pub fn entries(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
     }
 
     /// Lookups served from the cache.
@@ -147,7 +123,6 @@ mod tests {
         let b = cache.get_or_compute(1, 2, || panic!("must be cached"));
         assert_eq!(a.item(), b.item());
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!(cache.entries(), 1);
     }
 
     #[test]
@@ -155,40 +130,8 @@ mod tests {
         let cache = TowerCache::new(CacheAxis::User, 4);
         cache.get_or_compute(1, 2, || t(1.0));
         cache.get_or_compute(1, 3, || t(2.0));
-        assert_eq!(cache.entries(), 2);
         assert_eq!(cache.get_or_compute(1, 3, || unreachable!()).item(), 2.0);
-    }
-
-    #[test]
-    fn invalidate_user_axis_drops_all_pairs_of_that_user() {
-        let cache = TowerCache::new(CacheAxis::User, 4);
-        cache.get_or_compute(1, 2, || t(1.0));
-        cache.get_or_compute(1, 3, || t(2.0));
-        cache.get_or_compute(9, 2, || t(3.0));
-        assert_eq!(cache.invalidate(1), 2);
-        assert_eq!(cache.entries(), 1);
-        // The survivor is untouched.
-        assert_eq!(cache.get_or_compute(9, 2, || unreachable!()).item(), 3.0);
-        // The invalidated pair recomputes.
-        assert_eq!(cache.get_or_compute(1, 2, || t(8.0)).item(), 8.0);
-    }
-
-    #[test]
-    fn invalidate_item_axis_uses_the_low_half() {
-        let cache = TowerCache::new(CacheAxis::Item, 3);
-        cache.get_or_compute(1, 2, || t(1.0));
-        cache.get_or_compute(5, 2, || t(2.0));
-        cache.get_or_compute(5, 6, || t(3.0));
-        assert_eq!(cache.invalidate(2), 2);
-        assert_eq!(cache.entries(), 1);
-    }
-
-    #[test]
-    fn clear_keeps_counters() {
-        let cache = TowerCache::new(CacheAxis::Item, 2);
-        cache.get_or_compute(1, 2, || t(1.0));
-        cache.clear();
-        assert_eq!(cache.entries(), 0);
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.get_or_compute(1, 2, || unreachable!()).item(), 1.0);
+        assert_eq!(cache.misses(), 2);
     }
 }

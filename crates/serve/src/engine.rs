@@ -764,9 +764,9 @@ fn refresh_locked(shared: &Shared, state: &IngestState) -> Result<usize, String>
             source_dir: base.artifact.source_dir.clone(),
         };
         // Same id: a refresh updates towers in place, it is not a
-        // generation swap — clients see no reload. Fresh caches =
-        // conservative entity invalidation. The touched entities' towers
-        // changed; a cache *shared* with the old generation could be
+        // generation swap — clients see no reload. The caches start empty,
+        // as every generation's do: the touched entities' towers changed,
+        // and a cache *shared* with the old generation could be
         // repopulated with stale towers by in-flight jobs still pinned to
         // it. Untouched entries recompute to bit-identical values on their
         // next request.
@@ -1274,29 +1274,6 @@ fn process(shared: &Shared, generation: &Generation, job: &Job) -> Response {
             // here too so a directly-processed job is never unreachable.
             let mut resp = Response::ok(req.id);
             resp.health = Some(health(shared));
-            resp
-        }
-        Op::Invalidate => {
-            if req.user.is_none() && req.item.is_none() {
-                return bad_request(req.id, "Invalidate needs `user` and/or `item`");
-            }
-            // Item eviction is owner-scoped like any item op; user-only
-            // eviction runs anywhere (every shard may cache that user's
-            // tower for its own items, so clients broadcast it).
-            if let Some(item) = req.item {
-                if let Err(resp) = check_owned(shared, generation, req.id, item) {
-                    return resp;
-                }
-            }
-            let mut evicted = 0usize;
-            if let Some(u) = req.user {
-                evicted += generation.user_cache.invalidate(u);
-            }
-            if let Some(i) = req.item {
-                evicted += generation.item_cache.invalidate(i);
-            }
-            let mut resp = Response::ok(req.id);
-            resp.evicted = Some(evicted as u64);
             resp
         }
         Op::Reload => match do_reload(shared) {

@@ -4,11 +4,12 @@
 //! One thread owns the listener, a wakeup pipe, and every connection's
 //! socket, registered level-triggered with an `epoll` instance
 //! ([`crate::sys`]). Each loop iteration: wait for readiness (bounded by
-//! the timer wheel's next deadline and the poll tick), accept a batch,
-//! read every readable socket into its [`crate::frame::FrameDecoder`],
-//! submit decoded frames to the engine with completion callbacks, drain
-//! the completion queue into per-connection output queues, flush with
-//! `writev`, and reap idle connections whose wheel deadline expired.
+//! the poll tick), accept a batch, read every readable socket into its
+//! [`crate::frame::FrameDecoder`], submit decoded frames to the engine
+//! with completion callbacks, drain the completion queue into
+//! per-connection output queues, flush with `writev`, and — at most once
+//! per poll tick — reap connections that have been silent for the idle
+//! timeout.
 //!
 //! Workers never touch sockets: a completion pushes `(token, response)`
 //! onto the [`Notifier`] and writes one byte to the wakeup pipe; the loop
@@ -22,7 +23,6 @@ use crate::frame::FrameEvent;
 use crate::server::ServerConfig;
 use crate::stats::FrontendStats;
 use crate::sys::{self, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
-use crate::timer::TimerWheel;
 use rrre_wire::{encode_response, ErrorKind, Response, MAX_LINE_BYTES};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -31,7 +31,7 @@ use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const LISTENER_TOKEN: u64 = 0;
 const WAKE_TOKEN: u64 = 1;
@@ -92,7 +92,6 @@ struct EventLoop {
     notifier: Arc<Notifier>,
     cfg: ServerConfig,
     conns: HashMap<u64, Conn>,
-    timers: TimerWheel,
     next_token: u64,
     stopping: bool,
 }
@@ -124,13 +123,13 @@ pub(crate) fn run(
         notifier,
         cfg,
         conns: HashMap::new(),
-        timers: TimerWheel::new(256, Duration::from_millis(25)),
         next_token: FIRST_CONN_TOKEN,
         stopping: false,
     };
     let mut events = vec![EpollEvent { events: 0, token: 0 }; EVENTS_CAP];
     let mut wake_buf = [0u8; 256];
     let mut drain_until: Option<Instant> = None;
+    let mut next_reap = Instant::now();
     let mut dirty: Vec<u64> = Vec::new();
 
     loop {
@@ -190,18 +189,19 @@ pub(crate) fn run(
             }
         }
 
-        // Idle reaping, lazily: a due entry whose connection has been
-        // active since it was filed is simply re-filed under the real
-        // deadline — activity never pays a cancellation.
-        if let Some(idle) = el.cfg.idle_timeout {
-            for entry in el.timers.due(now) {
-                let Some(conn) = el.conns.get(&entry.token) else { continue };
-                let deadline = conn.last_activity + idle;
-                if deadline <= now {
-                    el.close(entry.token);
-                } else {
-                    el.timers.schedule(entry.token, deadline);
-                }
+        // Idle reaping: one sweep per poll tick at most, so a connection
+        // is closed within one tick of its timeout and activity costs
+        // nothing but the `last_activity` stamp.
+        if let Some(idle) = el.cfg.idle_timeout.filter(|_| now >= next_reap) {
+            next_reap = now + el.cfg.read_timeout;
+            let silent: Vec<u64> = el
+                .conns
+                .iter()
+                .filter(|(_, conn)| conn.last_activity + idle <= now)
+                .map(|(&token, _)| token)
+                .collect();
+            for token in silent {
+                el.close(token);
             }
         }
 
@@ -214,17 +214,12 @@ pub(crate) fn run(
 }
 
 impl EventLoop {
-    /// The `epoll_wait` bound: the poll tick, capped by the next timer
-    /// deadline and the drain deadline.
+    /// The `epoll_wait` bound: the poll tick, capped by the drain
+    /// deadline.
     fn poll_timeout(&self, now: Instant, drain_until: Option<Instant>) -> i32 {
         let mut cap = self.cfg.read_timeout;
         if let Some(d) = drain_until {
             cap = cap.min(d.saturating_duration_since(now));
-        }
-        if self.cfg.idle_timeout.is_some() {
-            if let Some(due) = self.timers.next_due(now) {
-                cap = cap.min(due);
-            }
         }
         (cap.as_millis() as i64).clamp(1, 60_000) as i32
     }
@@ -262,9 +257,6 @@ impl EventLoop {
             let mut conn = Conn::new(stream, MAX_LINE_BYTES, now);
             conn.registered_interest = EPOLLIN;
             self.frontend.open_conns.fetch_add(1, Ordering::Relaxed);
-            if let Some(idle) = self.cfg.idle_timeout {
-                self.timers.schedule(token, now + idle);
-            }
             self.conns.insert(token, conn);
         }
     }

@@ -11,10 +11,11 @@
 //!   validating every shape and a bit-exact sample of the review vectors on
 //!   the way in.
 //! * [`cache`] — [`TowerCache`]: sharded, lock-striped caches of the
-//!   pair-dependent UserNet/ItemNet representations, with explicit
-//!   invalidation when an entity gains a review. A warm prediction is two
-//!   cache lookups plus the two cheap heads; the BiLSTM never runs on the
-//!   hot path.
+//!   pair-dependent UserNet/ItemNet representations. An entry lives
+//!   exactly as long as its generation: a review reaches the towers only
+//!   through a new [`Generation`], which starts with empty caches. A warm
+//!   prediction is two cache lookups plus the two cheap heads; the BiLSTM
+//!   never runs on the hot path.
 //! * [`engine`] — [`Engine`]: a worker pool fed by a micro-batching queue
 //!   ([`batch::BatchQueue`]) that serves predict / recommend / explain with
 //!   per-request deadlines, engine-wide counters ([`stats`]) and graceful
@@ -27,9 +28,9 @@
 //! The TCP front end is a readiness-driven event core: one epoll thread
 //! ([`sys`]) multiplexes every connection, decoding frames incrementally
 //! ([`frame`]), pipelining requests per connection ([`conn`]), reaping
-//! idle sockets with a timer wheel ([`timer`]), and flushing responses
-//! with `writev`. Workers answer through completion callbacks
-//! ([`batch::Completion`]) instead of parked threads.
+//! idle sockets once per poll tick when [`ServerConfig::idle_timeout`] is
+//! set, and flushing responses with `writev`. Workers answer through
+//! completion callbacks ([`batch::Completion`]) instead of parked threads.
 //!
 //! The engine reproduces `rrre_core` predictions *bit for bit*: it calls the
 //! same decomposed inference path (`infer_user_tower` / `infer_item_tower` /
@@ -50,7 +51,6 @@ pub mod replication;
 pub mod server;
 pub mod stats;
 pub mod sys;
-pub mod timer;
 pub mod wal;
 
 pub use artifact::{ArtifactManifest, FileChecksum, ModelArtifact};

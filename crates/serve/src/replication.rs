@@ -50,10 +50,10 @@
 //! over `std::net::TcpStream` — one request in flight per follower, the
 //! same framing the public protocol uses, no new dependencies.
 
-use crate::wal::{IngestLog, WalRecord};
+use crate::wal::{replace_durably, IngestLog, WalRecord};
 use rrre_wire::{ErrorKind, ReplRecordDto, Request, Response, MAX_LINE_BYTES};
 use std::collections::HashMap;
-use std::fs::{self, File};
+use std::fs;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -582,21 +582,13 @@ pub fn load_epoch(dir: &Path) -> io::Result<u64> {
     }
 }
 
-/// Persists the epoch atomically (tmp + rename + fsync, then a directory
-/// fsync so the rename itself is on the platter): after this returns, a
-/// restart can never come back up fenced at a lower term. Two concurrent
-/// calls on one directory share the tmp file, so a live replica makes this
-/// call only under its replication lock.
+/// Persists the epoch atomically and durably (tmp, fsync, rename,
+/// directory fsync — the ledger's helper): after this returns, a restart
+/// can never come back up fenced at a lower term. Two concurrent calls on one directory
+/// share the tmp file, so a live replica makes this call only under its
+/// replication lock.
 pub fn persist_epoch(dir: &Path, epoch: u64) -> io::Result<()> {
-    let tmp = dir.join(format!("{EPOCH_FILE}.tmp"));
-    let mut f = File::create(&tmp)?;
-    f.write_all(epoch.to_string().as_bytes())?;
-    f.sync_data()?;
-    fs::rename(&tmp, dir.join(EPOCH_FILE))?;
-    // The rename lives in the directory, not the file: without this fsync
-    // a power loss may roll the directory entry back to the old epoch.
-    File::open(dir)?.sync_all()?;
-    Ok(())
+    replace_durably(dir, EPOCH_FILE, epoch.to_string().as_bytes())
 }
 
 /// A blocking single-request-in-flight NDJSON connection.

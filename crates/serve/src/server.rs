@@ -20,9 +20,10 @@
 //!   [`ServerConfig::write_buffer_cap`], or with its in-flight quota
 //!   full, stops being read — the kernel receive buffer fills and TCP
 //!   pushes back on the peer, bounding server memory per connection;
-//! * idle connections are reaped by a timer wheel ([`crate::timer`])
-//!   after [`ServerConfig::idle_timeout`], when one is configured (the
-//!   default, `None`, keeps the historical never-reap behavior);
+//! * idle connections are closed after [`ServerConfig::idle_timeout`],
+//!   when one is configured, by a sweep the loop runs at most once per
+//!   [`ServerConfig::read_timeout`] tick (the default, `None`, keeps the
+//!   historical never-reap behavior);
 //! * [`Server::stop`] is idempotent: it marks the engine draining, wakes
 //!   the loop, stops accepting and reading, and gives queued + in-flight
 //!   work up to [`ServerConfig::drain_deadline`] to flush before closing
@@ -45,14 +46,16 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// The event loop's poll tick: the upper bound on how long the loop
     /// sleeps with nothing to do, and therefore on how late it can notice
-    /// the stop flag if the wakeup pipe ever fails.
+    /// the stop flag if the wakeup pipe ever fails. Also the period of
+    /// the idle sweep.
     pub read_timeout: Duration,
     /// How long [`Server::stop`] waits for queued and in-flight work to
     /// drain before closing connections anyway.
     pub drain_deadline: Duration,
-    /// Reap connections idle (no bytes received) this long. `None` — the
-    /// default — never reaps, matching the thread-per-connection core this
-    /// one replaced.
+    /// Reap connections idle (no bytes received) this long; a silent
+    /// connection is closed within one `read_timeout` tick after its
+    /// timeout. `None` — the default — never reaps, matching the
+    /// thread-per-connection core this one replaced.
     pub idle_timeout: Option<Duration>,
     /// Requests one connection may have in flight before the loop stops
     /// reading it (per-connection pipelining backpressure).

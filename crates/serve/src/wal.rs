@@ -477,16 +477,30 @@ pub fn load_ledger(artifact_dir: &Path) -> io::Result<IngestLedger> {
     }
 }
 
-/// Writes the ledger atomically (tmp + rename + dir implied by rename on
-/// the same filesystem) into `dir`.
+/// Writes the ledger into `dir` atomically and durably: tmp, fsync,
+/// rename, directory fsync.
 pub fn save_ledger(dir: &Path, ledger: &IngestLedger) -> io::Result<()> {
     let json = serde_json::to_string(ledger).map_err(io::Error::other)?;
-    let tmp = dir.join(format!("{LEDGER_FILE}.tmp"));
+    replace_durably(dir, LEDGER_FILE, json.as_bytes())
+}
+
+/// Replaces `dir/name` with `bytes` so that a crash at any point leaves
+/// either the old contents or the new: write a sibling `.tmp`, fsync it,
+/// rename it over `name`, then fsync `dir`. Two concurrent calls for one
+/// file share the tmp, so callers serialise them.
+pub(crate) fn replace_durably(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
+    let tmp = dir.join(format!("{name}.tmp"));
     let mut f = File::create(&tmp)?;
-    f.write_all(json.as_bytes())?;
+    f.write_all(bytes)?;
     f.sync_data()?;
-    fs::rename(&tmp, dir.join(LEDGER_FILE))?;
-    Ok(())
+    fs::rename(&tmp, dir.join(name))?;
+    sync_dir(dir)
+}
+
+/// Fsyncs a directory. A create, rename or delete lives in the directory,
+/// not the file: without this a power loss may roll the entry back.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 /// The accepted records the artifact does not yet hold, one copy per
@@ -595,7 +609,8 @@ pub fn staging_dir(artifact_dir: &Path) -> PathBuf {
 pub const COMMIT_MARKER: &str = "COMMIT";
 
 /// Phase one's final step: fsync every staged file, then create + fsync
-/// the `COMMIT` marker. After this returns, the fold is decided.
+/// the `COMMIT` marker and the staging directory that names it. After
+/// this returns, the fold is decided.
 pub fn seal_staging(staging: &Path) -> io::Result<()> {
     for entry in fs::read_dir(staging)? {
         let entry = entry?;
@@ -605,14 +620,17 @@ pub fn seal_staging(staging: &Path) -> io::Result<()> {
     }
     let marker = File::create(staging.join(COMMIT_MARKER))?;
     marker.sync_data()?;
-    Ok(())
+    sync_dir(staging)
 }
 
 /// Phase two: move every staged file into the artifact directory — the
 /// manifest *last*, so a crash mid-rename leaves an old manifest whose
 /// checksums still describe files that are about to be (or were already)
 /// replaced, and the `COMMIT` marker routes recovery back here to finish
-/// the job. Idempotent: files already moved are skipped.
+/// the job. The artifact directory is fsync'd before the staging directory
+/// goes, so once this returns the fold survives a power loss even after
+/// the compactor deletes the folded WAL segments. Idempotent: files
+/// already moved are skipped.
 pub fn promote_staging(artifact_dir: &Path, manifest_file: &str) -> io::Result<()> {
     let staging = staging_dir(artifact_dir);
     let mut files: Vec<PathBuf> = Vec::new();
@@ -635,6 +653,7 @@ pub fn promote_staging(artifact_dir: &Path, manifest_file: &str) -> io::Result<(
     if let Some(src) = manifest {
         fs::rename(&src, artifact_dir.join(manifest_file))?;
     }
+    sync_dir(artifact_dir)?;
     fs::remove_file(staging.join(COMMIT_MARKER))?;
     fs::remove_dir_all(&staging)?;
     Ok(())

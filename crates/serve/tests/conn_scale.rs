@@ -1,6 +1,8 @@
-//! Connection-scale soak for the event-driven server core.
+//! Connection-scale soak and idle reaping for the event-driven server core.
 //!
-//! Ramps to thousands of concurrent connections — a mix of fully idle
+//! `idle_reaping_closes_silent_and_loris_sockets_and_spares_active_ones`
+//! pins the reaper on three sockets in the default gate. The soak ramps to
+//! thousands of concurrent connections — a mix of fully idle
 //! sockets, slow-loris writers parked mid-frame, and active requesters —
 //! and asserts the properties a readiness-driven core must keep at scale:
 //!
@@ -10,9 +12,10 @@
 //!   loop thread, no worker hop) round-trips in well under 100 ms at every
 //!   point of the ramp;
 //! * **idle-timeout reaping**: once traffic stops, idle and loris sockets
-//!   are closed by the timer wheel and the `open_conns` gauge collapses.
+//!   are closed by the per-tick idle sweep and the `open_conns` gauge
+//!   collapses.
 //!
-//! The test is `#[ignore]`d: it needs thousands of file descriptors (two
+//! The soak is `#[ignore]`d: it needs thousands of file descriptors (two
 //! per connection — both ends live in this process) and several seconds of
 //! wall clock. `scripts/ci.sh` runs it with a raised `ulimit -n`; the
 //! in-test guard skips gracefully when the soft limit is too small.
@@ -22,7 +25,7 @@
 
 use rrre_serve::server::{Server, ServerConfig};
 use rrre_serve::{Engine, EngineConfig, ModelArtifact};
-use rrre_testkit::{trained_fixture, TempDir};
+use rrre_testkit::{trained_fixture, trained_fixture_with, FixtureSpec, TempDir};
 use rrre_wire::{Request, Response};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -75,6 +78,72 @@ fn fresh_roundtrip(addr: SocketAddr, req: &Request) -> Duration {
     let resp = read_response(&mut reader).expect("fresh connection must be answered");
     assert!(resp.ok, "fresh connection refused: {:?}", resp.error);
     started.elapsed()
+}
+
+/// Blocks until the server closes `stream` (a read returns 0) and returns
+/// how long that took from `since`; fails if it stays open past `budget`.
+fn wait_for_reap(stream: &mut TcpStream, since: Instant, budget: Duration) -> Duration {
+    stream.set_read_timeout(Some(budget)).unwrap();
+    let mut byte = [0u8; 16];
+    match stream.read(&mut byte) {
+        Ok(0) => since.elapsed(),
+        Ok(n) => panic!("got {n} unexpected bytes instead of a reap"),
+        Err(e) => panic!("not reaped within {budget:?}: {e}"),
+    }
+}
+
+#[test]
+fn idle_reaping_closes_silent_and_loris_sockets_and_spares_active_ones() {
+    const IDLE: Duration = Duration::from_millis(300);
+    let fx = trained_fixture_with(FixtureSpec::micro());
+    let dir = TempDir::new("idle-reap");
+    ModelArtifact::save(dir.path(), &fx.dataset, &fx.corpus, &fx.model, fx.min_count()).unwrap();
+    let engine = Arc::new(Engine::new(
+        ModelArtifact::load(dir.path()).unwrap(),
+        EngineConfig { workers: 1, ..EngineConfig::default() },
+    ));
+    let mut server = Server::start_with(
+        Arc::clone(&engine),
+        "127.0.0.1:0",
+        ServerConfig { idle_timeout: Some(IDLE), ..ServerConfig::default() },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    // An active socket: one request every ~100 ms for 3× the timeout, then
+    // one more. Every answer proves the connection was never reaped.
+    let active = std::thread::spawn(move || {
+        let mut stream = connect(addr);
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let started = Instant::now();
+        loop {
+            let last = started.elapsed() > 3 * IDLE;
+            send_line(&mut stream, &Request::health()).unwrap();
+            let resp = read_response(&mut reader).expect("an active socket must stay open");
+            assert!(resp.ok, "{:?}", resp.error);
+            if last {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(100));
+        }
+    });
+
+    // A silent socket, and a slow loris: half a frame, then nothing. The
+    // server's idle clock starts no earlier than `since`, so neither may
+    // close before the timeout; both must close within a few of them.
+    let since = Instant::now();
+    let mut silent = connect(addr);
+    let mut loris = connect(addr);
+    loris.write_all(b"{\"op\":\"Pre").unwrap();
+    for (name, stream) in [("silent", &mut silent), ("loris", &mut loris)] {
+        let took = wait_for_reap(stream, since, 6 * IDLE);
+        assert!(took >= IDLE, "{name} socket reaped after {took:?}, before the {IDLE:?} timeout");
+    }
+
+    active.join().unwrap();
+    server.stop();
+    engine.shutdown();
 }
 
 #[test]
@@ -233,27 +302,21 @@ fn five_thousand_connections_stay_fair_responsive_and_reapable() {
     );
 
     // Reaping: all ramp sockets now go silent. Within the idle timeout
-    // plus wheel-granularity slack, the server closes them — observed as
+    // plus sweep-tick slack, the server closes them — observed as
     // EOF on a sample of client ends and a collapsed gauge.
     let reap_deadline = refreshed_at + IDLE_TIMEOUT + Duration::from_secs(7);
     let mut sample: Vec<TcpStream> = Vec::new();
     sample.extend(idle.drain(..).take(20));
     sample.extend(loris.drain(..).take(20));
     sample.extend(active.drain(..).take(20));
-    for (i, stream) in sample.iter_mut().enumerate() {
+    for stream in &mut sample {
         let budget = reap_deadline.saturating_duration_since(Instant::now()).max(
             Duration::from_millis(1),
         );
-        stream.set_read_timeout(Some(budget)).unwrap();
-        let mut byte = [0u8; 16];
-        match stream.read(&mut byte) {
-            Ok(0) => {} // reaped: clean FIN
-            Ok(n) => panic!("sampled conn {i} got {n} unexpected bytes instead of a reap"),
-            Err(e) => panic!("sampled conn {i} was not reaped within the deadline: {e}"),
-        }
+        wait_for_reap(stream, Instant::now(), budget);
     }
     // The gauge collapses to (roughly) just the Stats connection below;
-    // stragglers within one wheel revolution are tolerated.
+    // stragglers within one sweep tick are tolerated.
     let collapsed_deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let mut stream = connect(addr);

@@ -4,7 +4,7 @@
 //! the cache counters prove warm predictions skip the towers.
 
 use rrre_data::{ItemId, UserId};
-use rrre_wire::Response;
+use rrre_wire::{ErrorKind, Response};
 use rrre_serve::{Engine, EngineConfig, ModelArtifact, Server};
 use rrre_testkit::{trained_fixture, TempDir};
 use std::io::{BufRead, BufReader, Write};
@@ -140,18 +140,24 @@ fn full_pipeline_train_checkpoint_serve_query() {
     let resp = roundtrip(&mut stream, &mut reader, r#"{"op":"Predict","user":0,"item":0}"#);
     assert!(resp.ok);
 
-    // --- Invalidation over the wire ------------------------------------------
-    let resp = roundtrip(&mut stream, &mut reader, r#"{"op":"Invalidate","user":0,"item":0}"#);
-    assert!(resp.ok);
-    assert!(resp.evicted.unwrap() > 0, "warm entries must actually be evicted");
+    // --- The retired eviction op is refused like any unknown op --------------
+    // Tower caches live exactly as long as their generation, so there is
+    // nothing to evict; the refusal leaves the connection serving.
+    let resp = roundtrip(&mut stream, &mut reader, r#"{"op":"Invalidate","user":0,"item":0,"id":5}"#);
+    assert!(!resp.ok);
+    assert_eq!(resp.kind, Some(ErrorKind::BadRequest));
+    assert_eq!(resp.id, Some(5), "the id is recovered from the refused line");
+    assert!(resp.error.unwrap().contains("Invalidate"), "the refusal names the op");
+    let resp = roundtrip(&mut stream, &mut reader, r#"{"op":"Predict","user":0,"item":0}"#);
+    assert!(resp.ok, "{:?}", resp.error);
 
     // --- Graceful teardown ----------------------------------------------------
     drop(stream);
     server.stop();
     engine.shutdown();
     let stats = engine.stats();
-    // The malformed line was answered by the front end before reaching the
-    // engine; only the missing-item request counts as an engine error.
+    // The malformed and the unknown-op lines were answered before reaching
+    // the engine; only the missing-item request counts as an engine error.
     assert_eq!(stats.errors, 1, "exactly the one deliberate engine error");
     assert!(stats.deadline_misses == 0);
 }

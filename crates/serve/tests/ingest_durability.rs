@@ -211,12 +211,18 @@ fn incremental_refresh_is_bit_identical_to_compaction_reload_and_restart() {
     let base = fx.dataset.len();
 
     let engine = open(dir.path(), ingest_cfg());
+    // Warm the tower caches first: seqs 0–4 touch users 0–4 and items 0–4,
+    // so every probed pair is cached when its reviews arrive. A cache
+    // lives exactly as long as its generation and each refresh publishes a
+    // new one, so no warm entry may survive into the answers below.
+    let before = probe(&engine);
     for seq in 0..5 {
         ingest_one(&engine, seq, n_users, n_items, false);
     }
     // The towers as the incremental (frozen-encoder, suffix-only) refresh
     // computed them.
     let refreshed = probe(&engine);
+    assert_ne!(refreshed, before, "the five reviews must move some probed answer");
 
     // Fold the WAL into a brand-new artifact generation and reload it from
     // disk. The load installs the review vectors compaction persisted (the

@@ -71,13 +71,6 @@ fn wrong_shard_refusal_names_owner_and_map_version() {
     let resp = engine.submit(Request::explain(item, 2));
     assert_eq!(resp.kind, Some(ErrorKind::WrongShard));
 
-    // Item-targeted invalidation too; user-only invalidation runs anywhere
-    // (clients broadcast it).
-    let resp = engine.submit(Request::invalidate(None, Some(item)));
-    assert_eq!(resp.kind, Some(ErrorKind::WrongShard));
-    let resp = engine.submit(Request::invalidate(Some(0), None));
-    assert!(resp.ok, "user-only invalidation is shard-agnostic: {:?}", resp.error);
-
     let _ = n_items;
     engine.shutdown();
     owner_engine.shutdown();

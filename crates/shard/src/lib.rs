@@ -17,7 +17,7 @@
 //!   file handed to clients (`--shard-map`), validated against the spec.
 //! * [`plan`] — [`RoutePlan`] and the deterministic gather-side merges:
 //!   where each protocol op must go (point lookup by owning shard,
-//!   scatter for ranking, broadcast for invalidation/reload), and how to
+//!   scatter for ranking, broadcast for reload/compaction), and how to
 //!   fold per-shard answers back into one response. `Recommend` rows are
 //!   re-ranked by the engine's own ordering function
 //!   (`rrre_core::rank_by_key`), so a scatter-gather deployment is

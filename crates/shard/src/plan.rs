@@ -33,9 +33,8 @@ pub enum RoutePlan {
 ///
 /// Ownership follows the **item** domain: `Predict` and `Explain` go to
 /// the shard owning `item`; `Recommend` scatters because ranking scans the
-/// (partitioned) item catalog. `Invalidate` goes to the owning shard when
-/// an item is named, and broadcasts for a user-only eviction since every
-/// shard may cache that user's tower. Requests missing the fields routing
+/// (partitioned) item catalog. `Reload` and `Compact` broadcast: each is a
+/// per-replica side effect. Requests missing the fields routing
 /// would need plan as [`RoutePlan::Any`] — the server's own validation
 /// produces the structured `BadRequest`, and it does so identically on
 /// every shard.
@@ -47,11 +46,6 @@ pub fn plan(map: &ShardMap, req: &Request) -> RoutePlan {
         },
         Op::Recommend => RoutePlan::Scatter,
         Op::Stats | Op::Health => RoutePlan::Scatter,
-        Op::Invalidate => match (req.user, req.item) {
-            (_, Some(item)) => RoutePlan::Shard(map.shard_of_item(item)),
-            (Some(_), None) => RoutePlan::Broadcast,
-            (None, None) => RoutePlan::Any,
-        },
         Op::Reload => RoutePlan::Broadcast,
         Op::Crash => RoutePlan::Any,
         // Ingest follows item ownership like the other item-scoped ops: the
@@ -184,8 +178,8 @@ mod tests {
     }
 
     fn req(op: Op, user: Option<u32>, item: Option<u32>) -> Request {
-        let mut r = Request::invalidate(user, item);
-        r.op = op;
+        let mut r = Request::stats();
+        (r.op, r.user, r.item) = (op, user, item);
         r
     }
 
@@ -200,16 +194,14 @@ mod tests {
             let owner = m.shard_of_item(item);
             assert_eq!(plan(&m, &req(Op::Predict, Some(1), Some(item))), RoutePlan::Shard(owner));
             assert_eq!(plan(&m, &req(Op::Explain, None, Some(item))), RoutePlan::Shard(owner));
-            assert_eq!(plan(&m, &req(Op::Invalidate, None, Some(item))), RoutePlan::Shard(owner));
         }
     }
 
     #[test]
-    fn ranking_scatters_and_user_eviction_broadcasts() {
+    fn ranking_scatters_and_reload_broadcasts() {
         let m = map3();
         assert_eq!(plan(&m, &req(Op::Recommend, Some(1), None)), RoutePlan::Scatter);
         assert_eq!(plan(&m, &req(Op::Stats, None, None)), RoutePlan::Scatter);
-        assert_eq!(plan(&m, &req(Op::Invalidate, Some(7), None)), RoutePlan::Broadcast);
         assert_eq!(plan(&m, &req(Op::Reload, None, None)), RoutePlan::Broadcast);
     }
 
@@ -226,7 +218,7 @@ mod tests {
     fn malformed_requests_plan_as_any() {
         let m = map3();
         assert_eq!(plan(&m, &req(Op::Predict, Some(1), None)), RoutePlan::Any);
-        assert_eq!(plan(&m, &req(Op::Invalidate, None, None)), RoutePlan::Any);
+        assert_eq!(plan(&m, &req(Op::Explain, None, None)), RoutePlan::Any);
     }
 
     #[test]

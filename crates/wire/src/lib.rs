@@ -13,7 +13,6 @@
 //! {"op":"Predict","user":3,"item":7}
 //! {"op":"Recommend","user":3,"k":5,"deadline_ms":50,"id":42}
 //! {"op":"Explain","item":7,"k":3}
-//! {"op":"Invalidate","user":3,"item":7}
 //! {"op":"Health"}
 //! {"op":"Stats"}
 //! ```
@@ -61,9 +60,6 @@ pub enum Op {
     /// never queued, never shed — so health stays observable under
     /// overload and while the circuit breaker is open.
     Health,
-    /// Drop cached tower representations for `user` and/or `item` — call
-    /// after an entity gains a review.
-    Invalidate,
     /// Re-load the artifact from its source directory and, if it validates,
     /// atomically swap it in as the next generation. A failed load leaves
     /// the current generation serving untouched.
@@ -98,13 +94,13 @@ pub enum Op {
 impl Op {
     /// Whether retrying this op after an ambiguous transport failure is
     /// safe — i.e. a duplicate execution has no observable side effect.
-    /// Reads (`Predict`/`Recommend`/`Explain`/`Stats`/`Health`) and cache
-    /// eviction (`Invalidate` — evicting twice converges to the same
-    /// state) are idempotent, and so is `IngestReview` — its `seq` id
-    /// dedups replays server-side. `Replicate` is position- and seq-deduped
-    /// by the follower, so it resends safely. `Reload` bumps the generation, `Crash` burns a worker,
-    /// `Compact` commits a new generation and `Promote` fences a new
-    /// leader term, so none of those may be blindly resent.
+    /// Reads (`Predict`/`Recommend`/`Explain`/`Stats`/`Health`) are
+    /// idempotent, and so is `IngestReview` — its `seq` id dedups replays
+    /// server-side. `Replicate` is position- and seq-deduped by the
+    /// follower, so it resends safely. `Reload` bumps the generation,
+    /// `Crash` burns a worker, `Compact` commits a new generation and
+    /// `Promote` fences a new leader term, so none of those may be blindly
+    /// resent.
     pub fn is_idempotent(self) -> bool {
         !matches!(self, Op::Reload | Op::Crash | Op::Compact | Op::Promote)
     }
@@ -117,9 +113,9 @@ pub struct Request {
     pub id: Option<u64>,
     /// What to do.
     pub op: Op,
-    /// Target user (`Predict`, `Recommend`, `Invalidate`).
+    /// Target user (`Predict`, `Recommend`, `IngestReview`).
     pub user: Option<u32>,
-    /// Target item (`Predict`, `Explain`, `Invalidate`).
+    /// Target item (`Predict`, `Explain`, `IngestReview`).
     pub item: Option<u32>,
     /// Result count (`Recommend`, `Explain`).
     pub k: Option<usize>,
@@ -195,11 +191,6 @@ impl Request {
     /// A `Reload` request.
     pub fn reload() -> Self {
         Self::bare(Op::Reload)
-    }
-
-    /// An `Invalidate` request for a user and/or an item.
-    pub fn invalidate(user: Option<u32>, item: Option<u32>) -> Self {
-        Self { user, item, ..Self::bare(Op::Invalidate) }
     }
 
     /// An `IngestReview` request. The `seq` is the client's durable
@@ -444,8 +435,11 @@ impl ReplRecordDto {
 }
 
 /// Machine-readable classification of a refused request, so clients can
-/// implement retry policy without parsing error strings: `Overloaded` and
-/// `Unavailable` are retryable after backoff, the rest are not.
+/// implement retry policy without parsing error strings. The policy
+/// `rrre-client` runs: `Overloaded` and `Unavailable` prove the request
+/// never ran and are resent after backoff whatever the op; `NotLeader` is
+/// resent to the advertised leader; `Internal` and `DeadlineExceeded` are
+/// resent only for [`Op::is_idempotent`] ops; the rest are final.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ErrorKind {
     /// The request itself is malformed or references unknown entities.
@@ -571,8 +565,8 @@ pub struct Response {
     pub ok: bool,
     /// Error description when `ok` is false.
     pub error: Option<String>,
-    /// Error classification when `ok` is false (absent on legacy paths
-    /// that predate the taxonomy).
+    /// Error classification when `ok` is false. Every error the server
+    /// sends carries one.
     pub kind: Option<ErrorKind>,
     /// Artifact generation that served this request (success paths only).
     pub generation: Option<u64>,
@@ -586,8 +580,6 @@ pub struct Response {
     pub stats: Option<StatsSnapshot>,
     /// `Health` payload.
     pub health: Option<HealthDto>,
-    /// `Invalidate` payload: number of cache entries evicted.
-    pub evicted: Option<u64>,
     /// Shard that produced this response (set by sharded engines), or —
     /// on a `WrongShard` error — the shard that *owns* the entity.
     pub shard: Option<u32>,
@@ -630,7 +622,6 @@ impl Response {
             explanations: None,
             stats: None,
             health: None,
-            evicted: None,
             shard: None,
             map_version: None,
             degraded: None,
@@ -643,15 +634,9 @@ impl Response {
         }
     }
 
-    /// An error response (no machine-readable kind; prefer the dedicated
-    /// constructors on new code paths).
-    pub fn error(id: Option<u64>, message: impl Into<String>) -> Self {
-        Self { ok: false, error: Some(message.into()), ..Self::ok(id) }
-    }
-
-    /// An error response with an explicit [`ErrorKind`].
+    /// An error response of the given [`ErrorKind`].
     pub fn error_kind(id: Option<u64>, kind: ErrorKind, message: impl Into<String>) -> Self {
-        Self { kind: Some(kind), ..Self::error(id, message) }
+        Self { ok: false, error: Some(message.into()), kind: Some(kind), ..Self::ok(id) }
     }
 
     /// The structured shed response for a full submission queue.
@@ -711,14 +696,6 @@ impl Response {
         );
         resp.leader = leader;
         resp
-    }
-
-    /// Whether a client may safely resubmit after this error. Only the
-    /// load-protection refusals qualify; `BadRequest` will fail again,
-    /// `Internal`/`DeadlineExceeded` need the caller's judgment, and
-    /// `NotLeader`/`WrongShard` need re-routing, not resending.
-    pub fn is_retryable_error(&self) -> bool {
-        matches!(self.kind, Some(ErrorKind::Overloaded | ErrorKind::Unavailable))
     }
 }
 
@@ -937,10 +914,11 @@ mod tests {
 
     #[test]
     fn error_responses_carry_the_message() {
-        let resp = Response::error(None, "deadline exceeded");
+        let resp = Response::error_kind(None, ErrorKind::DeadlineExceeded, "deadline exceeded");
         let back: Response = serde_json::from_str(&encode_response(&resp)).unwrap();
         assert!(!back.ok);
         assert_eq!(back.error.as_deref(), Some("deadline exceeded"));
+        assert_eq!(back.kind, Some(ErrorKind::DeadlineExceeded));
         assert!(back.prediction.is_none());
     }
 
@@ -966,7 +944,6 @@ mod tests {
             Op::Explain,
             Op::Stats,
             Op::Health,
-            Op::Invalidate,
             // Ingest is seq-deduped server-side, so a blind resend is safe —
             // that is the whole point of the client-supplied sequence id.
             Op::IngestReview,
@@ -1040,14 +1017,12 @@ mod tests {
     }
 
     #[test]
-    fn stale_epoch_carries_the_current_term_and_is_not_retryable() {
+    fn stale_epoch_carries_the_current_term() {
         let resp = Response::stale_epoch(Some(4), 2, 5);
         let back: Response = serde_json::from_str(&encode_response(&resp)).unwrap();
         assert!(!back.ok);
         assert_eq!(back.kind, Some(ErrorKind::StaleEpoch));
         assert_eq!(back.epoch, Some(5));
-        // A fenced leader must stop, not retry into the new term's quorum.
-        assert!(!back.is_retryable_error());
     }
 
     #[test]
@@ -1057,9 +1032,6 @@ mod tests {
         assert!(!back.ok);
         assert_eq!(back.kind, Some(ErrorKind::NotLeader));
         assert_eq!(back.leader.as_deref(), Some("127.0.0.1:9000"));
-        // Blind resend to the same replica cannot succeed; the redirect is
-        // the client's job (it is handled specially, not via this flag).
-        assert!(!back.is_retryable_error());
 
         let hintless = Response::not_leader(None, None);
         assert!(hintless.leader.is_none());
@@ -1082,8 +1054,15 @@ mod tests {
     fn the_retired_pull_op_and_its_limit_field_are_refused() {
         // Followers converge by the leader's push alone; the pull op and
         // its page size are gone from the protocol, not silently ignored.
-        let err = decode_request(r#"{"op":"FetchWal","epoch":1,"from":0}"#).unwrap_err();
-        assert!(err.contains("FetchWal"), "unhelpful error: {err}");
+        // So is cache eviction: a tower cache lives exactly as long as its
+        // generation, and every review reaches the towers through a new one.
+        for (line, op) in [
+            (r#"{"op":"FetchWal","epoch":1,"from":0}"#, "FetchWal"),
+            (r#"{"op":"Invalidate","user":0}"#, "Invalidate"),
+        ] {
+            let err = decode_request(line).unwrap_err();
+            assert!(err.contains(op), "unhelpful error: {err}");
+        }
         let err = decode_request(r#"{"op":"Replicate","epoch":1,"from":0,"limit":16}"#).unwrap_err();
         assert!(err.contains("unknown field `limit`"), "unhelpful error: {err}");
     }
@@ -1097,10 +1076,6 @@ mod tests {
         assert_eq!(back.shard, Some(2));
         assert_eq!(back.map_version, Some(7));
         assert_eq!(back.id, Some(9));
-        // Mis-routing is not a transient server condition: re-sending to
-        // the same replica set cannot succeed, so it must not be blindly
-        // retryable — re-routing is the client's job.
-        assert!(!back.is_retryable_error());
     }
 
     #[test]
