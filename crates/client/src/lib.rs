@@ -1,11 +1,21 @@
 //! # rrre-client
 //!
-//! Resilient client for the RRRE serving protocol. One [`Client`] fronts a
-//! fixed set of replica endpoints and gives callers a single
-//! [`Client::request`] that hides the unreliable parts of the path:
+//! The client side of the RRRE serving protocol. [`LineConn`] is one
+//! bounded connection to one endpoint, and the only code that reads
+//! protocol responses off a socket: requests out, answers in, lockstep
+//! ([`LineConn::exchange`]) or pipelined ([`LineConn::send`] and
+//! [`LineConn::recv`], the caller matching ids). The replication shippers
+//! in `rrre-serve` use it directly.
+//!
+//! On top of it, one [`Client`] fronts a fixed set of replica endpoints
+//! and gives callers a single [`Client::request`] that hides the
+//! unreliable parts of the path:
 //!
 //! * **connection pooling** — idle sockets are reused per replica, with a
 //!   one-shot grace redial when a pooled socket turns out to be stale;
+//!   every socket is a [`LineConn`], which reads responses through the
+//!   server's own frame decoder and never buffers more than
+//!   [`rrre_wire::MAX_RESPONSE_BYTES`] of one;
 //! * **deadline propagation** — the per-attempt timeout is also written
 //!   into the request's `deadline_ms` field, so the server sheds work the
 //!   client has already given up on;
@@ -45,21 +55,18 @@
 
 pub mod backoff;
 pub mod breaker;
-pub mod ingest;
-pub mod pipeline;
+mod conn;
 mod replica;
 pub mod sharded;
 
-pub use ingest::IngestSequencer;
-pub use pipeline::{Pipelined, PipelinedClient};
+pub use conn::LineConn;
 pub use sharded::{ShardedClient, ShardedSnapshot};
 
 use backoff::DecorrelatedJitter;
 use breaker::Breaker;
 use rand::{rngs::StdRng, SeedableRng};
-use replica::{Conn, Replica};
+use replica::Replica;
 use rrre_wire::{ErrorKind, Request, Response};
-use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -139,8 +146,9 @@ pub enum ErrorClass {
     /// request, so only idempotent ops retry past this.
     ConnectionLost,
     /// The server answered, but with bytes that don't decode as a protocol
-    /// response — or with a response whose correlation id doesn't match
-    /// the request (a stale or corrupted stream).
+    /// response, with a line past [`rrre_wire::MAX_RESPONSE_BYTES`], or
+    /// with a response whose correlation id doesn't match the request (a
+    /// stale or corrupted stream).
     Protocol,
     /// The server answered with a structured error that retries could not
     /// clear.
@@ -170,7 +178,10 @@ impl ClientError {
 
 impl std::fmt::Display for ClientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:?} after {} attempt(s): {}", self.kind, self.attempts, self.message)
+        match self.attempts {
+            0 => write!(f, "{:?}: {}", self.kind, self.message),
+            n => write!(f, "{:?} after {n} attempt(s): {}", self.kind, self.message),
+        }
     }
 }
 
@@ -418,16 +429,6 @@ impl Client {
         }))
     }
 
-    /// Convenience: sends a `Health` request to one specific replica
-    /// (bypassing selection, retries and hedging) and returns its raw
-    /// response. Used by operational tooling; regular traffic should go
-    /// through [`Client::request`].
-    pub fn health_of(&self, replica: usize) -> Result<Response, ClientError> {
-        let shared = &self.shared;
-        let req = Request::health().with_id(shared.next_id.fetch_add(1, Ordering::SeqCst));
-        shared.attempt_io(&shared.replicas[replica], &req, shared.cfg.probe_timeout)
-    }
-
     /// The configuration this client was built with.
     pub fn config(&self) -> &ClientConfig {
         &self.shared.cfg
@@ -627,48 +628,23 @@ impl Shared {
     /// never pooled after a timeout or a protocol violation: there may be
     /// a response in flight.
     fn attempt_io(&self, replica: &Replica, req: &Request, timeout: Duration) -> Result<Response, ClientError> {
-        let line = serde_json::to_string(req).expect("Request serialisation cannot fail");
-        let expect_id = req.id;
         let mut graced = false;
         loop {
             let (mut conn, pooled) = replica.checkout(self.cfg.connect_timeout).map_err(|e| {
                 ClientError::new(ErrorClass::Connect, format!("{}: connect failed: {e}", replica.addr))
             })?;
-            match exchange(&mut conn, &line, timeout) {
-                Ok(resp_line) => {
-                    let resp: Response = match serde_json::from_str(resp_line.trim()) {
-                        Ok(resp) => resp,
-                        Err(e) => {
-                            return Err(ClientError::new(
-                                ErrorClass::Protocol,
-                                format!("{}: undecodable response: {e}", replica.addr),
-                            ))
-                        }
-                    };
-                    if resp.id != expect_id {
-                        return Err(ClientError::new(
-                            ErrorClass::Protocol,
-                            format!(
-                                "{}: response id {:?} does not match request id {:?}",
-                                replica.addr, resp.id, expect_id
-                            ),
-                        ));
-                    }
+            match conn.exchange(req, timeout) {
+                Ok(resp) => {
                     replica.checkin(conn);
                     return Ok(resp);
                 }
-                Err(e) => {
-                    let timed_out = matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    );
-                    if pooled && !graced && !timed_out {
-                        graced = true;
-                        replica.clear_pool();
-                        continue;
-                    }
-                    let class = if timed_out { ErrorClass::Timeout } else { ErrorClass::ConnectionLost };
-                    return Err(ClientError::new(class, format!("{}: {e}", replica.addr)));
+                Err(e) if pooled && !graced && e.kind == ErrorClass::ConnectionLost => {
+                    graced = true;
+                    replica.clear_pool();
+                }
+                Err(mut e) => {
+                    e.message = format!("{}: {}", replica.addr, e.message);
+                    return Err(e);
                 }
             }
         }
@@ -725,33 +701,11 @@ fn probe_loop(shared: Arc<Shared>) {
     }
 }
 
-/// Sends one request line and reads one response line within `timeout`.
-fn exchange(conn: &mut Conn, line: &str, timeout: Duration) -> std::io::Result<String> {
-    conn.writer.set_write_timeout(Some(timeout))?;
-    conn.reader.get_ref().set_read_timeout(Some(timeout))?;
-    conn.writer.write_all(line.as_bytes())?;
-    conn.writer.write_all(b"\n")?;
-    conn.writer.flush()?;
-    let mut buf = String::new();
-    match conn.reader.read_line(&mut buf) {
-        Ok(0) => Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "server closed the connection before responding",
-        )),
-        Ok(_) if buf.ends_with('\n') => Ok(buf),
-        Ok(_) => Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "truncated response line",
-        )),
-        Err(e) => Err(e),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rrre_wire::{encode_response, Op};
-    use std::io::BufReader;
+    use std::io::{BufRead, BufReader, Write};
     use std::net::TcpListener;
 
     /// A scripted protocol server: each accepted connection gets its own
@@ -953,6 +907,37 @@ mod tests {
         let client = Client::new(vec![addr], cfg);
         let err = client.request(Request::stats()).unwrap_err();
         assert_eq!(err.kind, ErrorClass::Protocol);
+    }
+
+    #[test]
+    fn a_response_past_the_bound_is_refused_without_buffering_it() {
+        // The peer streams four times the response bound with no newline,
+        // then holds the socket open: the client must give up at the bound,
+        // not wait out its timeout with the whole stream in memory.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            BufReader::new(&stream).lines().next().unwrap().unwrap();
+            let chunk = vec![b'x'; 64 * 1024];
+            for _ in 0..4 * rrre_wire::MAX_RESPONSE_BYTES / chunk.len() {
+                if (&stream).write_all(&chunk).is_err() {
+                    return;
+                }
+            }
+            // Hold the socket until the client hangs up.
+            let _ = std::io::Read::read(&mut &stream, &mut [0u8; 1]);
+        });
+        let cfg = ClientConfig { retries: 0, request_timeout: Duration::from_secs(2), ..quick_cfg() };
+        let client = Client::new(vec![addr], cfg);
+        let started = Instant::now();
+        let err = client.request(Request::stats()).unwrap_err();
+        assert_eq!(err.kind, ErrorClass::Protocol, "{err}");
+        assert!(
+            started.elapsed() < Duration::from_millis(1000),
+            "refusal must come at the bound, not at the timeout: {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

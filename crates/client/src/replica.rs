@@ -1,40 +1,10 @@
 //! Per-replica state: address, connection pool, breaker and counters.
 
 use crate::breaker::Breaker;
-use std::io::BufReader;
-use std::net::{TcpStream, ToSocketAddrs};
+use crate::LineConn;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// One pooled connection: the buffered read half and the raw write half of
-/// the same socket (the pair stays together so no buffered byte is ever
-/// orphaned).
-pub struct Conn {
-    /// Buffered reader over the socket.
-    pub reader: BufReader<TcpStream>,
-    /// Write half (a `try_clone` of the same socket).
-    pub writer: TcpStream,
-}
-
-impl Conn {
-    fn dial(addr: &str, connect_timeout: Duration) -> std::io::Result<Self> {
-        let mut last = None;
-        for sock in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&sock, connect_timeout) {
-                Ok(stream) => {
-                    stream.set_nodelay(true).ok();
-                    let writer = stream.try_clone()?;
-                    return Ok(Self { reader: BufReader::new(stream), writer });
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.unwrap_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("{addr}: no addresses"))
-        }))
-    }
-}
 
 /// One replica endpoint and everything the client knows about it.
 pub struct Replica {
@@ -42,7 +12,7 @@ pub struct Replica {
     pub addr: String,
     /// Outcome-driven circuit breaker.
     pub breaker: Mutex<Breaker>,
-    pool: Mutex<Vec<Conn>>,
+    pool: Mutex<Vec<LineConn>>,
     pool_cap: usize,
     /// Last health-probe verdict; `true` until a probe says otherwise so a
     /// probe-less client (or the window before the first probe lands)
@@ -75,17 +45,17 @@ impl Replica {
     /// A connection to this replica: pooled if one is idle (returned with
     /// `pooled = true` so the caller can apply its stale-connection grace
     /// retry), freshly dialed otherwise.
-    pub fn checkout(&self, connect_timeout: Duration) -> std::io::Result<(Conn, bool)> {
+    pub fn checkout(&self, connect_timeout: Duration) -> std::io::Result<(LineConn, bool)> {
         if let Some(conn) = self.pool.lock().unwrap_or_else(|e| e.into_inner()).pop() {
             return Ok((conn, true));
         }
-        Conn::dial(&self.addr, connect_timeout).map(|c| (c, false))
+        LineConn::dial(&self.addr, connect_timeout).map(|c| (c, false))
     }
 
     /// Returns a healthy connection to the pool (dropped if the pool is at
     /// capacity). Never check in a connection with an unread response in
     /// flight — the next checkout would read a stale reply.
-    pub fn checkin(&self, conn: Conn) {
+    pub fn checkin(&self, conn: LineConn) {
         let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
         if pool.len() < self.pool_cap {
             pool.push(conn);
@@ -124,14 +94,10 @@ mod tests {
     #[test]
     fn pool_is_bounded() {
         let r = replica(1);
-        // Hand-build conns over a real loopback listener.
+        // Dial conns to a real loopback listener.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let make = || {
-            let stream = TcpStream::connect(addr).unwrap();
-            let writer = stream.try_clone().unwrap();
-            Conn { reader: BufReader::new(stream), writer }
-        };
+        let addr = listener.local_addr().unwrap().to_string();
+        let make = || LineConn::dial(&addr, Duration::from_millis(500)).unwrap();
         r.checkin(make());
         r.checkin(make());
         assert_eq!(r.pool.lock().unwrap().len(), 1, "pool must cap at pool_cap");

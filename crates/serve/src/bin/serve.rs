@@ -7,7 +7,7 @@
 //! the offending argument; an operational failure exits with status 1.
 //! `rrre-serve --help` prints the whole table.
 
-use rrre_client::{Client, ClientConfig, ClientError, IngestSequencer, ShardedClient};
+use rrre_client::{Client, ClientConfig, ClientError, ShardedClient};
 use rrre_core::{run_robustness_sweep, AttackEvalConfig, CheckpointConfig, EpochStats, Rrre, RrreConfig};
 use rrre_data::synth::{generate, AttackCampaign, AttackFamily, SynthConfig};
 use rrre_data::{CorpusConfig, Dataset, EncodedCorpus};
@@ -901,7 +901,7 @@ fn cmd_ingest(args: Args) -> Outcome {
             Some(campaign.stream(users as usize, items as usize, count as usize))
         }
     };
-    let sequencer = IngestSequencer::starting_at(args.get("--seq-start"));
+    let seq_start: u64 = args.get("--seq-start");
     let (fleet, _) = routed_fleet(&args, client_config(&args), &[])?;
 
     // Every field below is a pure function of the seq (or of the seeded
@@ -910,13 +910,14 @@ fn cmd_ingest(args: Args) -> Outcome {
     // drills.
     let (mut fresh, mut dup, mut failed) = (0u64, 0u64, 0u64);
     for k in 0..count {
-        let seq = sequencer.next_seq();
+        let seq = seq_start + k;
         let req = match &campaign_stream {
             Some(stream) => {
                 let r = &stream[k as usize];
-                sequencer.review(r.user.0, r.item.0, r.rating, r.text.clone(), r.timestamp)
+                Request::ingest_review(seq, r.user.0, r.item.0, r.rating, r.text.clone(), r.timestamp)
             }
-            None => sequencer.review(
+            None => Request::ingest_review(
+                seq,
                 (seq % users) as u32,
                 (seq % items) as u32,
                 1.0 + (seq % 5) as f32,

@@ -14,7 +14,7 @@
 //! already has its in-flight quota submitted; both drain as responses
 //! complete and flush, and read interest comes back automatically.
 
-use crate::frame::FrameDecoder;
+use rrre_wire::FrameDecoder;
 use std::collections::VecDeque;
 use std::net::TcpStream;
 use std::time::Instant;

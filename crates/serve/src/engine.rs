@@ -906,16 +906,8 @@ fn do_compact(shared: &Shared) -> Result<(u64, u64), String> {
 }
 
 fn snapshot(shared: &Shared) -> StatsSnapshot {
-    // The replication gauges live on the replication state; fold them into
-    // the atomic block here so one snapshot call reads everything.
-    if let Some(repl) = shared.repl.as_deref() {
-        let (epoch, count, lag) = repl.stats();
-        shared.stats.epoch.store(epoch, Ordering::Relaxed);
-        shared.stats.replicated_seq.store(count, Ordering::Relaxed);
-        shared.stats.replication_lag.store(lag, Ordering::Relaxed);
-    }
     let generation = shared.generation();
-    shared.stats.snapshot(
+    let mut snap = shared.stats.snapshot(
         &generation.user_cache,
         &generation.item_cache,
         generation.id,
@@ -923,7 +915,11 @@ fn snapshot(shared: &Shared) -> StatsSnapshot {
         shared.draining.load(Ordering::SeqCst),
         shared.cfg.shard_id,
         &shared.frontend,
-    )
+    );
+    if let Some(repl) = shared.repl.as_deref() {
+        (snap.epoch, snap.replicated_seq, snap.replication_lag) = repl.stats();
+    }
+    snap
 }
 
 /// [`Engine::health`], which `Op::Health` answers too.

@@ -5,7 +5,7 @@
 //! socket, registered level-triggered with an `epoll` instance
 //! ([`crate::sys`]). Each loop iteration: wait for readiness (bounded by
 //! the poll tick), accept a batch, read every readable socket into its
-//! [`crate::frame::FrameDecoder`], submit decoded frames to the engine
+//! [`rrre_wire::FrameDecoder`], submit decoded frames to the engine
 //! with completion callbacks, drain the completion queue into
 //! per-connection output queues, flush with `writev`, and — at most once
 //! per poll tick — reap connections that have been silent for the idle
@@ -19,11 +19,10 @@
 
 use crate::conn::Conn;
 use crate::engine::Engine;
-use crate::frame::FrameEvent;
 use crate::server::ServerConfig;
 use crate::stats::FrontendStats;
 use crate::sys::{self, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
-use rrre_wire::{encode_response, ErrorKind, Response, MAX_LINE_BYTES};
+use rrre_wire::{encode_response, ErrorKind, FrameEvent, Response, MAX_LINE_BYTES};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpListener;

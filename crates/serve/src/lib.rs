@@ -27,9 +27,10 @@
 //!
 //! The TCP front end is a readiness-driven event core: one epoll thread
 //! ([`sys`]) multiplexes every connection, decoding frames incrementally
-//! ([`frame`]), pipelining requests per connection ([`conn`]), reaping
-//! idle sockets once per poll tick when [`ServerConfig::idle_timeout`] is
-//! set, and flushing responses with `writev`. Workers answer through
+//! ([`rrre_wire::frame`], the framer clients read responses with too),
+//! pipelining requests per connection ([`conn`]), reaping idle sockets once
+//! per poll tick when [`ServerConfig::idle_timeout`] is set, and flushing
+//! responses with `writev`. Workers answer through
 //! completion callbacks ([`batch::Completion`]) instead of parked threads.
 //!
 //! The engine reproduces `rrre_core` predictions *bit for bit*: it calls the
@@ -46,7 +47,6 @@ pub mod cache;
 pub mod conn;
 pub mod engine;
 mod event_loop;
-pub mod frame;
 pub mod replication;
 pub mod server;
 pub mod stats;
@@ -57,8 +57,7 @@ pub use artifact::{ArtifactManifest, FileChecksum, ModelArtifact};
 pub use batch::Completion;
 pub use cache::{CacheAxis, TowerCache};
 pub use engine::{Engine, EngineConfig, Generation, IngestConfig, WAL_DIR};
-pub use frame::{FrameDecoder, FrameError, FrameEvent};
-pub use rrre_wire::{ErrorKind, HealthDto, Op, Request, Response};
+pub use rrre_wire::{ErrorKind, FrameDecoder, FrameError, FrameEvent, HealthDto, Op, Request, Response};
 pub use replication::{AckLevel, QuorumError, ReplRole, Replication, ReplicationConfig};
 pub use server::{Server, ServerConfig};
 pub use stats::{EngineStats, FrontendStats, StatsSnapshot};

@@ -46,16 +46,17 @@
 //! `RECONNECT_BACKOFF`. A replica no leader ships to — one missing from the
 //! leader's followers and from every `Promote` peer set — receives nothing.
 //!
-//! The shipping transport is a deliberately minimal blocking NDJSON client
-//! over `std::net::TcpStream` — one request in flight per follower, the
-//! same framing the public protocol uses, no new dependencies.
+//! Each shipper talks to its follower over one [`rrre_client::LineConn`],
+//! the connection every client of the protocol uses: one `Replicate` in
+//! flight, its answer read under the wire's response bound, and the link
+//! redialled after any transport or protocol error.
 
 use crate::wal::{replace_durably, IngestLog, WalRecord};
-use rrre_wire::{ErrorKind, ReplRecordDto, Request, Response, MAX_LINE_BYTES};
+use rrre_client::LineConn;
+use rrre_wire::{ErrorKind, ReplRecordDto, Request, MAX_LINE_BYTES};
 use std::collections::HashMap;
 use std::fs;
-use std::io::{self, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -74,6 +75,8 @@ const BATCH_MAX: usize = 16;
 const BATCH_BYTE_BUDGET: usize = 8 * 1024;
 /// Sleep between attempts on a dead or refusing follower link.
 const RECONNECT_BACKOFF: Duration = Duration::from_millis(50);
+/// Bound on one dial and on each half of one `Replicate` round trip.
+const SHIP_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// When an `IngestReview` ack is released to the client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -498,8 +501,20 @@ fn shipper_loop(repl: &Arc<Replication>, addr: &str, my_epoch: u64, my_gen: u64)
         });
         batch.truncate(over.map_or(batch.len(), |i| i.max(1)));
         let req = replicate_request(epoch, from, batch, self_addr);
-        let resp = match exchange_on(&mut conn, addr, &req, Duration::from_secs(2)) {
-            Ok(resp) => resp,
+        // Any error leaves the link at an unknown point: drop it, redial.
+        let shipped = match conn.take() {
+            Some(link) => Ok(link),
+            None => LineConn::dial(addr, SHIP_TIMEOUT).map_err(|e| e.to_string()),
+        }
+        .and_then(|mut link| {
+            let resp = link.exchange(&req, SHIP_TIMEOUT).map_err(|e| e.to_string())?;
+            Ok((link, resp))
+        });
+        let resp = match shipped {
+            Ok((link, resp)) => {
+                conn = Some(link);
+                resp
+            }
             Err(e) => {
                 log_link_failure(&mut link_failures, addr, &e);
                 std::thread::sleep(RECONNECT_BACKOFF);
@@ -560,7 +575,7 @@ pub(crate) fn fits_one_replicate(rec: &WalRecord, self_addr: Option<&str>) -> bo
 /// Logs a repeatedly-failing follower link on the first consecutive failure
 /// and every 100th thereafter — a dead or misconfigured follower address is
 /// visible in the logs without flooding them at the retry cadence.
-fn log_link_failure(failures: &mut u64, addr: &str, err: &io::Error) {
+fn log_link_failure(failures: &mut u64, addr: &str, err: &str) {
     *failures += 1;
     if *failures == 1 || *failures % 100 == 0 {
         eprintln!(
@@ -589,83 +604,6 @@ pub fn load_epoch(dir: &Path) -> io::Result<u64> {
 /// replication lock.
 pub fn persist_epoch(dir: &Path, epoch: u64) -> io::Result<()> {
     replace_durably(dir, EPOCH_FILE, epoch.to_string().as_bytes())
-}
-
-/// A blocking single-request-in-flight NDJSON connection.
-struct LineConn {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl LineConn {
-    /// Connects with a bounded timeout. Addresses resolve through
-    /// `ToSocketAddrs`, so hostnames (`replica-2:7001`) work, not just
-    /// socket-address literals.
-    fn connect(addr: &str, timeout: Duration) -> io::Result<Self> {
-        let sockaddr = addr
-            .to_socket_addrs()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("bad addr {addr}: {e}")))?
-            .next()
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("addr {addr} resolved to no socket address"),
-                )
-            })?;
-        let stream = TcpStream::connect_timeout(&sockaddr, timeout)?;
-        stream.set_nodelay(true)?;
-        Ok(Self { stream, buf: Vec::new() })
-    }
-
-    /// Writes one request line and reads one response line.
-    fn exchange(&mut self, req: &Request, timeout: Duration) -> io::Result<Response> {
-        self.stream.set_read_timeout(Some(timeout))?;
-        self.stream.set_write_timeout(Some(timeout))?;
-        let mut line = serde_json::to_string(req).map_err(io::Error::other)?;
-        line.push('\n');
-        self.stream.write_all(line.as_bytes())?;
-        // Lockstep protocol: exactly one response is in flight, so reading
-        // up to the first newline consumes exactly our reply.
-        loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let line = self.buf.drain(..=pos).collect::<Vec<u8>>();
-                let text = std::str::from_utf8(&line[..line.len() - 1])
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                return serde_json::from_str::<Response>(text)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {e}")));
-            }
-            if self.buf.len() > 1 << 20 {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "response line exceeds 1 MiB"));
-            }
-            let mut chunk = [0u8; 4096];
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed mid-response"));
-            }
-            self.buf.extend_from_slice(&chunk[..n]);
-        }
-    }
-}
-
-/// Sends `req` over a cached connection to `addr`, dialling (or
-/// redialling) as needed. On any transport error the cache is cleared so
-/// the next call redials.
-fn exchange_on(
-    conn: &mut Option<LineConn>,
-    addr: &str,
-    req: &Request,
-    timeout: Duration,
-) -> io::Result<Response> {
-    if conn.is_none() {
-        *conn = Some(LineConn::connect(addr, timeout)?);
-    }
-    match conn.as_mut().expect("just set").exchange(req, timeout) {
-        Ok(resp) => Ok(resp),
-        Err(e) => {
-            *conn = None;
-            Err(e)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -789,25 +727,6 @@ mod tests {
         }
         repl.stop();
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn line_conn_accepts_hostnames_not_just_socket_literals() {
-        // `replica-2:7001`-style addresses must *resolve*, not be refused
-        // as unparseable before the dial. The connection itself may still
-        // fail (nothing listens on the reserved-then-released port) — the
-        // regression under test is `InvalidInput` on every hostname.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let port = listener.local_addr().unwrap().port();
-        drop(listener);
-        if let Err(err) = LineConn::connect(&format!("localhost:{port}"), Duration::from_millis(500))
-        {
-            assert_ne!(
-                err.kind(),
-                io::ErrorKind::InvalidInput,
-                "hostname was rejected instead of resolved: {err}"
-            );
-        }
     }
 
     #[test]

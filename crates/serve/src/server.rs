@@ -5,7 +5,7 @@
 //! ([`crate::sys`]) —
 //! no thread per connection, so the front end scales to thousands of
 //! concurrent sockets. Reads are nonblocking into per-connection
-//! incremental NDJSON buffers ([`crate::frame::FrameDecoder`]); requests
+//! incremental NDJSON buffers ([`rrre_wire::FrameDecoder`]); requests
 //! pipeline freely up to [`ServerConfig::max_inflight_per_conn`] per
 //! connection; responses are flushed with `writev`, batching queued
 //! frames into single syscalls, and leave in **completion** order —

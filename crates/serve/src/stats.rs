@@ -131,14 +131,6 @@ pub struct EngineStats {
     /// Torn WAL tails truncated during recovery. Mid-log corruption is
     /// *not* counted — it fails closed instead of recovering.
     pub wal_recoveries: AtomicU64,
-    /// Replication epoch (leader term) this replica is fenced at — a gauge
-    /// the replication layer stores into, 0 without replication.
-    pub epoch: AtomicU64,
-    /// Records durably accepted, folded ones included: the ingest log's
-    /// count (gauge; leader appends plus follower-applied shipments).
-    pub replicated_seq: AtomicU64,
-    /// Leader-side shipping backlog to the slowest live follower (gauge).
-    pub replication_lag: AtomicU64,
     /// Requests refused with `StaleEpoch` — fenced stale-leader traffic.
     pub stale_epoch_rejections: AtomicU64,
     /// Enqueue-to-reply latency of every request.
@@ -204,9 +196,11 @@ impl EngineStats {
             refreshes: self.refreshes.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
             wal_recoveries: self.wal_recoveries.load(Ordering::Relaxed),
-            epoch: self.epoch.load(Ordering::Relaxed),
-            replicated_seq: self.replicated_seq.load(Ordering::Relaxed),
-            replication_lag: self.replication_lag.load(Ordering::Relaxed),
+            // The replication gauges live on the replication state; the
+            // engine fills them in when it is replicated.
+            epoch: 0,
+            replicated_seq: 0,
+            replication_lag: 0,
             stale_epoch_rejections: self.stale_epoch_rejections.load(Ordering::Relaxed),
             // Engines never degrade on their own — they either own the
             // entity or refuse; the scatter-gather client fills this in

@@ -3,19 +3,20 @@
 //! One connection, many requests in flight: the server claims frames as
 //! they decode, workers answer in **completion** order, and the client
 //! must match responses back to requests by the correlation ids the wire
-//! protocol echoes. These tests drive a [`PipelinedClient`] window of 64
-//! through a real engine + TCP server and check that every id comes back
+//! protocol echoes. These tests keep a window of 64 requests in flight on
+//! one [`LineConn`], tracking the ids themselves, through a real engine +
+//! TCP server and check that every id comes back
 //! exactly once with the answer a direct engine call gives, that
 //! per-request deadlines are honored independently of their neighbours in
 //! the pipeline, and that a mid-pipeline `Crash` drill leaves every other
 //! in-flight request answered or cleanly refused — never hung.
 
-use rrre_client::{Pipelined, PipelinedClient};
+use rrre_client::LineConn;
 use rrre_serve::server::{Server, ServerConfig};
 use rrre_serve::{Engine, EngineConfig, ModelArtifact};
 use rrre_testkit::{trained_fixture, TempDir};
 use rrre_wire::{ErrorKind, Op, Request, Response};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -37,24 +38,41 @@ fn serving_stack(tag: &str, cfg: EngineConfig) -> (TempDir, Arc<Engine>, Server)
     (dir, engine, server)
 }
 
-fn connect(server: &Server) -> PipelinedClient {
-    PipelinedClient::connect(server.local_addr(), Duration::from_secs(1)).unwrap()
+/// One connection and the ids it has in flight.
+struct Window {
+    conn: LineConn,
+    pending: HashSet<u64>,
 }
 
-/// Receives until the window is empty, keyed by id — tolerating (in fact
-/// expecting) completion-order arrival.
-fn drain_by_id(client: &mut PipelinedClient) -> HashMap<u64, Response> {
-    let mut by_id = HashMap::new();
-    while client.pending() > 0 {
-        match client.recv(RECV_TIMEOUT).expect("every in-flight id must be answered") {
-            Pipelined::Response(resp) => {
-                let id = resp.id.expect("matched responses carry their id");
-                assert!(by_id.insert(id, resp).is_none(), "id {id} answered twice");
-            }
-            Pipelined::Unmatched(resp) => panic!("response matched nothing in flight: {resp:?}"),
-        }
+impl Window {
+    fn open(server: &Server) -> Self {
+        let conn = LineConn::dial(&server.local_addr().to_string(), Duration::from_secs(1)).unwrap();
+        Self { conn, pending: HashSet::new() }
     }
-    by_id
+
+    /// Sends without waiting for anything; returns the request's id.
+    fn send(&mut self, req: Request) -> u64 {
+        let id = req.id.expect("every pipelined request carries an id");
+        self.conn.send(&req, RECV_TIMEOUT).unwrap();
+        assert!(self.pending.insert(id), "id {id} already in flight");
+        id
+    }
+
+    /// Receives until the window is empty, keyed by id — tolerating (in
+    /// fact expecting) completion-order arrival.
+    fn drain_by_id(&mut self) -> HashMap<u64, Response> {
+        let mut by_id = HashMap::new();
+        while !self.pending.is_empty() {
+            let resp = self.conn.recv(RECV_TIMEOUT).expect("every in-flight id must be answered");
+            match resp.id {
+                Some(id) if self.pending.remove(&id) => {
+                    assert!(by_id.insert(id, resp).is_none(), "id {id} answered twice");
+                }
+                _ => panic!("response matched nothing in flight: {resp:?}"),
+            }
+        }
+        by_id
+    }
 }
 
 #[test]
@@ -63,7 +81,7 @@ fn sixty_four_in_flight_match_direct_engine_answers_by_id() {
         "pipeline-64",
         EngineConfig { workers: 4, ..EngineConfig::default() },
     );
-    let mut client = connect(&server);
+    let mut client = Window::open(&server);
 
     // A mix of cheap Predicts and heavier Recommends so completion order
     // genuinely shuffles relative to submission order across 4 workers.
@@ -80,11 +98,11 @@ fn sixty_four_in_flight_match_direct_engine_answers_by_id() {
         // or ordered id space.
         let req = make_req(i).with_id(1000 + 7 * i as u64);
         sent.push((req.id.unwrap(), make_req(i)));
-        client.send(req).unwrap();
+        client.send(req);
     }
-    assert_eq!(client.pending(), WINDOW);
+    assert_eq!(client.pending.len(), WINDOW);
 
-    let by_id = drain_by_id(&mut client);
+    let by_id = client.drain_by_id();
     assert_eq!(by_id.len(), WINDOW, "every id answered exactly once");
     for (id, req) in sent {
         let resp = &by_id[&id];
@@ -103,8 +121,8 @@ fn sixty_four_in_flight_match_direct_engine_answers_by_id() {
     // The front-end counters saw the pipeline: a fresh Stats request on
     // the same connection reports this very socket as open and nothing
     // still in flight.
-    let id = client.send(Request::stats()).unwrap();
-    let by_id = drain_by_id(&mut client);
+    let id = client.send(Request::stats().with_id(1));
+    let by_id = client.drain_by_id();
     let stats = by_id[&id].stats.as_ref().expect("Stats carries a snapshot");
     assert!(stats.open_conns >= 1, "this connection must be counted open");
     // The gauge is decremented when the completion drains back to the
@@ -121,7 +139,7 @@ fn deadlines_are_honored_per_request_within_the_pipeline() {
         // wait behind each other — the expired deadline must fail alone.
         EngineConfig { workers: 1, ..EngineConfig::default() },
     );
-    let mut client = connect(&server);
+    let mut client = Window::open(&server);
 
     let mut expired = Vec::new();
     let mut generous = Vec::new();
@@ -136,10 +154,10 @@ fn deadlines_are_honored_per_request_within_the_pipeline() {
             generous.push(i);
             req.with_deadline_ms(30_000)
         };
-        client.send(req).unwrap();
+        client.send(req);
     }
 
-    let by_id = drain_by_id(&mut client);
+    let by_id = client.drain_by_id();
     for id in expired {
         let resp = &by_id[&id];
         assert!(!resp.ok, "id {id} carried an expired deadline");
@@ -217,7 +235,7 @@ fn mid_pipeline_crash_leaves_every_other_request_answered_or_refused() {
             ..EngineConfig::default()
         },
     );
-    let mut client = connect(&server);
+    let mut client = Window::open(&server);
 
     let mut normal = Vec::new();
     let mut crash_id = 0;
@@ -229,13 +247,13 @@ fn mid_pipeline_crash_leaves_every_other_request_answered_or_refused() {
             normal.push(i);
             Request::predict(i as u32 % 2, i as u32 % 2).with_id(i)
         };
-        client.send(req).unwrap();
+        client.send(req);
     }
 
     // Every id — the crash included — must be answered; a worker panic
     // mid-batch may take co-batched neighbours down with it, but only to a
     // structured refusal, never to silence or a hang.
-    let by_id = drain_by_id(&mut client);
+    let by_id = client.drain_by_id();
     assert_eq!(by_id.len(), WINDOW);
     let crash_resp = &by_id[&crash_id];
     assert!(!crash_resp.ok);
@@ -260,8 +278,8 @@ fn mid_pipeline_crash_leaves_every_other_request_answered_or_refused() {
     assert!(answered >= 1, "the surviving worker must keep answering around the crash");
 
     // The connection itself survived the drill: it speaks again.
-    let id = client.send(Request::health()).unwrap();
-    let by_id = drain_by_id(&mut client);
+    let id = client.send(Request::health().with_id(WINDOW as u64));
+    let by_id = client.drain_by_id();
     assert!(by_id[&id].health.is_some(), "health must answer on the same connection");
     server.stop();
 }

@@ -32,10 +32,20 @@ use serde::{Deserialize, Serialize};
 /// function the engine ranks with.
 pub use rrre_core::{rank_by_key, Prediction};
 
+pub mod frame;
+
+pub use frame::{FrameDecoder, FrameError, FrameEvent};
+
 /// Hard cap on one request line's byte length. Lines past this bound are
 /// answered with a structured error and discarded instead of being
 /// buffered without limit — a single client cannot balloon server memory.
 pub const MAX_LINE_BYTES: usize = 16 * 1024;
+
+/// Hard cap on one response line's byte length, exclusive of the newline
+/// and inclusive at the bound, as [`MAX_LINE_BYTES`] is. [`encode_response`]
+/// never emits a longer line, and a client reading responses through a
+/// [`FrameDecoder`] of this bound buffers no more than this per connection.
+pub const MAX_RESPONSE_BYTES: usize = 1 << 20;
 
 /// The exhaustive set of accepted request fields. `decode_request` rejects
 /// anything else: a typo like `"deadine_ms"` must fail loudly instead of
@@ -194,8 +204,17 @@ impl Request {
     }
 
     /// An `IngestReview` request. The `seq` is the client's durable
-    /// sequence id for this review; resend with the *same* seq after any
-    /// ambiguous failure.
+    /// sequence id for this review, and the server's exactly-once dedup
+    /// keys on it, which leaves the client two rules:
+    ///
+    /// 1. never reuse a seq for another payload: the server would ack the
+    ///    resend as a duplicate and silently drop the new review;
+    /// 2. after an ambiguous outcome (a lost ack, a timeout, a crash
+    ///    mid-request) resend the *same* request, seq and payload, so the
+    ///    dedup collapses the retry into one record.
+    ///
+    /// Seqs need not be dense, and replaying an acked prefix is safe (it
+    /// is acked `duplicate: true`).
     pub fn ingest_review(
         seq: u64,
         user: u32,
@@ -803,9 +822,24 @@ pub struct StatsSnapshot {
     pub stale_epoch_rejections: u64,
 }
 
-/// Encodes a response as one protocol line (no trailing newline).
+/// Encodes a response as one protocol line (no trailing newline). An
+/// answer longer than [`MAX_RESPONSE_BYTES`] (an `Explain` over long
+/// reviews at a large `k`) is replaced by a `BadRequest` with the same
+/// `id` that names the bound, so no client ever has to refuse a line.
 pub fn encode_response(resp: &Response) -> String {
-    serde_json::to_string(resp).expect("Response serialisation cannot fail")
+    let line = serde_json::to_string(resp).expect("Response serialisation cannot fail");
+    if line.len() <= MAX_RESPONSE_BYTES {
+        return line;
+    }
+    let refusal = Response::error_kind(
+        resp.id,
+        ErrorKind::BadRequest,
+        format!(
+            "response of {} bytes exceeds {MAX_RESPONSE_BYTES} bytes; ask for fewer results",
+            line.len()
+        ),
+    );
+    serde_json::to_string(&refusal).expect("Response serialisation cannot fail")
 }
 
 /// Best-effort correlation-id recovery from a request line that failed
@@ -898,6 +932,42 @@ mod tests {
         let back = decode_request(&line).unwrap();
         assert_eq!(back.op, Op::Recommend);
         assert_eq!((back.user, back.k, back.id), (Some(5), Some(10), Some(99)));
+    }
+
+    /// A response carrying one explanation whose text is `len` ASCII bytes.
+    fn explained(id: u64, len: usize) -> Response {
+        let mut resp = Response::ok(Some(id));
+        resp.explanations = Some(vec![ExplanationDto {
+            review_idx: 0,
+            user: 0,
+            user_name: String::new(),
+            text: "x".repeat(len),
+            rating: 4.0,
+            reliability: 0.5,
+            filtered: false,
+        }]);
+        resp
+    }
+
+    #[test]
+    fn response_past_the_bound_becomes_a_bad_request_with_its_id() {
+        let base = encode_response(&explained(7, 0)).len();
+        let at_bound = explained(7, MAX_RESPONSE_BYTES - base);
+        let line = encode_response(&at_bound);
+        assert_eq!(line.len(), MAX_RESPONSE_BYTES, "an answer of exactly the bound is sent unchanged");
+        let back: Response = serde_json::from_str(&line).unwrap();
+        assert!(back.ok);
+        assert_eq!(back.explanations, at_bound.explanations);
+
+        let line = encode_response(&explained(7, MAX_RESPONSE_BYTES - base + 1));
+        assert!(line.len() <= MAX_RESPONSE_BYTES);
+        let back: Response = serde_json::from_str(&line).unwrap();
+        assert!(!back.ok);
+        assert_eq!(back.id, Some(7));
+        assert_eq!(back.kind, Some(ErrorKind::BadRequest));
+        assert_eq!(back.explanations, None);
+        let error = back.error.unwrap();
+        assert!(error.contains(&MAX_RESPONSE_BYTES.to_string()), "refusal must name the bound: {error}");
     }
 
     #[test]
