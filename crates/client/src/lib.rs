@@ -516,22 +516,13 @@ impl Client {
         let deadline = shared.cfg.connect_timeout + timeout * 2;
         let started = Instant::now();
         let mut fallback: Option<Result<Response, ClientError>> = None;
-        loop {
-            let remaining = match deadline.checked_sub(started.elapsed()) {
-                Some(d) => d,
-                None => break,
-            };
+        while let Some(remaining) = deadline.checked_sub(started.elapsed()) {
             match rx.recv_timeout(remaining) {
                 Ok(Ok(resp)) if resp.ok => return Ok(resp),
                 Ok(res) => {
                     // Prefer a structured server response over a transport
                     // error as the reported loser.
-                    let upgrade = match (&fallback, &res) {
-                        (None, _) => true,
-                        (Some(Err(_)), Ok(_)) => true,
-                        _ => false,
-                    };
-                    if upgrade {
+                    if matches!((&fallback, &res), (None, _) | (Some(Err(_)), Ok(_))) {
                         fallback = Some(res);
                     }
                 }
@@ -658,7 +649,7 @@ impl Shared {
         let req = Request::health().with_id(self.next_id.fetch_add(1, Ordering::SeqCst));
         match self.attempt_io(replica, &req, self.cfg.probe_timeout) {
             Ok(resp) => {
-                let ready = resp.ok && resp.health.as_ref().map_or(false, |h| h.ready);
+                let ready = resp.ok && resp.health.as_ref().is_some_and(|h| h.ready);
                 replica.set_probe_ready(ready);
                 if ready {
                     // Demonstrably serving again: close the breaker now

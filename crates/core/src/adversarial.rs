@@ -239,7 +239,7 @@ pub fn run_robustness_sweep(
     let split = train_test_split(&base, cfg.test_frac, &mut rng);
 
     let clean_corpus = EncodedCorpus::build(&base, &cfg.corpus);
-    let clean_model = Rrre::fit(&base, &clean_corpus, &split.train, cfg.model.clone());
+    let clean_model = Rrre::fit(&base, &clean_corpus, &split.train, cfg.model);
     let clean_eval = evaluate(&clean_model, &base, &clean_corpus, &split.test);
     let clean_ap_fake = fake_detection_ap(&clean_model, &base, &clean_corpus, &split.test);
     let prior = ColdStartPrior::calibrate(&base, 3);
@@ -269,7 +269,7 @@ pub fn run_robustness_sweep(
             for &i in &poisoned.injected {
                 corpus.append_doc(&poisoned.dataset.reviews[i].text);
             }
-            let model = fit_on_poisoned(&poisoned, &corpus, &split.train, cfg.model.clone());
+            let model = fit_on_poisoned(&poisoned, &corpus, &split.train, cfg.model);
             let poisoned_eval = evaluate(&model, &poisoned.dataset, &corpus, &split.test);
             // The clean (pre-attack) defender has never seen the sybil
             // accounts: their posts score through the cold-start prior,

@@ -286,7 +286,7 @@ fn restore_state(
     model: &mut Rrre,
     opt: &mut Adam,
     rng: &mut StdRng,
-    order: &mut Vec<usize>,
+    order: &mut [usize],
 ) -> io::Result<()> {
     let json = std::fs::read_to_string(dir.join(CKPT_MANIFEST_FILE))?;
     let manifest: CkptManifest =

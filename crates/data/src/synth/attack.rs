@@ -323,7 +323,7 @@ impl AttackCampaign {
             // the window so rating and time drift together.
             AttackFamily::RatingRamp => {
                 let stride = (window / m.max(1) as i64).max(1);
-                start_day + j as i64 * stride + rng.gen_range(0..stride.min(3).max(1))
+                start_day + j as i64 * stride + rng.gen_range(0..stride.clamp(1, 3))
             }
             _ => start_day + rng.gen_range(0..window),
         }

@@ -218,7 +218,7 @@ fn serve_flags() -> Vec<Flag> {
         val("--segment-kb", "N", "WAL segment rotation threshold, KiB")
             .default(ingest.segment_bytes / 1024).needs(INGEST),
         val("--refresh-every", "N", "fold ingested reviews into the serving towers every N records; \
-             0 folds only on Compact").default(ingest.refresh_every).needs(INGEST),
+             0 folds only on open, Reload and Compact").default(ingest.refresh_every).needs(INGEST),
         val("--cold-start-min", "N", "answer pairs with either side under N reviews from the \
              calibrated reliability prior instead of the head score")
             .default(ingest.cold_start_min).needs(INGEST),
@@ -591,7 +591,6 @@ fn cmd_serve(args: Args) -> Outcome {
         },
         quorum_timeout: Duration::from_millis(args.get("--quorum-timeout-ms")),
         self_addr: Some(addr.clone()),
-        ..ReplicationConfig::default()
     });
     let [dir] = args.positionals("exactly one <dir>");
 

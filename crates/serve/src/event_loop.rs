@@ -206,8 +206,8 @@ pub(crate) fn run(
 
         dirty.sort_unstable();
         dirty.dedup();
-        for i in 0..dirty.len() {
-            el.pump(dirty[i]);
+        for &token in &dirty {
+            el.pump(token);
         }
     }
 }

@@ -47,6 +47,8 @@ pub mod cache;
 pub mod conn;
 pub mod engine;
 mod event_loop;
+pub mod generation;
+pub mod ingest;
 pub mod replication;
 pub mod server;
 pub mod stats;
@@ -56,7 +58,9 @@ pub mod wal;
 pub use artifact::{ArtifactManifest, FileChecksum, ModelArtifact};
 pub use batch::Completion;
 pub use cache::{CacheAxis, TowerCache};
-pub use engine::{Engine, EngineConfig, Generation, IngestConfig, WAL_DIR};
+pub use engine::{Engine, EngineConfig};
+pub use generation::Generation;
+pub use ingest::{IngestConfig, WAL_DIR};
 pub use rrre_wire::{ErrorKind, FrameDecoder, FrameError, FrameEvent, HealthDto, Op, Request, Response};
 pub use replication::{AckLevel, QuorumError, ReplRole, Replication, ReplicationConfig};
 pub use server::{Server, ServerConfig};

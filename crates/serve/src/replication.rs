@@ -51,7 +51,8 @@
 //! flight, its answer read under the wire's response bound, and the link
 //! redialled after any transport or protocol error.
 
-use crate::wal::{replace_durably, IngestLog, WalRecord};
+use crate::ingest::IngestLog;
+use crate::wal::{replace_durably, WalRecord};
 use rrre_client::LineConn;
 use rrre_wire::{ErrorKind, ReplRecordDto, Request, MAX_LINE_BYTES};
 use std::collections::HashMap;
@@ -185,7 +186,7 @@ pub(crate) enum Refusal {
 }
 
 /// Mutable replication state, all under one lock (its place in the lock
-/// order: the [`crate::engine`] module docs).
+/// order: the [`crate::ingest`] module docs).
 struct ReplInner {
     /// Persisted leader term this replica is fenced at.
     epoch: u64,
@@ -305,7 +306,8 @@ impl Replication {
 
     /// Majority size of the replica set (leader + followers).
     fn quorum_size(followers: usize) -> usize {
-        (1 + followers) / 2 + 1
+        let replicas = 1 + followers;
+        replicas / 2 + 1
     }
 
     /// Blocks until `target` records are durable on a quorum of the
@@ -577,7 +579,7 @@ pub(crate) fn fits_one_replicate(rec: &WalRecord, self_addr: Option<&str>) -> bo
 /// visible in the logs without flooding them at the retry cadence.
 fn log_link_failure(failures: &mut u64, addr: &str, err: &str) {
     *failures += 1;
-    if *failures == 1 || *failures % 100 == 0 {
+    if *failures == 1 || failures.is_multiple_of(100) {
         eprintln!(
             "rrre-serve: replication shipper link to {addr} failing \
              ({} consecutive attempts): {err}",

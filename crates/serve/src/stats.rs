@@ -150,9 +150,7 @@ impl EngineStats {
     /// flag; readiness is derived — not draining and breaker closed.
     pub fn snapshot(
         &self,
-        user_cache: &crate::TowerCache,
-        item_cache: &crate::TowerCache,
-        generation: u64,
+        generation: &crate::Generation,
         breaker_open: bool,
         draining: bool,
         shard_id: Option<u32>,
@@ -161,6 +159,7 @@ impl EngineStats {
         let requests = self.requests.load(Ordering::Relaxed);
         let batches = self.batches.load(Ordering::Relaxed);
         let batched_jobs = self.batched_jobs.load(Ordering::Relaxed);
+        let (user_cache, item_cache) = (&generation.user_cache, &generation.item_cache);
         let (uh, um) = (user_cache.hits(), user_cache.misses());
         let (ih, im) = (item_cache.hits(), item_cache.misses());
         let lookups = uh + um + ih + im;
@@ -181,7 +180,7 @@ impl EngineStats {
             reloads: self.reloads.load(Ordering::Relaxed),
             reload_failures: self.reload_failures.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            generation,
+            generation: generation.id,
             breaker_open,
             draining,
             ready: !draining && !breaker_open,

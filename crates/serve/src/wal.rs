@@ -2,9 +2,9 @@
 //!
 //! Every accepted `IngestReview` is appended here — length-prefixed,
 //! CRC-checksummed, fsync'd per [`FsyncPolicy`] — *before* the client sees
-//! an ack, so an acked review survives any crash. The refresh worker and
-//! the compactor both read the log back through [`replay_and_repair`],
-//! which distinguishes the two ways a log can be damaged:
+//! an ack, so an acked review survives any crash. An ingest engine's open
+//! reads the log back through [`replay_and_repair`], which distinguishes
+//! the two ways a log can be damaged:
 //!
 //! * **Torn tail** — the process (or machine) died mid-append and the last
 //!   segment ends in an incomplete record. Appends are strictly
@@ -35,10 +35,8 @@
 //! commit *atomically* — there is no window where the artifact says one
 //! thing and the ledger another.
 //!
-//! The ledger's in-memory complement is `IngestLog`: every accepted
-//! record the artifact does not yet hold, stored once per replica. It is
-//! the only map from a log position to a record — refresh, compaction, the
-//! replication shippers and `Stats` all read it.
+//! The ledger's in-memory complement, every accepted record the artifact
+//! does not yet hold, is the `ingest` module's `IngestLog`.
 
 use rrre_wire::{crc32, ReplRecordDto};
 use serde::{Deserialize, Serialize};
@@ -46,7 +44,6 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
 
 /// One ingested review as logged. `seq` is the *client-supplied* sequence
 /// id that makes retries idempotent; everything else is the review payload
@@ -503,98 +500,6 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// The accepted records the artifact does not yet hold, one copy per
-/// replica: log position `base + i` is `records[i]`. Records enter only
-/// through [`IngestLog::push`], which the engine calls after the WAL append
-/// under its writer lock, so positions follow WAL order. This mutex is a
-/// reader's lock and is never held across a WAL append (lock order: the
-/// `engine` module docs).
-pub(crate) struct IngestLog {
-    inner: Mutex<LogInner>,
-}
-
-struct LogInner {
-    /// Records folded into the artifact, before this process opened or by a
-    /// compaction since. Positions below it can no longer be read.
-    base: u64,
-    /// Accepted records since `base`, in WAL append order.
-    records: Vec<WalRecord>,
-    /// Prefix of `records` already published into the serving towers.
-    refreshed: usize,
-}
-
-impl IngestLog {
-    /// A log over the replayed-but-unfolded `records` (in WAL order) above
-    /// the `base` records the ledger says a compaction folded.
-    pub(crate) fn new(base: u64, records: Vec<WalRecord>) -> Self {
-        Self { inner: Mutex::new(LogInner { base, records, refreshed: 0 }) }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, LogInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Records accepted in all, folded or not: the `replicated_seq`
-    /// watermark, and the position the next record takes.
-    pub(crate) fn count(&self) -> u64 {
-        let inner = self.lock();
-        inner.base + inner.records.len() as u64
-    }
-
-    /// Appends one accepted record. Returns the new count and how many
-    /// records are not yet in the serving towers.
-    pub(crate) fn push(&self, rec: WalRecord) -> (u64, usize) {
-        let mut inner = self.lock();
-        inner.records.push(rec);
-        (inner.base + inner.records.len() as u64, inner.records.len() - inner.refreshed)
-    }
-
-    /// Up to `max` records from position `from`, sealed for the wire, or
-    /// `Err(base)` when `from` lies below the base.
-    pub(crate) fn read(&self, from: u64, max: usize) -> Result<Vec<ReplRecordDto>, u64> {
-        let picked: Vec<WalRecord> = {
-            let inner = self.lock();
-            let start = from.checked_sub(inner.base).ok_or(inner.base)?;
-            let start = usize::try_from(start).unwrap_or(usize::MAX);
-            inner.records.iter().skip(start).take(max).cloned().collect()
-        };
-        // Seal (CRC the text) after the lock is released.
-        Ok(picked.into_iter().map(ReplRecordDto::from).collect())
-    }
-
-    /// The records not yet in the serving towers, and the refreshed mark
-    /// they start at.
-    pub(crate) fn unrefreshed(&self) -> (Vec<WalRecord>, usize) {
-        let inner = self.lock();
-        (inner.records[inner.refreshed..].to_vec(), inner.refreshed)
-    }
-
-    /// Every unfolded record: what a compaction folds.
-    pub(crate) fn snapshot(&self) -> Vec<WalRecord> {
-        self.lock().records.clone()
-    }
-
-    /// Runs `swap`, which replaces the serving generation, under this lock
-    /// and sets the refreshed mark to what it returns, so the pointer and
-    /// the mark move together. `None` leaves the mark alone; returns
-    /// whether the mark moved.
-    pub(crate) fn set_refreshed(&self, swap: impl FnOnce() -> Option<usize>) -> bool {
-        let mut inner = self.lock();
-        swap().map(|mark| inner.refreshed = mark).is_some()
-    }
-
-    /// Drops the first `n` records, which a compaction just folded into the
-    /// artifact. The base advances by `n`, so every position — and each
-    /// follower's acked watermark — stays where it was; the reloaded
-    /// generation holds the fold, so nothing left is refreshed.
-    pub(crate) fn drain_folded(&self, n: usize) {
-        let mut inner = self.lock();
-        inner.records.drain(..n);
-        inner.base += n as u64;
-        inner.refreshed = 0;
-    }
-}
-
 /// Staging directory of the two-phase artifact commit: a sibling of the
 /// artifact directory named `<artifact>.next`.
 pub fn staging_dir(artifact_dir: &Path) -> PathBuf {
@@ -867,40 +772,6 @@ mod tests {
         let r = replay_and_repair(&dir).unwrap();
         assert_eq!(r.records.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![2]);
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn ingest_log_reads_from_its_base_in_wal_order() {
-        // Three records folded by a compaction; three replayed above them
-        // in WAL order, which is not seq order.
-        let log = IngestLog::new(3, vec![rec(7), rec(5), rec(6)]);
-        assert_eq!(log.count(), 6);
-        let seqs = |from, max| {
-            log.read(from, max).map(|batch| {
-                assert!(batch.iter().all(ReplRecordDto::verify), "every record is sealed");
-                batch.iter().map(|r| r.seq).collect::<Vec<_>>()
-            })
-        };
-        assert_eq!(seqs(3, 16), Ok(vec![7, 5, 6]));
-        assert_eq!(seqs(4, 1), Ok(vec![5]));
-        assert_eq!(seqs(6, 16), Ok(vec![]), "the end of the log reads empty");
-        assert_eq!(seqs(2, 16), Err(3), "a folded position is below the base");
-    }
-
-    #[test]
-    fn drain_folded_keeps_positions_absolute_across_repeated_drains() {
-        let log = IngestLog::new(0, (1..=4).map(rec).collect());
-        log.drain_folded(4);
-        assert_eq!(log.count(), 4, "folding must not rewind the count");
-        assert_eq!(log.read(0, 16), Err(4));
-        // The next record takes the next absolute position.
-        assert_eq!(log.push(rec(5)), (5, 1));
-        assert_eq!(log.read(4, 16).map(|batch| batch[0].seq), Ok(5));
-        // A second drain moves the base again.
-        log.drain_folded(1);
-        assert_eq!(log.count(), 5);
-        assert_eq!(log.read(4, 16), Err(5));
-        assert_eq!(log.read(5, 16), Ok(vec![]));
     }
 
     #[test]

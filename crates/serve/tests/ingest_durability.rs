@@ -13,6 +13,8 @@
 //!   artifact — the open fails **closed** rather than serve a guess;
 //! * the incremental tower refresh is bit-identical to folding the WAL into
 //!   a new artifact generation and reloading it from disk;
+//! * a `Reload` serves what a restart would: every acked review the WAL
+//!   still holds is folded back in, whatever `refresh_every` says;
 //! * compaction commits through a sealed staging directory: no COMMIT
 //!   marker → roll back, COMMIT marker → roll forward, and the seq ledger
 //!   keeps replay idempotent across every interleaving.
@@ -268,6 +270,38 @@ fn incremental_refresh_is_bit_identical_to_compaction_reload_and_restart() {
     assert_persisted_rows_match_a_full_reencode(dir.path(), base + 5);
     assert_eq!(probe(&engine), refreshed, "compaction without refresh must serve the same bits");
     engine.shutdown();
+}
+
+#[test]
+fn a_reload_serves_what_a_restart_would() {
+    // `refresh_every` 0 included: with auto-refresh off nothing is folded
+    // before the reload, yet an open folds every WAL record, so a reload
+    // must too.
+    for refresh_every in [1, 0] {
+        let (dir, fx) = saved_fixture(&format!("ingest-reload-{refresh_every}"));
+        let (n_users, n_items) = (fx.dataset.n_users, fx.dataset.n_items);
+        let cfg = IngestConfig { refresh_every, ..ingest_cfg() };
+
+        let engine = open(dir.path(), cfg);
+        for seq in 0..5 {
+            ingest_one(&engine, seq, n_users, n_items, false);
+        }
+        let resp = engine.submit(Request::reload());
+        assert!(resp.ok, "reload refused: {:?}", resp.error);
+        assert_eq!(resp.generation, Some(2));
+        let reloaded = (served_reviews(&engine), probe(&engine));
+        drop(engine);
+
+        let engine = open(dir.path(), cfg);
+        let restarted = (served_reviews(&engine), probe(&engine));
+        assert_eq!(restarted.0, fx.dataset.len() + 5, "refresh_every={refresh_every}");
+        assert_eq!(
+            reloaded, restarted,
+            "refresh_every={refresh_every}: a reload must serve every acked review, as a \
+             restart does"
+        );
+        engine.shutdown();
+    }
 }
 
 /// The artifact at `dir` holds `n_reviews` persisted review vectors, each

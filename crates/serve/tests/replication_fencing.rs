@@ -11,10 +11,14 @@
 //! * a fenced leader never names itself as the leader, whether the higher
 //!   term arrived in a `Replicate` or as a follower's refusal of its shipper;
 //! * a stale-term `IngestReview` is refused before the WAL;
+//! * a follower applies a `Replicate` batch by log position: it skips the
+//!   prefix it holds, applies nothing across a gap, and refuses a known seq
+//!   at a new position or a record failing its CRC without touching the
+//!   WAL;
 //! * compaction drains the folded prefix out of the in-memory ingest log
 //!   while `replicated_seq`, an absolute position, stays put, and a reopen
 //!   counts folded and replayed records alike (what the drained log serves
-//!   from where is `wal.rs`'s `IngestLog` tests);
+//!   from where is `ingest.rs`'s `IngestLog` tests);
 //! * a record whose one-record `Replicate` line could outgrow the wire's
 //!   line cap is refused before the WAL, so no accepted record can stall
 //!   the quorum behind it.
@@ -25,7 +29,7 @@ use rrre_serve::{
     ReplicationConfig, Request, Server,
 };
 use rrre_testkit::{trained_fixture, ReplicatedDeployment, TempDir};
-use rrre_wire::MAX_LINE_BYTES;
+use rrre_wire::{ReplRecordDto, MAX_LINE_BYTES};
 use std::path::Path;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -193,6 +197,51 @@ fn a_stale_term_ingest_is_refused_before_the_wal() {
     assert_eq!(after.stale_epoch_rejections, before.stale_epoch_rejections + 1);
     assert_eq!(after.wal_bytes, before.wal_bytes, "refused, yet written");
     assert_eq!(after.ingested, 0);
+}
+
+#[test]
+fn a_follower_applies_replicate_batches_by_log_position() {
+    let dir = saved_fixture("replicate-arithmetic");
+    let engine = open_follower(dir.path(), 2, None);
+    let sealed =
+        |seq: u64| ReplRecordDto::sealed(seq, 0, 0, 4.0, seq as i64, format!("review {seq}"));
+    let batch = |from: u64, seqs: &[u64]| {
+        engine.submit(Request::replicate(1, from, seqs.iter().map(|&s| sealed(s)).collect()))
+    };
+    let acked = |resp: rrre_serve::Response| {
+        assert!(resp.ok, "replicate refused: {:?}", resp.error);
+        resp.replicated.expect("an ok Replicate acks its durable count")
+    };
+    assert_eq!(acked(batch(0, &[1, 2, 3])), 3);
+
+    // Overlap: positions 1 and 2 are known, so only seqs 4 and 5 append.
+    let wal_bytes = engine.stats().wal_bytes;
+    assert_eq!(acked(batch(1, &[2, 3, 4, 5])), 5, "the known prefix is skipped");
+    assert!(engine.stats().wal_bytes > wal_bytes);
+    assert_eq!(engine.stats().replicated_seq, 5);
+
+    // Gap: position 7 is past the end, so nothing applies and the
+    // unchanged count tells the leader where to rewind to.
+    let wal_bytes = engine.stats().wal_bytes;
+    assert_eq!(acked(batch(7, &[8])), 5);
+    assert_eq!(engine.stats().wal_bytes, wal_bytes, "a gap appended something");
+
+    // A known seq at a new position is a divergence: refused, nothing
+    // appended.
+    let resp = batch(5, &[3]);
+    assert_eq!(resp.kind, Some(ErrorKind::Internal), "{:?}", resp.error);
+    assert!(resp.error.as_deref().is_some_and(|e| e.contains("divergence")), "{:?}", resp.error);
+    assert_eq!(engine.stats().wal_bytes, wal_bytes, "a divergent record was appended");
+    assert_eq!(engine.stats().replicated_seq, 5);
+
+    // A record failing its CRC is refused before the WAL, and so is the
+    // sound record ahead of it in the same batch.
+    let torn = ReplRecordDto { crc: sealed(7).crc ^ 1, ..sealed(7) };
+    let resp = engine.submit(Request::replicate(1, 5, vec![sealed(6), torn]));
+    assert_eq!(resp.kind, Some(ErrorKind::Internal), "{:?}", resp.error);
+    assert!(resp.error.as_deref().is_some_and(|e| e.contains("CRC")), "{:?}", resp.error);
+    assert_eq!(engine.stats().wal_bytes, wal_bytes, "a batch with a bad CRC reached the WAL");
+    assert_eq!(engine.stats().replicated_seq, 5);
 }
 
 #[test]

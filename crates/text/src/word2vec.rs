@@ -49,7 +49,7 @@ impl WordVectors {
     pub fn from_flat(dim: usize, flat: Vec<f32>) -> Self {
         assert!(dim > 0, "WordVectors::from_flat: dim must be positive");
         assert!(
-            flat.len() % dim == 0,
+            flat.len().is_multiple_of(dim),
             "WordVectors::from_flat: {} floats is not a whole number of {}-dim rows",
             flat.len(),
             dim
