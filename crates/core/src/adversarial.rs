@@ -345,7 +345,7 @@ mod tests {
         let poisoned = campaign.poison(&base);
         let corpus = EncodedCorpus::build(&poisoned.dataset, &cfg.corpus);
         let train: Vec<usize> = (0..base.len()).collect();
-        let model = fit_on_poisoned(&poisoned, &corpus, &train, cfg.model.clone());
+        let model = fit_on_poisoned(&poisoned, &corpus, &train, cfg.model);
         let (eval, attack_auc) =
             evaluate_under_attack(&model, &poisoned, &corpus, &[0, 1, 2, 3]);
         assert_eq!(eval.n, 4);

@@ -34,7 +34,7 @@ impl ReviewEncoder {
 
     /// Handles of the encoder's parameters (used to freeze them in
     /// [`crate::EncoderMode::Frozen`] mode).
-    pub fn param_ids(&self) -> Vec<rrre_tensor::ParamId> {
+    pub fn param_ids(&self) -> [rrre_tensor::ParamId; 6] {
         self.bilstm.param_ids()
     }
 

@@ -251,8 +251,7 @@ impl Rrre {
             // Extra shrinkage on the per-entity embedding tables.
             if self.cfg.gamma_emb > 0.0 {
                 for id in [self.user_emb.table(), self.item_emb.table()] {
-                    let value = self.params.get(id).clone();
-                    self.params.grad_mut(id).axpy(2.0 * self.cfg.gamma_emb, &value);
+                    self.params.add_value_to_grad(id, 2.0 * self.cfg.gamma_emb);
                 }
             }
             // Frozen means frozen: the cached review embeddings must
@@ -260,15 +259,14 @@ impl Rrre {
             // (not even weight decay) may touch them.
             if matches!(self.cfg.encoder, EncoderMode::Frozen) {
                 for id in self.encoder.param_ids() {
-                    let (r_dim, c_dim) = self.params.grad(id).shape();
-                    *self.params.grad_mut(id) = Tensor::zeros(r_dim, c_dim);
+                    self.params.grad_mut(id).as_mut_slice().fill(0.0);
                 }
             }
             // The mean rating is a data statistic that rides in `params`
             // only for checkpoint self-containment; `apply_l2_grad`
             // above gave it a weight-decay gradient that must not reach
             // the optimiser.
-            *self.params.grad_mut(self.mean_rating_id) = Tensor::zeros(1, 1);
+            self.params.grad_mut(self.mean_rating_id).as_mut_slice().fill(0.0);
             self.params.clip_grad_norm(5.0);
             opt.step(&mut self.params);
         }
@@ -1067,5 +1065,35 @@ mod tests {
         assert_eq!(revs.len(), weights.len());
         assert!(!revs.is_empty());
         assert!((weights.iter().sum::<f32>() - 1.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn frozen_encoder_never_enters_a_shard_and_a_reset_shard_is_all_zero() {
+        let (ds, corpus) = tiny();
+        let train: Vec<usize> = (0..ds.len()).collect();
+        let cfg = RrreConfig::tiny();
+        assert!(matches!(cfg.encoder, EncoderMode::Frozen));
+        let (model, _, _) = Rrre::training_setup(&ds, &corpus, &train, cfg);
+        let mut shard = GradShard::new(&model.params);
+        for review in [0, ds.len() - 1] {
+            model.example_pass(&ds, &corpus, review, true, 2, &mut shard.grads);
+        }
+        for id in model.encoder.param_ids() {
+            assert_eq!(shard.grads.written_rows(id), Some(&[][..]), "{} entered the shard", model.params.name(id));
+        }
+        // The tables hold the looked-up rows only: per example one own row
+        // plus one per review slot of the other tower.
+        for (table, slots) in [(model.user_emb.table(), cfg.s_i), (model.item_emb.table(), cfg.s_u)] {
+            let rows = shard.grads.written_rows(table).expect("a lookup writes rows, not the table");
+            assert!(!rows.is_empty() && rows.len() <= 2 * (1 + slots), "{rows:?}");
+            assert!(rows.iter().any(|&r| shard.grads.grad(table).row(r).iter().any(|&v| v != 0.0)));
+        }
+
+        shard.reset();
+        for id in model.params.ids() {
+            assert_eq!(shard.grads.written_rows(id), Some(&[][..]), "{}", model.params.name(id));
+            let stale = shard.grads.grad(id).as_slice().iter().position(|v| v.to_bits() != 0);
+            assert_eq!(stale, None, "{} keeps a written element after reset", model.params.name(id));
+        }
     }
 }

@@ -22,6 +22,13 @@
 //! 3. **The optimiser step is serial.** One thread absorbs the reduced
 //!    gradients into the `Params` store and applies Adam, exactly as before.
 //!
+//! Shards are row-sparse: each [`GradShard`] records which embedding rows
+//! its examples wrote, and the reset, the merges and the absorb visit only
+//! those. Skipping an unwritten element is exact — it is `+0.0`, and no
+//! accumulator that starts at `+0.0` and only adds ever holds `-0.0`, the
+//! one value `+ 0.0` would change — so this changes no bit of the
+//! argument above.
+//!
 //! Together these make training bit-identical for every thread count,
 //! including `threads = 1`, which runs the very same shard loop on the
 //! calling thread. `tests/parallel_parity.rs` is the oracle for this claim.
@@ -41,8 +48,9 @@ use std::thread::JoinHandle;
 /// Examples per shard. A constant — never derived from the thread count —
 /// so the shard layout (and therefore every accumulation order) is a pure
 /// function of the chunk length. Small enough to keep 8 workers busy on the
-/// default 64-example batch, large enough that the per-shard buffer zeroing
-/// amortises.
+/// default 64-example batch. A shard's reset and merge cost the rows its
+/// examples touched plus the small dense layers, so a finer grain costs
+/// little; changing it changes the tree and therefore the bits.
 pub const SHARD_GRAIN: usize = 4;
 
 /// Number of shards a chunk of `n` examples splits into.
@@ -57,7 +65,11 @@ pub fn shard_range(s: usize, n: usize) -> std::ops::Range<usize> {
 }
 
 /// One shard's accumulation buffer: a detached gradient store plus the
-/// (f64) loss partial sums for the epoch statistics. Keeping the loss sums
+/// (f64) loss partial sums for the epoch statistics. The store holds what
+/// the shard's examples wrote — the embedding rows they looked up and the
+/// dense layers they ran — and nothing else: a parameter no example
+/// touches, such as the frozen review encoder, is never reset, merged or
+/// absorbed. Keeping the loss sums
 /// in the shard means the *statistics* are also combined by the fixed-order
 /// tree, so the reported per-epoch losses are bit-stable across thread
 /// counts too — which is exactly what the golden traces assert on.
@@ -79,8 +91,8 @@ impl GradShard {
         Self { grads: params.grad_store(), loss: 0.0, loss1: 0.0, loss2: 0.0 }
     }
 
-    /// Resets the shard for reuse on the next minibatch (in place, no
-    /// reallocation).
+    /// Resets the shard for reuse on the next minibatch: zeroes the written
+    /// rows in place, with no reallocation.
     pub fn reset(&mut self) {
         self.grads.zero();
         self.loss = 0.0;

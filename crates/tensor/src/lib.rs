@@ -10,6 +10,13 @@
 //! every differentiable op and layer is enforced by numerical gradient
 //! checking (see [`gradcheck`]).
 //!
+//! Embedding gradients are row-sparse. A lookup ([`nn::Embedding::forward`],
+//! i.e. [`Tape::param_rows`]) copies only the rows it reads instead of
+//! snapshotting the table, its backward pass writes only those rows
+//! ([`GradSink::accumulate_rows`]), and a [`GradStore`] zeroes, merges and is
+//! absorbed over the rows it was written — bit for bit what a dense table
+//! gradient would give.
+//!
 //! ## Quick example
 //!
 //! ```

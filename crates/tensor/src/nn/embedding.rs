@@ -40,8 +40,10 @@ impl Embedding {
         self.table
     }
 
-    /// Looks up `ids`, producing an `[ids.len(), dim]` node. Duplicate ids
-    /// accumulate gradient into the same row.
+    /// Looks up `ids`, producing an `[ids.len(), dim]` node. Only those rows
+    /// are copied, and the backward pass writes only those rows of the
+    /// gradient ([`Tape::param_rows`]); duplicate ids accumulate gradient
+    /// into the same row.
     ///
     /// # Panics
     /// Panics if any id is out of vocabulary.
@@ -49,8 +51,7 @@ impl Embedding {
         for &id in ids {
             assert!(id < self.vocab, "Embedding::forward: id {id} out of vocab {}", self.vocab);
         }
-        let table = tape.param(params, self.table);
-        tape.gather_rows(table, ids)
+        tape.param_rows(params, self.table, ids)
     }
 
     /// Tape-free lookup for inference paths.

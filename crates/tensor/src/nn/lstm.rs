@@ -182,10 +182,9 @@ impl BiLstm {
     }
 
     /// The handles of all six parameters (both directions).
-    pub fn param_ids(&self) -> Vec<crate::ParamId> {
-        let mut ids = self.fwd.param_ids().to_vec();
-        ids.extend(self.bwd.param_ids());
-        ids
+    pub fn param_ids(&self) -> [crate::ParamId; 6] {
+        let ([a, b, c], [d, e, f]) = (self.fwd.param_ids(), self.bwd.param_ids());
+        [a, b, c, d, e, f]
     }
 
     /// Differentiable encoding of a `[T, input]` sequence into `[1, 2h]`.

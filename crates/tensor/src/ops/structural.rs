@@ -30,8 +30,9 @@ impl Tape {
         self.push(value, Op::SliceCols(a, start, end))
     }
 
-    /// Gathers the listed rows of `table` (an embedding lookup when `table`
-    /// is a parameter). Duplicate indices accumulate gradient correctly.
+    /// Gathers the listed rows of a node. Duplicate indices accumulate
+    /// gradient correctly. The gradient is a full-size table, so an
+    /// embedding lookup uses [`Tape::param_rows`] instead.
     pub fn gather_rows(&mut self, table: Var, indices: &[usize]) -> Var {
         let value = self.value(table).gather_rows(indices);
         self.push(value, Op::GatherRows { table, indices: indices.to_vec() })

@@ -1,6 +1,6 @@
 //! First-order optimisers over a [`Params`] store.
 
-use crate::{Params, Tensor};
+use crate::{ParamId, Params, Tensor};
 
 /// Plain stochastic gradient descent with optional momentum.
 #[derive(Debug, Clone)]
@@ -115,20 +115,25 @@ impl Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (i, id) in params.ids().enumerate().collect::<Vec<_>>() {
-            let grad = params.grad(id).clone();
-            let m = &mut self.m[i];
-            m.map_inplace(|x| x * self.beta1);
-            m.axpy(1.0 - self.beta1, &grad);
-            let v = &mut self.v[i];
-            let g_sq = grad.map(|x| x * x);
-            v.map_inplace(|x| x * self.beta2);
-            v.axpy(1.0 - self.beta2, &g_sq);
-
-            let m_hat = self.m[i].scale(1.0 / bc1);
-            let v_hat = self.v[i].scale(1.0 / bc2);
-            let update = m_hat.zip_map(&v_hat, |mh, vh| mh / (vh.sqrt() + self.eps));
-            params.get_mut(id).axpy(-self.lr, &update);
+        let (b1, b2, eps) = (self.beta1, self.beta2, self.eps);
+        let (c1, c2) = (1.0 - b1, 1.0 - b2);
+        let (s1, s2, neg_lr) = (1.0 / bc1, 1.0 / bc2, -self.lr);
+        for ((i, m), v) in (0..params.len()).zip(&mut self.m).zip(&mut self.v) {
+            let (value, grad) = params.value_mut_and_grad(ParamId(i));
+            assert!(m.shape() == value.shape() && v.shape() == value.shape(), "Adam: moment shape mismatch");
+            // One pass, no temporaries. The operation order is part of the
+            // checkpoint contract (resumed runs replay these bits): m·β₁ +
+            // (1−β₁)·g, v·β₂ + (1−β₂)·g², bias correction, then
+            // p + (−lr)·m̂/(√v̂ + ε) — no fused multiply-add, no reordering.
+            let moments = m.as_mut_slice().iter_mut().zip(v.as_mut_slice());
+            for ((p, &g), (m, v)) in value.as_mut_slice().iter_mut().zip(grad.as_slice()).zip(moments) {
+                *m *= b1;
+                *m += c1 * g;
+                *v *= b2;
+                *v += c2 * (g * g);
+                let (m_hat, v_hat) = (s1 * *m, s2 * *v);
+                *p += neg_lr * (m_hat / (v_hat.sqrt() + eps));
+            }
         }
     }
 }

@@ -93,12 +93,17 @@ impl Params {
         (0..self.values.len()).map(ParamId)
     }
 
-    /// Resets every gradient accumulator to zero.
+    /// Resets every gradient accumulator to zero, in place.
     pub fn zero_grads(&mut self) {
         for g in &mut self.grads {
-            let (r, c) = g.shape();
-            *g = Tensor::zeros(r, c);
+            g.as_mut_slice().fill(0.0);
         }
+    }
+
+    /// The value of `id` and its gradient, borrowed together (the optimisers
+    /// update one from the other without copying either).
+    pub(crate) fn value_mut_and_grad(&mut self, id: ParamId) -> (&mut Tensor, &Tensor) {
+        (&mut self.values[id.0], &self.grads[id.0])
     }
 
     /// Sum of squared L2 norms of all values — the `Σ‖ε‖²` regulariser of
@@ -113,6 +118,12 @@ impl Params {
         for (v, g) in self.values.iter().zip(&mut self.grads) {
             g.axpy(2.0 * gamma, v);
         }
+    }
+
+    /// Adds `alpha·value` to the gradient of `id` alone: extra shrinkage on
+    /// one parameter, on top of [`Params::apply_l2_grad`].
+    pub fn add_value_to_grad(&mut self, id: ParamId, alpha: f32) {
+        self.grads[id.0].axpy(alpha, &self.values[id.0]);
     }
 
     /// Global gradient-norm clipping: if the joint L2 norm of all gradients
@@ -141,17 +152,33 @@ impl Params {
     pub fn grad_store(&self) -> GradStore {
         GradStore {
             grads: self.values.iter().map(|v| Tensor::zeros(v.rows(), v.cols())).collect(),
+            written: self.values.iter().map(|v| Written::new(v.rows())).collect(),
         }
     }
 
-    /// Adds every accumulator in `store` onto this store's gradients,
-    /// parameter by parameter — the single-threaded absorption step after a
-    /// parallel reduction.
+    /// Adds what `store` wrote onto this store's gradients, parameter by
+    /// parameter — the single-threaded absorption step after a parallel
+    /// reduction. Only the written rows of each slot are visited.
     pub fn absorb(&mut self, store: &GradStore) {
         assert_eq!(self.grads.len(), store.grads.len(), "absorb: parameter count mismatch");
-        for (g, s) in self.grads.iter_mut().zip(&store.grads) {
-            g.add_assign(s);
+        for ((g, s), w) in self.grads.iter_mut().zip(&store.grads).zip(&store.written) {
+            w.add_into(g, s);
         }
+    }
+}
+
+/// `dst.row(rows[k]) += delta.row(k)` for every `k`.
+fn add_rows(dst: &mut Tensor, rows: &[usize], delta: &Tensor) {
+    assert_eq!(delta.shape(), (rows.len(), dst.cols()), "accumulate_rows: delta shape mismatch");
+    for (k, &r) in rows.iter().enumerate() {
+        add_row(dst.row_mut(r), delta.row(k));
+    }
+}
+
+/// `dst[i] += src[i]`, element by element.
+fn add_row(dst: &mut [f32], src: &[f32]) {
+    for (a, &b) in dst.iter_mut().zip(src) {
+        *a += b;
     }
 }
 
@@ -164,25 +191,82 @@ impl Params {
 pub trait GradSink {
     /// Adds `delta` onto the accumulator for `id`.
     fn accumulate_grad(&mut self, id: ParamId, delta: &Tensor);
+
+    /// Adds row `k` of `delta` onto row `rows[k]` of the accumulator for
+    /// `id`; every other row is left alone. `rows` holds distinct indices.
+    fn accumulate_rows(&mut self, id: ParamId, rows: &[usize], delta: &Tensor);
 }
 
 impl GradSink for Params {
     fn accumulate_grad(&mut self, id: ParamId, delta: &Tensor) {
         self.grads[id.0].add_assign(delta);
     }
+
+    fn accumulate_rows(&mut self, id: ParamId, rows: &[usize], delta: &Tensor) {
+        add_rows(&mut self.grads[id.0], rows, delta);
+    }
+}
+
+/// Which part of one [`GradStore`] slot has been written since the last
+/// [`GradStore::zero`]. Every element outside it is `+0.0`.
+#[derive(Debug, Clone)]
+struct Written {
+    /// The whole slot ([`GradSink::accumulate_grad`] wrote it).
+    dense: bool,
+    /// Rows written through [`GradSink::accumulate_rows`], each listed once.
+    rows: Vec<usize>,
+    /// `listed[r]` iff `rows` contains `r`.
+    listed: Vec<bool>,
+}
+
+impl Written {
+    fn new(n_rows: usize) -> Self {
+        Self { dense: false, rows: Vec::new(), listed: vec![false; n_rows] }
+    }
+
+    fn mark_rows(&mut self, rows: &[usize]) {
+        if self.dense {
+            return;
+        }
+        for &r in rows {
+            if !self.listed[r] {
+                self.listed[r] = true;
+                self.rows.push(r);
+            }
+        }
+    }
+
+    /// Adds the written part of `src` onto `dst`. Skipping the rest is
+    /// exact: it is `+0.0`, and `x + 0.0 == x` for every `x` but `-0.0`,
+    /// which an accumulator that starts at `+0.0` and only ever adds never
+    /// holds.
+    fn add_into(&self, dst: &mut Tensor, src: &Tensor) {
+        if self.dense {
+            dst.add_assign(src);
+        } else {
+            for &r in &self.rows {
+                add_row(dst.row_mut(r), src.row(r));
+            }
+        }
+    }
 }
 
 /// A gradient accumulator detached from its [`Params`] store: one zeroed
-/// tensor per parameter, created by [`Params::grad_store`].
+/// tensor per parameter, created by [`Params::grad_store`], plus a record of
+/// what each slot has been written: nothing, a set of rows (an embedding
+/// lookup's [`GradSink::accumulate_rows`]), or the whole slot.
 ///
-/// Stores are combined with [`GradStore::add_assign`]; because each
-/// `add_assign` is an element-wise `a[i] += b[i]` in parameter order, a
-/// reduction over stores is bit-determined entirely by the order the stores
-/// are combined in — which is what the fixed-order tree reduction in
-/// `rrre-core` pins down.
+/// [`GradStore::zero`], [`GradStore::add_assign`] and [`Params::absorb`]
+/// visit only the written rows, so a store's cost follows the rows its
+/// examples touched, not the size of the tables. The bits are those of a
+/// dense store: every skipped element is `+0.0`. Because each `add_assign`
+/// is an element-wise `a[i] += b[i]`, a reduction over stores is
+/// bit-determined entirely by the order the stores are combined in — which
+/// is what the fixed-order tree reduction in `rrre-core` pins down.
 #[derive(Debug, Clone)]
 pub struct GradStore {
     grads: Vec<Tensor>,
+    written: Vec<Written>,
 }
 
 impl GradStore {
@@ -201,26 +285,42 @@ impl GradStore {
         &self.grads[id.0]
     }
 
-    /// Mutable access to the accumulator for `id`.
-    pub fn grad_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.grads[id.0]
+    /// The rows of `id`'s accumulator written since the last
+    /// [`GradStore::zero`], in first-write order; empty when the slot is
+    /// untouched, `None` when it was written whole.
+    pub fn written_rows(&self, id: ParamId) -> Option<&[usize]> {
+        let w = &self.written[id.0];
+        (!w.dense).then_some(w.rows.as_slice())
     }
 
-    /// Resets every accumulator to zero in place (shapes are kept, no
-    /// reallocation — stores are meant to be reused across minibatches).
+    /// Resets every written element to zero in place and forgets what was
+    /// written (shapes are kept, no reallocation — stores are meant to be
+    /// reused across minibatches).
     pub fn zero(&mut self) {
-        for g in &mut self.grads {
-            g.map_inplace(|_| 0.0);
+        for (g, w) in self.grads.iter_mut().zip(&mut self.written) {
+            if w.dense {
+                g.as_mut_slice().fill(0.0);
+            }
+            for &r in &w.rows {
+                g.row_mut(r).fill(0.0);
+                w.listed[r] = false;
+            }
+            w.rows.clear();
+            w.dense = false;
         }
     }
 
-    /// Adds every accumulator of `other` onto this store: the pairwise
-    /// reduction step. Panics if the two stores came from differently shaped
-    /// `Params`.
+    /// Adds what `other` wrote onto this store: the pairwise reduction step.
+    /// Panics if the two stores came from differently shaped `Params`.
     pub fn add_assign(&mut self, other: &GradStore) {
         assert_eq!(self.grads.len(), other.grads.len(), "add_assign: parameter count mismatch");
-        for (g, o) in self.grads.iter_mut().zip(&other.grads) {
-            g.add_assign(o);
+        for (i, o) in other.written.iter().enumerate() {
+            o.add_into(&mut self.grads[i], &other.grads[i]);
+            if o.dense {
+                self.written[i].dense = true;
+            } else {
+                self.written[i].mark_rows(&o.rows);
+            }
         }
     }
 
@@ -233,6 +333,12 @@ impl GradStore {
 impl GradSink for GradStore {
     fn accumulate_grad(&mut self, id: ParamId, delta: &Tensor) {
         self.grads[id.0].add_assign(delta);
+        self.written[id.0].dense = true;
+    }
+
+    fn accumulate_rows(&mut self, id: ParamId, rows: &[usize], delta: &Tensor) {
+        add_rows(&mut self.grads[id.0], rows, delta);
+        self.written[id.0].mark_rows(rows);
     }
 }
 

@@ -4,8 +4,10 @@
 //! resulting computation graph is a DAG ordered by construction, so the
 //! backward pass is a single reverse sweep that accumulates adjoints into the
 //! parents of each node. Parameters live in a [`Params`] store outside the
-//! tape; [`Tape::param`] snapshots a parameter value into the graph, and
-//! [`Tape::backward`] writes the resulting gradients back into the store.
+//! tape; [`Tape::param`] snapshots a parameter value into the graph,
+//! [`Tape::param_rows`] copies only the rows an embedding lookup reads, and
+//! [`Tape::backward`] writes the resulting gradients back into the store —
+//! a lookup's gradient as the rows it touched, never as a whole table.
 //!
 //! The tape is intended to be rebuilt per training step — construction is a
 //! `Vec` push per op — which keeps the design free of interior mutability and
@@ -23,6 +25,9 @@ pub struct Var(pub(crate) usize);
 pub(crate) enum Op {
     /// Input constant or parameter snapshot.
     Leaf { param: Option<ParamId> },
+    /// Rows `indices` of parameter `param` (duplicates allowed), read
+    /// straight from the store.
+    ParamRows { param: ParamId, indices: Vec<usize> },
     Add(Var, Var),
     Sub(Var, Var),
     /// Element-wise product.
@@ -44,7 +49,7 @@ pub(crate) enum Op {
     ConcatCols(Vec<Var>),
     ConcatRows(Vec<Var>),
     SliceCols(Var, usize, usize),
-    /// Gathers rows of `table` listed in `indices` (duplicates allowed).
+    /// Gathers rows of node `table` listed in `indices` (duplicates allowed).
     GatherRows { table: Var, indices: Vec<usize> },
     SumAll(Var),
     MeanAll(Var),
@@ -109,8 +114,23 @@ impl Tape {
     /// Snapshots a parameter from `params` into the graph. Gradients flowing
     /// into this node are accumulated into `params.grad_mut(id)` by
     /// [`Tape::backward`].
+    ///
+    /// This copies the whole tensor; an embedding lookup uses
+    /// [`Tape::param_rows`] instead.
     pub fn param(&mut self, params: &Params, id: ParamId) -> Var {
         self.push(params.get(id).clone(), Op::Leaf { param: Some(id) })
+    }
+
+    /// Gathers rows `indices` of parameter `id` into an `[indices.len(), c]`
+    /// node without snapshotting the table (duplicates allowed). The backward
+    /// pass hands the sink one summed gradient row per distinct index, through
+    /// [`GradSink::accumulate_rows`].
+    ///
+    /// # Panics
+    /// Panics if an index is out of range.
+    pub fn param_rows(&mut self, params: &Params, id: ParamId, indices: &[usize]) -> Var {
+        let value = params.get(id).gather_rows(indices);
+        self.push(value, Op::ParamRows { param: id, indices: indices.to_vec() })
     }
 
     /// The forward value of a node.
@@ -178,6 +198,28 @@ impl Tape {
                 if let Some(id) = param {
                     sink.accumulate_grad(*id, g);
                 }
+            }
+            Op::ParamRows { param, indices } => {
+                // Each distinct row's gradient is summed from +0.0 in index
+                // order — the very additions a dense `[vocab, c]` zero table
+                // would see — and only then added into the sink, so the sink
+                // receives the dense path's bits on every touched row.
+                let mut order: Vec<usize> = (0..indices.len()).collect();
+                order.sort_by_key(|&r| indices[r]);
+                let c = g.cols();
+                let mut rows: Vec<usize> = Vec::with_capacity(indices.len());
+                let mut sums: Vec<f32> = Vec::with_capacity(indices.len() * c);
+                for r in order {
+                    if rows.last() != Some(&indices[r]) {
+                        rows.push(indices[r]);
+                        sums.resize(sums.len() + c, 0.0);
+                    }
+                    let at = sums.len() - c;
+                    for (o, &gv) in sums[at..].iter_mut().zip(g.row(r)) {
+                        *o += gv;
+                    }
+                }
+                sink.accumulate_rows(*param, &rows, &Tensor::from_vec(rows.len(), c, sums));
             }
             Op::Add(a, b) => {
                 Self::accumulate(grads, *a, g.clone());

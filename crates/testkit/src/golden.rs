@@ -120,7 +120,8 @@ pub fn capture(spec: FixtureSpec, n_heads: usize) -> (GoldenTrace, Fixture) {
 
 fn check(errors: &mut Vec<String>, what: impl std::fmt::Display, golden: f64, actual: f64, tol: f64) {
     let diff = (golden - actual).abs();
-    if !(diff <= tol) {
+    // A NaN on either side is a violation, never a pass.
+    if !matches!(diff.partial_cmp(&tol), Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)) {
         errors.push(format!("{what}: golden {golden} vs actual {actual} (|Δ| = {diff:e} > {tol:e})"));
     }
 }

@@ -138,10 +138,9 @@ impl ReplicatedDeployment {
             ack: self.ack,
             quorum_timeout: self.quorum_timeout,
             self_addr: Some(slot.addr.clone()),
-            ..ReplicationConfig::default()
         };
         let engine = Arc::new(
-            Engine::open_replicated(&slot.dir, EngineConfig::default(), self.ingest.clone(), repl)
+            Engine::open_replicated(&slot.dir, EngineConfig::default(), self.ingest, repl)
                 .expect("ReplicatedDeployment: replicated open failed"),
         );
         let server = Server::start(Arc::clone(&engine), slot.addr.as_str())
