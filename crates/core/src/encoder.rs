@@ -8,7 +8,7 @@
 
 use rrre_data::EncodedCorpus;
 use rrre_tensor::nn::BiLstm;
-use rrre_tensor::{Params, Tape, Tensor, Var};
+use rrre_tensor::{Eval, Executor, Params, Tensor};
 
 /// BiLSTM review encoder producing `k`-dimensional review embeddings.
 #[derive(Debug, Clone)]
@@ -53,15 +53,21 @@ impl ReviewEncoder {
         out
     }
 
-    /// Differentiable encoding of one review (`EndToEnd` mode): `[1, k]`.
-    pub fn forward_review(&self, tape: &mut Tape, params: &Params, corpus: &EncodedCorpus, idx: usize) -> Var {
-        let words = tape.constant(self.word_matrix(corpus, idx));
-        self.bilstm.forward(tape, params, words)
+    /// Encoding of one review: `[1, k]`.
+    pub fn forward_review<'p, E: Executor<'p>>(
+        &self,
+        ex: &mut E,
+        params: &'p Params,
+        corpus: &EncodedCorpus,
+        idx: usize,
+    ) -> E::V {
+        let words = ex.constant(self.word_matrix(corpus, idx));
+        self.bilstm.forward(ex, params, words)
     }
 
-    /// Tape-free encoding of one review.
+    /// [`ReviewEncoder::forward_review`] on the value evaluator.
     pub fn encode_review(&self, params: &Params, corpus: &EncodedCorpus, idx: usize) -> Tensor {
-        self.bilstm.infer(params, &self.word_matrix(corpus, idx))
+        self.forward_review(&mut Eval, params, corpus, idx).into_owned()
     }
 
     /// Encodes every review in the corpus (the frozen-mode cache), returning
@@ -104,14 +110,6 @@ mod tests {
         let (corpus, params, enc) = setup();
         let e = enc.encode_review(&params, &corpus, 0);
         assert_eq!(e.shape(), (1, 12));
-    }
-
-    #[test]
-    fn tape_and_infer_agree() {
-        let (corpus, params, enc) = setup();
-        let mut tape = Tape::new();
-        let v = enc.forward_review(&mut tape, &params, &corpus, 3);
-        assert!(tape.value(v).approx_eq(&enc.encode_review(&params, &corpus, 3), 1e-5));
     }
 
     #[test]

@@ -13,7 +13,8 @@ use rand::{Rng, SeedableRng};
 use rrre_data::repr::ReviewVectors;
 use rrre_data::{Dataset, DatasetIndex, EncodedCorpus, ItemId, UserId};
 use rrre_tensor::nn::{Embedding, FactorizationMachine, Linear};
-use rrre_tensor::{optim::Adam, GradStore, ParamId, Params, Tape, Tensor, Var};
+use rrre_tensor::{optim::Adam, Eval, Executor, GradStore, ParamId, Params, Tape, Tensor};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -390,8 +391,8 @@ impl Rrre {
     /// `InvalidData`).
     ///
     /// In [`EncoderMode::Frozen`] the review-embedding cache is rebuilt from
-    /// the restored encoder weights, so the model is immediately ready for
-    /// tape-free prediction.
+    /// the restored encoder weights, so the model is immediately ready to
+    /// serve.
     pub fn from_checkpoint(
         ds: &Dataset,
         corpus: &EncodedCorpus,
@@ -449,7 +450,7 @@ impl Rrre {
         ));
     }
 
-    /// Whether the tape-free frozen prediction path (and therefore
+    /// Whether the frozen review cache (and therefore
     /// [`Rrre::infer_user_tower`] / [`Rrre::infer_item_tower`]) is ready:
     /// frozen-mode models have it from construction, and every model built
     /// by [`Rrre::from_frozen_parts`] has it, which pins an
@@ -464,7 +465,7 @@ impl Rrre {
         self.cache.as_ref()
     }
 
-    /// Tape-free encoding (`[1, k]`) of review `idx` of `corpus` with this
+    /// The encoding (`[1, k]`) of review `idx` of `corpus` with this
     /// model's encoder weights — one row of [`ReviewEncoder::encode_all`].
     pub fn encode_review(&self, corpus: &EncodedCorpus, idx: usize) -> Tensor {
         self.encoder.encode_review(&self.params, corpus, idx)
@@ -586,36 +587,37 @@ impl Rrre {
         Ok(())
     }
 
-    /// The latest-`m` review matrices of one user–item pair: differentiable
-    /// review representations `[m, k]` plus validity masks.
-    fn review_matrix(
-        &self,
-        tape: &mut Tape,
-        corpus: &EncodedCorpus,
+    /// The latest-`m` review matrix of one entity, `[m, k]`, plus its
+    /// validity mask: rows of the frozen cache when the model has one, else
+    /// the encoder run over `corpus` on `ex` (zero rows pad).
+    fn review_matrix<'p, E: Executor<'p>>(
+        &'p self,
+        ex: &mut E,
+        corpus: Option<&EncodedCorpus>,
         review_indices: &[usize],
         m: usize,
-    ) -> (Var, Vec<bool>) {
-        match (&self.cache, self.cfg.encoder) {
+    ) -> (E::V, Vec<bool>) {
+        let corpus = match (&self.cache, corpus) {
             (Some(cache), _) => {
                 let (t, mask) = cache.stack_padded(review_indices, m);
-                (tape.constant(t), mask)
+                return (ex.constant(t), mask);
             }
-            (None, _) => {
-                // End-to-end: encode each review on the tape; zero rows pad.
-                let take = review_indices.len().min(m);
-                let start = review_indices.len() - take;
-                let mut rows = Vec::with_capacity(m);
-                let mut mask = vec![false; m];
-                for (slot, &ri) in review_indices[start..].iter().enumerate() {
-                    rows.push(self.encoder.forward_review(tape, &self.params, corpus, ri));
-                    mask[slot] = true;
-                }
-                while rows.len() < m {
-                    rows.push(tape.constant(Tensor::zeros(1, self.cfg.k)));
-                }
-                (tape.concat_rows(&rows), mask)
-            }
+            (None, Some(corpus)) => corpus,
+            (None, None) => panic!("Rrre: no frozen review cache to serve from; build the model with from_frozen_parts"),
+        };
+        let take = review_indices.len().min(m);
+        let start = review_indices.len() - take;
+        let mut rows = Vec::with_capacity(m);
+        let mut mask = vec![false; m];
+        for (slot, &ri) in review_indices[start..].iter().enumerate() {
+            rows.push(self.encoder.forward_review(ex, &self.params, corpus, ri));
+            mask[slot] = true;
         }
+        while rows.len() < m {
+            rows.push(ex.constant(Tensor::zeros(1, self.cfg.k)));
+        }
+        let rows: Vec<&E::V> = rows.iter().collect();
+        (ex.concat_rows(&rows), mask)
     }
 
     /// The input reviews of an entity under the configured sampling
@@ -640,14 +642,18 @@ impl Rrre {
         }
     }
 
-    fn user_inputs(&self, user: usize) -> Vec<usize> {
-        let all = self.index.user_reviews(UserId(user as u32));
-        self.select_inputs(all, self.cfg.s_u, 0x5555_0000 ^ user as u64)
-    }
-
-    fn item_inputs(&self, item: usize) -> Vec<usize> {
-        let all = self.index.item_reviews(ItemId(item as u32));
-        self.select_inputs(all, self.cfg.s_i, 0xAAAA_0000 ^ item as u64)
+    /// The input reviews of one side's entity for the pair.
+    fn inputs(&self, side: Side, user: usize, item: usize) -> Vec<usize> {
+        match side {
+            Side::User => {
+                let all = self.index.user_reviews(UserId(user as u32));
+                self.select_inputs(all, self.cfg.s_u, 0x5555_0000 ^ user as u64)
+            }
+            Side::Item => {
+                let all = self.index.item_reviews(ItemId(item as u32));
+                self.select_inputs(all, self.cfg.s_i, 0xAAAA_0000 ^ item as u64)
+            }
+        }
     }
 
     /// Counterpart entity ids aligned with the padded review matrix slots:
@@ -663,90 +669,78 @@ impl Rrre {
         ids
     }
 
-    /// The §III-D attention context for one tower: per review slot, the
-    /// target pair's user and item ID embeddings plus the ID embedding of
-    /// the review's counterpart entity — a `[m, 3·id_dim]` matrix.
-    fn tower_context(
-        &self,
-        tape: &mut Tape,
-        e_u: Var,
-        e_i: Var,
-        counterpart_ids: &[usize],
-        counterpart: &Embedding,
-    ) -> Var {
-        let m = counterpart_ids.len();
+    /// The target pair's ID embeddings `(e_u, e_i)`.
+    fn pair_ids<'p, E: Executor<'p>>(&'p self, ex: &mut E, user: usize, item: usize) -> (E::V, E::V) {
+        let e_u = self.user_emb.forward(ex, &self.params, &[user]);
+        let e_i = self.item_emb.forward(ex, &self.params, &[item]);
+        (e_u, e_i)
+    }
+
+    /// One tower for a target pair (paper §III-D), over its input reviews
+    /// `revs`: the entity representation (`x_u` or `y_i`, `[1, id_dim]`) and
+    /// the attention it pooled them with ([`Tower::attend`]). The attention
+    /// context has one row per review slot: the pair's user and item ID
+    /// embeddings plus the ID embedding of the review's own counterpart.
+    fn tower<'p, E: Executor<'p>>(
+        &'p self,
+        ex: &mut E,
+        corpus: Option<&EncodedCorpus>,
+        side: Side,
+        revs: &[usize],
+        (e_u, e_i): (&E::V, &E::V),
+    ) -> (E::V, Option<E::V>) {
+        let (m, tower, counterpart_of, counterpart) = match side {
+            Side::User => (self.cfg.s_u, &self.user_tower, &self.input_items_of, &self.item_emb),
+            Side::Item => (self.cfg.s_i, &self.item_tower, &self.input_users_of, &self.user_emb),
+        };
+        let (matrix, mask) = self.review_matrix(ex, corpus, revs, m);
         let dup = vec![0usize; m];
-        let u_rows = tape.gather_rows(e_u, &dup);
-        let i_rows = tape.gather_rows(e_i, &dup);
-        let cp = counterpart.forward(tape, &self.params, counterpart_ids);
-        tape.concat_cols(&[u_rows, i_rows, cp])
+        let u_rows = ex.gather_rows(e_u, &dup);
+        let i_rows = ex.gather_rows(e_i, &dup);
+        let cp = counterpart.forward(ex, &self.params, &Self::aligned_counterpart_ids(revs, m, |ri| counterpart_of[ri]));
+        let context = ex.concat_cols(&[&u_rows, &i_rows, &cp]);
+        tower.attend(ex, &self.params, &matrix, &mask, &context, self.cfg.pooling)
     }
 
-    /// Differentiable joint forward for one pair: returns the rating node
-    /// (`[1, 1]`) and the reliability logits (`[1, 2]`, class 1 = benign).
-    fn forward_pair(&self, tape: &mut Tape, corpus: &EncodedCorpus, user: usize, item: usize) -> (Var, Var) {
-        let u_revs = self.user_inputs(user);
-        let i_revs = self.item_inputs(item);
-
-        let e_u = self.user_emb.forward(tape, &self.params, &[user]);
-        let e_i = self.item_emb.forward(tape, &self.params, &[item]);
-
-        let (u_matrix, u_mask) = self.review_matrix(tape, corpus, &u_revs, self.cfg.s_u);
-        let (i_matrix, i_mask) = self.review_matrix(tape, corpus, &i_revs, self.cfg.s_i);
-
-        // Per-review contexts (paper §III-D: the j-th review's own author
-        // and target IDs enter its attention score).
-        let (ds_u_ids, ds_i_ids) = (&self.input_items_of, &self.input_users_of);
-        let u_cp = Self::aligned_counterpart_ids(&u_revs, self.cfg.s_u, |ri| ds_u_ids[ri]);
-        let i_cp = Self::aligned_counterpart_ids(&i_revs, self.cfg.s_i, |ri| ds_i_ids[ri]);
-        let u_ctx = self.tower_context(tape, e_u, e_i, &u_cp, &self.item_emb);
-        let i_ctx = self.tower_context(tape, e_u, e_i, &i_cp, &self.user_emb);
-
-        let x_u = self.user_tower.forward(tape, &self.params, u_matrix, &u_mask, u_ctx, self.cfg.pooling);
-        let y_i = self.item_tower.forward(tape, &self.params, i_matrix, &i_mask, i_ctx, self.cfg.pooling);
-
-        // Reliability head (Eq. 9): softmax(W[x_u, y_i] + b); the softmax is
-        // folded into the cross-entropy during training and applied in
-        // `predict`.
-        let joint_repr = tape.concat_cols(&[x_u, y_i]);
-        let logits = self.rel_head.forward(tape, &self.params, joint_repr);
-
-        // Rating head (Eq. 12): FM([(e_u + W_h x_u), (e_i + W_e y_i)]).
-        let xh = self.w_h.forward(tape, &self.params, x_u);
-        let ye = self.w_e.forward(tape, &self.params, y_i);
-        let a = tape.add(e_u, xh);
-        let b = tape.add(e_i, ye);
-        let fused = tape.concat_cols(&[a, b]);
-        let residual = self.fm.forward(tape, &self.params, fused);
-        let rating = tape.add_scalar(residual, self.mean_rating);
-
-        (rating, logits)
+    /// The reliability and rating heads (Eq. 9, 12): the rating (`[1, 1]`)
+    /// and the reliability logits (`[1, 2]`, class 1 = benign; the softmax
+    /// is folded into the cross-entropy in training).
+    fn heads<'p, E: Executor<'p>>(&'p self, ex: &mut E, e_u: E::V, e_i: E::V, x_u: &E::V, y_i: &E::V) -> (E::V, E::V) {
+        let joint_repr = ex.concat_cols(&[x_u, y_i]);
+        let logits = self.rel_head.forward(ex, &self.params, joint_repr);
+        // FM([(e_u + W_h x_u), (e_i + W_e y_i)])
+        let xh = self.w_h.forward(ex, &self.params, x_u.clone());
+        let ye = self.w_e.forward(ex, &self.params, y_i.clone());
+        let a = ex.add(e_u, &xh);
+        let b = ex.add(e_i, &ye);
+        let fused = ex.concat_cols(&[&a, &b]);
+        let residual = self.fm.forward(ex, &self.params, fused);
+        (ex.add_scalar(residual, self.mean_rating), logits)
     }
 
-    /// Joint prediction for a user–item pair (tape-free fast path in frozen
-    /// mode; falls back to a throwaway tape in end-to-end mode).
+    /// The joint forward for one pair — training runs it on a [`Tape`],
+    /// serving on [`Eval`]: the rating and the reliability logits.
+    fn forward_pair<'p, E: Executor<'p>>(&'p self, ex: &mut E, corpus: &EncodedCorpus, user: usize, item: usize) -> (E::V, E::V) {
+        let (e_u, e_i) = self.pair_ids(ex, user, item);
+        let ids = (&e_u, &e_i);
+        let (x_u, _) = self.tower(ex, Some(corpus), Side::User, &self.inputs(Side::User, user, item), ids);
+        let (y_i, _) = self.tower(ex, Some(corpus), Side::Item, &self.inputs(Side::Item, user, item), ids);
+        self.heads(ex, e_u, e_i, &x_u, &y_i)
+    }
+
+    /// Joint prediction for a user–item pair: the training forward run on
+    /// the value evaluator.
     pub fn predict(&self, corpus: &EncodedCorpus, user: UserId, item: ItemId) -> Prediction {
-        match &self.cache {
-            Some(_) => self.predict_frozen(user, item),
-            None => {
-                let mut tape = Tape::new();
-                let (pred, logits) = self.forward_pair(&mut tape, corpus, user.index(), item.index());
-                let z = tape.value(logits);
-                Prediction {
-                    rating: tape.value(pred).item().clamp(1.0, 5.0),
-                    reliability: softmax2(z.get(0, 0), z.get(0, 1)),
-                }
-            }
-        }
+        let (rating, logits) = self.forward_pair(&mut Eval, corpus, user.index(), item.index());
+        Prediction::from_heads(&rating, &logits)
     }
 
-    /// Tape-free frozen prediction, decomposed through the public
-    /// tower/head accessors so external consumers (the serving engine)
-    /// reproduce `predict` bit-for-bit from cached tower representations.
-    fn predict_frozen(&self, user: UserId, item: ItemId) -> Prediction {
-        let x_u = self.infer_user_tower(user, item);
-        let y_i = self.infer_item_tower(user, item);
-        self.infer_heads(user, item, &x_u, &y_i)
+    /// One tower of the pair on the value evaluator, with its attention.
+    fn eval_tower(&self, corpus: Option<&EncodedCorpus>, side: Side, user: UserId, item: ItemId) -> (Vec<usize>, Tensor, Option<Tensor>) {
+        let (e_u, e_i) = self.pair_ids(&mut Eval, user.index(), item.index());
+        let revs = self.inputs(side, user.index(), item.index());
+        let (repr, alpha) = self.tower(&mut Eval, corpus, side, &revs, (&e_u, &e_i));
+        (revs, repr.into_owned(), alpha.map(Cow::into_owned))
     }
 
     /// The user-tower representation `x_u` (`[1, id_dim]`) for a target
@@ -756,50 +750,24 @@ impl Rrre {
     ///
     /// Requires the frozen review cache ([`Rrre::has_frozen_cache`]).
     pub fn infer_user_tower(&self, user: UserId, item: ItemId) -> Tensor {
-        let cache = self.cache.as_ref().expect(
-            "Rrre::infer_user_tower: no frozen review cache; build the model with from_frozen_parts",
-        );
-        let u_revs = self.user_inputs(user.index());
-        let e_u = self.user_emb.infer(&self.params, &[user.index()]);
-        let e_i = self.item_emb.infer(&self.params, &[item.index()]);
-        let (u_matrix, u_mask) = cache.stack_padded(&u_revs, self.cfg.s_u);
-        let u_ctx = self.infer_tower_context(&e_u, &e_i, &u_revs, self.cfg.s_u, true);
-        self.user_tower.infer(&self.params, &u_matrix, &u_mask, &u_ctx, self.cfg.pooling)
+        self.eval_tower(None, Side::User, user, item).1
     }
 
     /// The item-tower representation `y_i` (`[1, id_dim]`) for a target
     /// pair; pair-dependent for the same reason as
     /// [`Rrre::infer_user_tower`].
     pub fn infer_item_tower(&self, user: UserId, item: ItemId) -> Tensor {
-        let cache = self.cache.as_ref().expect(
-            "Rrre::infer_item_tower: no frozen review cache; build the model with from_frozen_parts",
-        );
-        let i_revs = self.item_inputs(item.index());
-        let e_u = self.user_emb.infer(&self.params, &[user.index()]);
-        let e_i = self.item_emb.infer(&self.params, &[item.index()]);
-        let (i_matrix, i_mask) = cache.stack_padded(&i_revs, self.cfg.s_i);
-        let i_ctx = self.infer_tower_context(&e_u, &e_i, &i_revs, self.cfg.s_i, false);
-        self.item_tower.infer(&self.params, &i_matrix, &i_mask, &i_ctx, self.cfg.pooling)
+        self.eval_tower(None, Side::Item, user, item).1
     }
 
     /// The reliability and rating heads over precomputed tower
-    /// representations — the cheap half of frozen prediction. Combining
-    /// cached [`Rrre::infer_user_tower`]/[`Rrre::infer_item_tower`] outputs
-    /// with this reproduces [`Rrre::predict`] exactly.
+    /// representations — the cheap half of the forward. Combining cached
+    /// [`Rrre::infer_user_tower`]/[`Rrre::infer_item_tower`] outputs with
+    /// this reproduces [`Rrre::predict`] exactly.
     pub fn infer_heads(&self, user: UserId, item: ItemId, x_u: &Tensor, y_i: &Tensor) -> Prediction {
-        let e_u = self.user_emb.infer(&self.params, &[user.index()]);
-        let e_i = self.item_emb.infer(&self.params, &[item.index()]);
-        let joint = Tensor::concat_cols(&[x_u, y_i]);
-        let z = self.rel_head.infer(&self.params, &joint);
-        let a = e_u.add(&self.w_h.infer(&self.params, x_u));
-        let b = e_i.add(&self.w_e.infer(&self.params, y_i));
-        let fused = Tensor::concat_cols(&[&a, &b]);
-        let rating = self.fm.infer(&self.params, &fused).item() + self.mean_rating;
-
-        Prediction {
-            rating: rating.clamp(1.0, 5.0),
-            reliability: softmax2(z.get(0, 0), z.get(0, 1)),
-        }
+        let (e_u, e_i) = self.pair_ids(&mut Eval, user.index(), item.index());
+        let (rating, logits) = self.heads(&mut Eval, e_u, e_i, &Cow::Borrowed(x_u), &Cow::Borrowed(y_i));
+        Prediction::from_heads(&rating, &logits)
     }
 
     /// Joint predictions for the listed review indices.
@@ -814,54 +782,39 @@ impl Rrre {
     /// of the user's latest reviews drive `x_u`. Returns
     /// `(review_indices, weights)` aligned pairwise.
     pub fn user_attention(&self, corpus: &EncodedCorpus, user: UserId, item: ItemId) -> (Vec<usize>, Vec<f32>) {
-        let u_revs = self.user_inputs(user.index());
-        let cache = self.ensure_cache(corpus);
-        let e_u = self.user_emb.infer(&self.params, &[user.index()]);
-        let e_i = self.item_emb.infer(&self.params, &[item.index()]);
-        let (matrix, mask) = cache.stack_padded(&u_revs, self.cfg.s_u);
-        let ctx = self.infer_tower_context(&e_u, &e_i, &u_revs, self.cfg.s_u, true);
-        let weights = self.user_tower.infer_attention(&self.params, &matrix, &mask, &ctx);
-        let take = u_revs.len().min(self.cfg.s_u);
-        let start = u_revs.len() - take;
-        (u_revs[start..].to_vec(), weights[..take].to_vec())
-    }
-
-    /// Tape-free per-review context matrix (`[m, 3·id_dim]`).
-    fn infer_tower_context(&self, e_u: &Tensor, e_i: &Tensor, revs: &[usize], m: usize, user_side: bool) -> Tensor {
-        let lookup: &[usize] = if user_side { &self.input_items_of } else { &self.input_users_of };
-        let cp_ids = Self::aligned_counterpart_ids(revs, m, |ri| lookup[ri]);
-        let cp = if user_side {
-            self.item_emb.infer(&self.params, &cp_ids)
-        } else {
-            self.user_emb.infer(&self.params, &cp_ids)
-        };
-        let dup = vec![0usize; m];
-        let u_rows = e_u.gather_rows(&dup);
-        let i_rows = e_i.gather_rows(&dup);
-        Tensor::concat_cols(&[&u_rows, &i_rows, &cp])
+        self.attention(corpus, Side::User, user, item)
     }
 
     /// Fraud-attention weights of the item tower for a target pair — which
     /// of the item's latest reviews drive `y_i`. Returns
     /// `(review_indices, weights)` aligned pairwise.
     pub fn item_attention(&self, corpus: &EncodedCorpus, user: UserId, item: ItemId) -> (Vec<usize>, Vec<f32>) {
-        let i_revs = self.item_inputs(item.index());
-        let cache = self.ensure_cache(corpus);
-        let e_u = self.user_emb.infer(&self.params, &[user.index()]);
-        let e_i = self.item_emb.infer(&self.params, &[item.index()]);
-        let (matrix, mask) = cache.stack_padded(&i_revs, self.cfg.s_i);
-        let ctx = self.infer_tower_context(&e_u, &e_i, &i_revs, self.cfg.s_i, false);
-        let weights = self.item_tower.infer_attention(&self.params, &matrix, &mask, &ctx);
-        let take = i_revs.len().min(self.cfg.s_i);
-        let start = i_revs.len() - take;
-        (i_revs[start..].to_vec(), weights[..take].to_vec())
+        self.attention(corpus, Side::Item, user, item)
     }
 
-    fn ensure_cache(&self, corpus: &EncodedCorpus) -> ReviewVectors {
-        match &self.cache {
-            Some(c) => c.clone(),
-            None => ReviewVectors::from_flat(self.cfg.k, self.encoder.encode_all(&self.params, corpus)),
-        }
+    /// The weights the tower's own forward pools its input reviews with:
+    /// the trained fraud-attention `α`, or under the mean-pooling ablation
+    /// the uniform `1/n` of the mean. Only those reviews are read from the
+    /// cache, or encoded without one.
+    fn attention(&self, corpus: &EncodedCorpus, side: Side, user: UserId, item: ItemId) -> (Vec<usize>, Vec<f32>) {
+        let (revs, _, alpha) = self.eval_tower(Some(corpus), side, user, item);
+        let take = revs.len().min(if matches!(side, Side::User) { self.cfg.s_u } else { self.cfg.s_i });
+        let weights = alpha.map_or(vec![1.0 / take as f32; take], |a| a.as_slice()[..take].to_vec());
+        (revs[revs.len() - take..].to_vec(), weights)
+    }
+}
+
+/// Which tower of the pair.
+#[derive(Debug, Clone, Copy)]
+enum Side {
+    User,
+    Item,
+}
+
+impl Prediction {
+    /// The prediction of the heads' rating and reliability logits.
+    fn from_heads(rating: &Tensor, logits: &Tensor) -> Self {
+        Prediction { rating: rating.item().clamp(1.0, 5.0), reliability: softmax2(logits.get(0, 0), logits.get(0, 1)) }
     }
 }
 
@@ -1037,6 +990,84 @@ mod tests {
         assert_eq!(gated.reliability, prior.reliability);
         assert_eq!(prior.gate(p, 3, 3), p, "warm pairs keep the model score");
         assert!(prior.applies(0, 10) && !prior.applies(7, 3));
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The serving accessors of one pair against the same definitions run
+    /// on a tape: both towers (when the model serves from its cache) and the
+    /// attention each tower pooled with, bit for bit.
+    fn assert_towers_match_the_tape(model: &Rrre, corpus: &EncodedCorpus, user: UserId, item: ItemId) {
+        for side in [Side::User, Side::Item] {
+            let mut tape = Tape::new();
+            let (e_u, e_i) = model.pair_ids(&mut tape, user.index(), item.index());
+            let revs = model.inputs(side, user.index(), item.index());
+            let (repr, alpha) = model.tower(&mut tape, Some(corpus), side, &revs, (&e_u, &e_i));
+            if model.has_frozen_cache() {
+                let served = match side {
+                    Side::User => model.infer_user_tower(user, item),
+                    Side::Item => model.infer_item_tower(user, item),
+                };
+                assert_eq!(bits(served.as_slice()), bits(tape.value(repr).as_slice()), "{side:?} tower");
+            }
+            let (shown, weights) = match side {
+                Side::User => model.user_attention(corpus, user, item),
+                Side::Item => model.item_attention(corpus, user, item),
+            };
+            assert_eq!(shown, revs[revs.len() - weights.len()..], "{side:?} attention rows");
+            match alpha {
+                Some(alpha) => {
+                    assert_eq!(bits(&weights), bits(&tape.value(alpha).as_slice()[..weights.len()]), "{side:?} α");
+                }
+                None => assert!(weights.is_empty(), "{side:?}: no α without reviews"),
+            }
+        }
+    }
+
+    #[test]
+    fn attention_is_the_training_forwards_alpha_in_both_encoder_modes() {
+        let (ds, corpus) = tiny();
+        let train: Vec<usize> = (0..40.min(ds.len())).collect();
+        for encoder in [EncoderMode::Frozen, EncoderMode::EndToEnd] {
+            let cfg = RrreConfig { epochs: 1, encoder, batch_size: 8, ..RrreConfig::tiny() };
+            let model = Rrre::fit(&ds, &corpus, &train, cfg);
+            assert_eq!(model.has_frozen_cache(), matches!(encoder, EncoderMode::Frozen));
+            for r in ds.reviews.iter().step_by(7).take(8) {
+                assert_towers_match_the_tape(&model, &corpus, r.user, r.item);
+            }
+        }
+    }
+
+    /// Training and serving are one function: the tape forward the loss is
+    /// built on and `predict` on the value evaluator give the same bits, on
+    /// the three parity seeds.
+    #[test]
+    fn training_forward_equals_predict_bit_for_bit() {
+        use rrre_testkit::parity::deterministic_pairs;
+        use rrre_testkit::FixtureSpec;
+        for seed in [0x5EED, 0xA11CE, 0x0B0E] {
+            let spec = FixtureSpec::small().with_seed(seed);
+            let (ds, corpus) = spec.corpus();
+            let train: Vec<usize> = (0..ds.len()).collect();
+            let cfg = RrreConfig { epochs: spec.epochs, seed, threads: 1, ..RrreConfig::tiny() };
+            let model = Rrre::fit(&ds, &corpus, &train, cfg);
+            for (user, item) in deterministic_pairs(&ds, seed, 200) {
+                let mut tape = Tape::new();
+                let (rating, logits) = model.forward_pair(&mut tape, &corpus, user.index(), item.index());
+                let trained = Prediction::from_heads(tape.value(rating), tape.value(logits));
+                let served = model.predict(&corpus, user, item);
+                assert_eq!(
+                    bits(&[trained.rating, trained.reliability]),
+                    bits(&[served.rating, served.reliability]),
+                    "seed {seed:#x}: u{}/i{}",
+                    user.0,
+                    item.0
+                );
+                assert_towers_match_the_tape(&model, &corpus, user, item);
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::config::Pooling;
 use rand::Rng;
 use rrre_tensor::nn::{AttentionPool, Linear};
-use rrre_tensor::{Params, Tape, Tensor, Var};
+use rrre_tensor::{Executor, Params, Tensor};
 
 /// One tower (UserNet and ItemNet are two instances with separate weights).
 #[derive(Debug, Clone)]
@@ -48,73 +48,55 @@ impl Tower {
         self.out_dim
     }
 
-    /// Differentiable tower forward: `reviews` is `[m, k]` with validity
-    /// `mask`, `context` is `[1, ctx_dim]` (target-pair ID embeddings).
+    /// Tower forward: `reviews` is `[m, k]` with validity `mask`, `context`
+    /// is `[1, ctx_dim]` or `[m, ctx_dim]` (target-pair ID embeddings).
     /// Entities with no reviews at all (fully false mask) produce the zero
     /// representation projected through the dense layer, so downstream
     /// shapes stay uniform. `pooling` selects fraud-attention or the
     /// mean-pooling ablation.
-    pub fn forward(
+    pub fn forward<'p, E: Executor<'p>>(
         &self,
-        tape: &mut Tape,
-        params: &Params,
-        reviews: Var,
+        ex: &mut E,
+        params: &'p Params,
+        reviews: E::V,
         mask: &[bool],
-        context: Var,
+        context: E::V,
         pooling: Pooling,
-    ) -> Var {
-        let pooled = if mask.iter().any(|&b| b) {
+    ) -> E::V {
+        self.attend(ex, params, &reviews, mask, &context, pooling).0
+    }
+
+    /// [`Tower::forward`] together with the fraud-attention weights `α`
+    /// (`[m, 1]`) it pooled the reviews with — which review mattered, for
+    /// the review-level explanations. `α` is `None` under mean pooling and
+    /// for an entity without reviews.
+    pub fn attend<'p, E: Executor<'p>>(
+        &self,
+        ex: &mut E,
+        params: &'p Params,
+        reviews: &E::V,
+        mask: &[bool],
+        context: &E::V,
+        pooling: Pooling,
+    ) -> (E::V, Option<E::V>) {
+        let (pooled, alpha) = if mask.iter().any(|&b| b) {
             match pooling {
-                Pooling::FraudAttention => self.attn.forward(tape, params, reviews, context, Some(mask)),
+                Pooling::FraudAttention => {
+                    let (pooled, alpha) = self.attn.pool(ex, params, reviews, context, Some(mask));
+                    (pooled, Some(alpha))
+                }
                 Pooling::Mean => {
                     let real = mask.iter().filter(|&&b| b).count() as f32;
-                    let keep = Tensor::col_vector(
-                        &mask.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect::<Vec<_>>(),
-                    );
-                    let keep = tape.constant(keep);
-                    let kept = tape.mul_col_broadcast(reviews, keep);
-                    let summed = tape.sum_rows(kept);
-                    tape.scale(summed, 1.0 / real)
+                    let keep = mask.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect();
+                    let keep = ex.constant(Tensor::from_vec(mask.len(), 1, keep));
+                    let summed = ex.weighted_row_sum(reviews, &keep);
+                    (ex.scale(summed, 1.0 / real), None)
                 }
             }
         } else {
-            tape.constant(Tensor::zeros(1, self.k))
+            (ex.constant(Tensor::zeros(1, self.k)), None)
         };
-        self.fc.forward(tape, params, pooled)
-    }
-
-    /// Tape-free tower forward.
-    pub fn infer(&self, params: &Params, reviews: &Tensor, mask: &[bool], context: &Tensor, pooling: Pooling) -> Tensor {
-        let pooled = if mask.iter().any(|&b| b) {
-            match pooling {
-                Pooling::FraudAttention => self.attn.infer(params, reviews, context, Some(mask)),
-                Pooling::Mean => {
-                    let real = mask.iter().filter(|&&b| b).count() as f32;
-                    let mut summed = Tensor::zeros(1, reviews.cols());
-                    for (r, &keep) in mask.iter().enumerate() {
-                        if keep {
-                            for (o, &x) in summed.row_mut(0).iter_mut().zip(reviews.row(r)) {
-                                *o += x;
-                            }
-                        }
-                    }
-                    summed.scale(1.0 / real)
-                }
-            }
-        } else {
-            Tensor::zeros(1, self.k)
-        };
-        self.fc.infer(params, &pooled)
-    }
-
-    /// Tape-free attention weights, exposed for the review-level explanation
-    /// pipeline (which review mattered).
-    pub fn infer_attention(&self, params: &Params, reviews: &Tensor, mask: &[bool], context: &Tensor) -> Vec<f32> {
-        if mask.iter().any(|&b| b) {
-            self.attn.infer_weights(params, reviews, context, Some(mask))
-        } else {
-            vec![0.0; reviews.rows()]
-        }
+        (self.fc.forward(ex, params, pooled), alpha)
     }
 }
 
@@ -123,7 +105,8 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
     use rrre_tensor::gradcheck::assert_gradients_ok;
-    use rrre_tensor::init;
+    use rrre_tensor::{init, Eval};
+    use std::borrow::Cow;
 
     fn setup(seed: u64) -> (Params, Tower, Tensor, Tensor) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -135,46 +118,38 @@ mod tests {
     }
 
     #[test]
-    fn forward_and_infer_agree() {
-        let (params, tower, reviews, ctx) = setup(1);
-        let mask = [true, true, false, true];
-        let mut tape = Tape::new();
-        let rv = tape.constant(reviews.clone());
-        let cv = tape.constant(ctx.clone());
-        let out = tower.forward(&mut tape, &params, rv, &mask, cv, Pooling::FraudAttention);
-        assert_eq!(tape.shape(out), (1, 3));
-        assert!(tape.value(out).approx_eq(&tower.infer(&params, &reviews, &mask, &ctx, Pooling::FraudAttention), 1e-4));
-    }
-
-    #[test]
     fn empty_mask_yields_bias_only() {
         let (params, tower, reviews, ctx) = setup(2);
         let mask = [false; 4];
-        let out = tower.infer(&params, &reviews, &mask, &ctx, Pooling::FraudAttention);
+        let (out, alpha) =
+            tower.attend(&mut Eval, &params, &Cow::Owned(reviews), &mask, &Cow::Owned(ctx), Pooling::FraudAttention);
         // Zero pooled vector → output is the fc bias (zero-initialised).
         assert!(out.approx_eq(&Tensor::zeros(1, 3), 1e-6));
+        assert!(alpha.is_none());
     }
 
     #[test]
     fn attention_weights_expose_masking() {
         let (params, tower, reviews, ctx) = setup(3);
         let mask = [true, false, true, false];
-        let w = tower.infer_attention(&params, &reviews, &mask, &ctx);
-        assert!(w[1] < 1e-9 && w[3] < 1e-9);
-        assert!((w.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+        let (_, alpha) =
+            tower.attend(&mut Eval, &params, &Cow::Owned(reviews), &mask, &Cow::Owned(ctx), Pooling::FraudAttention);
+        let w = alpha.expect("attention pooling reports its weights");
+        assert!(w.get(1, 0) == 0.0 && w.get(3, 0) == 0.0);
+        assert!((w.sum() - 1.0).abs() < 1e-5);
     }
 
     #[test]
     fn mean_pooling_averages_unmasked_rows() {
         let (params, tower, reviews, ctx) = setup(5);
         let mask = [true, true, false, false];
-        let out = tower.infer(&params, &reviews, &mask, &ctx, Pooling::Mean);
+        let out = tower.forward(&mut Eval, &params, Cow::Borrowed(&reviews), &mask, Cow::Owned(ctx), Pooling::Mean);
         // Hand-computed mean of first two rows through the dense layer.
         let mut mean = Tensor::zeros(1, 6);
         for c in 0..6 {
             mean.set(0, c, (reviews.get(0, c) + reviews.get(1, c)) / 2.0);
         }
-        let expected = tower.fc.infer(&params, &mean);
+        let expected = tower.fc.forward(&mut Eval, &params, Cow::Owned(mean));
         assert!(out.approx_eq(&expected, 1e-5));
     }
 

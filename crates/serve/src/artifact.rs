@@ -144,7 +144,7 @@ pub struct ModelArtifact {
     pub dataset: Dataset,
     /// The encoded corpus (vocab, word vectors, encoded docs).
     pub corpus: EncodedCorpus,
-    /// The restored model, frozen-cache ready for tape-free inference.
+    /// The restored model, frozen-cache ready to serve.
     pub model: Rrre,
     /// The directory this artifact was loaded from — the hot-reload path
     /// re-loads from here.

@@ -12,10 +12,12 @@
 //! `Explain` are validation plus one call into [`rrre_core::recommend_with`]
 //! / [`rrre_core::explain_with`] with it, over the shard's owned item slice
 //! and the model's review index, so the ranking procedure is core's by
-//! construction. The scorer reproduces `Rrre::predict` bit for bit (the same
-//! `infer_user_tower` / `infer_item_tower` / `infer_heads` decomposition;
-//! `tests/parity_oracle.rs` holds it to that), so with the prior off every
-//! answer equals a direct `rrre_core` call.
+//! construction. The scorer reproduces `Rrre::predict` bit for bit:
+//! `infer_user_tower` / `infer_item_tower` / `infer_heads` are the model's
+//! one forward definition, which training runs on the tape, split into
+//! towers and heads on the value evaluator (`tests/parity_oracle.rs` holds
+//! it to that), so with the prior off every answer equals a direct
+//! `rrre_core` call.
 
 use crate::artifact::ModelArtifact;
 use crate::cache::{CacheAxis, TowerCache};

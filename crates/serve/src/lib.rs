@@ -33,11 +33,14 @@
 //! responses with `writev`. Workers answer through
 //! completion callbacks ([`batch::Completion`]) instead of parked threads.
 //!
-//! The engine reproduces `rrre_core` predictions *bit for bit*: it calls the
-//! same decomposed inference path (`infer_user_tower` / `infer_item_tower` /
-//! `infer_heads`) that `Rrre::predict` itself uses in frozen mode, and its
-//! `Recommend` / `Explain` are [`rrre_core::recommend_with`] /
-//! [`rrre_core::explain_with`] called with that cached scorer.
+//! The engine reproduces `rrre_core` predictions *bit for bit*. The model
+//! has one forward definition with two executors: training runs it on the
+//! autograd tape, serving on the value evaluator. The engine calls that
+//! forward split into towers and heads (`infer_user_tower` /
+//! `infer_item_tower` / `infer_heads`) — the same towers and heads
+//! `Rrre::predict` runs whole — and its `Recommend` / `Explain` are
+//! [`rrre_core::recommend_with`] / [`rrre_core::explain_with`] called with
+//! that cached scorer.
 
 #![warn(missing_docs)]
 

@@ -10,6 +10,10 @@
 //! every differentiable op and layer is enforced by numerical gradient
 //! checking (see [`gradcheck`]).
 //!
+//! Every layer's forward is written once, generic over an [`Executor`]:
+//! [`Tape`] runs it to train, [`Eval`] to serve, with the same [`Tensor`]
+//! kernels — the served model is the trained one, bit for bit.
+//!
 //! Embedding gradients are row-sparse. A lookup ([`nn::Embedding::forward`],
 //! i.e. [`Tape::param_rows`]) copies only the rows it reads instead of
 //! snapshotting the table, its backward pass writes only those rows
@@ -48,6 +52,7 @@
 
 #![warn(missing_docs)]
 
+mod exec;
 pub mod gradcheck;
 pub mod init;
 pub mod nn;
@@ -58,6 +63,7 @@ mod serialize;
 mod tape;
 mod tensor;
 
+pub use exec::{Eval, Executor};
 pub use params::{GradSink, GradStore, ParamId, Params};
 pub use tape::{Tape, Var};
 pub use tensor::Tensor;

@@ -8,7 +8,7 @@
 //! layer takes the context pre-concatenated and uses the block matrix
 //! `W_ctx = [W_u; W_i]`, which is algebraically identical.
 
-use crate::{init, ParamId, Params, Tape, Tensor, Var};
+use crate::{init, Executor, ParamId, Params, Tensor};
 use rand::Rng;
 
 /// Additive attention pooling over the rows of an `[m, k]` matrix.
@@ -23,10 +23,6 @@ pub struct AttentionPool {
     ctx_dim: usize,
     attn_dim: usize,
 }
-
-/// Large negative logit used to exclude zero-padded positions from the
-/// softmax; chosen well inside `f32` range so `exp` underflows cleanly.
-const MASK_LOGIT: f32 = -1.0e9;
 
 impl AttentionPool {
     /// Registers attention weights under `name.*`.
@@ -76,124 +72,83 @@ impl AttentionPool {
     /// all rows — RRRE's target user/item IDs) or `[m, ctx_dim]` (a per-row
     /// context — NARRE attends with the ID embedding of each review's own
     /// counterpart entity).
-    fn logits(&self, tape: &mut Tape, params: &Params, items: Var, context: Var) -> Var {
-        let m = tape.value(items).rows();
-        assert_eq!(tape.value(items).cols(), self.item_dim, "AttentionPool: item dim mismatch");
-        let ctx_shape = tape.value(context).shape();
+    fn logits<'p, E: Executor<'p>>(&self, ex: &mut E, params: &'p Params, items: &E::V, context: &E::V) -> E::V {
+        let (m, item_dim) = ex.shape(items);
+        assert_eq!(item_dim, self.item_dim, "AttentionPool: item dim mismatch");
+        let ctx_shape = ex.shape(context);
         assert!(
             ctx_shape == (1, self.ctx_dim) || ctx_shape == (m, self.ctx_dim),
             "AttentionPool: context must be [1, {}] or [{m}, {}], got {ctx_shape:?}",
             self.ctx_dim,
             self.ctx_dim
         );
-        let w_rev = tape.param(params, self.w_rev);
-        let w_ctx = tape.param(params, self.w_ctx);
-        let b1 = tape.param(params, self.b1);
-        let h = tape.param(params, self.h);
-        let b2 = tape.param(params, self.b2);
+        let w_rev = ex.param(params, self.w_rev);
+        let w_ctx = ex.param(params, self.w_ctx);
+        let b1 = ex.param(params, self.b1);
+        let h = ex.param(params, self.h);
+        let b2 = ex.param(params, self.b2);
 
-        let proj_items = tape.matmul(items, w_rev);
-        let proj_ctx = tape.matmul(context, w_ctx);
+        let proj_items = ex.matmul(items, &w_rev);
+        let proj_ctx = ex.matmul(context, &w_ctx);
         let pre = if ctx_shape.0 == 1 {
-            let ctx_plus_b1 = tape.add(proj_ctx, b1);
-            tape.add_row_broadcast(proj_items, ctx_plus_b1)
+            let ctx_plus_b1 = ex.add(proj_ctx, &b1);
+            ex.add_row_broadcast(proj_items, &ctx_plus_b1)
         } else {
-            let summed = tape.add(proj_items, proj_ctx);
-            tape.add_row_broadcast(summed, b1)
+            let summed = ex.add(proj_items, &proj_ctx);
+            ex.add_row_broadcast(summed, &b1)
         };
-        let act = tape.tanh(pre);
-        let scores = tape.matmul(act, h);
-        tape.add_row_broadcast(scores, b2)
+        let act = ex.tanh(pre);
+        let scores = ex.matmul(&act, &h);
+        ex.add_row_broadcast(scores, &b2)
     }
 
     /// Attention weights `α` (`[m, 1]`, Eq. 6). Positions where
-    /// `mask[j] == false` (zero padding) are excluded from the softmax.
+    /// `mask[j] == false` (zero padding) take exactly zero weight.
     ///
     /// # Panics
     /// Panics if a mask is supplied with the wrong length or masks out every
     /// position.
-    pub fn weights(
+    pub fn weights<'p, E: Executor<'p>>(
         &self,
-        tape: &mut Tape,
-        params: &Params,
-        items: Var,
-        context: Var,
+        ex: &mut E,
+        params: &'p Params,
+        items: &E::V,
+        context: &E::V,
         mask: Option<&[bool]>,
-    ) -> Var {
-        let m = tape.value(items).rows();
-        let mut logits = self.logits(tape, params, items, context);
+    ) -> E::V {
         if let Some(mask) = mask {
+            let m = ex.shape(items).0;
             assert_eq!(mask.len(), m, "AttentionPool: mask of {} for {m} rows", mask.len());
             assert!(mask.iter().any(|&b| b), "AttentionPool: all positions masked");
-            let penalty = Tensor::col_vector(
-                &mask.iter().map(|&b| if b { 0.0 } else { MASK_LOGIT }).collect::<Vec<_>>(),
-            );
-            let penalty = tape.constant(penalty);
-            logits = tape.add(logits, penalty);
         }
-        let row = tape.transpose(logits);
-        let soft = tape.softmax_rows(row);
-        tape.transpose(soft)
+        let logits = self.logits(ex, params, items, context);
+        ex.softmax_col(logits, mask)
+    }
+
+    /// The pooled rows (`[1, k]`, Eq. 7) together with the weights `α`
+    /// (`[m, 1]`) that pooled them.
+    pub fn pool<'p, E: Executor<'p>>(
+        &self,
+        ex: &mut E,
+        params: &'p Params,
+        items: &E::V,
+        context: &E::V,
+        mask: Option<&[bool]>,
+    ) -> (E::V, E::V) {
+        let alpha = self.weights(ex, params, items, context, mask);
+        (ex.weighted_row_sum(items, &alpha), alpha)
     }
 
     /// Full pooling: weighted sum of the rows (`[1, k]`, Eq. 7).
-    pub fn forward(
+    pub fn forward<'p, E: Executor<'p>>(
         &self,
-        tape: &mut Tape,
-        params: &Params,
-        items: Var,
-        context: Var,
+        ex: &mut E,
+        params: &'p Params,
+        items: E::V,
+        context: E::V,
         mask: Option<&[bool]>,
-    ) -> Var {
-        let alpha = self.weights(tape, params, items, context, mask);
-        let weighted = tape.mul_col_broadcast(items, alpha);
-        tape.sum_rows(weighted)
-    }
-
-    /// Tape-free attention weights for inference/explanation paths. Accepts
-    /// the same `[1, ctx]` or `[m, ctx]` context shapes as the tape forward.
-    pub fn infer_weights(&self, params: &Params, items: &Tensor, context: &Tensor, mask: Option<&[bool]>) -> Vec<f32> {
-        let proj_ctx = context.matmul(params.get(self.w_ctx));
-        let proj_items = items.matmul(params.get(self.w_rev));
-        let pre = if proj_ctx.rows() == 1 {
-            proj_items.add_row_broadcast(&proj_ctx.add(params.get(self.b1)))
-        } else {
-            proj_items.add(&proj_ctx).add_row_broadcast(params.get(self.b1))
-        };
-        let proj = pre.map(f32::tanh);
-        let mut scores: Vec<f32> = proj
-            .matmul(params.get(self.h))
-            .map(|x| x + params.get(self.b2).item())
-            .into_vec();
-        if let Some(mask) = mask {
-            for (s, &keep) in scores.iter_mut().zip(mask) {
-                if !keep {
-                    *s = MASK_LOGIT;
-                }
-            }
-        }
-        let m = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut denom = 0.0;
-        for s in &mut scores {
-            *s = (*s - m).exp();
-            denom += *s;
-        }
-        for s in &mut scores {
-            *s /= denom;
-        }
-        scores
-    }
-
-    /// Tape-free pooled output.
-    pub fn infer(&self, params: &Params, items: &Tensor, context: &Tensor, mask: Option<&[bool]>) -> Tensor {
-        let alpha = self.infer_weights(params, items, context, mask);
-        let mut out = Tensor::zeros(1, items.cols());
-        for (r, &a) in alpha.iter().enumerate() {
-            for (o, &x) in out.row_mut(0).iter_mut().zip(items.row(r)) {
-                *o += a * x;
-            }
-        }
-        out
+    ) -> E::V {
+        self.pool(ex, params, &items, &context, mask).0
     }
 }
 
@@ -201,7 +156,9 @@ impl AttentionPool {
 mod tests {
     use super::*;
     use crate::gradcheck::assert_gradients_ok;
+    use crate::{Eval, Tape};
     use rand::{rngs::StdRng, SeedableRng};
+    use std::borrow::Cow;
 
     fn setup(seed: u64) -> (Params, AttentionPool, Tensor, Tensor) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -218,7 +175,7 @@ mod tests {
         let mut tape = Tape::new();
         let iv = tape.constant(items.clone());
         let cv = tape.constant(ctx.clone());
-        let w = attn.weights(&mut tape, &params, iv, cv, None);
+        let w = attn.weights(&mut tape, &params, &iv, &cv, None);
         assert_eq!(tape.shape(w), (6, 1));
         assert!((tape.value(w).sum() - 1.0).abs() < 1e-5);
     }
@@ -227,21 +184,9 @@ mod tests {
     fn masked_positions_get_zero_weight() {
         let (params, attn, items, ctx) = setup(42);
         let mask = [true, false, true, false, true, true];
-        let w = attn.infer_weights(&params, &items, &ctx, Some(&mask));
-        assert!(w[1] < 1e-12 && w[3] < 1e-12);
-        assert!((w.iter().sum::<f32>() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn forward_and_infer_agree() {
-        let (params, attn, items, ctx) = setup(43);
-        let mask = [true, true, false, true, true, false];
-        let mut tape = Tape::new();
-        let iv = tape.constant(items.clone());
-        let cv = tape.constant(ctx.clone());
-        let out = attn.forward(&mut tape, &params, iv, cv, Some(&mask));
-        assert_eq!(tape.shape(out), (1, 4));
-        assert!(tape.value(out).approx_eq(&attn.infer(&params, &items, &ctx, Some(&mask)), 1e-4));
+        let w = attn.weights(&mut Eval, &params, &Cow::Owned(items), &Cow::Owned(ctx), Some(&mask));
+        assert!(w.get(1, 0) == 0.0 && w.get(3, 0) == 0.0);
+        assert!((w.sum() - 1.0).abs() < 1e-5);
     }
 
     #[test]
@@ -249,24 +194,19 @@ mod tests {
         // With a single unmasked row, the output must equal that row.
         let (params, attn, items, ctx) = setup(44);
         let mask = [false, false, true, false, false, false];
-        let out = attn.infer(&params, &items, &ctx, Some(&mask));
-        assert!(out.approx_eq(&items.row_tensor(2), 1e-4));
+        let row = items.row_tensor(2);
+        let out = attn.forward(&mut Eval, &params, Cow::Owned(items), Cow::Owned(ctx), Some(&mask));
+        assert!(out.approx_eq(&row, 1e-4));
     }
 
     #[test]
-    fn per_row_context_matches_tape_and_infer() {
+    fn per_row_context_weights_sum_to_one() {
         let (params, attn, items, _) = setup(46);
         let mut rng = StdRng::seed_from_u64(47);
         let ctx_rows = init::normal(&mut rng, 6, 3, 0.0, 1.0);
-        let mut tape = Tape::new();
-        let iv = tape.constant(items.clone());
-        let cv = tape.constant(ctx_rows.clone());
-        let w = attn.weights(&mut tape, &params, iv, cv, None);
-        let inferred = attn.infer_weights(&params, &items, &ctx_rows, None);
-        for (r, &iw) in inferred.iter().enumerate() {
-            assert!((tape.value(w).get(r, 0) - iw).abs() < 1e-5);
-        }
-        assert!((inferred.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+        let w = attn.weights(&mut Eval, &params, &Cow::Owned(items), &Cow::Owned(ctx_rows), None);
+        assert_eq!(w.shape(), (6, 1));
+        assert!((w.sum() - 1.0).abs() < 1e-5);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! 1-D convolution over time with max pooling — the text encoder of the
 //! DeepCoNN baseline (Kim-style CNN for sentence classification).
 
-use crate::{init, ParamId, Params, Tape, Tensor, Var};
+use crate::{init, Executor, ParamId, Params, Tensor};
 use rand::Rng;
 
 /// `filters` convolution kernels of window `width` over a `[T, d]` word
@@ -41,46 +41,18 @@ impl Conv1dMaxPool {
         self.width
     }
 
-    /// Applies the layer to a `[T, input_dim]` node; `T` must be at least the
-    /// window width. Output is `[1, filters]`.
-    pub fn forward(&self, tape: &mut Tape, params: &Params, seq: Var) -> Var {
-        let (t, d) = tape.shape(seq);
+    /// Applies the layer to a `[T, input_dim]` value; `T` must be at least
+    /// the window width. Output is `[1, filters]`.
+    pub fn forward<'p, E: Executor<'p>>(&self, ex: &mut E, params: &'p Params, seq: E::V) -> E::V {
+        let (t, d) = ex.shape(&seq);
         assert_eq!(d, self.input_dim, "Conv1dMaxPool::forward: input dim {d}, expected {}", self.input_dim);
         assert!(t >= self.width, "Conv1dMaxPool::forward: sequence of {t} shorter than window {}", self.width);
-        let unfolded = tape.im2col(seq, self.width);
-        let w = tape.param(params, self.w);
-        let b = tape.param(params, self.b);
-        let conv = tape.affine(unfolded, w, b);
-        let act = tape.relu(conv);
-        tape.max_over_rows(act)
-    }
-
-    /// Tape-free forward for inference paths.
-    pub fn infer(&self, params: &Params, seq: &Tensor) -> Tensor {
-        let (t, d) = seq.shape();
-        assert_eq!(d, self.input_dim, "Conv1dMaxPool::infer: input dim {d}, expected {}", self.input_dim);
-        assert!(t >= self.width, "Conv1dMaxPool::infer: sequence of {t} shorter than window {}", self.width);
-        let windows = t + 1 - self.width;
-        let mut unfolded = Tensor::zeros(windows, self.width * d);
-        for w_i in 0..windows {
-            for off in 0..self.width {
-                let start = off * d;
-                unfolded.row_mut(w_i)[start..start + d].copy_from_slice(seq.row(w_i + off));
-            }
-        }
-        let conv = unfolded
-            .matmul(params.get(self.w))
-            .add_row_broadcast(params.get(self.b))
-            .map(|x| x.max(0.0));
-        let mut out = Tensor::full(1, self.filters, f32::NEG_INFINITY);
-        for r in 0..conv.rows() {
-            for (c, &v) in conv.row(r).iter().enumerate() {
-                if v > out.get(0, c) {
-                    out.set(0, c, v);
-                }
-            }
-        }
-        out
+        let unfolded = ex.im2col(&seq, self.width);
+        let w = ex.param(params, self.w);
+        let b = ex.param(params, self.b);
+        let conv = ex.affine(&unfolded, &w, &b);
+        let act = ex.relu(conv);
+        ex.max_over_rows(&act)
     }
 }
 
@@ -88,20 +60,9 @@ impl Conv1dMaxPool {
 mod tests {
     use super::*;
     use crate::gradcheck::assert_gradients_ok;
+    use crate::Eval;
+    use std::borrow::Cow;
     use rand::{rngs::StdRng, SeedableRng};
-
-    #[test]
-    fn forward_and_infer_agree() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut params = Params::new();
-        let conv = Conv1dMaxPool::new(&mut params, &mut rng, "c", 3, 2, 5);
-        let seq = init::normal(&mut rng, 7, 3, 0.0, 1.0);
-        let mut tape = Tape::new();
-        let sv = tape.constant(seq.clone());
-        let out = conv.forward(&mut tape, &params, sv);
-        assert_eq!(tape.shape(out), (1, 5));
-        assert!(tape.value(out).approx_eq(&conv.infer(&params, &seq), 1e-5));
-    }
 
     #[test]
     fn conv_gradcheck() {
@@ -128,6 +89,9 @@ mod tests {
         a.set(1, 0, 3.0);
         let mut b = Tensor::zeros(6, 2);
         b.set(4, 0, 3.0);
-        assert!(conv.infer(&params, &a).approx_eq(&conv.infer(&params, &b), 1e-5));
+        let pa = conv.forward(&mut Eval, &params, Cow::Owned(a));
+        let pb = conv.forward(&mut Eval, &params, Cow::Owned(b));
+        assert_eq!(pa.shape(), (1, 4));
+        assert!(pa.approx_eq(&pb, 1e-5));
     }
 }

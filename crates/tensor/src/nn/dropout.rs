@@ -1,6 +1,6 @@
 //! Inverted dropout.
 
-use crate::{Params, Tape, Tensor, Var};
+use crate::{Executor, Params, Tensor};
 use rand::Rng;
 
 /// Inverted dropout: at train time each element is zeroed with probability
@@ -27,13 +27,20 @@ impl Dropout {
     }
 
     /// Applies dropout. `train = false` (or `rate == 0`) is the identity.
-    /// The mask is drawn from `rng` and recorded as a constant, so the tape
+    /// The mask is drawn from `rng` and recorded as a constant, so a tape
     /// stays a pure function of its recorded values.
-    pub fn forward(&self, tape: &mut Tape, _params: &Params, x: Var, rng: &mut impl Rng, train: bool) -> Var {
+    pub fn forward<'p, E: Executor<'p>>(
+        &self,
+        ex: &mut E,
+        _params: &'p Params,
+        x: E::V,
+        rng: &mut impl Rng,
+        train: bool,
+    ) -> E::V {
         if !train || self.rate == 0.0 {
             return x;
         }
-        let (r, c) = tape.shape(x);
+        let (r, c) = ex.shape(&x);
         let keep = 1.0 - self.rate;
         let mut mask = Tensor::zeros(r, c);
         for m in mask.as_mut_slice() {
@@ -41,14 +48,15 @@ impl Dropout {
                 *m = 1.0 / keep;
             }
         }
-        let mask = tape.constant(mask);
-        tape.apply_mask(x, mask)
+        let mask = ex.constant(mask);
+        ex.mul(x, &mask)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Tape;
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]

@@ -1,6 +1,6 @@
 //! Trainable lookup table.
 
-use crate::{init, ParamId, Params, Tape, Tensor, Var};
+use crate::{init, Executor, ParamId, Params, Tensor};
 use rand::Rng;
 
 /// An embedding table mapping integer ids to dense rows.
@@ -40,23 +40,18 @@ impl Embedding {
         self.table
     }
 
-    /// Looks up `ids`, producing an `[ids.len(), dim]` node. Only those rows
-    /// are copied, and the backward pass writes only those rows of the
-    /// gradient ([`Tape::param_rows`]); duplicate ids accumulate gradient
-    /// into the same row.
+    /// Looks up `ids`, producing an `[ids.len(), dim]` value. Only those
+    /// rows are copied, and on a tape the backward pass writes only those
+    /// rows of the gradient ([`crate::Tape::param_rows`]); duplicate ids
+    /// accumulate gradient into the same row.
     ///
     /// # Panics
     /// Panics if any id is out of vocabulary.
-    pub fn forward(&self, tape: &mut Tape, params: &Params, ids: &[usize]) -> Var {
+    pub fn forward<'p, E: Executor<'p>>(&self, ex: &mut E, params: &'p Params, ids: &[usize]) -> E::V {
         for &id in ids {
             assert!(id < self.vocab, "Embedding::forward: id {id} out of vocab {}", self.vocab);
         }
-        tape.param_rows(params, self.table, ids)
-    }
-
-    /// Tape-free lookup for inference paths.
-    pub fn infer(&self, params: &Params, ids: &[usize]) -> Tensor {
-        params.get(self.table).gather_rows(ids)
+        ex.param_rows(params, self.table, ids)
     }
 }
 
@@ -64,6 +59,7 @@ impl Embedding {
 mod tests {
     use super::*;
     use crate::gradcheck::assert_gradients_ok;
+    use crate::Tape;
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -74,7 +70,6 @@ mod tests {
         let mut tape = Tape::new();
         let out = emb.forward(&mut tape, &params, &[2, 0]);
         assert_eq!(tape.value(out).as_slice(), &[5.0, 6.0, 1.0, 2.0]);
-        assert!(emb.infer(&params, &[2, 0]).approx_eq(tape.value(out), 0.0));
     }
 
     #[test]

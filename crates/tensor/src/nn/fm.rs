@@ -2,7 +2,7 @@
 //! as introduced by Rendle (2010) and used by NARRE/DeepCoNN for the final
 //! rating from the concatenated user–item representation.
 
-use crate::{init, ParamId, Params, Tape, Tensor, Var};
+use crate::{init, Executor, ParamId, Params, Tensor};
 use rand::Rng;
 
 /// Second-order factorization machine over an `[n, d]` feature matrix:
@@ -43,40 +43,28 @@ impl FactorizationMachine {
     }
 
     /// Predicts one score per row: `[n, d] -> [n, 1]`.
-    pub fn forward(&self, tape: &mut Tape, params: &Params, x: Var) -> Var {
-        let (n, d) = tape.shape(x);
+    pub fn forward<'p, E: Executor<'p>>(&self, ex: &mut E, params: &'p Params, x: E::V) -> E::V {
+        let d = ex.shape(&x).1;
         assert_eq!(d, self.input_dim, "FactorizationMachine::forward: input dim {d}, expected {}", self.input_dim);
-        let w0 = tape.param(params, self.w0);
-        let w = tape.param(params, self.w);
-        let v = tape.param(params, self.v);
+        let w0 = ex.param(params, self.w0);
+        let w = ex.param(params, self.w);
+        let v = ex.param(params, self.v);
 
-        // Linear part: x·w + w0, with w0 broadcast over the n rows via ones·w0.
-        let lin = tape.matmul(x, w);
-        let ones = tape.constant(Tensor::ones(n, 1));
-        let w0_rows = tape.matmul(ones, w0);
-        let lin = tape.add(lin, w0_rows);
+        // Linear part: x·w + w0, with w0 broadcast over the n rows.
+        let lin = ex.matmul(&x, &w);
+        let lin = ex.add_row_broadcast(lin, &w0);
 
         // Interaction part: ½ Σ_f [(xV)² − (x²)(V²)]
-        let xv = tape.matmul(x, v);
-        let xv_sq = tape.square(xv);
-        let x_sq = tape.square(x);
-        let v_sq = tape.square(v);
-        let x2v2 = tape.matmul(x_sq, v_sq);
-        let diff = tape.sub(xv_sq, x2v2);
-        let inter_sum = tape.sum_cols(diff);
-        let inter = tape.scale(inter_sum, 0.5);
+        let xv = ex.matmul(&x, &v);
+        let xv_sq = ex.square(xv);
+        let x_sq = ex.square(x);
+        let v_sq = ex.square(v);
+        let x2v2 = ex.matmul(&x_sq, &v_sq);
+        let diff = ex.sub(xv_sq, &x2v2);
+        let inter_sum = ex.sum_cols(&diff);
+        let inter = ex.scale(inter_sum, 0.5);
 
-        tape.add(lin, inter)
-    }
-
-    /// Tape-free prediction for inference paths.
-    pub fn infer(&self, params: &Params, x: &Tensor) -> Tensor {
-        let w0 = params.get(self.w0).item();
-        let lin = x.matmul(params.get(self.w)).map(|v| v + w0);
-        let xv = x.matmul(params.get(self.v)).map(|v| v * v);
-        let x2v2 = x.map(|v| v * v).matmul(&params.get(self.v).map(|v| v * v));
-        let inter = xv.sub(&x2v2).sum_cols().scale(0.5);
-        lin.add(&inter)
+        ex.add(lin, &inter)
     }
 }
 
@@ -84,6 +72,8 @@ impl FactorizationMachine {
 mod tests {
     use super::*;
     use crate::gradcheck::assert_gradients_ok;
+    use crate::Eval;
+    use std::borrow::Cow;
     use rand::{rngs::StdRng, SeedableRng};
 
     /// Brute-force FM for cross-checking the `O(ndf)` identity.
@@ -118,24 +108,11 @@ mod tests {
         let mut params = Params::new();
         let fm = FactorizationMachine::new(&mut params, &mut rng, "fm", 6, 3);
         let x = init::normal(&mut rng, 4, 6, 0.0, 1.0);
-        let fast = fm.infer(&params, &x);
+        let fast = fm.forward(&mut Eval, &params, Cow::Owned(x.clone()));
         let naive = fm_naive(&params, &fm, &x);
         for (r, &n) in naive.iter().enumerate() {
             assert!((fast.get(r, 0) - n).abs() < 1e-4, "row {r}: {} vs {n}", fast.get(r, 0));
         }
-    }
-
-    #[test]
-    fn forward_and_infer_agree() {
-        let mut rng = StdRng::seed_from_u64(52);
-        let mut params = Params::new();
-        let fm = FactorizationMachine::new(&mut params, &mut rng, "fm", 5, 2);
-        let x = init::normal(&mut rng, 3, 5, 0.0, 1.0);
-        let mut tape = Tape::new();
-        let xv = tape.constant(x.clone());
-        let y = fm.forward(&mut tape, &params, xv);
-        assert_eq!(tape.shape(y), (3, 1));
-        assert!(tape.value(y).approx_eq(&fm.infer(&params, &x), 1e-4));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Gated recurrent unit, the sequence model of the DER baseline.
 
-use crate::{init, ParamId, Params, Tape, Tensor, Var};
+use crate::{init, Executor, ParamId, Params, Tensor};
 use rand::Rng;
 
 /// GRU with fused `[update | reset]` gate weights and a separate candidate
@@ -42,102 +42,67 @@ impl Gru {
         self.hidden_dim
     }
 
-    /// One differentiable step: `x_t` is `[n, input]`, `h` is `[n, hidden]`.
-    pub fn step(&self, tape: &mut Tape, params: &Params, x_t: Var, h: Var) -> Var {
-        let hd = self.hidden_dim;
-        let wx_zr = tape.param(params, self.wx_zr);
-        let wh_zr = tape.param(params, self.wh_zr);
-        let b_zr = tape.param(params, self.b_zr);
-        let xz = tape.matmul(x_t, wx_zr);
-        let hz = tape.matmul(h, wh_zr);
-        let zr_pre = tape.add(xz, hz);
-        let zr_pre = tape.add_row_broadcast(zr_pre, b_zr);
-        let z_pre = tape.slice_cols(zr_pre, 0, hd);
-        let r_pre = tape.slice_cols(zr_pre, hd, 2 * hd);
-        let z = tape.sigmoid(z_pre);
-        let r = tape.sigmoid(r_pre);
+    /// The cell's weights `[wx_zr, wh_zr, b_zr, wx_n, wh_n, b_n]` as values
+    /// of `ex` — created once per sequence, not once per step.
+    fn weights<'p, E: Executor<'p>>(&self, ex: &mut E, params: &'p Params) -> [E::V; 6] {
+        [self.wx_zr, self.wh_zr, self.b_zr, self.wx_n, self.wh_n, self.b_n].map(|id| ex.param(params, id))
+    }
 
-        let wx_n = tape.param(params, self.wx_n);
-        let wh_n = tape.param(params, self.wh_n);
-        let b_n = tape.param(params, self.b_n);
-        let rh = tape.mul(r, h);
-        let xn = tape.matmul(x_t, wx_n);
-        let hn = tape.matmul(rh, wh_n);
-        let n_pre = tape.add(xn, hn);
-        let n_pre = tape.add_row_broadcast(n_pre, b_n);
-        let n = tape.tanh(n_pre);
+    /// One step: `x_t` is `[n, input]`, `h` is `[n, hidden]`.
+    pub fn step<'p, E: Executor<'p>>(&self, ex: &mut E, params: &'p Params, x_t: E::V, h: E::V) -> E::V {
+        let w = self.weights(ex, params);
+        self.cell(ex, &w, &x_t, &h)
+    }
+
+    fn cell<'p, E: Executor<'p>>(&self, ex: &mut E, w: &[E::V; 6], x_t: &E::V, h: &E::V) -> E::V {
+        let [wx_zr, wh_zr, b_zr, wx_n, wh_n, b_n] = w;
+        let hd = self.hidden_dim;
+        let xz = ex.matmul(x_t, wx_zr);
+        let hz = ex.matmul(h, wh_zr);
+        let zr_pre = ex.add(xz, &hz);
+        let zr_pre = ex.add_row_broadcast(zr_pre, b_zr);
+        let z_pre = ex.slice_cols(&zr_pre, 0, hd);
+        let r_pre = ex.slice_cols(&zr_pre, hd, 2 * hd);
+        let z = ex.sigmoid(z_pre);
+        let r = ex.sigmoid(r_pre);
+
+        let rh = ex.mul(r, h);
+        let xn = ex.matmul(x_t, wx_n);
+        let hn = ex.matmul(&rh, wh_n);
+        let n_pre = ex.add(xn, &hn);
+        let n_pre = ex.add_row_broadcast(n_pre, b_n);
+        let n = ex.tanh(n_pre);
 
         // h' = (1 − z) ⊙ n + z ⊙ h
-        let zn = tape.mul(z, n);
-        let n_minus_zn = tape.sub(n, zn);
-        let zh = tape.mul(z, h);
-        tape.add(n_minus_zn, zh)
+        let zn = ex.mul(z.clone(), &n);
+        let n_minus_zn = ex.sub(n, &zn);
+        let zh = ex.mul(z, h);
+        ex.add(n_minus_zn, &zh)
     }
 
-    /// Runs over a `[T, input]` sequence node, returning the final hidden
+    /// Runs over a `[T, input]` sequence value, returning the final hidden
     /// state (`[1, hidden]`).
-    pub fn forward_final(&self, tape: &mut Tape, params: &Params, seq: Var) -> Var {
-        let t_len = tape.value(seq).rows();
+    pub fn forward_final<'p, E: Executor<'p>>(&self, ex: &mut E, params: &'p Params, seq: E::V) -> E::V {
+        let (t_len, d) = ex.shape(&seq);
         assert!(t_len > 0, "Gru::forward_final: empty sequence");
-        let mut h = tape.constant(Tensor::zeros(1, self.hidden_dim));
+        assert_eq!(d, self.input_dim, "Gru::forward_final: input dim {d}, expected {}", self.input_dim);
+        let w = self.weights(ex, params);
+        let mut h = ex.constant(Tensor::zeros(1, self.hidden_dim));
         for t in 0..t_len {
-            let x_t = tape.gather_rows(seq, &[t]);
-            h = self.step(tape, params, x_t, h);
+            let x_t = ex.gather_rows(&seq, &[t]);
+            h = self.cell(ex, &w, &x_t, &h);
         }
         h
     }
-
-    /// Tape-free final hidden state.
-    pub fn infer_final(&self, params: &Params, seq: &Tensor) -> Tensor {
-        let (t_len, d) = seq.shape();
-        assert_eq!(d, self.input_dim, "Gru::infer_final: input dim {d}, expected {}", self.input_dim);
-        let hd = self.hidden_dim;
-        let mut h = Tensor::zeros(1, hd);
-        for t in 0..t_len {
-            let x_t = seq.gather_rows(&[t]);
-            let mut zr = x_t.matmul(params.get(self.wx_zr));
-            zr.add_assign(&h.matmul(params.get(self.wh_zr)));
-            zr = zr.add_row_broadcast(params.get(self.b_zr));
-            let z: Vec<f32> = (0..hd).map(|j| sigmoid(zr.get(0, j))).collect();
-            let r: Vec<f32> = (0..hd).map(|j| sigmoid(zr.get(0, hd + j))).collect();
-            let rh = Tensor::from_vec(1, hd, (0..hd).map(|j| r[j] * h.get(0, j)).collect());
-            let mut n = x_t.matmul(params.get(self.wx_n));
-            n.add_assign(&rh.matmul(params.get(self.wh_n)));
-            n = n.add_row_broadcast(params.get(self.b_n));
-            let mut h_next = Tensor::zeros(1, hd);
-            for (j, (&zj, slot)) in z.iter().zip(h_next.row_mut(0).iter_mut()).enumerate() {
-                let nj = n.get(0, j).tanh();
-                *slot = (1.0 - zj) * nj + zj * h.get(0, j);
-            }
-            h = h_next;
-        }
-        h
-    }
-}
-
-#[inline]
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gradcheck::assert_gradients_ok;
+    use crate::Eval;
+    use std::borrow::Cow;
     use rand::{rngs::StdRng, SeedableRng};
-
-    #[test]
-    fn forward_and_infer_agree() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut params = Params::new();
-        let gru = Gru::new(&mut params, &mut rng, "g", 3, 4);
-        let seq = init::normal(&mut rng, 5, 3, 0.0, 1.0);
-        let mut tape = Tape::new();
-        let sv = tape.constant(seq.clone());
-        let h = gru.forward_final(&mut tape, &params, sv);
-        assert_eq!(tape.shape(h), (1, 4));
-        assert!(tape.value(h).approx_eq(&gru.infer_final(&params, &seq), 1e-5));
-    }
 
     #[test]
     fn gru_gradcheck() {
@@ -160,7 +125,7 @@ mod tests {
         let mut params = Params::new();
         let gru = Gru::new(&mut params, &mut rng, "g", 2, 2);
         let seq = Tensor::from_vec(1, 2, vec![0.5, -0.5]);
-        let h = gru.infer_final(&params, &seq);
+        let h = gru.forward_final(&mut Eval, &params, Cow::Owned(seq));
         assert!(h.as_slice().iter().all(|&x| x.abs() < 1.0));
     }
 }

@@ -1,6 +1,6 @@
 //! LSTM and bidirectional LSTM sequence encoders (paper §III-C).
 
-use crate::{init, ParamId, Params, Tape, Tensor, Var};
+use crate::{init, Executor, ParamId, Params, Tensor};
 use rand::Rng;
 
 /// Single-direction LSTM with fused gate weights.
@@ -50,108 +50,85 @@ impl Lstm {
         [self.wx, self.wh, self.b]
     }
 
-    /// One differentiable step: consumes `x_t` (`[n, input]`) and the previous
-    /// `(h, c)` (`[n, hidden]` each), returning the next `(h, c)`.
-    pub fn step(&self, tape: &mut Tape, params: &Params, x_t: Var, h: Var, c: Var) -> (Var, Var) {
-        let wx = tape.param(params, self.wx);
-        let wh = tape.param(params, self.wh);
-        let b = tape.param(params, self.b);
-        let xw = tape.matmul(x_t, wx);
-        let hw = tape.matmul(h, wh);
-        let pre = tape.add(xw, hw);
-        let pre = tape.add_row_broadcast(pre, b);
-        let hd = self.hidden_dim;
-        let [ri, rf, rg, ro] = gate_ranges(hd);
-        let i_pre = tape.slice_cols(pre, ri.0, ri.1);
-        let f_pre = tape.slice_cols(pre, rf.0, rf.1);
-        let g_pre = tape.slice_cols(pre, rg.0, rg.1);
-        let o_pre = tape.slice_cols(pre, ro.0, ro.1);
-        let i = tape.sigmoid(i_pre);
-        let f = tape.sigmoid(f_pre);
-        let g = tape.tanh(g_pre);
-        let o = tape.sigmoid(o_pre);
-        let fc = tape.mul(f, c);
-        let ig = tape.mul(i, g);
-        let c_next = tape.add(fc, ig);
-        let c_act = tape.tanh(c_next);
-        let h_next = tape.mul(o, c_act);
+    /// The cell's weights `[wx, wh, b]` as values of `ex` — created once
+    /// per sequence, not once per step.
+    fn weights<'p, E: Executor<'p>>(&self, ex: &mut E, params: &'p Params) -> [E::V; 3] {
+        [ex.param(params, self.wx), ex.param(params, self.wh), ex.param(params, self.b)]
+    }
+
+    /// One step: consumes `x_t` (`[n, input]`) and the previous `(h, c)`
+    /// (`[n, hidden]` each), returning the next `(h, c)`.
+    pub fn step<'p, E: Executor<'p>>(
+        &self,
+        ex: &mut E,
+        params: &'p Params,
+        x_t: E::V,
+        h: E::V,
+        c: E::V,
+    ) -> (E::V, E::V) {
+        let w = self.weights(ex, params);
+        self.cell(ex, &w, &x_t, &h, &c)
+    }
+
+    fn cell<'p, E: Executor<'p>>(
+        &self,
+        ex: &mut E,
+        [wx, wh, b]: &[E::V; 3],
+        x_t: &E::V,
+        h: &E::V,
+        c: &E::V,
+    ) -> (E::V, E::V) {
+        let xw = ex.matmul(x_t, wx);
+        let hw = ex.matmul(h, wh);
+        let pre = ex.add(xw, &hw);
+        let pre = ex.add_row_broadcast(pre, b);
+        let [ri, rf, rg, ro] = gate_ranges(self.hidden_dim);
+        let i_pre = ex.slice_cols(&pre, ri.0, ri.1);
+        let f_pre = ex.slice_cols(&pre, rf.0, rf.1);
+        let g_pre = ex.slice_cols(&pre, rg.0, rg.1);
+        let o_pre = ex.slice_cols(&pre, ro.0, ro.1);
+        let i = ex.sigmoid(i_pre);
+        let f = ex.sigmoid(f_pre);
+        let g = ex.tanh(g_pre);
+        let o = ex.sigmoid(o_pre);
+        let fc = ex.mul(f, c);
+        let ig = ex.mul(i, &g);
+        let c_next = ex.add(fc, &ig);
+        let c_act = ex.tanh(c_next.clone());
+        let h_next = ex.mul(o, &c_act);
         (h_next, c_next)
     }
 
-    /// Runs the LSTM over a sequence given as one `[T, input]` node and
+    /// Runs the LSTM over the rows of a `[T, input]` sequence, back-to-front
+    /// when `reverse`, and returns the final hidden state (`[1, hidden]`).
+    fn run<'p, E: Executor<'p>>(&self, ex: &mut E, params: &'p Params, seq: &E::V, reverse: bool) -> E::V {
+        let (t_len, d) = ex.shape(seq);
+        assert!(t_len > 0, "Lstm::forward_final: empty sequence");
+        assert_eq!(d, self.input_dim, "Lstm::forward_final: input dim {d}, expected {}", self.input_dim);
+        let w = self.weights(ex, params);
+        let mut h = ex.constant(Tensor::zeros(1, self.hidden_dim));
+        let mut c = ex.constant(Tensor::zeros(1, self.hidden_dim));
+        for i in 0..t_len {
+            let t = if reverse { t_len - 1 - i } else { i };
+            let x_t = ex.gather_rows(seq, &[t]);
+            (h, c) = self.cell(ex, &w, &x_t, &h, &c);
+        }
+        h
+    }
+
+    /// Runs the LSTM over a sequence given as one `[T, input]` value and
     /// returns the final hidden state (`[1, hidden]`).
     ///
     /// # Panics
     /// Panics on an empty sequence.
-    pub fn forward_final(&self, tape: &mut Tape, params: &Params, seq: Var) -> Var {
-        let t_len = tape.value(seq).rows();
-        assert!(t_len > 0, "Lstm::forward_final: empty sequence");
-        let mut h = tape.constant(Tensor::zeros(1, self.hidden_dim));
-        let mut c = tape.constant(Tensor::zeros(1, self.hidden_dim));
-        for t in 0..t_len {
-            let x_t = tape.gather_rows(seq, &[t]);
-            let (h2, c2) = self.step(tape, params, x_t, h, c);
-            h = h2;
-            c = c2;
-        }
-        h
+    pub fn forward_final<'p, E: Executor<'p>>(&self, ex: &mut E, params: &'p Params, seq: E::V) -> E::V {
+        self.run(ex, params, &seq, false)
     }
 
     /// Like [`Lstm::forward_final`] but reading the sequence back-to-front.
-    pub fn forward_final_rev(&self, tape: &mut Tape, params: &Params, seq: Var) -> Var {
-        let t_len = tape.value(seq).rows();
-        assert!(t_len > 0, "Lstm::forward_final_rev: empty sequence");
-        let mut h = tape.constant(Tensor::zeros(1, self.hidden_dim));
-        let mut c = tape.constant(Tensor::zeros(1, self.hidden_dim));
-        for t in (0..t_len).rev() {
-            let x_t = tape.gather_rows(seq, &[t]);
-            let (h2, c2) = self.step(tape, params, x_t, h, c);
-            h = h2;
-            c = c2;
-        }
-        h
+    pub fn forward_final_rev<'p, E: Executor<'p>>(&self, ex: &mut E, params: &'p Params, seq: E::V) -> E::V {
+        self.run(ex, params, &seq, true)
     }
-
-    /// Tape-free final hidden state for the frozen-encoder fast path.
-    /// `reverse` selects reading direction.
-    pub fn infer_final(&self, params: &Params, seq: &Tensor, reverse: bool) -> Tensor {
-        let (t_len, d) = seq.shape();
-        assert_eq!(d, self.input_dim, "Lstm::infer_final: input dim {d}, expected {}", self.input_dim);
-        assert!(t_len > 0, "Lstm::infer_final: empty sequence");
-        let wx = params.get(self.wx);
-        let wh = params.get(self.wh);
-        let b = params.get(self.b);
-        let hd = self.hidden_dim;
-        let mut h = Tensor::zeros(1, hd);
-        let mut c = Tensor::zeros(1, hd);
-        let order: Vec<usize> = if reverse { (0..t_len).rev().collect() } else { (0..t_len).collect() };
-        for t in order {
-            let x_t = seq.gather_rows(&[t]);
-            let mut pre = x_t.matmul(wx);
-            pre.add_assign(&h.matmul(wh));
-            pre = pre.add_row_broadcast(b);
-            let p = pre.as_slice();
-            let mut h_next = Tensor::zeros(1, hd);
-            let mut c_next = Tensor::zeros(1, hd);
-            for j in 0..hd {
-                let i_g = sigmoid(p[j]);
-                let f_g = sigmoid(p[hd + j]);
-                let g_g = p[2 * hd + j].tanh();
-                let o_g = sigmoid(p[3 * hd + j]);
-                let cn = f_g * c.get(0, j) + i_g * g_g;
-                c_next.set(0, j, cn);
-                h_next.set(0, j, o_g * cn.tanh());
-            }
-            h = h_next;
-            c = c_next;
-        }
-        h
-    }
-}
-
-#[inline]
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 /// Bidirectional LSTM producing `rev = h⁺ ⊕ h⁻` (paper Eq. 4). The output
@@ -187,18 +164,11 @@ impl BiLstm {
         [a, b, c, d, e, f]
     }
 
-    /// Differentiable encoding of a `[T, input]` sequence into `[1, 2h]`.
-    pub fn forward(&self, tape: &mut Tape, params: &Params, seq: Var) -> Var {
-        let hf = self.fwd.forward_final(tape, params, seq);
-        let hb = self.bwd.forward_final_rev(tape, params, seq);
-        tape.concat_cols(&[hf, hb])
-    }
-
-    /// Tape-free encoding for the frozen-encoder fast path.
-    pub fn infer(&self, params: &Params, seq: &Tensor) -> Tensor {
-        let hf = self.fwd.infer_final(params, seq, false);
-        let hb = self.bwd.infer_final(params, seq, true);
-        Tensor::concat_cols(&[&hf, &hb])
+    /// Encoding of a `[T, input]` sequence into `[1, 2h]`.
+    pub fn forward<'p, E: Executor<'p>>(&self, ex: &mut E, params: &'p Params, seq: E::V) -> E::V {
+        let hf = self.fwd.run(ex, params, &seq, false);
+        let hb = self.bwd.run(ex, params, &seq, true);
+        ex.concat_cols(&[&hf, &hb])
     }
 }
 
@@ -206,20 +176,9 @@ impl BiLstm {
 mod tests {
     use super::*;
     use crate::gradcheck::assert_gradients_ok;
+    use crate::Eval;
     use rand::{rngs::StdRng, SeedableRng};
-
-    #[test]
-    fn forward_and_infer_agree() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut params = Params::new();
-        let lstm = Lstm::new(&mut params, &mut rng, "l", 3, 4);
-        let seq = init::normal(&mut rng, 5, 3, 0.0, 1.0);
-        let mut tape = Tape::new();
-        let sv = tape.constant(seq.clone());
-        let h = lstm.forward_final(&mut tape, &params, sv);
-        assert_eq!(tape.shape(h), (1, 4));
-        assert!(tape.value(h).approx_eq(&lstm.infer_final(&params, &seq, false), 1e-5));
-    }
+    use std::borrow::Cow;
 
     #[test]
     fn bilstm_concatenates_directions() {
@@ -227,11 +186,11 @@ mod tests {
         let mut params = Params::new();
         let bi = BiLstm::new(&mut params, &mut rng, "bi", 3, 2);
         let seq = init::normal(&mut rng, 4, 3, 0.0, 1.0);
-        let mut tape = Tape::new();
-        let sv = tape.constant(seq.clone());
-        let h = bi.forward(&mut tape, &params, sv);
-        assert_eq!(tape.shape(h), (1, 4));
-        assert!(tape.value(h).approx_eq(&bi.infer(&params, &seq), 1e-5));
+        let h = bi.forward(&mut Eval, &params, Cow::Borrowed(&seq));
+        assert_eq!(h.shape(), (1, 4));
+        let hf = bi.fwd.forward_final(&mut Eval, &params, Cow::Borrowed(&seq));
+        let hb = bi.bwd.forward_final_rev(&mut Eval, &params, Cow::Borrowed(&seq));
+        assert_eq!(h.as_slice(), Tensor::concat_cols(&[&hf, &hb]).as_slice());
     }
 
     #[test]
@@ -241,8 +200,8 @@ mod tests {
         let mut params = Params::new();
         let lstm = Lstm::new(&mut params, &mut rng, "l", 2, 3);
         let seq = init::normal(&mut rng, 4, 2, 0.0, 1.0);
-        let h_fwd = lstm.infer_final(&params, &seq, false);
-        let h_rev = lstm.infer_final(&params, &seq, true);
+        let h_fwd = lstm.forward_final(&mut Eval, &params, Cow::Borrowed(&seq));
+        let h_rev = lstm.forward_final_rev(&mut Eval, &params, Cow::Borrowed(&seq));
         assert!(!h_fwd.approx_eq(&h_rev, 1e-3));
     }
 

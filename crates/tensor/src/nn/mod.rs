@@ -1,9 +1,10 @@
-//! Neural-network layers built on the autograd tape.
+//! Neural-network layers.
 //!
 //! Layers register their weights in a shared [`crate::Params`] store at
-//! construction and are stateless afterwards: `forward` records ops on a
-//! caller-supplied [`crate::Tape`]. Layers that sit on hot inference paths
-//! (the review encoders) additionally expose tape-free `infer` methods.
+//! construction and are stateless afterwards. Each layer's `forward` is
+//! written once, generic over an [`crate::Executor`]: on a [`crate::Tape`]
+//! it records the ops for training, on [`crate::Eval`] it computes the same
+//! values for serving.
 
 mod attention;
 mod conv;

@@ -11,7 +11,7 @@ impl Tape {
 
     /// Logistic sigmoid, applied element-wise.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let value = self.value(a).map(crate::tensor::sigmoid);
         self.push(value, Op::Sigmoid(a))
     }
 
@@ -23,29 +23,16 @@ impl Tape {
 
     /// Numerically stable row-wise softmax.
     pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let src = self.value(a);
-        let mut value = src.clone();
-        for r in 0..value.rows() {
-            let row = value.row_mut(r);
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut denom = 0.0;
-            for x in row.iter_mut() {
-                *x = (*x - m).exp();
-                denom += *x;
-            }
-            for x in row.iter_mut() {
-                *x /= denom;
-            }
-        }
+        let value = self.value(a).softmax_rows();
         self.push(value, Op::SoftmaxRows(a))
     }
 
-    /// Inverted-dropout with keep-probability `1 - rate`, using the supplied
-    /// pre-drawn `mask` of `0.0 / (1/(1-rate))` entries. Recording the mask as
-    /// a constant keeps the op differentiable and the tape deterministic; the
-    /// [`crate::nn::Dropout`] layer draws masks from its RNG.
-    pub fn apply_mask(&mut self, a: Var, mask: Var) -> Var {
-        self.mul(a, mask)
+    /// Masked softmax of an `m × 1` score column
+    /// ([`crate::Tensor::softmax_col_assign`]): attention weights in one node.
+    pub fn softmax_col(&mut self, a: Var, mask: Option<&[bool]>) -> Var {
+        let mut value = self.value(a).clone();
+        value.softmax_col_assign(mask);
+        self.push(value, Op::SoftmaxCol(a))
     }
 }
 
@@ -75,6 +62,67 @@ mod tests {
         let sb = tape.softmax_rows(b);
         let (va, vb) = (tape.value(sa).clone(), tape.value(sb).clone());
         assert!(va.approx_eq(&vb, 1e-5));
+    }
+
+    #[test]
+    fn softmax_col_is_the_penalty_transpose_softmax_chain_forward_and_backward() {
+        use crate::{init, Params};
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(61);
+        for (m, mask) in [(5, Some(vec![true, false, true, true, false])), (4, None), (1, Some(vec![true]))] {
+            let mut params = Params::new();
+            let x_id = params.register("x", init::normal(&mut rng, m, 1, 0.0, 2.0));
+            let w = init::normal(&mut rng, m, 1, 0.0, 1.0);
+            let grads = |fused: bool, params: &mut Params| {
+                params.zero_grads();
+                let mut tape = Tape::new();
+                let x = tape.param(params, x_id);
+                let y = if fused {
+                    tape.softmax_col(x, mask.as_deref())
+                } else {
+                    let z = match &mask {
+                        Some(mask) => {
+                            let pen: Vec<f32> = mask.iter().map(|&k| if k { 0.0 } else { crate::tensor::MASK_LOGIT }).collect();
+                            let pen = tape.constant(Tensor::col_vector(&pen));
+                            tape.add(x, pen)
+                        }
+                        None => x,
+                    };
+                    let row = tape.transpose(z);
+                    let soft = tape.softmax_rows(row);
+                    tape.transpose(soft)
+                };
+                let wv = tape.constant(w.clone());
+                let prod = tape.mul(y, wv);
+                let loss = tape.sum_all(prod);
+                tape.backward(loss, params);
+                (tape.value(y).clone(), params.grad(x_id).clone())
+            };
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let (y_fused, g_fused) = grads(true, &mut params);
+            let (y_chain, g_chain) = grads(false, &mut params);
+            assert_eq!(bits(&y_fused), bits(&y_chain));
+            assert_eq!(bits(&g_fused), bits(&g_chain));
+        }
+    }
+
+    #[test]
+    fn softmax_col_gradcheck() {
+        use crate::{gradcheck::assert_gradients_ok, init, Params};
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(62);
+        let mut params = Params::new();
+        let x_id = params.register("x", init::normal(&mut rng, 5, 1, 0.0, 1.0));
+        let w = init::normal(&mut rng, 5, 1, 0.0, 1.0);
+        let mask = [true, true, false, true, false];
+        assert_gradients_ok(&mut params, move |p, tape| {
+            let x = tape.param(p, x_id);
+            let y = tape.softmax_col(x, Some(&mask));
+            let wv = tape.constant(w.clone());
+            let prod = tape.mul(y, wv);
+            let sq = tape.square(prod);
+            tape.sum_all(sq)
+        });
     }
 
     #[test]

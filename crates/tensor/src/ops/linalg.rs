@@ -29,18 +29,16 @@ impl Tape {
 
     /// Multiplies every row `r` of `a` by the scalar `col[r]` (`col` is `r × 1`).
     pub fn mul_col_broadcast(&mut self, a: Var, col: Var) -> Var {
-        let av = self.value(a);
-        let cv = self.value(col);
-        assert_eq!(cv.cols(), 1, "mul_col_broadcast: rhs must be a column vector");
-        assert_eq!(cv.rows(), av.rows(), "mul_col_broadcast: {} rows vs {} weights", av.rows(), cv.rows());
-        let mut value = av.clone();
-        for r in 0..value.rows() {
-            let s = cv.get(r, 0);
-            for x in value.row_mut(r) {
-                *x *= s;
-            }
-        }
+        let value = self.value(a).mul_col_broadcast(self.value(col));
         self.push(value, Op::MulColBroadcast(a, col))
+    }
+
+    /// `Σ_r weights[r] · x[r, :]` (`weights` is `r × 1`), producing `1 × c`:
+    /// [`Tape::mul_col_broadcast`] then [`Tape::sum_rows`] in one node, with
+    /// the same bits forward and backward.
+    pub fn weighted_row_sum(&mut self, x: Var, weights: Var) -> Var {
+        let value = self.value(x).weighted_row_sum(self.value(weights));
+        self.push(value, Op::WeightedRowSum(x, weights))
     }
 
     /// Scalar multiple `alpha * a`.
@@ -127,6 +125,55 @@ mod tests {
         let w = tape.constant(Tensor::col_vector(&[2.0, 0.5]));
         let out = tape.mul_col_broadcast(a, w);
         assert_eq!(tape.value(out).as_slice(), &[2.0, 4.0, 1.5, 2.0]);
+    }
+
+    #[test]
+    fn weighted_row_sum_is_the_broadcast_then_sum_chain_forward_and_backward() {
+        use crate::init;
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(63);
+        let mut params = Params::new();
+        let x_id = params.register("x", init::normal(&mut rng, 4, 3, 0.0, 1.0));
+        let mut keep = init::normal(&mut rng, 4, 1, 0.0, 1.0);
+        keep.set(2, 0, 0.0);
+        let w_id = params.register("w", keep);
+        let t = init::normal(&mut rng, 1, 3, 0.0, 1.0);
+        let run = |fused: bool, params: &mut Params| {
+            params.zero_grads();
+            let mut tape = Tape::new();
+            let x = tape.param(params, x_id);
+            let w = tape.param(params, w_id);
+            let y = if fused {
+                tape.weighted_row_sum(x, w)
+            } else {
+                let weighted = tape.mul_col_broadcast(x, w);
+                tape.sum_rows(weighted)
+            };
+            let tv = tape.constant(t.clone());
+            let prod = tape.mul(y, tv);
+            let loss = tape.sum_all(prod);
+            tape.backward(loss, params);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            (bits(tape.value(y)), bits(params.grad(x_id)), bits(params.grad(w_id)))
+        };
+        assert_eq!(run(true, &mut params), run(false, &mut params));
+    }
+
+    #[test]
+    fn weighted_row_sum_gradcheck() {
+        use crate::{gradcheck::assert_gradients_ok, init};
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(64);
+        let mut params = Params::new();
+        let x_id = params.register("x", init::normal(&mut rng, 4, 3, 0.0, 1.0));
+        let w_id = params.register("w", init::normal(&mut rng, 4, 1, 0.0, 1.0));
+        assert_gradients_ok(&mut params, move |p, tape| {
+            let x = tape.param(p, x_id);
+            let w = tape.param(p, w_id);
+            let y = tape.weighted_row_sum(x, w);
+            let sq = tape.square(y);
+            tape.sum_all(sq)
+        });
     }
 
     #[test]

@@ -44,35 +44,13 @@ impl Tape {
     /// # Panics
     /// Panics if `width` is zero or exceeds the number of rows.
     pub fn im2col(&mut self, x: Var, width: usize) -> Var {
-        let src = self.value(x);
-        let (t, d) = src.shape();
-        assert!(width >= 1 && width <= t, "im2col: width {width} invalid for {t} timesteps");
-        let windows = t + 1 - width;
-        let mut value = Tensor::zeros(windows, width * d);
-        for w in 0..windows {
-            for off in 0..width {
-                let dst_start = off * d;
-                value.row_mut(w)[dst_start..dst_start + d].copy_from_slice(src.row(w + off));
-            }
-        }
+        let value = self.value(x).im2col(width);
         self.push(value, Op::Im2Col { x, width })
     }
 
     /// Max-over-time pooling: column-wise maximum over rows, `[T, f] -> [1, f]`.
     pub fn max_over_rows(&mut self, x: Var) -> Var {
-        let src = self.value(x);
-        let (t, f) = src.shape();
-        assert!(t > 0, "max_over_rows: empty input");
-        let mut value = Tensor::full(1, f, f32::NEG_INFINITY);
-        let mut argmax = vec![0usize; f];
-        for r in 0..t {
-            for (c, &x_val) in src.row(r).iter().enumerate() {
-                if x_val > value.get(0, c) {
-                    value.set(0, c, x_val);
-                    argmax[c] = r;
-                }
-            }
-        }
+        let (value, argmax) = self.value(x).max_over_rows();
         self.push(value, Op::MaxOverRows { x, argmax })
     }
 }

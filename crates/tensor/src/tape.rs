@@ -46,6 +46,10 @@ pub(crate) enum Op {
     Square(Var),
     /// Row-wise softmax.
     SoftmaxRows(Var),
+    /// Softmax of an `m × 1` column; masked rows hold exactly zero.
+    SoftmaxCol(Var),
+    /// `Σ_r w[r] · x[r, :]` with `w` an `r × 1` column, producing `1 × c`.
+    WeightedRowSum(Var, Var),
     ConcatCols(Vec<Var>),
     ConcatRows(Vec<Var>),
     SliceCols(Var, usize, usize),
@@ -240,19 +244,17 @@ impl Tape {
                 Self::accumulate(grads, *row, g.sum_rows());
             }
             Op::MulColBroadcast(a, col) => {
-                let av = &self.nodes[a.0].value;
-                let cv = &self.nodes[col.0].value;
                 // d/da = g * col (broadcast), d/dcol[r] = sum_c g[r,c]*a[r,c]
-                let mut da = g.clone();
-                for r in 0..da.rows() {
-                    let s = cv.get(r, 0);
-                    for x in da.row_mut(r) {
-                        *x *= s;
-                    }
-                }
-                Self::accumulate(grads, *a, da);
-                let dcol = g.mul(av).sum_cols();
-                Self::accumulate(grads, *col, dcol);
+                Self::accumulate(grads, *a, g.mul_col_broadcast(&self.nodes[col.0].value));
+                Self::accumulate(grads, *col, g.mul(&self.nodes[a.0].value).sum_cols());
+            }
+            Op::WeightedRowSum(x, w) => {
+                // The backward of `sum_rows(mul_col_broadcast(x, w))`, run
+                // as that chain runs it: `g` on every row, then the product.
+                let (xv, wv) = (&self.nodes[x.0].value, &self.nodes[w.0].value);
+                let g_rows = Tensor::concat_rows(&vec![g; xv.rows()]);
+                Self::accumulate(grads, *x, g_rows.mul_col_broadcast(wv));
+                Self::accumulate(grads, *w, g_rows.mul(xv).sum_cols());
             }
             Op::Scale(a, alpha) => Self::accumulate(grads, *a, g.scale(*alpha)),
             Op::AddScalar(a) => Self::accumulate(grads, *a, g.clone()),
@@ -291,6 +293,13 @@ impl Tape {
                     }
                 }
                 Self::accumulate(grads, *a, da);
+            }
+            Op::SoftmaxCol(a) => {
+                // As the transpose/softmax_rows/transpose chain computes it:
+                // dx = y ⊙ (g − (g·y) 1).
+                let y = &node.value;
+                let dot: f32 = g.as_slice().iter().zip(y.as_slice()).map(|(&gv, &yv)| gv * yv).sum();
+                Self::accumulate(grads, *a, y.zip_map(g, |yv, gv| yv * (gv - dot)));
             }
             Op::ConcatCols(parts) => {
                 let mut offset = 0;

@@ -11,6 +11,28 @@
 
 use std::fmt;
 
+/// Logit added to a masked-out row by [`Tensor::softmax_col_assign`]: well
+/// inside `f32` range, yet `exp` of it underflows to exactly zero.
+pub(crate) const MASK_LOGIT: f32 = -1.0e9;
+
+/// Logistic sigmoid of one value.
+pub(crate) fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// Numerically stable softmax of one contiguous run of logits, in place.
+fn softmax_in_place(xs: &mut [f32]) {
+    let m = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut denom = 0.0;
+    for x in xs.iter_mut() {
+        *x = (*x - m).exp();
+        denom += *x;
+    }
+    for x in xs.iter_mut() {
+        *x /= denom;
+    }
+}
+
 /// A dense row-major matrix of `f32` values.
 ///
 /// A vector is represented as a single-row (`1 × n`) or single-column
@@ -249,9 +271,23 @@ impl Tensor {
 
     /// In-place element-wise addition.
     pub fn add_assign(&mut self, other: &Tensor) {
-        self.assert_same_shape(other, "add_assign");
+        self.zip_assign(other, "add_assign", |a, b| a + b);
+    }
+
+    /// In-place element-wise difference.
+    pub fn sub_assign(&mut self, other: &Tensor) {
+        self.zip_assign(other, "sub_assign", |a, b| a - b);
+    }
+
+    /// In-place element-wise product.
+    pub fn mul_assign(&mut self, other: &Tensor) {
+        self.zip_assign(other, "mul_assign", |a, b| a * b);
+    }
+
+    fn zip_assign(&mut self, other: &Tensor, op: &str, f: impl Fn(f32, f32) -> f32) {
+        self.assert_same_shape(other, op);
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
+            *a = f(*a, b);
         }
     }
 
@@ -273,15 +309,75 @@ impl Tensor {
     /// # Panics
     /// Panics if `row` is not `1 × self.cols()`.
     pub fn add_row_broadcast(&self, row: &Tensor) -> Tensor {
+        let mut out = self.clone();
+        out.add_row_broadcast_assign(row);
+        out
+    }
+
+    /// In-place [`Tensor::add_row_broadcast`].
+    pub fn add_row_broadcast_assign(&mut self, row: &Tensor) {
         assert_eq!(row.rows, 1, "add_row_broadcast: rhs must be a single row");
         assert_eq!(row.cols, self.cols, "add_row_broadcast: {} vs {} columns", self.cols, row.cols);
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(&row.data) {
+        for r in 0..self.rows {
+            for (o, &b) in self.row_mut(r).iter_mut().zip(&row.data) {
                 *o += b;
             }
         }
+    }
+
+    /// Multiplies every row `r` by the scalar `col[r]`; panics unless `col`
+    /// is `rows × 1`.
+    pub fn mul_col_broadcast(&self, col: &Tensor) -> Tensor {
+        assert_eq!(col.cols, 1, "mul_col_broadcast: rhs must be a column vector");
+        assert_eq!(col.rows, self.rows, "mul_col_broadcast: {} rows vs {} weights", self.rows, col.rows);
+        let mut out = self.clone();
+        for r in 0..out.rows {
+            let s = col.data[r];
+            for x in out.row_mut(r) {
+                *x *= s;
+            }
+        }
         out
+    }
+
+    /// `Σ_r weights[r] · self[r, :]` (`1 × cols`, `weights` is `rows × 1`):
+    /// attention pooling, the bits of
+    /// `self.mul_col_broadcast(weights).sum_rows()` without the intermediate.
+    pub fn weighted_row_sum(&self, weights: &Tensor) -> Tensor {
+        assert_eq!(weights.cols, 1, "weighted_row_sum: weights must be a column vector");
+        assert_eq!(weights.rows, self.rows, "weighted_row_sum: {} rows vs {} weights", self.rows, weights.rows);
+        let mut out = Tensor::zeros(1, self.cols);
+        for r in 0..self.rows {
+            let s = weights.data[r];
+            for (o, &x) in out.data.iter_mut().zip(self.row(r)) {
+                *o += x * s;
+            }
+        }
+        out
+    }
+
+    /// Numerically stable row-wise softmax.
+    pub fn softmax_rows(&self) -> Tensor {
+        let mut out = self.clone();
+        for r in 0..out.rows {
+            softmax_in_place(out.row_mut(r));
+        }
+        out
+    }
+
+    /// In-place softmax of an `m × 1` score column into attention weights.
+    /// Rows with `mask[r] == false` get a `-1e9` penalty first, so they take
+    /// exactly zero weight: the bits of adding the penalty column,
+    /// transposing, [`Tensor::softmax_rows`] and transposing back.
+    pub fn softmax_col_assign(&mut self, mask: Option<&[bool]>) {
+        assert_eq!(self.cols, 1, "softmax_col: {} columns, expected one", self.cols);
+        if let Some(mask) = mask {
+            assert_eq!(mask.len(), self.rows, "softmax_col: mask of {} for {} rows", mask.len(), self.rows);
+            for (x, &keep) in self.data.iter_mut().zip(mask) {
+                *x += if keep { 0.0 } else { MASK_LOGIT };
+            }
+        }
+        softmax_in_place(&mut self.data);
     }
 
     /// Matrix product `self · other`.
@@ -501,6 +597,39 @@ impl Tensor {
             out.row_mut(r).copy_from_slice(self.row(idx));
         }
         out
+    }
+
+    /// Sliding-window unfold turning `[T, d]` into `[T-width+1, width*d]`,
+    /// the im2col step of a 1-D convolution over time (`1 ≤ width ≤ T`).
+    pub fn im2col(&self, width: usize) -> Tensor {
+        let (t, d) = self.shape();
+        assert!(width >= 1 && width <= t, "im2col: width {width} invalid for {t} timesteps");
+        let windows = t + 1 - width;
+        let mut out = Tensor::zeros(windows, width * d);
+        for w in 0..windows {
+            for off in 0..width {
+                let dst_start = off * d;
+                out.row_mut(w)[dst_start..dst_start + d].copy_from_slice(self.row(w + off));
+            }
+        }
+        out
+    }
+
+    /// Max-over-time pooling: the column-wise maximum over the (at least
+    /// one) rows, `1 × cols`, and per column the first row attaining it.
+    pub fn max_over_rows(&self) -> (Tensor, Vec<usize>) {
+        assert!(self.rows > 0, "max_over_rows: empty input");
+        let mut out = Tensor::full(1, self.cols, f32::NEG_INFINITY);
+        let mut argmax = vec![0usize; self.cols];
+        for r in 0..self.rows {
+            for (c, &x) in self.row(r).iter().enumerate() {
+                if x > out.data[c] {
+                    out.data[c] = x;
+                    argmax[c] = r;
+                }
+            }
+        }
+        (out, argmax)
     }
 
     /// Clamps every element into `[lo, hi]`.

@@ -1,12 +1,12 @@
 //! Differential parity oracles.
 //!
-//! PR 1 split prediction into three code paths that must never drift:
-//! the training-side [`Rrre::predict`], the decomposed tape-free frozen
-//! path (`infer_user_tower` + `infer_item_tower` + `infer_heads`) and the
-//! serve engine sitting on cached towers behind the artifact round trip.
-//! These oracles assert all three agree **bit-for-bit** — not within a
-//! tolerance — because every path evaluates the same frozen weights in the
-//! same order; any inequality is a real divergence, not float noise.
+//! Prediction is reachable three ways that must never drift:
+//! [`Rrre::predict`], the decomposed frozen path (`infer_user_tower` +
+//! `infer_item_tower` + `infer_heads`) and the serve engine sitting on
+//! cached towers behind the artifact round trip. All three run the model's
+//! one forward definition on the value evaluator, and these oracles assert
+//! they agree **bit-for-bit** — not within a tolerance — so any inequality
+//! is a real divergence, not float noise.
 
 use rrre_core::Rrre;
 use rrre_data::{Dataset, EncodedCorpus, ItemId, UserId};
