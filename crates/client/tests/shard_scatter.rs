@@ -85,7 +85,7 @@ fn assert_payload_eq(scattered: &Response, reference: &Response, what: &str) {
 /// three different master seeds.
 #[test]
 fn three_shard_scatter_matches_single_node_across_seeds() {
-    for seed in [0x5EED_u64, 0xACE_0F_5EED5, 0xD15EA5E] {
+    for seed in [0x5EED_u64, 0x00AC_E0F5_EED5, 0xD15EA5E] {
         let fx = trained_fixture_with(FixtureSpec::micro().with_seed(seed));
         let dep = ShardedDeployment::launch(&fx, 3, 1);
         let reference = dep.whole_model_engine();

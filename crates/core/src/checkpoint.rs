@@ -27,7 +27,6 @@
 
 use crate::config::RrreConfig;
 use crate::model::{EpochStats, Rrre};
-use crate::parallel::Pool;
 use rand::rngs::StdRng;
 use rrre_data::{Dataset, EncodedCorpus};
 use rrre_tensor::{optim::Adam, Params, Tensor};
@@ -162,9 +161,6 @@ fn run_checkpointed(
 
     let (mut model, mut rng, labeled) = Rrre::training_setup(ds, corpus, train, cfg);
     let mut opt = Adam::new(cfg.lr);
-    // Thread count is *not* checkpoint state: training is bit-identical at
-    // every `threads`, so a run may legally resume with a different count.
-    let pool = Pool::new(cfg.threads);
     let mut order: Vec<usize> = (0..train.len()).collect();
 
     let mut start_epoch = 0;
@@ -180,9 +176,11 @@ fn run_checkpointed(
     }
 
     let mut last_good = resume_from;
+    // Thread count is *not* checkpoint state: training is bit-identical at
+    // every `threads`, so a run may legally resume with a different count.
     for epoch in start_epoch..cfg.epochs {
         let stats =
-            model.train_epoch(ds, corpus, train, &labeled, &mut order, &mut rng, &mut opt, epoch, &pool);
+            model.train_epoch(ds, corpus, train, &labeled, &mut order, &mut rng, &mut opt, epoch);
         if !stats.loss.is_finite() || model.params().has_non_finite() {
             // Divergence guard: do not checkpoint the poisoned state, do
             // not keep training on it — restore the last good weights.

@@ -91,9 +91,10 @@ pub struct RrreConfig {
     pub labeled_fraction: f32,
     /// RNG seed for initialisation and shuffling.
     pub seed: u64,
-    /// Training worker threads (calling thread included); `1` is serial.
-    /// Any value produces bit-identical models — see `rrre_core::parallel`
-    /// for the determinism contract — so this is purely a throughput knob.
+    /// Training threads (calling thread included, never more than one per
+    /// shard of a minibatch); `1` is serial. Any value produces
+    /// bit-identical models — see `rrre_core::parallel` for the determinism
+    /// contract — so this is purely a throughput knob.
     pub threads: usize,
 }
 

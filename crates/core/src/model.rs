@@ -6,7 +6,7 @@
 
 use crate::config::{EncoderMode, LossVariant, RrreConfig, Sampling};
 use crate::encoder::ReviewEncoder;
-use crate::parallel::{self, GradShard, Pool};
+use crate::parallel::{self, GradShard};
 use crate::tower::Tower;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,8 +15,6 @@ use rrre_data::{Dataset, DatasetIndex, EncodedCorpus, ItemId, UserId};
 use rrre_tensor::nn::{Embedding, FactorizationMachine, Linear};
 use rrre_tensor::{optim::Adam, Eval, Executor, GradStore, ParamId, Params, Tape, Tensor};
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Joint prediction for one user–item pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,11 +126,10 @@ impl Rrre {
     ) -> Self {
         let (mut model, mut rng, labeled) = Self::training_setup(ds, corpus, train, cfg);
         let mut opt = Adam::new(cfg.lr);
-        let pool = Pool::new(cfg.threads);
         let mut order: Vec<usize> = (0..train.len()).collect();
         for epoch in 0..cfg.epochs {
             let stats =
-                model.train_epoch(ds, corpus, train, &labeled, &mut order, &mut rng, &mut opt, epoch, &pool);
+                model.train_epoch(ds, corpus, train, &labeled, &mut order, &mut rng, &mut opt, epoch);
             hook(stats, &model);
         }
         model
@@ -173,10 +170,10 @@ impl Rrre {
 
     /// One training epoch: in-place shuffle of `order` (epoch N+1's order
     /// depends on epoch N's — `order` is training state, not scratch), then
-    /// the per-chunk sweep, data-parallel over the `pool`'s workers.
+    /// the per-chunk sweep, data-parallel over `cfg.threads` threads.
     ///
     /// Determinism contract (see [`crate::parallel`]): every chunk is split
-    /// into fixed-grain shards, workers claim shards off a counter and fill
+    /// into fixed-grain shards, threads claim shards off a counter and fill
     /// each shard's own [`GradShard`] in position order, and the shards are
     /// combined by a fixed-order pairwise tree before a *single* thread
     /// applies regularisation, clipping and the Adam step. The resulting
@@ -193,7 +190,6 @@ impl Rrre {
         rng: &mut StdRng,
         opt: &mut Adam,
         epoch: usize,
-        pool: &Pool,
     ) -> EpochStats {
         for i in (1..order.len()).rev() {
             order.swap(i, rng.gen_range(0..=i));
@@ -210,36 +206,17 @@ impl Rrre {
             for shard in &mut shards[..n_shards] {
                 shard.reset();
             }
-            {
-                let model = &*self;
-                let next = AtomicUsize::new(0);
-                // Hand each shard slot to exactly one worker: the claim
-                // counter guarantees a single owner, the Mutex proves it to
-                // the borrow checker without any unsafe.
-                let slots: Vec<Mutex<&mut GradShard>> =
-                    shards[..n_shards].iter_mut().map(Mutex::new).collect();
-                pool.run(&|_worker| loop {
-                    let s = next.fetch_add(1, Ordering::Relaxed);
-                    if s >= n_shards {
-                        break;
-                    }
-                    let mut shard = slots[s].lock().unwrap();
-                    for chunk_pos in parallel::shard_range(s, chunk.len()) {
-                        let pos = chunk[chunk_pos];
-                        let (l, l1, l2) = model.example_pass(
-                            ds,
-                            corpus,
-                            train[pos],
-                            labeled[pos],
-                            chunk.len(),
-                            &mut shard.grads,
-                        );
-                        shard.loss += l;
-                        shard.loss1 += l1;
-                        shard.loss2 += l2;
-                    }
-                });
-            }
+            let model = &*self;
+            parallel::run_shards(self.cfg.threads, &mut shards[..n_shards], |s, shard| {
+                for chunk_pos in parallel::shard_range(s, chunk.len()) {
+                    let pos = chunk[chunk_pos];
+                    let (l, l1, l2) =
+                        model.example_pass(ds, corpus, train[pos], labeled[pos], chunk.len(), &mut shard.grads);
+                    shard.loss += l;
+                    shard.loss1 += l1;
+                    shard.loss2 += l2;
+                }
+            });
             // Single-threaded from here on: fixed-order reduction, then the
             // same regularise/clip/step sequence the serial loop always ran.
             parallel::tree_reduce(&mut shards[..n_shards]);

@@ -1,11 +1,12 @@
 //! Deterministic data-parallel training primitives.
 //!
 //! The training loop (`Rrre::train_epoch`) splits every minibatch
-//! into *shards* of a fixed grain ([`SHARD_GRAIN`] examples), each worker of
-//! a persistent [`Pool`] claims shards off a shared counter and accumulates
-//! forward/backward results into that shard's own [`GradShard`], and a single
-//! thread then combines the shards with [`tree_reduce`] — a fixed-order,
-//! pairwise tree whose shape depends only on the shard count.
+//! into *shards* of a fixed grain ([`SHARD_GRAIN`] examples), [`run_shards`]
+//! has the calling thread and its scoped helpers claim shards off a shared
+//! counter and accumulate forward/backward results into each shard's own
+//! [`GradShard`], and a single thread then combines the shards with
+//! [`tree_reduce`] — a fixed-order, pairwise tree whose shape depends only
+//! on the shard count.
 //!
 //! Determinism argument, in three parts:
 //!
@@ -33,21 +34,19 @@
 //! including `threads = 1`, which runs the very same shard loop on the
 //! calling thread. `tests/parallel_parity.rs` is the oracle for this claim.
 //!
-//! The pool itself follows the worker-pool idiom of `crates/serve`'s
-//! batching engine (parked workers, a generation counter instead of a
-//! channel, panic containment), but publishes borrowed jobs: [`Pool::run`]
-//! hands workers a lifetime-erased pointer to a caller-stack closure and
-//! blocks until every worker is done with it, which is what makes the
-//! erasure sound.
+//! The threads come from `std::thread::scope`, spawned per step: the scope
+//! joins every helper before [`run_shards`] returns or re-raises a panic,
+//! so the shards and the model can be lent to them by plain borrows. A
+//! persistent pool would save the spawn (tens of µs against a step of
+//! milliseconds) at the price of erasing those borrows' lifetimes.
 
 use rrre_tensor::{GradStore, Params};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Examples per shard. A constant — never derived from the thread count —
 /// so the shard layout (and therefore every accumulation order) is a pure
-/// function of the chunk length. Small enough to keep 8 workers busy on the
+/// function of the chunk length. Small enough to keep 8 threads busy on the
 /// default 64-example batch. A shard's reset and merge cost the rows its
 /// examples touched plus the small dense layers, so a finer grain costs
 /// little; changing it changes the tree and therefore the bits.
@@ -129,180 +128,42 @@ pub fn tree_reduce(shards: &mut [GradShard]) {
     }
 }
 
-/// A published job: a borrowed `Fn(worker_index)` with its lifetime erased.
-/// Sound because [`Pool::run`] does not return until every worker has
-/// finished calling it (even when the caller's own slice of the job panics).
-#[derive(Clone, Copy)]
-struct ErasedJob(*const (dyn Fn(usize) + Sync));
-
-// SAFETY: the pointee is `Sync` (shared calls from many threads are fine)
-// and `Pool::run` guarantees it outlives every use.
-unsafe impl Send for ErasedJob {}
-
-struct PoolState {
-    job: Option<ErasedJob>,
-    /// Bumped once per `run`; workers use it to detect fresh jobs.
-    generation: u64,
-    /// Workers still inside the current job.
-    remaining: usize,
-    /// Set when any worker's slice of the job panicked.
-    panicked: bool,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Signalled when a new job is published (or on shutdown).
-    start: Condvar,
-    /// Signalled when the last worker leaves a job.
-    done: Condvar,
-}
-
-/// A persistent pool of training workers. `threads` counts the calling
-/// thread: `Pool::new(1)` spawns nothing and [`Pool::run`] degenerates to a
-/// plain call, so serial training goes through the identical code path.
-pub struct Pool {
-    shared: Arc<PoolShared>,
-    handles: Vec<JoinHandle<()>>,
-    threads: usize,
-}
-
-impl Pool {
-    /// Creates a pool of `threads.max(1)` workers (including the caller).
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                job: None,
-                generation: 0,
-                remaining: 0,
-                panicked: false,
-                shutdown: false,
-            }),
-            start: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let handles = (1..threads)
-            .map(|idx| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("rrre-train-{idx}"))
-                    .spawn(move || worker_loop(&shared, idx))
-                    .expect("Pool: failed to spawn worker thread")
-            })
-            .collect();
-        Self { shared, handles, threads }
-    }
-
-    /// Total worker count, calling thread included.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs `job(worker_index)` once on every worker — background workers get
-    /// indices `1..threads`, the calling thread runs index `0` — and returns
-    /// when all of them have finished.
-    ///
-    /// # Panics
-    /// Re-raises after all workers have left the job if any worker's call
-    /// (or the caller's own) panicked, so borrowed data is never freed while
-    /// still in use.
-    pub fn run(&self, job: &(dyn Fn(usize) + Sync)) {
-        if self.handles.is_empty() {
-            job(0);
-            return;
+/// Runs `fill(s, &mut shards[s])` once for every `s` on the calling thread
+/// plus `min(threads, shards.len()) − 1` scoped helpers (none at one
+/// thread). Threads claim shards off one counter, so a descheduled thread
+/// never stalls the step; which thread fills a shard never changes it.
+///
+/// # Panics
+/// Re-raises a panic from any `fill` after every thread has been joined;
+/// the others keep claiming, so every other shard is still filled.
+pub fn run_shards(threads: usize, shards: &mut [GradShard], fill: impl Fn(usize, &mut GradShard) + Sync) {
+    let n = shards.len();
+    let next = AtomicUsize::new(0);
+    // The claim counter gives each slot a single owner; the Mutex proves it
+    // to the borrow checker.
+    let slots: Vec<Mutex<&mut GradShard>> = shards.iter_mut().map(Mutex::new).collect();
+    let claim = || loop {
+        let s = next.fetch_add(1, Ordering::Relaxed);
+        if s >= n {
+            break;
         }
-        // SAFETY (lifetime erasure): the pointer is cleared below before this
-        // function returns, and we block until `remaining == 0`, so no worker
-        // can observe the job after the borrow ends.
-        let erased = ErasedJob(unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(job)
-        });
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            debug_assert_eq!(st.remaining, 0, "Pool::run re-entered while a job is active");
-            st.job = Some(erased);
-            st.generation += 1;
-            st.remaining = self.handles.len();
-            st.panicked = false;
-            self.shared.start.notify_all();
+        fill(s, &mut slots[s].lock().expect("a shard's lock is taken once, by its one claimant"));
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads.min(n) {
+            scope.spawn(claim);
         }
-
-        // The caller is worker 0 — but even if its slice panics we must wait
-        // for the background workers before unwinding frees the job.
-        let caller = catch_unwind(AssertUnwindSafe(|| job(0)));
-
-        let mut st = self.shared.state.lock().unwrap();
-        while st.remaining > 0 {
-            st = self.shared.done.wait(st).unwrap();
-        }
-        st.job = None;
-        let worker_panicked = st.panicked;
-        drop(st);
-
-        if let Err(payload) = caller {
-            resume_unwind(payload);
-        }
-        if worker_panicked {
-            panic!("Pool: a worker thread panicked during a parallel training job");
-        }
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-            self.shared.start.notify_all();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &PoolShared, idx: usize) {
-    let mut seen = 0u64;
-    loop {
-        let job = {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.generation != seen {
-                    seen = st.generation;
-                    break st.job.expect("Pool: generation advanced without a job");
-                }
-                st = shared.start.wait(st).unwrap();
-            }
-        };
-        // SAFETY: `Pool::run` keeps the job alive until `remaining` hits 0,
-        // which only happens after this call returns (or unwinds into the
-        // catch below).
-        let ok = catch_unwind(AssertUnwindSafe(|| {
-            let f: &(dyn Fn(usize) + Sync) = unsafe { &*job.0 };
-            f(idx);
-        }))
-        .is_ok();
-        let mut st = shared.state.lock().unwrap();
-        if !ok {
-            st.panicked = true;
-        }
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            shared.done.notify_all();
-        }
-    }
+        claim();
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rrre_tensor::{GradSink, ParamId, Tensor};
-    use std::collections::BTreeSet;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::collections::HashSet;
+    use std::sync::atomic::Ordering::SeqCst;
+    use std::sync::{Arc, Condvar};
 
     fn test_params() -> (Params, ParamId) {
         let mut params = Params::new();
@@ -314,11 +175,7 @@ mod tests {
     /// (±1e8 against O(1) values) where float addition order is observable.
     fn staged_shard(params: &Params, w: ParamId, s: usize) -> GradShard {
         let mut shard = GradShard::new(params);
-        let v = match s % 3 {
-            0 => 1.0e8,
-            1 => -1.0e8,
-            _ => 3.7,
-        };
+        let v = [1.0e8, -1.0e8, 3.7][s % 3];
         shard.grads.accumulate_grad(
             w,
             &Tensor::from_vec(1, 3, vec![v, s as f32 + 0.1, 1.0 / (s as f32 + 1.0)]),
@@ -415,59 +272,82 @@ mod tests {
         );
     }
 
-    #[test]
-    fn pool_runs_job_on_every_worker_and_is_reusable() {
-        let pool = Pool::new(4);
-        assert_eq!(pool.threads(), 4);
-        for _ in 0..3 {
-            let seen = Mutex::new(BTreeSet::new());
-            pool.run(&|w| {
-                seen.lock().unwrap().insert(w);
-            });
-            assert_eq!(
-                seen.into_inner().unwrap().into_iter().collect::<Vec<_>>(),
-                vec![0, 1, 2, 3],
-                "every worker index must run the job exactly once"
-            );
+    fn blank_shards(n: usize) -> Vec<GradShard> {
+        let (params, _) = test_params();
+        (0..n).map(|_| GradShard::new(&params)).collect()
+    }
+
+    /// Counts a visit in `loss` and records which shard index it was for.
+    fn stamp(s: usize, shard: &mut GradShard) {
+        shard.loss += 1.0;
+        shard.loss1 = s as f64;
+    }
+
+    /// Spins until `done()` holds or 10 s pass: a barrier that cannot hang.
+    fn wait_until(done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !done() && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
         }
     }
 
     #[test]
-    fn single_thread_pool_runs_inline() {
-        let pool = Pool::new(1);
-        let count = AtomicUsize::new(0);
+    fn run_shards_fills_every_shard_exactly_once() {
         let caller = std::thread::current().id();
-        pool.run(&|w| {
-            assert_eq!(w, 0);
-            assert_eq!(std::thread::current().id(), caller, "threads=1 must run on the caller");
-            count.fetch_add(1, Ordering::SeqCst);
+        for threads in [0usize, 1, 2, 3, 8] {
+            // Fewer, as many, and more shards than threads.
+            for n in [0usize, 1, 2, 3, 5, 16] {
+                let mut shards = blank_shards(n);
+                run_shards(threads, &mut shards, |s, shard| {
+                    assert!(threads > 1 || std::thread::current().id() == caller, "threads=1 spawned");
+                    stamp(s, shard);
+                });
+                for (s, shard) in shards.iter().enumerate() {
+                    assert_eq!(shard.loss, 1.0, "shard {s} of {n} at threads={threads}");
+                    assert_eq!(shard.loss1, s as f64, "shard {s} got another's fill");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_shards_threads_are_bounded_by_the_shard_count() {
+        let ids = Mutex::new(HashSet::new());
+        let started = AtomicUsize::new(0);
+        let mut shards = blank_shards(3);
+        run_shards(64, &mut shards, |s, shard| {
+            ids.lock().unwrap().insert(std::thread::current().id());
+            // Each fill waits for the other two: three threads hold the shards at once.
+            started.fetch_add(1, SeqCst);
+            wait_until(|| started.load(SeqCst) == 3);
+            stamp(s, shard);
         });
-        assert_eq!(count.load(Ordering::SeqCst), 1);
+        assert_eq!(ids.into_inner().unwrap().len(), 3);
+        assert!(shards.iter().all(|s| s.loss == 1.0));
     }
 
     #[test]
-    fn pool_zero_threads_clamps_to_one() {
-        let pool = Pool::new(0);
-        assert_eq!(pool.threads(), 1);
-        pool.run(&|_| {});
-    }
-
-    #[test]
-    fn worker_panic_propagates_to_the_caller_and_pool_survives() {
-        let pool = Pool::new(3);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.run(&|w| {
-                if w == 1 {
+    fn run_shards_panic_reaches_the_caller_after_the_other_fills() {
+        let caller = std::thread::current().id();
+        let mut shards = blank_shards(8);
+        let panicked_at = AtomicUsize::new(usize::MAX);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_shards(3, &mut shards, |s, shard| {
+                // The first fill a helper runs panics; every other fill
+                // waits for that, so the panic lands while they still run.
+                let helper = std::thread::current().id() != caller;
+                if helper && panicked_at.compare_exchange(usize::MAX, s, SeqCst, SeqCst).is_ok() {
                     panic!("boom");
                 }
+                wait_until(|| panicked_at.load(SeqCst) != usize::MAX);
+                stamp(s, shard);
             });
         }));
-        assert!(caught.is_err(), "a worker panic must surface in Pool::run");
-        // The pool is still serviceable afterwards.
-        let count = AtomicUsize::new(0);
-        pool.run(&|_| {
-            count.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 3);
+        assert!(caught.is_err(), "a helper's panic must surface in run_shards");
+        // The scope joined every thread first: all other fills are done.
+        let panicked_at = panicked_at.into_inner();
+        for (s, shard) in shards.iter().enumerate() {
+            assert_eq!(shard.loss, if s == panicked_at { 0.0 } else { 1.0 }, "shard {s}");
+        }
     }
 }

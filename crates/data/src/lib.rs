@@ -10,7 +10,6 @@
 
 pub mod corpus;
 mod dataset;
-pub mod export;
 pub mod io;
 pub mod repr;
 pub mod split;

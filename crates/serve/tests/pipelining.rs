@@ -86,7 +86,7 @@ fn sixty_four_in_flight_match_direct_engine_answers_by_id() {
     // A mix of cheap Predicts and heavier Recommends so completion order
     // genuinely shuffles relative to submission order across 4 workers.
     let make_req = |i: usize| {
-        if i % 3 == 0 {
+        if i.is_multiple_of(3) {
             Request::recommend(i as u32 % 2, 2)
         } else {
             Request::predict(i as u32 % 2, i as u32 % 2)

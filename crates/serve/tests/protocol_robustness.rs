@@ -21,7 +21,7 @@ fn served_engine(tag: &str) -> (Arc<Engine>, Server) {
         artifact,
         EngineConfig { workers: 2, max_batch: 4, max_wait: Duration::from_micros(500), cache_shards: 2, ..EngineConfig::default() },
     ));
-    let mut server = Server::start(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+    let server = Server::start(Arc::clone(&engine), "127.0.0.1:0").unwrap();
     (engine, server)
 }
 

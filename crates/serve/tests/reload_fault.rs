@@ -62,22 +62,13 @@ fn every_corruption_fails_closed_and_restore_recovers() {
         let path = dir.file(file);
         let pristine = std::fs::read(&path).unwrap();
 
-        let mut drills: Vec<(&str, Box<dyn Fn()>)> = Vec::new();
-        {
-            let p = path.clone();
-            let len = pristine.len() as u64;
-            drills.push(("truncate", Box::new(move || truncate_file(&p, len / 3).unwrap())));
-        }
-        if also_flip {
-            let p = path.clone();
-            let mid = pristine.len() / 2;
-            drills.push(("flip", Box::new(move || {
-                flip_byte(&p, mid).unwrap();
-            })));
-        }
-
-        for (what, corrupt) in drills {
-            corrupt();
+        let drills: &[&str] = if also_flip { &["truncate", "flip"] } else { &["truncate"] };
+        for &what in drills {
+            if what == "truncate" {
+                truncate_file(&path, pristine.len() as u64 / 3).unwrap();
+            } else {
+                flip_byte(&path, pristine.len() / 2).unwrap();
+            }
             let load_err =
                 ModelArtifact::load(dir.path()).err().expect("a damaged artifact must not load");
             assert_eq!(load_err.kind(), ErrorKind::InvalidData, "{what} of {file}: {load_err}");

@@ -55,7 +55,7 @@ fn wrong_shard_refusal_names_owner_and_map_version() {
     assert!(!resp.ok, "unowned item must be refused");
     assert_eq!(resp.kind, Some(ErrorKind::WrongShard));
     assert_eq!(resp.shard, Some(owner), "refusal must name the owning shard");
-    assert_eq!(resp.map_version, Some(spec.version as u64), "refusal must carry the map version");
+    assert_eq!(resp.map_version, Some(spec.version), "refusal must carry the map version");
 
     // The owner accepts the same request.
     let owner_engine = shard_engine(&dir, owner);

@@ -4,7 +4,7 @@
 //! matrices, reverse-mode automatic differentiation on an append-only tape,
 //! the neural layers the paper's models are assembled from (Linear,
 //! Embedding, LSTM/BiLSTM, GRU, 1-D CNN, additive attention, factorization
-//! machine, dropout), losses, and first-order optimisers.
+//! machine, dropout), losses, and the Adam optimiser.
 //!
 //! Everything is implemented from scratch on `std` + `rand`; correctness of
 //! every differentiable op and layer is enforced by numerical gradient

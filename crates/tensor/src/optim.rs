@@ -1,50 +1,6 @@
-//! First-order optimisers over a [`Params`] store.
+//! The Adam optimiser over a [`Params`] store.
 
 use crate::{ParamId, Params, Tensor};
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (`0.0` disables momentum).
-    pub momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimiser.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "Sgd: non-positive learning rate {lr}");
-        assert!((0.0..1.0).contains(&momentum), "Sgd: momentum {momentum} outside [0, 1)");
-        Self { lr, momentum, velocity: Vec::new() }
-    }
-
-    /// Applies one update from the accumulated gradients, then leaves the
-    /// gradients untouched (call [`Params::zero_grads`] afterwards).
-    pub fn step(&mut self, params: &mut Params) {
-        if self.velocity.len() != params.len() {
-            self.velocity = params
-                .ids()
-                .map(|id| {
-                    let (r, c) = params.get(id).shape();
-                    Tensor::zeros(r, c)
-                })
-                .collect();
-        }
-        for (i, id) in params.ids().enumerate().collect::<Vec<_>>() {
-            let grad = params.grad(id).clone();
-            let v = &mut self.velocity[i];
-            if self.momentum > 0.0 {
-                v.map_inplace(|x| x * self.momentum);
-                v.axpy(1.0, &grad);
-                params.get_mut(id).axpy(-self.lr, &v.clone());
-            } else {
-                params.get_mut(id).axpy(-self.lr, &grad);
-            }
-        }
-    }
-}
 
 /// Adam (Kingma & Ba, 2015) with bias correction.
 #[derive(Debug, Clone)]
@@ -158,27 +114,6 @@ mod tests {
             step(params);
         }
         params.get(id).item()
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut params = Params::new();
-        params.register("x", Tensor::scalar(-5.0));
-        let mut opt = Sgd::new(0.1, 0.0);
-        let x = optimise(|p| opt.step(p), &mut params, 200);
-        assert!((x - 3.0).abs() < 1e-3, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges_faster_than_plain_on_ravine() {
-        let run = |momentum: f32| {
-            let mut params = Params::new();
-            params.register("x", Tensor::scalar(-5.0));
-            let mut opt = Sgd::new(0.02, momentum);
-            let x = optimise(|p| opt.step(p), &mut params, 40);
-            (x - 3.0).abs()
-        };
-        assert!(run(0.9) < run(0.0));
     }
 
     #[test]

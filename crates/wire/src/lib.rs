@@ -537,7 +537,8 @@ impl Deserialize for ShardSpec {
                 u64::from_str_radix(digits, 16)
                     .map_err(|e| serde::DeError::msg(format!("bad shard seed `{s}`: {e}")))?
             }
-            // Tolerate numeric seeds (hand-written specs); exact below 2^53.
+            // Tolerate numeric seeds (hand-written specs) up to 2^53 − 1; a
+            // larger one is refused, not rounded: write it as a hex string.
             other => u64::from_content(other)?,
         };
         Ok(Self {
@@ -932,6 +933,25 @@ mod tests {
         let back = decode_request(&line).unwrap();
         assert_eq!(back.op, Op::Recommend);
         assert_eq!((back.user, back.k, back.id), (Some(5), Some(10), Some(99)));
+    }
+
+    #[test]
+    fn integers_past_2_53_are_refused_not_rounded() {
+        let exact = serde::MAX_EXACT_INT;
+        let line =
+            serde_json::to_string(&Request::ingest_review(exact, 0, 1, 4.0, "ok", 0).with_id(exact)).unwrap();
+        let back = decode_request(&line).unwrap();
+        assert_eq!((back.seq, back.id), (Some(exact), Some(exact)));
+        assert_eq!(extract_id(&line), Some(exact));
+        // 2^53 + 1 parses to the same f64 as 2^53; 2^64 lies past u64::MAX.
+        for big in ["9007199254740993", "18446744073709551616"] {
+            let line = format!(
+                r#"{{"op":"IngestReview","seq":{big},"user":0,"item":1,"rating":4.0,"text":"ok","ts":0}}"#
+            );
+            let err = decode_request(&line).unwrap_err();
+            assert!(err.contains(&exact.to_string()), "error must name the bound: {err}");
+            assert_eq!(extract_id(&format!(r#"{{"op":"Stats","id":{big}}}"#)), None);
+        }
     }
 
     /// A response carrying one explanation whose text is `len` ASCII bytes.

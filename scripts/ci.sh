@@ -14,12 +14,9 @@ cargo test --workspace -q
 # reader's browser.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-# The serving crate (and the workspace crates it builds on) stays
-# clippy-clean: a new lint fails here, not in the next cleanup.
-cargo clippy --offline -p rrre-serve --lib --bins -- -D warnings
-# The training stack, tests and benches included, and the baselines, which
-# run every generic layer forward.
-cargo clippy --offline -p rrre-tensor -p rrre-core -p rrre-baselines --all-targets -- -D warnings
+# Every workspace crate, tests and examples included, stays clippy-clean:
+# a new lint fails here, not in the next cleanup.
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # The fixtures every root test trains are bit-identical at any thread count,
 # so a failure here is a determinism regression in the parallel engine.

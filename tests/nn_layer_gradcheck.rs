@@ -184,8 +184,8 @@ fn parallel_backward_matches_finite_differences() {
     };
     let cfg = GradCheck::default();
     let ids: Vec<_> = params.ids().collect();
-    for (pi, id) in ids.iter().enumerate() {
-        for i in 0..params.get(*id).len() {
+    for (id, grad) in ids.iter().zip(&analytic) {
+        for (i, &a) in grad.iter().enumerate() {
             let orig = params.get(*id).as_slice()[i];
             params.get_mut(*id).as_mut_slice()[i] = orig + cfg.epsilon;
             let f_plus = total_loss(&params);
@@ -194,7 +194,6 @@ fn parallel_backward_matches_finite_differences() {
             params.get_mut(*id).as_mut_slice()[i] = orig;
 
             let numeric = (f_plus - f_minus) / (2.0 * cfg.epsilon);
-            let a = analytic[pi][i];
             let tol = cfg.atol + cfg.rtol * a.abs().max(numeric.abs());
             assert!(
                 (a - numeric).abs() <= tol,

@@ -10,7 +10,7 @@
 //! a pure throughput knob that can never change what the model learns.
 
 use proptest::prelude::*;
-use rrre_core::{Rrre, RrreConfig};
+use rrre_core::{EncoderMode, Rrre, RrreConfig};
 use rrre_testkit::FixtureSpec;
 
 /// Three distinct master seeds ⇒ three distinct datasets, corpora and
@@ -59,6 +59,22 @@ fn every_thread_count_matches_serial_bits_on_three_seeds() {
                 "final weight bits drifted from serial (seed {seed:#x}, threads {threads})"
             );
         }
+    }
+}
+
+/// End-to-end encoder mode backpropagates through the BiLSTM, so every
+/// shard also writes whole-slot gradients for the encoder weights, slots
+/// that frozen-mode runs never touch.
+#[test]
+fn end_to_end_encoder_matches_serial_bits() {
+    let spec = FixtureSpec::micro().with_epochs(2);
+    let base = RrreConfig { encoder: EncoderMode::EndToEnd, ..spec.rrre_config() };
+    let serial = train_bits(spec, base.with_threads(1));
+    assert_eq!(serial.losses.len(), 2);
+    for threads in [2, 3] {
+        let run = train_bits(spec, base.with_threads(threads));
+        assert_eq!(run.losses, serial.losses, "end-to-end loss bits drifted (threads {threads})");
+        assert_eq!(run.weights, serial.weights, "end-to-end weight bits drifted (threads {threads})");
     }
 }
 
