@@ -11,7 +11,7 @@ use crate::tower::Tower;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rrre_data::repr::ReviewVectors;
-use rrre_data::{Dataset, DatasetIndex, EncodedCorpus, ItemId, UserId};
+use rrre_data::{Dataset, DatasetIndex, EncodedCorpus, ItemId, Review, UserId};
 use rrre_tensor::nn::{Embedding, FactorizationMachine, Linear};
 use rrre_tensor::{optim::Adam, Eval, Executor, GradStore, ParamId, Params, Tape, Tensor};
 use std::borrow::Cow;
@@ -195,8 +195,10 @@ impl Rrre {
             order.swap(i, rng.gen_range(0..=i));
         }
         let (mut sum_l, mut sum_l1, mut sum_l2) = (0.0f64, 0.0f64, 0.0f64);
-        // Shard buffers are allocated once and reused across chunks.
+        // Shard buffers and one tape per thread are allocated once and
+        // reused across chunks.
         let mut shards: Vec<GradShard> = Vec::new();
+        let mut tapes: Vec<Tape> = Vec::new();
         for chunk in order.chunks(self.cfg.batch_size) {
             self.params.zero_grads();
             let n_shards = parallel::shard_count(chunk.len());
@@ -207,11 +209,12 @@ impl Rrre {
                 shard.reset();
             }
             let model = &*self;
-            parallel::run_shards(self.cfg.threads, &mut shards[..n_shards], |s, shard| {
+            parallel::run_shards(self.cfg.threads, &mut shards[..n_shards], &mut tapes, |s, shard, tape| {
                 for chunk_pos in parallel::shard_range(s, chunk.len()) {
                     let pos = chunk[chunk_pos];
+                    let review = &ds.reviews[train[pos]];
                     let (l, l1, l2) =
-                        model.example_pass(ds, corpus, train[pos], labeled[pos], chunk.len(), &mut shard.grads);
+                        model.example_pass(corpus, review, labeled[pos], chunk.len(), tape, &mut shard.grads);
                     shard.loss += l;
                     shard.loss1 += l1;
                     shard.loss2 += l2;
@@ -258,23 +261,24 @@ impl Rrre {
     }
 
     /// One example's forward + backward — the shard-worker body. Takes `&self`
-    /// (the model is shared read-only across workers) and accumulates the
-    /// parameter gradients into `sink`; returns the `(joint, loss1, loss2)`
-    /// loss contributions for the epoch statistics. The op sequence is the
+    /// (the model is shared read-only across workers), records the example
+    /// on `tape` (reset first, so its buffers carry over from the last
+    /// example) and accumulates the parameter gradients into `sink`; returns
+    /// the `(joint, loss1, loss2)` loss contributions for the epoch
+    /// statistics. The op sequence is the
     /// historical serial one, byte for byte, so a given example produces the
     /// same gradient bits no matter which worker (or how many) runs it.
     fn example_pass(
         &self,
-        ds: &Dataset,
         corpus: &EncodedCorpus,
-        review: usize,
+        r: &Review,
         has_label: bool,
         chunk_len: usize,
+        tape: &mut Tape,
         sink: &mut GradStore,
     ) -> (f64, f64, f64) {
-        let r = &ds.reviews[review];
-        let mut tape = Tape::new();
-        let (pred, logits) = self.forward_pair(&mut tape, corpus, r.user.index(), r.item.index());
+        tape.reset();
+        let (pred, logits) = self.forward_pair(tape, corpus, r.user.index(), r.item.index());
 
         // loss1 only where the label is available.
         let loss1 = tape.softmax_cross_entropy(
@@ -1084,7 +1088,7 @@ mod tests {
         let (model, _, _) = Rrre::training_setup(&ds, &corpus, &train, cfg);
         let mut shard = GradShard::new(&model.params);
         for review in [0, ds.len() - 1] {
-            model.example_pass(&ds, &corpus, review, true, 2, &mut shard.grads);
+            model.example_pass(&corpus, &ds.reviews[review], true, 2, &mut Tape::new(), &mut shard.grads);
         }
         for id in model.encoder.param_ids() {
             assert_eq!(shard.grads.written_rows(id), Some(&[][..]), "{} entered the shard", model.params.name(id));

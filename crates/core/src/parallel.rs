@@ -30,6 +30,11 @@
 //! one value `+ 0.0` would change — so this changes no bit of the
 //! argument above.
 //!
+//! Each thread records its examples on a tape of its own, lent by
+//! [`run_shards`] and kept across steps, so its buffers stay warm; a tape
+//! only holds one example's graph at a time, so which tape an example runs
+//! on changes none of its bits either.
+//!
 //! Together these make training bit-identical for every thread count,
 //! including `threads = 1`, which runs the very same shard loop on the
 //! calling thread. `tests/parallel_parity.rs` is the oracle for this claim.
@@ -40,7 +45,7 @@
 //! persistent pool would save the spawn (tens of µs against a step of
 //! milliseconds) at the price of erasing those borrows' lifetimes.
 
-use rrre_tensor::{GradStore, Params};
+use rrre_tensor::{GradStore, Params, Tape};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -128,32 +133,47 @@ pub fn tree_reduce(shards: &mut [GradShard]) {
     }
 }
 
-/// Runs `fill(s, &mut shards[s])` once for every `s` on the calling thread
-/// plus `min(threads, shards.len()) − 1` scoped helpers (none at one
+/// Runs `fill(s, &mut shards[s], tape)` once for every `s` on the calling
+/// thread plus `min(threads, shards.len()) − 1` scoped helpers (none at one
 /// thread). Threads claim shards off one counter, so a descheduled thread
 /// never stalls the step; which thread fills a shard never changes it.
+///
+/// Thread `t` hands every fill it runs `tapes[t]`, so one thread records all
+/// its examples on one tape, whose buffers stay warm. `tapes` grows to the
+/// number of threads run and is the caller's to keep across steps.
 ///
 /// # Panics
 /// Re-raises a panic from any `fill` after every thread has been joined;
 /// the others keep claiming, so every other shard is still filled.
-pub fn run_shards(threads: usize, shards: &mut [GradShard], fill: impl Fn(usize, &mut GradShard) + Sync) {
+pub fn run_shards(
+    threads: usize,
+    shards: &mut [GradShard],
+    tapes: &mut Vec<Tape>,
+    fill: impl Fn(usize, &mut GradShard, &mut Tape) + Sync,
+) {
     let n = shards.len();
     let next = AtomicUsize::new(0);
     // The claim counter gives each slot a single owner; the Mutex proves it
     // to the borrow checker.
     let slots: Vec<Mutex<&mut GradShard>> = shards.iter_mut().map(Mutex::new).collect();
-    let claim = || loop {
+    let claim = |tape: &mut Tape| loop {
         let s = next.fetch_add(1, Ordering::Relaxed);
         if s >= n {
             break;
         }
-        fill(s, &mut slots[s].lock().expect("a shard's lock is taken once, by its one claimant"));
+        fill(s, &mut slots[s].lock().expect("a shard's lock is taken once, by its one claimant"), tape);
     };
+    let running = threads.min(n).max(1);
+    if tapes.len() < running {
+        tapes.resize_with(running, Tape::new);
+    }
+    let (caller, helpers) = tapes.split_at_mut(1);
     std::thread::scope(|scope| {
-        for _ in 1..threads.min(n) {
-            scope.spawn(claim);
+        for tape in &mut helpers[..running - 1] {
+            let claim = &claim;
+            scope.spawn(move || claim(tape));
         }
-        claim();
+        claim(&mut caller[0]);
     });
 }
 
@@ -295,17 +315,36 @@ mod tests {
     fn run_shards_fills_every_shard_exactly_once() {
         let caller = std::thread::current().id();
         for threads in [0usize, 1, 2, 3, 8] {
+            // One tape list kept across the calls, as a training epoch keeps it.
+            let mut tapes = Vec::new();
+            let mut fills = 0;
             // Fewer, as many, and more shards than threads.
             for n in [0usize, 1, 2, 3, 5, 16] {
                 let mut shards = blank_shards(n);
-                run_shards(threads, &mut shards, |s, shard| {
+                // Every (tape address, thread) pair this call lends.
+                let lent = Mutex::new(HashSet::new());
+                run_shards(threads, &mut shards, &mut tapes, |s, shard, tape| {
                     assert!(threads > 1 || std::thread::current().id() == caller, "threads=1 spawned");
+                    lent.lock().unwrap().insert((tape as *const Tape as usize, std::thread::current().id()));
+                    // Never reset, so the tapes' node counts tally every fill of every call.
+                    tape.scalar(0.0);
                     stamp(s, shard);
                 });
                 for (s, shard) in shards.iter().enumerate() {
                     assert_eq!(shard.loss, 1.0, "shard {s} of {n} at threads={threads}");
                     assert_eq!(shard.loss1, s as f64, "shard {s} got another's fill");
                 }
+                let lent = lent.into_inner().unwrap();
+                let tapes_used: HashSet<_> = lent.iter().map(|&(tape, _)| tape).collect();
+                let threads_used: HashSet<_> = lent.iter().map(|&(_, thread)| thread).collect();
+                assert!(
+                    tapes_used.len() == lent.len() && threads_used.len() == lent.len(),
+                    "a tape shared between threads, or a thread on two tapes, at threads={threads} n={n}"
+                );
+                // `n` only grows, so the list is exactly as long as this call's thread count.
+                assert_eq!(tapes.len(), threads.min(n).max(1), "tapes after n={n} at threads={threads}");
+                fills += n;
+                assert_eq!(tapes.iter().map(Tape::len).sum::<usize>(), fills, "a kept tape was replaced");
             }
         }
     }
@@ -315,7 +354,7 @@ mod tests {
         let ids = Mutex::new(HashSet::new());
         let started = AtomicUsize::new(0);
         let mut shards = blank_shards(3);
-        run_shards(64, &mut shards, |s, shard| {
+        run_shards(64, &mut shards, &mut Vec::new(), |s, shard, _| {
             ids.lock().unwrap().insert(std::thread::current().id());
             // Each fill waits for the other two: three threads hold the shards at once.
             started.fetch_add(1, SeqCst);
@@ -332,7 +371,7 @@ mod tests {
         let mut shards = blank_shards(8);
         let panicked_at = AtomicUsize::new(usize::MAX);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_shards(3, &mut shards, |s, shard| {
+            run_shards(3, &mut shards, &mut Vec::new(), |s, shard, _| {
                 // The first fill a helper runs panics; every other fill
                 // waits for that, so the panic lands while they still run.
                 let helper = std::thread::current().id() != caller;

@@ -290,6 +290,19 @@ impl ModelArtifact {
         shard_spec: ShardSpec,
         vocab_reviews: usize,
     ) -> io::Result<()> {
+        // The manifest writes the seed as a JSON number, which holds an
+        // integer exactly only up to `MAX_EXACT_INT`: a larger seed would be
+        // saved rounded, and `load` refuses the artifact it ends up in.
+        let seed = model.config().seed;
+        if seed > serde::MAX_EXACT_INT {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "model seed {seed} is above serde::MAX_EXACT_INT = {}, the largest integer the manifest stores exactly",
+                    serde::MAX_EXACT_INT
+                ),
+            ));
+        }
         shard_spec.validate().map_err(invalid)?;
         if vocab_reviews > dataset.len() {
             return Err(invalid(format!(

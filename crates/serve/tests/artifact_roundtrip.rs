@@ -47,6 +47,35 @@ fn roundtrip_is_bit_identical_and_manifest_is_faithful() {
     }
 }
 
+/// The fixture's model with its configured seed replaced by `seed`: the same
+/// weights and review vectors, so only the manifest's seed differs.
+fn reseeded(fx: &Fixture, seed: u64) -> Rrre {
+    let cfg = RrreConfig { seed, ..*fx.model.config() };
+    let vectors = fx.model.review_vectors().expect("the fixture is frozen");
+    let k = cfg.k;
+    let rows = rrre_tensor::Tensor::from_vec(vectors.len(), k, vectors.as_flat().to_vec());
+    Rrre::from_frozen_parts(&fx.dataset, &fx.corpus, cfg, fx.model.params(), rows).unwrap()
+}
+
+#[test]
+fn a_seed_the_manifest_cannot_hold_exactly_is_refused_before_anything_is_written() {
+    let fx = trained_fixture();
+    let largest = (1u64 << 53) - 1;
+    let dir = TempDir::new("seed_exact");
+    ModelArtifact::save(dir.path(), &fx.dataset, &fx.corpus, &reseeded(&fx, largest), fx.min_count()).unwrap();
+    assert_eq!(ModelArtifact::load(dir.path()).unwrap().manifest.config.seed, largest);
+
+    let dir = TempDir::new("seed_rounded");
+    let target = dir.path().join("artifact");
+    let too_big = (1u64 << 60) + 1;
+    let err = ModelArtifact::save(&target, &fx.dataset, &fx.corpus, &reseeded(&fx, too_big), fx.min_count())
+        .unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("MAX_EXACT_INT"), "{err}");
+    assert!(!target.exists(), "a refused save creates nothing");
+    assert!(!target.join(MANIFEST_FILE).exists());
+}
+
 #[test]
 fn missing_directory_fails() {
     let dir = TempDir::new("never-written");

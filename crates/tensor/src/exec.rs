@@ -103,9 +103,13 @@ impl<'p> Executor<'p> for Tape {
     fn value<'a>(&'a self, v: &'a Var) -> &'a Tensor {
         Tape::value(self, *v)
     }
+    fn concat_cols(&mut self, parts: &[&Var]) -> Var {
+        self.concat(parts.iter().map(|&&p| p), false)
+    }
+    fn concat_rows(&mut self, parts: &[&Var]) -> Var {
+        self.concat(parts.iter().map(|&&p| p), true)
+    }
     ops! { record;
-        concat_cols(parts: &[&Var]) => (&parts.iter().map(|&&p| p).collect::<Vec<_>>());
-        concat_rows(parts: &[&Var]) => (&parts.iter().map(|&&p| p).collect::<Vec<_>>());
         constant(value: Tensor) => (value);
         param(params: &'p Params, id: ParamId) => (params, id);
         param_rows(params: &'p Params, id: ParamId, indices: &[usize]) => (params, id, indices);

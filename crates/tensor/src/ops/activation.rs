@@ -5,34 +5,31 @@ use crate::tape::{Op, Tape, Var};
 impl Tape {
     /// Hyperbolic tangent, applied element-wise.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(f32::tanh);
-        self.push(value, Op::Tanh(a))
+        self.record(Op::Tanh(a), |t, out| t.value(a).map_into(out, f32::tanh))
     }
 
     /// Logistic sigmoid, applied element-wise.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(crate::tensor::sigmoid);
-        self.push(value, Op::Sigmoid(a))
+        self.record(Op::Sigmoid(a), |t, out| t.value(a).map_into(out, crate::tensor::sigmoid))
     }
 
     /// Rectified linear unit, applied element-wise.
     pub fn relu(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|x| x.max(0.0));
-        self.push(value, Op::Relu(a))
+        self.record(Op::Relu(a), |t, out| t.value(a).map_into(out, |x| x.max(0.0)))
     }
 
     /// Numerically stable row-wise softmax.
     pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let value = self.value(a).softmax_rows();
-        self.push(value, Op::SoftmaxRows(a))
+        self.record(Op::SoftmaxRows(a), |t, out| t.value(a).softmax_rows_into(out))
     }
 
     /// Masked softmax of an `m × 1` score column
     /// ([`crate::Tensor::softmax_col_assign`]): attention weights in one node.
     pub fn softmax_col(&mut self, a: Var, mask: Option<&[bool]>) -> Var {
-        let mut value = self.value(a).clone();
-        value.softmax_col_assign(mask);
-        self.push(value, Op::SoftmaxCol(a))
+        self.record(Op::SoftmaxCol(a), |t, out| {
+            out.copy_from(t.value(a));
+            out.softmax_col_assign(mask);
+        })
     }
 }
 

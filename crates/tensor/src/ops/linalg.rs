@@ -5,46 +5,39 @@ use crate::tape::{Op, Tape, Var};
 impl Tape {
     /// Element-wise sum of two same-shaped nodes.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).add(self.value(b));
-        self.push(value, Op::Add(a, b))
+        self.record(Op::Add(a, b), |t, out| t.value(a).zip_map_into(t.value(b), out, |x, y| x + y))
     }
 
     /// Element-wise difference `a - b`.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).sub(self.value(b));
-        self.push(value, Op::Sub(a, b))
+        self.record(Op::Sub(a, b), |t, out| t.value(a).zip_map_into(t.value(b), out, |x, y| x - y))
     }
 
     /// Element-wise (Hadamard) product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).mul(self.value(b));
-        self.push(value, Op::Mul(a, b))
+        self.record(Op::Mul(a, b), |t, out| t.value(a).zip_map_into(t.value(b), out, |x, y| x * y))
     }
 
     /// Adds a `1 × c` row vector to every row of `a`.
     pub fn add_row_broadcast(&mut self, a: Var, row: Var) -> Var {
-        let value = self.value(a).add_row_broadcast(self.value(row));
-        self.push(value, Op::AddRowBroadcast(a, row))
+        self.record(Op::AddRowBroadcast(a, row), |t, out| t.value(a).add_row_broadcast_into(t.value(row), out))
     }
 
     /// Multiplies every row `r` of `a` by the scalar `col[r]` (`col` is `r × 1`).
     pub fn mul_col_broadcast(&mut self, a: Var, col: Var) -> Var {
-        let value = self.value(a).mul_col_broadcast(self.value(col));
-        self.push(value, Op::MulColBroadcast(a, col))
+        self.record(Op::MulColBroadcast(a, col), |t, out| t.value(a).mul_col_broadcast_into(t.value(col), out))
     }
 
     /// `Σ_r weights[r] · x[r, :]` (`weights` is `r × 1`), producing `1 × c`:
     /// [`Tape::mul_col_broadcast`] then [`Tape::sum_rows`] in one node, with
     /// the same bits forward and backward.
     pub fn weighted_row_sum(&mut self, x: Var, weights: Var) -> Var {
-        let value = self.value(x).weighted_row_sum(self.value(weights));
-        self.push(value, Op::WeightedRowSum(x, weights))
+        self.record(Op::WeightedRowSum(x, weights), |t, out| t.value(x).weighted_row_sum_into(t.value(weights), out))
     }
 
     /// Scalar multiple `alpha * a`.
     pub fn scale(&mut self, a: Var, alpha: f32) -> Var {
-        let value = self.value(a).scale(alpha);
-        self.push(value, Op::Scale(a, alpha))
+        self.record(Op::Scale(a, alpha), |t, out| t.value(a).map_into(out, |x| alpha * x))
     }
 
     /// Negation, recorded as a scale by `-1`.
@@ -54,26 +47,22 @@ impl Tape {
 
     /// Adds a scalar constant to every element.
     pub fn add_scalar(&mut self, a: Var, alpha: f32) -> Var {
-        let value = self.value(a).map(|x| x + alpha);
-        self.push(value, Op::AddScalar(a))
+        self.record(Op::AddScalar(a), |t, out| t.value(a).map_into(out, |x| x + alpha))
     }
 
     /// Matrix product `a · b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).matmul(self.value(b));
-        self.push(value, Op::MatMul(a, b))
+        self.record(Op::MatMul(a, b), |t, out| t.value(a).matmul_into(t.value(b), out))
     }
 
     /// Materialised transpose.
     pub fn transpose(&mut self, a: Var) -> Var {
-        let value = self.value(a).transpose();
-        self.push(value, Op::Transpose(a))
+        self.record(Op::Transpose(a), |t, out| t.value(a).transpose_into(out))
     }
 
     /// Element-wise square.
     pub fn square(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|x| x * x);
-        self.push(value, Op::Square(a))
+        self.record(Op::Square(a), |t, out| t.value(a).map_into(out, |x| x * x))
     }
 
     /// Affine map `x · w + b` with `b` broadcast over rows — the fundamental

@@ -31,21 +31,18 @@ impl Tape {
             let nll = -(row[t] - m - log_denom);
             total += weights.map_or(1.0, |w| w[r]) * nll;
         }
-        let value = Tensor::scalar(total / n as f32);
-        self.push(
-            value,
-            Op::SoftmaxCrossEntropy {
-                logits,
-                targets: targets.to_vec(),
-                weights: weights.map(<[f32]>::to_vec),
-            },
-        )
+        let targets = self.stash_indices(targets);
+        let weights = weights.map(|w| self.stash_floats(w));
+        self.record(Op::SoftmaxCrossEntropy { logits, targets, weights }, |_, out| {
+            out.reset(1, 1);
+            out.set(0, 0, total / n as f32);
+        })
     }
 
     /// Mean squared error between `pred` (any shape) and a same-shaped
     /// constant `target`, composed from primitive ops.
     pub fn mse(&mut self, pred: Var, target: &Tensor) -> Var {
-        let t = self.constant(target.clone());
+        let t = self.constant_from(target.rows(), target.cols(), target.as_slice());
         let diff = self.sub(pred, t);
         let sq = self.square(diff);
         self.mean_all(sq)
@@ -59,8 +56,8 @@ impl Tape {
         assert_eq!(self.value(pred).cols(), 1, "weighted_mse: pred must be a column vector");
         assert_eq!(target.len(), n, "weighted_mse: {n} preds vs {} targets", target.len());
         assert_eq!(weights.len(), n, "weighted_mse: {n} preds vs {} weights", weights.len());
-        let t = self.constant(Tensor::col_vector(target));
-        let w = self.constant(Tensor::col_vector(weights));
+        let t = self.constant_from(n, 1, target);
+        let w = self.constant_from(n, 1, weights);
         let diff = self.sub(pred, t);
         let sq = self.square(diff);
         let weighted = self.mul(sq, w);

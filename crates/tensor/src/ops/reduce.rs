@@ -1,31 +1,32 @@
 //! Reductions.
 
 use crate::tape::{Op, Tape, Var};
-use crate::Tensor;
 
 impl Tape {
     /// Sum of all elements, producing a `1 × 1` node.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let value = Tensor::scalar(self.value(a).sum());
-        self.push(value, Op::SumAll(a))
+        self.record(Op::SumAll(a), |t, out| {
+            out.reset(1, 1);
+            out.set(0, 0, t.value(a).sum());
+        })
     }
 
     /// Mean of all elements, producing a `1 × 1` node.
     pub fn mean_all(&mut self, a: Var) -> Var {
-        let value = Tensor::scalar(self.value(a).mean());
-        self.push(value, Op::MeanAll(a))
+        self.record(Op::MeanAll(a), |t, out| {
+            out.reset(1, 1);
+            out.set(0, 0, t.value(a).mean());
+        })
     }
 
     /// Column-wise sum over rows, producing `1 × c`.
     pub fn sum_rows(&mut self, a: Var) -> Var {
-        let value = self.value(a).sum_rows();
-        self.push(value, Op::SumRows(a))
+        self.record(Op::SumRows(a), |t, out| t.value(a).sum_rows_into(out))
     }
 
     /// Row-wise sum over columns, producing `r × 1`.
     pub fn sum_cols(&mut self, a: Var) -> Var {
-        let value = self.value(a).sum_cols();
-        self.push(value, Op::SumCols(a))
+        self.record(Op::SumCols(a), |t, out| t.value(a).sum_cols_into(out))
     }
 
     /// Mean over rows, producing `1 × c` (sum_rows scaled by `1/r`).

@@ -1,7 +1,6 @@
 //! Shape-manipulating ops: concatenation, slicing, gathering, unfolding.
 
 use crate::tape::{Op, Tape, Var};
-use crate::Tensor;
 
 impl Tape {
     /// Horizontal concatenation.
@@ -9,9 +8,7 @@ impl Tape {
     /// # Panics
     /// Panics if `parts` is empty or the row counts differ.
     pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
-        let tensors: Vec<&Tensor> = parts.iter().map(|&p| self.value(p)).collect();
-        let value = Tensor::concat_cols(&tensors);
-        self.push(value, Op::ConcatCols(parts.to_vec()))
+        self.concat(parts.iter().copied(), false)
     }
 
     /// Vertical concatenation.
@@ -19,23 +16,20 @@ impl Tape {
     /// # Panics
     /// Panics if `parts` is empty or the column counts differ.
     pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
-        let tensors: Vec<&Tensor> = parts.iter().map(|&p| self.value(p)).collect();
-        let value = Tensor::concat_rows(&tensors);
-        self.push(value, Op::ConcatRows(parts.to_vec()))
+        self.concat(parts.iter().copied(), true)
     }
 
     /// Copies columns `start..end` into a new node.
     pub fn slice_cols(&mut self, a: Var, start: usize, end: usize) -> Var {
-        let value = self.value(a).slice_cols(start, end);
-        self.push(value, Op::SliceCols(a, start, end))
+        self.record(Op::SliceCols(a, start, end), |t, out| t.value(a).slice_cols_into(start, end, out))
     }
 
     /// Gathers the listed rows of a node. Duplicate indices accumulate
     /// gradient correctly. The gradient is a full-size table, so an
     /// embedding lookup uses [`Tape::param_rows`] instead.
     pub fn gather_rows(&mut self, table: Var, indices: &[usize]) -> Var {
-        let value = self.value(table).gather_rows(indices);
-        self.push(value, Op::GatherRows { table, indices: indices.to_vec() })
+        let span = self.stash_indices(indices);
+        self.record(Op::GatherRows { table, indices: span }, |t, out| t.value(table).gather_rows_into(t.indices_of(span), out))
     }
 
     /// Sliding-window unfold turning `[T, d]` into `[T-width+1, width*d]`,
@@ -44,14 +38,18 @@ impl Tape {
     /// # Panics
     /// Panics if `width` is zero or exceeds the number of rows.
     pub fn im2col(&mut self, x: Var, width: usize) -> Var {
-        let value = self.value(x).im2col(width);
-        self.push(value, Op::Im2Col { x, width })
+        self.record(Op::Im2Col { x, width }, |t, out| t.value(x).im2col_into(width, out))
     }
 
     /// Max-over-time pooling: column-wise maximum over rows, `[T, f] -> [1, f]`.
     pub fn max_over_rows(&mut self, x: Var) -> Var {
-        let (value, argmax) = self.value(x).max_over_rows();
-        self.push(value, Op::MaxOverRows { x, argmax })
+        let mut out = self.buffer();
+        let mut indices = std::mem::take(&mut self.indices);
+        let start = indices.len();
+        self.value(x).max_over_rows_into(&mut out, &mut indices);
+        self.indices = indices;
+        let argmax = self.stashed_since(start);
+        self.push(out, Op::MaxOverRows { x, argmax })
     }
 }
 

@@ -1,8 +1,9 @@
 //! Trainable-parameter storage shared by all models in the workspace.
 //!
-//! Parameters live outside the autograd tape so that a fresh [`crate::Tape`]
-//! can be built per training step (the tape is append-only and cheap) while
-//! the long-lived weights and their gradient accumulators stay here.
+//! Parameters live outside the autograd tape, so one [`crate::Tape`] can be
+//! reset and reused for every training step (it keeps its buffers, and its
+//! backward is pruned to what a parameter needs) while the long-lived
+//! weights and their gradient accumulators stay here.
 
 use crate::Tensor;
 

@@ -15,6 +15,61 @@ use std::fmt;
 /// inside `f32` range, yet `exp` of it underflows to exactly zero.
 pub(crate) const MASK_LOGIT: f32 = -1.0e9;
 
+/// Rows of the left factor from which [`Tensor::matmul_nt_into`] transposes
+/// the right one and runs [`blocked_product`]. Below it, transposing costs
+/// more than the dot products it saves: at `k = 16, n = 64` (2-vCPU Xeon,
+/// release build) one left row takes ≈ 0.4–0.6 µs as dot products and
+/// ≈ 1.5 µs transposed and blocked, and the two meet at 3–6 rows. Training
+/// at the paper's shapes calls `matmul_nt` with 1 row (a layer on one
+/// vector) or a tower's 11–12 slots, so any bound from 2 to 11 picks the
+/// same path there.
+const NT_BLOCKED_ROWS: usize = 4;
+
+/// `out[i][j] = Σ_p a(i, p) · b[p][j]` for an `m × n` `out` (`+0.0` on
+/// entry) and a `k × n` row-major `b`: the backward's products. A block of
+/// outputs of a row — 16 while they last, then 4, then 1 — stays in
+/// registers across the whole inner dimension, so no output is reloaded per
+/// product. Each output sums its products from `+0.0` in ascending `p`,
+/// skipping a zero `a(i, p)`. The skip is exact for finite `b`: an
+/// accumulator that starts at `+0.0` never holds `-0.0`, so adding `±0.0` to
+/// it changes nothing.
+fn blocked_product(m: usize, k: usize, n: usize, a: impl Fn(usize, usize) -> f32, b: &[f32], out: &mut [f32]) {
+    for i in 0..m {
+        let out_row = &mut out[i * n..(i + 1) * n];
+        let j = output_blocks::<16>(k, n, 0, |p| a(i, p), b, out_row);
+        let j = output_blocks::<4>(k, n, j, |p| a(i, p), b, out_row);
+        output_blocks::<1>(k, n, j, |p| a(i, p), b, out_row);
+    }
+}
+
+/// [`blocked_product`]'s blocks of `B` outputs of one row, from column `j`
+/// while a whole block fits; returns the first column left over.
+fn output_blocks<const B: usize>(
+    k: usize,
+    n: usize,
+    mut j: usize,
+    a: impl Fn(usize) -> f32,
+    b: &[f32],
+    out_row: &mut [f32],
+) -> usize {
+    while j + B <= n {
+        let mut acc = [0.0f32; B];
+        for p in 0..k {
+            let av = a(p);
+            if av == 0.0 {
+                continue;
+            }
+            let b_block: &[f32; B] = b[p * n + j..p * n + j + B].try_into().expect("a whole block");
+            for (acc, &bv) in acc.iter_mut().zip(b_block) {
+                *acc += av * bv;
+            }
+        }
+        out_row[j..j + B].copy_from_slice(&acc);
+        j += B;
+    }
+    j
+}
+
 /// Logistic sigmoid of one value.
 pub(crate) fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
@@ -37,7 +92,7 @@ fn softmax_in_place(xs: &mut [f32]) {
 ///
 /// A vector is represented as a single-row (`1 × n`) or single-column
 /// (`n × 1`) tensor; a scalar as `1 × 1`.
-#[derive(Clone, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,
@@ -111,6 +166,30 @@ impl Tensor {
             t.data[i * n + i] = 1.0;
         }
         t
+    }
+
+    /// Reshapes `self` into a `rows × cols` tensor of `+0.0`, keeping its
+    /// buffer: no allocation once the buffer has held that many elements.
+    pub(crate) fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Makes `self` a `rows × cols` tensor of `values`, keeping its buffer.
+    fn refill(&mut self, rows: usize, cols: usize, values: impl Iterator<Item = f32>) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.reserve(rows * cols);
+        self.data.extend(values);
+        debug_assert_eq!(self.data.len(), rows * cols, "Tensor::refill: wrong element count");
+    }
+
+    /// Makes `self` a copy of `src`, keeping its buffer.
+    pub(crate) fn copy_from(&mut self, src: &Tensor) {
+        self.refill(src.rows, src.cols, src.data.iter().copied());
     }
 
     /// Number of rows.
@@ -219,7 +298,14 @@ impl Tensor {
 
     /// Applies `f` to every element, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&x| f(x)).collect() }
+        let mut out = Tensor::default();
+        self.map_into(&mut out, f);
+        out
+    }
+
+    /// [`Tensor::map`] into `out`'s buffer.
+    pub(crate) fn map_into(&self, out: &mut Tensor, f: impl Fn(f32) -> f32) {
+        out.refill(self.rows, self.cols, self.data.iter().map(|&x| f(x)));
     }
 
     /// Applies `f` to every element in place.
@@ -234,12 +320,15 @@ impl Tensor {
     /// # Panics
     /// Panics on shape mismatch.
     pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+        let mut out = Tensor::default();
+        self.zip_map_into(other, &mut out, f);
+        out
+    }
+
+    /// [`Tensor::zip_map`] into `out`'s buffer.
+    pub(crate) fn zip_map_into(&self, other: &Tensor, out: &mut Tensor, f: impl Fn(f32, f32) -> f32) {
         self.assert_same_shape(other, "zip_map");
-        Tensor {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)).collect(),
-        }
+        out.refill(self.rows, self.cols, self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
     }
 
     fn assert_same_shape(&self, other: &Tensor, op: &str) {
@@ -309,9 +398,15 @@ impl Tensor {
     /// # Panics
     /// Panics if `row` is not `1 × self.cols()`.
     pub fn add_row_broadcast(&self, row: &Tensor) -> Tensor {
-        let mut out = self.clone();
-        out.add_row_broadcast_assign(row);
+        let mut out = Tensor::default();
+        self.add_row_broadcast_into(row, &mut out);
         out
+    }
+
+    /// [`Tensor::add_row_broadcast`] into `out`'s buffer.
+    pub(crate) fn add_row_broadcast_into(&self, row: &Tensor, out: &mut Tensor) {
+        out.copy_from(self);
+        out.add_row_broadcast_assign(row);
     }
 
     /// In-place [`Tensor::add_row_broadcast`].
@@ -328,41 +423,59 @@ impl Tensor {
     /// Multiplies every row `r` by the scalar `col[r]`; panics unless `col`
     /// is `rows × 1`.
     pub fn mul_col_broadcast(&self, col: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        self.mul_col_broadcast_into(col, &mut out);
+        out
+    }
+
+    /// [`Tensor::mul_col_broadcast`] into `out`'s buffer.
+    pub(crate) fn mul_col_broadcast_into(&self, col: &Tensor, out: &mut Tensor) {
         assert_eq!(col.cols, 1, "mul_col_broadcast: rhs must be a column vector");
         assert_eq!(col.rows, self.rows, "mul_col_broadcast: {} rows vs {} weights", self.rows, col.rows);
-        let mut out = self.clone();
+        out.copy_from(self);
         for r in 0..out.rows {
             let s = col.data[r];
             for x in out.row_mut(r) {
                 *x *= s;
             }
         }
-        out
     }
 
     /// `Σ_r weights[r] · self[r, :]` (`1 × cols`, `weights` is `rows × 1`):
     /// attention pooling, the bits of
     /// `self.mul_col_broadcast(weights).sum_rows()` without the intermediate.
     pub fn weighted_row_sum(&self, weights: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        self.weighted_row_sum_into(weights, &mut out);
+        out
+    }
+
+    /// [`Tensor::weighted_row_sum`] into `out`'s buffer.
+    pub(crate) fn weighted_row_sum_into(&self, weights: &Tensor, out: &mut Tensor) {
         assert_eq!(weights.cols, 1, "weighted_row_sum: weights must be a column vector");
         assert_eq!(weights.rows, self.rows, "weighted_row_sum: {} rows vs {} weights", self.rows, weights.rows);
-        let mut out = Tensor::zeros(1, self.cols);
+        out.reset(1, self.cols);
         for r in 0..self.rows {
             let s = weights.data[r];
             for (o, &x) in out.data.iter_mut().zip(self.row(r)) {
                 *o += x * s;
             }
         }
-        out
     }
 
     /// Numerically stable row-wise softmax.
     pub fn softmax_rows(&self) -> Tensor {
-        let mut out = self.clone();
+        let mut out = Tensor::default();
+        self.softmax_rows_into(&mut out);
+        out
+    }
+
+    /// [`Tensor::softmax_rows`] into `out`'s buffer.
+    pub(crate) fn softmax_rows_into(&self, out: &mut Tensor) {
+        out.copy_from(self);
         for r in 0..out.rows {
             softmax_in_place(out.row_mut(r));
         }
-        out
     }
 
     /// In-place softmax of an `m × 1` score column into attention weights.
@@ -388,13 +501,20 @@ impl Tensor {
     /// # Panics
     /// Panics if the inner dimensions disagree.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Tensor::matmul`] into `out`'s buffer.
+    pub(crate) fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols, other.rows,
             "matmul: {}x{} . {}x{} inner dimensions disagree",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Tensor::zeros(m, n);
+        let (m, n) = (self.rows, other.cols);
+        out.reset(m, n);
         for i in 0..m {
             let a_row = self.row(i);
             let out_row = out.row_mut(i);
@@ -407,69 +527,80 @@ impl Tensor {
                     *o += a * b;
                 }
             }
-            let _ = k;
         }
+    }
+
+    /// `self · otherᵀ`.
+    pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        self.matmul_nt_into(other, &mut out, &mut Tensor::default());
         out
     }
 
-    /// `self · otherᵀ` without materialising the transpose.
-    pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
+    /// [`Tensor::matmul_nt`] into `out`'s buffer. Each output is the sum of
+    /// its products from `+0.0` in ascending inner index: one dot product
+    /// per output for a left factor of fewer than [`NT_BLOCKED_ROWS`] rows,
+    /// else [`blocked_product`] over `otherᵀ` written into `other_t`'s
+    /// buffer.
+    pub(crate) fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor, other_t: &mut Tensor) {
         assert_eq!(
             self.cols, other.cols,
             "matmul_nt: {}x{} . ({}x{})^T inner dimensions disagree",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (m, n) = (self.rows, other.rows);
-        let mut out = Tensor::zeros(m, n);
-        for i in 0..m {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = other.row(j);
-                let mut acc = 0.0;
+        let (m, k, n) = (self.rows, self.cols, other.rows);
+        out.reset(m, n);
+        if m >= NT_BLOCKED_ROWS {
+            other.transpose_into(other_t);
+            blocked_product(m, k, n, |i, p| self.data[i * k + p], &other_t.data, &mut out.data);
+            return;
+        }
+        for (a_row, out_row) in self.data.chunks_exact(k.max(1)).zip(out.data.chunks_exact_mut(n.max(1))) {
+            for (o, b_row) in out_row.iter_mut().zip(other.data.chunks_exact(k.max(1))) {
+                let mut acc = 0.0f32;
                 for (&a, &b) in a_row.iter().zip(b_row) {
                     acc += a * b;
                 }
                 *o = acc;
             }
         }
-        out
     }
 
     /// `selfᵀ · other` without materialising the transpose.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        self.matmul_tn_into(other, &mut out);
+        out
+    }
+
+    /// [`Tensor::matmul_tn`] into `out`'s buffer: [`blocked_product`] with
+    /// the left factor read down `self`'s columns.
+    pub(crate) fn matmul_tn_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.rows, other.rows,
             "matmul_tn: ({}x{})^T . {}x{} inner dimensions disagree",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (m, n) = (self.cols, other.cols);
-        let mut out = Tensor::zeros(m, n);
-        for p in 0..self.rows {
-            let a_row = self.row(p);
-            let b_row = other.row(p);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * n..(i + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        let (m, k, n) = (self.cols, self.rows, other.cols);
+        out.reset(m, n);
+        blocked_product(m, k, n, |i, p| self.data[p * m + i], &other.data, &mut out.data);
     }
 
     /// Materialised transpose.
     pub fn transpose(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.cols, self.rows);
+        let mut out = Tensor::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`Tensor::transpose`] into `out`'s buffer.
+    pub(crate) fn transpose_into(&self, out: &mut Tensor) {
+        out.reset(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out.data[c * self.rows + r] = self.data[r * self.cols + c];
             }
         }
-        out
     }
 
     /// Sum of all elements.
@@ -488,22 +619,39 @@ impl Tensor {
 
     /// Column-wise sum, producing a `1 × cols` tensor.
     pub fn sum_rows(&self) -> Tensor {
-        let mut out = Tensor::zeros(1, self.cols);
+        let mut out = Tensor::default();
+        self.sum_rows_into(&mut out);
+        out
+    }
+
+    /// [`Tensor::sum_rows`] into `out`'s buffer.
+    pub(crate) fn sum_rows_into(&self, out: &mut Tensor) {
+        out.reset(1, self.cols);
         for r in 0..self.rows {
             for (o, &x) in out.data.iter_mut().zip(self.row(r)) {
                 *o += x;
             }
         }
-        out
     }
 
     /// Row-wise sum, producing a `rows × 1` tensor.
     pub fn sum_cols(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.rows, 1);
-        for r in 0..self.rows {
-            out.data[r] = self.row(r).iter().sum();
-        }
+        let mut out = Tensor::default();
+        self.sum_cols_into(&mut out);
         out
+    }
+
+    /// [`Tensor::sum_cols`] into `out`'s buffer.
+    pub(crate) fn sum_cols_into(&self, out: &mut Tensor) {
+        out.refill(self.rows, 1, (0..self.rows).map(|r| self.row(r).iter().sum()));
+    }
+
+    /// `self.mul(other).sum_cols()` into `out`'s buffer, without the
+    /// intermediate product: each row's products summed as `sum_cols` sums.
+    pub(crate) fn mul_sum_cols_into(&self, other: &Tensor, out: &mut Tensor) {
+        self.assert_same_shape(other, "mul_sum_cols");
+        let rows = (0..self.rows).map(|r| self.row(r).iter().zip(other.row(r)).map(|(&a, &b)| a * b).sum());
+        out.refill(self.rows, 1, rows);
     }
 
     /// Maximum element (`f32::NEG_INFINITY` if empty).
@@ -540,21 +688,26 @@ impl Tensor {
     /// # Panics
     /// Panics if `parts` is empty or row counts differ.
     pub fn concat_cols(parts: &[&Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "concat_cols: need at least one part");
-        let rows = parts[0].rows;
-        for p in parts {
+        let mut out = Tensor::default();
+        Tensor::concat_cols_into(parts.iter().copied(), &mut out);
+        out
+    }
+
+    /// [`Tensor::concat_cols`] into `out`'s buffer.
+    pub(crate) fn concat_cols_into<'a>(parts: impl Iterator<Item = &'a Tensor> + Clone, out: &mut Tensor) {
+        let rows = parts.clone().next().expect("concat_cols: need at least one part").rows;
+        for p in parts.clone() {
             assert_eq!(p.rows, rows, "concat_cols: row counts differ ({} vs {rows})", p.rows);
         }
-        let cols: usize = parts.iter().map(|p| p.cols).sum();
-        let mut out = Tensor::zeros(rows, cols);
+        let cols: usize = parts.clone().map(|p| p.cols).sum();
+        out.reset(rows, cols);
         for r in 0..rows {
             let mut offset = 0;
-            for p in parts {
+            for p in parts.clone() {
                 out.row_mut(r)[offset..offset + p.cols].copy_from_slice(p.row(r));
                 offset += p.cols;
             }
         }
-        out
     }
 
     /// Vertical concatenation of tensors with equal column counts.
@@ -562,15 +715,19 @@ impl Tensor {
     /// # Panics
     /// Panics if `parts` is empty or column counts differ.
     pub fn concat_rows(parts: &[&Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "concat_rows: need at least one part");
-        let cols = parts[0].cols;
-        let rows: usize = parts.iter().map(|p| p.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for p in parts {
+        let mut out = Tensor::default();
+        Tensor::concat_rows_into(parts.iter().copied(), &mut out);
+        out
+    }
+
+    /// [`Tensor::concat_rows`] into `out`'s buffer.
+    pub(crate) fn concat_rows_into<'a>(parts: impl Iterator<Item = &'a Tensor> + Clone, out: &mut Tensor) {
+        let cols = parts.clone().next().expect("concat_rows: need at least one part").cols;
+        for p in parts.clone() {
             assert_eq!(p.cols, cols, "concat_rows: column counts differ ({} vs {cols})", p.cols);
-            data.extend_from_slice(&p.data);
         }
-        Tensor { rows, cols, data }
+        let rows: usize = parts.clone().map(|p| p.rows).sum();
+        out.refill(rows, cols, parts.flat_map(|p| p.data.iter().copied()));
     }
 
     /// Copies a contiguous range of columns into a new tensor.
@@ -578,12 +735,15 @@ impl Tensor {
     /// # Panics
     /// Panics if the range exceeds the column count.
     pub fn slice_cols(&self, start: usize, end: usize) -> Tensor {
-        assert!(start <= end && end <= self.cols, "slice_cols: {start}..{end} out of 0..{}", self.cols);
-        let mut out = Tensor::zeros(self.rows, end - start);
-        for r in 0..self.rows {
-            out.row_mut(r).copy_from_slice(&self.row(r)[start..end]);
-        }
+        let mut out = Tensor::default();
+        self.slice_cols_into(start, end, &mut out);
         out
+    }
+
+    /// [`Tensor::slice_cols`] into `out`'s buffer.
+    pub(crate) fn slice_cols_into(&self, start: usize, end: usize, out: &mut Tensor) {
+        assert!(start <= end && end <= self.cols, "slice_cols: {start}..{end} out of 0..{}", self.cols);
+        out.refill(self.rows, end - start, (0..self.rows).flat_map(|r| self.row(r)[start..end].iter().copied()));
     }
 
     /// Gathers the listed rows into a new tensor (duplicates allowed).
@@ -591,36 +751,59 @@ impl Tensor {
     /// # Panics
     /// Panics on any out-of-range index.
     pub fn gather_rows(&self, indices: &[usize]) -> Tensor {
-        let mut out = Tensor::zeros(indices.len(), self.cols);
+        let mut out = Tensor::default();
+        self.gather_rows_into(indices, &mut out);
+        out
+    }
+
+    /// [`Tensor::gather_rows`] into `out`'s buffer.
+    pub(crate) fn gather_rows_into(&self, indices: &[usize], out: &mut Tensor) {
+        out.reset(indices.len(), self.cols);
         for (r, &idx) in indices.iter().enumerate() {
             assert!(idx < self.rows, "gather_rows: index {idx} out of 0..{}", self.rows);
             out.row_mut(r).copy_from_slice(self.row(idx));
         }
-        out
     }
 
     /// Sliding-window unfold turning `[T, d]` into `[T-width+1, width*d]`,
     /// the im2col step of a 1-D convolution over time (`1 ≤ width ≤ T`).
     pub fn im2col(&self, width: usize) -> Tensor {
+        let mut out = Tensor::default();
+        self.im2col_into(width, &mut out);
+        out
+    }
+
+    /// [`Tensor::im2col`] into `out`'s buffer.
+    pub(crate) fn im2col_into(&self, width: usize, out: &mut Tensor) {
         let (t, d) = self.shape();
         assert!(width >= 1 && width <= t, "im2col: width {width} invalid for {t} timesteps");
         let windows = t + 1 - width;
-        let mut out = Tensor::zeros(windows, width * d);
+        out.reset(windows, width * d);
         for w in 0..windows {
             for off in 0..width {
                 let dst_start = off * d;
                 out.row_mut(w)[dst_start..dst_start + d].copy_from_slice(self.row(w + off));
             }
         }
-        out
     }
 
     /// Max-over-time pooling: the column-wise maximum over the (at least
     /// one) rows, `1 × cols`, and per column the first row attaining it.
     pub fn max_over_rows(&self) -> (Tensor, Vec<usize>) {
+        let (mut out, mut argmax) = (Tensor::default(), Vec::new());
+        self.max_over_rows_into(&mut out, &mut argmax);
+        (out, argmax)
+    }
+
+    /// [`Tensor::max_over_rows`] into `out`'s buffer, the argmax rows
+    /// appended to `argmax`.
+    pub(crate) fn max_over_rows_into(&self, out: &mut Tensor, argmax: &mut Vec<usize>) {
         assert!(self.rows > 0, "max_over_rows: empty input");
-        let mut out = Tensor::full(1, self.cols, f32::NEG_INFINITY);
-        let mut argmax = vec![0usize; self.cols];
+        out.reset(1, self.cols);
+        out.data.fill(f32::NEG_INFINITY);
+        let start = argmax.len();
+        argmax.resize(start + self.cols, 0);
+        let argmax = &mut argmax[start..];
         for r in 0..self.rows {
             for (c, &x) in self.row(r).iter().enumerate() {
                 if x > out.data[c] {
@@ -629,7 +812,6 @@ impl Tensor {
                 }
             }
         }
-        (out, argmax)
     }
 
     /// Clamps every element into `[lo, hi]`.

@@ -1,0 +1,211 @@
+//! The two exactness arguments of the training backward, as properties.
+//!
+//! (a) **Pruning moves no bit.** The backward computes no adjoint for a node
+//! without a parameter behind it. Random small graphs built from the `nn`
+//! layers (masked `AttentionPool` over a constant review matrix, `Embedding`
+//! lookups for its context, `Linear`, `FactorizationMachine` over a constant
+//! side input) run twice: as written, and with every constant input
+//! registered as a parameter, so that nothing is pruned. The original
+//! parameters' gradients must carry the same bits. The pruned run goes on a
+//! tape reset after an unrelated pass, so stale buffers are covered too.
+//!
+//! (b) **The blocked kernels are the naive ones.** `matmul_nt` and
+//! `matmul_tn` must equal, bit for bit, a triple loop that sums each output
+//! from `+0.0` in ascending inner index — over widths on and off the block
+//! size, all-zero rows and `-0.0` entries.
+
+use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+use rrre_tensor::nn::{AttentionPool, Embedding, FactorizationMachine, Linear};
+use rrre_tensor::{init, Executor, ParamId, Params, Tape, Tensor, Var};
+
+/// A value whose bits make the association observable: exact zeros of both
+/// signs, O(1) values and magnitudes that swallow them.
+fn draw(rng: &mut StdRng) -> f32 {
+    match rng.gen_range(0..20) {
+        0..=3 => 0.0,
+        4 => -0.0,
+        5..=7 => rng.gen_range(-1.0e6f32..1.0e6),
+        _ => rng.gen_range(-3.0f32..3.0),
+    }
+}
+
+/// A `rows × cols` draw with about one row in four all zero.
+fn random_tensor(rng: &mut StdRng, rows: usize, cols: usize) -> Tensor {
+    let mut t = Tensor::from_vec(rows, cols, (0..rows * cols).map(|_| draw(rng)).collect());
+    for r in 0..rows {
+        if rng.gen_range(0..4) == 0 {
+            t.row_mut(r).fill(0.0);
+        }
+    }
+    t
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// One random graph: its layers, its constant inputs and the shape choices.
+struct Graph {
+    emb: Embedding,
+    attn: AttentionPool,
+    linear: Linear,
+    fm: FactorizationMachine,
+    items: Tensor,
+    side: Tensor,
+    ids: Vec<usize>,
+    mask: Vec<bool>,
+    shared_context: bool,
+    side_first: bool,
+}
+
+impl Graph {
+    fn new(rng: &mut StdRng, params: &mut Params) -> Self {
+        let (m, k, d) = (rng.gen_range(1..7), rng.gen_range(1..20), rng.gen_range(1..6));
+        let (attn_dim, out, side) = (rng.gen_range(1..18), rng.gen_range(1..5), rng.gen_range(1..4));
+        let (vocab, factors) = (rng.gen_range(1..5), rng.gen_range(1..4));
+        let emb = Embedding::new(params, rng, "emb", vocab, d);
+        let attn = AttentionPool::new(params, rng, "attn", k, d, attn_dim);
+        let linear = Linear::new(params, rng, "linear", k, out);
+        let fm = FactorizationMachine::new(params, rng, "fm", out + side, factors);
+        let mut mask: Vec<bool> = (0..m).map(|_| rng.gen_bool(0.6)).collect();
+        mask[rng.gen_range(0..m)] = true;
+        let mut items = random_tensor(rng, m, k);
+        for (r, &keep) in mask.iter().enumerate() {
+            if !keep {
+                items.row_mut(r).fill(0.0);
+            }
+        }
+        Self {
+            emb,
+            attn,
+            linear,
+            fm,
+            items,
+            side: init::normal(rng, 1, side, 0.0, 1.0),
+            ids: (0..m).map(|_| rng.gen_range(0..vocab)).collect(),
+            mask,
+            shared_context: rng.gen_bool(0.3),
+            side_first: rng.gen_bool(0.5),
+        }
+    }
+
+    /// The loss of one pass on `tape`. With `as_params`, the constant inputs
+    /// are the parameters listed there instead.
+    fn loss(&self, tape: &mut Tape, params: &Params, as_params: Option<[ParamId; 2]>) -> Var {
+        let (items, side) = match as_params {
+            Some([items, side]) => (tape.param(params, items), tape.param(params, side)),
+            None => (tape.constant(self.items.clone()), tape.constant(self.side.clone())),
+        };
+        let ids = if self.shared_context { &self.ids[..1] } else { &self.ids[..] };
+        let context = self.emb.forward(tape, params, ids);
+        let pooled = self.attn.forward(tape, params, items, context, Some(&self.mask));
+        let hidden = self.linear.forward(tape, params, pooled);
+        let hidden = Executor::tanh(tape, hidden);
+        let joint = if self.side_first { [side, hidden] } else { [hidden, side] };
+        let joint = tape.concat_cols(&joint);
+        let score = self.fm.forward(tape, params, joint);
+        let sq = tape.square(score);
+        tape.sum_all(sq)
+    }
+}
+
+/// Gradient bits of the original parameters after one backward.
+fn grads(params: &mut Params, graph: &Graph, tape: &mut Tape, as_params: Option<[ParamId; 2]>, n: usize) -> Vec<Vec<u32>> {
+    params.zero_grads();
+    tape.reset();
+    let loss = graph.loss(tape, params, as_params);
+    tape.backward(loss, params);
+    params.ids().take(n).map(|id| bits(params.grad(id))).collect()
+}
+
+fn pruning_moves_no_bit(seed: u64) -> Result<(), TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut params = Params::new();
+    let graph = Graph::new(&mut rng, &mut params);
+    let n = params.len();
+
+    // Warm a tape on an unrelated graph first: the pruned pass then runs on
+    // buffers of other shapes and contents.
+    let mut other_params = Params::new();
+    let other = Graph::new(&mut rng, &mut other_params);
+    let mut tape = Tape::new();
+    let _ = grads(&mut other_params, &other, &mut tape, None, 0);
+    let pruned = grads(&mut params, &graph, &mut tape, None, n);
+
+    let items = params.register("items", graph.items.clone());
+    let side = params.register("side", graph.side.clone());
+    let full = grads(&mut params, &graph, &mut Tape::new(), Some([items, side]), n);
+    for (id, (p, f)) in params.ids().zip(pruned.iter().zip(&full)) {
+        prop_assert_eq!(p, f, "gradient of {} (seed {})", params.name(id), seed);
+    }
+    Ok(())
+}
+
+/// `out[i][j] = Σ_p a(i, p) · b(p, j)`, each output from `+0.0` in
+/// ascending `p`.
+fn naive(m: usize, k: usize, n: usize, a: impl Fn(usize, usize) -> f32, b: impl Fn(usize, usize) -> f32) -> Tensor {
+    let mut out = Tensor::zeros(m, n);
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for p in 0..k {
+                acc += a(i, p) * b(p, j);
+            }
+            out.set(i, j, acc);
+        }
+    }
+    out
+}
+
+fn kernels_match_the_triple_loop(seed: u64) -> Result<(), TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    // Widths around one, two and three blocks of 16, and the small ones.
+    let mut dim = || if rng.gen_bool(0.5) { rng.gen_range(0..6) } else { rng.gen_range(12..52) };
+    let (m, k, n) = (dim(), dim(), dim());
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+    let (a, b) = (random_tensor(&mut rng, m, k), random_tensor(&mut rng, n, k));
+    let nt = naive(m, k, n, |i, p| a.get(i, p), |p, j| b.get(j, p));
+    prop_assert_eq!(bits(&a.matmul_nt(&b)), bits(&nt), "matmul_nt {}x{} . ({}x{})^T", m, k, n, k);
+
+    let (a, b) = (random_tensor(&mut rng, k, m), random_tensor(&mut rng, k, n));
+    let tn = naive(m, k, n, |i, p| a.get(p, i), |p, j| b.get(p, j));
+    prop_assert_eq!(bits(&a.matmul_tn(&b)), bits(&tn), "matmul_tn ({}x{})^T . {}x{}", k, m, k, n);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn pruned_backward_gives_the_unpruned_parameter_gradients(seed in 0u64..1_000_000) {
+        pruning_moves_no_bit(seed)?;
+    }
+
+    #[test]
+    fn blocked_backward_kernels_are_the_naive_triple_loop(seed in 0u64..1_000_000) {
+        kernels_match_the_triple_loop(seed)?;
+    }
+}
+
+#[test]
+fn constants_get_no_adjoint_and_parameters_keep_theirs() {
+    let mut params = Params::new();
+    let w = params.register("w", Tensor::from_vec(2, 1, vec![0.5, -1.0]));
+    let mut tape = Tape::new();
+    let x = tape.constant(Tensor::from_vec(1, 2, vec![3.0, 4.0]));
+    let wv = tape.param(&params, w);
+    let y = tape.matmul(x, wv);
+    let loss = tape.sum_all(y);
+    tape.backward(loss, &mut params);
+    assert!(tape.grad(x).is_none(), "a constant has no parameter behind it");
+    assert_eq!(tape.grad(wv).map(bits), Some(bits(&Tensor::from_vec(2, 1, vec![3.0, 4.0]))));
+    assert_eq!(bits(params.grad(w)), bits(&Tensor::from_vec(2, 1, vec![3.0, 4.0])));
+
+    // A loss built from constants alone has nothing to differentiate.
+    tape.reset();
+    let c = tape.constant(Tensor::scalar(2.0));
+    let loss = tape.square(c);
+    tape.backward(loss, &mut params);
+    assert!(tape.grad(loss).is_none() && tape.grad(c).is_none());
+}
