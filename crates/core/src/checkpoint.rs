@@ -11,11 +11,13 @@
 //!   adam.rrrp              Adam first/second moments (RRRP)
 //! ```
 //!
-//! Atomicity: each checkpoint is assembled in a `.stage-<E>` sibling and
-//! `rename`d into place, and `latest.json` is written via tmp + `rename`
-//! *after* the checkpoint directory exists. A crash at any instant leaves
-//! either the previous complete checkpoint or the new one — never a torn
-//! mix — so [`Rrre::resume`] always has a valid state to continue from.
+//! Atomicity: each checkpoint is assembled in a `.stage-<E>` sibling, its
+//! three files and the stage directory fsynced, then `rename`d into place
+//! and the root fsynced; only then is `latest.json` replaced durably (tmp,
+//! fsync, rename, root fsync). A crash at any instant — a power loss
+//! included — leaves either the previous complete checkpoint or the new
+//! one, never a torn mix, so [`Rrre::resume`] always has a valid state to
+//! continue from.
 //!
 //! Bit-identical resume: the training loop's mutable state is exactly
 //! (params, Adam `t`/`m`/`v`, the RNG, the epoch shuffle `order` — which is
@@ -29,6 +31,7 @@ use crate::config::RrreConfig;
 use crate::model::{EpochStats, Rrre};
 use rand::rngs::StdRng;
 use rrre_data::{Dataset, EncodedCorpus};
+use rrre_tensor::serialize::{replace_durably, sync_dir};
 use rrre_tensor::{optim::Adam, Params, Tensor};
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -216,8 +219,9 @@ fn run_checkpointed(
     })
 }
 
-/// Stages a complete checkpoint and renames it into place; the `latest`
-/// pointer flips (also via rename) only after the directory is complete.
+/// Stages a complete checkpoint, fsyncs it and renames it into place; the
+/// `latest` pointer flips (a durable replace) only after the renamed
+/// directory is fsynced into the root.
 fn write_checkpoint(
     ckpt: &CheckpointConfig,
     epoch: usize,
@@ -255,16 +259,18 @@ fn write_checkpoint(
     };
     let json = serde_json::to_string(&manifest).map_err(io::Error::other)?;
     std::fs::write(stage.join(CKPT_MANIFEST_FILE), json)?;
+    for name in [CKPT_MODEL_FILE, CKPT_ADAM_FILE, CKPT_MANIFEST_FILE] {
+        std::fs::File::open(stage.join(name))?.sync_data()?;
+    }
+    sync_dir(&stage)?;
 
     let final_dir = ckpt.epoch_dir(epoch);
     let _ = std::fs::remove_dir_all(&final_dir);
     std::fs::rename(&stage, &final_dir)?;
+    sync_dir(&ckpt.dir)?;
 
-    let tmp = ckpt.dir.join(".latest.json.tmp");
     let json = serde_json::to_string(&LatestPointer { epoch }).map_err(io::Error::other)?;
-    std::fs::write(&tmp, json)?;
-    std::fs::rename(&tmp, ckpt.dir.join(CKPT_LATEST_FILE))?;
-    Ok(())
+    replace_durably(&ckpt.dir, CKPT_LATEST_FILE, json.as_bytes())
 }
 
 fn read_latest(dir: &Path) -> io::Result<usize> {

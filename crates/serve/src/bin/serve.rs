@@ -108,9 +108,9 @@ fn verbs() -> Vec<Verb> {
             ]),
         verb("serve", "<dir> [FLAGS]", cmd_serve,
             "Load the artifact in <dir> and serve newline-delimited JSON over TCP: one epoll event \
-             loop multiplexes every connection, requests pipeline per connection. Stdin verbs: \
-             `quit` (graceful stop), `reload` (hot-swap the artifact from <dir>), `compact` (fold \
-             the WAL now), `stats`, `health`; on stdin EOF (detached) it serves until killed.",
+             loop multiplexes every connection, requests pipeline per connection. The stdin verb \
+             `quit` stops it gracefully (every admin action is a protocol op: `query`, \
+             `compact`); on stdin EOF (detached) it serves until killed.",
             serve_flags()),
         verb("shardmap", "<dir> --replicas \"a,b;c,d;e,f\"", cmd_shardmap,
             "Print the shard-topology JSON document --shard-map takes, binding the artifact's \
@@ -572,7 +572,6 @@ fn cmd_serve(args: Args) -> Outcome {
         segment_bytes: args.get::<u64>("--segment-kb") * 1024,
         refresh_every: args.get("--refresh-every"),
         cold_start_min: args.get("--cold-start-min"),
-        ..IngestConfig::default()
     };
     if args.has("--followers") && args.has("--replicate-from") {
         args.refuse("--followers and --replicate-from are mutually exclusive");
@@ -635,8 +634,8 @@ fn cmd_serve(args: Args) -> Outcome {
             let s = engine.stats();
             eprintln!(
                 "ingest enabled: wal={}/wal wal_bytes={} replayed_recoveries={} \
-                 refresh_every={} fsync={:?}",
-                dir, s.wal_bytes, s.wal_recoveries, ingest_cfg.refresh_every, ingest_cfg.fsync
+                 refresh_every={}",
+                dir, s.wal_bytes, s.wal_recoveries, ingest_cfg.refresh_every
             );
         }
         if let Some(repl) = engine.replication() {
@@ -653,66 +652,9 @@ fn cmd_serve(args: Args) -> Outcome {
         }
     };
     println!("listening on {}", server.local_addr());
-    println!("(stdin verbs: quit, reload, compact, stats, health)");
+    println!("(stdin verb: quit)");
 
-    let mut got_quit = false;
-    for line in std::io::stdin().lock().lines() {
-        match line {
-            Ok(l) if l.trim() == "quit" => {
-                got_quit = true;
-                break;
-            }
-            Ok(l) if l.trim() == "reload" => {
-                match engine.reload() {
-                    Ok(generation) => eprintln!("reloaded: now serving generation {generation}"),
-                    Err(e) => eprintln!("reload failed: {e}"),
-                }
-            }
-            Ok(l) if l.trim() == "compact" => {
-                match engine.compact_now() {
-                    Ok((folded, generation)) => {
-                        eprintln!("compacted: folded {folded} review(s), serving generation {generation}")
-                    }
-                    Err(e) => eprintln!("compact failed: {e}"),
-                }
-            }
-            Ok(l) if l.trim() == "health" => {
-                let h = engine.health();
-                eprintln!(
-                    "live={} ready={} draining={} breaker_open={} generation={}",
-                    h.live, h.ready, h.draining, h.breaker_open, h.generation
-                );
-            }
-            Ok(l) if l.trim() == "stats" => {
-                let s = engine.stats();
-                let shard = s.shard_id.map_or("-".into(), |s| s.to_string());
-                eprintln!(
-                    "generation={} requests={} errors={} shed={} reloads={} \
-                     reload_failures={} worker_panics={} breaker_open={} \
-                     cache_hit_rate={:.3} shard={shard} cross_shard_rejects={} \
-                     scatter_fanout={} epoch={} replicated_seq={} replication_lag={} \
-                     stale_epoch_rejections={}",
-                    s.generation,
-                    s.requests,
-                    s.errors,
-                    s.shed,
-                    s.reloads,
-                    s.reload_failures,
-                    s.worker_panics,
-                    s.breaker_open,
-                    s.cache_hit_rate,
-                    s.cross_shard_rejects,
-                    s.scatter_fanout,
-                    s.epoch,
-                    s.replicated_seq,
-                    s.replication_lag,
-                    s.stale_epoch_rejections
-                );
-            }
-            Ok(_) => continue,
-            Err(_) => break,
-        }
-    }
+    let got_quit = std::io::stdin().lock().lines().map_while(Result::ok).any(|l| l.trim() == "quit");
     if !got_quit && !std::io::stdin().is_terminal() {
         // Stdin hit EOF but isn't a terminal — the server is running
         // detached (`rrre-serve serve dir &`, a supervisor, /dev/null).

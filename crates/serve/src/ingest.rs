@@ -8,24 +8,28 @@
 //! refolds that store into the artifact it loads, so it serves what a
 //! restart would.
 //!
-//! Every term read off the wire is judged by the replication fence before
-//! its verb acts ([`crate::replication`]).
+//! Every protocol decision is the sans-IO [`crate::replica::ReplicaState`]'s:
+//! every term read off the wire is judged by it before its verb acts
+//! ([`crate::replication`] holds it), and what an append does with a batch
+//! is its [`ReplicaState::plan_append`]. This module only does what the
+//! answer names: append and fsync, push, wake, refresh.
 //!
-//! **Lock order:** `maintenance` → the WAL `writer` → replication state →
-//! the ingest log → the serving pointer. `maintenance` is held across every
-//! refresh, reload and compaction, so on an ingest engine the serving
-//! pointer only ever moves under it. The WAL append and its fsync hold only
-//! `writer`, which no shipper or quorum waiter takes; the one fsync under
-//! the replication lock is a term change's epoch file. An append wakes the
-//! shippers by notifying under the replication lock after the push — the
-//! lock they read the log count under — so no wakeup is lost.
+//! **Lock order:** `maintenance` → the WAL `writer` → replication state
+//! (the `ReplicaState`) → the ingest log → the serving pointer.
+//! `maintenance` is held across every refresh, reload and compaction, so on
+//! an ingest engine the serving pointer only ever moves under it. An
+//! append's plan is made, and its WAL writes and fsyncs run, under `writer`
+//! alone (reading the log's seqs under the log lock), which no shipper or
+//! quorum waiter takes; the one fsync under the replication lock is a term
+//! change's epoch file. An append wakes the shippers by notifying under the
+//! replication lock after the push — the lock they read the log count
+//! under — so no wakeup is lost.
 
 use crate::artifact::{ModelArtifact, MANIFEST_FILE};
 use crate::engine::{bad_request, require};
 use crate::generation::{Generation, Serving};
-use crate::replication::{
-    self, AckLevel, QuorumError, Refusal, Replication, ReplicationConfig, Traffic,
-};
+use crate::replica::{Plan, Refusal, ReplicaState, Stop, Traffic};
+use crate::replication::{self, AckLevel, QuorumError, Replication, ReplicationConfig};
 use crate::stats::EngineStats;
 use crate::wal::{self, FsyncPolicy, IngestLedger, SeqSet, WalRecord, WalWriter};
 use rrre_data::{Dataset, EncodedCorpus, ItemId, Label, Review, UserId};
@@ -43,11 +47,6 @@ pub const WAL_DIR: &str = "wal";
 pub struct IngestConfig {
     /// WAL segment rotation threshold in bytes.
     pub segment_bytes: u64,
-    /// When appended records reach the platter. [`FsyncPolicy::EveryRecord`]
-    /// (the default) makes every ack a durability promise;
-    /// [`FsyncPolicy::Batched`] is relaxed — the WAL tests and the
-    /// benchmark's no-sync append probe construct it, no CLI flag does.
-    pub fsync: FsyncPolicy,
     /// Auto-refresh the serving towers once this many accepted records are
     /// pending. `1` (the default) folds every review in before its ack
     /// returns; `0` disables auto-refresh — only
@@ -66,7 +65,6 @@ impl Default for IngestConfig {
     fn default() -> Self {
         Self {
             segment_bytes: 4 << 20,
-            fsync: FsyncPolicy::EveryRecord,
             refresh_every: 1,
             cold_start_min: 0,
         }
@@ -102,9 +100,8 @@ pub(crate) struct Ingest {
 
 /// Why [`Ingest::append`] stopped before the end of its batch.
 enum AppendStop {
-    /// This seq was accepted before: an ack on the client path, a
-    /// divergence on the replicated one.
-    Duplicate(u64),
+    /// The plan's own stop: a seq accepted before or a log mismatch.
+    Plan(Stop),
     /// The WAL write failed; the record may or may not be on disk.
     Wal(io::Error),
 }
@@ -138,7 +135,8 @@ impl Ingest {
         let repl = repl
             .map(|rc| Replication::open(&artifact.source_dir, rc, Arc::clone(&log)).map(Arc::new))
             .transpose()?;
-        let wal = WalWriter::open(&wal_dir, cfg.segment_bytes, cfg.fsync)?;
+        // Every append is fsync'd before its ack: an ack is a durability promise.
+        let wal = WalWriter::open(&wal_dir, cfg.segment_bytes, FsyncPolicy::EveryRecord)?;
         let ingest = Self {
             cfg,
             writer: Mutex::new(WalState { wal, accepted }),
@@ -213,7 +211,7 @@ impl Ingest {
                         ),
                     );
                 }
-                let (count, stop) = self.append(serving, stats, |_| Some(rec));
+                let (count, stop) = self.append(serving, stats, None, vec![rec]);
                 let duplicate = match stop {
                     None => {
                         stats.ingested.fetch_add(1, Ordering::Relaxed);
@@ -222,7 +220,7 @@ impl Ingest {
                     // Exactly-once: this seq was durably accepted before (the
                     // ack may have been lost to a crash or timeout). Ack
                     // again without re-applying anything.
-                    Some(AppendStop::Duplicate(_)) => {
+                    Some(AppendStop::Plan(_)) => {
                         stats.ingest_duplicates.fetch_add(1, Ordering::Relaxed);
                         true
                     }
@@ -273,25 +271,17 @@ impl Ingest {
                     Err(refusal) => return refused(stats, req.id, refusal),
                 };
                 // The batch is a contiguous run of records from log position
-                // `from`, checked whole before anything is applied.
-                // Re-delivery is idempotent twice over: positions at or below
-                // the local count are skipped wholesale, and a new position
-                // whose seq is nonetheless already accepted is a
-                // *divergence* (same position, different history) that
-                // fails closed rather than guessing.
+                // `from`, CRC-checked whole before anything is applied; the
+                // plan skips the positions held (and matching), applies
+                // nothing across a gap — our unchanged count makes the
+                // leader rewind — and fails closed on a divergence.
                 let records = req.records.as_deref().unwrap_or(&[]);
                 if let Some(bad) = records.iter().find(|r| !r.verify()) {
                     let e = format!("replicated record seq {} failed its CRC in transit", bad.seq);
                     return Response::internal(req.id, e);
                 }
-                let (count, stop) = self.append(serving, stats, |count| {
-                    // A gap (`from > count`) applies nothing: reporting our
-                    // unchanged count makes the leader rewind.
-                    let skip = count
-                        .checked_sub(from)
-                        .map_or(records.len(), |s| usize::try_from(s).unwrap_or(usize::MAX));
-                    records.iter().skip(skip).map(WalRecord::from)
-                });
+                let records: Vec<WalRecord> = records.iter().map(WalRecord::from).collect();
+                let (count, stop) = self.append(serving, stats, Some(from), records);
                 match stop {
                     None => {
                         resp.replicated = Some(count);
@@ -299,13 +289,14 @@ impl Ingest {
                         resp
                     }
                     // Applying would double-count and silently fork the shard.
-                    Some(AppendStop::Duplicate(seq)) => Response::internal(
-                        req.id,
-                        format!(
-                            "replication divergence: seq {seq} already applied at an earlier \
-                             position; this replica needs a resync"
-                        ),
-                    ),
+                    Some(AppendStop::Plan(stop)) => {
+                        let why = match stop {
+                            Stop::Duplicate(seq) => format!("seq {seq} already applied earlier"),
+                            Stop::Mismatch(at) => format!("another record held at position {at}"),
+                        };
+                        let e = format!("replication divergence: {why}; it needs a resync");
+                        Response::internal(req.id, e)
+                    }
                     Some(AppendStop::Wal(e)) => {
                         Response::internal(req.id, format!("wal append failed: {e}"))
                     }
@@ -329,29 +320,34 @@ impl Ingest {
         }
     }
 
-    /// The one append path, for client ingest and replicated apply alike.
-    /// Under the writer lock, `pick` gets the log count and names the
-    /// records to append, in order. Each goes to the WAL (fsync per policy),
-    /// then into the dedup set and the log — the only push site. The first
-    /// seq already accepted, or the first WAL failure, stops the batch.
-    /// Then, with the writer lock released, the shippers are woken and the
-    /// towers refreshed once `refresh_every` records wait. Returns the log
-    /// count after the last push (the quorum target) and why the batch
-    /// stopped short, if it did.
-    fn append<I: IntoIterator<Item = WalRecord>>(
+    /// The one append path, for client ingest (`from` absent: the next
+    /// position) and replicated apply alike. Under the writer lock the
+    /// replica state plans the batch against the log; each record it takes
+    /// goes to the WAL (fsync'd), then into the dedup set and the log — the
+    /// only push site. The plan's stop, or the first WAL failure, ends the
+    /// batch. Then, with the writer lock released, the shippers are woken
+    /// and the towers refreshed once `refresh_every` records wait. Returns
+    /// the log count after the last push (the quorum target) and why the
+    /// batch stopped short, if it did.
+    fn append(
         &self,
         serving: &Serving,
         stats: &EngineStats,
-        pick: impl FnOnce(u64) -> I,
+        from: Option<u64>,
+        records: Vec<WalRecord>,
     ) -> (u64, Option<AppendStop>) {
         let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         let mut count = self.log.count();
-        let (mut pending, mut stop) = (0, None);
-        for rec in pick(count) {
-            if writer.accepted.contains(rec.seq) {
-                stop = Some(AppendStop::Duplicate(rec.seq));
-                break;
-            }
+        let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
+        let Plan { skip, take, stop } = ReplicaState::plan_append(
+            count,
+            from.unwrap_or(count),
+            &seqs,
+            |position| self.log.seq_at(position),
+            |seq| writer.accepted.contains(seq),
+        );
+        let (mut pending, mut stop) = (0, stop.map(AppendStop::Plan));
+        for rec in records.into_iter().skip(skip).take(take) {
             match writer.wal.append(&rec) {
                 Ok(bytes) => stats.wal_bytes.fetch_add(bytes, Ordering::Relaxed),
                 Err(e) => {
@@ -623,8 +619,20 @@ impl IngestLog {
     /// Records accepted in all, folded or not: the `replicated_seq`
     /// watermark, and the position the next record takes.
     pub(crate) fn count(&self) -> u64 {
+        self.bounds().0
+    }
+
+    /// `(count, base)`: where the log ends and where it starts.
+    pub(crate) fn bounds(&self) -> (u64, u64) {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.base + inner.records.len() as u64
+        (inner.base + inner.records.len() as u64, inner.base)
+    }
+
+    /// The seq at log `position`, or `None` below the base or past the end.
+    fn seq_at(&self, position: u64) -> Option<u64> {
+        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let index = usize::try_from(position.checked_sub(inner.base)?).ok()?;
+        inner.records.get(index).map(|rec| rec.seq)
     }
 
     /// Appends one accepted record. Returns the new count and how many

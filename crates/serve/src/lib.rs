@@ -52,6 +52,7 @@ pub mod engine;
 mod event_loop;
 pub mod generation;
 pub mod ingest;
+pub mod replica;
 pub mod replication;
 pub mod server;
 pub mod stats;
@@ -65,6 +66,7 @@ pub use engine::{Engine, EngineConfig};
 pub use generation::Generation;
 pub use ingest::{IngestConfig, WAL_DIR};
 pub use rrre_wire::{ErrorKind, FrameDecoder, FrameError, FrameEvent, HealthDto, Op, Request, Response};
+pub use replica::ReplicaState;
 pub use replication::{AckLevel, QuorumError, ReplRole, Replication, ReplicationConfig};
 pub use server::{Server, ServerConfig};
 pub use stats::{EngineStats, FrontendStats, StatsSnapshot};

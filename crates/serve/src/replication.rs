@@ -1,61 +1,36 @@
-//! Intra-shard WAL replication: fenced leader terms, follower shipping and
-//! quorum acks.
+//! Intra-shard WAL replication: the shell around [`ReplicaState`], the
+//! sans-IO core that makes every protocol decision ([`crate::replica`]).
 //!
 //! One replica per shard is the *ingest leader*; the rest are followers.
-//! The leader appends each accepted review to its own WAL (exactly as an
-//! unreplicated engine would), then ships it to every follower through the
-//! `Replicate` wire op — batched, CRC-checked per record, contiguous in
-//! *log position* (the dense count of records accepted, folded ones
-//! included). The shippers and the `replicated_seq` gauge read the engine's
-//! one in-memory store of unfolded records, the same one refresh and
-//! compaction read. Followers persist shipped records to their own WALs
-//! through the engine's one append path, the one client ingest takes, so
-//! redelivery is idempotent at both the position and the sequence-id layer.
+//! The leader appends each accepted review to its own WAL, then ships it to
+//! every follower through the `Replicate` wire op — batched, CRC-checked
+//! per record, contiguous in *log position*. The shippers and the
+//! `replicated_seq` gauge read the engine's one in-memory store of
+//! unfolded records; followers apply shipped records through the engine's
+//! one append path, the one client ingest takes. A record is refused at
+//! ingest when its one-record `Replicate` line could exceed the wire's
+//! `MAX_LINE_BYTES`; the shipper sizes each batch by its records' encoded
+//! length, so every accepted record can always be shipped.
 //!
-//! A record is refused at ingest when its one-record `Replicate` line could
-//! exceed the wire's `MAX_LINE_BYTES`; the shipper sizes each batch by its
-//! records' encoded length, so every accepted record can always be shipped.
-//!
-//! **Ack levels.** At [`AckLevel::Leader`] an ingest ack means what it
-//! always meant: fsync'd on the replica that took the write. At
-//! [`AckLevel::Quorum`] the ack additionally waits until a majority of the
-//! replica set (leader included) holds the record durably — the worker
-//! parks on a condvar that every follower acknowledgment pokes. A write
-//! that cannot reach quorum before the timeout is refused `Unavailable`
-//! *without* retracting local durability: the client retries with the same
-//! seq and the duplicate path waits again.
-//!
-//! **Fencing.** Every replica persists a replication *epoch* (leader term)
-//! in its artifact directory, and every term read off the wire is judged in
-//! one place, `Replication::fence`, under the replication lock. A lower
-//! term is refused with a structured `StaleEpoch`. A higher term on peer
-//! traffic is persisted, installed, ends any local leadership and replaces
-//! the redirect hint, in that order, so memory never runs ahead of disk and
-//! two concurrent terms cannot land out of order. `Promote` installs a
-//! strictly higher epoch and turns the receiving replica into the leader. A
-//! partitioned old leader learns it has been fenced from a higher-term
-//! `Replicate` or from a follower's `StaleEpoch`, and from then on refuses
-//! `IngestReview` with `NotLeader` — it can never ack a write the new
-//! term's quorum does not have.
-//!
-//! **Convergence is push-only.** The leader's shippers are the only way a
-//! record reaches a follower. A follower acks every `Replicate` with its
-//! durable count and the shipper rewinds to it, so a gap heals on the next
-//! frame; every promotion (a same-term peer refresh included) probes each
-//! follower with an empty `Replicate`, and a dead link is redialled every
-//! `RECONNECT_BACKOFF`. A replica no leader ships to — one missing from the
-//! leader's followers and from every `Promote` peer set — receives nothing.
-//!
-//! Each shipper talks to its follower over one [`rrre_client::LineConn`],
-//! the connection every client of the protocol uses: one `Replicate` in
-//! flight, its answer read under the wire's response bound, and the link
-//! redialled after any transport or protocol error.
+//! This module holds the state under the replication lock (its place in
+//! the lock order: the [`crate::ingest`] module docs) and does what the
+//! state's answers name: it writes the epoch file before a term is
+//! installed, runs one shipper thread per follower — each on one
+//! [`rrre_client::LineConn`], redialled every `RECONNECT_BACKOFF` after any
+//! error — and parks quorum waiters on a condvar every follower answer
+//! pokes. At [`AckLevel::Quorum`] an ingest ack waits for a majority of the
+//! replica set (leader included); one that cannot form before the timeout
+//! is refused `Unavailable` *without* retracting local durability, so the
+//! client retries with the same seq. Convergence is push-only: a replica
+//! no leader ships to — one missing from the leader's followers and from
+//! every `Promote` peer set — receives nothing.
 
 use crate::ingest::IngestLog;
-use crate::wal::{replace_durably, WalRecord};
+use crate::replica::{Fenced, Refusal, ReplicaState, Ship, Traffic};
+use crate::wal::WalRecord;
 use rrre_client::LineConn;
+use rrre_tensor::serialize::replace_durably;
 use rrre_wire::{ErrorKind, ReplRecordDto, Request, MAX_LINE_BYTES};
-use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -93,9 +68,9 @@ pub enum AckLevel {
 /// Which side of the replication protocol this replica starts on.
 #[derive(Debug, Clone)]
 pub enum ReplRole {
-    /// Ingest leader: accepts `IngestReview`, ships to `followers`.
-    /// `epoch` is the requested starting term; a higher persisted term
-    /// from an earlier incarnation wins.
+    /// Ingest leader: accepts `IngestReview`, ships to `followers`, at
+    /// term `epoch` — unless an earlier incarnation persisted a higher
+    /// term, which it then only follows ([`ReplicaState::open`]).
     Leader {
         /// Follower replica addresses to ship the WAL to.
         followers: Vec<String>,
@@ -147,64 +122,6 @@ pub enum QuorumError {
     Timeout,
 }
 
-/// What a term read off the wire arrived on, which decides what
-/// `Replication::fence` does with it.
-#[derive(Debug)]
-pub(crate) enum Traffic {
-    /// A client's `IngestReview`: only the acting leader passes, and a
-    /// higher term is not adopted — clients follow leaders, they do not
-    /// name them.
-    Ingest,
-    /// A leader's `Replicate`, or a follower's `StaleEpoch` answer to one,
-    /// naming the leader to redirect clients at when it knows one. A higher
-    /// term is adopted; the same term at its own acting leader is refused.
-    Peer(Option<String>),
-    /// `Promote`: lead the term, shipping to these peers. The same term is
-    /// accepted only as the acting leader's peer-set refresh.
-    Promote(Vec<String>),
-}
-
-/// Why `Replication::fence` refused a term. Nothing changed.
-#[derive(Debug)]
-pub(crate) enum Refusal {
-    /// The term on the wire is below this replica's (for `Promote`, not
-    /// above it).
-    Stale {
-        /// The term on the wire.
-        got: u64,
-        /// This replica's term.
-        current: u64,
-    },
-    /// Client ingest at a replica that is not the acting leader; carries
-    /// the last known leader.
-    NotLeader(Option<String>),
-    /// A `Replicate` at this term reached the acting leader of that term:
-    /// two leaders in one term.
-    SameTermLeader(u64),
-    /// The term could not be persisted.
-    Persist(u64, io::Error),
-}
-
-/// Mutable replication state, all under one lock (its place in the lock
-/// order: the [`crate::ingest`] module docs).
-struct ReplInner {
-    /// Persisted leader term this replica is fenced at.
-    epoch: u64,
-    /// Whether this replica is the acting ingest leader. A leader fenced by
-    /// a higher term is simply not one any more.
-    leader: bool,
-    /// Last known leader address (the `NotLeader` redirect hint).
-    leader_hint: Option<String>,
-    /// Follower addresses the current term ships to (leader only).
-    followers: Vec<String>,
-    /// Durable record count each follower has confirmed.
-    acked: HashMap<String, u64>,
-    /// Shipper generation: bumped by every promotion (same-term peer
-    /// refreshes included), and checked by `shipper_loop` so superseded
-    /// shippers exit instead of running duplicates against the new set.
-    ship_gen: u64,
-}
-
 /// Shared replication state attached to an ingest-enabled engine.
 pub struct Replication {
     /// Ack level for client ingest.
@@ -216,7 +133,7 @@ pub struct Replication {
     /// The engine's store of unfolded records, which the shippers ship
     /// from and whose count is the `replicated_seq` watermark.
     log: Arc<IngestLog>,
-    inner: Mutex<ReplInner>,
+    inner: Mutex<ReplicaState>,
     /// Poked on: log appends (shippers wake), follower acks (quorum
     /// waiters wake), term changes and shutdown (everyone wakes to exit).
     cv: Condvar,
@@ -228,18 +145,11 @@ impl Replication {
     /// Builds the replication state for an artifact directory over the
     /// engine's `log`, loading (or initialising) the persisted epoch.
     pub(crate) fn open(dir: &Path, cfg: ReplicationConfig, log: Arc<IngestLog>) -> io::Result<Self> {
-        let persisted = load_epoch(dir)?;
-        let (epoch, leader, followers, leader_hint) = match cfg.role {
-            ReplRole::Leader { followers, epoch } => {
-                // A higher persisted term always wins: a replica that was
-                // fenced in a previous incarnation must not resurrect the
-                // old term just because its flags say "leader".
-                (persisted.max(epoch).max(1), true, followers, None)
-            }
-            ReplRole::Follower { leader } => (persisted, false, Vec::new(), leader),
-        };
-        if epoch != persisted {
-            persist_epoch(dir, epoch)?;
+        let persist = |epoch| persist_epoch(dir, epoch);
+        let (state, demoted) =
+            ReplicaState::open(load_epoch(dir)?, &cfg.role, cfg.self_addr.clone(), persist)?;
+        if let Some(why) = demoted {
+            eprintln!("rrre-serve: {why}");
         }
         Ok(Self {
             ack: cfg.ack,
@@ -247,21 +157,14 @@ impl Replication {
             self_addr: cfg.self_addr,
             dir: dir.to_path_buf(),
             log,
-            inner: Mutex::new(ReplInner {
-                epoch,
-                leader,
-                leader_hint,
-                followers,
-                acked: HashMap::new(),
-                ship_gen: 0,
-            }),
+            inner: Mutex::new(state),
             cv: Condvar::new(),
             stop: AtomicBool::new(false),
             shippers: Mutex::new(Vec::new()),
         })
     }
 
-    fn lock(&self) -> MutexGuard<'_, ReplInner> {
+    fn lock(&self) -> MutexGuard<'_, ReplicaState> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -276,126 +179,61 @@ impl Replication {
 
     /// Current persisted epoch.
     pub fn current_epoch(&self) -> u64 {
-        self.lock().epoch
+        self.lock().epoch()
     }
 
     /// Whether this replica currently acts as ingest leader (promoted and
     /// not fenced).
     pub fn is_leader(&self) -> bool {
-        self.lock().leader
+        self.lock().is_leader()
     }
 
     /// The `NotLeader` redirect hint.
     pub fn leader_hint(&self) -> Option<String> {
-        self.lock().leader_hint.clone()
+        self.lock().hint().map(str::to_string)
     }
 
     /// `(epoch, replicated_seq, replication_lag)` for the stats snapshot.
     pub fn stats(&self) -> (u64, u64, u64) {
-        let inner = self.lock();
+        let state = self.lock();
         let count = self.log.count();
-        let lag = if inner.leader && !inner.followers.is_empty() {
-            let slowest =
-                inner.followers.iter().map(|f| inner.acked.get(f).copied().unwrap_or(0)).min();
-            count.saturating_sub(slowest.unwrap_or(count))
-        } else {
-            0
-        };
-        (inner.epoch, count, lag)
-    }
-
-    /// Majority size of the replica set (leader + followers).
-    fn quorum_size(followers: usize) -> usize {
-        let replicas = 1 + followers;
-        replicas / 2 + 1
+        (state.epoch(), count, state.lag(count))
     }
 
     /// Blocks until `target` records are durable on a quorum of the
-    /// replica set, the replica is fenced, or the timeout lapses. The
-    /// leader's own copy always counts as one member.
+    /// replica set, the replica is fenced, or the timeout lapses.
     pub fn quorum_wait(&self, target: u64) -> Result<(), QuorumError> {
         let deadline = Instant::now() + self.quorum_timeout;
-        let mut inner = self.lock();
+        let mut state = self.lock();
         loop {
-            if !inner.leader {
-                return Err(QuorumError::Deposed(inner.leader_hint.clone()));
-            }
-            let need = Self::quorum_size(inner.followers.len()) - 1;
-            let have = inner
-                .followers
-                .iter()
-                .filter(|f| inner.acked.get(*f).is_some_and(|&a| a >= target))
-                .count();
-            if have >= need {
-                return Ok(());
+            match state.quorum(target) {
+                Ok(true) => return Ok(()),
+                Err(hint) => return Err(QuorumError::Deposed(hint)),
+                Ok(false) => {}
             }
             let now = Instant::now();
             if now >= deadline {
                 return Err(QuorumError::Timeout);
             }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(inner, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            inner = guard;
+            let left = deadline - now;
+            state = self.cv.wait_timeout(state, left).unwrap_or_else(|e| e.into_inner()).0;
         }
     }
 
-    /// The one judge of a term read off the wire (`epoch`; absent, the
-    /// current term). Under the replication lock it refuses a term below
-    /// this replica's. A higher term on `Traffic::Peer` is adopted in this
-    /// order: persisted, installed, leadership dropped, the redirect hint
-    /// replaced by the one the traffic names (none if it names none).
-    /// `Traffic::Promote` installs leadership the same way. Returns the
-    /// term in force afterwards.
+    /// Fences a term read off the wire (`epoch`; absent, the current term)
+    /// under the replication lock: the state judges it and, for a new
+    /// term, the epoch file is written before the state installs it.
+    /// Returns the term in force afterwards.
     pub(crate) fn fence(&self, epoch: Option<u64>, traffic: Traffic) -> Result<u64, Refusal> {
-        let mut inner = self.lock();
-        let current = inner.epoch;
-        let got = epoch.unwrap_or(current);
-        if got < current {
-            return Err(Refusal::Stale { got, current });
-        }
-        match traffic {
-            Traffic::Ingest if !inner.leader => {
-                return Err(Refusal::NotLeader(inner.leader_hint.clone()));
-            }
-            Traffic::Ingest => return Ok(current),
-            Traffic::Peer(hint) if got > current => {
-                self.install(&mut inner, got)?;
-                inner.leader = false;
-                inner.leader_hint = hint;
-            }
-            Traffic::Peer(_) if inner.leader => return Err(Refusal::SameTermLeader(got)),
-            Traffic::Peer(hint) => {
-                if hint.is_some() {
-                    inner.leader_hint = hint;
-                }
-                return Ok(current);
-            }
-            Traffic::Promote(_) if got == current && !inner.leader => {
-                return Err(Refusal::Stale { got, current });
-            }
-            Traffic::Promote(peers) => {
-                self.install(&mut inner, got)?;
-                inner.leader = true;
-                inner.leader_hint = self.self_addr.clone();
-                inner.followers = peers;
-                inner.acked.clear();
-                inner.ship_gen += 1;
-            }
-        }
+        let mut state = self.lock();
+        let term = match state.fence(epoch, &traffic)? {
+            Fenced::Current(term) if !matches!(traffic, Traffic::Promote(_)) => return Ok(term),
+            Fenced::Current(term) => term,
+            Fenced::Adopt(term) => state.install(term, &traffic, |e| persist_epoch(&self.dir, e))?,
+        };
         // Shippers of the old term and quorum waiters re-check and leave.
         self.cv.notify_all();
-        Ok(got)
-    }
-
-    /// Persists `epoch`, then installs it; a failed write installs nothing.
-    fn install(&self, inner: &mut ReplInner, epoch: u64) -> Result<(), Refusal> {
-        if epoch != inner.epoch {
-            persist_epoch(&self.dir, epoch).map_err(|e| Refusal::Persist(epoch, e))?;
-            inner.epoch = epoch;
-        }
-        Ok(())
+        Ok(term)
     }
 
     /// Installs this replica as leader under `epoch` (strictly higher than
@@ -413,8 +251,9 @@ impl Replication {
     /// Spawns one shipper thread per follower of the *current* promotion.
     pub(crate) fn spawn_shippers(self: &Arc<Self>) {
         let (epoch, gen, followers) = {
-            let inner = self.lock();
-            (inner.epoch, inner.ship_gen, inner.followers.clone())
+            let state = self.lock();
+            let (followers, gen) = state.shipping();
+            (state.epoch(), gen, followers.to_vec())
         };
         let mut handles = self.shippers.lock().unwrap_or_else(|e| e.into_inner());
         // Superseded shippers exit on their own (they check the epoch and
@@ -446,14 +285,14 @@ impl Replication {
     }
 }
 
-/// One follower's shipping loop: waits for log growth past the follower's
-/// confirmed count, sends a contiguous CRC-stamped batch, and rewinds to
-/// whatever durable count the follower reports. Exits when the term
-/// changes, a newer promotion supersedes this shipper's generation, the
-/// leader is fenced, or the engine stops.
+/// One follower's shipping loop: under the replication lock the state
+/// names what to ship (or to wait, park or exit); the batch is read from
+/// the log, sized, sent without the lock, and the follower's answer handed
+/// back to the state. Exits when the state says this shipper's term,
+/// promotion or leadership is gone, or the engine stops.
 fn shipper_loop(repl: &Arc<Replication>, addr: &str, my_epoch: u64, my_gen: u64) {
     let mut conn: Option<LineConn> = None;
-    let mut link_failures = 0u64;
+    let (mut link_failures, mut diverged) = (0u64, 0u64);
     let self_addr = repl.self_addr.as_deref();
     // Record bytes one line may carry: the soft budget, and never more than
     // the follower's line cap leaves beside the widest envelope.
@@ -462,34 +301,28 @@ fn shipper_loop(repl: &Arc<Replication>, addr: &str, my_epoch: u64, my_gen: u64)
         .min(BATCH_BYTE_BUDGET);
     loop {
         // Decide what to ship under the lock; never hold it across I/O.
-        let (epoch, from, mut batch) = {
-            let mut inner = repl.lock();
+        let (from, mut batch) = {
+            let mut state = repl.lock();
             loop {
-                if repl.stopping()
-                    || inner.epoch != my_epoch
-                    || inner.ship_gen != my_gen
-                    || !inner.leader
-                {
+                if repl.stopping() {
                     return;
                 }
-                let count = repl.log.count();
-                let park = match inner.acked.get(addr).copied() {
-                    // Position unknown: probe with an empty batch so the
-                    // follower tells us its durable count.
-                    None => break (inner.epoch, count, Vec::new()),
-                    Some(a) if a < count => match repl.log.read(a, BATCH_MAX) {
-                        Ok(batch) => break (inner.epoch, a, batch),
-                        // The follower is behind records this process never
-                        // saw (folded before open, or since). Shipping cannot
-                        // catch it up; it must pull a full artifact resync
-                        // out of band. Park until the term changes rather
-                        // than spinning.
-                        Err(_) => Duration::from_millis(500),
-                    },
-                    // Fully caught up: wait for appends (or exit signals).
-                    Some(_) => Duration::from_millis(200),
-                };
-                inner = repl.cv.wait_timeout(inner, park).unwrap_or_else(|e| e.into_inner()).0;
+                let (count, base) = repl.log.bounds();
+                match state.ship(addr, my_epoch, my_gen, count, base) {
+                    Ship::Exit => return,
+                    Ship::Send(from) => {
+                        // Unreadable only if a compaction moved the base
+                        // since `bounds`: wait like any follower below it.
+                        if let Ok(batch) = repl.log.read(from, BATCH_MAX) {
+                            break (from, batch);
+                        }
+                    }
+                    // Caught up, or below the base: wait for appends (or
+                    // exit signals).
+                    Ship::Wait => {}
+                }
+                let wait = Duration::from_millis(200);
+                state = repl.cv.wait_timeout(state, wait).unwrap_or_else(|e| e.into_inner()).0;
             }
         };
         // Size by encoded length, not text length: JSON escaping can
@@ -502,7 +335,8 @@ fn shipper_loop(repl: &Arc<Replication>, addr: &str, my_epoch: u64, my_gen: u64)
             bytes > room
         });
         batch.truncate(over.map_or(batch.len(), |i| i.max(1)));
-        let req = replicate_request(epoch, from, batch, self_addr);
+        repl.lock().sent(addr, (my_epoch, my_gen), from, batch.len() as u64);
+        let req = replicate_request(my_epoch, from, batch, self_addr);
         // Any error leaves the link at an unknown point: drop it, redial.
         let shipped = match conn.take() {
             Some(link) => Ok(link),
@@ -525,9 +359,18 @@ fn shipper_loop(repl: &Arc<Replication>, addr: &str, my_epoch: u64, my_gen: u64)
         };
         link_failures = 0;
         match (resp.ok, resp.replicated) {
-            (true, Some(confirmed)) => {
-                repl.lock().acked.insert(addr.to_string(), confirmed);
-                repl.notify();
+            (true, Some(count)) => {
+                let own = repl.log.count();
+                let absorbed = repl.lock().absorb(addr, (my_epoch, my_gen), count, own);
+                match absorbed {
+                    Err(count) => {
+                        let why = format!("its log diverged ({count} records to our {own})");
+                        log_link_failure(&mut diverged, addr, &why);
+                        std::thread::sleep(RECONNECT_BACKOFF);
+                    }
+                    Ok(true) => repl.notify(),
+                    Ok(false) => {}
+                }
             }
             // A follower already serves a higher term. Adopting it ends this
             // replica's leadership, and with it this shipper.
@@ -641,9 +484,11 @@ mod tests {
         assert_eq!(load_epoch(&dir).unwrap(), 1);
         persist_epoch(&dir, 7).unwrap();
         // Reopening as leader with a stale requested epoch keeps the
-        // persisted (higher) term — a fenced replica can't self-unfence.
+        // persisted (higher) term — a fenced replica can't self-unfence —
+        // and follows it: the term may be another replica's.
         let repl = open(&dir, leader_cfg(vec![], 2));
         assert_eq!(repl.current_epoch(), 7);
+        assert!(!repl.is_leader());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -654,8 +499,10 @@ mod tests {
         // 3-replica set: quorum is 2, so one follower ack releases.
         assert_eq!(repl.quorum_wait(1), Err(QuorumError::Timeout));
         {
-            let mut inner = repl.lock();
-            inner.acked.insert("f1".into(), 5);
+            let mut state = repl.lock();
+            let gen = state.shipping().1;
+            state.sent("f1", (1, gen), 0, 5);
+            assert_eq!(state.absorb("f1", (1, gen), 5, 5), Ok(true));
         }
         repl.notify();
         assert_eq!(repl.quorum_wait(5), Ok(()));
@@ -740,9 +587,12 @@ mod tests {
         let cfg = leader_cfg(vec!["f1".into(), "f2".into()], 1);
         let repl = Replication::open(&dir, cfg, Arc::clone(&log)).unwrap();
         {
-            let mut inner = repl.lock();
-            inner.acked.insert("f1".into(), 14);
-            inner.acked.insert("f2".into(), 11);
+            let mut state = repl.lock();
+            let gen = state.shipping().1;
+            state.sent("f1", (1, gen), 10, 4);
+            state.sent("f2", (1, gen), 10, 1);
+            assert_eq!(state.absorb("f1", (1, gen), 14, 14), Ok(true));
+            assert_eq!(state.absorb("f2", (1, gen), 11, 14), Ok(true));
         }
         assert_eq!(repl.stats(), (1, 14, 3), "lag is to the slowest follower");
         // Replication reads the engine's store itself: one push moves it.

@@ -38,6 +38,7 @@
 //! The ledger's in-memory complement, every accepted record the artifact
 //! does not yet hold, is the `ingest` module's `IngestLog`.
 
+use rrre_tensor::serialize::{replace_durably, sync_dir};
 use rrre_wire::{crc32, ReplRecordDto};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -479,25 +480,6 @@ pub fn load_ledger(artifact_dir: &Path) -> io::Result<IngestLedger> {
 pub fn save_ledger(dir: &Path, ledger: &IngestLedger) -> io::Result<()> {
     let json = serde_json::to_string(ledger).map_err(io::Error::other)?;
     replace_durably(dir, LEDGER_FILE, json.as_bytes())
-}
-
-/// Replaces `dir/name` with `bytes` so that a crash at any point leaves
-/// either the old contents or the new: write a sibling `.tmp`, fsync it,
-/// rename it over `name`, then fsync `dir`. Two concurrent calls for one
-/// file share the tmp, so callers serialise them.
-pub(crate) fn replace_durably(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
-    let tmp = dir.join(format!("{name}.tmp"));
-    let mut f = File::create(&tmp)?;
-    f.write_all(bytes)?;
-    f.sync_data()?;
-    fs::rename(&tmp, dir.join(name))?;
-    sync_dir(dir)
-}
-
-/// Fsyncs a directory. A create, rename or delete lives in the directory,
-/// not the file: without this a power loss may roll the entry back.
-fn sync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
 }
 
 /// Staging directory of the two-phase artifact commit: a sibling of the

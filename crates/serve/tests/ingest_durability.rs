@@ -23,7 +23,7 @@ use rrre_core::{explain_with, ColdStartPrior};
 use rrre_data::ItemId;
 use rrre_serve::artifact::{MANIFEST_FILE, MODEL_FILE};
 use rrre_wire::{ExplanationDto, PredictionDto};
-use rrre_serve::wal::{self, FsyncPolicy, IngestLedger, SeqSet};
+use rrre_serve::wal::{self, IngestLedger, SeqSet};
 use rrre_serve::{Engine, EngineConfig, IngestConfig, ModelArtifact, Request, WAL_DIR};
 use rrre_testkit::fault::{flip_byte, shave_tail, wal_segments};
 use rrre_testkit::{trained_fixture, Fixture, TempDir};
@@ -37,7 +37,7 @@ fn saved_fixture(tag: &str) -> (TempDir, Fixture) {
 }
 
 fn ingest_cfg() -> IngestConfig {
-    IngestConfig { fsync: FsyncPolicy::EveryRecord, refresh_every: 1, ..IngestConfig::default() }
+    IngestConfig { refresh_every: 1, ..IngestConfig::default() }
 }
 
 fn open(dir: &Path, ingest: IngestConfig) -> Engine {

@@ -7,7 +7,8 @@
 //! * concurrent higher terms only ever move the epoch forward, in memory and
 //!   on disk alike, and every lower one is refused `StaleEpoch`;
 //! * a higher-term `Replicate` deposes a leader, which then redirects
-//!   ingest with `NotLeader` and keeps the term across a reopen;
+//!   ingest with `NotLeader` and keeps the term — as a follower — across a
+//!   reopen with its old flags;
 //! * a fenced leader never names itself as the leader, whether the higher
 //!   term arrived in a `Replicate` or as a follower's refusal of its shipper;
 //! * a stale-term `IngestReview` is refused before the WAL;
@@ -131,14 +132,15 @@ fn a_higher_term_replicate_deposes_the_leader_and_the_term_survives_a_reopen() {
     assert_eq!(resp.kind, Some(ErrorKind::NotLeader));
 
     // The adopted term survives a restart (it was persisted before it was
-    // installed).
+    // installed), and the old flags do not make the replica lead it: term
+    // 5 has its own leader.
     drop(engine);
     let reopened = open_leader(dir.path(), 1);
-    assert_eq!(
-        reopened.replication().unwrap().current_epoch(),
-        5,
-        "a fenced replica must not resurrect its old term on reopen"
-    );
+    let repl = reopened.replication().unwrap();
+    assert_eq!(repl.current_epoch(), 5, "a fenced replica must not resurrect its old term on reopen");
+    assert!(!repl.is_leader(), "a leader restarted below its persisted term leads that term");
+    let resp = reopened.submit(Request::ingest_review(2, 0, 0, 4.0, "restarted", 2));
+    assert_eq!(resp.kind, Some(ErrorKind::NotLeader), "{:?}", resp.error);
 }
 
 /// The redirect a fenced replica hands a client: `NotLeader`, naming

@@ -59,7 +59,7 @@ pub mod nn;
 pub mod optim;
 mod ops;
 mod params;
-mod serialize;
+pub mod serialize;
 mod tape;
 mod tensor;
 

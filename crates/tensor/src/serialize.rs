@@ -14,11 +14,34 @@
 //!
 //! Gradients are not persisted — a checkpoint restores weights, not
 //! optimiser state.
+//!
+//! The module also holds the workspace's one durable file replace,
+//! [`replace_durably`], and [`sync_dir`]: training checkpoints and the
+//! serving write path's ledger and epoch file all commit through them.
 
 use crate::{Params, Tensor};
-use std::fs::File;
+use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+
+/// Replaces `dir/name` with `bytes` so that a crash at any point leaves
+/// either the old contents or the new: write a sibling `.tmp`, fsync it,
+/// rename it over `name`, then fsync `dir`. Two concurrent calls for one
+/// file share the tmp, so callers serialise them.
+pub fn replace_durably(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
+    let tmp = dir.join(format!("{name}.tmp"));
+    let mut f = File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_data()?;
+    fs::rename(&tmp, dir.join(name))?;
+    sync_dir(dir)
+}
+
+/// Fsyncs a directory. A create, rename or delete lives in the directory,
+/// not the file: without this a power loss may roll the entry back.
+pub fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
+}
 
 const MAGIC: &[u8; 4] = b"RRRP";
 const VERSION: u32 = 1;

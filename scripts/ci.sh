@@ -2,7 +2,11 @@
 # Full local gate: a list of cargo invocations. Every drill is a Rust test
 # the workspace run executes — the process-level ones (durable ingest across
 # a real process death, leader change with fenced promote) spawn the real
-# rrre-serve binary from crates/serve/tests/cli.rs.
+# rrre-serve binary from crates/serve/tests/cli.rs — and the replication
+# simulator (crates/testkit/tests/replica_sim.rs: an exhaustive two-replica
+# search, 1 000 seeded three-replica schedules and the recorded schedules,
+# seeds and bounds fixed in code; a failure prints its seed and shrunk
+# schedule) runs inside `cargo test --workspace`.
 # Run from anywhere; operates on the repo this script lives in.
 set -euo pipefail
 cd "$(dirname "$0")/.."
