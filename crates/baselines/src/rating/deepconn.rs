@@ -9,12 +9,13 @@
 //! documented CPU-budget simplification that applies equally to every model
 //! here).
 
-use rrre_data::repr::{concat_document, embed_document, item_input_reviews, user_input_reviews};
+use super::neural::{train_mean, Fitted, PairNet, Schedule};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
+use rrre_data::repr::{concat_document, embed_document, item_input_reviews, user_input_reviews};
 use rrre_data::{Dataset, DatasetIndex, EncodedCorpus};
 use rrre_tensor::nn::{Conv1dMaxPool, FactorizationMachine, Linear};
-use rrre_tensor::{optim::Adam, Params, Tape, Tensor};
+use rrre_tensor::{Executor, Params};
 
 /// DeepCoNN hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -62,9 +63,11 @@ impl Default for DeepConnConfig {
 }
 
 /// Trained DeepCoNN model.
-pub struct DeepConn {
-    cfg: DeepConnConfig,
-    params: Params,
+pub type DeepConn = Fitted<DeepConnNet>;
+
+/// DeepCoNN's network: a CNN tower per side over the entity's review
+/// document and an FM prediction layer.
+pub struct DeepConnNet {
     user_conv: Conv1dMaxPool,
     item_conv: Conv1dMaxPool,
     user_fc: Linear,
@@ -79,71 +82,42 @@ pub struct DeepConn {
 impl DeepConn {
     /// Trains on the listed review indices.
     pub fn fit(ds: &Dataset, corpus: &EncodedCorpus, train: &[usize], cfg: DeepConnConfig) -> Self {
-        assert!(!train.is_empty(), "DeepConn::fit: empty training set");
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut params = Params::new();
+        let p = &mut params;
         let dim = corpus.embed_dim();
-        let user_conv = Conv1dMaxPool::new(&mut params, &mut rng, "deepconn.user.conv", dim, cfg.conv_width, cfg.filters);
-        let item_conv = Conv1dMaxPool::new(&mut params, &mut rng, "deepconn.item.conv", dim, cfg.conv_width, cfg.filters);
-        let user_fc = Linear::new(&mut params, &mut rng, "deepconn.user.fc", cfg.filters, cfg.latent);
-        let item_fc = Linear::new(&mut params, &mut rng, "deepconn.item.fc", cfg.filters, cfg.latent);
-        let fm = FactorizationMachine::new(&mut params, &mut rng, "deepconn.fm", 2 * cfg.latent, cfg.fm_factors);
-
-        let index = ds.index();
-        let (user_docs, item_docs) = build_documents(ds, corpus, &index, &cfg);
-        let mean_rating = train.iter().map(|&i| ds.reviews[i].rating).sum::<f32>() / train.len() as f32;
-
-        let mut model =
-            Self { cfg, params, user_conv, item_conv, user_fc, item_fc, fm, user_docs, item_docs, mean_rating };
-        let mut opt = Adam::new(cfg.lr);
-        let mut order: Vec<usize> = train.to_vec();
-
-        for _ in 0..cfg.epochs {
-            for i in (1..order.len()).rev() {
-                order.swap(i, rng.gen_range(0..=i));
-            }
-            for chunk in order.chunks(cfg.batch_size) {
-                model.params.zero_grads();
-                for &ri in chunk {
-                    let r = &ds.reviews[ri];
-                    let mut tape = Tape::new();
-                    let pred = model.forward(&mut tape, corpus, r.user.index(), r.item.index());
-                    let loss = tape.mse(pred, &Tensor::scalar(r.rating));
-                    let scaled = tape.scale(loss, 1.0 / chunk.len() as f32);
-                    tape.backward(scaled, &mut model.params);
-                }
-                model.params.apply_l2_grad(model.cfg.l2);
-                opt.step(&mut model.params);
-            }
-        }
-        model
+        let user_conv = Conv1dMaxPool::new(p, &mut rng, "deepconn.user.conv", dim, cfg.conv_width, cfg.filters);
+        let item_conv = Conv1dMaxPool::new(p, &mut rng, "deepconn.item.conv", dim, cfg.conv_width, cfg.filters);
+        let user_fc = Linear::new(p, &mut rng, "deepconn.user.fc", cfg.filters, cfg.latent);
+        let item_fc = Linear::new(p, &mut rng, "deepconn.item.fc", cfg.filters, cfg.latent);
+        let fm = FactorizationMachine::new(p, &mut rng, "deepconn.fm", 2 * cfg.latent, cfg.fm_factors);
+        let (user_docs, item_docs) = build_documents(ds, corpus, &ds.index(), &cfg);
+        let mean_rating = train_mean(ds, train);
+        let net = DeepConnNet { user_conv, item_conv, user_fc, item_fc, fm, user_docs, item_docs, mean_rating };
+        let schedule = Schedule { lr: cfg.lr, epochs: cfg.epochs, batch_size: cfg.batch_size, l2: cfg.l2 };
+        Fitted::train(net, params, &mut rng, ds, corpus, train, schedule)
     }
+}
 
-    fn forward(&self, tape: &mut Tape, corpus: &EncodedCorpus, user: usize, item: usize) -> rrre_tensor::Var {
-        let u_seq = tape.constant(embed_document(corpus, &self.user_docs[user]));
-        let i_seq = tape.constant(embed_document(corpus, &self.item_docs[item]));
-        let u_pool = self.user_conv.forward(tape, &self.params, u_seq);
-        let i_pool = self.item_conv.forward(tape, &self.params, i_seq);
-        let u_lat = self.user_fc.forward(tape, &self.params, u_pool);
-        let i_lat = self.item_fc.forward(tape, &self.params, i_pool);
-        let joint = tape.concat_cols(&[u_lat, i_lat]);
-        let residual = self.fm.forward(tape, &self.params, joint);
-        tape.add_scalar(residual, self.mean_rating)
-    }
-
-    /// Predicted rating for a user–item pair, clamped to the star range.
-    pub fn predict(&self, corpus: &EncodedCorpus, user: rrre_data::UserId, item: rrre_data::ItemId) -> f32 {
-        let mut tape = Tape::new();
-        let pred = self.forward(&mut tape, corpus, user.index(), item.index());
-        tape.value(pred).item().clamp(1.0, 5.0)
-    }
-
-    /// Predictions for the listed review indices.
-    pub fn predict_reviews(&self, ds: &Dataset, corpus: &EncodedCorpus, indices: &[usize]) -> Vec<f32> {
-        indices
-            .iter()
-            .map(|&i| self.predict(corpus, ds.reviews[i].user, ds.reviews[i].item))
-            .collect()
+impl PairNet for DeepConnNet {
+    fn forward<'p, E: Executor<'p>>(
+        &self,
+        ex: &mut E,
+        params: &'p Params,
+        _ds: &Dataset,
+        corpus: &EncodedCorpus,
+        user: usize,
+        item: usize,
+    ) -> E::V {
+        let u_seq = ex.constant(embed_document(corpus, &self.user_docs[user]));
+        let i_seq = ex.constant(embed_document(corpus, &self.item_docs[item]));
+        let u_pool = self.user_conv.forward(ex, params, u_seq);
+        let i_pool = self.item_conv.forward(ex, params, i_seq);
+        let u_lat = self.user_fc.forward(ex, params, u_pool);
+        let i_lat = self.item_fc.forward(ex, params, i_pool);
+        let joint = ex.concat_cols(&[&u_lat, &i_lat]);
+        let residual = self.fm.forward(ex, params, joint);
+        ex.add_scalar(residual, self.mean_rating)
     }
 }
 

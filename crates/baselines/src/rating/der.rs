@@ -11,12 +11,13 @@
 //! average under three reviews — too short a history for a sequence model —
 //! and the same effect reproduces here.
 
-use rrre_data::repr::{item_input_reviews, user_input_reviews, ReviewVectors};
+use super::neural::{train_mean, Fitted, PairNet, Schedule};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rrre_data::{Dataset, DatasetIndex, EncodedCorpus};
+use rand::SeedableRng;
+use rrre_data::repr::{item_input_reviews, user_input_reviews, ReviewVectors};
+use rrre_data::{Dataset, DatasetIndex, EncodedCorpus, ItemId, UserId};
 use rrre_tensor::nn::{Embedding, FactorizationMachine, Gru, Linear};
-use rrre_tensor::{optim::Adam, Params, Tape, Tensor, Var};
+use rrre_tensor::{Executor, Params, Tensor};
 
 /// DER hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -58,9 +59,12 @@ impl Default for DerConfig {
 }
 
 /// Trained DER model.
-pub struct Der {
+pub type Der = Fitted<DerNet>;
+
+/// DER's network: a time-aware GRU over the user's history, a static item
+/// profile, ID embeddings and an FM prediction layer.
+pub struct DerNet {
     cfg: DerConfig,
-    params: Params,
     user_emb: Embedding,
     item_emb: Embedding,
     gru: Gru,
@@ -75,46 +79,28 @@ pub struct Der {
 impl Der {
     /// Trains on the listed review indices.
     pub fn fit(ds: &Dataset, corpus: &EncodedCorpus, train: &[usize], cfg: DerConfig) -> Self {
-        assert!(!train.is_empty(), "Der::fit: empty training set");
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut params = Params::new();
+        let p = &mut params;
         let dim = corpus.embed_dim();
-        let user_emb = Embedding::new(&mut params, &mut rng, "der.user_emb", ds.n_users, cfg.hidden);
-        let item_emb = Embedding::new(&mut params, &mut rng, "der.item_emb", ds.n_items, cfg.hidden);
-        // +1 input column: the log time-gap feature.
-        let gru = Gru::new(&mut params, &mut rng, "der.gru", dim + 1, cfg.hidden);
-        let item_fc = Linear::new(&mut params, &mut rng, "der.item_fc", dim, cfg.hidden);
-        let fm = FactorizationMachine::new(&mut params, &mut rng, "der.fm", 2 * cfg.hidden, cfg.fm_factors);
-
-        let review_vectors = ReviewVectors::build(ds, corpus);
-        let index = ds.index();
-        let mean_rating = train.iter().map(|&i| ds.reviews[i].rating).sum::<f32>() / train.len() as f32;
-        let mut model =
-            Self { cfg, params, user_emb, item_emb, gru, item_fc, fm, review_vectors, index, mean_rating };
-
-        let mut opt = Adam::new(cfg.lr);
-        let mut order: Vec<usize> = train.to_vec();
-        for _ in 0..cfg.epochs {
-            for i in (1..order.len()).rev() {
-                order.swap(i, rng.gen_range(0..=i));
-            }
-            for chunk in order.chunks(cfg.batch_size) {
-                model.params.zero_grads();
-                for &ri in chunk {
-                    let r = &ds.reviews[ri];
-                    let mut tape = Tape::new();
-                    let pred = model.forward(&mut tape, ds, r.user.index(), r.item.index());
-                    let loss = tape.mse(pred, &Tensor::scalar(r.rating));
-                    let scaled = tape.scale(loss, 1.0 / chunk.len() as f32);
-                    tape.backward(scaled, &mut model.params);
-                }
-                model.params.apply_l2_grad(model.cfg.l2);
-                opt.step(&mut model.params);
-            }
-        }
-        model
+        let net = DerNet {
+            cfg,
+            user_emb: Embedding::new(p, &mut rng, "der.user_emb", ds.n_users, cfg.hidden),
+            item_emb: Embedding::new(p, &mut rng, "der.item_emb", ds.n_items, cfg.hidden),
+            // +1 input column: the log time-gap feature.
+            gru: Gru::new(p, &mut rng, "der.gru", dim + 1, cfg.hidden),
+            item_fc: Linear::new(p, &mut rng, "der.item_fc", dim, cfg.hidden),
+            fm: FactorizationMachine::new(p, &mut rng, "der.fm", 2 * cfg.hidden, cfg.fm_factors),
+            review_vectors: ReviewVectors::build(ds, corpus),
+            index: ds.index(),
+            mean_rating: train_mean(ds, train),
+        };
+        let schedule = Schedule { lr: cfg.lr, epochs: cfg.epochs, batch_size: cfg.batch_size, l2: cfg.l2 };
+        Fitted::train(net, params, &mut rng, ds, corpus, train, schedule)
     }
+}
 
+impl DerNet {
     /// Builds the `[T, dim+1]` time-augmented history sequence of a user.
     fn user_sequence(&self, ds: &Dataset, reviews: &[usize]) -> Tensor {
         let dim = self.review_vectors.dim();
@@ -129,53 +115,48 @@ impl Der {
         }
         seq
     }
+}
 
-    fn forward(&self, tape: &mut Tape, ds: &Dataset, user: usize, item: usize) -> Var {
+impl PairNet for DerNet {
+    fn forward<'p, E: Executor<'p>>(
+        &self,
+        ex: &mut E,
+        params: &'p Params,
+        ds: &Dataset,
+        _corpus: &EncodedCorpus,
+        user: usize,
+        item: usize,
+    ) -> E::V {
         let cfg = &self.cfg;
-        let u_revs = user_input_reviews(&self.index, rrre_data::UserId(user as u32), cfg.s_u);
-        let i_revs = item_input_reviews(&self.index, rrre_data::ItemId(item as u32), cfg.s_i);
+        let u_revs = user_input_reviews(&self.index, UserId(user as u32), cfg.s_u);
+        let i_revs = item_input_reviews(&self.index, ItemId(item as u32), cfg.s_i);
 
         // Dynamic user state from the GRU over the time-ordered history.
         let u_dyn = if u_revs.is_empty() {
-            tape.constant(Tensor::zeros(1, cfg.hidden))
+            ex.constant(Tensor::zeros(1, cfg.hidden))
         } else {
-            let seq = tape.constant(self.user_sequence(ds, &u_revs));
-            self.gru.forward_final(tape, &self.params, seq)
+            let seq = ex.constant(self.user_sequence(ds, &u_revs));
+            self.gru.forward_final(ex, params, seq)
         };
         // Static item profile: mean review content, densely projected.
         let i_profile = if i_revs.is_empty() {
-            tape.constant(Tensor::zeros(1, cfg.hidden))
+            ex.constant(Tensor::zeros(1, cfg.hidden))
         } else {
             let (matrix, mask) = self.review_vectors.stack_padded(&i_revs, cfg.s_i);
             let real = mask.iter().filter(|&&b| b).count().max(1) as f32;
-            let m = tape.constant(matrix);
-            let summed = tape.sum_rows(m);
-            let mean = tape.scale(summed, 1.0 / real);
-            self.item_fc.forward(tape, &self.params, mean)
+            let m = ex.constant(matrix);
+            let summed = ex.sum_rows(&m);
+            let mean = ex.scale(summed, 1.0 / real);
+            self.item_fc.forward(ex, params, mean)
         };
 
-        let u_id = self.user_emb.forward(tape, &self.params, &[user]);
-        let i_id = self.item_emb.forward(tape, &self.params, &[item]);
-        let x_u = tape.add(u_id, u_dyn);
-        let y_i = tape.add(i_id, i_profile);
-        let joint = tape.concat_cols(&[x_u, y_i]);
-        let residual = self.fm.forward(tape, &self.params, joint);
-        tape.add_scalar(residual, self.mean_rating)
-    }
-
-    /// Predicted rating for a user–item pair, clamped to the star range.
-    pub fn predict(&self, ds: &Dataset, user: rrre_data::UserId, item: rrre_data::ItemId) -> f32 {
-        let mut tape = Tape::new();
-        let pred = self.forward(&mut tape, ds, user.index(), item.index());
-        tape.value(pred).item().clamp(1.0, 5.0)
-    }
-
-    /// Predictions for the listed review indices.
-    pub fn predict_reviews(&self, ds: &Dataset, indices: &[usize]) -> Vec<f32> {
-        indices
-            .iter()
-            .map(|&i| self.predict(ds, ds.reviews[i].user, ds.reviews[i].item))
-            .collect()
+        let u_id = self.user_emb.forward(ex, params, &[user]);
+        let i_id = self.item_emb.forward(ex, params, &[item]);
+        let x_u = ex.add(u_id, &u_dyn);
+        let y_i = ex.add(i_id, &i_profile);
+        let joint = ex.concat_cols(&[&x_u, &y_i]);
+        let residual = self.fm.forward(ex, params, joint);
+        ex.add_scalar(residual, self.mean_rating)
     }
 }
 
@@ -208,7 +189,7 @@ mod tests {
         let cfg = DerConfig { epochs: 6, s_u: 4, s_i: 8, hidden: 8, ..Default::default() };
         let model = Der::fit(&ds, &corpus, &split.train, cfg);
 
-        let preds = model.predict_reviews(&ds, &split.test);
+        let preds = model.predict_reviews(&ds, &corpus, &split.test);
         let targets: Vec<f32> = split.test.iter().map(|&i| ds.reviews[i].rating).collect();
         let model_rmse = rmse(&preds, &targets);
         let mean = split.train.iter().map(|&i| ds.reviews[i].rating).sum::<f32>() / split.train.len() as f32;
@@ -229,8 +210,8 @@ mod tests {
             .find(|&u| index.user_degree(rrre_data::UserId(u as u32)) >= 2)
             .expect("some user with two reviews");
         let revs = index.user_reviews(rrre_data::UserId(user as u32)).to_vec();
-        let seq = model.user_sequence(&ds, &revs);
-        let dim = model.review_vectors.dim();
+        let seq = model.net.user_sequence(&ds, &revs);
+        let dim = model.net.review_vectors.dim();
         assert_eq!(seq.get(0, dim), 0.0);
         assert!(seq.get(1, dim) >= 0.0);
     }

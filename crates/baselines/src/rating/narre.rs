@@ -13,12 +13,13 @@
 //! the uniform CPU-budget simplification of this reproduction, applied to
 //! RRRE's frozen mode as well).
 
-use rrre_data::repr::{item_input_reviews, user_input_reviews, ReviewVectors};
+use super::neural::{train_mean, Fitted, PairNet, Schedule};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rrre_data::{Dataset, DatasetIndex, EncodedCorpus};
+use rand::SeedableRng;
+use rrre_data::repr::{item_input_reviews, user_input_reviews, ReviewVectors};
+use rrre_data::{Dataset, DatasetIndex, EncodedCorpus, ItemId, UserId};
 use rrre_tensor::nn::{AttentionPool, Embedding, FactorizationMachine, Linear};
-use rrre_tensor::{optim::Adam, Params, Tape, Tensor, Var};
+use rrre_tensor::{Executor, Params, Tensor};
 
 /// NARRE hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -63,9 +64,12 @@ impl Default for NarreConfig {
 }
 
 /// Trained NARRE model.
-pub struct Narre {
+pub type Narre = Fitted<NarreNet>;
+
+/// NARRE's network: ID embeddings, one review-attention tower per side and
+/// an FM prediction layer.
+pub struct NarreNet {
     cfg: NarreConfig,
-    params: Params,
     user_emb: Embedding,
     item_emb: Embedding,
     user_attn: AttentionPool,
@@ -82,78 +86,49 @@ pub struct Narre {
 impl Narre {
     /// Trains on the listed review indices.
     pub fn fit(ds: &Dataset, corpus: &EncodedCorpus, train: &[usize], cfg: NarreConfig) -> Self {
-        assert!(!train.is_empty(), "Narre::fit: empty training set");
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut params = Params::new();
+        let p = &mut params;
         let dim = corpus.embed_dim();
-        let user_emb = Embedding::new(&mut params, &mut rng, "narre.user_emb", ds.n_users, cfg.id_dim);
-        let item_emb = Embedding::new(&mut params, &mut rng, "narre.item_emb", ds.n_items, cfg.id_dim);
-        let user_attn = AttentionPool::new(&mut params, &mut rng, "narre.user_attn", dim, cfg.id_dim, cfg.attn_dim);
-        let item_attn = AttentionPool::new(&mut params, &mut rng, "narre.item_attn", dim, cfg.id_dim, cfg.attn_dim);
-        let user_fc = Linear::new(&mut params, &mut rng, "narre.user_fc", dim, cfg.id_dim);
-        let item_fc = Linear::new(&mut params, &mut rng, "narre.item_fc", dim, cfg.id_dim);
-        let fm = FactorizationMachine::new(&mut params, &mut rng, "narre.fm", 2 * cfg.id_dim, cfg.fm_factors);
-
-        let review_vectors = ReviewVectors::build(ds, corpus);
-        let index = ds.index();
-        let mean_rating = train.iter().map(|&i| ds.reviews[i].rating).sum::<f32>() / train.len() as f32;
-
-        let mut model = Self {
+        let net = NarreNet {
             cfg,
-            params,
-            user_emb,
-            item_emb,
-            user_attn,
-            item_attn,
-            user_fc,
-            item_fc,
-            fm,
-            review_vectors,
-            index,
-            mean_rating,
+            user_emb: Embedding::new(p, &mut rng, "narre.user_emb", ds.n_users, cfg.id_dim),
+            item_emb: Embedding::new(p, &mut rng, "narre.item_emb", ds.n_items, cfg.id_dim),
+            user_attn: AttentionPool::new(p, &mut rng, "narre.user_attn", dim, cfg.id_dim, cfg.attn_dim),
+            item_attn: AttentionPool::new(p, &mut rng, "narre.item_attn", dim, cfg.id_dim, cfg.attn_dim),
+            user_fc: Linear::new(p, &mut rng, "narre.user_fc", dim, cfg.id_dim),
+            item_fc: Linear::new(p, &mut rng, "narre.item_fc", dim, cfg.id_dim),
+            fm: FactorizationMachine::new(p, &mut rng, "narre.fm", 2 * cfg.id_dim, cfg.fm_factors),
+            review_vectors: ReviewVectors::build(ds, corpus),
+            index: ds.index(),
+            mean_rating: train_mean(ds, train),
         };
-        let mut opt = Adam::new(cfg.lr);
-        let mut order: Vec<usize> = train.to_vec();
-        for _ in 0..cfg.epochs {
-            for i in (1..order.len()).rev() {
-                order.swap(i, rng.gen_range(0..=i));
-            }
-            for chunk in order.chunks(cfg.batch_size) {
-                model.params.zero_grads();
-                for &ri in chunk {
-                    let r = &ds.reviews[ri];
-                    let mut tape = Tape::new();
-                    let pred = model.forward(&mut tape, ds, r.user.index(), r.item.index());
-                    let loss = tape.mse(pred, &Tensor::scalar(r.rating));
-                    let scaled = tape.scale(loss, 1.0 / chunk.len() as f32);
-                    tape.backward(scaled, &mut model.params);
-                }
-                model.params.apply_l2_grad(model.cfg.l2);
-                opt.step(&mut model.params);
-            }
-        }
-        model
+        let schedule = Schedule { lr: cfg.lr, epochs: cfg.epochs, batch_size: cfg.batch_size, l2: cfg.l2 };
+        Fitted::train(net, params, &mut rng, ds, corpus, train, schedule)
     }
+}
 
+impl NarreNet {
     /// One tower: attention over the entity's review vectors with per-review
     /// counterpart-ID context, then a dense projection fused with the ID
     /// embedding.
     #[allow(clippy::too_many_arguments)] // mirrors the architecture diagram 1:1
-    fn tower(
+    fn tower<'p, E: Executor<'p>>(
         &self,
-        tape: &mut Tape,
+        ex: &mut E,
+        params: &'p Params,
         reviews: &[usize],
         m: usize,
         ctx_ids: &[usize],
         ctx_emb: &Embedding,
         attn: &AttentionPool,
         fc: &Linear,
-        own_id_vec: Var,
-    ) -> Var {
+        own_id_vec: E::V,
+    ) -> E::V {
         let (matrix, mask) = self.review_vectors.stack_padded(reviews, m);
         let any_real = mask.iter().any(|&b| b);
         let pooled = if any_real {
-            let items = tape.constant(matrix);
+            let items = ex.constant(matrix);
             // Per-review context: the counterpart entity of each review slot
             // (padding slots use id 0; they are masked out of the softmax).
             let take = reviews.len().min(m);
@@ -161,46 +136,43 @@ impl Narre {
             for (slot, &ci) in ids.iter_mut().zip(&ctx_ids[ctx_ids.len() - take..]) {
                 *slot = ci;
             }
-            let ctx = ctx_emb.forward(tape, &self.params, &ids);
-            attn.forward(tape, &self.params, items, ctx, Some(&mask))
+            let ctx = ctx_emb.forward(ex, params, &ids);
+            attn.forward(ex, params, items, ctx, Some(&mask))
         } else {
-            tape.constant(Tensor::zeros(1, self.review_vectors.dim()))
+            ex.constant(Tensor::zeros(1, self.review_vectors.dim()))
         };
-        let text_part = fc.forward(tape, &self.params, pooled);
-        tape.add(own_id_vec, text_part)
+        let text_part = fc.forward(ex, params, pooled);
+        ex.add(own_id_vec, &text_part)
     }
+}
 
-    fn forward(&self, tape: &mut Tape, ds: &Dataset, user: usize, item: usize) -> Var {
+impl PairNet for NarreNet {
+    fn forward<'p, E: Executor<'p>>(
+        &self,
+        ex: &mut E,
+        params: &'p Params,
+        ds: &Dataset,
+        _corpus: &EncodedCorpus,
+        user: usize,
+        item: usize,
+    ) -> E::V {
         let cfg = &self.cfg;
-        let u_revs = user_input_reviews(&self.index, rrre_data::UserId(user as u32), cfg.s_u);
-        let i_revs = item_input_reviews(&self.index, rrre_data::ItemId(item as u32), cfg.s_i);
+        let u_revs = user_input_reviews(&self.index, UserId(user as u32), cfg.s_u);
+        let i_revs = item_input_reviews(&self.index, ItemId(item as u32), cfg.s_i);
         let u_ctx_ids: Vec<usize> = u_revs.iter().map(|&ri| ds.reviews[ri].item.index()).collect();
         let i_ctx_ids: Vec<usize> = i_revs.iter().map(|&ri| ds.reviews[ri].user.index()).collect();
 
-        let u_id = self.user_emb.forward(tape, &self.params, &[user]);
-        let i_id = self.item_emb.forward(tape, &self.params, &[item]);
+        let u_id = self.user_emb.forward(ex, params, &[user]);
+        let i_id = self.item_emb.forward(ex, params, &[item]);
 
-        let x_u = self.tower(tape, &u_revs, cfg.s_u, &u_ctx_ids, &self.item_emb, &self.user_attn, &self.user_fc, u_id);
-        let y_i = self.tower(tape, &i_revs, cfg.s_i, &i_ctx_ids, &self.user_emb, &self.item_attn, &self.item_fc, i_id);
+        let x_u =
+            self.tower(ex, params, &u_revs, cfg.s_u, &u_ctx_ids, &self.item_emb, &self.user_attn, &self.user_fc, u_id);
+        let y_i =
+            self.tower(ex, params, &i_revs, cfg.s_i, &i_ctx_ids, &self.user_emb, &self.item_attn, &self.item_fc, i_id);
 
-        let joint = tape.concat_cols(&[x_u, y_i]);
-        let residual = self.fm.forward(tape, &self.params, joint);
-        tape.add_scalar(residual, self.mean_rating)
-    }
-
-    /// Predicted rating for a user–item pair, clamped to the star range.
-    pub fn predict(&self, ds: &Dataset, user: rrre_data::UserId, item: rrre_data::ItemId) -> f32 {
-        let mut tape = Tape::new();
-        let pred = self.forward(&mut tape, ds, user.index(), item.index());
-        tape.value(pred).item().clamp(1.0, 5.0)
-    }
-
-    /// Predictions for the listed review indices.
-    pub fn predict_reviews(&self, ds: &Dataset, indices: &[usize]) -> Vec<f32> {
-        indices
-            .iter()
-            .map(|&i| self.predict(ds, ds.reviews[i].user, ds.reviews[i].item))
-            .collect()
+        let joint = ex.concat_cols(&[&x_u, &y_i]);
+        let residual = self.fm.forward(ex, params, joint);
+        ex.add_scalar(residual, self.mean_rating)
     }
 }
 
@@ -233,7 +205,7 @@ mod tests {
         let cfg = NarreConfig { epochs: 6, s_u: 4, s_i: 8, id_dim: 8, attn_dim: 8, ..Default::default() };
         let model = Narre::fit(&ds, &corpus, &split.train, cfg);
 
-        let preds = model.predict_reviews(&ds, &split.test);
+        let preds = model.predict_reviews(&ds, &corpus, &split.test);
         let targets: Vec<f32> = split.test.iter().map(|&i| ds.reviews[i].rating).collect();
         let model_rmse = rmse(&preds, &targets);
         let mean = split.train.iter().map(|&i| ds.reviews[i].rating).sum::<f32>() / split.train.len() as f32;
@@ -247,7 +219,7 @@ mod tests {
         let train: Vec<usize> = (0..ds.len()).collect();
         let cfg = NarreConfig { epochs: 1, s_u: 3, s_i: 5, id_dim: 4, attn_dim: 4, ..Default::default() };
         let model = Narre::fit(&ds, &corpus, &train, cfg);
-        for p in model.predict_reviews(&ds, &train[..10.min(train.len())]) {
+        for p in model.predict_reviews(&ds, &corpus, &train[..10.min(train.len())]) {
             assert!((1.0..=5.0).contains(&p));
         }
     }

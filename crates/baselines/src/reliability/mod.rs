@@ -2,10 +2,8 @@
 
 mod icwsm13;
 mod rev2;
-mod semantic;
 mod speagle;
 
 pub use icwsm13::Icwsm13;
 pub use rev2::{Rev2, Rev2Config};
-pub use semantic::{SemanticConfig, SemanticSimilarity};
 pub use speagle::{SpEagle, SpEagleConfig};

@@ -2,11 +2,11 @@
 //! biased loss, fraud-attention, joint-loss weight λ, encoder mode and the
 //! time-based sampling strategy.
 
-use crate::context::DatasetRun;
-use crate::methods::rrre_config;
+use crate::cells::{Cell, CellCache};
+use crate::methods::{rrre_config, Fit};
 use crate::report::{fmt3, TextTable};
 use crate::scale::Scale;
-use rrre_core::{EncoderMode, Pooling, Rrre, RrreConfig, Sampling};
+use rrre_core::{EncoderMode, Pooling, RrreConfig, Sampling};
 use rrre_data::synth::SynthConfig;
 use rrre_metrics::{auc, brmse};
 
@@ -21,19 +21,6 @@ pub struct AblationPoint {
     pub auc: f64,
 }
 
-/// Trains `cfg` on the prepared run and evaluates both tasks.
-pub fn evaluate_variant(run: &DatasetRun, cfg: RrreConfig, label: impl Into<String>) -> AblationPoint {
-    let model = Rrre::fit(&run.ds, &run.corpus, &run.split.train, cfg);
-    let preds = model.predict_reviews(&run.ds, &run.corpus, &run.split.test);
-    let ratings: Vec<f32> = preds.iter().map(|p| p.rating).collect();
-    let rels: Vec<f32> = preds.iter().map(|p| p.reliability).collect();
-    AblationPoint {
-        label: label.into(),
-        brmse: brmse(&ratings, &run.test_ratings(), &run.test_reliability()),
-        auc: auc(&rels, &run.test_labels()),
-    }
-}
-
 fn render(title: &str, points: &[AblationPoint]) -> TextTable {
     let mut table = TextTable::new(title, &["variant", "bRMSE", "AUC"]);
     for p in points {
@@ -42,88 +29,89 @@ fn render(title: &str, points: &[AblationPoint]) -> TextTable {
     table
 }
 
+/// Evaluates RRRE at each `(cfg, label)` variant on both tasks, on the
+/// trial-0 YelpChi cell at `scale`, and renders the points under `title`.
+fn ablate(
+    cells: &mut CellCache,
+    scale: Scale,
+    title: &str,
+    variants: impl IntoIterator<Item = (RrreConfig, String)>,
+) -> (Vec<AblationPoint>, TextTable) {
+    let preset = SynthConfig::yelp_chi();
+    let cell = Cell { preset: &preset, scale, trial: 0 };
+    let run = cells.run(cell);
+    let (targets, weights, labels) = (run.test_ratings(), run.test_reliability(), run.test_labels());
+    let points: Vec<AblationPoint> = variants
+        .into_iter()
+        .map(|(cfg, label)| {
+            let scores = cells.scores(cell, Fit::Rrre(cfg));
+            let brmse = brmse(&scores.ratings, &targets, &weights);
+            AblationPoint { label, brmse, auc: auc(&scores.reliability, &labels) }
+        })
+        .collect();
+    let table = render(title, &points);
+    (points, table)
+}
+
 /// Biased (Eq. 14) vs plain (Eq. 13) rating loss — RRRE vs RRRE⁻.
-pub fn ablation_biased_loss(scale: Scale) -> (Vec<AblationPoint>, TextTable) {
-    let run = DatasetRun::prepare(&SynthConfig::yelp_chi(), scale, 0);
+pub fn ablation_biased_loss(cells: &mut CellCache, scale: Scale) -> (Vec<AblationPoint>, TextTable) {
     let base = rrre_config(scale, 0);
-    let points = vec![
-        evaluate_variant(&run, base, "biased loss (RRRE, Eq. 14)"),
-        evaluate_variant(&run, base.minus(), "plain MSE (RRRE-, Eq. 13)"),
+    let variants = [
+        (base, "biased loss (RRRE, Eq. 14)".to_string()),
+        (base.minus(), "plain MSE (RRRE-, Eq. 13)".to_string()),
     ];
-    (points.clone(), render("Ablation — biased rating loss", &points))
+    ablate(cells, scale, "Ablation — biased rating loss", variants)
 }
 
 /// Fraud-attention vs mean pooling.
-pub fn ablation_attention(scale: Scale) -> (Vec<AblationPoint>, TextTable) {
-    let run = DatasetRun::prepare(&SynthConfig::yelp_chi(), scale, 0);
+pub fn ablation_attention(cells: &mut CellCache, scale: Scale) -> (Vec<AblationPoint>, TextTable) {
     let base = rrre_config(scale, 0);
-    let points = vec![
-        evaluate_variant(&run, base, "fraud-attention (Eq. 5-7)"),
-        evaluate_variant(&run, RrreConfig { pooling: Pooling::Mean, ..base }, "mean pooling"),
+    let variants = [
+        (base, "fraud-attention (Eq. 5-7)".to_string()),
+        (RrreConfig { pooling: Pooling::Mean, ..base }, "mean pooling".to_string()),
     ];
-    (points.clone(), render("Ablation — review pooling", &points))
+    ablate(cells, scale, "Ablation — review pooling", variants)
 }
 
 /// λ sweep of the joint loss (Eq. 15).
-pub fn ablation_lambda(scale: Scale) -> (Vec<AblationPoint>, TextTable) {
-    let run = DatasetRun::prepare(&SynthConfig::yelp_chi(), scale, 0);
+pub fn ablation_lambda(cells: &mut CellCache, scale: Scale) -> (Vec<AblationPoint>, TextTable) {
     let base = rrre_config(scale, 0);
-    let points: Vec<AblationPoint> = [0.0f32, 0.25, 0.5, 0.75, 1.0]
-        .into_iter()
-        .map(|lambda| {
-            evaluate_variant(&run, RrreConfig { lambda, ..base }, format!("lambda={lambda:.2}"))
-        })
-        .collect();
-    (points.clone(), render("Ablation — joint-loss weight lambda", &points))
+    let variants = [0.0f32, 0.25, 0.5, 0.75, 1.0]
+        .map(|lambda| (RrreConfig { lambda, ..base }, format!("lambda={lambda:.2}")));
+    ablate(cells, scale, "Ablation — joint-loss weight lambda", variants)
 }
 
 /// Time-based (latest) vs random input-review sampling.
-pub fn ablation_sampling(scale: Scale) -> (Vec<AblationPoint>, TextTable) {
-    let run = DatasetRun::prepare(&SynthConfig::yelp_chi(), scale, 0);
+pub fn ablation_sampling(cells: &mut CellCache, scale: Scale) -> (Vec<AblationPoint>, TextTable) {
     let base = rrre_config(scale, 0);
-    let points = vec![
-        evaluate_variant(&run, base, "time-based (latest m)"),
-        evaluate_variant(&run, RrreConfig { sampling: Sampling::Random, ..base }, "random m-subset"),
+    let variants = [
+        (base, "time-based (latest m)".to_string()),
+        (RrreConfig { sampling: Sampling::Random, ..base }, "random m-subset".to_string()),
     ];
-    (points.clone(), render("Ablation — input-review sampling", &points))
+    ablate(cells, scale, "Ablation — input-review sampling", variants)
 }
 
 /// Semi-supervised label budget (paper §V future work): how gracefully both
 /// tasks degrade as reliability labels are withheld.
-pub fn ablation_semi_supervised(scale: Scale) -> (Vec<AblationPoint>, TextTable) {
-    let run = DatasetRun::prepare(&SynthConfig::yelp_chi(), scale, 0);
+pub fn ablation_semi_supervised(cells: &mut CellCache, scale: Scale) -> (Vec<AblationPoint>, TextTable) {
     let base = rrre_config(scale, 0);
-    let points: Vec<AblationPoint> = [1.0f32, 0.5, 0.25, 0.1]
-        .into_iter()
-        .map(|labeled_fraction| {
-            evaluate_variant(
-                &run,
-                RrreConfig { labeled_fraction, ..base },
-                format!("{:.0}% labels", labeled_fraction * 100.0),
-            )
-        })
-        .collect();
-    (points.clone(), render("Ablation — semi-supervised label budget", &points))
+    let variants = [1.0f32, 0.5, 0.25, 0.1].map(|labeled_fraction| {
+        (RrreConfig { labeled_fraction, ..base }, format!("{:.0}% labels", labeled_fraction * 100.0))
+    });
+    ablate(cells, scale, "Ablation — semi-supervised label budget", variants)
 }
 
-/// Frozen vs end-to-end encoder (run at reduced size — the end-to-end path
-/// is orders of magnitude slower).
-pub fn ablation_encoder(scale: Scale) -> (Vec<AblationPoint>, TextTable) {
-    // Always shrink to smoke-size data: end-to-end backprop through the
-    // BiLSTM on bigger data would dominate the whole suite's runtime.
-    let run = DatasetRun::prepare(&SynthConfig::yelp_chi(), Scale::Smoke, 0);
+/// Frozen vs end-to-end encoder, always on smoke-size data: end-to-end
+/// backprop through the BiLSTM on bigger data would dominate the whole
+/// suite's runtime.
+pub fn ablation_encoder(cells: &mut CellCache) -> (Vec<AblationPoint>, TextTable) {
     let mut base = rrre_config(Scale::Smoke, 0);
     base.epochs = base.epochs.min(3);
-    let _ = scale;
-    let points = vec![
-        evaluate_variant(&run, base, "frozen encoder"),
-        evaluate_variant(
-            &run,
-            RrreConfig { encoder: EncoderMode::EndToEnd, ..base },
-            "end-to-end encoder",
-        ),
+    let variants = [
+        (base, "frozen encoder".to_string()),
+        (RrreConfig { encoder: EncoderMode::EndToEnd, ..base }, "end-to-end encoder".to_string()),
     ];
-    (points.clone(), render("Ablation — encoder mode (smoke-size data)", &points))
+    ablate(cells, Scale::Smoke, "Ablation — encoder mode (smoke-size data)", variants)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! surface the reliable explanation reviews for the recommended item,
 //! filtering the low-reliability one.
 
-use crate::context::DatasetRun;
+use crate::cells::{Cell, CellCache};
 use crate::methods::rrre_config;
 use crate::report::TextTable;
 use crate::scale::Scale;
@@ -38,8 +38,8 @@ fn truncate_text(text: &str, max: usize) -> String {
 /// reviews, picks an active benign user, produces Table VII (top-3
 /// candidates, re-ranked by reliability) and Table VIII (top-2 explanation
 /// reviews for the winning item).
-pub fn run_case_study(scale: Scale) -> CaseStudy {
-    let run = DatasetRun::prepare(&SynthConfig::yelp_chi(), scale, 0);
+pub fn run_case_study(cells: &mut CellCache, scale: Scale) -> CaseStudy {
+    let run = cells.run(Cell { preset: &SynthConfig::yelp_chi(), scale, trial: 0 });
     let model = Rrre::fit(&run.ds, &run.corpus, &run.split.train, rrre_config(scale, 0));
 
     // Pick the most active user whose reviews are all benign, mirroring the

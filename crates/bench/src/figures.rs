@@ -9,6 +9,7 @@
 //!
 //! All sweeps run on the YelpChi-shaped dataset, as in §IV-E.
 
+use crate::cells::{Cell, CellCache};
 use crate::context::DatasetRun;
 use crate::methods::rrre_config;
 use crate::report::{fmt3, TextTable};
@@ -123,8 +124,8 @@ fn sweep_point(run: &DatasetRun, cfg: RrreConfig, value: usize) -> SweepPoint {
 }
 
 /// Fig. 2: embedding-size sweep.
-pub fn run_fig2(scale: Scale) -> Sweep {
-    let run = DatasetRun::prepare(&SynthConfig::yelp_chi(), scale, 0);
+pub fn run_fig2(cells: &mut CellCache, scale: Scale) -> Sweep {
+    let run = cells.run(Cell { preset: &SynthConfig::yelp_chi(), scale, trial: 0 });
     let ks: &[usize] = match scale {
         Scale::Smoke => &[8, 16],
         _ => &[8, 16, 32, 64, 128],
@@ -133,7 +134,7 @@ pub fn run_fig2(scale: Scale) -> Sweep {
         .iter()
         .map(|&k| {
             let cfg = RrreConfig { k, ..rrre_config(scale, 0) };
-            sweep_point(&run, cfg, k)
+            sweep_point(run, cfg, k)
         })
         .collect();
     Sweep { figure: "Fig. 2", param: "k", points }
@@ -141,8 +142,8 @@ pub fn run_fig2(scale: Scale) -> Sweep {
 
 /// Fig. 3: UserNet input-size sweep (`s_i` held at the paper's setting,
 /// scaled to the generated item degrees).
-pub fn run_fig3(scale: Scale) -> Sweep {
-    let run = DatasetRun::prepare(&SynthConfig::yelp_chi(), scale, 0);
+pub fn run_fig3(cells: &mut CellCache, scale: Scale) -> Sweep {
+    let run = cells.run(Cell { preset: &SynthConfig::yelp_chi(), scale, trial: 0 });
     let sus: &[usize] = match scale {
         Scale::Smoke => &[1, 3],
         _ => &[1, 3, 5, 7, 9, 11, 13],
@@ -151,7 +152,7 @@ pub fn run_fig3(scale: Scale) -> Sweep {
         .iter()
         .map(|&s_u| {
             let cfg = RrreConfig { s_u, ..rrre_config(scale, 0) };
-            sweep_point(&run, cfg, s_u)
+            sweep_point(run, cfg, s_u)
         })
         .collect();
     Sweep { figure: "Fig. 3", param: "s_u", points }
@@ -160,8 +161,8 @@ pub fn run_fig3(scale: Scale) -> Sweep {
 /// Fig. 4: ItemNet input-size sweep (`s_u = 11` fixed as in §IV-E2). The
 /// paper's grid {12…132} is scaled by the dataset factor so the sweep stays
 /// meaningful relative to the generated item degrees.
-pub fn run_fig4(scale: Scale) -> Sweep {
-    let run = DatasetRun::prepare(&SynthConfig::yelp_chi(), scale, 0);
+pub fn run_fig4(cells: &mut CellCache, scale: Scale) -> Sweep {
+    let run = cells.run(Cell { preset: &SynthConfig::yelp_chi(), scale, trial: 0 });
     let grid: Vec<usize> = match scale {
         Scale::Smoke => vec![4, 8],
         Scale::Small => vec![3, 8, 13, 18, 23, 28, 33],
@@ -171,7 +172,7 @@ pub fn run_fig4(scale: Scale) -> Sweep {
         .into_iter()
         .map(|s_i| {
             let cfg = RrreConfig { s_i, ..rrre_config(scale, 0) };
-            sweep_point(&run, cfg, s_i)
+            sweep_point(run, cfg, s_i)
         })
         .collect();
     Sweep { figure: "Fig. 4", param: "s_i", points }

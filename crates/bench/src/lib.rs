@@ -10,6 +10,7 @@
 
 pub mod ablations;
 pub mod case_study;
+pub mod cells;
 pub mod context;
 pub mod figures;
 pub mod methods;
@@ -19,5 +20,6 @@ pub mod scale;
 pub mod significance;
 pub mod tables;
 
+pub use cells::{Cell, CellCache};
 pub use context::DatasetRun;
 pub use scale::Scale;

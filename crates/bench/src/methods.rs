@@ -1,6 +1,7 @@
-//! Uniform method runners: train one method on a prepared [`DatasetRun`]
-//! and return its test-set predictions. This is the single place where the
-//! per-scale hyper-parameters of every compared method live.
+//! The compared methods and how one is fitted: train a method on a prepared
+//! [`DatasetRun`] and return its test-set predictions. This is the single
+//! place where the per-scale hyper-parameters of every compared method live;
+//! [`crate::cells::CellCache`] runs each fit once.
 
 use crate::context::DatasetRun;
 use crate::scale::Scale;
@@ -104,7 +105,8 @@ fn deepconn_config(scale: Scale, trial: u64) -> DeepConnConfig {
     DeepConnConfig { seed: base.seed ^ trial, ..base }
 }
 
-fn narre_config(scale: Scale, trial: u64) -> NarreConfig {
+/// NARRE configuration at a scale.
+pub fn narre_config(scale: Scale, trial: u64) -> NarreConfig {
     let base = match scale {
         Scale::Smoke => NarreConfig { epochs: 3, s_u: 4, s_i: 6, id_dim: 8, attn_dim: 8, ..Default::default() },
         Scale::Small => NarreConfig { epochs: 10, l2: 5e-3, ..Default::default() },
@@ -122,59 +124,99 @@ fn der_config(scale: Scale, trial: u64) -> DerConfig {
     DerConfig { seed: base.seed ^ trial, ..base }
 }
 
-/// Trains a rating method and returns its predicted ratings on the test
-/// split.
-pub fn rating_predictions(run: &DatasetRun, method: RatingMethod, scale: Scale) -> Vec<f32> {
-    let DatasetRun { ds, corpus, split, trial } = run;
-    match method {
-        RatingMethod::Rrre => {
-            let model = Rrre::fit(ds, corpus, &split.train, rrre_config(scale, *trial));
-            model.predict_reviews(ds, corpus, &split.test).iter().map(|p| p.rating).collect()
-        }
-        RatingMethod::RrreMinus => {
-            let model = Rrre::fit(ds, corpus, &split.train, rrre_config(scale, *trial).minus());
-            model.predict_reviews(ds, corpus, &split.test).iter().map(|p| p.rating).collect()
-        }
-        RatingMethod::Pmf => {
-            let mut rng = StdRng::seed_from_u64(0x9F ^ trial);
-            let model = Pmf::fit(ds, &split.train, PmfConfig::default(), &mut rng);
-            model.predict_reviews(ds, &split.test)
-        }
-        RatingMethod::DeepConn => {
-            let model = DeepConn::fit(ds, corpus, &split.train, deepconn_config(scale, *trial));
-            model.predict_reviews(ds, corpus, &split.test)
-        }
-        RatingMethod::Narre => {
-            let model = Narre::fit(ds, corpus, &split.train, narre_config(scale, *trial));
-            model.predict_reviews(ds, &split.test)
-        }
-        RatingMethod::Der => {
-            let model = Der::fit(ds, corpus, &split.train, der_config(scale, *trial));
-            model.predict_reviews(ds, &split.test)
+/// One method at one configuration: what a fit on a cell is keyed by.
+/// RRRE carries its whole configuration (RRRE⁻ and the ablations vary it);
+/// a baseline's configuration is a function of the cell's scale and trial.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Fit {
+    /// RRRE, or a variant of it, at this configuration.
+    Rrre(RrreConfig),
+    /// PMF.
+    Pmf,
+    /// DeepCoNN.
+    DeepConn,
+    /// NARRE.
+    Narre,
+    /// DER.
+    Der,
+    /// ICWSM13.
+    Icwsm13,
+    /// SpEagle+.
+    SpEaglePlus,
+    /// REV2.
+    Rev2,
+}
+
+impl RatingMethod {
+    /// The fit this method's Table III column reads on a cell.
+    pub fn fit(self, scale: Scale, trial: u64) -> Fit {
+        match self {
+            RatingMethod::Rrre => Fit::Rrre(rrre_config(scale, trial)),
+            RatingMethod::RrreMinus => Fit::Rrre(rrre_config(scale, trial).minus()),
+            RatingMethod::Pmf => Fit::Pmf,
+            RatingMethod::DeepConn => Fit::DeepConn,
+            RatingMethod::Narre => Fit::Narre,
+            RatingMethod::Der => Fit::Der,
         }
     }
 }
 
-/// Trains/runs a reliability method and returns its scores on the test
-/// split (probability-like, higher = more likely benign).
-pub fn reliability_scores(run: &DatasetRun, method: ReliabilityMethod, scale: Scale) -> Vec<f32> {
-    let DatasetRun { ds, corpus, split, trial } = run;
-    match method {
-        ReliabilityMethod::Icwsm13 => {
-            let model = Icwsm13::fit(ds, corpus, &split.train);
-            model.score(ds, corpus, &split.test)
+impl ReliabilityMethod {
+    /// The fit this method's Table IV row reads on a cell: for RRRE, the
+    /// same fit as Table III's RRRE column.
+    pub fn fit(self, scale: Scale, trial: u64) -> Fit {
+        match self {
+            ReliabilityMethod::Rrre => Fit::Rrre(rrre_config(scale, trial)),
+            ReliabilityMethod::Icwsm13 => Fit::Icwsm13,
+            ReliabilityMethod::SpEaglePlus => Fit::SpEaglePlus,
+            ReliabilityMethod::Rev2 => Fit::Rev2,
         }
-        ReliabilityMethod::SpEaglePlus => {
-            let model = SpEagle::run(ds, corpus, &split.train, SpEagleConfig::default());
-            model.score(&split.test)
-        }
-        ReliabilityMethod::Rev2 => {
-            let model = Rev2::run(ds, Rev2Config::default());
-            model.score(&split.test)
-        }
-        ReliabilityMethod::Rrre => {
-            let model = Rrre::fit(ds, corpus, &split.train, rrre_config(scale, *trial));
-            model.predict_reviews(ds, corpus, &split.test).iter().map(|p| p.reliability).collect()
+    }
+}
+
+/// A fit's predictions on its cell's test split: predicted ratings from a
+/// rating method, reliability scores (probability-like, higher = more
+/// likely benign) from a reliability method, both from RRRE.
+#[derive(Debug, Clone, Default)]
+pub struct TestScores {
+    /// Predicted rating of each test review; empty for a reliability method.
+    pub ratings: Vec<f32>,
+    /// Reliability score of each test review; empty for a rating method.
+    pub reliability: Vec<f32>,
+}
+
+impl Fit {
+    /// Trains (or runs) the method on `run`'s training split and predicts
+    /// its test split.
+    pub fn predict_test(self, run: &DatasetRun, scale: Scale) -> TestScores {
+        let DatasetRun { ds, corpus, split, trial } = run;
+        let (train, test) = (&split.train, &split.test);
+        let ratings = |ratings| TestScores { ratings, ..Default::default() };
+        let reliability = |reliability| TestScores { reliability, ..Default::default() };
+        match self {
+            Fit::Rrre(cfg) => {
+                let preds = Rrre::fit(ds, corpus, train, cfg).predict_reviews(ds, corpus, test);
+                TestScores {
+                    ratings: preds.iter().map(|p| p.rating).collect(),
+                    reliability: preds.iter().map(|p| p.reliability).collect(),
+                }
+            }
+            Fit::Pmf => {
+                let mut rng = StdRng::seed_from_u64(0x9F ^ trial);
+                ratings(Pmf::fit(ds, train, PmfConfig::default(), &mut rng).predict_reviews(ds, test))
+            }
+            Fit::DeepConn => ratings(
+                DeepConn::fit(ds, corpus, train, deepconn_config(scale, *trial)).predict_reviews(ds, corpus, test),
+            ),
+            Fit::Narre => ratings(
+                Narre::fit(ds, corpus, train, narre_config(scale, *trial)).predict_reviews(ds, corpus, test),
+            ),
+            Fit::Der => {
+                ratings(Der::fit(ds, corpus, train, der_config(scale, *trial)).predict_reviews(ds, corpus, test))
+            }
+            Fit::Icwsm13 => reliability(Icwsm13::fit(ds, corpus, train).score(ds, corpus, test)),
+            Fit::SpEaglePlus => reliability(SpEagle::run(ds, corpus, train, SpEagleConfig::default()).score(test)),
+            Fit::Rev2 => reliability(Rev2::run(ds, Rev2Config::default()).score(test)),
         }
     }
 }
@@ -188,7 +230,7 @@ mod tests {
     fn every_rating_method_produces_test_predictions() {
         let run = DatasetRun::prepare(&SynthConfig::yelp_chi(), Scale::Smoke, 0);
         for method in RatingMethod::ALL {
-            let preds = rating_predictions(&run, method, Scale::Smoke);
+            let preds = method.fit(Scale::Smoke, 0).predict_test(&run, Scale::Smoke).ratings;
             assert_eq!(preds.len(), run.split.test.len(), "{}", method.name());
             assert!(preds.iter().all(|p| (1.0..=5.0).contains(p)), "{}", method.name());
         }
@@ -198,7 +240,7 @@ mod tests {
     fn every_reliability_method_produces_scores() {
         let run = DatasetRun::prepare(&SynthConfig::cds(), Scale::Smoke, 0);
         for method in ReliabilityMethod::ALL {
-            let scores = reliability_scores(&run, method, Scale::Smoke);
+            let scores = method.fit(Scale::Smoke, 0).predict_test(&run, Scale::Smoke).reliability;
             assert_eq!(scores.len(), run.split.test.len(), "{}", method.name());
             assert!(scores.iter().all(|s| s.is_finite()), "{}", method.name());
         }

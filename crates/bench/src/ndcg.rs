@@ -2,8 +2,8 @@
 //! ranking on the YelpChi-shaped and CDs-shaped datasets, k ∈ {100…1000}
 //! (scaled with the dataset so the ranks stay meaningful at smaller scales).
 
-use crate::context::DatasetRun;
-use crate::methods::{reliability_scores, ReliabilityMethod};
+use crate::cells::{Cell, CellCache};
+use crate::methods::ReliabilityMethod;
 use crate::report::{fmt3, TextTable};
 use crate::scale::Scale;
 use rrre_data::synth::SynthConfig;
@@ -31,21 +31,21 @@ pub fn k_grid(scale: Scale, test_len: usize) -> Vec<usize> {
 }
 
 /// Runs one NDCG table (Table V on the YelpChi preset, Table VI on CDs).
-pub fn run_ndcg(preset: &SynthConfig, scale: Scale, repeats: usize) -> (NdcgResult, TextTable) {
+pub fn run_ndcg(cells: &mut CellCache, preset: &SynthConfig, scale: Scale, repeats: usize) -> (NdcgResult, TextTable) {
     assert!(repeats >= 1, "run_ndcg: need at least one repeat");
     let mut ks: Vec<usize> = Vec::new();
     let mut sums: Vec<Vec<f64>> = Vec::new();
     for trial in 0..repeats as u64 {
-        let run = DatasetRun::prepare(preset, scale, trial);
-        let labels = run.test_labels();
+        let cell = Cell { preset, scale, trial };
+        let labels = cells.run(cell).test_labels();
         if trial == 0 {
             ks = k_grid(scale, labels.len());
             sums = vec![vec![0.0; ks.len()]; ReliabilityMethod::ALL.len()];
         }
         for (mi, method) in ReliabilityMethod::ALL.into_iter().enumerate() {
-            let scores = reliability_scores(&run, method, scale);
+            let scores = cells.reliability(cell, method);
             for (ki, &k) in ks.iter().enumerate() {
-                sums[mi][ki] += ndcg_at_k(&scores, &labels, k.min(labels.len()));
+                sums[mi][ki] += ndcg_at_k(scores, &labels, k.min(labels.len()));
             }
         }
     }

@@ -2,8 +2,8 @@
 //! baseline and vs RRRE⁻) over repeated trials on shared splits — the
 //! statistical backing for Table III's "RRRE is better" claims.
 
-use crate::context::DatasetRun;
-use crate::methods::{rating_predictions, RatingMethod};
+use crate::cells::{Cell, CellCache};
+use crate::methods::RatingMethod;
 use crate::report::{fmt3, TextTable};
 use crate::scale::Scale;
 use rrre_data::synth::SynthConfig;
@@ -28,16 +28,20 @@ pub struct SignificanceRow {
 ///
 /// # Panics
 /// Panics if `repeats < 2` (a t-test needs at least two pairs).
-pub fn run_significance(preset: &SynthConfig, scale: Scale, repeats: usize) -> (Vec<SignificanceRow>, TextTable) {
+pub fn run_significance(
+    cells: &mut CellCache,
+    preset: &SynthConfig,
+    scale: Scale,
+    repeats: usize,
+) -> (Vec<SignificanceRow>, TextTable) {
     assert!(repeats >= 2, "run_significance: need at least 2 repeats for a paired test");
     let mut per_method: Vec<Vec<f64>> = vec![Vec::with_capacity(repeats); RatingMethod::ALL.len()];
     for trial in 0..repeats as u64 {
-        let run = DatasetRun::prepare(preset, scale, trial);
-        let targets = run.test_ratings();
-        let weights = run.test_reliability();
+        let cell = Cell { preset, scale, trial };
+        let run = cells.run(cell);
+        let (targets, weights) = (run.test_ratings(), run.test_reliability());
         for (mi, method) in RatingMethod::ALL.into_iter().enumerate() {
-            let preds = rating_predictions(&run, method, scale);
-            per_method[mi].push(brmse(&preds, &targets, &weights));
+            per_method[mi].push(brmse(cells.ratings(cell, method), &targets, &weights));
         }
     }
     let rrre_idx = RatingMethod::ALL.iter().position(|&m| m == RatingMethod::Rrre).expect("RRRE in list");
@@ -76,6 +80,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 2")]
     fn rejects_single_trial() {
-        let _ = run_significance(&SynthConfig::yelp_chi(), Scale::Smoke, 1);
+        let _ = run_significance(&mut CellCache::default(), &SynthConfig::yelp_chi(), Scale::Smoke, 1);
     }
 }

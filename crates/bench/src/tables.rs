@@ -1,7 +1,7 @@
 //! Reproduction of the paper's Tables II, III and IV.
 
-use crate::context::DatasetRun;
-use crate::methods::{rating_predictions, reliability_scores, RatingMethod, ReliabilityMethod};
+use crate::cells::{Cell, CellCache};
+use crate::methods::{RatingMethod, ReliabilityMethod};
 use crate::report::{fmt3, TextTable};
 use crate::scale::Scale;
 use rrre_data::synth::SynthConfig;
@@ -10,15 +10,14 @@ use rrre_metrics::stats::mean_std;
 use rrre_metrics::{auc, average_precision, brmse};
 
 /// Table II: statistics of the generated datasets.
-pub fn run_table2(scale: Scale) -> (Vec<DatasetStats>, TextTable) {
+pub fn run_table2(cells: &mut CellCache, scale: Scale) -> (Vec<DatasetStats>, TextTable) {
     let mut table = TextTable::new(
         "Table II — statistics of the (synthetic) datasets",
         &["dataset", "#reviews", "%fake", "#items", "#users", "med|W^u|", "med|W^i|"],
     );
     let mut stats = Vec::new();
     for preset in SynthConfig::all_presets() {
-        let run = DatasetRun::prepare(&preset, scale, 0);
-        let s = dataset_stats(&run.ds);
+        let s = dataset_stats(&cells.run(Cell { preset: &preset, scale, trial: 0 }).ds);
         table.row(vec![
             s.name.clone(),
             s.n_reviews.to_string(),
@@ -47,18 +46,17 @@ pub struct Table3Row {
 /// Table III: bRMSE of every rating method on every dataset, averaged over
 /// `repeats` trials (the paper reports the mean of five). With more than one
 /// trial the rendered cells carry `±` sample standard deviations.
-pub fn run_table3(scale: Scale, repeats: usize) -> (Vec<Table3Row>, TextTable) {
+pub fn run_table3(cells: &mut CellCache, scale: Scale, repeats: usize) -> (Vec<Table3Row>, TextTable) {
     assert!(repeats >= 1, "run_table3: need at least one repeat");
     let mut rows = Vec::new();
     for preset in SynthConfig::all_presets() {
         let mut trials = vec![Vec::with_capacity(repeats); RatingMethod::ALL.len()];
         for trial in 0..repeats as u64 {
-            let run = DatasetRun::prepare(&preset, scale, trial);
-            let targets = run.test_ratings();
-            let weights = run.test_reliability();
+            let cell = Cell { preset: &preset, scale, trial };
+            let run = cells.run(cell);
+            let (targets, weights) = (run.test_ratings(), run.test_reliability());
             for (mi, method) in RatingMethod::ALL.into_iter().enumerate() {
-                let preds = rating_predictions(&run, method, scale);
-                trials[mi].push(brmse(&preds, &targets, &weights));
+                trials[mi].push(brmse(cells.ratings(cell, method), &targets, &weights));
             }
         }
         rows.push(Table3Row {
@@ -117,20 +115,20 @@ pub struct Table4Row {
 
 /// Table IV: AUC and average precision of every reliability method on every
 /// dataset.
-pub fn run_table4(scale: Scale, repeats: usize) -> (Vec<Table4Row>, TextTable) {
+pub fn run_table4(cells: &mut CellCache, scale: Scale, repeats: usize) -> (Vec<Table4Row>, TextTable) {
     assert!(repeats >= 1, "run_table4: need at least one repeat");
     let mut rows = Vec::new();
     for preset in SynthConfig::all_presets() {
         let n_methods = ReliabilityMethod::ALL.len();
         let (mut auc_s, mut apb_s, mut apf_s) = (vec![0.0; n_methods], vec![0.0; n_methods], vec![0.0; n_methods]);
         for trial in 0..repeats as u64 {
-            let run = DatasetRun::prepare(&preset, scale, trial);
-            let labels = run.test_labels();
+            let cell = Cell { preset: &preset, scale, trial };
+            let labels = cells.run(cell).test_labels();
             let fake_labels: Vec<bool> = labels.iter().map(|&b| !b).collect();
             for (mi, method) in ReliabilityMethod::ALL.into_iter().enumerate() {
-                let scores = reliability_scores(&run, method, scale);
-                auc_s[mi] += auc(&scores, &labels);
-                apb_s[mi] += average_precision(&scores, &labels);
+                let scores = cells.reliability(cell, method);
+                auc_s[mi] += auc(scores, &labels);
+                apb_s[mi] += average_precision(scores, &labels);
                 let inverted: Vec<f32> = scores.iter().map(|&s| -s).collect();
                 apf_s[mi] += average_precision(&inverted, &fake_labels);
             }
@@ -174,7 +172,7 @@ mod tests {
 
     #[test]
     fn table2_covers_all_presets() {
-        let (stats, table) = run_table2(Scale::Smoke);
+        let (stats, table) = run_table2(&mut CellCache::default(), Scale::Smoke);
         assert_eq!(stats.len(), 5);
         assert_eq!(table.len(), 5);
         let rendered = table.render();

@@ -47,7 +47,7 @@ pub enum LossVariant {
 }
 
 /// Full RRRE configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RrreConfig {
     /// Review-embedding size `k` (Fig. 2); must be even (the BiLSTM
     /// contributes `k/2` per direction).

@@ -16,7 +16,6 @@ pub mod split;
 pub mod stats;
 pub mod synth;
 mod types;
-pub mod yelp_format;
 
 pub use corpus::{CorpusConfig, EncodedCorpus};
 pub use dataset::{Dataset, DatasetIndex};

@@ -59,6 +59,8 @@ pub trait Executor<'p> {
     fn matmul(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
     /// `Σ_r weights[r] · x[r, :]` ([`Tensor::weighted_row_sum`]).
     fn weighted_row_sum(&mut self, x: &Self::V, weights: &Self::V) -> Self::V;
+    /// Column-wise sum over the rows, `1 × c`.
+    fn sum_rows(&mut self, a: &Self::V) -> Self::V;
     /// Row-wise sum, `r × 1`.
     fn sum_cols(&mut self, a: &Self::V) -> Self::V;
     /// Horizontal concatenation.
@@ -126,6 +128,7 @@ impl<'p> Executor<'p> for Tape {
         softmax_col(a: Var, mask: Option<&[bool]>) => (a, mask);
         matmul(a: &Var, b: &Var) => (*a, *b);
         weighted_row_sum(x: &Var, weights: &Var) => (*x, *weights);
+        sum_rows(a: &Var) => (*a);
         sum_cols(a: &Var) => (*a);
         slice_cols(a: &Var, start: usize, end: usize) => (*a, start, end);
         gather_rows(a: &Var, indices: &[usize]) => (*a, indices);
@@ -178,6 +181,7 @@ impl<'p> Executor<'p> for Eval {
         softmax_col(a: Value<'p>, mask: Option<&[bool]>) => in_place(a, |t| t.softmax_col_assign(mask));
         matmul(a: &Value<'p>, b: &Value<'p>) => Cow::Owned(a.matmul(b));
         weighted_row_sum(x: &Value<'p>, weights: &Value<'p>) => Cow::Owned(x.weighted_row_sum(weights));
+        sum_rows(a: &Value<'p>) => Cow::Owned(a.sum_rows());
         sum_cols(a: &Value<'p>) => Cow::Owned(a.sum_cols());
         concat_cols(parts: &[&Value<'p>]) => Cow::Owned(Tensor::concat_cols(&tensors(parts)));
         concat_rows(parts: &[&Value<'p>]) => Cow::Owned(Tensor::concat_rows(&tensors(parts)));

@@ -8,7 +8,6 @@
 
 mod attention;
 mod conv;
-mod dropout;
 mod embedding;
 mod fm;
 mod gru;
@@ -17,7 +16,6 @@ mod lstm;
 
 pub use attention::AttentionPool;
 pub use conv::Conv1dMaxPool;
-pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use fm::FactorizationMachine;
 pub use gru::Gru;

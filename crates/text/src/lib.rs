@@ -7,15 +7,12 @@
 #![warn(missing_docs)]
 
 mod encode;
-pub mod ngrams;
 pub mod similarity;
-mod tfidf;
 mod tokenize;
 mod vocab;
 pub mod word2vec;
 
 pub use encode::{encode_document, EncodedDoc};
-pub use tfidf::TfIdf;
 pub use tokenize::{token_count, tokenize};
 pub use vocab::{Vocab, PAD, UNK};
 pub use word2vec::{train_word2vec, Word2VecConfig, WordVectors};

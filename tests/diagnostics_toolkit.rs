@@ -1,5 +1,5 @@
 //! Integration of the diagnostic toolkit around the core pipeline:
-//! probability calibration, ROC/PR curves, TF–IDF similarity and the
+//! probability calibration, ROC/PR curves, vocabulary overlap and the
 //! pipeline report — the pieces an operator of this system would run
 //! alongside the model.
 
@@ -9,7 +9,7 @@ use rrre::metrics::calibration::{brier_score, expected_calibration_error};
 use rrre::metrics::{auc, auc_from_curve, pr_curve, roc_curve};
 use rrre::prelude::*;
 use rrre::text::word2vec::Word2VecConfig;
-use rrre::text::TfIdf;
+use rrre::text::similarity::jaccard;
 
 fn setup() -> (Dataset, EncodedCorpus, Vec<usize>, Vec<usize>) {
     let ds = generate(&SynthConfig::yelp_chi().scaled(0.08));
@@ -51,14 +51,12 @@ fn reliability_scores_are_usable_probabilities() {
 }
 
 #[test]
-fn tfidf_separates_spam_vocabulary() {
+fn fakes_share_more_vocabulary_than_benign_reviews() {
     let (ds, corpus, _, _) = setup();
-    let docs: Vec<Vec<usize>> = corpus.docs.iter().map(|d| d.ids[..d.len].to_vec()).collect();
-    let tfidf = TfIdf::fit(&docs, &corpus.vocab);
-    let vectors: Vec<Vec<(usize, f32)>> = docs.iter().map(|d| tfidf.transform(d)).collect();
+    let docs: Vec<&[usize]> = corpus.docs.iter().map(|d| &d.ids[..d.len]).collect();
 
-    // Mean fake–fake similarity should exceed fake–benign: fakes share the
-    // hype lexicon even without verbatim templates.
+    // Mean fake–fake token-set Jaccard should exceed fake–benign: fakes
+    // share the hype lexicon even without verbatim templates.
     let fakes: Vec<usize> = (0..ds.len()).filter(|&i| !ds.reviews[i].label.is_benign()).take(25).collect();
     let benign: Vec<usize> = (0..ds.len()).filter(|&i| ds.reviews[i].label.is_benign()).take(25).collect();
     let mean_sim = |a: &[usize], b: &[usize]| {
@@ -67,7 +65,7 @@ fn tfidf_separates_spam_vocabulary() {
         for &x in a {
             for &y in b {
                 if x != y {
-                    total += TfIdf::cosine(&vectors[x], &vectors[y]);
+                    total += jaccard(docs[x], docs[y]);
                     count += 1;
                 }
             }
@@ -76,7 +74,7 @@ fn tfidf_separates_spam_vocabulary() {
     };
     let ff = mean_sim(&fakes, &fakes);
     let fb = mean_sim(&fakes, &benign);
-    assert!(ff > fb, "fake-fake tfidf sim {ff} should exceed fake-benign {fb}");
+    assert!(ff > fb, "fake-fake vocabulary overlap {ff} should exceed fake-benign {fb}");
 }
 
 #[test]
