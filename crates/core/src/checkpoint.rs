@@ -1,23 +1,26 @@
 //! Crash-safe training: periodic atomic checkpoints, bit-identical resume
 //! and a NaN/Inf divergence guard.
 //!
-//! A checkpoint directory looks like:
+//! A checkpoint directory holds one checkpoint:
 //!
 //! ```text
-//! <dir>/latest.json        pointer to the newest complete checkpoint
-//! <dir>/ckpt-<E>/          one checkpoint after E completed epochs
-//!   manifest.json          epoch, RNG state, Adam step count, epoch order
-//!   model.rrrp             model weights (RRRP)
-//!   adam.rrrp              Adam first/second moments (RRRP)
+//! <dir>/latest.json      the checkpoint manifest: completed epochs, Adam step
+//!                        count, RNG state, epoch order, and each payload's
+//!                        name and FNV-1a digest
+//! <dir>/model.<E>.rrrp   model weights after E completed epochs (RRRP)
+//! <dir>/adam.<E>.rrrp    Adam first/second moments (RRRP)
 //! ```
 //!
-//! Atomicity: each checkpoint is assembled in a `.stage-<E>` sibling, its
-//! three files and the stage directory fsynced, then `rename`d into place
-//! and the root fsynced; only then is `latest.json` replaced durably (tmp,
-//! fsync, rename, root fsync). A crash at any instant — a power loss
-//! included — leaves either the previous complete checkpoint or the new
-//! one, never a torn mix, so [`Rrre::resume`] always has a valid state to
-//! continue from.
+//! Atomicity: a checkpoint commits the way a serving artifact does
+//! ([`rrre_tensor::serialize::commit`]). Both payloads are written and
+//! fsynced under the new epoch's names, `latest.json` is replaced durably —
+//! the commit — and the previous epoch's payloads are deleted. A crash at
+//! any instant — a power loss included — leaves the previous checkpoint or
+//! the new one, whole, so [`Rrre::resume`] always has a valid state to
+//! continue from. Resume and the divergence rollback verify a payload's
+//! digest before parsing it. A fresh run first drops any earlier run's
+//! `latest.json`, so no payload it writes has a name a committed manifest
+//! lists.
 //!
 //! Bit-identical resume: the training loop's mutable state is exactly
 //! (params, Adam `t`/`m`/`v`, the RNG, the epoch shuffle `order` — which is
@@ -31,43 +34,33 @@ use crate::config::RrreConfig;
 use crate::model::{EpochStats, Rrre};
 use rand::rngs::StdRng;
 use rrre_data::{Dataset, EncodedCorpus};
-use rrre_tensor::serialize::{replace_durably, sync_dir};
+use rrre_tensor::serialize::{self, read_verified, sync_dir};
 use rrre_tensor::{optim::Adam, Params, Tensor};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Checkpoint manifest layout version.
-pub const CKPT_VERSION: u32 = 1;
+/// Checkpoint manifest layout version. Version 2 is the manifest that
+/// names and digests its payloads.
+const VERSION: u32 = 2;
 
-/// File names inside one `ckpt-<E>` directory.
-pub const CKPT_MANIFEST_FILE: &str = "manifest.json";
-/// See [`CKPT_MANIFEST_FILE`].
-pub const CKPT_MODEL_FILE: &str = "model.rrrp";
-/// See [`CKPT_MANIFEST_FILE`].
-pub const CKPT_ADAM_FILE: &str = "adam.rrrp";
-/// The newest-complete-checkpoint pointer at the top of the directory.
-pub const CKPT_LATEST_FILE: &str = "latest.json";
+/// The checkpoint manifest's file name; replacing it commits a checkpoint.
+const MANIFEST_FILE: &str = "latest.json";
 
 /// Periodic-checkpointing knobs for [`Rrre::fit_checkpointed`].
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
-    /// Directory the checkpoints live in (created if absent).
+    /// Directory the checkpoint lives in (created if absent).
     pub dir: PathBuf,
-    /// Checkpoint after every `every` completed epochs.
+    /// Checkpoint after every `every` completed epochs (and after the
+    /// last).
     pub every: usize,
-    /// Retain at most this many complete checkpoints (oldest pruned).
-    pub keep: usize,
 }
 
 impl CheckpointConfig {
-    /// Checkpoint every epoch into `dir`, keeping the last two.
+    /// Checkpoint every epoch into `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self { dir: dir.into(), every: 1, keep: 2 }
-    }
-
-    fn epoch_dir(&self, epoch: usize) -> PathBuf {
-        self.dir.join(format!("ckpt-{epoch}"))
+        Self { dir: dir.into(), every: 1 }
     }
 }
 
@@ -100,11 +93,43 @@ struct CkptManifest {
     /// The in-place-shuffled epoch order — training state that cannot be
     /// regenerated without replaying every prior epoch's permutation.
     order: Vec<usize>,
+    /// `model.<epoch>.rrrp` and `adam.<epoch>.rrrp`, each with its digest.
+    payloads: Vec<Payload>,
 }
 
+/// One payload file and its FNV-1a 64 digest (lowercase hex).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct LatestPointer {
-    epoch: usize,
+struct Payload {
+    file: String,
+    fnv1a: String,
+}
+
+impl CkptManifest {
+    /// Reads the committed manifest in `dir`.
+    fn read(dir: &Path) -> io::Result<Self> {
+        let json = std::fs::read_to_string(dir.join(MANIFEST_FILE)).map_err(|e| {
+            io::Error::new(e.kind(), format!("no resumable checkpoint in {}: {e}", dir.display()))
+        })?;
+        let manifest: CkptManifest =
+            serde_json::from_str(&json).map_err(|e| invalid(format!("bad {MANIFEST_FILE}: {e}")))?;
+        if manifest.version != VERSION {
+            return Err(invalid(format!(
+                "unsupported checkpoint version {} (this build reads {VERSION})",
+                manifest.version
+            )));
+        }
+        Ok(manifest)
+    }
+
+    /// Reads the payload with this stem, verifies its digest and parses it.
+    fn read_payload(&self, dir: &Path, stem: &str) -> io::Result<Params> {
+        let entry = self
+            .payloads
+            .iter()
+            .find(|p| serialize::stem(&p.file) == stem)
+            .ok_or_else(|| invalid(format!("{MANIFEST_FILE} lists no {stem} payload")))?;
+        Params::read_from(&mut &read_verified(dir, &entry.file, &entry.fnv1a)?[..])
+    }
 }
 
 fn invalid(msg: impl Into<String>) -> io::Error {
@@ -132,8 +157,8 @@ impl Rrre {
         run_checkpointed(ds, corpus, train, cfg, ckpt, None, hook)
     }
 
-    /// Continues a [`Rrre::fit_checkpointed`] run from the newest complete
-    /// checkpoint in `ckpt.dir`, up to `cfg.epochs` total epochs. `ds`,
+    /// Continues a [`Rrre::fit_checkpointed`] run from the checkpoint
+    /// `ckpt.dir` commits, up to `cfg.epochs` total epochs. `ds`,
     /// `corpus`, `train` and the architectural parts of `cfg` must match
     /// the original run (shape mismatches fail with `InvalidData`).
     pub fn resume(
@@ -144,7 +169,7 @@ impl Rrre {
         ckpt: &CheckpointConfig,
         hook: impl FnMut(EpochStats, &Rrre),
     ) -> io::Result<FitOutcome> {
-        let latest = read_latest(&ckpt.dir)?;
+        let latest = CkptManifest::read(&ckpt.dir)?;
         run_checkpointed(ds, corpus, train, cfg, ckpt, Some(latest), hook)
     }
 }
@@ -155,29 +180,38 @@ fn run_checkpointed(
     train: &[usize],
     cfg: RrreConfig,
     ckpt: &CheckpointConfig,
-    resume_from: Option<usize>,
+    resume_from: Option<CkptManifest>,
     mut hook: impl FnMut(EpochStats, &Rrre),
 ) -> io::Result<FitOutcome> {
     assert!(ckpt.every >= 1, "CheckpointConfig: `every` must be ≥ 1");
-    assert!(ckpt.keep >= 1, "CheckpointConfig: `keep` must be ≥ 1");
     std::fs::create_dir_all(&ckpt.dir)?;
 
     let (mut model, mut rng, labeled) = Rrre::training_setup(ds, corpus, train, cfg);
     let mut opt = Adam::new(cfg.lr);
     let mut order: Vec<usize> = (0..train.len()).collect();
 
-    let mut start_epoch = 0;
-    if let Some(epoch) = resume_from {
-        if epoch > cfg.epochs {
-            return Err(invalid(format!(
-                "checkpoint has {epoch} completed epochs but the run targets only {}",
-                cfg.epochs
-            )));
+    let resume_from = match resume_from {
+        Some(latest) => {
+            if latest.epoch > cfg.epochs {
+                return Err(invalid(format!(
+                    "checkpoint has {} completed epochs but the run targets only {}",
+                    latest.epoch, cfg.epochs
+                )));
+            }
+            restore_state(&ckpt.dir, &latest, corpus, &mut model, &mut opt, &mut rng, &mut order)?;
+            Some(latest.epoch)
         }
-        restore_state(&ckpt.epoch_dir(epoch), corpus, &mut model, &mut opt, &mut rng, &mut order)?;
-        start_epoch = epoch;
-    }
+        // A fresh run supersedes an earlier run's checkpoint: drop its
+        // manifest before this run writes payloads that could share its
+        // names.
+        None => match std::fs::remove_file(ckpt.dir.join(MANIFEST_FILE)) {
+            Ok(()) => sync_dir(&ckpt.dir).map(|()| None)?,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e),
+        },
+    };
 
+    let start_epoch = resume_from.unwrap_or(0);
     let mut last_good = resume_from;
     // Thread count is *not* checkpoint state: training is bit-identical at
     // every `threads`, so a run may legally resume with a different count.
@@ -192,7 +226,8 @@ fn run_checkpointed(
                     "training diverged at epoch {epoch} before any checkpoint existed"
                 )));
             };
-            model.load_weights(ckpt.epoch_dir(good).join(CKPT_MODEL_FILE), corpus)?;
+            let latest = CkptManifest::read(&ckpt.dir)?;
+            model.install_weights(&latest.read_payload(&ckpt.dir, "model")?, corpus)?;
             // The diverged epoch's non-finite gradients are still in the
             // store; weights were restored, so clear them too.
             model.params_mut().zero_grads();
@@ -205,8 +240,7 @@ fn run_checkpointed(
         }
         let completed = epoch + 1;
         if completed % ckpt.every == 0 || completed == cfg.epochs {
-            write_checkpoint(ckpt, completed, &model, &opt, &rng, &order)?;
-            prune(ckpt)?;
+            write_checkpoint(&ckpt.dir, completed, &model, &opt, &rng, &order)?;
             last_good = Some(completed);
         }
         hook(stats, &model);
@@ -219,23 +253,16 @@ fn run_checkpointed(
     })
 }
 
-/// Stages a complete checkpoint, fsyncs it and renames it into place; the
-/// `latest` pointer flips (a durable replace) only after the renamed
-/// directory is fsynced into the root.
+/// Commits the checkpoint after `epoch` completed epochs: its payloads
+/// under that epoch's names, then `latest.json`.
 fn write_checkpoint(
-    ckpt: &CheckpointConfig,
+    dir: &Path,
     epoch: usize,
     model: &Rrre,
     opt: &Adam,
     rng: &StdRng,
     order: &[usize],
 ) -> io::Result<()> {
-    let stage = ckpt.dir.join(format!(".stage-{epoch}"));
-    let _ = std::fs::remove_dir_all(&stage);
-    std::fs::create_dir_all(&stage)?;
-
-    model.save_weights(stage.join(CKPT_MODEL_FILE))?;
-
     let (t, m, v) = opt.state();
     let mut adam = Params::new();
     for (i, tensor) in m.iter().enumerate() {
@@ -244,63 +271,35 @@ fn write_checkpoint(
     for (i, tensor) in v.iter().enumerate() {
         adam.register(format!("adam.v.{i}"), tensor.clone());
     }
-    adam.save(stage.join(CKPT_ADAM_FILE))?;
-
-    let manifest = CkptManifest {
-        version: CKPT_VERSION,
-        epoch,
-        adam_t: t,
-        rng_state: rng
-            .state()
-            .iter()
-            .flat_map(|&w| [w & 0xFFFF_FFFF, w >> 32])
-            .collect(),
-        order: order.to_vec(),
-    };
-    let json = serde_json::to_string(&manifest).map_err(io::Error::other)?;
-    std::fs::write(stage.join(CKPT_MANIFEST_FILE), json)?;
-    for name in [CKPT_MODEL_FILE, CKPT_ADAM_FILE, CKPT_MANIFEST_FILE] {
-        std::fs::File::open(stage.join(name))?.sync_data()?;
-    }
-    sync_dir(&stage)?;
-
-    let final_dir = ckpt.epoch_dir(epoch);
-    let _ = std::fs::remove_dir_all(&final_dir);
-    std::fs::rename(&stage, &final_dir)?;
-    sync_dir(&ckpt.dir)?;
-
-    let json = serde_json::to_string(&LatestPointer { epoch }).map_err(io::Error::other)?;
-    replace_durably(&ckpt.dir, CKPT_LATEST_FILE, json.as_bytes())
+    let (mut weights, mut moments) = (Vec::new(), Vec::new());
+    model.params().write_to(&mut weights)?;
+    adam.write_to(&mut moments)?;
+    let payloads = [(format!("model.{epoch}.rrrp"), weights), (format!("adam.{epoch}.rrrp"), moments)];
+    serialize::commit(dir, MANIFEST_FILE, &payloads, |listed| {
+        let manifest = CkptManifest {
+            version: VERSION,
+            epoch,
+            adam_t: t,
+            rng_state: rng.state().iter().flat_map(|&w| [w & 0xFFFF_FFFF, w >> 32]).collect(),
+            order: order.to_vec(),
+            payloads: listed.into_iter().map(|(file, fnv1a)| Payload { file, fnv1a }).collect(),
+        };
+        serde_json::to_string(&manifest).map(String::into_bytes).map_err(io::Error::other)
+    })
 }
 
-fn read_latest(dir: &Path) -> io::Result<usize> {
-    let json = std::fs::read_to_string(dir.join(CKPT_LATEST_FILE)).map_err(|e| {
-        io::Error::new(e.kind(), format!("no resumable checkpoint in {}: {e}", dir.display()))
-    })?;
-    let latest: LatestPointer =
-        serde_json::from_str(&json).map_err(|e| invalid(format!("bad latest.json: {e}")))?;
-    Ok(latest.epoch)
-}
-
-/// Restores params, Adam moments, RNG and epoch order from one checkpoint
-/// directory, validating every count and shape against the live model.
+/// Restores params, Adam moments, RNG and epoch order from the checkpoint
+/// `manifest` commits in `dir`, validating every count and shape against
+/// the live model.
 fn restore_state(
     dir: &Path,
+    manifest: &CkptManifest,
     corpus: &EncodedCorpus,
     model: &mut Rrre,
     opt: &mut Adam,
     rng: &mut StdRng,
     order: &mut [usize],
 ) -> io::Result<()> {
-    let json = std::fs::read_to_string(dir.join(CKPT_MANIFEST_FILE))?;
-    let manifest: CkptManifest =
-        serde_json::from_str(&json).map_err(|e| invalid(format!("bad checkpoint manifest: {e}")))?;
-    if manifest.version != CKPT_VERSION {
-        return Err(invalid(format!(
-            "unsupported checkpoint version {} (this build reads {CKPT_VERSION})",
-            manifest.version
-        )));
-    }
     if manifest.rng_state.len() != 8 {
         return Err(invalid(format!(
             "rng_state has {} half-words, expected 8",
@@ -328,9 +327,9 @@ fn restore_state(
         return Err(invalid("checkpoint order indexes past the training set"));
     }
 
-    model.load_weights(dir.join(CKPT_MODEL_FILE), corpus)?;
-
-    let adam = Params::load(dir.join(CKPT_ADAM_FILE))?;
+    let weights = manifest.read_payload(dir, "model")?;
+    let adam = manifest.read_payload(dir, "adam")?;
+    model.install_weights(&weights, corpus)?;
     let n = model.params().len();
     if adam.len() != 2 * n {
         return Err(invalid(format!(
@@ -367,30 +366,6 @@ fn restore_state(
     Ok(())
 }
 
-/// Removes all but the newest `keep` complete checkpoints (and any stale
-/// staging directories from interrupted writes).
-fn prune(ckpt: &CheckpointConfig) -> io::Result<()> {
-    let mut epochs: Vec<usize> = Vec::new();
-    for entry in std::fs::read_dir(&ckpt.dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(rest) = name.strip_prefix("ckpt-") {
-            if let Ok(epoch) = rest.parse::<usize>() {
-                epochs.push(epoch);
-            }
-        } else if name.starts_with(".stage-") {
-            let _ = std::fs::remove_dir_all(entry.path());
-        }
-    }
-    epochs.sort_unstable();
-    let cut = epochs.len().saturating_sub(ckpt.keep);
-    for &epoch in &epochs[..cut] {
-        let _ = std::fs::remove_dir_all(ckpt.epoch_dir(epoch));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,7 +387,7 @@ mod tests {
     }
 
     fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("rrre-ckpt-tests").join(format!("{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join("rrre-checkpoint-tests").join(format!("{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -504,20 +479,63 @@ mod tests {
         assert_eq!(params_bits(&out.model), good_bits, "rollback must restore the checkpoint exactly");
     }
 
+    /// The directory's files, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
-    fn prune_keeps_only_the_newest_checkpoints() {
+    fn the_directory_holds_one_checkpoint_and_a_fresh_run_supersedes_it() {
         let (ds, corpus) = tiny();
         let train: Vec<usize> = (0..ds.len()).collect();
         let cfg = RrreConfig { epochs: 4, ..RrreConfig::tiny() };
-        let dir = scratch("prune");
-        let ckpt = CheckpointConfig { dir: dir.clone(), every: 1, keep: 2 };
+        let dir = scratch("one-checkpoint");
+        let ckpt = CheckpointConfig::new(&dir);
         Rrre::fit_checkpointed(&ds, &corpus, &train, cfg, &ckpt, |_, _| {}).unwrap();
+        assert_eq!(listing(&dir), ["adam.4.rrrp", "latest.json", "model.4.rrrp"]);
+        assert_eq!(CkptManifest::read(&dir).unwrap().epoch, 4);
 
-        assert!(!dir.join("ckpt-1").exists());
-        assert!(!dir.join("ckpt-2").exists());
-        assert!(dir.join("ckpt-3").exists());
-        assert!(dir.join("ckpt-4").exists());
-        assert_eq!(read_latest(&dir).unwrap(), 4);
+        // A shorter fresh run reuses none of the old names' contents: its
+        // first commit deletes the old payloads, its last is what resumes.
+        let short = RrreConfig { epochs: 2, ..cfg };
+        Rrre::fit_checkpointed(&ds, &corpus, &train, short, &ckpt, |_, _| {}).unwrap();
+        assert_eq!(listing(&dir), ["adam.2.rrrp", "latest.json", "model.2.rrrp"]);
+        assert_eq!(CkptManifest::read(&dir).unwrap().epoch, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A crash while epoch 3's payloads were being written leaves them
+    /// torn beside epoch 2's committed `latest.json`: resume reads only what
+    /// the manifest lists, and its next commit rewrites the torn names.
+    #[test]
+    fn a_torn_next_epoch_payload_beside_a_good_manifest_resumes_bit_identically() {
+        let (ds, corpus) = tiny();
+        let train: Vec<usize> = (0..ds.len()).collect();
+        let full_cfg = RrreConfig { epochs: 4, ..RrreConfig::tiny() };
+        let mut full_trace = Vec::new();
+        let full = Rrre::fit_with_hook(&ds, &corpus, &train, full_cfg, |s, _| full_trace.push(s));
+
+        let dir = scratch("torn-next");
+        let ckpt = CheckpointConfig::new(&dir);
+        Rrre::fit_checkpointed(&ds, &corpus, &train, RrreConfig { epochs: 2, ..full_cfg }, &ckpt, |_, _| {})
+            .unwrap();
+        let whole = std::fs::read(dir.join("model.2.rrrp")).unwrap();
+        std::fs::write(dir.join("model.3.rrrp"), &whole[..whole.len() / 2]).unwrap();
+        std::fs::write(dir.join("adam.3.rrrp"), b"").unwrap();
+
+        let mut tail = Vec::new();
+        let resumed = Rrre::resume(&ds, &corpus, &train, full_cfg, &ckpt, |s, _| tail.push(s)).unwrap();
+        assert_eq!(resumed.resumed_from, Some(2));
+        for (a, b) in full_trace[2..].iter().zip(&tail) {
+            assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "epoch {} loss diverged after resume", a.epoch);
+        }
+        assert_eq!(params_bits(&full), params_bits(&resumed.model), "resumed weights diverged");
+        assert_eq!(listing(&dir), ["adam.4.rrrp", "latest.json", "model.4.rrrp"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -544,7 +562,7 @@ mod tests {
         let ckpt = CheckpointConfig::new(&dir);
         Rrre::fit_checkpointed(&ds, &corpus, &train, cfg, &ckpt, |_, _| {}).unwrap();
 
-        let model_file = dir.join("ckpt-1").join(CKPT_MODEL_FILE);
+        let model_file = dir.join("model.1.rrrp");
         let bytes = std::fs::read(&model_file).unwrap();
         std::fs::write(&model_file, &bytes[..bytes.len() / 2]).unwrap();
         let err =

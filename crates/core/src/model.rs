@@ -551,7 +551,12 @@ impl Rrre {
         path: impl AsRef<std::path::Path>,
         corpus: &EncodedCorpus,
     ) -> std::io::Result<()> {
-        self.restore_weights(&Params::load(path)?)?;
+        self.install_weights(&Params::load(path)?, corpus)
+    }
+
+    /// [`Rrre::load_weights`] from an already-read store.
+    pub(crate) fn install_weights(&mut self, weights: &Params, corpus: &EncodedCorpus) -> std::io::Result<()> {
+        self.restore_weights(weights)?;
         if self.cache.is_some() || matches!(self.cfg.encoder, EncoderMode::Frozen) {
             self.rebuild_cache(corpus);
         }

@@ -15,13 +15,6 @@ pub struct Split {
     pub test: Vec<usize>,
 }
 
-impl Split {
-    /// Fraction of reviews in the test set.
-    pub fn test_fraction(&self, total: usize) -> f64 {
-        self.test.len() as f64 / total.max(1) as f64
-    }
-}
-
 /// Randomly splits review indices, then repairs the split so each user and
 /// item that appears at all appears in `train` at least once (moving the
 /// oldest test review of any orphaned user/item into train).
@@ -120,7 +113,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let s = train_test_split(&ds, 0.3, &mut rng);
         assert_eq!(s.train.len() + s.test.len(), 200);
-        let frac = s.test_fraction(200);
+        let frac = s.test.len() as f64 / 200.0;
         assert!((0.2..=0.35).contains(&frac), "test fraction {frac}");
     }
 

@@ -86,15 +86,6 @@ impl ReviewGraph {
     pub fn item_degree(&self, item: ItemId) -> usize {
         self.item_edges[item.index()].len()
     }
-
-    /// Mean rating over an item's incident edges (`None` if isolated).
-    pub fn item_mean_rating(&self, item: ItemId) -> Option<f32> {
-        let es = self.item_edges(item);
-        if es.is_empty() {
-            return None;
-        }
-        Some(es.iter().map(|&e| self.edges[e].rating).sum::<f32>() / es.len() as f32)
-    }
 }
 
 #[cfg(test)]
@@ -128,14 +119,5 @@ mod tests {
         assert_eq!(g.n_edges(), 2);
         assert_eq!(g.user_degree(UserId(0)), 1);
         assert_eq!(g.edges()[1].review_idx, 2);
-    }
-
-    #[test]
-    fn item_mean_rating() {
-        let ds = dataset();
-        let g = ReviewGraph::from_dataset(&ds, &[0, 1, 2]);
-        assert_eq!(g.item_mean_rating(ItemId(0)), Some(4.0));
-        let g2 = ReviewGraph::from_dataset(&ds, &[0]);
-        assert_eq!(g2.item_mean_rating(ItemId(1)), None);
     }
 }

@@ -3,12 +3,22 @@
 //! An artifact directory is fully self-describing:
 //!
 //! ```text
-//! <dir>/manifest.json   versioned summary + RrreConfig + per-file digests (human-readable)
-//! <dir>/dataset.json    the review dataset (users, items, texts, labels)
-//! <dir>/vectors.rrrp    pretrained word vectors as a single-tensor RRRP file
-//! <dir>/model.rrrp      trained model weights (RRRP checkpoint)
-//! <dir>/reviews.rrrp    frozen BiLSTM review vectors (n_reviews × k), single-tensor RRRP
+//! <dir>/manifest.json       versioned summary + RrreConfig + commit count + folded seqs
+//!                           + each payload's name and digest (human-readable)
+//! <dir>/dataset.<n>.json    the review dataset (users, items, texts, labels)
+//! <dir>/vectors.<n>.rrrp    pretrained word vectors as a single-tensor RRRP file
+//! <dir>/model.<n>.rrrp      trained model weights (RRRP checkpoint)
+//! <dir>/reviews.<n>.rrrp    frozen BiLSTM review vectors (n_reviews × k), single-tensor RRRP
 //! ```
+//!
+//! Every save is one commit ([`rrre_tensor::serialize::commit`]): the
+//! payloads of commit `n` are written and fsynced under names no committed
+//! manifest lists, then the manifest is replaced durably, then the previous
+//! commit's payloads are deleted. A crash at any instant leaves the old
+//! generation or the new one, whole, and a fresh save and a compaction over
+//! a live directory commit the same way. Names come from the commit count,
+//! never from a digest: ingest lets anyone write review text, and FNV-1a
+//! collisions can be built on purpose.
 //!
 //! Tokenisation, vocabulary construction and document encoding are cheap,
 //! deterministic functions of the dataset text, so the corpus is *rebuilt*
@@ -22,13 +32,17 @@
 //! bit, so review vectors that belong to other weights or another corpus
 //! never serve.
 //!
-//! Every load cross-checks the manifest against what is actually in the
-//! files (entity counts, vocabulary size, embedding dimension, parameter
-//! and review-vector shapes); any disagreement fails with `InvalidData`
-//! instead of producing a model that silently serves garbage.
+//! A load opens exactly the payloads the manifest lists, verifies each
+//! digest before parsing, and cross-checks the manifest against what is
+//! actually in the files (entity counts, vocabulary size, embedding
+//! dimension, parameter and review-vector shapes); any disagreement fails
+//! with `InvalidData` instead of producing a model that silently serves
+//! garbage.
 
 use rrre_core::{Rrre, RrreConfig};
 use rrre_data::{Dataset, EncodedCorpus};
+use crate::wal::SeqSet;
+use rrre_tensor::serialize::{self, read_verified};
 use rrre_tensor::{Params, Tensor};
 use rrre_text::WordVectors;
 use rrre_wire::ShardSpec;
@@ -39,24 +53,27 @@ use std::path::{Path, PathBuf};
 /// Current artifact layout version. Version 2 added per-file FNV-1a
 /// checksums; version 3 added the shard spec (consistent-hash topology the
 /// artifact was partitioned for — [`ShardSpec::single`] for whole-model
-/// bundles); version 4 added the persisted review vectors
-/// ([`REVIEWS_FILE`]). Older versions are rejected (re-save to upgrade).
-pub const MANIFEST_VERSION: u32 = 4;
+/// bundles); version 4 added the persisted review vectors; version 5 names
+/// payloads by commit count and carries the folded seq set. Older versions
+/// are rejected (re-save to upgrade).
+pub const MANIFEST_VERSION: u32 = 5;
 
-/// File names inside an artifact directory.
+/// The manifest's file name inside an artifact directory; it is the only
+/// fixed name there, and replacing it commits a generation.
 pub const MANIFEST_FILE: &str = "manifest.json";
-/// See [`MANIFEST_FILE`].
-pub const DATASET_FILE: &str = "dataset.json";
-/// See [`MANIFEST_FILE`].
-pub const VECTORS_FILE: &str = "vectors.rrrp";
-/// See [`MANIFEST_FILE`].
-pub const MODEL_FILE: &str = "model.rrrp";
-/// See [`MANIFEST_FILE`].
-pub const REVIEWS_FILE: &str = "reviews.rrrp";
 
-/// Name of the single tensor inside `vectors.rrrp`.
+/// Payload `(stem, extension)`s; commit `n` names them `<stem>.<n>.<ext>`.
+const DATASET: (&str, &str) = ("dataset", "json");
+/// See [`DATASET`].
+const VECTORS: (&str, &str) = ("vectors", "rrrp");
+/// See [`DATASET`].
+const MODEL: (&str, &str) = ("model", "rrrp");
+/// See [`DATASET`].
+const REVIEWS: (&str, &str) = ("reviews", "rrrp");
+
+/// Name of the single tensor inside the vectors payload.
 const VECTORS_PARAM: &str = "corpus.word_vectors";
-/// Name of the single tensor inside `reviews.rrrp`.
+/// Name of the single tensor inside the reviews payload.
 const REVIEWS_PARAM: &str = "rrre.review_vectors";
 
 /// How many persisted review vectors a load re-encodes and compares bit for
@@ -94,18 +111,25 @@ pub struct ArtifactManifest {
     /// [`ShardSpec::single`] for whole-model bundles.
     pub shard_spec: ShardSpec,
     /// Number of *leading* reviews the vocabulary (and therefore the
-    /// word-vector table) was built from. For a freshly trained artifact
-    /// this equals `n_reviews`; a compacted artifact that folded streamed
-    /// reviews into the dataset keeps the original training prefix here so
-    /// the load path rebuilds the *pinned* vocabulary
-    /// ([`rrre_data::EncodedCorpus::from_parts_pinned`]) — streamed text is
-    /// encoded against the frozen vocab (out-of-vocabulary words drop),
-    /// exactly as the live ingest path encoded it.
+    /// word-vector table) was built from: `n_reviews` minus the folded
+    /// ingest reviews. The load path rebuilds the *pinned* vocabulary from
+    /// this prefix ([`rrre_data::EncodedCorpus::from_parts_pinned`]) —
+    /// streamed text is encoded against the frozen vocab (out-of-vocabulary
+    /// words drop), exactly as the live ingest path encoded it.
     pub vocab_reviews: usize,
-    /// FNV-1a 64 digest of every payload file, recorded at save time. The
-    /// load path hashes each file before parsing it, so a bit-flip that
-    /// would survive structural validation (e.g. inside a weight tensor)
-    /// still fails the load instead of silently serving a corrupt model.
+    /// Commits of this directory so far, this one included: the payloads
+    /// it lists are named `<stem>.<commit>.<ext>`.
+    pub commit: u64,
+    /// Client seqs of every ingested review a compaction folded into the
+    /// dataset. The folded reviews and their seqs commit in one manifest
+    /// replace, so a WAL replay dedups against exactly what the dataset
+    /// holds. Empty for a freshly trained artifact.
+    pub folded: SeqSet,
+    /// The payload files and the FNV-1a 64 digest of each, recorded at save
+    /// time. The load path opens exactly these names and hashes each file
+    /// before parsing it, so a bit-flip that would survive structural
+    /// validation (e.g. inside a weight tensor) still fails the load
+    /// instead of silently serving a corrupt model.
     pub checksums: Vec<FileChecksum>,
 }
 
@@ -115,24 +139,43 @@ pub struct ArtifactManifest {
 pub struct FileChecksum {
     /// File name relative to the artifact directory.
     pub file: String,
-    /// FNV-1a 64 of the file bytes, lowercase hex.
+    /// FNV-1a 64 of the file bytes, lowercase hex
+    /// ([`rrre_tensor::serialize::digest`]).
     pub fnv1a: String,
 }
 
-/// FNV-1a 64 of `bytes` as the lowercase hex string the manifest records.
-/// Public so tests and tooling can recompute a file's expected digest.
-pub fn file_digest(bytes: &[u8]) -> String {
-    format!("{:016x}", fnv1a(bytes))
-}
-
-/// FNV-1a 64 over a byte slice.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+impl ArtifactManifest {
+    /// The listed payload whose file name has this stem (`"model"`,
+    /// `"reviews"`, `"dataset"` or `"vectors"`).
+    pub fn payload(&self, stem: &str) -> Option<&FileChecksum> {
+        self.checksums.iter().find(|c| serialize::stem(&c.file) == stem)
     }
-    h
+
+    /// Reads the manifest in `dir`, refusing any version but
+    /// [`MANIFEST_VERSION`] before it parses the rest.
+    pub fn read(dir: &Path) -> io::Result<Self> {
+        #[derive(Deserialize)]
+        struct Versioned {
+            version: u32,
+        }
+        let json = std::fs::read_to_string(dir.join(MANIFEST_FILE))?;
+        let bad = |e: serde_json::Error| invalid(format!("bad manifest: {e}"));
+        let Versioned { version } = serde_json::from_str(&json).map_err(bad)?;
+        if version != MANIFEST_VERSION {
+            return Err(invalid(format!(
+                "unsupported artifact version {version} (this build reads {MANIFEST_VERSION}; \
+                 re-save to upgrade)"
+            )));
+        }
+        serde_json::from_str(&json).map_err(bad)
+    }
+
+    /// Reads the payload with this stem once and verifies its digest.
+    fn read_payload(&self, dir: &Path, stem: &str) -> io::Result<Vec<u8>> {
+        let entry =
+            self.payload(stem).ok_or_else(|| invalid(format!("manifest lists no {stem} payload")))?;
+        read_verified(dir, &entry.file, &entry.fnv1a)
+    }
 }
 
 /// A loaded serving bundle: dataset + rebuilt corpus + restored model. The
@@ -155,8 +198,8 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// A one-tensor RRRP payload (the format of `vectors.rrrp` and
-/// `reviews.rrrp`).
+/// A one-tensor RRRP payload (the format of the vectors and reviews
+/// payloads).
 fn table_bytes(name: &str, table: Tensor) -> Vec<u8> {
     let mut params = Params::new();
     params.register(name, table);
@@ -166,19 +209,19 @@ fn table_bytes(name: &str, table: Tensor) -> Vec<u8> {
 }
 
 /// Parses a one-tensor RRRP payload and moves its tensor out.
-fn parse_table(bytes: &[u8], file: &str, name: &str) -> io::Result<Tensor> {
+fn parse_table(bytes: &[u8], stem: &str, name: &str) -> io::Result<Tensor> {
     let mut params = Params::read_from(&mut &bytes[..])?;
     let id = params
         .iter()
         .find(|(_, n, _)| *n == name)
         .map(|(id, _, _)| id)
-        .ok_or_else(|| invalid(format!("{file} has no `{name}` tensor")))?;
+        .ok_or_else(|| invalid(format!("the {stem} payload has no `{name}` tensor")))?;
     Ok(std::mem::replace(params.get_mut(id), Tensor::zeros(0, 0)))
 }
 
 /// One frozen review vector per review of `dataset`: the model's own rows
 /// for the prefix it reflects, a fresh encoding for any tail it does not
-/// (compaction and staged recovery save datasets that grew past the model).
+/// (a compaction saves a dataset that grew past the model).
 fn review_rows(dataset: &Dataset, corpus: &EncodedCorpus, model: &Rrre) -> io::Result<Tensor> {
     let (n, k) = (dataset.len(), model.config().k);
     let mut flat = Vec::with_capacity(n * k);
@@ -210,7 +253,7 @@ fn spot_check_review_vectors(model: &Rrre, corpus: &EncodedCorpus) -> io::Result
         let fresh = model.encode_review(corpus, idx);
         if fresh.as_slice().iter().zip(stored.vector(idx)).any(|(a, b)| a.to_bits() != b.to_bits()) {
             return Err(invalid(format!(
-                "{REVIEWS_FILE}: stored review vectors do not match these weights and this \
+                "reviews payload: stored review vectors do not match these weights and this \
                  corpus (review {idx} re-encodes differently)"
             )));
         }
@@ -218,30 +261,9 @@ fn spot_check_review_vectors(model: &Rrre, corpus: &EncodedCorpus) -> io::Result
     Ok(())
 }
 
-/// Reads `file` once and checks it against the digest the manifest
-/// recorded. Callers parse from the returned buffer, so the bytes that
-/// were verified are the bytes that serve, even if the file is replaced
-/// in between.
-fn read_verified(dir: &Path, manifest: &ArtifactManifest, file: &str) -> io::Result<Vec<u8>> {
-    let recorded = manifest
-        .checksums
-        .iter()
-        .find(|c| c.file == file)
-        .ok_or_else(|| invalid(format!("manifest records no checksum for {file}")))?;
-    let bytes = std::fs::read(dir.join(file))?;
-    let actual = file_digest(&bytes);
-    if actual != recorded.fnv1a {
-        return Err(invalid(format!(
-            "{file} checksum mismatch: manifest says {}, file hashes to {actual} \
-             (truncated or corrupted artifact)",
-            recorded.fnv1a
-        )));
-    }
-    Ok(bytes)
-}
-
 impl ModelArtifact {
-    /// Writes a trained model as an artifact directory (created if absent).
+    /// Writes a trained model as an artifact directory (created if absent),
+    /// committing the directory's next generation if it already holds one.
     ///
     /// `min_count` must be the vocabulary min-count the corpus was built
     /// with — it is recorded in the manifest so the load path can rebuild
@@ -269,26 +291,26 @@ impl ModelArtifact {
         min_count: u64,
         shard_spec: ShardSpec,
     ) -> io::Result<()> {
-        Self::save_pinned(dir, dataset, corpus, model, min_count, shard_spec, dataset.len())
+        Self::commit(dir.as_ref(), dataset, corpus, model, min_count, shard_spec, &SeqSet::new())
     }
 
-    /// [`ModelArtifact::save_with_shards`] with an explicit vocabulary
-    /// prefix. The compactor uses this to fold streamed reviews into the
-    /// dataset while carrying the *original* training prefix forward in
-    /// `vocab_reviews`, so reloading the compacted artifact rebuilds the
-    /// identical frozen vocabulary the live ingest path encoded against.
+    /// The one save: commits `dataset` as the next generation of `dir`.
+    /// `folded` holds the seqs of the ingested reviews at the end of
+    /// `dataset`; the vocabulary stays pinned to the reviews before them, so
+    /// reloading a compacted artifact rebuilds the identical frozen
+    /// vocabulary the live ingest path encoded against.
     ///
     /// The persisted review vectors cover every review of `dataset`: the
     /// model's frozen rows for the reviews it already reflects, the frozen
     /// encoder's output for any it does not.
-    pub fn save_pinned(
-        dir: impl AsRef<Path>,
+    pub(crate) fn commit(
+        dir: &Path,
         dataset: &Dataset,
         corpus: &EncodedCorpus,
         model: &Rrre,
         min_count: u64,
         shard_spec: ShardSpec,
-        vocab_reviews: usize,
+        folded: &SeqSet,
     ) -> io::Result<()> {
         // The manifest writes the seed as a JSON number, which holds an
         // integer exactly only up to `MAX_EXACT_INT`: a larger seed would be
@@ -304,12 +326,16 @@ impl ModelArtifact {
             ));
         }
         shard_spec.validate().map_err(invalid)?;
-        if vocab_reviews > dataset.len() {
-            return Err(invalid(format!(
-                "vocab_reviews {vocab_reviews} exceeds the dataset's {} reviews",
-                dataset.len()
-            )));
-        }
+        let vocab_reviews = usize::try_from(folded.len())
+            .ok()
+            .and_then(|n| dataset.len().checked_sub(n))
+            .ok_or_else(|| {
+                invalid(format!(
+                    "{} folded seqs exceed the dataset's {} reviews",
+                    folded.len(),
+                    dataset.len()
+                ))
+            })?;
         if corpus.docs.len() != dataset.len() {
             return Err(invalid(format!(
                 "corpus has {} docs but the dataset has {} reviews",
@@ -318,47 +344,44 @@ impl ModelArtifact {
             )));
         }
         let reviews = review_rows(dataset, corpus, model)?;
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-
-        // Payloads first; the checksummed manifest goes last so a crash
-        // mid-save leaves a directory the load path rejects (missing or
-        // stale manifest) rather than one that looks complete.
-        let mut checksums = Vec::new();
-        let mut put = |file: &str, bytes: Vec<u8>| -> io::Result<()> {
-            std::fs::write(dir.join(file), &bytes)?;
-            checksums.push(FileChecksum { file: file.to_string(), fnv1a: file_digest(&bytes) });
-            Ok(())
-        };
-        put(DATASET_FILE, serde_json::to_string(dataset).map_err(io::Error::other)?.into_bytes())?;
         let word_vectors = Tensor::from_vec(
             corpus.word_vectors.len(),
             corpus.embed_dim(),
             corpus.word_vectors.as_flat().to_vec(),
         );
-        put(VECTORS_FILE, table_bytes(VECTORS_PARAM, word_vectors))?;
         let mut weights = Vec::new();
         model.params().write_to(&mut weights)?;
-        put(MODEL_FILE, weights)?;
-        put(REVIEWS_FILE, table_bytes(REVIEWS_PARAM, reviews))?;
 
-        let manifest = ArtifactManifest {
-            version: MANIFEST_VERSION,
-            dataset_name: dataset.name.clone(),
-            n_users: dataset.n_users,
-            n_items: dataset.n_items,
-            n_reviews: dataset.len(),
-            max_len: corpus.max_len,
-            min_count,
-            embed_dim: corpus.embed_dim(),
-            vocab_len: corpus.word_vectors.len(),
-            config: *model.config(),
-            shard_spec,
-            vocab_reviews,
-            checksums,
-        };
-        let json = serde_json::to_string_pretty(&manifest).map_err(io::Error::other)?;
-        std::fs::write(dir.join(MANIFEST_FILE), json)
+        // A directory without a readable current manifest has no committed
+        // generation, so any names are free.
+        let commit = ArtifactManifest::read(dir).map_or(0, |m| m.commit) + 1;
+        let name = |(stem, ext): (&str, &str)| format!("{stem}.{commit}.{ext}");
+        let payloads = [
+            (name(DATASET), serde_json::to_string(dataset).map_err(io::Error::other)?.into_bytes()),
+            (name(VECTORS), table_bytes(VECTORS_PARAM, word_vectors)),
+            (name(MODEL), weights),
+            (name(REVIEWS), table_bytes(REVIEWS_PARAM, reviews)),
+        ];
+        serialize::commit(dir, MANIFEST_FILE, &payloads, |listed| {
+            let manifest = ArtifactManifest {
+                version: MANIFEST_VERSION,
+                dataset_name: dataset.name.clone(),
+                n_users: dataset.n_users,
+                n_items: dataset.n_items,
+                n_reviews: dataset.len(),
+                max_len: corpus.max_len,
+                min_count,
+                embed_dim: corpus.embed_dim(),
+                vocab_len: corpus.word_vectors.len(),
+                config: *model.config(),
+                shard_spec,
+                vocab_reviews,
+                commit,
+                folded: folded.clone(),
+                checksums: listed.into_iter().map(|(file, fnv1a)| FileChecksum { file, fnv1a }).collect(),
+            };
+            Ok(serde_json::to_string_pretty(&manifest).map_err(io::Error::other)?.into_bytes())
+        })
     }
 
     /// Loads and validates an artifact directory, restoring the model via
@@ -368,17 +391,7 @@ impl ModelArtifact {
     /// mode.
     pub fn load(dir: impl AsRef<Path>) -> io::Result<Self> {
         let dir = dir.as_ref();
-
-        let manifest_json = std::fs::read_to_string(dir.join(MANIFEST_FILE))?;
-        let manifest: ArtifactManifest =
-            serde_json::from_str(&manifest_json).map_err(|e| invalid(format!("bad manifest: {e}")))?;
-        if manifest.version != MANIFEST_VERSION {
-            return Err(invalid(format!(
-                "unsupported artifact version {} (this build reads {MANIFEST_VERSION}; \
-                 re-save to upgrade)",
-                manifest.version
-            )));
-        }
+        let manifest = ArtifactManifest::read(dir)?;
         manifest
             .shard_spec
             .validate()
@@ -387,10 +400,10 @@ impl ModelArtifact {
         // Every payload's digest is verified before it is parsed:
         // structural validation cannot see a flipped bit inside a weight.
         let dataset: Dataset = {
-            let bytes = read_verified(dir, &manifest, DATASET_FILE)?;
+            let bytes = manifest.read_payload(dir, DATASET.0)?;
             let json = std::str::from_utf8(&bytes)
-                .map_err(|e| invalid(format!("{DATASET_FILE} is not UTF-8: {e}")))?;
-            serde_json::from_str(json).map_err(|e| invalid(format!("bad {DATASET_FILE}: {e}")))?
+                .map_err(|e| invalid(format!("the dataset payload is not UTF-8: {e}")))?;
+            serde_json::from_str(json).map_err(|e| invalid(format!("bad dataset payload: {e}")))?
         };
         if dataset.n_users != manifest.n_users
             || dataset.n_items != manifest.n_items
@@ -408,8 +421,7 @@ impl ModelArtifact {
             )));
         }
 
-        let table =
-            parse_table(&read_verified(dir, &manifest, VECTORS_FILE)?, VECTORS_FILE, VECTORS_PARAM)?;
+        let table = parse_table(&manifest.read_payload(dir, VECTORS.0)?, VECTORS.0, VECTORS_PARAM)?;
         let (rows, cols) = table.shape();
         if rows != manifest.vocab_len || cols != manifest.embed_dim {
             return Err(invalid(format!(
@@ -428,9 +440,8 @@ impl ModelArtifact {
         )
         .map_err(invalid)?;
 
-        let weights = Params::read_from(&mut &read_verified(dir, &manifest, MODEL_FILE)?[..])?;
-        let reviews =
-            parse_table(&read_verified(dir, &manifest, REVIEWS_FILE)?, REVIEWS_FILE, REVIEWS_PARAM)?;
+        let weights = Params::read_from(&mut &manifest.read_payload(dir, MODEL.0)?[..])?;
+        let reviews = parse_table(&manifest.read_payload(dir, REVIEWS.0)?, REVIEWS.0, REVIEWS_PARAM)?;
         let model = Rrre::from_frozen_parts(&dataset, &corpus, manifest.config, &weights, reviews)?;
         spot_check_review_vectors(&model, &corpus)?;
 

@@ -406,6 +406,15 @@ impl Args {
         self.opt(name).expect("flag declares a default")
     }
 
+    /// `--scale`, which must be a positive factor.
+    fn scale(&self) -> f64 {
+        let scale: f64 = self.get("--scale");
+        if scale.is_nan() || scale <= 0.0 {
+            self.refuse("--scale must be > 0");
+        }
+        scale
+    }
+
     /// [`Args::opt`] for a required flag.
     fn required<T: FromStr>(&self, name: &str) -> T {
         self.opt(name).unwrap_or_else(|| self.refuse(format!("{} needs {name}", self.verb.name)))
@@ -466,7 +475,7 @@ fn synth_corpus(scale: f64, max_len: usize, dim: usize, w2v_epochs: usize) -> (D
 }
 
 fn cmd_demo(args: Args) -> Outcome {
-    let scale: f64 = args.get("--scale");
+    let scale = args.scale();
     let shards: u32 = args.get("--shards");
     if shards == 0 {
         args.refuse("--shards must be ≥ 1");
@@ -497,14 +506,17 @@ fn cmd_demo(args: Args) -> Outcome {
 }
 
 fn cmd_train(args: Args) -> Outcome {
-    let scale: f64 = args.get("--scale");
+    let scale = args.scale();
     let abort_after: Option<usize> = args.opt("--abort-after-epoch");
     let cfg = RrreConfig { epochs: args.get("--epochs"), threads: args.get("--threads"), ..RrreConfig::tiny() };
     if cfg.threads == 0 {
         args.refuse("--threads must be ≥ 1");
     }
     let [dir] = args.positionals("exactly one <dir>");
-    let ckpt = CheckpointConfig { dir: PathBuf::from(dir), every: args.get("--every"), keep: 3 };
+    let ckpt = CheckpointConfig { dir: PathBuf::from(dir), every: args.get("--every") };
+    if ckpt.every == 0 {
+        args.refuse("--every must be ≥ 1");
+    }
 
     eprintln!("generating synthetic dataset (scale {scale})...");
     let (ds, corpus, _) = synth_corpus(scale, 12, 8, 1);
@@ -541,12 +553,6 @@ fn cmd_train(args: Args) -> Outcome {
     let (loss, bits) = last.map_or((f32::NAN, 0), |s| (s.loss, s.loss.to_bits()));
     println!("final epochs={} loss={loss:.6} bits={bits:08x}", out.completed_epochs);
     Ok(ExitCode::SUCCESS)
-}
-
-fn read_manifest(dir: &str) -> Result<ArtifactManifest, String> {
-    let path = Path::new(dir).join(rrre_serve::artifact::MANIFEST_FILE);
-    let json = std::fs::read_to_string(&path).map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
-    serde_json::from_str(&json).map_err(|e| format!("`{}` does not parse as a manifest: {e}", path.display()))
 }
 
 fn cmd_serve(args: Args) -> Outcome {
@@ -596,7 +602,7 @@ fn cmd_serve(args: Args) -> Outcome {
     // Validate --shard-id against the manifest *before* constructing the
     // engine (whose own range assert is a panic, not an operator message).
     if let Some(shard) = cfg.shard_id {
-        if let Some(m) = read_manifest(dir).ok().filter(|m| shard >= m.shard_spec.shards) {
+        if let Some(m) = ArtifactManifest::read(Path::new(dir)).ok().filter(|m| shard >= m.shard_spec.shards) {
             return Err(format!(
                 "--shard-id {shard} out of range: artifact `{dir}` declares {} shard(s)",
                 m.shard_spec.shards
@@ -682,7 +688,8 @@ fn cmd_serve(args: Args) -> Outcome {
 fn cmd_shardmap(args: Args) -> Outcome {
     let replicas_arg: String = args.required("--replicas");
     let [dir] = args.positionals("exactly one <dir>");
-    let manifest = read_manifest(dir)?;
+    let manifest = ArtifactManifest::read(Path::new(dir))
+        .map_err(|e| format!("cannot read the manifest of `{dir}`: {e}"))?;
     let replicas = split_list(&replicas_arg, ';').iter().map(|shard| split_list(shard, ',')).collect();
     let topology = ShardTopology { spec: manifest.shard_spec, replicas };
     topology.validate().map_err(|e| {
@@ -779,7 +786,7 @@ fn cmd_query(args: Args) -> Outcome {
 fn cmd_attack_eval(args: Args) -> Outcome {
     args.positionals::<0>("no positional argument");
     let mut cfg = AttackEvalConfig::small();
-    cfg.base = SynthConfig::yelp_chi().scaled(args.get("--scale"));
+    cfg.base = SynthConfig::yelp_chi().scaled(args.scale());
     cfg.model.epochs = args.get("--epochs");
     cfg.model.threads = args.get::<usize>("--threads").max(1);
     cfg.campaign_seed = args.get("--seed");

@@ -103,7 +103,7 @@ struct Shared {
     queue_depth: Arc<AtomicUsize>,
     /// `Some` when the engine accepts the write verbs.
     ingest: Option<Ingest>,
-    /// Timestamps of recent worker panics (pruned to `breaker_window`).
+    /// Timestamps of recent worker panics (trimmed to `breaker_window`).
     breaker: Mutex<Vec<Instant>>,
     /// Set when the front end begins draining for shutdown: the engine
     /// keeps answering (in-flight and pipelined requests finish) but
@@ -161,11 +161,10 @@ impl Engine {
         Self::build(artifact, cfg, None)
     }
 
-    /// Opens an artifact directory for *durable streaming ingest*: rolls
-    /// any interrupted compaction forward (or back) from its staging
-    /// directory, loads the artifact, replays and repairs the WAL, then
+    /// Opens an artifact directory for *durable streaming ingest*: loads
+    /// the artifact its manifest commits, replays and repairs the WAL, then
     /// folds every replayed record back into the serving towers — exactly
-    /// once, deduplicated against the compaction ledger. After this
+    /// once, deduplicated against the manifest's folded seqs. After this
     /// returns, every review whose ingest was ever acknowledged is visible
     /// to predictions again.
     ///
@@ -417,11 +416,12 @@ impl Engine {
     }
 
     /// Synchronously compacts the WAL into a new artifact generation:
-    /// stages the folded dataset beside the artifact directory, seals it
-    /// with a fsync'd `COMMIT` marker, promotes it atomically (manifest
-    /// last), hot-reloads, then truncates the folded segments. Crash-safe
-    /// at every step — recovery either completes or undoes the fold.
-    /// Returns `(records folded, serving generation id)`.
+    /// commits the folded dataset and its seqs into the artifact directory
+    /// by one durable manifest replace, hot-reloads, then truncates the
+    /// folded segments. Crash-safe at every step — a crash before the
+    /// replace leaves the old generation and the WAL, one after it leaves
+    /// WAL records the new manifest dedups. Returns `(records folded,
+    /// serving generation id)`.
     pub fn compact_now(&self) -> Result<(u64, u64), String> {
         let shared = &self.shared;
         shared.ingest()?.compact(&shared.serving, &shared.stats)

@@ -141,7 +141,7 @@ impl Serving {
             stats.reload_failures.fetch_add(1, Ordering::Relaxed);
             format!("reload from {} {why}; generation {current_id} keeps serving", dir.display())
         };
-        // Full staging-area validation: `ModelArtifact::load` verifies every
+        // Full validation first: `ModelArtifact::load` verifies every
         // checksum and cross-check before we ever touch the serving pointer.
         let artifact = ModelArtifact::load(dir).map_err(|e| refused(format!("failed ({e})")))?;
         // The reloaded manifest may carry a *new* shard spec (topology

@@ -25,13 +25,13 @@
 //! replication lock after the push — the lock they read the log count
 //! under — so no wakeup is lost.
 
-use crate::artifact::{ModelArtifact, MANIFEST_FILE};
+use crate::artifact::ModelArtifact;
 use crate::engine::{bad_request, require};
 use crate::generation::{Generation, Serving};
 use crate::replica::{Plan, Refusal, ReplicaState, Stop, Traffic};
 use crate::replication::{self, AckLevel, QuorumError, Replication, ReplicationConfig};
 use crate::stats::EngineStats;
-use crate::wal::{self, FsyncPolicy, IngestLedger, SeqSet, WalRecord, WalWriter};
+use crate::wal::{self, FsyncPolicy, SeqSet, WalRecord, WalWriter};
 use rrre_data::{Dataset, EncodedCorpus, ItemId, Label, Review, UserId};
 use rrre_wire::{Op, ReplRecordDto, Request, Response, MAX_LINE_BYTES};
 use std::io;
@@ -75,7 +75,7 @@ impl Default for IngestConfig {
 /// order, the dedup set and the log's order can never disagree.
 struct WalState {
     wal: WalWriter,
-    /// Every sequence id ever durably accepted: the compaction ledger's
+    /// Every sequence id ever durably accepted: the manifest's folded
     /// set, plus WAL replay, plus live appends. Membership ⇒ the review is
     /// (or will be) applied, so a resend acks `duplicate` without side
     /// effects.
@@ -89,9 +89,8 @@ pub(crate) struct Ingest {
     pub(crate) cfg: IngestConfig,
     writer: Mutex<WalState>,
     log: Arc<IngestLog>,
-    /// Held across a whole refresh, reload or compaction; it guards the
-    /// durable compaction ledger as of the last committed fold.
-    maintenance: Mutex<IngestLedger>,
+    /// Held across a whole refresh, reload or compaction.
+    maintenance: Mutex<()>,
     /// `Some` when this engine is one replica of a replicated shard
     /// ([`crate::Engine::open_replicated`]): leader-term fencing, shippers
     /// and quorum acks all hang off this.
@@ -115,23 +114,20 @@ impl Ingest {
         cfg: IngestConfig,
         repl: Option<ReplicationConfig>,
     ) -> io::Result<(Self, ModelArtifact, (u64, u64))> {
-        // Complete an interrupted compaction before the load reads the
-        // manifest.
-        wal::recover_staging(dir, MANIFEST_FILE)?;
         let artifact = ModelArtifact::load(dir)?;
-        let ledger = wal::load_ledger(&artifact.source_dir)?;
+        let folded = &artifact.manifest.folded;
         let wal_dir = artifact.source_dir.join(WAL_DIR);
         let recovery = wal::replay_and_repair(&wal_dir)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        // Rebuild the accepted set: everything the ledger says is already
+        // Rebuild the accepted set: everything the manifest says is already
         // folded, plus everything still sitting in the WAL. Replayed
-        // records the ledger already covers were folded by a committed
-        // compaction — applying them again would double-count. What the
-        // ledger folded sits below the log base and can no longer be
-        // shipped (a follower that far behind needs an artifact resync).
-        let mut accepted = ledger.applied.clone();
+        // records the manifest already covers were folded by a committed
+        // compaction — applying them again would double-count. What was
+        // folded sits below the log base and can no longer be shipped (a
+        // follower that far behind needs an artifact resync).
+        let mut accepted = folded.clone();
         let unfolded = recovery.records.into_iter().filter(|rec| accepted.insert(rec.seq));
-        let log = Arc::new(IngestLog::new(ledger.applied.len(), unfolded.collect()));
+        let log = Arc::new(IngestLog::new(folded.len(), unfolded.collect()));
         let repl = repl
             .map(|rc| Replication::open(&artifact.source_dir, rc, Arc::clone(&log)).map(Arc::new))
             .transpose()?;
@@ -141,7 +137,7 @@ impl Ingest {
             cfg,
             writer: Mutex::new(WalState { wal, accepted }),
             log,
-            maintenance: Mutex::new(ledger),
+            maintenance: Mutex::new(()),
             repl,
         };
         Ok((ingest, artifact, (recovery.bytes, recovery.truncated_tails)))
@@ -431,24 +427,25 @@ impl Ingest {
         Ok(id)
     }
 
-    /// [`crate::Engine::compact_now`]: folds the WAL into a new artifact
-    /// generation via the two-phase staging protocol, reloads, truncates
-    /// folded segments. Returns `(records folded, serving generation id)`.
+    /// [`crate::Engine::compact_now`]: commits the WAL's records into the
+    /// serving directory as the artifact's next generation, reloads it and
+    /// truncates the folded segments. Returns `(records folded, serving
+    /// generation id)`.
     pub(crate) fn compact(
         &self,
         serving: &Serving,
         stats: &EngineStats,
     ) -> Result<(u64, u64), String> {
-        let mut ledger = self.maintenance.lock().unwrap_or_else(|e| e.into_inner());
+        let _serialize = self.maintenance.lock().unwrap_or_else(|e| e.into_inner());
 
         // Snapshot under the writer lock: rotate first so every snapshotted
-        // record lives in a segment below the new watermark; appends
-        // arriving after the rotation land in the fresh segment and simply
-        // miss this compaction.
-        let (snapshot, watermark) = {
+        // record lives in a segment below the new one; appends arriving
+        // after the rotation land in the fresh segment and simply miss this
+        // compaction.
+        let (snapshot, first_live) = {
             let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-            let watermark = writer.wal.rotate().map_err(|e| format!("wal rotate failed: {e}"))?;
-            (self.log.snapshot(), watermark)
+            let first_live = writer.wal.rotate().map_err(|e| format!("wal rotate failed: {e}"))?;
+            (self.log.snapshot(), first_live)
         };
         if snapshot.is_empty() {
             return Ok((0, serving.current().id));
@@ -465,48 +462,36 @@ impl Ingest {
         corpus.docs.truncate(disk_len);
         fold(&mut dataset, &mut corpus, &snapshot)
             .map_err(|e| format!("compaction fold failed: {e}"))?;
+        let mut folded = manifest.folded.clone();
+        for rec in &snapshot {
+            folded.insert(rec.seq);
+        }
 
-        // Phase one: stage the folded artifact plus its ledger beside the
-        // artifact directory, then seal with a fsync'd COMMIT marker.
-        // Nothing under the serving directory moves until the fold is fully
-        // decided.
-        let staging = wal::staging_dir(&base.artifact.source_dir);
-        let _ = std::fs::remove_dir_all(&staging); // stale uncommitted attempt
-        ModelArtifact::save_pinned(
-            &staging,
+        // The commit: one durable replace of the manifest makes the folded
+        // reviews and their seqs the artifact at once. A crash before it
+        // leaves the old generation and the WAL; after it, the WAL's
+        // folded records dedup against the new manifest.
+        let dir = &base.artifact.source_dir;
+        ModelArtifact::commit(
+            dir,
             &dataset,
             &corpus,
             &base.artifact.model,
             manifest.min_count,
             manifest.shard_spec,
-            manifest.vocab_reviews,
+            &folded,
         )
-        .map_err(|e| format!("compaction stage failed: {e}"))?;
-        let mut folded_ledger = ledger.clone();
-        for rec in &snapshot {
-            folded_ledger.applied.insert(rec.seq);
-        }
-        folded_ledger.segment_watermark = watermark;
-        wal::save_ledger(&staging, &folded_ledger)
-            .map_err(|e| format!("compaction ledger write failed: {e}"))?;
-        wal::seal_staging(&staging).map_err(|e| format!("compaction seal failed: {e}"))?;
-
-        // Phase two: promote (manifest last) and hot-reload. A crash
-        // anywhere in here is rolled forward by `recover_staging` on the
-        // next open — the COMMIT marker has decided the fold.
-        wal::promote_staging(&base.artifact.source_dir, MANIFEST_FILE)
-            .map_err(|e| format!("compaction promote failed: {e}"))?;
+        .map_err(|e| format!("compaction commit failed: {e}"))?;
         // Positions below the new base can no longer be shipped; shippers
         // park on a follower that far behind (it needs an artifact resync).
         let generation = serving.reload(stats, |next| {
             self.log.published(snapshot.len(), 0, || serving.publish(next));
         })?;
-        *ledger = folded_ledger;
         // Folded segments are garbage: their records live in the artifact
-        // and the ledger remembers their seq ids. Best-effort — leftovers
-        // replay harmlessly through the ledger dedup.
-        let wal_dir = base.artifact.source_dir.join(WAL_DIR);
-        let _ = wal::remove_segments_below(&wal_dir, watermark);
+        // and the manifest remembers their seq ids. Best-effort — leftovers
+        // replay harmlessly through that dedup.
+        let wal_dir = dir.join(WAL_DIR);
+        let _ = wal::remove_segments_below(&wal_dir, first_live);
         let on_disk: u64 = wal::list_segments(&wal_dir)
             .map(|segs| {
                 segs.iter()
@@ -611,7 +596,7 @@ struct LogInner {
 
 impl IngestLog {
     /// A log over the replayed-but-unfolded `records` (in WAL order) above
-    /// the `base` records the ledger says a compaction folded.
+    /// the `base` records the manifest says a compaction folded.
     pub(crate) fn new(base: u64, records: Vec<WalRecord>) -> Self {
         Self { inner: Mutex::new(LogInner { base, records, refreshed: 0 }) }
     }

@@ -6,7 +6,7 @@
 //!
 //! * [`artifact`] — [`ModelArtifact`]: a self-describing on-disk bundle
 //!   (manifest + dataset + word vectors + `RRRP` weights + frozen review
-//!   vectors) that restores a trained model with
+//!   vectors), committed by one durable replace of its manifest, that restores a trained model with
 //!   [`rrre_core::Rrre::from_frozen_parts`] without re-running the BiLSTM,
 //!   validating every shape and a bit-exact sample of the review vectors on
 //!   the way in.
@@ -70,4 +70,4 @@ pub use replica::ReplicaState;
 pub use replication::{AckLevel, QuorumError, ReplRole, Replication, ReplicationConfig};
 pub use server::{Server, ServerConfig};
 pub use stats::{EngineStats, FrontendStats, StatsSnapshot};
-pub use wal::{FsyncPolicy, IngestLedger, SeqSet, WalError, WalRecord, WalWriter};
+pub use wal::{FsyncPolicy, SeqSet, WalError, WalRecord, WalWriter};

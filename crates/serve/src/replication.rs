@@ -443,10 +443,10 @@ pub fn load_epoch(dir: &Path) -> io::Result<u64> {
 }
 
 /// Persists the epoch atomically and durably (tmp, fsync, rename,
-/// directory fsync — the ledger's helper): after this returns, a restart
-/// can never come back up fenced at a lower term. Two concurrent calls on one directory
-/// share the tmp file, so a live replica makes this call only under its
-/// replication lock.
+/// directory fsync — [`rrre_tensor::serialize::replace_durably`]): after
+/// this returns, a restart can never come back up fenced at a lower term.
+/// Two concurrent calls on one directory share the tmp file, so a live
+/// replica makes this call only under its replication lock.
 pub fn persist_epoch(dir: &Path, epoch: u64) -> io::Result<()> {
     replace_durably(dir, EPOCH_FILE, epoch.to_string().as_bytes())
 }

@@ -27,18 +27,14 @@
 //! at a size threshold so the compactor can drop *applied* segments with
 //! whole-file deletes instead of rewriting a log in place.
 //!
-//! The module also owns the two sidecar pieces of the exactly-once story:
-//! [`SeqSet`], the merged-range set of client sequence ids the server has
-//! durably accepted (duplicates are re-acked, never re-applied), and the
-//! two-phase `<artifact>.next` + `COMMIT` protocol the compactor uses so
-//! the folded dataset and the [`IngestLedger`] recording what was folded
-//! commit *atomically* — there is no window where the artifact says one
-//! thing and the ledger another.
-//!
-//! The ledger's in-memory complement, every accepted record the artifact
-//! does not yet hold, is the `ingest` module's `IngestLog`.
+//! The module also owns [`SeqSet`], the merged-range set of client
+//! sequence ids the server has durably accepted (duplicates are re-acked,
+//! never re-applied). A compaction records the seqs it folded in the
+//! artifact manifest itself ([`crate::ArtifactManifest::folded`]), so the
+//! folded reviews and their seqs commit in one manifest replace; every
+//! accepted record the artifact does not yet hold is the `ingest` module's
+//! `IngestLog`.
 
-use rrre_tensor::serialize::{replace_durably, sync_dir};
 use rrre_wire::{crc32, ReplRecordDto};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -366,7 +362,7 @@ pub fn replay_and_repair(dir: &Path) -> Result<Recovery, WalError> {
 /// compactor's cleanup once a fold has committed. Deleting whole applied
 /// segments (never rewriting live ones) keeps truncation crash-safe: a
 /// crash mid-cleanup just leaves already-applied segments whose records
-/// the ledger will dedupe on replay.
+/// the manifest's folded set dedups on replay.
 pub fn remove_segments_below(dir: &Path, below: u64) -> io::Result<u64> {
     let mut removed = 0;
     for (idx, path) in list_segments(dir)? {
@@ -389,7 +385,7 @@ pub struct SeqRange {
 
 /// A set of `u64` sequence ids stored as sorted, disjoint, inclusive
 /// ranges — the accepted-set stays O(number of gaps) no matter how many
-/// reviews stream in, and serialises compactly into the ledger.
+/// reviews stream in, and serialises compactly into the manifest.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SeqSet {
     ranges: Vec<SeqRange>,
@@ -444,122 +440,6 @@ impl SeqSet {
     /// Whether no id is present.
     pub fn is_empty(&self) -> bool {
         self.ranges.is_empty()
-    }
-}
-
-/// File inside the artifact directory recording which sequence ids have
-/// been *folded into the artifact* by compaction. It lives next to the
-/// manifest on purpose: the two-phase commit renames them into place
-/// together, so "what the dataset contains" and "what the ledger says it
-/// contains" can never diverge across a crash.
-pub const LEDGER_FILE: &str = "ingest_ledger.json";
-
-/// The durable compaction ledger.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct IngestLedger {
-    /// Sequence ids already folded into the artifact's dataset.
-    pub applied: SeqSet,
-    /// First WAL segment index *not yet* folded; segments below this are
-    /// safe to delete.
-    pub segment_watermark: u64,
-}
-
-/// Loads the ledger from an artifact directory (absent file → empty).
-pub fn load_ledger(artifact_dir: &Path) -> io::Result<IngestLedger> {
-    let path = artifact_dir.join(LEDGER_FILE);
-    match fs::read_to_string(&path) {
-        Ok(text) => serde_json::from_str(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad ingest ledger: {e}"))),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(IngestLedger::default()),
-        Err(e) => Err(e),
-    }
-}
-
-/// Writes the ledger into `dir` atomically and durably: tmp, fsync,
-/// rename, directory fsync.
-pub fn save_ledger(dir: &Path, ledger: &IngestLedger) -> io::Result<()> {
-    let json = serde_json::to_string(ledger).map_err(io::Error::other)?;
-    replace_durably(dir, LEDGER_FILE, json.as_bytes())
-}
-
-/// Staging directory of the two-phase artifact commit: a sibling of the
-/// artifact directory named `<artifact>.next`.
-pub fn staging_dir(artifact_dir: &Path) -> PathBuf {
-    let mut name = artifact_dir.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-    name.push(".next");
-    artifact_dir.with_file_name(name)
-}
-
-/// Commit marker: once this file exists (and is fsync'd) inside the
-/// staging dir, the new generation is decided and recovery must roll it
-/// forward; before it exists, recovery rolls the staging dir back.
-pub const COMMIT_MARKER: &str = "COMMIT";
-
-/// Phase one's final step: fsync every staged file, then create + fsync
-/// the `COMMIT` marker and the staging directory that names it. After
-/// this returns, the fold is decided.
-pub fn seal_staging(staging: &Path) -> io::Result<()> {
-    for entry in fs::read_dir(staging)? {
-        let entry = entry?;
-        if entry.file_type()?.is_file() {
-            File::open(entry.path())?.sync_data()?;
-        }
-    }
-    let marker = File::create(staging.join(COMMIT_MARKER))?;
-    marker.sync_data()?;
-    sync_dir(staging)
-}
-
-/// Phase two: move every staged file into the artifact directory — the
-/// manifest *last*, so a crash mid-rename leaves an old manifest whose
-/// checksums still describe files that are about to be (or were already)
-/// replaced, and the `COMMIT` marker routes recovery back here to finish
-/// the job. The artifact directory is fsync'd before the staging directory
-/// goes, so once this returns the fold survives a power loss even after
-/// the compactor deletes the folded WAL segments. Idempotent: files
-/// already moved are skipped.
-pub fn promote_staging(artifact_dir: &Path, manifest_file: &str) -> io::Result<()> {
-    let staging = staging_dir(artifact_dir);
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut manifest: Option<PathBuf> = None;
-    for entry in fs::read_dir(&staging)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        if name.to_str() == Some(COMMIT_MARKER) {
-            continue;
-        }
-        if name.to_str() == Some(manifest_file) {
-            manifest = Some(entry.path());
-        } else {
-            files.push(entry.path());
-        }
-    }
-    for src in files {
-        fs::rename(&src, artifact_dir.join(src.file_name().unwrap()))?;
-    }
-    if let Some(src) = manifest {
-        fs::rename(&src, artifact_dir.join(manifest_file))?;
-    }
-    sync_dir(artifact_dir)?;
-    fs::remove_file(staging.join(COMMIT_MARKER))?;
-    fs::remove_dir_all(&staging)?;
-    Ok(())
-}
-
-/// Crash recovery for the two-phase commit, run *before* the artifact is
-/// loaded. Returns `true` if a decided fold was rolled forward.
-pub fn recover_staging(artifact_dir: &Path, manifest_file: &str) -> io::Result<bool> {
-    let staging = staging_dir(artifact_dir);
-    if !staging.exists() {
-        return Ok(false);
-    }
-    if staging.join(COMMIT_MARKER).exists() {
-        promote_staging(artifact_dir, manifest_file)?;
-        Ok(true)
-    } else {
-        // Phase one never finished: the fold was not decided — discard.
-        fs::remove_dir_all(&staging)?;
-        Ok(false)
     }
 }
 
@@ -773,54 +653,5 @@ mod tests {
         assert_eq!(back, s);
         assert!(s.insert(2), "joins both neighbours");
         assert_eq!(s.ranges, vec![SeqRange { start: 1, end: 5 }]);
-    }
-
-    #[test]
-    fn ledger_roundtrips_and_defaults_when_absent() {
-        let dir = tmp("ledger");
-        assert!(load_ledger(&dir).unwrap().applied.is_empty());
-        let mut ledger = IngestLedger::default();
-        ledger.applied.insert(7);
-        ledger.segment_watermark = 3;
-        save_ledger(&dir, &ledger).unwrap();
-        let back = load_ledger(&dir).unwrap();
-        assert!(back.applied.contains(7));
-        assert_eq!(back.segment_watermark, 3);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn staging_rolls_forward_only_after_commit_marker() {
-        let artifact = tmp("twophase");
-        fs::write(artifact.join("manifest.json"), b"old").unwrap();
-        fs::write(artifact.join("data.bin"), b"old-data").unwrap();
-
-        // Undecided fold (no COMMIT): rolled back wholesale.
-        let staging = staging_dir(&artifact);
-        fs::create_dir_all(&staging).unwrap();
-        fs::write(staging.join("data.bin"), b"half-written").unwrap();
-        assert!(!recover_staging(&artifact, "manifest.json").unwrap());
-        assert!(!staging.exists());
-        assert_eq!(fs::read(artifact.join("data.bin")).unwrap(), b"old-data");
-
-        // Decided fold: rolled forward, marker and staging dir gone.
-        fs::create_dir_all(&staging).unwrap();
-        fs::write(staging.join("data.bin"), b"new-data").unwrap();
-        fs::write(staging.join("manifest.json"), b"new").unwrap();
-        seal_staging(&staging).unwrap();
-        assert!(recover_staging(&artifact, "manifest.json").unwrap());
-        assert!(!staging.exists());
-        assert_eq!(fs::read(artifact.join("data.bin")).unwrap(), b"new-data");
-        assert_eq!(fs::read(artifact.join("manifest.json")).unwrap(), b"new");
-
-        // Recovery is also idempotent when interrupted mid-promote: simulate
-        // a crash where some files moved but the marker survived.
-        fs::create_dir_all(&staging).unwrap();
-        fs::write(staging.join("manifest.json"), b"newer").unwrap();
-        seal_staging(&staging).unwrap();
-        assert!(recover_staging(&artifact, "manifest.json").unwrap());
-        assert_eq!(fs::read(artifact.join("manifest.json")).unwrap(), b"newer");
-        assert_eq!(fs::read(artifact.join("data.bin")).unwrap(), b"new-data");
-        fs::remove_dir_all(&artifact).unwrap();
     }
 }

@@ -3,11 +3,9 @@
 
 use rrre_core::{Rrre, RrreConfig};
 use rrre_data::{ItemId, UserId};
-use rrre_serve::artifact::{
-    DATASET_FILE, MANIFEST_FILE, MANIFEST_VERSION, MODEL_FILE, REVIEWS_FILE, VECTORS_FILE,
-};
+use rrre_serve::artifact::{MANIFEST_FILE, MANIFEST_VERSION};
 use rrre_serve::ModelArtifact;
-use rrre_testkit::fault::{drop_last_row, flip_byte, rehash_artifact_file, truncate_file};
+use rrre_testkit::fault::{artifact_payload, drop_last_row, flip_byte, rehash_artifact_file, truncate_file};
 use rrre_testkit::{trained_fixture, Fixture, TempDir};
 use std::io::ErrorKind;
 
@@ -94,6 +92,48 @@ fn wrong_manifest_version_fails() {
 
     let err = ModelArtifact::load(dir.path()).err().expect("version 999 must be rejected");
     assert!(err.to_string().contains("version"), "unexpected error: {err}");
+
+    // The previous layout is refused by version, before any field of the
+    // new one is looked for.
+    std::fs::write(&manifest_path, json.replacen(&needle, "\"version\": 4", 1)).unwrap();
+    let err = ModelArtifact::load(dir.path()).err().expect("version 4 must be rejected");
+    assert!(err.to_string().contains("re-save to upgrade"), "unexpected error: {err}");
+}
+
+/// The directory's entries, sorted.
+fn listing(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> =
+        std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name().to_string_lossy().into_owned()).collect();
+    names.sort();
+    names
+}
+
+/// A save over a live directory is a commit: the next generation's
+/// payloads get the next commit count, and the previous generation — plus
+/// a crashed commit's torn orphan and a stale tmp, which the load ignores —
+/// is deleted once the manifest is replaced.
+#[test]
+fn a_resave_commits_the_next_generation_and_deletes_the_last() {
+    let (fx, dir) = saved_fixture("resave");
+    assert_eq!(
+        listing(dir.path()),
+        ["dataset.1.json", "manifest.json", "model.1.rrrp", "reviews.1.rrrp", "vectors.1.rrrp"]
+    );
+    std::fs::write(dir.file("model.2.rrrp"), b"torn by a crash before the commit").unwrap();
+    std::fs::write(dir.file("manifest.json.tmp"), b"{ torn").unwrap();
+    std::fs::write(dir.file("reviews.7.rrrp.tmp"), b"stale").unwrap();
+    let art = ModelArtifact::load(dir.path()).expect("orphans beside the committed manifest are ignored");
+    assert_eq!(art.manifest.commit, 1);
+
+    ModelArtifact::save(dir.path(), &fx.dataset, &fx.corpus, &fx.model, fx.min_count()).unwrap();
+    assert_eq!(
+        listing(dir.path()),
+        ["dataset.2.json", "manifest.json", "model.2.rrrp", "reviews.2.rrrp", "vectors.2.rrrp"]
+    );
+    let again = ModelArtifact::load(dir.path()).unwrap();
+    assert_eq!(again.manifest.commit, 2);
+    assert!(again.manifest.folded.is_empty(), "a trained artifact has folded no ingest");
+    assert_eq!(again.model.params().len(), art.model.params().len());
 }
 
 #[test]
@@ -113,7 +153,7 @@ fn manifest_dataset_disagreement_fails() {
 #[test]
 fn truncated_weights_fail() {
     let (_fx, dir) = saved_fixture("truncated-weights");
-    let model_path = dir.file(MODEL_FILE);
+    let model_path = artifact_payload(dir.path(), "model");
     let len = std::fs::metadata(&model_path).unwrap().len();
     truncate_file(&model_path, len / 3).unwrap();
     assert!(ModelArtifact::load(dir.path()).is_err());
@@ -123,7 +163,7 @@ fn truncated_weights_fail() {
 fn flipped_weight_bytes_fail_or_change_nothing_silently_never() {
     let (fx, dir) = saved_fixture("flipped-weights");
     // Flip a byte in the middle of the tensor payload (past any header).
-    let model_path = dir.file(MODEL_FILE);
+    let model_path = artifact_payload(dir.path(), "model");
     let len = std::fs::metadata(&model_path).unwrap().len() as usize;
     flip_byte(&model_path, len / 2).unwrap();
 
@@ -147,7 +187,7 @@ fn corrupted_vectors_fail() {
     let (_fx, dir) = saved_fixture("bad-vectors");
 
     // Garbage that is not an RRRP file at all.
-    std::fs::write(dir.file(VECTORS_FILE), b"not a checkpoint").unwrap();
+    std::fs::write(artifact_payload(dir.path(), "vectors"), b"not a checkpoint").unwrap();
 
     assert!(ModelArtifact::load(dir.path()).is_err());
 }
@@ -163,7 +203,7 @@ fn tampered_dataset_fails_validation() {
     for r in &mut other.reviews {
         r.text = "entirely different words everywhere".into();
     }
-    rrre_data::io::save_json(&other, dir.file(DATASET_FILE)).unwrap();
+    rrre_data::io::save_json(&other, artifact_payload(dir.path(), "dataset")).unwrap();
 
     let err = ModelArtifact::load(dir.path()).err().expect("tampered dataset must be rejected");
     assert!(err.to_string().contains("checksum"), "unexpected error: {err}");
@@ -172,7 +212,7 @@ fn tampered_dataset_fails_validation() {
     // both files, or an honest re-export of a different dataset): the deeper
     // semantic check still refuses, because the rebuilt vocabulary no longer
     // matches the stored vector table.
-    rehash_artifact_file(dir.path(), DATASET_FILE).unwrap();
+    rehash_artifact_file(dir.path(), "dataset").unwrap();
     let err = ModelArtifact::load(dir.path()).err().expect("vocab mismatch must be rejected");
     assert!(err.to_string().contains("vocabulary"), "unexpected error: {err}");
 }
@@ -190,7 +230,7 @@ fn loaded_review_vectors_equal_a_fresh_encode_of_the_loaded_corpus() {
 
     // `from_checkpoint` runs the BiLSTM over every review of the corpus the
     // load rebuilt — the full re-encode the persisted rows replace.
-    let fresh = Rrre::from_checkpoint(&art.dataset, &art.corpus, art.manifest.config, dir.file(MODEL_FILE))
+    let fresh = Rrre::from_checkpoint(&art.dataset, &art.corpus, art.manifest.config, artifact_payload(dir.path(), "model"))
         .unwrap();
     let fresh = fresh.review_vectors().unwrap();
     assert_eq!(bits(loaded.as_flat()), bits(fresh.as_flat()), "loaded rows differ from a fresh encode");
@@ -209,12 +249,12 @@ fn foreign_review_vectors_are_refused_by_the_spot_check() {
     let other = Rrre::fit(&fx.dataset, &fx.corpus, &fx.train, other_cfg);
     let other_dir = TempDir::new("foreign-reviews-source");
     ModelArtifact::save(other_dir.path(), &fx.dataset, &fx.corpus, &other, fx.min_count()).unwrap();
-    std::fs::copy(other_dir.file(REVIEWS_FILE), dir.file(REVIEWS_FILE)).unwrap();
+    std::fs::copy(artifact_payload(other_dir.path(), "reviews"), artifact_payload(dir.path(), "reviews")).unwrap();
 
     let err = ModelArtifact::load(dir.path()).err().expect("swapped review vectors must be rejected");
     assert!(err.to_string().contains("checksum"), "unexpected error: {err}");
 
-    rehash_artifact_file(dir.path(), REVIEWS_FILE).unwrap();
+    rehash_artifact_file(dir.path(), "reviews").unwrap();
     let err = ModelArtifact::load(dir.path()).err().expect("foreign review vectors must be rejected");
     assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
     assert!(err.to_string().contains("review vectors"), "the error must name the review vectors: {err}");
@@ -223,7 +263,7 @@ fn foreign_review_vectors_are_refused_by_the_spot_check() {
 #[test]
 fn damaged_or_misshapen_review_vectors_fail_with_invalid_data() {
     let (_fx, dir) = saved_fixture("bad-reviews");
-    let path = dir.file(REVIEWS_FILE);
+    let path = artifact_payload(dir.path(), "reviews");
     let pristine = std::fs::read(&path).unwrap();
 
     truncate_file(&path, pristine.len() as u64 / 3).unwrap();
@@ -239,7 +279,7 @@ fn damaged_or_misshapen_review_vectors_fail_with_invalid_data() {
     // One row short, digest re-recorded: it parses and hashes cleanly, so
     // only the shape check stands between it and serving.
     drop_last_row(&path).unwrap();
-    rehash_artifact_file(dir.path(), REVIEWS_FILE).unwrap();
+    rehash_artifact_file(dir.path(), "reviews").unwrap();
     let err = ModelArtifact::load(dir.path()).err().expect("misshapen review vectors must be rejected");
     assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
     assert!(err.to_string().contains("review vectors"), "unexpected error: {err}");

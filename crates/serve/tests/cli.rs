@@ -248,6 +248,7 @@ fn misplaced_repeated_and_misspelt_flags_are_refused_by_name_not_misread_as_posi
         (&["serve", "d", "--addr", "a:1", "--addr", "b:2"], "--addr"),
         (&["train", "d", "--epochs"], "--epochs"),
         (&["train", "d", "--epochs", "four"], "--epochs"),
+        (&["train", "d", "--every", "0"], "--every"),
         (&["ingest", "a"], "--count"),
     ] {
         let refusal = refusal(args);
@@ -274,6 +275,23 @@ fn serve_refuses_mode_dependent_flags_outside_their_mode() {
         // The directory does not exist: the refusal must come before any load.
         let args = [&["serve", "/nonexistent/artifact"][..], mode, &[flag, "1"]].concat();
         assert_eq!(refusal(&args), format!("rrre-serve: {flag} needs {needs}"), "{args:?}");
+    }
+}
+
+/// A numeric flag that parses but has no meaning is refused by name before
+/// any work starts, never left to panic deeper down.
+#[test]
+fn nonsensical_numeric_flags_are_refused_by_name_before_any_work() {
+    for (args, message) in [
+        (&["train", "/nonexistent/ckpt", "--every", "0"][..], "--every must be ≥ 1"),
+        (&["train", "/nonexistent/ckpt", "--scale", "0"], "--scale must be > 0"),
+        (&["train", "/nonexistent/ckpt", "--scale", "-1"], "--scale must be > 0"),
+        (&["demo", "/nonexistent/artifact", "--scale", "0"], "--scale must be > 0"),
+        (&["demo", "/nonexistent/artifact", "--scale", "NaN"], "--scale must be > 0"),
+        (&["attack-eval", "--scale", "0"], "--scale must be > 0"),
+        (&["attack-eval", "--scale", "-0.5"], "--scale must be > 0"),
+    ] {
+        assert_eq!(refusal(args), format!("rrre-serve: {message}"), "{args:?}");
     }
 }
 
@@ -311,6 +329,10 @@ fn train_abort_exits_137_and_resume_on_three_threads_reprints_the_uninterrupted_
     let (full, ckpt) = (full.to_str().unwrap(), ckpt.to_str().unwrap());
     let uninterrupted = summary(&["train", full, "--epochs", "4"]);
     assert!(uninterrupted.starts_with("final epochs=4 ") && uninterrupted.contains(" bits="));
+    // One checkpoint: the manifest and the two payloads it lists.
+    let latest = std::fs::read_to_string(Path::new(full).join("latest.json")).unwrap();
+    assert!(latest.contains("\"model.4.rrrp\"") && latest.contains("\"adam.4.rrrp\""), "{latest}");
+    assert_eq!(listing(Path::new(full)), ["adam.4.rrrp", "latest.json", "model.4.rrrp"]);
 
     let aborted = rrre_serve(&["train", ckpt, "--epochs", "4", "--abort-after-epoch", "2"]);
     assert_eq!(aborted.status.code(), Some(137));
@@ -390,6 +412,7 @@ fn durable_ingest_survives_sigkill_exactly_once_and_a_flipped_wal_byte_refuses_t
     assert_eq!(summary(&["compact", &addr, "--timeout-ms", "5000"]), "compacted folded=12 generation=2");
     let s = stats(&addr);
     assert_eq!((s.generation, s.ingested, s.ingest_duplicates), (2, 0, 12), "nothing applied twice");
+    assert_artifact_layout(&dir, &[]);
 
     // Fail closed: land 3 more records so a WAL segment is live again,
     // SIGKILL, flip one byte inside the first record's payload (offset 10
@@ -463,8 +486,31 @@ fn kill_the_leader_then_promote_dedups_the_resend_and_survivors_compact_byte_ide
     let (a, b) = (artifact_fingerprint(Path::new(&dirs[1])), artifact_fingerprint(Path::new(&dirs[2])));
     assert!(a.len() >= 4, "only {} artifact files compared — the fleet dirs look wrong", a.len());
     assert!(
-        a.iter().any(|(file, _)| file == rrre_serve::artifact::REVIEWS_FILE),
+        a.iter().any(|(file, _)| rrre_tensor::serialize::stem(file) == "reviews"),
         "the survivors' independently written review vectors must be compared too"
     );
     assert_eq!(a, b, "a duplicate application would have changed the survivors' bytes");
+    for dir in &dirs[1..] {
+        assert_artifact_layout(dir, &["repl_epoch"]);
+    }
+}
+
+/// The entries of `dir`, sorted.
+fn listing(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> =
+        std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name().to_string_lossy().into_owned()).collect();
+    names.sort();
+    names
+}
+
+/// An artifact directory holds exactly its manifest, the four payloads
+/// that manifest lists, `wal/` and the `operational` files: no staging
+/// directory, no ledger, no previous generation.
+fn assert_artifact_layout(dir: &str, operational: &[&str]) {
+    let manifest = rrre_serve::ArtifactManifest::read(Path::new(dir)).expect("a committed manifest");
+    let mut want: Vec<String> = manifest.checksums.iter().map(|c| c.file.clone()).collect();
+    assert_eq!(want.len(), 4, "{want:?}");
+    want.extend(["manifest.json", "wal"].iter().chain(operational).map(|name| name.to_string()));
+    want.sort();
+    assert_eq!(listing(Path::new(dir)), want, "{dir}");
 }

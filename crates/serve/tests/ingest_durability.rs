@@ -15,18 +15,20 @@
 //!   a new artifact generation and reloading it from disk;
 //! * a `Reload` serves what a restart would: every acked review the WAL
 //!   still holds is folded back in, whatever `refresh_every` says;
-//! * compaction commits through a sealed staging directory: no COMMIT
-//!   marker → roll back, COMMIT marker → roll forward, and the seq ledger
-//!   keeps replay idempotent across every interleaving.
+//! * compaction commits by one durable replace of the manifest, which
+//!   carries the folded seqs: a cut before the replace serves the old
+//!   generation and replays the WAL, a cut after it dedups the replay
+//!   through the folded set, and replay stays idempotent across every
+//!   interleaving.
 
 use rrre_core::{explain_with, ColdStartPrior};
 use rrre_data::ItemId;
-use rrre_serve::artifact::{MANIFEST_FILE, MODEL_FILE};
-use rrre_wire::{ExplanationDto, PredictionDto};
-use rrre_serve::wal::{self, IngestLedger, SeqSet};
-use rrre_serve::{Engine, EngineConfig, IngestConfig, ModelArtifact, Request, WAL_DIR};
-use rrre_testkit::fault::{flip_byte, shave_tail, wal_segments};
+use rrre_serve::artifact::MANIFEST_FILE;
+use rrre_serve::{ArtifactManifest, Engine, EngineConfig, IngestConfig, ModelArtifact, Request, WAL_DIR};
+use rrre_testkit::fault::{artifact_payload, flip_byte, shave_tail, truncate_file, wal_segments};
+use rrre_testkit::replication::copy_tree;
 use rrre_testkit::{trained_fixture, Fixture, TempDir};
+use rrre_wire::{ExplanationDto, PredictionDto};
 use std::path::Path;
 
 fn saved_fixture(tag: &str) -> (TempDir, Fixture) {
@@ -249,8 +251,9 @@ fn incremental_refresh_is_bit_identical_to_compaction_reload_and_restart() {
         refreshed,
         "a cold restart of the compacted artifact must also be bit-identical"
     );
-    // The ledger carries the dedup across the compaction: resends still ack
-    // duplicate even though the WAL segments holding them are gone.
+    // The manifest's folded set carries the dedup across the compaction:
+    // resends still ack duplicate even though the WAL segments holding
+    // them are gone.
     for seq in 0..5 {
         ingest_one(&engine, seq, n_users, n_items, true);
     }
@@ -314,7 +317,7 @@ fn assert_persisted_rows_match_a_full_reencode(dir: &Path, n_reviews: usize) {
         &art.dataset,
         &art.corpus,
         art.manifest.config,
-        dir.join(MODEL_FILE),
+        artifact_payload(dir, "model"),
     )
     .unwrap();
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -326,7 +329,7 @@ fn assert_persisted_rows_match_a_full_reencode(dir: &Path, n_reviews: usize) {
 }
 
 #[test]
-fn compaction_truncates_folded_segments_and_the_ledger_survives_wal_resurrection() {
+fn compaction_truncates_folded_segments_and_the_folded_set_survives_wal_resurrection() {
     let (dir, fx) = saved_fixture("ingest-truncate");
     let (n_users, n_items) = (fx.dataset.n_users, fx.dataset.n_items);
     let base = fx.dataset.len();
@@ -355,9 +358,12 @@ fn compaction_truncates_folded_segments_and_the_ledger_survives_wal_resurrection
         "folded segments must be truncated away"
     );
     drop(engine);
+    let folded = ArtifactManifest::read(dir.path()).unwrap().folded;
+    assert!((0..4).all(|seq| folded.contains(seq)) && folded.len() == 4, "{folded:?}");
 
-    // Resurrect the folded segments. Replay must recognise every record as
-    // ledger-covered and apply none of them a second time.
+    // Resurrect the folded segments: the crash after the manifest replace
+    // and before the WAL truncation. Replay must recognise every record as
+    // folded and apply none of them a second time.
     for (name, bytes) in &preserved {
         std::fs::write(wal_dir.join(name), bytes).unwrap();
     }
@@ -365,7 +371,7 @@ fn compaction_truncates_folded_segments_and_the_ledger_survives_wal_resurrection
     assert_eq!(
         served_reviews(&engine),
         base + 4,
-        "ledger-covered WAL records must not double-apply"
+        "folded WAL records must not double-apply"
     );
     for seq in 0..4 {
         ingest_one(&engine, seq, n_users, n_items, true);
@@ -373,9 +379,41 @@ fn compaction_truncates_folded_segments_and_the_ledger_survives_wal_resurrection
     engine.shutdown();
 }
 
+/// Leaves in `dir` what a compaction cut just before its manifest replace
+/// leaves: the next commit's four payloads — dataset and vectors whole,
+/// model and reviews torn — and a torn `manifest.json.tmp`. They are made
+/// by compacting a copy of `dir`, so they are the very bytes that commit
+/// would have written. The engine on `dir` must be down.
+fn cut_before_the_manifest_replace(dir: &Path) {
+    let copy = TempDir::new("ingest-cut-copy");
+    copy_tree(dir, copy.path());
+    let engine = open(copy.path(), IngestConfig { refresh_every: 0, ..ingest_cfg() });
+    let (folded, _) = engine.compact_now().unwrap();
+    assert!(folded > 0, "the cut needs a commit that folds something");
+    engine.shutdown();
+    for stem in ["dataset", "vectors", "model", "reviews"] {
+        let payload = artifact_payload(copy.path(), stem);
+        let orphan = dir.join(payload.file_name().unwrap());
+        std::fs::copy(&payload, &orphan).unwrap();
+        if matches!(stem, "model" | "reviews") {
+            truncate_file(&orphan, std::fs::metadata(&orphan).unwrap().len() / 2).unwrap();
+        }
+    }
+    let manifest = std::fs::read(copy.path().join(MANIFEST_FILE)).unwrap();
+    std::fs::write(dir.join(format!("{MANIFEST_FILE}.tmp")), &manifest[..manifest.len() / 2]).unwrap();
+}
+
+/// The directory's entries, sorted.
+fn listing(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> =
+        std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name().to_string_lossy().into_owned()).collect();
+    names.sort();
+    names
+}
+
 #[test]
-fn uncommitted_staging_rolls_back_and_sealed_staging_rolls_forward() {
-    let (dir, fx) = saved_fixture("ingest-staging");
+fn a_commit_cut_before_its_manifest_replace_serves_the_old_generation_and_the_next_commit_replaces_it() {
+    let (dir, fx) = saved_fixture("ingest-cut");
     let (n_users, n_items) = (fx.dataset.n_users, fx.dataset.n_items);
     let base = fx.dataset.len();
 
@@ -384,66 +422,31 @@ fn uncommitted_staging_rolls_back_and_sealed_staging_rolls_forward() {
         ingest_one(&engine, seq, n_users, n_items, false);
     }
     drop(engine);
+    cut_before_the_manifest_replace(dir.path());
 
-    // Crash mid-stage, before the COMMIT marker: the fold never happened.
-    // Recovery must delete the staging debris and replay from the WAL.
-    let staging = wal::staging_dir(dir.path());
-    std::fs::create_dir_all(&staging).unwrap();
-    std::fs::write(staging.join("dataset.bin"), b"half-written garbage").unwrap();
+    // The old generation serves; the WAL replays on top of it, and every
+    // acked seq dedups. The orphans and the stale tmp are never read.
     let engine = open(dir.path(), ingest_cfg());
-    assert!(!staging.exists(), "uncommitted staging must be rolled back");
+    let manifest = &engine.generation().artifact.manifest.clone();
+    assert_eq!((manifest.commit, manifest.n_reviews), (1, base), "the cut commit must not serve");
+    assert!(manifest.folded.is_empty());
     assert_eq!(served_reviews(&engine), base + 3, "the WAL still holds every ack");
-    drop(engine);
-
-    // Crash after the COMMIT marker, before promotion: the fold is decided.
-    // Build the staged artifact exactly as compaction stages it — the
-    // on-disk dataset plus the three WAL records, vocab pinned to the
-    // original training prefix — then seal and "crash".
-    let manifest_json = std::fs::read_to_string(dir.path().join(MANIFEST_FILE)).unwrap();
-    let manifest: rrre_serve::ArtifactManifest = serde_json::from_str(&manifest_json).unwrap();
-    let mut dataset = fx.dataset.clone();
-    let mut corpus = fx.corpus.clone();
-    let mut applied = SeqSet::new();
-    for seq in 0..3u64 {
-        let req = review_req(seq, n_users, n_items);
-        dataset
-            .append_review(rrre_data::Review {
-                user: rrre_data::UserId(req.user.unwrap()),
-                item: rrre_data::ItemId(req.item.unwrap()),
-                rating: req.rating.unwrap(),
-                label: rrre_data::Label::Benign,
-                timestamp: req.ts.unwrap(),
-                text: req.text.clone().unwrap(),
-            })
-            .unwrap();
-        corpus.append_doc(req.text.as_deref().unwrap());
-        applied.insert(seq);
+    for seq in 0..3 {
+        ingest_one(&engine, seq, n_users, n_items, true);
     }
-    ModelArtifact::save_pinned(
-        &staging,
-        &dataset,
-        &corpus,
-        &fx.model,
-        manifest.min_count,
-        manifest.shard_spec,
-        manifest.vocab_reviews,
-    )
-    .unwrap();
-    wal::save_ledger(&staging, &IngestLedger { applied, segment_watermark: 0 }).unwrap();
-    wal::seal_staging(&staging).unwrap();
 
+    // The next compaction commits over the orphans: afterwards the
+    // directory holds exactly the new generation.
+    assert_eq!(engine.compact_now().unwrap(), (3, 2));
+    drop(engine);
+    let manifest = ArtifactManifest::read(dir.path()).unwrap();
+    assert_eq!((manifest.commit, manifest.n_reviews, manifest.folded.len()), (2, base + 3, 3));
+    let mut want: Vec<String> = manifest.checksums.iter().map(|c| c.file.clone()).collect();
+    want.extend([MANIFEST_FILE.to_string(), WAL_DIR.to_string()]);
+    want.sort();
+    assert_eq!(listing(dir.path()), want, "orphans and the stale tmp must be gone");
     let engine = open(dir.path(), ingest_cfg());
-    assert!(!staging.exists(), "sealed staging must be promoted");
-    assert_eq!(
-        engine.generation().artifact.manifest.n_reviews,
-        base + 3,
-        "the promoted manifest must carry the folded reviews"
-    );
-    assert_eq!(
-        served_reviews(&engine),
-        base + 3,
-        "WAL replay over the promoted fold must dedup through the ledger"
-    );
+    assert_eq!(served_reviews(&engine), base + 3);
     for seq in 0..3 {
         ingest_one(&engine, seq, n_users, n_items, true);
     }
@@ -568,15 +571,15 @@ fn seeded_kill_loop_applies_every_acked_review_exactly_once() {
                 acked.push(torn);
                 drop(reopened);
             }
-            // Kill mid-stage, before the COMMIT marker: rollback.
+            // Kill mid-compaction, before the manifest replace: the next
+            // commit's payloads lie whole or torn beside the old manifest.
             3 => {
                 drop(engine);
-                let staging = wal::staging_dir(dir.path());
-                std::fs::create_dir_all(&staging).unwrap();
-                std::fs::write(staging.join("model.bin"), b"torn stage").unwrap();
+                cut_before_the_manifest_replace(dir.path());
             }
-            // Kill after the fold committed but before the WAL truncation:
-            // resurrect the folded segments and let the ledger dedup them.
+            // Kill after the manifest replace but before the WAL
+            // truncation: resurrect the folded segments and let the
+            // manifest's folded set dedup them.
             _ => {
                 let preserved: Vec<(String, Vec<u8>)> = wal_segments(&wal_dir)
                     .unwrap()
@@ -689,7 +692,5 @@ fn burst_campaign_through_ingest_dedups_and_cold_start_bounds_its_reliability() 
 /// the training base — the kill-loop uses it to predict a compaction's
 /// fold count.
 fn count_folded(dir: &Path, base: usize) -> usize {
-    let manifest_json = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
-    let manifest: rrre_serve::ArtifactManifest = serde_json::from_str(&manifest_json).unwrap();
-    manifest.n_reviews - base
+    ArtifactManifest::read(dir).unwrap().n_reviews - base
 }

@@ -5,10 +5,10 @@
 //! zero failed requests.
 
 use rrre_core::{Rrre, RrreConfig};
-use rrre_serve::artifact::{DATASET_FILE, MANIFEST_FILE, MODEL_FILE, REVIEWS_FILE, VECTORS_FILE};
+use rrre_serve::artifact::MANIFEST_FILE;
 use rrre_wire::PredictionDto;
 use rrre_serve::{Engine, EngineConfig, ModelArtifact, Request};
-use rrre_testkit::fault::{drop_last_row, flip_byte, rehash_artifact_file, truncate_file};
+use rrre_testkit::fault::{artifact_payload, drop_last_row, flip_byte, rehash_artifact_file, truncate_file};
 use rrre_testkit::sync::run_concurrently;
 use rrre_testkit::{trained_fixture, TempDir};
 use std::io::ErrorKind;
@@ -51,15 +51,16 @@ fn every_corruption_fails_closed_and_restore_recovers() {
     // A flipped manifest byte can land in an unvalidated field like the
     // dataset display name, so it is not a guaranteed-rejection drill.
     let mut expected_failures = 0u64;
-    let corruptions: Vec<(&str, bool)> = vec![
-        (DATASET_FILE, true),
-        (VECTORS_FILE, true),
-        (MODEL_FILE, true),
-        (REVIEWS_FILE, true),
-        (MANIFEST_FILE, false),
+    let payload = |stem| artifact_payload(dir.path(), stem);
+    let corruptions = vec![
+        (payload("dataset"), true),
+        (payload("vectors"), true),
+        (payload("model"), true),
+        (payload("reviews"), true),
+        (dir.file(MANIFEST_FILE), false),
     ];
-    for (file, also_flip) in corruptions {
-        let path = dir.file(file);
+    for (path, also_flip) in corruptions {
+        let file = path.file_name().unwrap().to_string_lossy().into_owned();
         let pristine = std::fs::read(&path).unwrap();
 
         let drills: &[&str] = if also_flip { &["truncate", "flip"] } else { &["truncate"] };
@@ -121,15 +122,15 @@ fn rehashed_foreign_or_misshapen_review_vectors_fail_the_reload_closed() {
     let other_dir = TempDir::new("reload-foreign-reviews-source");
     ModelArtifact::save(other_dir.path(), &fx.dataset, &fx.corpus, &other, fx.min_count()).unwrap();
 
-    let (reviews, manifest) = (dir.file(REVIEWS_FILE), dir.file(MANIFEST_FILE));
+    let (reviews, manifest) = (artifact_payload(dir.path(), "reviews"), dir.file(MANIFEST_FILE));
     let pristine = (std::fs::read(&reviews).unwrap(), std::fs::read(&manifest).unwrap());
     for (failures, what) in (1..).zip(["foreign", "misshapen"]) {
         if what == "foreign" {
-            std::fs::copy(other_dir.file(REVIEWS_FILE), &reviews).unwrap();
+            std::fs::copy(artifact_payload(other_dir.path(), "reviews"), &reviews).unwrap();
         } else {
             drop_last_row(&reviews).unwrap();
         }
-        rehash_artifact_file(dir.path(), REVIEWS_FILE).unwrap();
+        rehash_artifact_file(dir.path(), "reviews").unwrap();
         let load_err = ModelArtifact::load(dir.path()).err().expect("must not load");
         assert_eq!(load_err.kind(), ErrorKind::InvalidData, "{what}: {load_err}");
         let err = engine.reload().expect_err(&format!("{what} review vectors must fail the reload"));
@@ -206,7 +207,7 @@ fn concurrent_clients_see_zero_failures_during_corrupted_reloads() {
     let engine = Arc::new(engine);
     let baseline = probe(&engine);
 
-    let model_path = dir.file(MODEL_FILE);
+    let model_path = artifact_payload(dir.path(), "model");
     let pristine = std::fs::read(&model_path).unwrap();
     let len = std::fs::metadata(&model_path).unwrap().len();
     truncate_file(&model_path, len / 3).unwrap();

@@ -270,8 +270,8 @@ fn compaction_trims_the_replication_log_and_keeps_positions_absolute() {
 }
 
 #[test]
-fn a_reopen_serves_the_replayed_records_from_the_ledger_base() {
-    let dir = saved_fixture("reopen-ledger-and-wal");
+fn a_reopen_serves_the_replayed_records_from_the_folded_base() {
+    let dir = saved_fixture("reopen-folded-and-wal");
     let engine = open_leader(dir.path(), 1);
     for seq in 1..=3 {
         ingest(&engine, seq);

@@ -153,11 +153,6 @@ impl BiLstm {
         self.fwd.input_dim()
     }
 
-    /// Output dimension (`2 × hidden`).
-    pub fn output_dim(&self) -> usize {
-        2 * self.fwd.hidden_dim()
-    }
-
     /// The handles of all six parameters (both directions).
     pub fn param_ids(&self) -> [crate::ParamId; 6] {
         let ([a, b, c], [d, e, f]) = (self.fwd.param_ids(), self.bwd.param_ids());

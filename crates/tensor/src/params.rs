@@ -2,7 +2,7 @@
 //!
 //! Parameters live outside the autograd tape, so one [`crate::Tape`] can be
 //! reset and reused for every training step (it keeps its buffers, and its
-//! backward is pruned to what a parameter needs) while the long-lived
+//! backward visits only what a parameter needs) while the long-lived
 //! weights and their gradient accumulators stay here.
 
 use crate::Tensor;
@@ -105,12 +105,6 @@ impl Params {
     /// update one from the other without copying either).
     pub(crate) fn value_mut_and_grad(&mut self, id: ParamId) -> (&mut Tensor, &Tensor) {
         (&mut self.values[id.0], &self.grads[id.0])
-    }
-
-    /// Sum of squared L2 norms of all values — the `Σ‖ε‖²` regulariser of
-    /// Eq. (13)/(14) in the paper.
-    pub fn l2_norm_sq(&self) -> f32 {
-        self.values.iter().map(Tensor::norm_sq).sum()
     }
 
     /// Adds `2·gamma·value` to every gradient, i.e. the gradient of
@@ -373,7 +367,6 @@ mod tests {
     fn l2_regulariser_matches_manual() {
         let mut p = Params::new();
         let w = p.register("w", Tensor::from_vec(1, 2, vec![3.0, 4.0]));
-        assert!((p.l2_norm_sq() - 25.0).abs() < 1e-6);
         p.apply_l2_grad(0.5);
         // grad = 2*gamma*w = [3, 4]
         assert!(p.grad(w).approx_eq(&Tensor::from_vec(1, 2, vec![3.0, 4.0]), 1e-6));

@@ -16,8 +16,11 @@
 //! optimiser state.
 //!
 //! The module also holds the workspace's one durable file replace,
-//! [`replace_durably`], and [`sync_dir`]: training checkpoints and the
-//! serving write path's ledger and epoch file all commit through them.
+//! [`replace_durably`], and the one commit rule built on it, [`commit`]:
+//! every multi-file format on disk (a serving artifact, a training
+//! checkpoint) is a manifest listing payload files by name and
+//! [`digest`], and commits by replacing that manifest. The replication
+//! epoch file is a one-file format and replaces itself.
 
 use crate::{Params, Tensor};
 use std::fs::{self, File};
@@ -41,6 +44,76 @@ pub fn replace_durably(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
 /// not the file: without this a power loss may roll the entry back.
 pub fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
+}
+
+/// FNV-1a 64 of `bytes` as the lowercase hex string a manifest records for
+/// each payload. It catches damage, not forgery: collisions can be built on
+/// purpose, so payload names never derive from it.
+pub fn digest(bytes: &[u8]) -> String {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// The stem of a payload file name: everything before its first `.`
+/// (`model` for `model.3.rrrp`).
+pub fn stem(file: &str) -> &str {
+    file.split('.').next().unwrap_or(file)
+}
+
+/// Commits one generation of a multi-file format in `dir` (created if
+/// absent). Each `(file, bytes)` payload is written and fsynced under its
+/// own name, which must be one the committed manifest does not list, so a
+/// crash before the commit leaves only orphans. The directory is fsynced,
+/// then `manifest_file` is replaced durably with what `manifest` makes of
+/// the payloads' `(file, digest)` pairs: that replace is the commit. Last,
+/// every other file in `dir` with a payload's stem is deleted — the
+/// previous generation, a crashed commit's orphans and their `.tmp`s. That
+/// cleanup is best effort: a leftover is ignored by every load and deleted
+/// by the next commit. It touches nothing else in `dir`.
+pub fn commit(
+    dir: &Path,
+    manifest_file: &str,
+    payloads: &[(String, Vec<u8>)],
+    manifest: impl FnOnce(Vec<(String, String)>) -> io::Result<Vec<u8>>,
+) -> io::Result<()> {
+    fs::create_dir_all(dir)?;
+    let mut listed = Vec::with_capacity(payloads.len());
+    for (file, bytes) in payloads {
+        let mut f = File::create(dir.join(file))?;
+        f.write_all(bytes)?;
+        f.sync_data()?;
+        listed.push((file.clone(), digest(bytes)));
+    }
+    sync_dir(dir)?;
+    let names: Vec<String> = listed.iter().map(|(file, _)| file.clone()).collect();
+    replace_durably(dir, manifest_file, &manifest(listed)?)?;
+    for entry in fs::read_dir(dir)?.flatten() {
+        let name = entry.file_name().to_string_lossy().into_owned();
+        let ours = names.iter().any(|file| stem(file) == stem(&name));
+        if ours && !names.contains(&name) && entry.file_type().is_ok_and(|t| t.is_file()) {
+            let _ = fs::remove_file(entry.path());
+        }
+    }
+    Ok(())
+}
+
+/// Reads `dir/file` once and checks it against the `fnv1a` digest its
+/// manifest recorded. Callers parse from the returned buffer, so the bytes
+/// that were verified are the bytes that are used.
+pub fn read_verified(dir: &Path, file: &str, fnv1a: &str) -> io::Result<Vec<u8>> {
+    let bytes = fs::read(dir.join(file))?;
+    let actual = digest(&bytes);
+    if actual != fnv1a {
+        return Err(invalid(format!(
+            "{file} checksum mismatch: manifest says {fnv1a}, file hashes to {actual} \
+             (truncated or corrupted)"
+        )));
+    }
+    Ok(bytes)
 }
 
 const MAGIC: &[u8; 4] = b"RRRP";
@@ -185,13 +258,61 @@ mod tests {
     #[test]
     fn file_roundtrip() {
         let p = sample_params();
-        let dir = std::env::temp_dir().join("rrre-ckpt-test");
+        let dir = std::env::temp_dir().join(format!("rrre-params-file-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("p.rrrp");
         p.save(&path).unwrap();
         let q = Params::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert!(q.get(crate::ParamId(2)).approx_eq(p.get(crate::ParamId(2)), 0.0));
+    }
+
+    #[test]
+    fn digest_is_fnv1a_64() {
+        assert_eq!(digest(b""), "cbf29ce484222325");
+        assert_eq!(digest(b"a"), "af63dc4c8601ec8c");
+    }
+
+    /// The commit's cleanup deletes the previous generation, a crashed
+    /// commit's orphans and stale `.tmp`s of the committed stems — and
+    /// never a subdirectory, a file of another stem, or a listed name.
+    #[test]
+    fn commit_cleanup_touches_only_unlisted_files_of_its_stems() {
+        let dir = std::env::temp_dir().join(format!("rrre-commit-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let json = |listed: Vec<(String, String)>| {
+            Ok(listed.iter().map(|(file, fnv1a)| format!("{file}={fnv1a}\n")).collect::<String>().into_bytes())
+        };
+        let payloads = |n: u32| vec![(format!("model.{n}.rrrp"), vec![n as u8; 8]), (format!("data.{n}.json"), b"{}".to_vec())];
+        commit(&dir, "manifest.json", &payloads(1), json).unwrap();
+        fs::create_dir_all(dir.join("wal")).unwrap();
+        fs::write(dir.join("wal").join("model.0.rrrp"), b"not a payload").unwrap();
+        for (name, bytes) in [
+            ("repl_epoch", &b"3"[..]),
+            ("repl_epoch.tmp", b"4"),
+            ("model.2.rrrp", b"torn orphan of a crashed commit"),
+            ("model.9.rrrp.tmp", b"stale"),
+            ("manifest.json.tmp", b"stale"),
+        ] {
+            fs::write(dir.join(name), bytes).unwrap();
+        }
+
+        commit(&dir, "manifest.json", &payloads(2), json).unwrap();
+        let mut left: Vec<String> =
+            fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name().to_string_lossy().into_owned()).collect();
+        left.sort();
+        assert_eq!(left, ["data.2.json", "manifest.json", "model.2.rrrp", "repl_epoch", "repl_epoch.tmp", "wal"]);
+        assert_eq!(fs::read(dir.join("model.2.rrrp")).unwrap(), vec![2u8; 8], "the orphan was rewritten whole");
+        assert!(dir.join("wal").join("model.0.rrrp").exists(), "subdirectories are never entered");
+        let manifest = fs::read_to_string(dir.join("manifest.json")).unwrap();
+        assert_eq!(manifest, format!("model.2.rrrp={}\ndata.2.json={}\n", digest(&[2; 8]), digest(b"{}")));
+        for (file, fnv1a) in manifest.lines().map(|l| l.split_once('=').unwrap()) {
+            read_verified(&dir, file, fnv1a).unwrap();
+        }
+        let err = read_verified(&dir, "model.2.rrrp", &digest(b"other")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

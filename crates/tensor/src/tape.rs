@@ -9,9 +9,9 @@
 //! [`Tape::backward`] writes the resulting gradients back into the store —
 //! a lookup's gradient as the rows it touched, never as a whole table.
 //!
-//! The backward is pruned. A node needs an adjoint only if a parameter is
-//! behind it: it is a `param` leaf or a `param_rows` lookup, or one of its
-//! parents needs an adjoint. The flag is set when the node is pushed, and
+//! The backward skips what no parameter needs. A node needs an adjoint
+//! only if a parameter is behind it: it is a `param` leaf or a `param_rows`
+//! lookup, or one of its parents needs an adjoint. The flag is set when the node is pushed, and
 //! the sweep computes no delta for a node without it — a tower's review
 //! matrix is a constant, so the `g·w_revᵀ` of its projection is never
 //! formed. Every delta on a path from the loss to a parameter is still
@@ -320,9 +320,10 @@ impl Tape {
     /// identical to `backward`, so for a given tape the deltas written to the
     /// sink are bit-identical regardless of which sink receives them.
     ///
-    /// The sweep is pruned (see the module docs): adjoints stay inspectable
-    /// through [`Tape::grad`] until the next `backward` or [`Tape::reset`],
-    /// but only for nodes with a parameter behind them.
+    /// The sweep skips what no parameter needs (see the module docs):
+    /// adjoints stay inspectable through [`Tape::grad`] until the next
+    /// `backward` or [`Tape::reset`], but only for nodes with a parameter
+    /// behind them.
     pub fn backward_into(&mut self, loss: Var, sink: &mut dyn GradSink) {
         assert_eq!(self.shape(loss), (1, 1), "backward: loss must be 1x1, got {:?}", self.shape(loss));
         self.reached.fill(false);

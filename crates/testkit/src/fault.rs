@@ -4,9 +4,10 @@
 //! wire so tests can assert the serve stack degrades with *structured*
 //! errors instead of panics or silent connection drops.
 
+use rrre_serve::artifact::{ArtifactManifest, MANIFEST_FILE};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Truncates a file to `len` bytes (must be shorter than the file).
@@ -30,22 +31,31 @@ pub fn flip_byte(path: impl AsRef<Path>, offset: usize) -> std::io::Result<u8> {
     Ok(original)
 }
 
-/// Records `file`'s current digest in the manifest of the artifact at
-/// `dir` — the edit of someone who can write both files, or an honest
-/// re-export of different content — so a test reaches the validation that
-/// sits behind the checksum layer.
-pub fn rehash_artifact_file(dir: impl AsRef<Path>, file: &str) -> std::io::Result<()> {
-    use rrre_serve::artifact::{file_digest, ArtifactManifest, MANIFEST_FILE};
+/// The path of the payload with this stem (`"model"`, `"reviews"`,
+/// `"dataset"` or `"vectors"`) that the manifest of the artifact at `dir`
+/// lists. Panics if the manifest cannot be read or lists no such payload.
+pub fn artifact_payload(dir: impl AsRef<Path>, stem: &str) -> PathBuf {
     let dir = dir.as_ref();
-    let path = dir.join(MANIFEST_FILE);
-    let mut manifest: ArtifactManifest =
-        serde_json::from_str(&std::fs::read_to_string(&path)?).map_err(std::io::Error::other)?;
-    let digest = file_digest(&std::fs::read(dir.join(file))?);
-    let entry = manifest.checksums.iter_mut().find(|c| c.file == file).ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::NotFound, format!("manifest records no checksum for {file}"))
-    })?;
-    entry.fnv1a = digest;
-    std::fs::write(&path, serde_json::to_string_pretty(&manifest).map_err(std::io::Error::other)?)
+    let manifest = ArtifactManifest::read(dir).expect("artifact_payload: unreadable manifest");
+    let entry = manifest.payload(stem).unwrap_or_else(|| panic!("artifact_payload: no {stem} payload listed"));
+    dir.join(&entry.file)
+}
+
+/// Records the current digest of the payload with this stem in the
+/// manifest of the artifact at `dir` — the edit of someone who can write
+/// both files, or an honest re-export of different content — so a test
+/// reaches the validation that sits behind the checksum layer.
+pub fn rehash_artifact_file(dir: impl AsRef<Path>, stem: &str) -> std::io::Result<()> {
+    let dir = dir.as_ref();
+    let mut manifest = ArtifactManifest::read(dir)?;
+    let entry = manifest
+        .checksums
+        .iter_mut()
+        .find(|c| rrre_tensor::serialize::stem(&c.file) == stem)
+        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::NotFound, format!("manifest lists no {stem} payload")))?;
+    entry.fnv1a = rrre_tensor::serialize::digest(&std::fs::read(dir.join(&entry.file))?);
+    let json = serde_json::to_string_pretty(&manifest).map_err(std::io::Error::other)?;
+    std::fs::write(dir.join(MANIFEST_FILE), json)
 }
 
 /// Rewrites an RRRP file with the last row of every tensor dropped: a
@@ -79,7 +89,7 @@ pub fn shave_tail(path: impl AsRef<Path>, bytes: u64) -> std::io::Result<u64> {
 
 /// The WAL segment files under `wal_dir` (`seg-*.log`), sorted by segment
 /// index — `last()` is the active tail segment, the torn-write target.
-pub fn wal_segments(wal_dir: impl AsRef<Path>) -> std::io::Result<Vec<std::path::PathBuf>> {
+pub fn wal_segments(wal_dir: impl AsRef<Path>) -> std::io::Result<Vec<PathBuf>> {
     let mut segments: Vec<_> = std::fs::read_dir(wal_dir)?
         .filter_map(|e| e.ok())
         .map(|e| e.path())
@@ -153,7 +163,7 @@ mod tests {
         let dir = TempDir::new("fault-wal");
         std::fs::write(dir.file("seg-00000002.log"), [0u8; 16]).unwrap();
         std::fs::write(dir.file("seg-00000000.log"), [0u8; 16]).unwrap();
-        std::fs::write(dir.file("ledger.json"), b"{}").unwrap();
+        std::fs::write(dir.file("manifest.json"), b"{}").unwrap();
         let segs = wal_segments(dir.path()).unwrap();
         assert_eq!(segs.len(), 2, "only seg-*.log files are segments");
         assert!(segs[1].ends_with("seg-00000002.log"), "sorted by index, tail last");

@@ -171,16 +171,6 @@ pub struct PoisonedFixture {
     pub corpus: EncodedCorpus,
 }
 
-impl PoisonedFixture {
-    /// Training indices of the poisoned fit: the clean train set plus
-    /// every injected review.
-    pub fn poisoned_train(&self) -> Vec<usize> {
-        let mut train = self.clean.train.clone();
-        train.extend_from_slice(&self.poisoned.injected);
-        train
-    }
-}
-
 /// Builds the standard small fixture and runs `family` at `strength`
 /// against it ([`FixtureSpec::campaign`] seeds the campaign).
 pub fn poisoned_fixture(family: AttackFamily, strength: f64) -> PoisonedFixture {
@@ -300,7 +290,6 @@ mod tests {
         // Corpus extension: one appended doc per injected review, and the
         // clean prefix is untouched.
         assert_eq!(a.corpus.docs.len(), a.clean.corpus.docs.len() + a.poisoned.n_injected());
-        assert_eq!(a.poisoned_train().len(), a.clean.train.len() + a.poisoned.n_injected());
     }
 
     #[test]

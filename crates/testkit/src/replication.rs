@@ -66,10 +66,10 @@ fn reserve_addr() -> String {
     listener.local_addr().expect("reserve_addr: no local addr").to_string()
 }
 
-/// Copies a directory tree (the artifact payload plus `wal/`, ledger and
-/// epoch files). Both deployment launch and follower resync clone a
-/// quiescent directory, so a plain recursive copy is exact.
-fn copy_tree(src: &Path, dst: &Path) {
+/// Copies a directory tree (the artifact plus `wal/` and the epoch file).
+/// Both deployment launch and follower resync clone a quiescent directory,
+/// so a plain recursive copy is exact.
+pub fn copy_tree(src: &Path, dst: &Path) {
     std::fs::create_dir_all(dst).expect("copy_tree: cannot create destination");
     for entry in std::fs::read_dir(src).expect("copy_tree: cannot read source") {
         let entry = entry.expect("copy_tree: bad dir entry");
@@ -193,7 +193,7 @@ impl ReplicatedDeployment {
     }
 
     /// Takes replica `i` down: server stopped, engine shut down. Its
-    /// directory — WAL, ledger, epoch file — stays, like a machine that
+    /// directory — artifact, WAL, epoch file — stays, like a machine that
     /// lost power with its disk intact.
     pub fn kill(&mut self, i: usize) {
         let slot = &mut self.slots[i];
@@ -287,11 +287,12 @@ impl ReplicatedDeployment {
 
     /// Compacts every live replica and returns `(slot, fingerprint)`
     /// pairs, where the fingerprint is the sorted `(file, digest)` table
-    /// of the artifact payload — equal fingerprints mean byte-identical
-    /// compacted artifacts. The WAL directory, compaction ledger and
-    /// epoch file are deliberately *not* part of the fingerprint: they
-    /// are per-replica operational state (a follower's segment boundaries
-    /// lag the leader's), not the replicated artifact.
+    /// of the artifact — manifest, and with it the folded seq set,
+    /// included — so equal fingerprints mean byte-identical compacted
+    /// artifacts. The WAL directory and the epoch file are deliberately
+    /// *not* part of the fingerprint: they are per-replica operational
+    /// state (a follower's segment boundaries lag the leader's), not the
+    /// replicated artifact.
     pub fn compact_fingerprints(&self) -> Vec<(usize, Vec<(String, String)>)> {
         self.live()
             .into_iter()
@@ -308,9 +309,9 @@ impl ReplicatedDeployment {
     }
 }
 
-/// Digests every artifact payload file in `dir` — manifest included,
-/// operational state (`wal/`, the compaction ledger, the epoch file and
-/// their tmp siblings) excluded — as a sorted `(file, digest)` table.
+/// Digests every artifact file in `dir` — the manifest and its payloads —
+/// as a sorted `(file, digest)` table. Operational state (`wal/`, the epoch
+/// file and its tmp sibling) is excluded.
 pub fn artifact_fingerprint(dir: &Path) -> Vec<(String, String)> {
     let mut out: Vec<(String, String)> = std::fs::read_dir(dir)
         .expect("artifact_fingerprint: cannot read dir")
@@ -318,13 +319,11 @@ pub fn artifact_fingerprint(dir: &Path) -> Vec<(String, String)> {
         .filter(|e| e.path().is_file())
         .filter_map(|e| {
             let name = e.file_name().to_string_lossy().into_owned();
-            let operational = name.starts_with("repl_epoch")
-                || name.starts_with(rrre_serve::wal::LEDGER_FILE);
-            if operational {
+            if name.starts_with("repl_epoch") {
                 return None;
             }
             let bytes = std::fs::read(e.path()).expect("artifact_fingerprint: unreadable file");
-            Some((name, rrre_serve::artifact::file_digest(&bytes)))
+            Some((name, rrre_tensor::serialize::digest(&bytes)))
         })
         .collect();
     out.sort();

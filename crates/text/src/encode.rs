@@ -17,11 +17,6 @@ impl EncodedDoc {
     pub fn mask(&self) -> Vec<bool> {
         (0..self.ids.len()).map(|i| i < self.len).collect()
     }
-
-    /// Whether the document had no in-vocabulary content at all.
-    pub fn is_blank(&self) -> bool {
-        self.len == 0
-    }
 }
 
 /// Encodes raw text to a fixed-length id sequence.
@@ -79,7 +74,7 @@ mod tests {
     fn empty_document_is_blank() {
         let v = vocab_for("word");
         let e = encode_document("", &v, 3);
-        assert!(e.is_blank());
+        assert_eq!(e.len, 0);
         assert_eq!(e.ids, vec![PAD, PAD, PAD]);
     }
 }

@@ -1,6 +1,6 @@
 //! # rrre-text
 //!
-//! Text substrate for the RRRE reproduction: tokenizer, frequency-pruned
+//! Text substrate for the RRRE reproduction: tokenizer, min-count-filtered
 //! vocabulary, from-scratch skip-gram word2vec (the paper's "pretrained"
 //! review vectors), fixed-length document encoding and similarity utilities.
 

@@ -108,7 +108,7 @@ mod tests {
     }
 
     #[test]
-    fn min_count_prunes() {
+    fn min_count_drops_rare_words() {
         let d = docs(&["rare common common", "common"]);
         let refs: Vec<&[String]> = d.iter().map(Vec::as_slice).collect();
         let v = Vocab::build(refs, 2);

@@ -86,18 +86,6 @@ impl WordVectors {
     pub fn cosine(&self, a: usize, b: usize) -> f32 {
         crate::similarity::cosine(self.vector(a), self.vector(b))
     }
-
-    /// The `top_n` nearest words to `id` by cosine, excluding itself and the
-    /// special tokens.
-    pub fn nearest(&self, id: usize, top_n: usize) -> Vec<(usize, f32)> {
-        let mut scored: Vec<(usize, f32)> = (2..self.len())
-            .filter(|&j| j != id)
-            .map(|j| (j, self.cosine(id, j)))
-            .collect();
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-        scored.truncate(top_n);
-        scored
-    }
 }
 
 /// Alias-free negative sampler over the unigram^(3/4) distribution, using a
@@ -277,18 +265,5 @@ mod tests {
         assert_eq!(vecs.len(), vocab.len());
         assert_eq!(vecs.dim(), 12);
         assert!(vecs.as_flat().iter().all(|x| x.is_finite()));
-    }
-
-    #[test]
-    fn nearest_excludes_self_and_specials() {
-        let docs = topic_corpus();
-        let refs: Vec<&[String]> = docs.iter().map(Vec::as_slice).collect();
-        let vocab = Vocab::build(refs, 1);
-        let encoded: Vec<Vec<usize>> = docs.iter().map(|d| vocab.encode(d)).collect();
-        let vecs = train_word2vec(&encoded, &vocab, &Word2VecConfig::default(), &mut StdRng::seed_from_u64(5));
-        let id = vocab.id("pizza");
-        let near = vecs.nearest(id, 3);
-        assert_eq!(near.len(), 3);
-        assert!(near.iter().all(|&(j, _)| j != id && j > 1));
     }
 }

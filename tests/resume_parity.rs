@@ -37,7 +37,7 @@ fn interrupted_and_resumed_run_matches_the_uninterrupted_golden_trace() {
     // The interrupted run: train to the interruption point with periodic
     // checkpoints, "crash" (drop everything), then resume from disk.
     let scratch = TempDir::new("resume-parity");
-    let ckpt = CheckpointConfig { dir: scratch.path().to_path_buf(), every: 1, keep: 3 };
+    let ckpt = CheckpointConfig::new(scratch.path());
 
     let mut pieced_stats: Vec<EpochStats> = Vec::new();
     let first_leg = RrreConfig { epochs: INTERRUPT_AFTER, ..spec.rrre_config() };
@@ -141,7 +141,7 @@ fn parallel_crash_resume_with_different_thread_count_is_bit_identical() {
     );
 
     let scratch = TempDir::new("resume-parity-parallel");
-    let ckpt = CheckpointConfig { dir: scratch.path().to_path_buf(), every: 1, keep: 3 };
+    let ckpt = CheckpointConfig::new(scratch.path());
 
     // First leg on 2 threads, "crashing" after the interrupt epoch.
     let mut pieced_stats: Vec<EpochStats> = Vec::new();
