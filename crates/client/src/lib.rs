@@ -22,20 +22,14 @@
 //! * **retries** — idempotent ops (see [`rrre_wire::Op::is_idempotent`])
 //!   are retried across replicas with capped decorrelated-jitter backoff
 //!   ([`backoff::DecorrelatedJitter`]); non-idempotent ops are retried
-//!   only when the failure proves the request never reached a server
-//!   (connect failure, or a structured `Overloaded`/`Unavailable`
-//!   refusal);
+//!   only after a connect failure (nothing was sent) or a structured
+//!   `Overloaded`/`Unavailable` refusal, whose resend is safe (see
+//!   [`rrre_wire::ErrorKind`]);
 //! * **leader redirect** — a `NotLeader` refusal from a replicated shard
 //!   proves the request was never applied, so it is always retried; when
 //!   the refusal carries the current leader's address and that address is
 //!   one of this client's replicas, the next attempt is steered straight
 //!   at it instead of round-robining through followers;
-//! * **hedging** — when an idempotent attempt is slower than
-//!   [`ClientConfig::hedge_after`], a second copy of the request (same
-//!   correlation id) is fired at another replica and the first successful
-//!   response wins; the loser finishes in the background and its
-//!   connection is drained or dropped, never returned with a response in
-//!   flight;
 //! * **circuit breaking** — each replica has a sliding-window breaker
 //!   ([`breaker::Breaker`]); a replica with an open breaker is skipped by
 //!   replica selection until its cooldown elapses or a health probe sees
@@ -68,7 +62,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use replica::Replica;
 use rrre_wire::{ErrorKind, Request, Response};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -89,9 +83,6 @@ pub struct ClientConfig {
     pub backoff_base: Duration,
     /// Backoff ceiling between retries.
     pub backoff_cap: Duration,
-    /// Fire a hedge at another replica when an idempotent attempt has not
-    /// answered within this threshold. `None` disables hedging.
-    pub hedge_after: Option<Duration>,
     /// Sliding-window size of each replica's circuit breaker.
     pub breaker_window: usize,
     /// Failures within the window that open the breaker.
@@ -121,7 +112,6 @@ impl Default for ClientConfig {
             retries: 2,
             backoff_base: Duration::from_millis(10),
             backoff_cap: Duration::from_millis(250),
-            hedge_after: None,
             breaker_window: 8,
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(400),
@@ -158,8 +148,8 @@ pub enum ErrorClass {
     NoReplica,
 }
 
-/// Terminal failure of one logical request, after all retry/hedge budget
-/// was spent.
+/// Terminal failure of one logical request, after all retry budget was
+/// spent.
 #[derive(Debug, Clone)]
 pub struct ClientError {
     /// Classification of the last failure.
@@ -192,12 +182,10 @@ impl std::error::Error for ClientError {}
 pub struct ReplicaSnapshot {
     /// Endpoint address.
     pub addr: String,
-    /// Request attempts routed here (hedge arms included, probes not).
+    /// Request attempts routed here (probes not counted).
     pub attempts: u64,
     /// Attempts that failed (transport error or retryable server refusal).
     pub failures: u64,
-    /// Times this replica served as the backup arm of a hedge.
-    pub hedges: u64,
     /// Whether the breaker is currently open or half-open.
     pub breaker_open: bool,
     /// Lifetime count of breaker open transitions.
@@ -213,7 +201,9 @@ pub struct ClientSnapshot {
     pub requests: u64,
     /// Retry attempts made beyond each request's first attempt.
     pub retries: u64,
-    /// Hedge arms fired.
+    /// Always 0: the client has no hedging. Kept only because the frozen
+    /// benchmark reads it as `client.hedges`; the next benchmark change
+    /// drops both.
     pub hedges: u64,
     /// Per-replica detail, in constructor order.
     pub replicas: Vec<ReplicaSnapshot>,
@@ -228,7 +218,6 @@ struct Shared {
     stop: AtomicBool,
     requests: AtomicU64,
     retries: AtomicU64,
-    hedges: AtomicU64,
 }
 
 /// A resilient multi-replica client. Cheap to share: internally one
@@ -263,7 +252,6 @@ impl Client {
             stop: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             retries: AtomicU64::new(0),
-            hedges: AtomicU64::new(0),
         });
         let prober = shared.cfg.probe_interval.map(|_| {
             let shared = Arc::clone(&shared);
@@ -273,10 +261,9 @@ impl Client {
     }
 
     /// Sends one logical request, applying replica selection, retries with
-    /// backoff, hedging and breaker accounting. A missing `id` is filled
-    /// from the client's counter and reused verbatim across every retry
-    /// and hedge of this request; a missing `deadline_ms` is set to the
-    /// per-attempt timeout.
+    /// backoff and breaker accounting. A missing `id` is filled from the
+    /// client's counter and reused verbatim across every retry of this
+    /// request; a missing `deadline_ms` is set to the per-attempt timeout.
     ///
     /// Returns `Ok` for any response the server committed to — including
     /// structured errors like `BadRequest` that retrying cannot fix; those
@@ -368,16 +355,15 @@ impl Client {
                 continue;
             };
             last_idx = Some(idx);
-            let outcome = if idempotent && cfg.hedge_after.is_some() {
-                self.hedged_attempt(idx, &req, timeout)
-            } else {
-                shared.attempt(idx, &req, timeout)
-            };
-            match outcome {
+            match shared.attempt(idx, &req, timeout) {
                 Ok(resp) => {
                     let retryable = match resp.kind {
-                        // A structured shed proves the request was never
-                        // executed: safe to resend whatever the op.
+                        // A structured shed is safe to resend whatever the
+                        // op: `Overloaded` ran nothing, and an ingest
+                        // `Unavailable` (quorum timeout) left the record on
+                        // the leader, where its seq dedups the resend. One
+                        // that lands on another replica is ROADMAP item 17
+                        // (the `plan_append` `FOUND:` line in CHANGES.md).
                         Some(ErrorKind::Overloaded) | Some(ErrorKind::Unavailable) => true,
                         // A replica refusing leadership also proves
                         // non-execution; the retry re-routes (steered at
@@ -440,7 +426,7 @@ impl Client {
         ClientSnapshot {
             requests: s.requests.load(Ordering::SeqCst),
             retries: s.retries.load(Ordering::SeqCst),
-            hedges: s.hedges.load(Ordering::SeqCst),
+            hedges: 0,
             replicas: s
                 .replicas
                 .iter()
@@ -450,7 +436,6 @@ impl Client {
                         addr: r.addr.clone(),
                         attempts: r.attempts.load(Ordering::SeqCst),
                         failures: r.failures.load(Ordering::SeqCst),
-                        hedges: r.hedges.load(Ordering::SeqCst),
                         breaker_open: b.is_open(),
                         breaker_opens: b.opens(),
                         probe_ready: r.probe_ready(),
@@ -468,71 +453,6 @@ impl Client {
         if let Some(handle) = handle {
             handle.join().ok();
         }
-    }
-
-    /// One hedged attempt: fire at `primary`; if no answer within
-    /// `hedge_after`, fire the same request (same id) at another replica
-    /// and take the first successful response. A fast *failure* from the
-    /// primary returns immediately instead of hedging — hedging is a
-    /// latency tool, the outer retry loop owns failure handling.
-    fn hedged_attempt(
-        &self,
-        primary: usize,
-        req: &Request,
-        timeout: Duration,
-    ) -> Result<Response, ClientError> {
-        let shared = &self.shared;
-        let hedge_after = shared.cfg.hedge_after.expect("hedged_attempt requires hedge_after");
-        let (tx, rx) = mpsc::channel::<Result<Response, ClientError>>();
-        let spawn_arm = |idx: usize| {
-            let shared = Arc::clone(shared);
-            let req = req.clone();
-            let tx = tx.clone();
-            std::thread::spawn(move || {
-                let _ = tx.send(shared.attempt(idx, &req, timeout));
-            });
-        };
-        spawn_arm(primary);
-        match rx.recv_timeout(hedge_after) {
-            Ok(res) => return res,
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err(ClientError::new(ErrorClass::ConnectionLost, "hedge arm vanished"))
-            }
-        }
-        // Primary is slow. Fire the backup arm if another replica is
-        // available; either way keep listening — the primary may still
-        // answer first.
-        if let Some(idx) = shared.pick(Some(primary)) {
-            if idx != primary {
-                shared.hedges.fetch_add(1, Ordering::SeqCst);
-                shared.replicas[idx].hedges.fetch_add(1, Ordering::SeqCst);
-                spawn_arm(idx);
-            }
-        }
-        drop(tx);
-        // Both arms are bounded by connect + attempt timeouts; the recv
-        // deadline below is a backstop, not the mechanism.
-        let deadline = shared.cfg.connect_timeout + timeout * 2;
-        let started = Instant::now();
-        let mut fallback: Option<Result<Response, ClientError>> = None;
-        while let Some(remaining) = deadline.checked_sub(started.elapsed()) {
-            match rx.recv_timeout(remaining) {
-                Ok(Ok(resp)) if resp.ok => return Ok(resp),
-                Ok(res) => {
-                    // Prefer a structured server response over a transport
-                    // error as the reported loser.
-                    if matches!((&fallback, &res), (None, _) | (Some(Err(_)), Ok(_))) {
-                        fallback = Some(res);
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                Err(mpsc::RecvTimeoutError::Timeout) => break,
-            }
-        }
-        fallback.unwrap_or_else(|| {
-            Err(ClientError::new(ErrorClass::Timeout, "hedged attempt produced no response"))
-        })
     }
 }
 
@@ -955,37 +875,6 @@ mod tests {
         let err = client.request(Request::stats()).unwrap_err();
         assert_eq!(err.kind, ErrorClass::NoReplica);
         assert_eq!(client.snapshot().replicas[0].attempts, 2);
-    }
-
-    #[test]
-    fn hedging_rescues_a_slow_replica() {
-        // Replica 0 answers Predicts only after a long sleep; replica 1 is
-        // fast. With hedging on, the request should come back quickly.
-        let slow = mock_server(|req| {
-            std::thread::sleep(Duration::from_millis(400));
-            Some(Response::ok(req.id))
-        });
-        let fast = mock_server(|req| Some(Response::ok(req.id)));
-        let cfg = ClientConfig {
-            hedge_after: Some(Duration::from_millis(50)),
-            request_timeout: Duration::from_secs(2),
-            ..quick_cfg()
-        };
-        let client = Client::new(vec![slow, fast], cfg);
-        // Pin the round-robin cursor onto the slow replica by making the
-        // first pick; parity of the cursor decides who is primary, so just
-        // measure: at least one of a few requests must hedge.
-        let started = Instant::now();
-        for _ in 0..4 {
-            let resp = client.request(Request::predict(0, 0)).unwrap();
-            assert!(resp.ok);
-        }
-        assert!(
-            started.elapsed() < Duration::from_millis(900),
-            "hedging should mask the slow replica: {:?}",
-            started.elapsed()
-        );
-        assert!(client.snapshot().hedges >= 1, "at least one hedge must have fired");
     }
 
     #[test]

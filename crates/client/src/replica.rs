@@ -18,13 +18,11 @@ pub struct Replica {
     /// probe-less client (or the window before the first probe lands)
     /// routes normally.
     probe_ready: AtomicBool,
-    /// Attempts routed here (including hedges and probes are *not* counted).
+    /// Attempts routed here (probes are *not* counted).
     pub attempts: AtomicU64,
     /// Attempts that failed (transport error, timeout, or a retryable
     /// server refusal).
     pub failures: AtomicU64,
-    /// Hedge attempts that used this replica as the backup arm.
-    pub hedges: AtomicU64,
 }
 
 impl Replica {
@@ -38,7 +36,6 @@ impl Replica {
             probe_ready: AtomicBool::new(true),
             attempts: AtomicU64::new(0),
             failures: AtomicU64::new(0),
-            hedges: AtomicU64::new(0),
         }
     }
 

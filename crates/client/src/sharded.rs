@@ -1,7 +1,7 @@
 //! Scatter-gather front end over a sharded deployment.
 //!
 //! A [`ShardedClient`] owns one resilient [`Client`] per shard (each with
-//! the full retry/hedge/breaker/probe machinery scoped to that shard's
+//! the full retry/breaker/probe machinery scoped to that shard's
 //! replica set) and a [`ShardMap`] built from the deployment's
 //! [`ShardTopology`]. Requests route by plan:
 //!

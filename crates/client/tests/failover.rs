@@ -11,7 +11,7 @@
 use rrre_client::{Client, ClientConfig};
 use rrre_serve::server::Server;
 use rrre_serve::{Engine, EngineConfig, ModelArtifact, Request};
-use rrre_testkit::chaos::{ChaosConfig, ChaosProxy};
+use rrre_testkit::chaos::ChaosProxy;
 use rrre_testkit::{trained_fixture, TempDir};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,9 +36,9 @@ fn kill_one_of_three_mid_burst_zero_failures_then_breaker_recovers_on_restart() 
 
     // Each replica sits behind a transparent chaos proxy: the client's
     // endpoint addresses stay stable across the kill/restart cycle.
-    let proxy_a = ChaosProxy::start(server_a.local_addr().to_string(), ChaosConfig::default()).unwrap();
-    let proxy_b = ChaosProxy::start(server_b.local_addr().to_string(), ChaosConfig::default()).unwrap();
-    let proxy_c = ChaosProxy::start(server_c.local_addr().to_string(), ChaosConfig::default()).unwrap();
+    let proxy_a = ChaosProxy::start(server_a.local_addr().to_string()).unwrap();
+    let proxy_b = ChaosProxy::start(server_b.local_addr().to_string()).unwrap();
+    let proxy_c = ChaosProxy::start(server_c.local_addr().to_string()).unwrap();
 
     let client = Client::new(
         vec![

@@ -15,7 +15,7 @@
 use rrre_client::{Client, ClientConfig, ErrorClass};
 use rrre_wire::{decode_request, encode_response, Op};
 use rrre_serve::{Engine, EngineConfig, ModelArtifact, Request};
-use rrre_testkit::chaos::{ChaosConfig, ChaosProxy, Fault};
+use rrre_testkit::chaos::{ChaosProxy, Fault};
 use rrre_testkit::{trained_fixture, TempDir};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -66,7 +66,7 @@ fn stack(tag: &str) -> (TempDir, Arc<Engine>, ChaosProxy, OpLog, Client) {
     let artifact = ModelArtifact::load(dir.path()).unwrap();
     let engine = Arc::new(Engine::new(artifact, EngineConfig { workers: 2, ..EngineConfig::default() }));
     let (addr, log) = recording_server(Arc::clone(&engine));
-    let proxy = ChaosProxy::start(addr, ChaosConfig::default()).unwrap();
+    let proxy = ChaosProxy::start(addr).unwrap();
     let client = Client::new(
         vec![proxy.local_addr().to_string()],
         ClientConfig {

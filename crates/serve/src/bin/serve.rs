@@ -166,10 +166,9 @@ fn verbs() -> Vec<Verb> {
             "Send one request through the resilient client (retries, failover, breakers) and \
              print the response line.",
             vec![]),
-        client("oneshot", "(<dir> | --replicas a,b,c | --shard-map FILE) <json-line> [CLIENT FLAGS]",
-            cmd_oneshot,
-            "Answer a single request: in-process from the artifact in <dir> (no socket), or over \
-             the network exactly like `query`.",
+        verb("oneshot", "<dir> <json-line>", cmd_oneshot,
+            "Answer a single request in-process from the artifact in <dir>, with no socket; \
+             `query` is the network path.",
             vec![]),
         client("burst", "(--replicas a,b,c | --shard-map FILE) [FLAGS] [CLIENT FLAGS]", cmd_burst,
             "Drive requests through the resilient client — flat with --replicas, shard-routed \
@@ -248,7 +247,6 @@ fn client_flags() -> Vec<Flag> {
         val("--retries", "N", "extra attempts per request").default(client.retries),
         val("--timeout-ms", "N", "per-attempt timeout, also sent as deadline_ms (a scatter splits it \
              across its sub-requests)").default(client.request_timeout.as_millis()),
-        val("--hedge-after-ms", "N", "hedge idempotent requests after this latency (default: never)"),
         val("--seed", "N", "jitter-RNG seed (fixed seed = fixed schedule)").default(client.seed),
     ]
 }
@@ -730,7 +728,6 @@ fn client_config(args: &Args) -> ClientConfig {
     ClientConfig {
         retries: args.get("--retries"),
         request_timeout: Duration::from_millis(args.get("--timeout-ms")),
-        hedge_after: args.opt("--hedge-after-ms").map(Duration::from_millis),
         seed: args.get("--seed"),
         ..ClientConfig::default()
     }
@@ -933,9 +930,6 @@ fn cmd_promote(args: Args) -> Outcome {
 }
 
 fn cmd_oneshot(args: Args) -> Outcome {
-    if args.has("--replicas") || args.has("--shard-map") {
-        return cmd_query(args);
-    }
     let [dir, line] = args.positionals("<dir> <json-line>");
     let artifact = ModelArtifact::load(dir).map_err(|e| format!("failed to load artifact `{dir}`: {e}"))?;
     let engine = Engine::new(
@@ -1005,22 +999,21 @@ fn cmd_burst(args: Args) -> Outcome {
 
     let report = |shard: &str, r: &rrre_client::ReplicaSnapshot| {
         println!(
-            "{shard}replica {} attempts={} failures={} hedges={} breaker_opens={} breaker_open={} probe_ready={}",
-            r.addr, r.attempts, r.failures, r.hedges, r.breaker_opens, r.breaker_open, r.probe_ready
+            "{shard}replica {} attempts={} failures={} breaker_opens={} breaker_open={} probe_ready={}",
+            r.addr, r.attempts, r.failures, r.breaker_opens, r.breaker_open, r.probe_ready
         );
     };
-    let (shard_count, retries, hedges) = match &fleet {
+    let (shard_count, retries) = match &fleet {
         Fleet::Flat(client) => {
             let snap = client.snapshot();
             snap.replicas.iter().for_each(|r| report("", r));
-            (1, snap.retries, snap.hedges)
+            (1, snap.retries)
         }
         Fleet::Sharded(client) => {
             let snap = client.snapshot();
-            let (mut retries, mut hedges) = (0u64, 0u64);
+            let mut retries = 0u64;
             for (shard, s) in snap.shards.iter().enumerate() {
                 retries += s.retries;
-                hedges += s.hedges;
                 s.replicas.iter().for_each(|r| report(&format!("shard {shard} "), r));
             }
             println!(
@@ -1044,13 +1037,13 @@ fn cmd_burst(args: Args) -> Outcome {
                     Err(e) => eprintln!("shard {shard} stats query failed: {e}"),
                 }
             }
-            (snap.shards.len(), retries, hedges)
+            (snap.shards.len(), retries)
         }
     };
 
     println!(
         "burst shards={shard_count} requests={requests} ok={ok} failed={failed} \
-         degraded={degraded} p50_ms={p50:.2} p99_ms={p99:.2} retries={retries} hedges={hedges}"
+         degraded={degraded} p50_ms={p50:.2} p99_ms={p99:.2} retries={retries}"
     );
     fleet.shutdown();
     Ok(if failed == 0 { ExitCode::SUCCESS } else { ExitCode::FAILURE })

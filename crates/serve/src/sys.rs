@@ -20,8 +20,6 @@ pub const EPOLLOUT: u32 = 0x004;
 pub const EPOLLERR: u32 = 0x008;
 /// `epoll_event.events` bit: hangup (always reported).
 pub const EPOLLHUP: u32 = 0x010;
-/// `epoll_event.events` bit: the peer shut down its write half.
-pub const EPOLLRDHUP: u32 = 0x2000;
 
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;

@@ -10,7 +10,7 @@
 use rrre_client::{Client, ClientConfig};
 use rrre_serve::server::Server;
 use rrre_serve::{Engine, EngineConfig, ModelArtifact, Request};
-use rrre_testkit::chaos::{ChaosConfig, ChaosProxy, Fault};
+use rrre_testkit::chaos::{ChaosProxy, Fault};
 use rrre_testkit::{trained_fixture, TempDir};
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,7 +46,7 @@ fn quick_client(addrs: Vec<String>) -> Client {
 #[test]
 fn mid_line_disconnect_is_retried_and_the_server_keeps_serving() {
     let (_dir, engine, mut server) = serving_stack("chaos-midline");
-    let proxy = ChaosProxy::start(server.local_addr().to_string(), ChaosConfig::default()).unwrap();
+    let proxy = ChaosProxy::start(server.local_addr().to_string()).unwrap();
     proxy.force_once(Fault::TruncateRequest);
 
     let client = quick_client(vec![proxy.local_addr().to_string()]);
@@ -65,7 +65,7 @@ fn mid_line_disconnect_is_retried_and_the_server_keeps_serving() {
 #[test]
 fn corrupted_response_bytes_are_rejected_and_retried() {
     let (_dir, engine, mut server) = serving_stack("chaos-corrupt");
-    let proxy = ChaosProxy::start(server.local_addr().to_string(), ChaosConfig::default()).unwrap();
+    let proxy = ChaosProxy::start(server.local_addr().to_string()).unwrap();
     proxy.force_once(Fault::CorruptResponse);
 
     let client = quick_client(vec![proxy.local_addr().to_string()]);
@@ -85,8 +85,8 @@ fn corrupted_response_bytes_are_rejected_and_retried() {
 fn blackholed_replica_times_out_opens_its_breaker_and_traffic_fails_over() {
     let (_dir_a, _engine_a, mut server_a) = serving_stack("chaos-blackhole-a");
     let (_dir_b, _engine_b, mut server_b) = serving_stack("chaos-blackhole-b");
-    let proxy_a = ChaosProxy::start(server_a.local_addr().to_string(), ChaosConfig::default()).unwrap();
-    let proxy_b = ChaosProxy::start(server_b.local_addr().to_string(), ChaosConfig::default()).unwrap();
+    let proxy_a = ChaosProxy::start(server_a.local_addr().to_string()).unwrap();
+    let proxy_b = ChaosProxy::start(server_b.local_addr().to_string()).unwrap();
     proxy_a.set_forced(Some(Fault::Blackhole));
 
     let client = quick_client(vec![

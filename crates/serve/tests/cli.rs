@@ -150,7 +150,7 @@ fn demo(tmp: &TempDir, name: &str, flags: &[&str]) -> String {
 // ---- flag contract -------------------------------------------------------
 
 /// Every flag this binary once accepted and now must refuse.
-const REMOVED: [&str; 7] = [
+const REMOVED: [&str; 8] = [
     "--open-loop",
     "--rate",
     "--concurrency",
@@ -158,6 +158,7 @@ const REMOVED: [&str; 7] = [
     "--conns",
     "--json",
     "--fsync-batch",
+    "--hedge-after-ms",
 ];
 
 const VERBS: [&str; 11] = [
@@ -185,6 +186,17 @@ fn burst_refuses_the_removed_load_generator_flags() {
     // Nothing listens on `x`: the refusal must come before any dialling.
     assert_refused_naming(&["burst", "--replicas", "x", "--open-loop"], "--open-loop");
     assert_refused_naming(&["burst", "--replicas", "x", "--pipeline-depth", "4"], "--pipeline-depth");
+}
+
+#[test]
+fn query_refuses_the_removed_hedge_flag_and_oneshot_refuses_client_flags_before_any_dial() {
+    // Nothing listens on `x`: a dial would fail with status 1, so status 2
+    // proves the refusal came first.
+    let line = r#"{"op":"Stats"}"#;
+    assert_refused_naming(&["query", "x", line, "--hedge-after-ms", "25"], "--hedge-after-ms");
+    assert_refused_naming(&["query", "--hedge-after-ms", "25", "x", line], "--hedge-after-ms");
+    assert_refused_naming(&["oneshot", "--replicas", "x", line], "--replicas");
+    assert_refused_naming(&["oneshot", "--shard-map", "x", line], "--shard-map");
 }
 
 #[test]
@@ -235,8 +247,8 @@ fn every_verb_refuses_a_typoed_flag_and_accepts_exactly_what_its_help_lists() {
             assert!(global.contains(flag), "global --help lacks {verb}'s {flag}");
         }
     }
-    // 51 rows declared by the verbs plus the 6 client flags on 6 verbs.
-    assert_eq!(listed_total, 51 + 6 * 6, "the flag table grew or shrank");
+    // 51 rows declared by the verbs plus the 5 client flags on 5 verbs.
+    assert_eq!(listed_total, 51 + 5 * 5, "the flag table grew or shrank");
 }
 
 #[test]
@@ -346,6 +358,17 @@ fn burst_against_one_spawned_server_reports_no_failures() {
     let (_server, addr) = serve(&[demo(&tmp, "model", &[]).as_str(), "--addr", "127.0.0.1:0"]);
     let report = summary(&["burst", "--replicas", &addr, "--requests", "5"]);
     assert!(report.starts_with("burst ") && report.contains(" requests=5 ok=5 failed=0 "), "{report}");
+}
+
+#[test]
+fn oneshot_answers_in_process_from_the_artifact_alone() {
+    let tmp = TempDir::new("cli-oneshot");
+    let dir = demo(&tmp, "model", &[]);
+    let reply = summary(&["oneshot", &dir, r#"{"op":"Predict","user":0,"item":1}"#]);
+    let resp: Response = serde_json::from_str(&reply).unwrap_or_else(|e| panic!("`{reply}`: {e}"));
+    assert!(resp.ok, "{:?}", resp.error);
+    assert_eq!(resp.generation, Some(1));
+    assert!(resp.prediction.is_some(), "{reply}");
 }
 
 #[test]

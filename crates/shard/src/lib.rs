@@ -29,7 +29,7 @@ pub mod map;
 pub mod plan;
 pub mod topology;
 
-pub use map::{Entity, ShardMap};
+pub use map::ShardMap;
 pub use plan::{merge_health, merge_recommendations, merge_stats, RoutePlan};
 pub use rrre_wire::ShardSpec;
 pub use topology::ShardTopology;

@@ -15,27 +15,15 @@
 //!   the new shard (never between old shards), and the expected moved
 //!   fraction is `1/(n+1)`.
 //!
-//! Items and users hash under different domains, so the two entity spaces
-//! are spread independently. The serving tier routes by the **item**
-//! domain — `Recommend` scatters over the item catalog, so the
-//! catalog is the partitioned axis; a pair's cached towers live on the
-//! shard owning the item.
+//! The serving tier routes by **item** — `Recommend` scatters over the
+//! item catalog, so the catalog is the partitioned axis; a pair's cached
+//! towers live on the shard owning the item.
 
 use rrre_wire::ShardSpec;
 
-/// A routable entity: the two id spaces the tower caches are keyed over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Entity {
-    /// A user id.
-    User(u32),
-    /// An item id.
-    Item(u32),
-}
-
-/// Domain-separation constants: ring points and the two entity spaces
-/// must never collide in hash space.
+/// Domain-separation constants: ring points and item ids must never
+/// collide in hash space.
 const DOMAIN_RING: u64 = 0x52_49_4E_47; // "RING"
-const DOMAIN_USER: u64 = 0x55_53_45_52; // "USER"
 const DOMAIN_ITEM: u64 = 0x49_54_45_4D; // "ITEM"
 
 /// SplitMix64 finalizer: cheap, strong bit mixing with no tables.
@@ -93,26 +81,14 @@ impl ShardMap {
         self.spec.shards
     }
 
-    /// The shard owning `entity`. Total: every entity maps to exactly one
-    /// shard, for any id, under any valid spec.
-    pub fn shard_of(&self, entity: Entity) -> u32 {
-        let point = match entity {
-            Entity::User(u) => hash(self.spec.seed, DOMAIN_USER, u64::from(u), 0),
-            Entity::Item(i) => hash(self.spec.seed, DOMAIN_ITEM, u64::from(i), 0),
-        };
+    /// The shard owning item `item` — the serving tier's routing axis.
+    /// Total: every item maps to exactly one shard, for any id, under any
+    /// valid spec.
+    pub fn shard_of_item(&self, item: u32) -> u32 {
+        let point = hash(self.spec.seed, DOMAIN_ITEM, u64::from(item), 0);
         let idx = self.ring.partition_point(|&(p, _)| p < point);
         // Wrap past the last vnode back to the first.
         self.ring[if idx == self.ring.len() { 0 } else { idx }].1
-    }
-
-    /// The shard owning item `item` — the serving tier's routing axis.
-    pub fn shard_of_item(&self, item: u32) -> u32 {
-        self.shard_of(Entity::Item(item))
-    }
-
-    /// The shard owning user `user`.
-    pub fn shard_of_user(&self, user: u32) -> u32 {
-        self.shard_of(Entity::User(user))
     }
 
     /// Whether `shard` owns item `item`.
@@ -141,7 +117,6 @@ mod tests {
         let m = map(1);
         for id in [0u32, 1, 7, 1000, u32::MAX] {
             assert_eq!(m.shard_of_item(id), 0);
-            assert_eq!(m.shard_of_user(id), 0);
         }
     }
 
@@ -150,7 +125,24 @@ mod tests {
         let (a, b) = (map(5), map(5));
         for id in 0..2000u32 {
             assert_eq!(a.shard_of_item(id), b.shard_of_item(id));
-            assert_eq!(a.shard_of_user(id), b.shard_of_user(id));
+        }
+    }
+
+    /// Every routing verdict is part of the on-disk and on-wire contract:
+    /// replicas, clients and artifacts that agree on a spec must keep
+    /// agreeing across builds. The sum weights 100 000 owners by their id.
+    #[test]
+    fn item_owners_are_pinned() {
+        for (shards, first, weighted) in [
+            (2u32, [0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 1, 1, 1, 0, 1, 0], 2_238_813_783u64),
+            (3, [2, 2, 1, 2, 2, 2, 2, 1, 0, 1, 1, 0, 2, 2, 0, 1, 0, 1, 1, 2, 2, 0, 1, 0], 4_978_073_685),
+            (5, [2, 2, 3, 3, 2, 2, 2, 3, 3, 1, 4, 3, 2, 3, 0, 1, 4, 1, 1, 2, 2, 0, 3, 0], 9_837_987_819),
+        ] {
+            let m = map(shards);
+            let owners: Vec<u32> = (0..24).map(|i| m.shard_of_item(i)).collect();
+            assert_eq!(owners, first, "{shards} shards");
+            let sum: u64 = (0..100_000u32).map(|i| u64::from(m.shard_of_item(i)) * u64::from(i)).sum();
+            assert_eq!(sum, weighted, "{shards} shards");
         }
     }
 
@@ -166,18 +158,6 @@ mod tests {
             // within a factor-of-two band of it.
             assert!((1000..=3200).contains(&c), "shard {s} owns {c} of 6000 items: {counts:?}");
         }
-    }
-
-    #[test]
-    fn user_and_item_domains_are_independent() {
-        // If the domains collided, user k and item k would always land on
-        // the same shard; with 4 shards that coincidence should break
-        // quickly.
-        let m = map(4);
-        assert!(
-            (0..64u32).any(|k| m.shard_of_user(k) != m.shard_of_item(k)),
-            "user and item spaces must hash under different domains"
-        );
     }
 
     #[test]
@@ -208,9 +188,6 @@ mod tests {
             let owner = a.shard_of_item(id);
             prop_assert!(owner < shards);
             prop_assert_eq!(owner, b.shard_of_item(id));
-            let u = a.shard_of_user(id);
-            prop_assert!(u < shards);
-            prop_assert_eq!(u, b.shard_of_user(id));
         }
     }
 }

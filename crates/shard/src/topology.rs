@@ -66,11 +66,6 @@ impl ShardTopology {
     pub fn shards(&self) -> u32 {
         self.spec.shards
     }
-
-    /// Replica endpoints for `shard`.
-    pub fn replicas_of(&self, shard: u32) -> &[String] {
-        &self.replicas[shard as usize]
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +90,7 @@ mod tests {
         let back = ShardTopology::from_json(&t.to_json()).unwrap();
         assert_eq!(back, t);
         assert_eq!(back.shards(), 3);
-        assert_eq!(back.replicas_of(1), &["127.0.0.1:7003".to_string()][..]);
+        assert_eq!(back.replicas[1], ["127.0.0.1:7003".to_string()]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Trainable lookup table.
 
-use crate::{init, Executor, ParamId, Params, Tensor};
+use crate::{init, Executor, ParamId, Params};
 use rand::Rng;
 
 /// An embedding table mapping integer ids to dense rows.
@@ -15,13 +15,6 @@ impl Embedding {
     /// Registers a `vocab × dim` table initialised `N(0, 0.1²)`.
     pub fn new(params: &mut Params, rng: &mut impl Rng, name: &str, vocab: usize, dim: usize) -> Self {
         let table = params.register(format!("{name}.table"), init::embedding(rng, vocab, dim, 0.1));
-        Self { table, vocab, dim }
-    }
-
-    /// Wraps an externally initialised table (e.g. pretrained word vectors).
-    pub fn from_table(params: &mut Params, name: &str, table: Tensor) -> Self {
-        let (vocab, dim) = table.shape();
-        let table = params.register(format!("{name}.table"), table);
         Self { table, vocab, dim }
     }
 
@@ -59,14 +52,14 @@ impl Embedding {
 mod tests {
     use super::*;
     use crate::gradcheck::assert_gradients_ok;
-    use crate::Tape;
+    use crate::{Tape, Tensor};
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
     fn lookup_returns_rows() {
         let mut params = Params::new();
-        let table = Tensor::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let emb = Embedding::from_table(&mut params, "e", table);
+        let emb = Embedding::new(&mut params, &mut StdRng::seed_from_u64(9), "e", 3, 2);
+        *params.get_mut(emb.table()) = Tensor::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let mut tape = Tape::new();
         let out = emb.forward(&mut tape, &params, &[2, 0]);
         assert_eq!(tape.value(out).as_slice(), &[5.0, 6.0, 1.0, 2.0]);

@@ -159,15 +159,6 @@ impl Tensor {
         Self::from_vec(values.len(), 1, values.to_vec())
     }
 
-    /// The identity matrix of size `n × n`.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Self::zeros(n, n);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
-    }
-
     /// Reshapes `self` into a `rows × cols` tensor of `+0.0`, keeping its
     /// buffer: no allocation once the buffer has held that many elements.
     pub(crate) fn reset(&mut self, rows: usize, cols: usize) {
@@ -886,7 +877,7 @@ mod tests {
     #[test]
     fn matmul_identity() {
         let a = Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let i = Tensor::eye(2);
+        let i = Tensor::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
         assert!(a.matmul(&i).approx_eq(&a, 1e-6));
         assert!(i.matmul(&a).approx_eq(&a, 1e-6));
     }

@@ -1,27 +1,17 @@
-//! Deterministic chaos proxy: a TCP interposer that injects network
-//! faults between a client and one upstream replica.
+//! Chaos proxy: a TCP interposer that injects network faults between a
+//! client and one upstream replica.
 //!
-//! Every fault decision is drawn from one seeded RNG, **in accept order**:
-//! given the same seed, the same [`ChaosConfig`] and the same sequence of
-//! connections, the proxy injects the same faults at the same points. No
-//! wall-clock randomness anywhere — chaos runs replay.
-//!
-//! Two control surfaces:
-//!
-//! * **probabilistic** — [`ChaosConfig`] probabilities, rolled per
-//!   accepted connection from the seeded RNG;
-//! * **forced** — [`ChaosProxy::force_once`] /
-//!   [`ChaosProxy::set_forced`] override the roll for the next (or every)
-//!   connection, for tests that need a *specific* fault at a *specific*
-//!   request. Forced faults consume no RNG draws, so forcing one fault
-//!   does not shift the schedule of every probabilistic fault after it.
+//! The proxy is transparent until a test forces a fault:
+//! [`ChaosProxy::force_once`] queues one for the next accepted connection
+//! (FIFO), and [`ChaosProxy::set_forced`] applies one to every connection
+//! until cleared, so a drill gets a *specific* fault at a *specific*
+//! request. Nothing is random, so every chaos run replays.
 //!
 //! [`ChaosProxy::set_upstream`] retargets the proxy live, so a client can
 //! keep one stable endpoint address while the replica behind it is
 //! killed and restarted on a new port — exactly the failover drill the
 //! resilience tests run.
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -36,61 +26,19 @@ const POLL: Duration = Duration::from_millis(10);
 /// One injected network fault, scoped to a single proxied connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// Close the client connection immediately on accept, before reading
-    /// a byte (the client sees an abrupt reset/EOF on first use).
-    ResetOnAccept,
     /// Accept and read the client's bytes but never forward or respond —
     /// the connection is a black hole and the client must time out.
     Blackhole,
-    /// Sleep this long before forwarding each response chunk (latency
-    /// injection; the trigger for hedging).
-    Delay(Duration),
     /// Forward only a prefix of the first request chunk upstream — the
     /// server sees a mid-line disconnect — then drop the connection.
     TruncateRequest,
     /// Flip a byte in the first response chunk (the client must detect
     /// undecodable bytes instead of trusting the stream).
     CorruptResponse,
-    /// Forward only a prefix of the first response chunk, then drop the
-    /// connection (the client sees a truncated line + EOF).
-    TruncateResponse,
     /// Deliver the request upstream, then discard the response and drop
     /// the connection — the request **executed** but the client cannot
     /// know; the probe for retry-idempotency discipline.
     SwallowResponse,
-}
-
-/// Probabilistic fault schedule. All probabilities are rolled once per
-/// accepted connection, in this order: reset, blackhole, corrupt, delay;
-/// the first hit wins. Defaults to a transparent proxy (all zero).
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosConfig {
-    /// Seed for the fault-schedule RNG.
-    pub seed: u64,
-    /// Probability of [`Fault::ResetOnAccept`].
-    pub reset_prob: f64,
-    /// Probability of [`Fault::Blackhole`].
-    pub blackhole_prob: f64,
-    /// Probability of [`Fault::CorruptResponse`].
-    pub corrupt_prob: f64,
-    /// Probability of [`Fault::Delay`].
-    pub delay_prob: f64,
-    /// Upper bound (inclusive, ms) of an injected delay; the actual delay
-    /// is drawn from `1..=max_delay_ms`.
-    pub max_delay_ms: u64,
-}
-
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        Self {
-            seed: 0xC4A05,
-            reset_prob: 0.0,
-            blackhole_prob: 0.0,
-            corrupt_prob: 0.0,
-            delay_prob: 0.0,
-            max_delay_ms: 50,
-        }
-    }
 }
 
 /// Counters of what the proxy actually did (totals since start).
@@ -98,18 +46,12 @@ impl Default for ChaosConfig {
 pub struct ChaosStats {
     /// Connections accepted.
     pub connections: u64,
-    /// Connections reset on accept.
-    pub resets: u64,
     /// Connections black-holed.
     pub blackholed: u64,
-    /// Connections with a delayed response path.
-    pub delayed: u64,
     /// Connections whose request was truncated mid-line.
     pub truncated_requests: u64,
     /// Connections whose response was corrupted.
     pub corrupted: u64,
-    /// Connections whose response was truncated.
-    pub truncated_responses: u64,
     /// Connections whose response was swallowed after delivery upstream.
     pub swallowed: u64,
 }
@@ -117,51 +59,28 @@ pub struct ChaosStats {
 #[derive(Default)]
 struct StatCells {
     connections: AtomicU64,
-    resets: AtomicU64,
     blackholed: AtomicU64,
-    delayed: AtomicU64,
     truncated_requests: AtomicU64,
     corrupted: AtomicU64,
-    truncated_responses: AtomicU64,
     swallowed: AtomicU64,
 }
 
 struct Inner {
     stop: AtomicBool,
     upstream: Mutex<String>,
-    cfg: ChaosConfig,
-    rng: Mutex<StdRng>,
     forced_once: Mutex<VecDeque<Fault>>,
     forced_all: Mutex<Option<Fault>>,
     stats: StatCells,
 }
 
 impl Inner {
-    /// Decides this connection's fault: forced queue first, then the
-    /// standing override, then the seeded probabilistic roll.
+    /// Decides this connection's fault: the forced queue first, then the
+    /// standing override; with neither, none.
     fn plan(&self) -> Option<Fault> {
         if let Some(f) = self.forced_once.lock().unwrap_or_else(|e| e.into_inner()).pop_front() {
             return Some(f);
         }
-        if let Some(f) = *self.forced_all.lock().unwrap_or_else(|e| e.into_inner()) {
-            return Some(f);
-        }
-        let cfg = &self.cfg;
-        let mut rng = self.rng.lock().unwrap_or_else(|e| e.into_inner());
-        if cfg.reset_prob > 0.0 && rng.gen_bool(cfg.reset_prob) {
-            return Some(Fault::ResetOnAccept);
-        }
-        if cfg.blackhole_prob > 0.0 && rng.gen_bool(cfg.blackhole_prob) {
-            return Some(Fault::Blackhole);
-        }
-        if cfg.corrupt_prob > 0.0 && rng.gen_bool(cfg.corrupt_prob) {
-            return Some(Fault::CorruptResponse);
-        }
-        if cfg.delay_prob > 0.0 && rng.gen_bool(cfg.delay_prob) {
-            let ms = rng.gen_range(1..=cfg.max_delay_ms.max(1));
-            return Some(Fault::Delay(Duration::from_millis(ms)));
-        }
-        None
+        *self.forced_all.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -176,16 +95,14 @@ pub struct ChaosProxy {
 
 impl ChaosProxy {
     /// Binds an ephemeral loopback port in front of `upstream` and starts
-    /// proxying.
-    pub fn start(upstream: impl Into<String>, cfg: ChaosConfig) -> std::io::Result<Self> {
+    /// proxying, transparently until a fault is forced.
+    pub fn start(upstream: impl Into<String>) -> std::io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
             stop: AtomicBool::new(false),
             upstream: Mutex::new(upstream.into()),
-            rng: Mutex::new(StdRng::seed_from_u64(cfg.seed)),
-            cfg,
             forced_once: Mutex::new(VecDeque::new()),
             forced_all: Mutex::new(None),
             stats: StatCells::default(),
@@ -213,13 +130,13 @@ impl ChaosProxy {
     }
 
     /// Queues a fault for the next accepted connection (FIFO if called
-    /// repeatedly). Consumes no RNG draws.
+    /// repeatedly).
     pub fn force_once(&self, fault: Fault) {
         self.inner.forced_once.lock().unwrap_or_else(|e| e.into_inner()).push_back(fault);
     }
 
     /// Sets (or with `None` clears) a fault applied to every subsequent
-    /// connection, overriding the probabilistic schedule.
+    /// connection that has no queued [`ChaosProxy::force_once`] fault.
     pub fn set_forced(&self, fault: Option<Fault>) {
         *self.inner.forced_all.lock().unwrap_or_else(|e| e.into_inner()) = fault;
     }
@@ -229,12 +146,9 @@ impl ChaosProxy {
         let s = &self.inner.stats;
         ChaosStats {
             connections: s.connections.load(Ordering::SeqCst),
-            resets: s.resets.load(Ordering::SeqCst),
             blackholed: s.blackholed.load(Ordering::SeqCst),
-            delayed: s.delayed.load(Ordering::SeqCst),
             truncated_requests: s.truncated_requests.load(Ordering::SeqCst),
             corrupted: s.corrupted.load(Ordering::SeqCst),
-            truncated_responses: s.truncated_responses.load(Ordering::SeqCst),
             swallowed: s.swallowed.load(Ordering::SeqCst),
         }
     }
@@ -280,11 +194,6 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
 
 fn handle_conn(client: TcpStream, upstream: &str, plan: Option<Fault>, inner: &Arc<Inner>) {
     match plan {
-        Some(Fault::ResetOnAccept) => {
-            inner.stats.resets.fetch_add(1, Ordering::SeqCst);
-            // Dropping the socket sends FIN immediately; the client's next
-            // read sees EOF before any response could exist.
-        }
         Some(Fault::Blackhole) => {
             inner.stats.blackholed.fetch_add(1, Ordering::SeqCst);
             blackhole(client, inner);
@@ -368,40 +277,22 @@ fn pump_pair(client: TcpStream, server: TcpStream, fault: Option<Fault>, inner: 
         let done = Arc::clone(&done);
         let mut first = true;
         pump(server, client, inner, &done, move |chunk, stats| {
-            match fault {
-                Some(Fault::Delay(d)) => {
-                    if first {
-                        stats.delayed.fetch_add(1, Ordering::SeqCst);
-                    }
-                    first = false;
-                    std::thread::sleep(d);
-                    Action::Forward
-                }
+            let action = match fault {
                 Some(Fault::CorruptResponse) if first => {
-                    first = false;
                     stats.corrupted.fetch_add(1, Ordering::SeqCst);
                     if let Some(b) = chunk.first_mut() {
                         *b ^= 0x5A;
                     }
                     Action::Forward
                 }
-                Some(Fault::TruncateResponse) if first => {
-                    first = false;
-                    stats.truncated_responses.fetch_add(1, Ordering::SeqCst);
-                    let keep = chunk.len().saturating_sub(3).max(1).min(chunk.len());
-                    chunk.truncate(keep);
-                    Action::ForwardThenClose
-                }
                 Some(Fault::SwallowResponse) if first => {
-                    first = false;
                     stats.swallowed.fetch_add(1, Ordering::SeqCst);
                     Action::DropThenClose
                 }
-                _ => {
-                    first = false;
-                    Action::Forward
-                }
-            }
+                _ => Action::Forward,
+            };
+            first = false;
+            action
         });
     }
     let _ = req_handle.join();
@@ -497,7 +388,7 @@ mod tests {
     #[test]
     fn transparent_proxy_passes_lines_through() {
         let (upstream, _h) = echo_server();
-        let proxy = ChaosProxy::start(upstream, ChaosConfig::default()).unwrap();
+        let proxy = ChaosProxy::start(upstream).unwrap();
         let out = exchange_line(&proxy.local_addr(), "hello", Duration::from_secs(1)).unwrap();
         assert_eq!(out, "ack:hello");
         assert_eq!(proxy.stats().connections, 1);
@@ -506,11 +397,11 @@ mod tests {
     #[test]
     fn forced_faults_break_the_exchange_in_distinct_ways() {
         let (upstream, _h) = echo_server();
-        let proxy = ChaosProxy::start(upstream, ChaosConfig::default()).unwrap();
+        let proxy = ChaosProxy::start(upstream).unwrap();
         let t = Duration::from_millis(300);
 
-        proxy.force_once(Fault::ResetOnAccept);
-        assert!(exchange_line(&proxy.local_addr(), "a", t).is_err(), "reset must kill the exchange");
+        proxy.force_once(Fault::TruncateRequest);
+        assert!(exchange_line(&proxy.local_addr(), "a", t).is_err(), "a cut request must get no answer");
 
         proxy.force_once(Fault::SwallowResponse);
         assert!(exchange_line(&proxy.local_addr(), "b", t).is_err(), "swallowed response must look like EOF");
@@ -531,44 +422,16 @@ mod tests {
         assert_eq!(out, "ack:e");
 
         let stats = proxy.stats();
-        assert_eq!(stats.resets, 1);
+        assert_eq!(stats.truncated_requests, 1);
         assert_eq!(stats.swallowed, 1);
         assert_eq!(stats.corrupted, 1);
         assert_eq!(stats.blackholed, 1);
     }
 
     #[test]
-    fn same_seed_same_fault_schedule() {
-        let draw_schedule = |seed: u64| {
-            let inner = Inner {
-                stop: AtomicBool::new(false),
-                upstream: Mutex::new(String::new()),
-                cfg: ChaosConfig {
-                    seed,
-                    reset_prob: 0.2,
-                    corrupt_prob: 0.3,
-                    delay_prob: 0.5,
-                    max_delay_ms: 20,
-                    ..ChaosConfig::default()
-                },
-                rng: Mutex::new(StdRng::seed_from_u64(seed)),
-                forced_once: Mutex::new(VecDeque::new()),
-                forced_all: Mutex::new(None),
-                stats: StatCells::default(),
-            };
-            (0..64).map(|_| inner.plan()).collect::<Vec<_>>()
-        };
-        assert_eq!(draw_schedule(7), draw_schedule(7), "same seed must replay the same schedule");
-        assert_ne!(draw_schedule(7), draw_schedule(8), "different seeds must differ");
-        let variety = draw_schedule(7);
-        assert!(variety.iter().any(|f| f.is_none()), "some connections must pass through");
-        assert!(variety.iter().any(|f| f.is_some()), "some connections must be faulted");
-    }
-
-    #[test]
     fn set_upstream_retargets_new_connections() {
         let (up_a, _ha) = echo_server();
-        let proxy = ChaosProxy::start(up_a, ChaosConfig::default()).unwrap();
+        let proxy = ChaosProxy::start(up_a).unwrap();
         let t = Duration::from_secs(1);
         assert_eq!(exchange_line(&proxy.local_addr(), "x", t).unwrap(), "ack:x");
 

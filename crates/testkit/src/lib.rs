@@ -21,10 +21,10 @@
 //! * [`sync`] — deterministic concurrency helpers (barrier-started thread
 //!   fan-out, pre-expired deadlines) that replace wall-clock sleeps in
 //!   concurrency tests.
-//! * [`chaos`] — a deterministic, seeded TCP chaos proxy
-//!   ([`chaos::ChaosProxy`]) that interposes between a client and a
-//!   replica, injecting latency, resets, truncations, corruption and
-//!   black holes from a reproducible schedule.
+//! * [`chaos`] — a TCP chaos proxy ([`chaos::ChaosProxy`]) that
+//!   interposes between a client and a replica and injects the fault a
+//!   test forces: a truncated request, a corrupted or swallowed response,
+//!   or a black hole.
 //! * [`topology`] — in-process sharded deployments
 //!   ([`topology::ShardedDeployment`]): one saved artifact served by
 //!   `shards × replicas` shard-scoped engines on loopback, with per-shard
@@ -49,7 +49,7 @@ pub mod replication;
 pub mod sync;
 pub mod topology;
 
-pub use chaos::{ChaosConfig, ChaosProxy, ChaosStats, Fault};
+pub use chaos::{ChaosProxy, ChaosStats, Fault};
 pub use fixtures::{
     corpus_for, poisoned_fixture, poisoned_fixture_with, trained_fixture, trained_fixture_with,
     Fixture, FixtureSpec, PoisonedFixture, TempDir,

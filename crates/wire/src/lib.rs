@@ -455,10 +455,13 @@ impl ReplRecordDto {
 
 /// Machine-readable classification of a refused request, so clients can
 /// implement retry policy without parsing error strings. The policy
-/// `rrre-client` runs: `Overloaded` and `Unavailable` prove the request
-/// never ran and are resent after backoff whatever the op; `NotLeader` is
-/// resent to the advertised leader; `Internal` and `DeadlineExceeded` are
-/// resent only for [`Op::is_idempotent`] ops; the rest are final.
+/// `rrre-client` runs: `Overloaded` and `Unavailable` are resent after
+/// backoff whatever the op, because a resend is safe — a shed or a
+/// breaker refusal ran nothing, and an ingest `Unavailable` ran the
+/// append but the resend carries the same seq, which the leader dedups
+/// (see [`ErrorKind::Unavailable`]); `NotLeader` is resent to the
+/// advertised leader; `Internal` and `DeadlineExceeded` are resent only
+/// for [`Op::is_idempotent`] ops; the rest are final.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ErrorKind {
     /// The request itself is malformed or references unknown entities.
@@ -466,7 +469,12 @@ pub enum ErrorKind {
     /// Shed before processing: the submission queue was full.
     Overloaded,
     /// The circuit breaker is open (or the server is at its connection
-    /// cap); the engine is protecting itself.
+    /// cap), so the request did not run; or an `IngestReview` missed its
+    /// replication quorum before the timeout, **after** the leader durably
+    /// appended the record. Resending the same seq is safe: the leader
+    /// answers it as a duplicate. A resend that lands on another replica
+    /// is not yet safe (ROADMAP item 17; the `plan_append` `FOUND:` line
+    /// in CHANGES.md).
     Unavailable,
     /// The worker failed while processing this request (e.g. a caught
     /// panic); the request may or may not be safe to retry.
