@@ -142,11 +142,9 @@ impl PairNet for DerNet {
         let i_profile = if i_revs.is_empty() {
             ex.constant(Tensor::zeros(1, cfg.hidden))
         } else {
-            let (matrix, mask) = self.review_vectors.stack_padded(&i_revs, cfg.s_i);
-            let real = mask.iter().filter(|&&b| b).count().max(1) as f32;
-            let m = ex.constant(matrix);
+            let m = ex.constant(self.review_vectors.stack(&i_revs));
             let summed = ex.sum_rows(&m);
-            let mean = ex.scale(summed, 1.0 / real);
+            let mean = ex.scale(summed, 1.0 / i_revs.len() as f32);
             self.item_fc.forward(ex, params, mean)
         };
 

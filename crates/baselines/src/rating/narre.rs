@@ -118,28 +118,19 @@ impl NarreNet {
         ex: &mut E,
         params: &'p Params,
         reviews: &[usize],
-        m: usize,
         ctx_ids: &[usize],
         ctx_emb: &Embedding,
         attn: &AttentionPool,
         fc: &Linear,
         own_id_vec: E::V,
     ) -> E::V {
-        let (matrix, mask) = self.review_vectors.stack_padded(reviews, m);
-        let any_real = mask.iter().any(|&b| b);
-        let pooled = if any_real {
-            let items = ex.constant(matrix);
-            // Per-review context: the counterpart entity of each review slot
-            // (padding slots use id 0; they are masked out of the softmax).
-            let take = reviews.len().min(m);
-            let mut ids = vec![0usize; m];
-            for (slot, &ci) in ids.iter_mut().zip(&ctx_ids[ctx_ids.len() - take..]) {
-                *slot = ci;
-            }
-            let ctx = ctx_emb.forward(ex, params, &ids);
-            attn.forward(ex, params, items, ctx, Some(&mask))
-        } else {
+        let pooled = if reviews.is_empty() {
             ex.constant(Tensor::zeros(1, self.review_vectors.dim()))
+        } else {
+            let items = ex.constant(self.review_vectors.stack(reviews));
+            // Per-review context: the counterpart entity of each review.
+            let ctx = ctx_emb.forward(ex, params, ctx_ids);
+            attn.forward(ex, params, items, ctx)
         };
         let text_part = fc.forward(ex, params, pooled);
         ex.add(own_id_vec, &text_part)
@@ -165,10 +156,8 @@ impl PairNet for NarreNet {
         let u_id = self.user_emb.forward(ex, params, &[user]);
         let i_id = self.item_emb.forward(ex, params, &[item]);
 
-        let x_u =
-            self.tower(ex, params, &u_revs, cfg.s_u, &u_ctx_ids, &self.item_emb, &self.user_attn, &self.user_fc, u_id);
-        let y_i =
-            self.tower(ex, params, &i_revs, cfg.s_i, &i_ctx_ids, &self.user_emb, &self.item_attn, &self.item_fc, i_id);
+        let x_u = self.tower(ex, params, &u_revs, &u_ctx_ids, &self.item_emb, &self.user_attn, &self.user_fc, u_id);
+        let y_i = self.tower(ex, params, &i_revs, &i_ctx_ids, &self.user_emb, &self.item_attn, &self.item_fc, i_id);
 
         let joint = ex.concat_cols(&[&x_u, &y_i]);
         let residual = self.fm.forward(ex, params, joint);

@@ -235,19 +235,6 @@ impl Rrre {
                     self.params.add_value_to_grad(id, 2.0 * self.cfg.gamma_emb);
                 }
             }
-            // Frozen means frozen: the cached review embeddings must
-            // stay consistent with the encoder weights, so no update
-            // (not even weight decay) may touch them.
-            if matches!(self.cfg.encoder, EncoderMode::Frozen) {
-                for id in self.encoder.param_ids() {
-                    self.params.grad_mut(id).as_mut_slice().fill(0.0);
-                }
-            }
-            // The mean rating is a data statistic that rides in `params`
-            // only for checkpoint self-containment; `apply_l2_grad`
-            // above gave it a weight-decay gradient that must not reach
-            // the optimiser.
-            self.params.grad_mut(self.mean_rating_id).as_mut_slice().fill(0.0);
             self.params.clip_grad_norm(5.0);
             opt.step(&mut self.params);
         }
@@ -343,6 +330,17 @@ impl Rrre {
         // Registered last so older tooling reading checkpoints by position
         // sees the architectural parameters first.
         let mean_rating_id = params.register("rrre.mean_rating", Tensor::zeros(1, 1));
+        // The step's tail (zeroing, weight decay, clipping, Adam) skips what
+        // training holds constant: the mean rating, a data statistic riding
+        // in `params` only for checkpoint self-containment, and a frozen
+        // encoder, whose cached review embeddings must stay consistent with
+        // its weights. Neither gets a gradient from the backward.
+        params.freeze(mean_rating_id);
+        if matches!(cfg.encoder, EncoderMode::Frozen) {
+            for id in encoder.param_ids() {
+                params.freeze(id);
+            }
+        }
 
         Self {
             cfg,
@@ -573,37 +571,21 @@ impl Rrre {
         Ok(())
     }
 
-    /// The latest-`m` review matrix of one entity, `[m, k]`, plus its
-    /// validity mask: rows of the frozen cache when the model has one, else
-    /// the encoder run over `corpus` on `ex` (zero rows pad).
-    fn review_matrix<'p, E: Executor<'p>>(
-        &'p self,
-        ex: &mut E,
-        corpus: Option<&EncodedCorpus>,
-        review_indices: &[usize],
-        m: usize,
-    ) -> (E::V, Vec<bool>) {
+    /// The review matrix of one entity's input reviews, `[d, k]`: rows of
+    /// the frozen cache when the model has one, else the encoder run over
+    /// `corpus` on `ex`.
+    fn review_matrix<'p, E: Executor<'p>>(&'p self, ex: &mut E, corpus: Option<&EncodedCorpus>, revs: &[usize]) -> E::V {
         let corpus = match (&self.cache, corpus) {
-            (Some(cache), _) => {
-                let (t, mask) = cache.stack_padded(review_indices, m);
-                return (ex.constant(t), mask);
-            }
+            (Some(cache), _) => return ex.constant(cache.stack(revs)),
             (None, Some(corpus)) => corpus,
             (None, None) => panic!("Rrre: no frozen review cache to serve from; build the model with from_frozen_parts"),
         };
-        let take = review_indices.len().min(m);
-        let start = review_indices.len() - take;
-        let mut rows = Vec::with_capacity(m);
-        let mut mask = vec![false; m];
-        for (slot, &ri) in review_indices[start..].iter().enumerate() {
-            rows.push(self.encoder.forward_review(ex, &self.params, corpus, ri));
-            mask[slot] = true;
+        if revs.is_empty() {
+            return ex.constant(Tensor::zeros(0, self.cfg.k));
         }
-        while rows.len() < m {
-            rows.push(ex.constant(Tensor::zeros(1, self.cfg.k)));
-        }
+        let rows: Vec<E::V> = revs.iter().map(|&ri| self.encoder.forward_review(ex, &self.params, corpus, ri)).collect();
         let rows: Vec<&E::V> = rows.iter().collect();
-        (ex.concat_rows(&rows), mask)
+        ex.concat_rows(&rows)
     }
 
     /// The input reviews of an entity under the configured sampling
@@ -642,19 +624,6 @@ impl Rrre {
         }
     }
 
-    /// Counterpart entity ids aligned with the padded review matrix slots:
-    /// slot `j` of the matrix holds `revs[start + j]`, padding slots get id
-    /// 0 (they are masked out of the attention softmax anyway).
-    fn aligned_counterpart_ids(ds_revs: &[usize], m: usize, id_of: impl Fn(usize) -> usize) -> Vec<usize> {
-        let take = ds_revs.len().min(m);
-        let start = ds_revs.len() - take;
-        let mut ids = vec![0usize; m];
-        for (slot, &ri) in ids.iter_mut().zip(&ds_revs[start..]) {
-            *slot = id_of(ri);
-        }
-        ids
-    }
-
     /// The target pair's ID embeddings `(e_u, e_i)`.
     fn pair_ids<'p, E: Executor<'p>>(&'p self, ex: &mut E, user: usize, item: usize) -> (E::V, E::V) {
         let e_u = self.user_emb.forward(ex, &self.params, &[user]);
@@ -662,11 +631,12 @@ impl Rrre {
         (e_u, e_i)
     }
 
-    /// One tower for a target pair (paper §III-D), over its input reviews
-    /// `revs`: the entity representation (`x_u` or `y_i`, `[1, id_dim]`) and
-    /// the attention it pooled them with ([`Tower::attend`]). The attention
-    /// context has one row per review slot: the pair's user and item ID
-    /// embeddings plus the ID embedding of the review's own counterpart.
+    /// One tower for a target pair (paper §III-D), over its `d ≤ m` input
+    /// reviews `revs`: the entity representation (`x_u` or `y_i`,
+    /// `[1, id_dim]`) and the attention it pooled them with
+    /// ([`Tower::attend`]). The attention context has one row per review:
+    /// the pair's user and item ID embeddings plus the ID embedding of the
+    /// review's own counterpart.
     fn tower<'p, E: Executor<'p>>(
         &'p self,
         ex: &mut E,
@@ -675,17 +645,18 @@ impl Rrre {
         revs: &[usize],
         (e_u, e_i): (&E::V, &E::V),
     ) -> (E::V, Option<E::V>) {
-        let (m, tower, counterpart_of, counterpart) = match side {
-            Side::User => (self.cfg.s_u, &self.user_tower, &self.input_items_of, &self.item_emb),
-            Side::Item => (self.cfg.s_i, &self.item_tower, &self.input_users_of, &self.user_emb),
+        let (tower, counterpart_of, counterpart) = match side {
+            Side::User => (&self.user_tower, &self.input_items_of, &self.item_emb),
+            Side::Item => (&self.item_tower, &self.input_users_of, &self.user_emb),
         };
-        let (matrix, mask) = self.review_matrix(ex, corpus, revs, m);
-        let dup = vec![0usize; m];
+        let matrix = self.review_matrix(ex, corpus, revs);
+        let dup = vec![0usize; revs.len()];
         let u_rows = ex.gather_rows(e_u, &dup);
         let i_rows = ex.gather_rows(e_i, &dup);
-        let cp = counterpart.forward(ex, &self.params, &Self::aligned_counterpart_ids(revs, m, |ri| counterpart_of[ri]));
+        let counterparts: Vec<usize> = revs.iter().map(|&ri| counterpart_of[ri]).collect();
+        let cp = counterpart.forward(ex, &self.params, &counterparts);
         let context = ex.concat_cols(&[&u_rows, &i_rows, &cp]);
-        tower.attend(ex, &self.params, &matrix, &mask, &context, self.cfg.pooling)
+        tower.attend(ex, &self.params, &matrix, &context, self.cfg.pooling)
     }
 
     /// The reliability and rating heads (Eq. 9, 12): the rating (`[1, 1]`)
@@ -780,13 +751,12 @@ impl Rrre {
 
     /// The weights the tower's own forward pools its input reviews with:
     /// the trained fraud-attention `α`, or under the mean-pooling ablation
-    /// the uniform `1/n` of the mean. Only those reviews are read from the
+    /// the uniform `1/d` of the mean. Only those reviews are read from the
     /// cache, or encoded without one.
     fn attention(&self, corpus: &EncodedCorpus, side: Side, user: UserId, item: ItemId) -> (Vec<usize>, Vec<f32>) {
         let (revs, _, alpha) = self.eval_tower(Some(corpus), side, user, item);
-        let take = revs.len().min(if matches!(side, Side::User) { self.cfg.s_u } else { self.cfg.s_i });
-        let weights = alpha.map_or(vec![1.0 / take as f32; take], |a| a.as_slice()[..take].to_vec());
-        (revs[revs.len() - take..].to_vec(), weights)
+        let weights = alpha.map_or(vec![1.0 / revs.len() as f32; revs.len()], |a| a.into_vec());
+        (revs, weights)
     }
 }
 
@@ -1082,6 +1052,43 @@ mod tests {
         assert_eq!(revs.len(), weights.len());
         assert!(!revs.is_empty());
         assert!((weights.iter().sum::<f32>() - 1.0).abs() < 1e-4);
+    }
+
+    /// A user with `d < s_u` reviews: the tower attends over exactly those
+    /// `d` rows, in training and in `user_attention`; with no reviews at all
+    /// the representation is the user tower's `fc` bias.
+    #[test]
+    fn a_tower_runs_over_the_reviews_its_entity_has() {
+        let (ds, corpus) = tiny();
+        let train: Vec<usize> = (0..ds.len()).collect();
+        let cfg = RrreConfig { epochs: 1, ..RrreConfig::tiny() };
+        let model = Rrre::fit(&ds, &corpus, &train, cfg);
+        let index = ds.index();
+        let r = ds.reviews.iter().find(|r| (2..cfg.s_u).contains(&index.user_reviews(r.user).len())).expect("a thin user");
+        let d = index.user_reviews(r.user).len();
+
+        let mut tape = Tape::new();
+        let (e_u, e_i) = model.pair_ids(&mut tape, r.user.index(), r.item.index());
+        let revs = model.inputs(Side::User, r.user.index(), r.item.index());
+        assert_eq!(revs.len(), d);
+        let (x_u, alpha) = model.tower(&mut tape, Some(&corpus), Side::User, &revs, (&e_u, &e_i));
+        let alpha = alpha.expect("fraud attention");
+        assert_eq!(tape.shape(alpha), (d, 1), "one weight per real review, no padded slot");
+        let loss = tape.sum_all(x_u);
+        let mut grads = model.params.grad_store();
+        tape.backward_into(loss, &mut grads);
+        let counterparts = grads.written_rows(model.item_emb.table()).expect("a lookup writes rows");
+        assert!(counterparts.len() <= d + 1, "the target item plus one counterpart per review: {counterparts:?}");
+
+        let (shown, weights) = model.user_attention(&corpus, r.user, r.item);
+        assert_eq!((shown, weights.len()), (revs, d));
+        assert!((weights.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+
+        let (e_u, e_i) = model.pair_ids(&mut Eval, r.user.index(), r.item.index());
+        let (none, alpha) = model.tower(&mut Eval, None, Side::User, &[], (&e_u, &e_i));
+        assert!(alpha.is_none());
+        let bias = model.params.iter().find(|(_, name, _)| *name == "rrre.usernet.fc.b").expect("fc bias").2;
+        assert_eq!(bits(none.as_slice()), bits(bias.as_slice()));
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! UserNet / ItemNet towers (paper §III-D, Eq. 5–8).
 //!
-//! A tower takes the entity's `m` review embeddings, weights them with the
-//! fraud-attention mechanism conditioned on the target pair's user and item
-//! ID embeddings, and projects the weighted sum through a fully connected
-//! layer into the entity representation (`x_u` or `y_i`).
+//! A tower takes the entity's `d ≤ m` review embeddings, weights them with
+//! the fraud-attention mechanism conditioned on the target pair's user and
+//! item ID embeddings, and projects the weighted sum through a fully
+//! connected layer into the entity representation (`x_u` or `y_i`). The
+//! paper zero-pads to `m` rows and masks the padding out of the softmax; a
+//! padded row only ever adds `+0.0` to a sum, so the tower runs over the
+//! `d` real rows alone and gives the same bits.
 
 use crate::config::Pooling;
 use rand::Rng;
@@ -16,7 +19,6 @@ pub struct Tower {
     attn: AttentionPool,
     fc: Linear,
     k: usize,
-    out_dim: usize,
 }
 
 impl Tower {
@@ -39,18 +41,12 @@ impl Tower {
             attn: AttentionPool::new(params, rng, &format!("{name}.attn"), k, ctx_dim, attn_dim),
             fc: Linear::new(params, rng, &format!("{name}.fc"), k, out_dim),
             k,
-            out_dim,
         }
     }
 
-    /// Entity-representation size.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    /// Tower forward: `reviews` is `[m, k]` with validity `mask`, `context`
-    /// is `[1, ctx_dim]` or `[m, ctx_dim]` (target-pair ID embeddings).
-    /// Entities with no reviews at all (fully false mask) produce the zero
+    /// Tower forward: `reviews` is the entity's `[d, k]` review matrix,
+    /// `context` is `[1, ctx_dim]` or `[d, ctx_dim]` (target-pair ID
+    /// embeddings). An entity with no reviews (`d = 0`) produces the zero
     /// representation projected through the dense layer, so downstream
     /// shapes stay uniform. `pooling` selects fraud-attention or the
     /// mean-pooling ablation.
@@ -59,15 +55,14 @@ impl Tower {
         ex: &mut E,
         params: &'p Params,
         reviews: E::V,
-        mask: &[bool],
         context: E::V,
         pooling: Pooling,
     ) -> E::V {
-        self.attend(ex, params, &reviews, mask, &context, pooling).0
+        self.attend(ex, params, &reviews, &context, pooling).0
     }
 
     /// [`Tower::forward`] together with the fraud-attention weights `α`
-    /// (`[m, 1]`) it pooled the reviews with — which review mattered, for
+    /// (`[d, 1]`) it pooled the reviews with — which review mattered, for
     /// the review-level explanations. `α` is `None` under mean pooling and
     /// for an entity without reviews.
     pub fn attend<'p, E: Executor<'p>>(
@@ -75,26 +70,20 @@ impl Tower {
         ex: &mut E,
         params: &'p Params,
         reviews: &E::V,
-        mask: &[bool],
         context: &E::V,
         pooling: Pooling,
     ) -> (E::V, Option<E::V>) {
-        let (pooled, alpha) = if mask.iter().any(|&b| b) {
-            match pooling {
-                Pooling::FraudAttention => {
-                    let (pooled, alpha) = self.attn.pool(ex, params, reviews, context, Some(mask));
-                    (pooled, Some(alpha))
-                }
-                Pooling::Mean => {
-                    let real = mask.iter().filter(|&&b| b).count() as f32;
-                    let keep = mask.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect();
-                    let keep = ex.constant(Tensor::from_vec(mask.len(), 1, keep));
-                    let summed = ex.weighted_row_sum(reviews, &keep);
-                    (ex.scale(summed, 1.0 / real), None)
-                }
+        let d = ex.shape(reviews).0;
+        let (pooled, alpha) = match pooling {
+            _ if d == 0 => (ex.constant(Tensor::zeros(1, self.k)), None),
+            Pooling::FraudAttention => {
+                let (pooled, alpha) = self.attn.pool(ex, params, reviews, context);
+                (pooled, Some(alpha))
             }
-        } else {
-            (ex.constant(Tensor::zeros(1, self.k)), None)
+            Pooling::Mean => {
+                let summed = ex.sum_rows(reviews);
+                (ex.scale(summed, 1.0 / d as f32), None)
+            }
         };
         (self.fc.forward(ex, params, pooled), alpha)
     }
@@ -118,32 +107,32 @@ mod tests {
     }
 
     #[test]
-    fn empty_mask_yields_bias_only() {
-        let (params, tower, reviews, ctx) = setup(2);
-        let mask = [false; 4];
-        let (out, alpha) =
-            tower.attend(&mut Eval, &params, &Cow::Owned(reviews), &mask, &Cow::Owned(ctx), Pooling::FraudAttention);
-        // Zero pooled vector → output is the fc bias (zero-initialised).
-        assert!(out.approx_eq(&Tensor::zeros(1, 3), 1e-6));
-        assert!(alpha.is_none());
+    fn no_reviews_yield_bias_only() {
+        let (params, tower, _, ctx) = setup(2);
+        for pooling in [Pooling::FraudAttention, Pooling::Mean] {
+            let none = Cow::Owned(Tensor::zeros(0, 6));
+            let (out, alpha) = tower.attend(&mut Eval, &params, &none, &Cow::Borrowed(&ctx), pooling);
+            // Zero pooled vector → output is the fc bias (zero-initialised).
+            assert!(out.approx_eq(&Tensor::zeros(1, 3), 1e-6));
+            assert!(alpha.is_none());
+        }
     }
 
     #[test]
-    fn attention_weights_expose_masking() {
+    fn attention_weights_cover_exactly_the_reviews() {
         let (params, tower, reviews, ctx) = setup(3);
-        let mask = [true, false, true, false];
-        let (_, alpha) =
-            tower.attend(&mut Eval, &params, &Cow::Owned(reviews), &mask, &Cow::Owned(ctx), Pooling::FraudAttention);
+        let two = Tensor::concat_rows(&[&reviews.row_tensor(0), &reviews.row_tensor(2)]);
+        let (_, alpha) = tower.attend(&mut Eval, &params, &Cow::Owned(two), &Cow::Owned(ctx), Pooling::FraudAttention);
         let w = alpha.expect("attention pooling reports its weights");
-        assert!(w.get(1, 0) == 0.0 && w.get(3, 0) == 0.0);
+        assert_eq!(w.shape(), (2, 1));
         assert!((w.sum() - 1.0).abs() < 1e-5);
     }
 
     #[test]
-    fn mean_pooling_averages_unmasked_rows() {
+    fn mean_pooling_averages_the_rows() {
         let (params, tower, reviews, ctx) = setup(5);
-        let mask = [true, true, false, false];
-        let out = tower.forward(&mut Eval, &params, Cow::Borrowed(&reviews), &mask, Cow::Owned(ctx), Pooling::Mean);
+        let two = Tensor::concat_rows(&[&reviews.row_tensor(0), &reviews.row_tensor(1)]);
+        let out = tower.forward(&mut Eval, &params, Cow::Owned(two), Cow::Owned(ctx), Pooling::Mean);
         // Hand-computed mean of first two rows through the dense layer.
         let mut mean = Tensor::zeros(1, 6);
         for c in 0..6 {
@@ -160,11 +149,10 @@ mod tests {
         let tower = Tower::new(&mut params, &mut rng, "t", 4, 3, 4, 2);
         let reviews = init::normal(&mut rng, 3, 4, 0.0, 1.0);
         let ctx = init::normal(&mut rng, 1, 3, 0.0, 1.0);
-        let mask = [true, true, true];
         assert_gradients_ok(&mut params, move |p, tape| {
             let rv = tape.constant(reviews.clone());
             let cv = tape.constant(ctx.clone());
-            let out = tower.forward(tape, p, rv, &mask, cv, Pooling::FraudAttention);
+            let out = tower.forward(tape, p, rv, cv, Pooling::FraudAttention);
             let sq = tape.square(out);
             tape.sum_all(sq)
         });

@@ -70,7 +70,7 @@ fn serving_forward_stays_within_its_allocation_budget() {
     let item_tower = allocations(|| model.infer_item_tower(user, item));
     let heads = allocations(|| model.infer_heads(user, item, &x_u, &y_i));
     assert!(
-        user_tower <= 23 && item_tower <= 23 && heads <= 25,
-        "allocations per call: user tower {user_tower} (≤ 23), item tower {item_tower} (≤ 23), heads {heads} (≤ 25)"
+        user_tower <= 16 && item_tower <= 16 && heads <= 14,
+        "allocations per call: user tower {user_tower} (≤ 16), item tower {item_tower} (≤ 16), heads {heads} (≤ 14)"
     );
 }

@@ -2,7 +2,7 @@
 //! examples on one tape, kept across the steps of an epoch, and a tape reset
 //! for the next example keeps every value and adjoint buffer, so once a tape
 //! is warm an example allocates only what the model's forward definition
-//! itself builds (input lists, masks, the stacked review matrices). This
+//! itself builds (input lists, the stacked review matrices). This
 //! binary counts every heap allocation the process makes (one test only, so
 //! no other test thread allocates while it counts) across the second epoch
 //! of a fit at the bench model's shapes (k = 64, s_u = 11, s_i = 12), and
@@ -47,7 +47,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations a warmed-up example may make.
-const PER_EXAMPLE: usize = 26;
+const PER_EXAMPLE: usize = 14;
 
 #[test]
 fn a_warm_training_example_stays_within_its_allocation_budget() {

@@ -74,21 +74,16 @@ impl ReviewVectors {
         self.flat.extend_from_slice(v);
     }
 
-    /// Stacks the listed reviews into an `m × dim` matrix, zero-padding to
-    /// exactly `m` rows (the paper's zero-padding for `|W| < m`). Returns the
-    /// matrix and the validity mask. If `indices` exceeds `m`, the *last*
-    /// `m` are used (callers pass time-sorted lists, so these are the latest).
-    pub fn stack_padded(&self, indices: &[usize], m: usize) -> (Tensor, Vec<bool>) {
-        assert!(m > 0, "stack_padded: m must be positive");
-        let take = indices.len().min(m);
-        let start = indices.len() - take;
-        let mut out = Tensor::zeros(m, self.dim);
-        let mut mask = vec![false; m];
-        for (row, &idx) in indices[start..].iter().enumerate() {
+    /// Stacks the listed reviews into a `len × dim` matrix, one row per
+    /// index in order. An entity with `d < m` reviews gets a `d`-row matrix:
+    /// the paper's zero padding to `m` rows would only add rows that take
+    /// zero attention weight.
+    pub fn stack(&self, indices: &[usize]) -> Tensor {
+        let mut out = Tensor::zeros(indices.len(), self.dim);
+        for (row, &idx) in indices.iter().enumerate() {
             out.row_mut(row).copy_from_slice(self.vector(idx));
-            mask[row] = true;
         }
-        (out, mask)
+        out
     }
 }
 
@@ -167,23 +162,14 @@ mod tests {
     }
 
     #[test]
-    fn stack_padded_pads_and_masks() {
+    fn stack_holds_exactly_the_listed_reviews() {
         let (ds, corpus) = setup();
         let rv = ReviewVectors::build(&ds, &corpus);
-        let (m, mask) = rv.stack_padded(&[0, 1], 4);
-        assert_eq!(m.shape(), (4, 8));
-        assert_eq!(mask, vec![true, true, false, false]);
-        assert!(m.row(2).iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn stack_padded_keeps_latest_when_overflowing() {
-        let (ds, corpus) = setup();
-        let rv = ReviewVectors::build(&ds, &corpus);
-        let (m, mask) = rv.stack_padded(&[0, 1, 2], 2);
-        assert_eq!(mask, vec![true, true]);
-        assert_eq!(m.row(0), rv.vector(1));
-        assert_eq!(m.row(1), rv.vector(2));
+        let m = rv.stack(&[2, 0]);
+        assert_eq!(m.shape(), (2, 8));
+        assert_eq!(m.row(0), rv.vector(2));
+        assert_eq!(m.row(1), rv.vector(0));
+        assert_eq!(rv.stack(&[]).shape(), (0, 8));
     }
 
     #[test]

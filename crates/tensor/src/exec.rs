@@ -51,9 +51,8 @@ pub trait Executor<'p> {
     fn relu(&mut self, a: Self::V) -> Self::V;
     /// Element-wise square.
     fn square(&mut self, a: Self::V) -> Self::V;
-    /// Softmax of an `m × 1` column, rows with `mask[r] == false` taking
-    /// zero weight ([`Tensor::softmax_col_assign`]).
-    fn softmax_col(&mut self, a: Self::V, mask: Option<&[bool]>) -> Self::V;
+    /// Softmax of an `m × 1` column ([`Tensor::softmax_col_assign`]).
+    fn softmax_col(&mut self, a: Self::V) -> Self::V;
 
     /// Matrix product `a · b`.
     fn matmul(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
@@ -125,7 +124,7 @@ impl<'p> Executor<'p> for Tape {
         sigmoid(a: Var) => (a);
         relu(a: Var) => (a);
         square(a: Var) => (a);
-        softmax_col(a: Var, mask: Option<&[bool]>) => (a, mask);
+        softmax_col(a: Var) => (a);
         matmul(a: &Var, b: &Var) => (*a, *b);
         weighted_row_sum(x: &Var, weights: &Var) => (*x, *weights);
         sum_rows(a: &Var) => (*a);
@@ -178,7 +177,7 @@ impl<'p> Executor<'p> for Eval {
         sigmoid(a: Value<'p>) => in_place(a, |t| t.map_inplace(crate::tensor::sigmoid));
         relu(a: Value<'p>) => in_place(a, |t| t.map_inplace(|x| x.max(0.0)));
         square(a: Value<'p>) => in_place(a, |t| t.map_inplace(|x| x * x));
-        softmax_col(a: Value<'p>, mask: Option<&[bool]>) => in_place(a, |t| t.softmax_col_assign(mask));
+        softmax_col(a: Value<'p>) => in_place(a, Tensor::softmax_col_assign);
         matmul(a: &Value<'p>, b: &Value<'p>) => Cow::Owned(a.matmul(b));
         weighted_row_sum(x: &Value<'p>, weights: &Value<'p>) => Cow::Owned(x.weighted_row_sum(weights));
         sum_rows(a: &Value<'p>) => Cow::Owned(a.sum_rows());

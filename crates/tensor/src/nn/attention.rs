@@ -21,7 +21,6 @@ pub struct AttentionPool {
     b2: ParamId,
     item_dim: usize,
     ctx_dim: usize,
-    attn_dim: usize,
 }
 
 impl AttentionPool {
@@ -46,23 +45,7 @@ impl AttentionPool {
             b2: params.register(format!("{name}.b2"), Tensor::zeros(1, 1)),
             item_dim,
             ctx_dim,
-            attn_dim,
         }
-    }
-
-    /// Dimension of each pooled row.
-    pub fn item_dim(&self) -> usize {
-        self.item_dim
-    }
-
-    /// Dimension of the context vector.
-    pub fn ctx_dim(&self) -> usize {
-        self.ctx_dim
-    }
-
-    /// Hidden size of the score MLP.
-    pub fn attn_dim(&self) -> usize {
-        self.attn_dim
     }
 
     /// Raw attention logits `α*` (`[m, 1]`) for rows `items` (`[m, k]`)
@@ -102,27 +85,12 @@ impl AttentionPool {
         ex.add_row_broadcast(scores, &b2)
     }
 
-    /// Attention weights `α` (`[m, 1]`, Eq. 6). Positions where
-    /// `mask[j] == false` (zero padding) take exactly zero weight.
-    ///
-    /// # Panics
-    /// Panics if a mask is supplied with the wrong length or masks out every
-    /// position.
-    pub fn weights<'p, E: Executor<'p>>(
-        &self,
-        ex: &mut E,
-        params: &'p Params,
-        items: &E::V,
-        context: &E::V,
-        mask: Option<&[bool]>,
-    ) -> E::V {
-        if let Some(mask) = mask {
-            let m = ex.shape(items).0;
-            assert_eq!(mask.len(), m, "AttentionPool: mask of {} for {m} rows", mask.len());
-            assert!(mask.iter().any(|&b| b), "AttentionPool: all positions masked");
-        }
+    /// Attention weights `α` (`[m, 1]`, Eq. 6) over every row of `items`;
+    /// a caller pools an entity's real reviews only, so there is no padding
+    /// to mask.
+    pub fn weights<'p, E: Executor<'p>>(&self, ex: &mut E, params: &'p Params, items: &E::V, context: &E::V) -> E::V {
         let logits = self.logits(ex, params, items, context);
-        ex.softmax_col(logits, mask)
+        ex.softmax_col(logits)
     }
 
     /// The pooled rows (`[1, k]`, Eq. 7) together with the weights `α`
@@ -133,22 +101,14 @@ impl AttentionPool {
         params: &'p Params,
         items: &E::V,
         context: &E::V,
-        mask: Option<&[bool]>,
     ) -> (E::V, E::V) {
-        let alpha = self.weights(ex, params, items, context, mask);
+        let alpha = self.weights(ex, params, items, context);
         (ex.weighted_row_sum(items, &alpha), alpha)
     }
 
     /// Full pooling: weighted sum of the rows (`[1, k]`, Eq. 7).
-    pub fn forward<'p, E: Executor<'p>>(
-        &self,
-        ex: &mut E,
-        params: &'p Params,
-        items: E::V,
-        context: E::V,
-        mask: Option<&[bool]>,
-    ) -> E::V {
-        self.pool(ex, params, &items, &context, mask).0
+    pub fn forward<'p, E: Executor<'p>>(&self, ex: &mut E, params: &'p Params, items: E::V, context: E::V) -> E::V {
+        self.pool(ex, params, &items, &context).0
     }
 }
 
@@ -175,27 +135,17 @@ mod tests {
         let mut tape = Tape::new();
         let iv = tape.constant(items.clone());
         let cv = tape.constant(ctx.clone());
-        let w = attn.weights(&mut tape, &params, &iv, &cv, None);
+        let w = attn.weights(&mut tape, &params, &iv, &cv);
         assert_eq!(tape.shape(w), (6, 1));
         assert!((tape.value(w).sum() - 1.0).abs() < 1e-5);
     }
 
     #[test]
-    fn masked_positions_get_zero_weight() {
-        let (params, attn, items, ctx) = setup(42);
-        let mask = [true, false, true, false, true, true];
-        let w = attn.weights(&mut Eval, &params, &Cow::Owned(items), &Cow::Owned(ctx), Some(&mask));
-        assert!(w.get(1, 0) == 0.0 && w.get(3, 0) == 0.0);
-        assert!((w.sum() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
     fn pooled_output_is_convex_combination() {
-        // With a single unmasked row, the output must equal that row.
+        // Over a single row, the output must equal that row.
         let (params, attn, items, ctx) = setup(44);
-        let mask = [false, false, true, false, false, false];
         let row = items.row_tensor(2);
-        let out = attn.forward(&mut Eval, &params, Cow::Owned(items), Cow::Owned(ctx), Some(&mask));
+        let out = attn.forward(&mut Eval, &params, Cow::Owned(row.clone()), Cow::Owned(ctx));
         assert!(out.approx_eq(&row, 1e-4));
     }
 
@@ -204,7 +154,7 @@ mod tests {
         let (params, attn, items, _) = setup(46);
         let mut rng = StdRng::seed_from_u64(47);
         let ctx_rows = init::normal(&mut rng, 6, 3, 0.0, 1.0);
-        let w = attn.weights(&mut Eval, &params, &Cow::Owned(items), &Cow::Owned(ctx_rows), None);
+        let w = attn.weights(&mut Eval, &params, &Cow::Owned(items), &Cow::Owned(ctx_rows));
         assert_eq!(w.shape(), (6, 1));
         assert!((w.sum() - 1.0).abs() < 1e-5);
     }
@@ -219,7 +169,7 @@ mod tests {
         assert_gradients_ok(&mut params, move |p, tape| {
             let iv = tape.constant(items.clone());
             let cv = tape.constant(ctx.clone());
-            let out = attn.forward(tape, p, iv, cv, None);
+            let out = attn.forward(tape, p, iv, cv);
             let sq = tape.square(out);
             tape.sum_all(sq)
         });
@@ -232,11 +182,10 @@ mod tests {
         let attn = AttentionPool::new(&mut params, &mut rng, "a", 3, 2, 4);
         let items = init::normal(&mut rng, 4, 3, 0.0, 1.0);
         let ctx = init::normal(&mut rng, 1, 2, 0.0, 1.0);
-        let mask = [true, true, false, true];
         assert_gradients_ok(&mut params, move |p, tape| {
             let iv = tape.constant(items.clone());
             let cv = tape.constant(ctx.clone());
-            let out = attn.forward(tape, p, iv, cv, Some(&mask));
+            let out = attn.forward(tape, p, iv, cv);
             let sq = tape.square(out);
             tape.sum_all(sq)
         });

@@ -23,12 +23,12 @@ impl Tape {
         self.record(Op::SoftmaxRows(a), |t, out| t.value(a).softmax_rows_into(out))
     }
 
-    /// Masked softmax of an `m × 1` score column
+    /// Softmax of an `m × 1` score column
     /// ([`crate::Tensor::softmax_col_assign`]): attention weights in one node.
-    pub fn softmax_col(&mut self, a: Var, mask: Option<&[bool]>) -> Var {
+    pub fn softmax_col(&mut self, a: Var) -> Var {
         self.record(Op::SoftmaxCol(a), |t, out| {
             out.copy_from(t.value(a));
-            out.softmax_col_assign(mask);
+            out.softmax_col_assign();
         })
     }
 }
@@ -61,12 +61,17 @@ mod tests {
         assert!(va.approx_eq(&vb, 1e-5));
     }
 
+    /// The fused softmax of `m` logits is the transpose/softmax_rows/
+    /// transpose chain, forward and backward, also when that chain runs over
+    /// the column padded with `pad` rows of `-1e9`: each padded row takes
+    /// weight `+0.0` and adds only `+0.0` to the sums, so a tower that
+    /// drops its padding keeps its bits.
     #[test]
-    fn softmax_col_is_the_penalty_transpose_softmax_chain_forward_and_backward() {
-        use crate::{init, Params};
+    fn softmax_col_is_the_transpose_softmax_chain_with_or_without_padding() {
+        use crate::{init, Executor, Params};
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(61);
-        for (m, mask) in [(5, Some(vec![true, false, true, true, false])), (4, None), (1, Some(vec![true]))] {
+        for (m, pad) in [(5, 2), (4, 0), (1, 3)] {
             let mut params = Params::new();
             let x_id = params.register("x", init::normal(&mut rng, m, 1, 0.0, 2.0));
             let w = init::normal(&mut rng, m, 1, 0.0, 1.0);
@@ -74,32 +79,28 @@ mod tests {
                 params.zero_grads();
                 let mut tape = Tape::new();
                 let x = tape.param(params, x_id);
-                let y = if fused {
-                    tape.softmax_col(x, mask.as_deref())
+                let (y, wv) = if fused {
+                    (tape.softmax_col(x), tape.constant(w.clone()))
                 } else {
-                    let z = match &mask {
-                        Some(mask) => {
-                            let pen: Vec<f32> = mask.iter().map(|&k| if k { 0.0 } else { crate::tensor::MASK_LOGIT }).collect();
-                            let pen = tape.constant(Tensor::col_vector(&pen));
-                            tape.add(x, pen)
-                        }
-                        None => x,
-                    };
+                    let penalty = tape.constant(Tensor::full(pad, 1, -1.0e9));
+                    let z = Executor::concat_rows(&mut tape, &[&x, &penalty]);
                     let row = tape.transpose(z);
                     let soft = tape.softmax_rows(row);
-                    tape.transpose(soft)
+                    let mut padded_w = w.as_slice().to_vec();
+                    padded_w.resize(m + pad, 0.0);
+                    (tape.transpose(soft), tape.constant(Tensor::col_vector(&padded_w)))
                 };
-                let wv = tape.constant(w.clone());
                 let prod = tape.mul(y, wv);
                 let loss = tape.sum_all(prod);
                 tape.backward(loss, params);
                 (tape.value(y).clone(), params.grad(x_id).clone())
             };
-            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             let (y_fused, g_fused) = grads(true, &mut params);
             let (y_chain, g_chain) = grads(false, &mut params);
-            assert_eq!(bits(&y_fused), bits(&y_chain));
-            assert_eq!(bits(&g_fused), bits(&g_chain));
+            assert_eq!(bits(y_fused.as_slice()), bits(&y_chain.as_slice()[..m]), "m = {m}, pad = {pad}");
+            assert!(y_chain.as_slice()[m..].iter().all(|v| v.to_bits() == 0), "padded rows weigh +0.0");
+            assert_eq!(bits(g_fused.as_slice()), bits(g_chain.as_slice()), "m = {m}, pad = {pad}");
         }
     }
 
@@ -111,10 +112,9 @@ mod tests {
         let mut params = Params::new();
         let x_id = params.register("x", init::normal(&mut rng, 5, 1, 0.0, 1.0));
         let w = init::normal(&mut rng, 5, 1, 0.0, 1.0);
-        let mask = [true, true, false, true, false];
         assert_gradients_ok(&mut params, move |p, tape| {
             let x = tape.param(p, x_id);
-            let y = tape.softmax_col(x, Some(&mask));
+            let y = tape.softmax_col(x);
             let wv = tape.constant(w.clone());
             let prod = tape.mul(y, wv);
             let sq = tape.square(prod);

@@ -54,7 +54,8 @@ impl Adam {
         Ok(())
     }
 
-    /// Applies one Adam update from the accumulated gradients.
+    /// Applies one Adam update from the accumulated gradients. A frozen
+    /// parameter ([`Params::freeze`]) is skipped; its moments stay zero.
     pub fn step(&mut self, params: &mut Params) {
         if self.m.len() != params.len() {
             let zeros = |p: &Params| {
@@ -75,6 +76,9 @@ impl Adam {
         let (c1, c2) = (1.0 - b1, 1.0 - b2);
         let (s1, s2, neg_lr) = (1.0 / bc1, 1.0 / bc2, -self.lr);
         for ((i, m), v) in (0..params.len()).zip(&mut self.m).zip(&mut self.v) {
+            if params.is_frozen(ParamId(i)) {
+                continue;
+            }
             let (value, grad) = params.value_mut_and_grad(ParamId(i));
             assert!(m.shape() == value.shape() && v.shape() == value.shape(), "Adam: moment shape mismatch");
             // One pass, no temporaries. The operation order is part of the
@@ -160,6 +164,40 @@ mod tests {
 
         let id = pa.ids().next().unwrap();
         assert_eq!(pa.get(id).item().to_bits(), pb.get(id).item().to_bits());
+    }
+
+    /// Freezing a parameter with no gradient of its own is bit-exact
+    /// against running it through the whole step and zeroing its weight
+    /// decay by hand: same weights, same moments.
+    #[test]
+    fn a_frozen_parameter_steps_as_one_whose_gradient_is_zeroed() {
+        let run = |freeze: bool| {
+            let mut p = Params::new();
+            let x = p.register("x", Tensor::from_vec(1, 3, vec![-5.0, 0.0, 2.5]));
+            let f = p.register("f", Tensor::from_vec(2, 2, vec![0.7, -0.0, 3.0, -1.5]));
+            if freeze {
+                p.freeze(f);
+            }
+            let mut opt = Adam::new(0.1);
+            for _ in 0..5 {
+                p.zero_grads();
+                let mut tape = Tape::new();
+                let xv = tape.param(&p, x);
+                let sq = tape.square(xv);
+                let loss = tape.sum_all(sq);
+                tape.backward(loss, &mut p);
+                p.apply_l2_grad(0.01);
+                if !freeze {
+                    p.grad_mut(f).as_mut_slice().fill(0.0);
+                }
+                p.clip_grad_norm(1.0);
+                opt.step(&mut p);
+            }
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let (_, m, v) = opt.state();
+            (p.ids().map(|id| bits(p.get(id))).collect::<Vec<_>>(), m.iter().chain(v).map(bits).collect::<Vec<_>>())
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -24,6 +24,8 @@ pub struct Params {
     values: Vec<Tensor>,
     grads: Vec<Tensor>,
     names: Vec<String>,
+    /// `frozen[i]`: parameter `i` is held constant ([`Params::freeze`]).
+    frozen: Vec<bool>,
 }
 
 impl Params {
@@ -38,7 +40,29 @@ impl Params {
         self.grads.push(Tensor::zeros(r, c));
         self.values.push(value);
         self.names.push(name.into());
+        self.frozen.push(false);
         ParamId(self.values.len() - 1)
+    }
+
+    /// Holds parameter `id` constant from now on: [`Params::zero_grads`],
+    /// [`Params::apply_l2_grad`], [`Params::clip_grad_norm`] and
+    /// [`crate::optim::Adam::step`] skip it, so the step does no work for
+    /// it. Its gradient must stay `+0.0` — no backward may write it — and
+    /// then skipping is bit-exact: the gradient, both Adam moments and the
+    /// update stay zero.
+    pub fn freeze(&mut self, id: ParamId) {
+        self.frozen[id.0] = true;
+    }
+
+    /// Whether [`Params::freeze`] holds `id` constant.
+    pub(crate) fn is_frozen(&self, id: ParamId) -> bool {
+        self.frozen[id.0]
+    }
+
+    /// The values and gradients of the parameters not frozen.
+    fn trainable(&mut self) -> impl Iterator<Item = (&mut Tensor, &mut Tensor)> {
+        let frozen = &self.frozen;
+        self.values.iter_mut().zip(&mut self.grads).enumerate().filter(|(i, _)| !frozen[*i]).map(|(_, vg)| vg)
     }
 
     /// Number of registered parameters (tensors, not scalars).
@@ -94,9 +118,9 @@ impl Params {
         (0..self.values.len()).map(ParamId)
     }
 
-    /// Resets every gradient accumulator to zero, in place.
+    /// Resets every gradient accumulator not frozen to zero, in place.
     pub fn zero_grads(&mut self) {
-        for g in &mut self.grads {
+        for (_, g) in self.trainable() {
             g.as_mut_slice().fill(0.0);
         }
     }
@@ -107,10 +131,11 @@ impl Params {
         (&mut self.values[id.0], &self.grads[id.0])
     }
 
-    /// Adds `2·gamma·value` to every gradient, i.e. the gradient of
-    /// `gamma · Σ‖ε‖²`. Call once per step before the optimiser update.
+    /// Adds `2·gamma·value` to every gradient not frozen, i.e. the gradient
+    /// of `gamma · Σ‖ε‖²` over the trained weights. Call once per step
+    /// before the optimiser update.
     pub fn apply_l2_grad(&mut self, gamma: f32) {
-        for (v, g) in self.values.iter().zip(&mut self.grads) {
+        for (v, g) in self.trainable() {
             g.axpy(2.0 * gamma, v);
         }
     }
@@ -121,14 +146,14 @@ impl Params {
         self.grads[id.0].axpy(alpha, &self.values[id.0]);
     }
 
-    /// Global gradient-norm clipping: if the joint L2 norm of all gradients
-    /// exceeds `max_norm`, rescales them to have exactly that norm.
-    /// Returns the pre-clip norm.
+    /// Global gradient-norm clipping: if the joint L2 norm of the
+    /// gradients not frozen exceeds `max_norm`, rescales them to have
+    /// exactly that norm. Returns the pre-clip norm.
     pub fn clip_grad_norm(&mut self, max_norm: f32) -> f32 {
-        let total: f32 = self.grads.iter().map(Tensor::norm_sq).sum::<f32>().sqrt();
+        let total: f32 = self.trainable().map(|(_, g)| g.norm_sq()).sum::<f32>().sqrt();
         if total > max_norm && total > 0.0 {
             let scale = max_norm / total;
-            for g in &mut self.grads {
+            for (_, g) in self.trainable() {
                 g.map_inplace(|x| x * scale);
             }
         }

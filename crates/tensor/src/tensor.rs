@@ -11,31 +11,37 @@
 
 use std::fmt;
 
-/// Logit added to a masked-out row by [`Tensor::softmax_col_assign`]: well
-/// inside `f32` range, yet `exp` of it underflows to exactly zero.
-pub(crate) const MASK_LOGIT: f32 = -1.0e9;
-
 /// Rows of the left factor from which [`Tensor::matmul_nt_into`] transposes
-/// the right one and runs [`blocked_product`]. Below it, transposing costs
-/// more than the dot products it saves: at `k = 16, n = 64` (2-vCPU Xeon,
-/// release build) one left row takes ≈ 0.4–0.6 µs as dot products and
-/// ≈ 1.5 µs transposed and blocked, and the two meet at 3–6 rows. Training
-/// at the paper's shapes calls `matmul_nt` with 1 row (a layer on one
-/// vector) or a tower's 11–12 slots, so any bound from 2 to 11 picks the
-/// same path there.
+/// the right one and runs [`blocked_product`]; below it, each row runs
+/// [`transposed_blocks`] on the right factor as it lies. Measured for
+/// `g · w_ctxᵀ` (`k = 16, n = 48`; 2-vCPU Xeon, release build, SSE2): 1 row
+/// takes ≈ 0.21 µs in row blocks and ≈ 0.61 µs transposed, 3 rows ≈ 0.65
+/// and ≈ 0.82 µs, and the two meet at 4–5 rows (at `n = 64` too). Training
+/// calls `matmul_nt` with 1 row (a layer on one vector) and with a tower's
+/// `d` rows: 1–11 for a user (3.8 on average on the bench dataset), 12 for
+/// most items.
 const NT_BLOCKED_ROWS: usize = 4;
 
-/// `out[i][j] = Σ_p a(i, p) · b[p][j]` for an `m × n` `out` (`+0.0` on
-/// entry) and a `k × n` row-major `b`: the backward's products. A block of
-/// outputs of a row — 16 while they last, then 4, then 1 — stays in
-/// registers across the whole inner dimension, so no output is reloaded per
-/// product. Each output sums its products from `+0.0` in ascending `p`,
+/// `out[i][j] = Σ_p a(i, p) · b[p][j]` for an `m × n` `out` and a `k × n`
+/// row-major `b`: every product but the few-row `a · bᵀ` of
+/// [`transposed_blocks`]. A block of outputs of a row — 16 while they last,
+/// then 4, then 1 — stays in registers across the whole inner dimension
+/// and is written once, so no output is reloaded per product; a rank-1
+/// product (`k = 1`) writes each row in one pass. Both kernels keep one
+/// contract: each output sums its products from `+0.0` in ascending `p`,
 /// skipping a zero `a(i, p)`. The skip is exact for finite `b`: an
 /// accumulator that starts at `+0.0` never holds `-0.0`, so adding `±0.0` to
 /// it changes nothing.
 fn blocked_product(m: usize, k: usize, n: usize, a: impl Fn(usize, usize) -> f32, b: &[f32], out: &mut [f32]) {
     for i in 0..m {
         let out_row = &mut out[i * n..(i + 1) * n];
+        if k == 1 {
+            match a(i, 0) {
+                0.0 => out_row.fill(0.0),
+                av => out_row.iter_mut().zip(b).for_each(|(o, &bv)| *o = 0.0 + av * bv),
+            }
+            continue;
+        }
         let j = output_blocks::<16>(k, n, 0, |p| a(i, p), b, out_row);
         let j = output_blocks::<4>(k, n, j, |p| a(i, p), b, out_row);
         output_blocks::<1>(k, n, j, |p| a(i, p), b, out_row);
@@ -62,6 +68,29 @@ fn output_blocks<const B: usize>(
             let b_block: &[f32; B] = b[p * n + j..p * n + j + B].try_into().expect("a whole block");
             for (acc, &bv) in acc.iter_mut().zip(b_block) {
                 *acc += av * bv;
+            }
+        }
+        out_row[j..j + B].copy_from_slice(&acc);
+        j += B;
+    }
+    j
+}
+
+/// `out_row[j] = Σ_p a_row[p] · b[j][p]` for a row-major `b` of
+/// `out_row.len()` rows of `k`, under [`blocked_product`]'s contract:
+/// `B` outputs at a time keep their sums in registers across the inner
+/// dimension, each reading its own row of `b` as it lies (no transpose).
+/// Returns the first output left over, from `j` on.
+fn transposed_blocks<const B: usize>(a_row: &[f32], b: &[f32], k: usize, mut j: usize, out_row: &mut [f32]) -> usize {
+    while j + B <= out_row.len() {
+        let rows: [&[f32]; B] = std::array::from_fn(|t| &b[(j + t) * k..(j + t + 1) * k]);
+        let mut acc = [0.0f32; B];
+        for (p, &av) in a_row.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            for (acc, row) in acc.iter_mut().zip(&rows) {
+                *acc += av * row[p];
             }
         }
         out_row[j..j + B].copy_from_slice(&acc);
@@ -469,25 +498,16 @@ impl Tensor {
         }
     }
 
-    /// In-place softmax of an `m × 1` score column into attention weights.
-    /// Rows with `mask[r] == false` get a `-1e9` penalty first, so they take
-    /// exactly zero weight: the bits of adding the penalty column,
-    /// transposing, [`Tensor::softmax_rows`] and transposing back.
-    pub fn softmax_col_assign(&mut self, mask: Option<&[bool]>) {
+    /// In-place softmax of an `m × 1` score column into attention weights:
+    /// the bits of transposing, [`Tensor::softmax_rows`] and transposing
+    /// back.
+    pub fn softmax_col_assign(&mut self) {
         assert_eq!(self.cols, 1, "softmax_col: {} columns, expected one", self.cols);
-        if let Some(mask) = mask {
-            assert_eq!(mask.len(), self.rows, "softmax_col: mask of {} for {} rows", mask.len(), self.rows);
-            for (x, &keep) in self.data.iter_mut().zip(mask) {
-                *x += if keep { 0.0 } else { MASK_LOGIT };
-            }
-        }
         softmax_in_place(&mut self.data);
     }
 
-    /// Matrix product `self · other`.
-    ///
-    /// Uses the cache-friendly i-k-j loop order; adequate for the model sizes
-    /// in this workspace (dozens to a few hundred columns).
+    /// Matrix product `self · other`, register-blocked: each output summed
+    /// from `+0.0` in ascending inner index, skipping a zero left factor.
     ///
     /// # Panics
     /// Panics if the inner dimensions disagree.
@@ -504,21 +524,9 @@ impl Tensor {
             "matmul: {}x{} . {}x{} inner dimensions disagree",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (m, n) = (self.rows, other.cols);
+        let (m, k, n) = (self.rows, self.cols, other.cols);
         out.reset(m, n);
-        for i in 0..m {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (p, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[p * n..(p + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
+        blocked_product(m, k, n, |i, p| self.data[i * k + p], &other.data, &mut out.data);
     }
 
     /// `self · otherᵀ`.
@@ -528,11 +536,9 @@ impl Tensor {
         out
     }
 
-    /// [`Tensor::matmul_nt`] into `out`'s buffer. Each output is the sum of
-    /// its products from `+0.0` in ascending inner index: one dot product
-    /// per output for a left factor of fewer than [`NT_BLOCKED_ROWS`] rows,
-    /// else [`blocked_product`] over `otherᵀ` written into `other_t`'s
-    /// buffer.
+    /// [`Tensor::matmul_nt`] into `out`'s buffer: [`transposed_blocks`] per
+    /// row for a left factor of fewer than [`NT_BLOCKED_ROWS`] rows, else
+    /// [`blocked_product`] over `otherᵀ` written into `other_t`'s buffer.
     pub(crate) fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor, other_t: &mut Tensor) {
         assert_eq!(
             self.cols, other.cols,
@@ -546,14 +552,10 @@ impl Tensor {
             blocked_product(m, k, n, |i, p| self.data[i * k + p], &other_t.data, &mut out.data);
             return;
         }
-        for (a_row, out_row) in self.data.chunks_exact(k.max(1)).zip(out.data.chunks_exact_mut(n.max(1))) {
-            for (o, b_row) in out_row.iter_mut().zip(other.data.chunks_exact(k.max(1))) {
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                *o = acc;
-            }
+        for i in 0..m {
+            let (a_row, out_row) = (&self.data[i * k..(i + 1) * k], &mut out.data[i * n..(i + 1) * n]);
+            let j = transposed_blocks::<8>(a_row, &other.data, k, 0, out_row);
+            transposed_blocks::<1>(a_row, &other.data, k, j, out_row);
         }
     }
 

@@ -2,17 +2,18 @@
 //!
 //! (a) **Pruning moves no bit.** The backward computes no adjoint for a node
 //! without a parameter behind it. Random small graphs built from the `nn`
-//! layers (masked `AttentionPool` over a constant review matrix, `Embedding`
+//! layers (`AttentionPool` over a constant review matrix, `Embedding`
 //! lookups for its context, `Linear`, `FactorizationMachine` over a constant
 //! side input) run twice: as written, and with every constant input
 //! registered as a parameter, so that nothing is pruned. The original
 //! parameters' gradients must carry the same bits. The pruned run goes on a
 //! tape reset after an unrelated pass, so stale buffers are covered too.
 //!
-//! (b) **The blocked kernels are the naive ones.** `matmul_nt` and
-//! `matmul_tn` must equal, bit for bit, a triple loop that sums each output
-//! from `+0.0` in ascending inner index — over widths on and off the block
-//! size, all-zero rows and `-0.0` entries.
+//! (b) **The blocked kernels are the naive ones.** `matmul`, `matmul_nt`
+//! and `matmul_tn` must equal, bit for bit, a triple loop that sums each
+//! output from `+0.0` in ascending inner index — over widths on and off the
+//! block size, all-zero rows, `-0.0` entries and inner or outer dimensions
+//! of 0 and 1 (a 1-row product, a rank-1 one, an empty one).
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -54,7 +55,6 @@ struct Graph {
     items: Tensor,
     side: Tensor,
     ids: Vec<usize>,
-    mask: Vec<bool>,
     shared_context: bool,
     side_first: bool,
 }
@@ -68,14 +68,7 @@ impl Graph {
         let attn = AttentionPool::new(params, rng, "attn", k, d, attn_dim);
         let linear = Linear::new(params, rng, "linear", k, out);
         let fm = FactorizationMachine::new(params, rng, "fm", out + side, factors);
-        let mut mask: Vec<bool> = (0..m).map(|_| rng.gen_bool(0.6)).collect();
-        mask[rng.gen_range(0..m)] = true;
-        let mut items = random_tensor(rng, m, k);
-        for (r, &keep) in mask.iter().enumerate() {
-            if !keep {
-                items.row_mut(r).fill(0.0);
-            }
-        }
+        let items = random_tensor(rng, m, k);
         Self {
             emb,
             attn,
@@ -84,7 +77,6 @@ impl Graph {
             items,
             side: init::normal(rng, 1, side, 0.0, 1.0),
             ids: (0..m).map(|_| rng.gen_range(0..vocab)).collect(),
-            mask,
             shared_context: rng.gen_bool(0.3),
             side_first: rng.gen_bool(0.5),
         }
@@ -99,7 +91,7 @@ impl Graph {
         };
         let ids = if self.shared_context { &self.ids[..1] } else { &self.ids[..] };
         let context = self.emb.forward(tape, params, ids);
-        let pooled = self.attn.forward(tape, params, items, context, Some(&self.mask));
+        let pooled = self.attn.forward(tape, params, items, context);
         let hidden = self.linear.forward(tape, params, pooled);
         let hidden = Executor::tanh(tape, hidden);
         let joint = if self.side_first { [side, hidden] } else { [hidden, side] };
@@ -160,10 +152,24 @@ fn naive(m: usize, k: usize, n: usize, a: impl Fn(usize, usize) -> f32, b: impl 
 
 fn kernels_match_the_triple_loop(seed: u64) -> Result<(), TestCaseError> {
     let mut rng = StdRng::seed_from_u64(seed);
-    // Widths around one, two and three blocks of 16, and the small ones.
-    let mut dim = || if rng.gen_bool(0.5) { rng.gen_range(0..6) } else { rng.gen_range(12..52) };
+    // Widths around one, two and three blocks of 16, and the small ones:
+    // 0 and 1 in a quarter of the draws.
+    let mut dim = || match rng.gen_range(0..4) {
+        0 => rng.gen_range(0..2),
+        1 => rng.gen_range(2..6),
+        _ => rng.gen_range(12..52),
+    };
     let (m, k, n) = (dim(), dim(), dim());
+    kernels_match_at(m, k, n, seed)
+}
+
+/// [`kernels_match_the_triple_loop`] at one shape.
+fn kernels_match_at(m: usize, k: usize, n: usize, seed: u64) -> Result<(), TestCaseError> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+    let (a, b) = (random_tensor(&mut rng, m, k), random_tensor(&mut rng, k, n));
+    let nn = naive(m, k, n, |i, p| a.get(i, p), |p, j| b.get(p, j));
+    prop_assert_eq!(bits(&a.matmul(&b)), bits(&nn), "matmul {}x{} . {}x{}", m, k, k, n);
+
     let (a, b) = (random_tensor(&mut rng, m, k), random_tensor(&mut rng, n, k));
     let nt = naive(m, k, n, |i, p| a.get(i, p), |p, j| b.get(j, p));
     prop_assert_eq!(bits(&a.matmul_nt(&b)), bits(&nt), "matmul_nt {}x{} . ({}x{})^T", m, k, n, k);
@@ -185,6 +191,22 @@ proptest! {
     #[test]
     fn blocked_backward_kernels_are_the_naive_triple_loop(seed in 0u64..1_000_000) {
         kernels_match_the_triple_loop(seed)?;
+    }
+}
+
+/// Every kernel at every shape built from 0, 1, 2, 5 and 17 (one block of
+/// 16 plus one), so the empty, 1-row and rank-1 products are each met.
+#[test]
+fn kernels_match_the_triple_loop_at_the_edge_shapes() {
+    let dims = [0, 1, 2, 5, 17];
+    let mut seed = 0;
+    for m in dims {
+        for k in dims {
+            for n in dims {
+                kernels_match_at(m, k, n, seed).unwrap();
+                seed += 1;
+            }
+        }
     }
 }
 

@@ -11,6 +11,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The goldens pin the training and baseline bits; with RRRE_UPDATE_GOLDENS
+# set, a golden test rewrites its file and passes, so the gate would prove
+# nothing.
+if [ -n "${RRRE_UPDATE_GOLDENS+set}" ]; then
+  echo "refusing to run with RRRE_UPDATE_GOLDENS set: unset it first" >&2
+  exit 1
+fi
+
 cargo build --release --workspace
 cargo test --workspace -q
 
@@ -25,6 +33,10 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # The fixtures every root test trains are bit-identical at any thread count,
 # so a failure here is a determinism regression in the parallel engine.
 RRRE_THREADS=4 cargo test -q
+
+# No test step may have rewritten a committed golden or the committed
+# adversarial grid: the bit-exactness of every kernel change rests on them.
+git diff --exit-code -- tests/goldens results/adversarial_grid.csv
 
 # Connection-scale soak (5k concurrent conns): two fds per connection live in
 # the test process, so it only runs where the fd limit can be lifted.

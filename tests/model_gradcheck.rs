@@ -11,7 +11,8 @@ use rrre::tensor::nn::{Embedding, FactorizationMachine, Linear};
 use rrre::tensor::{init, Params, Tensor};
 
 /// Builds a miniature RRRE-shaped graph by hand and checks every gradient:
-/// two towers over review matrices with masks and per-review contexts, the
+/// two towers over their entities' review matrices (2 and 3 reviews) with
+/// per-review contexts, the
 /// concatenated reliability head with cross-entropy, the FM rating head
 /// with a reliability-weighted MSE, and the λ-combined joint loss.
 #[test]
@@ -30,31 +31,29 @@ fn full_rrre_shaped_joint_loss_passes_gradcheck() {
     let w_e = Linear::new(&mut params, &mut rng, "w_e", id_dim, id_dim);
     let fm = FactorizationMachine::new(&mut params, &mut rng, "fm", 2 * id_dim, 3);
 
-    let u_reviews = init::normal(&mut rng, 3, k, 0.0, 1.0);
-    let i_reviews = init::normal(&mut rng, 4, k, 0.0, 1.0);
-    let u_mask = [true, true, false];
-    let i_mask = [true, true, true, false];
+    let u_reviews = init::normal(&mut rng, 2, k, 0.0, 1.0);
+    let i_reviews = init::normal(&mut rng, 3, k, 0.0, 1.0);
 
     assert_gradients_ok(&mut params, move |p, tape| {
         let e_u = user_emb.forward(tape, p, &[1]);
         let e_i = item_emb.forward(tape, p, &[2]);
 
         // Per-review contexts: target pair + counterpart ids.
+        let dup2 = vec![0usize; 2];
         let dup3 = vec![0usize; 3];
-        let dup4 = vec![0usize; 4];
-        let u_rows_u = tape.gather_rows(e_u, &dup3);
-        let u_rows_i = tape.gather_rows(e_i, &dup3);
-        let u_cp = item_emb.forward(tape, p, &[0, 3, 0]);
+        let u_rows_u = tape.gather_rows(e_u, &dup2);
+        let u_rows_i = tape.gather_rows(e_i, &dup2);
+        let u_cp = item_emb.forward(tape, p, &[0, 3]);
         let u_ctx = tape.concat_cols(&[u_rows_u, u_rows_i, u_cp]);
-        let i_rows_u = tape.gather_rows(e_u, &dup4);
-        let i_rows_i = tape.gather_rows(e_i, &dup4);
-        let i_cp = user_emb.forward(tape, p, &[0, 2, 1, 0]);
+        let i_rows_u = tape.gather_rows(e_u, &dup3);
+        let i_rows_i = tape.gather_rows(e_i, &dup3);
+        let i_cp = user_emb.forward(tape, p, &[0, 2, 1]);
         let i_ctx = tape.concat_cols(&[i_rows_u, i_rows_i, i_cp]);
 
         let u_matrix = tape.constant(u_reviews.clone());
         let i_matrix = tape.constant(i_reviews.clone());
-        let x_u = user_tower.forward(tape, p, u_matrix, &u_mask, u_ctx, Pooling::FraudAttention);
-        let y_i = item_tower.forward(tape, p, i_matrix, &i_mask, i_ctx, Pooling::FraudAttention);
+        let x_u = user_tower.forward(tape, p, u_matrix, u_ctx, Pooling::FraudAttention);
+        let y_i = item_tower.forward(tape, p, i_matrix, i_ctx, Pooling::FraudAttention);
 
         let joint_repr = tape.concat_cols(&[x_u, y_i]);
         let logits = rel_head.forward(tape, p, joint_repr);

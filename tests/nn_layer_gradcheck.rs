@@ -105,25 +105,23 @@ fn fraud_attention_pool_passes_gradcheck() {
     let items = init::normal(&mut rng, 5, k, 0.0, 1.0);
     let shared_ctx = init::normal(&mut rng, 1, ctx_dim, 0.0, 1.0);
     let per_row_ctx = init::normal(&mut rng, 5, ctx_dim, 0.0, 1.0);
-    let mask = [true, true, false, true, true];
 
-    // Shared `[1, ctx]` context, with a mask (the RRRE fraud-attention
-    // configuration: masked softmax over per-review scores).
+    // Shared `[1, ctx]` context: softmax over per-review scores.
     let attn2 = attn.clone();
     let (items_a, ctx_a) = (items.clone(), shared_ctx);
     assert_gradients_ok(&mut params, move |p, tape| {
         let it = tape.constant(items_a.clone());
         let ctx = tape.constant(ctx_a.clone());
-        let pooled = attn.forward(tape, p, it, ctx, Some(&mask));
+        let pooled = attn.forward(tape, p, it, ctx);
         let sq = tape.square(pooled);
         tape.mean_all(sq)
     });
 
-    // Per-row `[m, ctx]` context, unmasked.
+    // Per-row `[m, ctx]` context (the RRRE and NARRE configuration).
     assert_gradients_ok(&mut params, move |p, tape| {
         let it = tape.constant(items.clone());
         let ctx = tape.constant(per_row_ctx.clone());
-        let pooled = attn2.forward(tape, p, it, ctx, None);
+        let pooled = attn2.forward(tape, p, it, ctx);
         let sq = tape.square(pooled);
         tape.mean_all(sq)
     });
