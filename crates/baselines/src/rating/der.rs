@@ -143,7 +143,7 @@ impl PairNet for DerNet {
             ex.constant(Tensor::zeros(1, cfg.hidden))
         } else {
             let m = ex.constant(self.review_vectors.stack(&i_revs));
-            let summed = ex.sum_rows(&m);
+            let summed = ex.sum_rows(&m, &[i_revs.len()]);
             let mean = ex.scale(summed, 1.0 / i_revs.len() as f32);
             self.item_fc.forward(ex, params, mean)
         };

@@ -21,7 +21,7 @@ pub enum EncoderMode {
 pub enum Pooling {
     /// The paper's fraud-attention mechanism (Eq. 5–7).
     FraudAttention,
-    /// Uniform mean pooling over the unmasked reviews — the ablation that
+    /// Uniform mean pooling over the entity's reviews — the ablation that
     /// quantifies what the attention buys.
     Mean,
 }

@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use rrre_data::repr::ReviewVectors;
 use rrre_data::{Dataset, DatasetIndex, EncodedCorpus, ItemId, Review, UserId};
 use rrre_tensor::nn::{Embedding, FactorizationMachine, Linear};
-use rrre_tensor::{optim::Adam, Eval, Executor, GradStore, ParamId, Params, Tape, Tensor};
+use rrre_tensor::{optim::Adam, Eval, Executor, ParamId, Params, Tape, Tensor};
 use std::borrow::Cow;
 
 /// Joint prediction for one user–item pair.
@@ -77,6 +77,20 @@ impl ColdStartPrior {
             pred
         }
     }
+}
+
+/// The most pairs one forward stacks: a tape stacks at most 64 examples.
+const MAX_PAIRS: usize = 64;
+
+/// `f` of each example of a batch, in the first `examples.len()` entries
+/// of a buffer on the stack.
+fn per_example<T: Copy + Default>(examples: &[(&Review, bool)], f: impl Fn(&Review, bool) -> T) -> [T; MAX_PAIRS] {
+    assert!(examples.len() <= MAX_PAIRS, "Rrre: {} examples in one pass (≤ {MAX_PAIRS})", examples.len());
+    let mut out = [T::default(); MAX_PAIRS];
+    for (o, &(r, has_label)) in out.iter_mut().zip(examples) {
+        *o = f(r, has_label);
+    }
+    out
 }
 
 /// Trained RRRE model.
@@ -198,7 +212,7 @@ impl Rrre {
         // Shard buffers and one tape per thread are allocated once and
         // reused across chunks.
         let mut shards: Vec<GradShard> = Vec::new();
-        let mut tapes: Vec<Tape> = Vec::new();
+        let mut tapes: Vec<Tape<'static>> = Vec::new();
         for chunk in order.chunks(self.cfg.batch_size) {
             self.params.zero_grads();
             let n_shards = parallel::shard_count(chunk.len());
@@ -210,15 +224,10 @@ impl Rrre {
             }
             let model = &*self;
             parallel::run_shards(self.cfg.threads, &mut shards[..n_shards], &mut tapes, |s, shard, tape| {
-                for chunk_pos in parallel::shard_range(s, chunk.len()) {
-                    let pos = chunk[chunk_pos];
-                    let review = &ds.reviews[train[pos]];
-                    let (l, l1, l2) =
-                        model.example_pass(corpus, review, labeled[pos], chunk.len(), tape, &mut shard.grads);
-                    shard.loss += l;
-                    shard.loss1 += l1;
-                    shard.loss2 += l2;
-                }
+                let examples: Vec<(&Review, bool)> = parallel::shard_range(s, chunk.len())
+                    .map(|chunk_pos| (&ds.reviews[train[chunk[chunk_pos]]], labeled[chunk[chunk_pos]]))
+                    .collect();
+                model.shard_pass(corpus, &examples, chunk.len(), tape, shard);
             });
             // Single-threaded from here on: fixed-order reduction, then the
             // same regularise/clip/step sequence the serial loop always ran.
@@ -247,54 +256,59 @@ impl Rrre {
         }
     }
 
-    /// One example's forward + backward — the shard-worker body. Takes `&self`
-    /// (the model is shared read-only across workers), records the example
-    /// on `tape` (reset first, so its buffers carry over from the last
-    /// example) and accumulates the parameter gradients into `sink`; returns
-    /// the `(joint, loss1, loss2)` loss contributions for the epoch
-    /// statistics. The op sequence is the
-    /// historical serial one, byte for byte, so a given example produces the
-    /// same gradient bits no matter which worker (or how many) runs it.
-    fn example_pass(
+    /// One shard's forward + backward — the shard-worker body. Takes `&self`
+    /// (the model is shared read-only across workers), records the shard's
+    /// examples stacked as one pass on `tape` (bound to the model's
+    /// parameters for the pass, so no parameter is copied; its buffers carry
+    /// over from the last shard), hands the parameter gradients to the
+    /// shard's store and adds the `(joint, loss1, loss2)` loss contributions
+    /// to its sums, example by example. Each example's gradients and losses
+    /// carry the bits of the example run alone, and the store receives
+    /// them in the examples' order, so a shard holds the same bits however
+    /// many of its examples one pass stacks, and whichever worker runs it.
+    fn shard_pass(
         &self,
         corpus: &EncodedCorpus,
-        r: &Review,
-        has_label: bool,
+        examples: &[(&Review, bool)],
         chunk_len: usize,
-        tape: &mut Tape,
-        sink: &mut GradStore,
-    ) -> (f64, f64, f64) {
-        tape.reset();
-        let (pred, logits) = self.forward_pair(tape, corpus, r.user.index(), r.item.index());
+        tape: &mut Tape<'static>,
+        shard: &mut GradShard,
+    ) {
+        let mut pass = std::mem::take(tape).bind(&self.params);
+        let n = examples.len();
+        let users = per_example(examples, |r, _| r.user.index());
+        let items = per_example(examples, |r, _| r.item.index());
+        let (pred, logits) = self.forward_pairs(&mut pass, corpus, &users[..n], &items[..n]);
 
         // loss1 only where the label is available.
-        let loss1 = tape.softmax_cross_entropy(
-            logits,
-            &[r.label.class_index()],
-            Some(&[if has_label { 1.0 } else { 0.0 }]),
-        );
+        let classes = per_example(examples, |r, _| r.label.class_index());
+        let labeled = per_example(examples, |_, has| if has { 1.0 } else { 0.0 });
+        let loss1 = pass.softmax_cross_entropy_rows(logits, &classes[..n], Some(&labeled[..n]));
         // loss2 weight: the label when available; otherwise the model's
         // current reliability estimate (self-training).
-        let weight = match (self.cfg.variant, has_label) {
-            (LossVariant::Unbiased, _) => 1.0,
-            (LossVariant::Biased, true) => r.label.as_f32(),
-            (LossVariant::Biased, false) => {
-                let z = tape.value(logits);
-                softmax2(z.get(0, 0), z.get(0, 1))
-            }
-        };
-        let loss2 = tape.weighted_mse(pred, &[r.rating], &[weight]);
-        let l1_scaled = tape.scale(loss1, self.cfg.lambda);
-        let l2_scaled = tape.scale(loss2, 1.0 - self.cfg.lambda);
-        let joint = tape.add(l1_scaled, l2_scaled);
-        let scaled = tape.scale(joint, 1.0 / chunk_len as f32);
-        tape.backward_into(scaled, sink);
+        let z = pass.value(logits);
+        let mut weights = [0.0; MAX_PAIRS];
+        for (e, (w, &(r, has_label))) in weights.iter_mut().zip(examples).enumerate() {
+            *w = match (self.cfg.variant, has_label) {
+                (LossVariant::Unbiased, _) => 1.0,
+                (LossVariant::Biased, true) => r.label.as_f32(),
+                (LossVariant::Biased, false) => softmax2(z.get(e, 0), z.get(e, 1)),
+            };
+        }
+        let ratings = per_example(examples, |r, _| r.rating);
+        let loss2 = pass.weighted_squared_errors(pred, &ratings[..n], &weights[..n]);
+        let l1_scaled = pass.scale(loss1, self.cfg.lambda);
+        let l2_scaled = pass.scale(loss2, 1.0 - self.cfg.lambda);
+        let joint = pass.add(l1_scaled, l2_scaled);
+        let scaled = pass.scale(joint, 1.0 / chunk_len as f32);
+        pass.backward_into(scaled, &mut shard.grads);
 
-        (
-            tape.value(scaled).item() as f64 * chunk_len as f64,
-            tape.value(loss1).item() as f64,
-            tape.value(loss2).item() as f64,
-        )
+        for e in 0..n {
+            shard.loss += pass.value(scaled).get(e, 0) as f64 * chunk_len as f64;
+            shard.loss1 += pass.value(loss1).get(e, 0) as f64;
+            shard.loss2 += pass.value(loss2).get(e, 0) as f64;
+        }
+        *tape = pass.unbind();
     }
 
     /// Architecture construction shared by [`Rrre::fit_with_hook`] and
@@ -571,32 +585,44 @@ impl Rrre {
         Ok(())
     }
 
-    /// The review matrix of one entity's input reviews, `[d, k]`: rows of
-    /// the frozen cache when the model has one, else the encoder run over
-    /// `corpus` on `ex`.
-    fn review_matrix<'p, E: Executor<'p>>(&'p self, ex: &mut E, corpus: Option<&EncodedCorpus>, revs: &[usize]) -> E::V {
+    /// The review matrix of a batch's entities, their input reviews
+    /// `revs` stacked (`[Σd, k]`, entity `s` holding the next `counts[s]`
+    /// rows): rows of the frozen cache when the model has one, else the
+    /// encoder run over `corpus` on `ex`, once per review of each entity.
+    fn review_matrix<'p, E: Executor<'p>>(
+        &'p self,
+        ex: &mut E,
+        corpus: Option<&EncodedCorpus>,
+        revs: &[usize],
+        counts: &[usize],
+    ) -> E::V {
         let corpus = match (&self.cache, corpus) {
-            (Some(cache), _) => return ex.constant(cache.stack(revs)),
+            (Some(cache), _) => {
+                let matrix = ex.constant(cache.stack(revs));
+                return ex.stacked(matrix, counts);
+            }
             (None, Some(corpus)) => corpus,
             (None, None) => panic!("Rrre: no frozen review cache to serve from; build the model with from_frozen_parts"),
         };
         if revs.is_empty() {
-            return ex.constant(Tensor::zeros(0, self.cfg.k));
+            let matrix = ex.constant(Tensor::zeros(0, self.cfg.k));
+            return ex.stacked(matrix, counts);
         }
         let rows: Vec<E::V> = revs.iter().map(|&ri| self.encoder.forward_review(ex, &self.params, corpus, ri)).collect();
         let rows: Vec<&E::V> = rows.iter().collect();
-        ex.concat_rows(&rows)
+        let matrix = ex.concat_rows(&rows);
+        ex.stacked(matrix, counts)
     }
 
-    /// The input reviews of an entity under the configured sampling
-    /// strategy: the paper's latest-`m` (time-based) or a stable
-    /// pseudo-random `m`-subset (ablation).
-    fn select_inputs(&self, all: &[usize], m: usize, salt: u64) -> Vec<usize> {
+    /// Appends the input reviews of an entity to `revs` under the
+    /// configured sampling strategy: the paper's latest-`m` (time-based) or
+    /// a stable pseudo-random `m`-subset (ablation).
+    fn select_inputs(&self, all: &[usize], m: usize, salt: u64, revs: &mut Vec<usize>) {
         match self.cfg.sampling {
-            Sampling::Latest => all[all.len().saturating_sub(m)..].to_vec(),
+            Sampling::Latest => revs.extend_from_slice(&all[all.len().saturating_sub(m)..]),
             Sampling::Random => {
                 if all.len() <= m {
-                    return all.to_vec();
+                    return revs.extend_from_slice(all);
                 }
                 let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ salt);
                 let mut pool: Vec<usize> = all.to_vec();
@@ -604,64 +630,78 @@ impl Rrre {
                     let j = rng.gen_range(i..pool.len());
                     pool.swap(i, j);
                 }
-                pool.truncate(m);
-                pool
+                revs.extend_from_slice(&pool[..m]);
             }
         }
+    }
+
+    /// Appends the input reviews of one side's entity for the pair to
+    /// `revs`; returns how many there are.
+    fn push_inputs(&self, side: Side, user: usize, item: usize, revs: &mut Vec<usize>) -> usize {
+        let before = revs.len();
+        match side {
+            Side::User => {
+                let all = self.index.user_reviews(UserId(user as u32));
+                self.select_inputs(all, self.cfg.s_u, 0x5555_0000 ^ user as u64, revs);
+            }
+            Side::Item => {
+                let all = self.index.item_reviews(ItemId(item as u32));
+                self.select_inputs(all, self.cfg.s_i, 0xAAAA_0000 ^ item as u64, revs);
+            }
+        }
+        revs.len() - before
     }
 
     /// The input reviews of one side's entity for the pair.
     fn inputs(&self, side: Side, user: usize, item: usize) -> Vec<usize> {
-        match side {
-            Side::User => {
-                let all = self.index.user_reviews(UserId(user as u32));
-                self.select_inputs(all, self.cfg.s_u, 0x5555_0000 ^ user as u64)
-            }
-            Side::Item => {
-                let all = self.index.item_reviews(ItemId(item as u32));
-                self.select_inputs(all, self.cfg.s_i, 0xAAAA_0000 ^ item as u64)
-            }
-        }
+        let mut revs = Vec::new();
+        self.push_inputs(side, user, item, &mut revs);
+        revs
     }
 
-    /// The target pair's ID embeddings `(e_u, e_i)`.
-    fn pair_ids<'p, E: Executor<'p>>(&'p self, ex: &mut E, user: usize, item: usize) -> (E::V, E::V) {
-        let e_u = self.user_emb.forward(ex, &self.params, &[user]);
-        let e_i = self.item_emb.forward(ex, &self.params, &[item]);
-        (e_u, e_i)
+    /// The ID embeddings `(e_u, e_i)` of the pairs `(users[s], items[s])`,
+    /// one row per pair each.
+    fn pair_ids<'p, E: Executor<'p>>(&'p self, ex: &mut E, users: &[usize], items: &[usize]) -> (E::V, E::V) {
+        let one_each = &[1; MAX_PAIRS][..users.len()];
+        let e_u = self.user_emb.forward(ex, &self.params, users);
+        let e_i = self.item_emb.forward(ex, &self.params, items);
+        (ex.stacked(e_u, one_each), ex.stacked(e_i, one_each))
     }
 
-    /// One tower for a target pair (paper §III-D), over its `d ≤ m` input
-    /// reviews `revs`: the entity representation (`x_u` or `y_i`,
-    /// `[1, id_dim]`) and the attention it pooled them with
-    /// ([`Tower::attend`]). The attention context has one row per review:
-    /// the pair's user and item ID embeddings plus the ID embedding of the
-    /// review's own counterpart.
-    fn tower<'p, E: Executor<'p>>(
+    /// One side's tower for each pair of a batch (paper §III-D), pair `s`
+    /// over its `d ≤ m` input reviews, the next `counts[s]` of `revs`: the
+    /// entity representations (`x_u` or `y_i`, one `[1, id_dim]` row per
+    /// pair) and the attention that pooled the reviews ([`Tower::attend`]).
+    /// The attention context has one row per review: the pair's user and
+    /// item ID embeddings plus the ID embedding of the review's own
+    /// counterpart.
+    fn towers<'p, E: Executor<'p>>(
         &'p self,
         ex: &mut E,
         corpus: Option<&EncodedCorpus>,
         side: Side,
-        revs: &[usize],
+        (revs, counts): (&[usize], &[usize]),
         (e_u, e_i): (&E::V, &E::V),
     ) -> (E::V, Option<E::V>) {
         let (tower, counterpart_of, counterpart) = match side {
             Side::User => (&self.user_tower, &self.input_items_of, &self.item_emb),
             Side::Item => (&self.item_tower, &self.input_users_of, &self.user_emb),
         };
-        let matrix = self.review_matrix(ex, corpus, revs);
-        let dup = vec![0usize; revs.len()];
-        let u_rows = ex.gather_rows(e_u, &dup);
-        let i_rows = ex.gather_rows(e_i, &dup);
+        let matrix = self.review_matrix(ex, corpus, revs, counts);
+        let pair_of: Vec<usize> = counts.iter().enumerate().flat_map(|(s, &d)| std::iter::repeat_n(s, d)).collect();
+        let u_rows = ex.gather_rows(e_u, &pair_of);
+        let i_rows = ex.gather_rows(e_i, &pair_of);
         let counterparts: Vec<usize> = revs.iter().map(|&ri| counterpart_of[ri]).collect();
         let cp = counterpart.forward(ex, &self.params, &counterparts);
+        let cp = ex.stacked(cp, counts);
         let context = ex.concat_cols(&[&u_rows, &i_rows, &cp]);
-        tower.attend(ex, &self.params, &matrix, &context, self.cfg.pooling)
+        tower.attend(ex, &self.params, &matrix, &context, counts, self.cfg.pooling)
     }
 
-    /// The reliability and rating heads (Eq. 9, 12): the rating (`[1, 1]`)
-    /// and the reliability logits (`[1, 2]`, class 1 = benign; the softmax
-    /// is folded into the cross-entropy in training).
+    /// The reliability and rating heads (Eq. 9, 12), one row per pair: the
+    /// rating (`[1, 1]` each) and the reliability logits (`[1, 2]` each,
+    /// class 1 = benign; the softmax is folded into the cross-entropy in
+    /// training).
     fn heads<'p, E: Executor<'p>>(&'p self, ex: &mut E, e_u: E::V, e_i: E::V, x_u: &E::V, y_i: &E::V) -> (E::V, E::V) {
         let joint_repr = ex.concat_cols(&[x_u, y_i]);
         let logits = self.rel_head.forward(ex, &self.params, joint_repr);
@@ -675,28 +715,45 @@ impl Rrre {
         (ex.add_scalar(residual, self.mean_rating), logits)
     }
 
-    /// The joint forward for one pair — training runs it on a [`Tape`],
-    /// serving on [`Eval`]: the rating and the reliability logits.
-    fn forward_pair<'p, E: Executor<'p>>(&'p self, ex: &mut E, corpus: &EncodedCorpus, user: usize, item: usize) -> (E::V, E::V) {
-        let (e_u, e_i) = self.pair_ids(ex, user, item);
+    /// The joint forward for a batch of pairs `(users[s], items[s])` —
+    /// training runs a shard of them on a [`Tape`], serving one on [`Eval`]:
+    /// per pair the rating and the reliability logits.
+    fn forward_pairs<'p, E: Executor<'p>>(
+        &'p self,
+        ex: &mut E,
+        corpus: &EncodedCorpus,
+        users: &[usize],
+        items: &[usize],
+    ) -> (E::V, E::V) {
+        let (e_u, e_i) = self.pair_ids(ex, users, items);
         let ids = (&e_u, &e_i);
-        let (x_u, _) = self.tower(ex, Some(corpus), Side::User, &self.inputs(Side::User, user, item), ids);
-        let (y_i, _) = self.tower(ex, Some(corpus), Side::Item, &self.inputs(Side::Item, user, item), ids);
+        let inputs = |side| {
+            let (mut revs, mut counts) = (Vec::new(), [0; MAX_PAIRS]);
+            for (d, (&user, &item)) in counts.iter_mut().zip(users.iter().zip(items)) {
+                *d = self.push_inputs(side, user, item, &mut revs);
+            }
+            (revs, counts)
+        };
+        let (revs, counts) = inputs(Side::User);
+        let (x_u, _) = self.towers(ex, Some(corpus), Side::User, (&revs, &counts[..users.len()]), ids);
+        let (revs, counts) = inputs(Side::Item);
+        let (y_i, _) = self.towers(ex, Some(corpus), Side::Item, (&revs, &counts[..users.len()]), ids);
         self.heads(ex, e_u, e_i, &x_u, &y_i)
     }
 
-    /// Joint prediction for a user–item pair: the training forward run on
-    /// the value evaluator.
+    /// Joint prediction for a user–item pair: the training forward of one
+    /// pair, run on the value evaluator.
     pub fn predict(&self, corpus: &EncodedCorpus, user: UserId, item: ItemId) -> Prediction {
-        let (rating, logits) = self.forward_pair(&mut Eval, corpus, user.index(), item.index());
+        let (rating, logits) = self.forward_pairs(&mut Eval, corpus, &[user.index()], &[item.index()]);
         Prediction::from_heads(&rating, &logits)
     }
 
-    /// One tower of the pair on the value evaluator, with its attention.
+    /// One tower of the pair on the value evaluator, with its inputs and
+    /// attention.
     fn eval_tower(&self, corpus: Option<&EncodedCorpus>, side: Side, user: UserId, item: ItemId) -> (Vec<usize>, Tensor, Option<Tensor>) {
-        let (e_u, e_i) = self.pair_ids(&mut Eval, user.index(), item.index());
+        let (e_u, e_i) = self.pair_ids(&mut Eval, &[user.index()], &[item.index()]);
         let revs = self.inputs(side, user.index(), item.index());
-        let (repr, alpha) = self.tower(&mut Eval, corpus, side, &revs, (&e_u, &e_i));
+        let (repr, alpha) = self.towers(&mut Eval, corpus, side, (&revs, &[revs.len()]), (&e_u, &e_i));
         (revs, repr.into_owned(), alpha.map(Cow::into_owned))
     }
 
@@ -722,7 +779,7 @@ impl Rrre {
     /// [`Rrre::infer_user_tower`]/[`Rrre::infer_item_tower`] outputs with
     /// this reproduces [`Rrre::predict`] exactly.
     pub fn infer_heads(&self, user: UserId, item: ItemId, x_u: &Tensor, y_i: &Tensor) -> Prediction {
-        let (e_u, e_i) = self.pair_ids(&mut Eval, user.index(), item.index());
+        let (e_u, e_i) = self.pair_ids(&mut Eval, &[user.index()], &[item.index()]);
         let (rating, logits) = self.heads(&mut Eval, e_u, e_i, &Cow::Borrowed(x_u), &Cow::Borrowed(y_i));
         Prediction::from_heads(&rating, &logits)
     }
@@ -958,9 +1015,9 @@ mod tests {
     fn assert_towers_match_the_tape(model: &Rrre, corpus: &EncodedCorpus, user: UserId, item: ItemId) {
         for side in [Side::User, Side::Item] {
             let mut tape = Tape::new();
-            let (e_u, e_i) = model.pair_ids(&mut tape, user.index(), item.index());
+            let (e_u, e_i) = model.pair_ids(&mut tape, &[user.index()], &[item.index()]);
             let revs = model.inputs(side, user.index(), item.index());
-            let (repr, alpha) = model.tower(&mut tape, Some(corpus), side, &revs, (&e_u, &e_i));
+            let (repr, alpha) = model.towers(&mut tape, Some(corpus), side, (&revs, &[revs.len()]), (&e_u, &e_i));
             if model.has_frozen_cache() {
                 let served = match side {
                     Side::User => model.infer_user_tower(user, item),
@@ -1011,7 +1068,7 @@ mod tests {
             let model = Rrre::fit(&ds, &corpus, &train, cfg);
             for (user, item) in deterministic_pairs(&ds, seed, 200) {
                 let mut tape = Tape::new();
-                let (rating, logits) = model.forward_pair(&mut tape, &corpus, user.index(), item.index());
+                let (rating, logits) = model.forward_pairs(&mut tape, &corpus, &[user.index()], &[item.index()]);
                 let trained = Prediction::from_heads(tape.value(rating), tape.value(logits));
                 let served = model.predict(&corpus, user, item);
                 assert_eq!(
@@ -1068,10 +1125,10 @@ mod tests {
         let d = index.user_reviews(r.user).len();
 
         let mut tape = Tape::new();
-        let (e_u, e_i) = model.pair_ids(&mut tape, r.user.index(), r.item.index());
+        let (e_u, e_i) = model.pair_ids(&mut tape, &[r.user.index()], &[r.item.index()]);
         let revs = model.inputs(Side::User, r.user.index(), r.item.index());
         assert_eq!(revs.len(), d);
-        let (x_u, alpha) = model.tower(&mut tape, Some(&corpus), Side::User, &revs, (&e_u, &e_i));
+        let (x_u, alpha) = model.towers(&mut tape, Some(&corpus), Side::User, (&revs, &[revs.len()]), (&e_u, &e_i));
         let alpha = alpha.expect("fraud attention");
         assert_eq!(tape.shape(alpha), (d, 1), "one weight per real review, no padded slot");
         let loss = tape.sum_all(x_u);
@@ -1084,11 +1141,95 @@ mod tests {
         assert_eq!((shown, weights.len()), (revs, d));
         assert!((weights.iter().sum::<f32>() - 1.0).abs() < 1e-5);
 
-        let (e_u, e_i) = model.pair_ids(&mut Eval, r.user.index(), r.item.index());
-        let (none, alpha) = model.tower(&mut Eval, None, Side::User, &[], (&e_u, &e_i));
+        let (e_u, e_i) = model.pair_ids(&mut Eval, &[r.user.index()], &[r.item.index()]);
+        let (none, alpha) = model.towers(&mut Eval, None, Side::User, (&[], &[0]), (&e_u, &e_i));
         assert!(alpha.is_none());
         let bias = model.params.iter().find(|(_, name, _)| *name == "rrre.usernet.fc.b").expect("fc bias").2;
         assert_eq!(bits(none.as_slice()), bits(bias.as_slice()));
+    }
+
+    /// The bits a shard hands on: every gradient slot, the rows each slot
+    /// was written at, and the three loss sums.
+    fn shard_bits(model: &Rrre, shard: &GradShard) -> Vec<(String, Vec<u32>, Option<Vec<usize>>)> {
+        let mut out: Vec<_> = model
+            .params
+            .ids()
+            .map(|id| {
+                let rows = shard.grads.written_rows(id).map(<[usize]>::to_vec);
+                (model.params.name(id).to_string(), bits(shard.grads.grad(id).as_slice()), rows)
+            })
+            .collect();
+        let losses = [shard.loss, shard.loss1, shard.loss2].map(|l| l.to_bits() as u32 ^ (l.to_bits() >> 32) as u32);
+        out.push(("losses".into(), losses.to_vec(), None));
+        out
+    }
+
+    /// A shard of 1–4 examples stacked in one pass hands its store the bits
+    /// of its examples run as one-example passes, one after the other: every
+    /// gradient and written row, and the loss sums. The shard is built so
+    /// that its examples' gradients meet in one embedding row from several
+    /// nodes: three examples share item `i`, whose latest reviewer `u` is
+    /// the first example's pair user and an item-tower counterpart of all
+    /// three, and `i` is both their pair item and a user-tower counterpart
+    /// of the first; a fourth example's user has no reviews at all
+    /// (`d = 0`). It runs in every training mode the shard pass has: frozen
+    /// and end-to-end encoders, mean pooling, random sampling, the unbiased
+    /// loss and half the labels.
+    #[test]
+    fn a_shard_pass_equals_its_examples_one_by_one() {
+        let (mut ds, corpus) = tiny();
+        let loner = UserId(ds.n_users as u32);
+        ds.n_users += 1;
+        let train: Vec<usize> = (0..ds.len()).collect();
+        let index = ds.index();
+        let i = (0..ds.n_items as u32).map(ItemId).find(|&i| index.item_reviews(i).len() >= 3).expect("an item with three reviews");
+        let latest: Vec<usize> = index.item_reviews(i).iter().rev().take(3).copied().collect();
+        let u = ds.reviews[latest[0]].user;
+        let mut lonely = ds.reviews[latest[0]].clone();
+        lonely.user = loner;
+        let examples: Vec<(&Review, bool)> =
+            vec![(&ds.reviews[latest[0]], true), (&ds.reviews[latest[1]], false), (&ds.reviews[latest[2]], true), (&lonely, false)];
+
+        let base = RrreConfig { labeled_fraction: 0.5, ..RrreConfig::tiny() };
+        let configs = [
+            base,
+            RrreConfig { encoder: EncoderMode::EndToEnd, ..base },
+            RrreConfig { pooling: crate::config::Pooling::Mean, ..base },
+            RrreConfig { sampling: Sampling::Random, ..base },
+            base.minus(),
+        ];
+        for cfg in configs {
+            let (model, _, _) = Rrre::training_setup(&ds, &corpus, &train, cfg);
+            if cfg == base {
+                for &(r, _) in &examples[..3] {
+                    let item_side: Vec<usize> =
+                        model.inputs(Side::Item, r.user.index(), i.index()).iter().map(|&ri| model.input_users_of[ri]).collect();
+                    assert!(item_side.contains(&u.index()), "u is an item-tower counterpart of every pair on i");
+                }
+                let user_side: Vec<usize> = model.inputs(Side::User, u.index(), i.index()).iter().map(|&ri| model.input_items_of[ri]).collect();
+                assert!(user_side.contains(&i.index()), "i is a user-tower counterpart of u's pair");
+                assert!(model.inputs(Side::User, loner.index(), i.index()).is_empty(), "the loner has no reviews");
+            }
+            let mut orders: Vec<Vec<(&Review, bool)>> = (1..=examples.len()).map(|n| examples[..n].to_vec()).collect();
+            orders.push(examples.iter().rev().copied().collect());
+            for shard_examples in orders {
+                let mut stacked = GradShard::new(&model.params);
+                model.shard_pass(&corpus, &shard_examples, 8, &mut Tape::new(), &mut stacked);
+                let (mut alone, mut tape) = (GradShard::new(&model.params), Tape::new());
+                for example in &shard_examples {
+                    model.shard_pass(&corpus, std::slice::from_ref(example), 8, &mut tape, &mut alone);
+                }
+                let n = shard_examples.len();
+                for ((name, got, rows), (_, want, want_rows)) in shard_bits(&model, &stacked).into_iter().zip(shard_bits(&model, &alone)) {
+                    let differ = got.iter().zip(&want).filter(|(g, w)| g != w).count();
+                    assert!(
+                        differ == 0 && rows == want_rows,
+                        "{name}: a shard of {n} stacked differs from its examples one by one in {differ} elements \
+                         (written rows {rows:?} vs {want_rows:?}); {cfg:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1099,9 +1240,8 @@ mod tests {
         assert!(matches!(cfg.encoder, EncoderMode::Frozen));
         let (model, _, _) = Rrre::training_setup(&ds, &corpus, &train, cfg);
         let mut shard = GradShard::new(&model.params);
-        for review in [0, ds.len() - 1] {
-            model.example_pass(&corpus, &ds.reviews[review], true, 2, &mut Tape::new(), &mut shard.grads);
-        }
+        let examples = [(&ds.reviews[0], true), (&ds.reviews[ds.len() - 1], true)];
+        model.shard_pass(&corpus, &examples, 2, &mut Tape::new(), &mut shard);
         for id in model.encoder.param_ids() {
             assert_eq!(shard.grads.written_rows(id), Some(&[][..]), "{} entered the shard", model.params.name(id));
         }

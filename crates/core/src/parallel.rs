@@ -30,10 +30,10 @@
 //! one value `+ 0.0` would change — so this changes no bit of the
 //! argument above.
 //!
-//! Each thread records its examples on a tape of its own, lent by
+//! Each thread records its shards on a tape of its own, lent by
 //! [`run_shards`] and kept across steps, so its buffers stay warm; a tape
-//! only holds one example's graph at a time, so which tape an example runs
-//! on changes none of its bits either.
+//! only holds one shard's graph at a time, and a pass writes every value
+//! it reads, so which tape a shard runs on changes none of its bits either.
 //!
 //! Together these make training bit-identical for every thread count,
 //! including `threads = 1`, which runs the very same shard loop on the
@@ -148,15 +148,15 @@ pub fn tree_reduce(shards: &mut [GradShard]) {
 pub fn run_shards(
     threads: usize,
     shards: &mut [GradShard],
-    tapes: &mut Vec<Tape>,
-    fill: impl Fn(usize, &mut GradShard, &mut Tape) + Sync,
+    tapes: &mut Vec<Tape<'static>>,
+    fill: impl Fn(usize, &mut GradShard, &mut Tape<'static>) + Sync,
 ) {
     let n = shards.len();
     let next = AtomicUsize::new(0);
     // The claim counter gives each slot a single owner; the Mutex proves it
     // to the borrow checker.
     let slots: Vec<Mutex<&mut GradShard>> = shards.iter_mut().map(Mutex::new).collect();
-    let claim = |tape: &mut Tape| loop {
+    let claim = |tape: &mut Tape<'static>| loop {
         let s = next.fetch_add(1, Ordering::Relaxed);
         if s >= n {
             break;

@@ -6,7 +6,8 @@
 //! connected layer into the entity representation (`x_u` or `y_i`). The
 //! paper zero-pads to `m` rows and masks the padding out of the softmax; a
 //! padded row only ever adds `+0.0` to a sum, so the tower runs over the
-//! `d` real rows alone and gives the same bits.
+//! `d` real rows alone and gives the same bits. A batch of entities runs as
+//! one tower over their stacked rows, each entity pooled over its own.
 
 use crate::config::Pooling;
 use rand::Rng;
@@ -44,8 +45,8 @@ impl Tower {
         }
     }
 
-    /// Tower forward: `reviews` is the entity's `[d, k]` review matrix,
-    /// `context` is `[1, ctx_dim]` or `[d, ctx_dim]` (target-pair ID
+    /// Tower forward of one entity: `reviews` is its `[d, k]` review
+    /// matrix, `context` is `[1, ctx_dim]` or `[d, ctx_dim]` (target-pair ID
     /// embeddings). An entity with no reviews (`d = 0`) produces the zero
     /// representation projected through the dense layer, so downstream
     /// shapes stay uniform. `pooling` selects fraud-attention or the
@@ -58,31 +59,42 @@ impl Tower {
         context: E::V,
         pooling: Pooling,
     ) -> E::V {
-        self.attend(ex, params, &reviews, &context, pooling).0
+        let d = ex.shape(&reviews).0;
+        self.attend(ex, params, &reviews, &context, &[d], pooling).0
     }
 
-    /// [`Tower::forward`] together with the fraud-attention weights `α`
-    /// (`[d, 1]`) it pooled the reviews with — which review mattered, for
-    /// the review-level explanations. `α` is `None` under mean pooling and
-    /// for an entity without reviews.
+    /// The tower over one or more entities, stacked: entity `s` has the
+    /// next `counts[s]` rows of `reviews` (and of a per-row `context`; a
+    /// context of one row per entity is broadcast over its rows). Returns
+    /// one representation row per entity and the fraud-attention weights
+    /// `α` (`[Σd, 1]`) the reviews were pooled with — which review
+    /// mattered, for the review-level explanations. `α` is `None` under mean
+    /// pooling and when no entity has a review.
     pub fn attend<'p, E: Executor<'p>>(
         &self,
         ex: &mut E,
         params: &'p Params,
         reviews: &E::V,
         context: &E::V,
+        counts: &[usize],
         pooling: Pooling,
     ) -> (E::V, Option<E::V>) {
-        let d = ex.shape(reviews).0;
         let (pooled, alpha) = match pooling {
-            _ if d == 0 => (ex.constant(Tensor::zeros(1, self.k)), None),
+            _ if counts.iter().all(|&d| d == 0) => {
+                let zeros = ex.constant(Tensor::zeros(counts.len(), self.k));
+                (ex.stacked(zeros, &vec![1; counts.len()]), None)
+            }
             Pooling::FraudAttention => {
-                let (pooled, alpha) = self.attn.pool(ex, params, reviews, context);
+                let (pooled, alpha) = self.attn.pool(ex, params, reviews, context, counts);
                 (pooled, Some(alpha))
             }
             Pooling::Mean => {
-                let summed = ex.sum_rows(reviews);
-                (ex.scale(summed, 1.0 / d as f32), None)
+                // `1/d` per entity, multiplied as `scale(sum, 1/d)` does; an
+                // entity without reviews keeps its `+0.0` sum.
+                let summed = ex.sum_rows(reviews, counts);
+                let inv = counts.iter().flat_map(|&d| std::iter::repeat_n(if d == 0 { 1.0 } else { 1.0 / d as f32 }, self.k));
+                let inv = ex.constant(Tensor::from_vec(counts.len(), self.k, inv.collect()));
+                (ex.mul(summed, &inv), None)
             }
         };
         (self.fc.forward(ex, params, pooled), alpha)
@@ -111,7 +123,7 @@ mod tests {
         let (params, tower, _, ctx) = setup(2);
         for pooling in [Pooling::FraudAttention, Pooling::Mean] {
             let none = Cow::Owned(Tensor::zeros(0, 6));
-            let (out, alpha) = tower.attend(&mut Eval, &params, &none, &Cow::Borrowed(&ctx), pooling);
+            let (out, alpha) = tower.attend(&mut Eval, &params, &none, &Cow::Borrowed(&ctx), &[0], pooling);
             // Zero pooled vector → output is the fc bias (zero-initialised).
             assert!(out.approx_eq(&Tensor::zeros(1, 3), 1e-6));
             assert!(alpha.is_none());
@@ -122,7 +134,7 @@ mod tests {
     fn attention_weights_cover_exactly_the_reviews() {
         let (params, tower, reviews, ctx) = setup(3);
         let two = Tensor::concat_rows(&[&reviews.row_tensor(0), &reviews.row_tensor(2)]);
-        let (_, alpha) = tower.attend(&mut Eval, &params, &Cow::Owned(two), &Cow::Owned(ctx), Pooling::FraudAttention);
+        let (_, alpha) = tower.attend(&mut Eval, &params, &Cow::Owned(two), &Cow::Owned(ctx), &[2], Pooling::FraudAttention);
         let w = alpha.expect("attention pooling reports its weights");
         assert_eq!(w.shape(), (2, 1));
         assert!((w.sum() - 1.0).abs() < 1e-5);

@@ -1,14 +1,15 @@
 //! Allocation budget of a training step. Each training thread records its
-//! examples on one tape, kept across the steps of an epoch, and a tape reset
-//! for the next example keeps every value and adjoint buffer, so once a tape
-//! is warm an example allocates only what the model's forward definition
-//! itself builds (input lists, the stacked review matrices). This
+//! shards on one tape, kept across the steps of an epoch, and a tape reset
+//! for the next shard keeps every value and adjoint buffer, so once a tape
+//! is warm a shard allocates only what the model's forward definition
+//! itself builds (its input lists, the stacked review matrices), about two
+//! allocations per example. This
 //! binary counts every heap allocation the process makes (one test only, so
 //! no other test thread allocates while it counts) across the second epoch
 //! of a fit at the bench model's shapes (k = 64, s_u = 11, s_i = 12), and
 //! pins the count per example, so a per-op allocation creeping back onto
 //! the tape fails here. The count includes the epoch's one warm-up of its
-//! tape and shards, spread over the epoch's examples.
+//! tape and shards, spread over the epoch's examples: most of the count.
 //! The workspace `cargo test` runs it; it needs no step of its own.
 
 use rrre_core::{Rrre, RrreConfig};
@@ -47,7 +48,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations a warmed-up example may make.
-const PER_EXAMPLE: usize = 14;
+const PER_EXAMPLE: usize = 10;
 
 #[test]
 fn a_warm_training_example_stays_within_its_allocation_budget() {

@@ -6,6 +6,12 @@
 //! construction. Element-wise ops take their first operand by value, and
 //! `Eval` computes into its buffer; an operand needed again is passed by
 //! reference or cloned (a handle copy on the tape).
+//!
+//! A definition may run a batch of examples at once: it stacks their rows
+//! and marks them with [`Executor::stacked`], and the per-entity ops take
+//! the row counts of their segments (`counts`), one entity's rows each. A
+//! single entity is the one-segment case. On a tape the marks let the
+//! backward hand each example its own gradients; evaluation ignores them.
 
 use crate::{ParamId, Params, Tape, Tensor, Var};
 use std::borrow::Cow;
@@ -51,15 +57,23 @@ pub trait Executor<'p> {
     fn relu(&mut self, a: Self::V) -> Self::V;
     /// Element-wise square.
     fn square(&mut self, a: Self::V) -> Self::V;
-    /// Softmax of an `m × 1` column ([`Tensor::softmax_col_assign`]).
-    fn softmax_col(&mut self, a: Self::V) -> Self::V;
+    /// Softmax of each segment of an `m × 1` column on its own
+    /// ([`Tensor::softmax_col_assign`]); segment `s` is the next
+    /// `counts[s]` rows.
+    fn softmax_col(&mut self, a: Self::V, counts: &[usize]) -> Self::V;
+    /// `a + b + bias` per segment of rows, `bias` a `1 × c` row and `b` one
+    /// row per row of `a` or one per segment, with the association of a
+    /// one-row context (see [`Tape::add_biased`]).
+    fn add_biased(&mut self, a: Self::V, b: &Self::V, bias: &Self::V, counts: &[usize]) -> Self::V;
 
     /// Matrix product `a · b`.
     fn matmul(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
-    /// `Σ_r weights[r] · x[r, :]` ([`Tensor::weighted_row_sum`]).
-    fn weighted_row_sum(&mut self, x: &Self::V, weights: &Self::V) -> Self::V;
-    /// Column-wise sum over the rows, `1 × c`.
-    fn sum_rows(&mut self, a: &Self::V) -> Self::V;
+    /// `Σ_r weights[r] · x[r, :]` ([`Tensor::weighted_row_sum`]) of each
+    /// segment of rows: one output row per segment, `+0.0` for an empty one.
+    fn weighted_row_sum(&mut self, x: &Self::V, weights: &Self::V, counts: &[usize]) -> Self::V;
+    /// Column-wise sum over each segment of rows: one output row per
+    /// segment, `+0.0` for an empty one.
+    fn sum_rows(&mut self, a: &Self::V, counts: &[usize]) -> Self::V;
     /// Row-wise sum, `r × 1`.
     fn sum_cols(&mut self, a: &Self::V) -> Self::V;
     /// Horizontal concatenation.
@@ -74,6 +88,13 @@ pub trait Executor<'p> {
     fn im2col(&mut self, x: &Self::V, width: usize) -> Self::V;
     /// Column-wise maximum over the rows, `1 × c`.
     fn max_over_rows(&mut self, x: &Self::V) -> Self::V;
+
+    /// `v`, its rows marked as stacked over a batch of `counts.len()`
+    /// examples: `counts[0]` rows of the first, `counts[1]` of the second,
+    /// and so on ([`Tape::stacked`]). Evaluation returns `v` as it is.
+    fn stacked(&mut self, v: Self::V, _counts: &[usize]) -> Self::V {
+        v
+    }
 
     /// Affine map `x · w + b`, `b` broadcast over the rows.
     fn affine(&mut self, x: &Self::V, w: &Self::V, b: &Self::V) -> Self::V {
@@ -98,7 +119,7 @@ macro_rules! ops {
     };
 }
 
-impl<'p> Executor<'p> for Tape {
+impl<'p> Executor<'p> for Tape<'_> {
     type V = Var;
 
     fn value<'a>(&'a self, v: &'a Var) -> &'a Tensor {
@@ -109,6 +130,9 @@ impl<'p> Executor<'p> for Tape {
     }
     fn concat_rows(&mut self, parts: &[&Var]) -> Var {
         self.concat(parts.iter().map(|&&p| p), true)
+    }
+    fn stacked(&mut self, v: Var, counts: &[usize]) -> Var {
+        Tape::stacked(self, v, counts)
     }
     ops! { record;
         constant(value: Tensor) => (value);
@@ -124,10 +148,11 @@ impl<'p> Executor<'p> for Tape {
         sigmoid(a: Var) => (a);
         relu(a: Var) => (a);
         square(a: Var) => (a);
-        softmax_col(a: Var) => (a);
+        softmax_col(a: Var, counts: &[usize]) => (a, counts);
+        add_biased(a: Var, b: &Var, bias: &Var, counts: &[usize]) => (a, *b, *bias, counts);
         matmul(a: &Var, b: &Var) => (*a, *b);
-        weighted_row_sum(x: &Var, weights: &Var) => (*x, *weights);
-        sum_rows(a: &Var) => (*a);
+        weighted_row_sum(x: &Var, weights: &Var, counts: &[usize]) => (*x, *weights, counts);
+        sum_rows(a: &Var, counts: &[usize]) => (*a, counts);
         sum_cols(a: &Var) => (*a);
         slice_cols(a: &Var, start: usize, end: usize) => (*a, start, end);
         gather_rows(a: &Var, indices: &[usize]) => (*a, indices);
@@ -148,6 +173,13 @@ type Value<'p> = Cow<'p, Tensor>;
 /// The tensors behind `parts`.
 fn tensors<'a>(parts: &[&'a Value<'_>]) -> Vec<&'a Tensor> {
     parts.iter().map(|p| &***p).collect()
+}
+
+/// The tensor `fill` writes into a fresh buffer.
+fn owned(fill: impl FnOnce(&mut Tensor)) -> Tensor {
+    let mut out = Tensor::default();
+    fill(&mut out);
+    out
 }
 
 /// Applies `f` to `a`'s own buffer, copying a borrowed value first.
@@ -177,10 +209,11 @@ impl<'p> Executor<'p> for Eval {
         sigmoid(a: Value<'p>) => in_place(a, |t| t.map_inplace(crate::tensor::sigmoid));
         relu(a: Value<'p>) => in_place(a, |t| t.map_inplace(|x| x.max(0.0)));
         square(a: Value<'p>) => in_place(a, |t| t.map_inplace(|x| x * x));
-        softmax_col(a: Value<'p>) => in_place(a, Tensor::softmax_col_assign);
+        softmax_col(a: Value<'p>, counts: &[usize]) => in_place(a, |t| t.softmax_col_segments_assign(counts));
+        add_biased(a: Value<'p>, b: &Value<'p>, bias: &Value<'p>, counts: &[usize]) => in_place(a, |t| t.add_biased_assign(b, bias, counts));
         matmul(a: &Value<'p>, b: &Value<'p>) => Cow::Owned(a.matmul(b));
-        weighted_row_sum(x: &Value<'p>, weights: &Value<'p>) => Cow::Owned(x.weighted_row_sum(weights));
-        sum_rows(a: &Value<'p>) => Cow::Owned(a.sum_rows());
+        weighted_row_sum(x: &Value<'p>, weights: &Value<'p>, counts: &[usize]) => Cow::Owned(owned(|out| x.weighted_row_sum_into(weights, counts, out)));
+        sum_rows(a: &Value<'p>, counts: &[usize]) => Cow::Owned(owned(|out| a.sum_rows_into(counts, out)));
         sum_cols(a: &Value<'p>) => Cow::Owned(a.sum_cols());
         concat_cols(parts: &[&Value<'p>]) => Cow::Owned(Tensor::concat_cols(&tensors(parts)));
         concat_rows(parts: &[&Value<'p>]) => Cow::Owned(Tensor::concat_rows(&tensors(parts)));

@@ -55,6 +55,7 @@
 mod exec;
 pub mod gradcheck;
 pub mod init;
+mod kernel;
 pub mod nn;
 pub mod optim;
 mod ops;

@@ -49,19 +49,28 @@ impl AttentionPool {
     }
 
     /// Raw attention logits `α*` (`[m, 1]`) for rows `items` (`[m, k]`)
-    /// against context. Eq. (5).
+    /// against context, Eq. (5), for one or more entities: segment `s` of
+    /// the rows is the next `counts[s]` of them, one entity's reviews.
     ///
     /// `context` is either `[1, ctx_dim]` (one shared context broadcast over
-    /// all rows — RRRE's target user/item IDs) or `[m, ctx_dim]` (a per-row
-    /// context — NARRE attends with the ID embedding of each review's own
-    /// counterpart entity).
-    fn logits<'p, E: Executor<'p>>(&self, ex: &mut E, params: &'p Params, items: &E::V, context: &E::V) -> E::V {
+    /// all rows — RRRE's target user/item IDs), one row per segment, or
+    /// `[m, ctx_dim]` (a per-row context — NARRE attends with the ID
+    /// embedding of each review's own counterpart entity).
+    fn logits<'p, E: Executor<'p>>(
+        &self,
+        ex: &mut E,
+        params: &'p Params,
+        items: &E::V,
+        context: &E::V,
+        counts: &[usize],
+    ) -> E::V {
         let (m, item_dim) = ex.shape(items);
         assert_eq!(item_dim, self.item_dim, "AttentionPool: item dim mismatch");
         let ctx_shape = ex.shape(context);
         assert!(
-            ctx_shape == (1, self.ctx_dim) || ctx_shape == (m, self.ctx_dim),
-            "AttentionPool: context must be [1, {}] or [{m}, {}], got {ctx_shape:?}",
+            ctx_shape.1 == self.ctx_dim && (ctx_shape.0 == m || ctx_shape.0 == counts.len()),
+            "AttentionPool: context must be [{}, {}] or [{m}, {}], got {ctx_shape:?}",
+            counts.len(),
             self.ctx_dim,
             self.ctx_dim
         );
@@ -70,45 +79,48 @@ impl AttentionPool {
         let b1 = ex.param(params, self.b1);
         let h = ex.param(params, self.h);
         let b2 = ex.param(params, self.b2);
-
         let proj_items = ex.matmul(items, &w_rev);
         let proj_ctx = ex.matmul(context, &w_ctx);
-        let pre = if ctx_shape.0 == 1 {
-            let ctx_plus_b1 = ex.add(proj_ctx, &b1);
-            ex.add_row_broadcast(proj_items, &ctx_plus_b1)
-        } else {
-            let summed = ex.add(proj_items, &proj_ctx);
-            ex.add_row_broadcast(summed, &b1)
-        };
+        let pre = ex.add_biased(proj_items, &proj_ctx, &b1, counts);
         let act = ex.tanh(pre);
         let scores = ex.matmul(&act, &h);
         ex.add_row_broadcast(scores, &b2)
     }
 
-    /// Attention weights `α` (`[m, 1]`, Eq. 6) over every row of `items`;
-    /// a caller pools an entity's real reviews only, so there is no padding
-    /// to mask.
-    pub fn weights<'p, E: Executor<'p>>(&self, ex: &mut E, params: &'p Params, items: &E::V, context: &E::V) -> E::V {
-        let logits = self.logits(ex, params, items, context);
-        ex.softmax_col(logits)
+    /// Attention weights `α` (`[m, 1]`, Eq. 6) over the rows of `items`,
+    /// normalised over each entity's segment of `counts[s]` rows; a caller
+    /// pools an entity's real reviews only, so there is no padding to mask.
+    pub fn weights<'p, E: Executor<'p>>(
+        &self,
+        ex: &mut E,
+        params: &'p Params,
+        items: &E::V,
+        context: &E::V,
+        counts: &[usize],
+    ) -> E::V {
+        let logits = self.logits(ex, params, items, context, counts);
+        ex.softmax_col(logits, counts)
     }
 
-    /// The pooled rows (`[1, k]`, Eq. 7) together with the weights `α`
-    /// (`[m, 1]`) that pooled them.
+    /// Each entity's pooled rows (`[counts.len(), k]`, Eq. 7) together with
+    /// the weights `α` (`[m, 1]`) that pooled them.
     pub fn pool<'p, E: Executor<'p>>(
         &self,
         ex: &mut E,
         params: &'p Params,
         items: &E::V,
         context: &E::V,
+        counts: &[usize],
     ) -> (E::V, E::V) {
-        let alpha = self.weights(ex, params, items, context);
-        (ex.weighted_row_sum(items, &alpha), alpha)
+        let alpha = self.weights(ex, params, items, context, counts);
+        (ex.weighted_row_sum(items, &alpha, counts), alpha)
     }
 
-    /// Full pooling: weighted sum of the rows (`[1, k]`, Eq. 7).
+    /// Full pooling of one entity: weighted sum of the rows (`[1, k]`,
+    /// Eq. 7).
     pub fn forward<'p, E: Executor<'p>>(&self, ex: &mut E, params: &'p Params, items: E::V, context: E::V) -> E::V {
-        self.pool(ex, params, &items, &context).0
+        let m = ex.shape(&items).0;
+        self.pool(ex, params, &items, &context, &[m]).0
     }
 }
 
@@ -135,7 +147,7 @@ mod tests {
         let mut tape = Tape::new();
         let iv = tape.constant(items.clone());
         let cv = tape.constant(ctx.clone());
-        let w = attn.weights(&mut tape, &params, &iv, &cv);
+        let w = attn.weights(&mut tape, &params, &iv, &cv, &[6]);
         assert_eq!(tape.shape(w), (6, 1));
         assert!((tape.value(w).sum() - 1.0).abs() < 1e-5);
     }
@@ -154,7 +166,7 @@ mod tests {
         let (params, attn, items, _) = setup(46);
         let mut rng = StdRng::seed_from_u64(47);
         let ctx_rows = init::normal(&mut rng, 6, 3, 0.0, 1.0);
-        let w = attn.weights(&mut Eval, &params, &Cow::Owned(items), &Cow::Owned(ctx_rows));
+        let w = attn.weights(&mut Eval, &params, &Cow::Owned(items), &Cow::Owned(ctx_rows), &[6]);
         assert_eq!(w.shape(), (6, 1));
         assert!((w.sum() - 1.0).abs() < 1e-5);
     }

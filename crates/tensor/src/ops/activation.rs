@@ -2,7 +2,7 @@
 
 use crate::tape::{Op, Tape, Var};
 
-impl Tape {
+impl Tape<'_> {
     /// Hyperbolic tangent, applied element-wise.
     pub fn tanh(&mut self, a: Var) -> Var {
         self.record(Op::Tanh(a), |t, out| t.value(a).map_into(out, f32::tanh))
@@ -23,12 +23,14 @@ impl Tape {
         self.record(Op::SoftmaxRows(a), |t, out| t.value(a).softmax_rows_into(out))
     }
 
-    /// Softmax of an `m × 1` score column
-    /// ([`crate::Tensor::softmax_col_assign`]): attention weights in one node.
-    pub fn softmax_col(&mut self, a: Var) -> Var {
-        self.record(Op::SoftmaxCol(a), |t, out| {
+    /// Softmax of each segment of an `m × 1` score column on its own
+    /// ([`crate::Tensor::softmax_col_assign`]): segment `s` is the next
+    /// `counts[s]` rows, one entity's attention weights.
+    pub fn softmax_col(&mut self, a: Var, counts: &[usize]) -> Var {
+        let span = self.stash_indices(counts);
+        self.record(Op::SoftmaxCol(a, span), |t, out| {
             out.copy_from(t.value(a));
-            out.softmax_col_assign();
+            out.softmax_col_segments_assign(t.indices_of(span));
         })
     }
 }
@@ -80,7 +82,7 @@ mod tests {
                 let mut tape = Tape::new();
                 let x = tape.param(params, x_id);
                 let (y, wv) = if fused {
-                    (tape.softmax_col(x), tape.constant(w.clone()))
+                    (tape.softmax_col(x, &[m]), tape.constant(w.clone()))
                 } else {
                     let penalty = tape.constant(Tensor::full(pad, 1, -1.0e9));
                     let z = Executor::concat_rows(&mut tape, &[&x, &penalty]);
@@ -114,7 +116,7 @@ mod tests {
         let w = init::normal(&mut rng, 5, 1, 0.0, 1.0);
         assert_gradients_ok(&mut params, move |p, tape| {
             let x = tape.param(p, x_id);
-            let y = tape.softmax_col(x);
+            let y = tape.softmax_col(x, &[5]);
             let wv = tape.constant(w.clone());
             let prod = tape.mul(y, wv);
             let sq = tape.square(prod);

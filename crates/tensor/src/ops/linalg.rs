@@ -2,7 +2,7 @@
 
 use crate::tape::{Op, Tape, Var};
 
-impl Tape {
+impl Tape<'_> {
     /// Element-wise sum of two same-shaped nodes.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         self.record(Op::Add(a, b), |t, out| t.value(a).zip_map_into(t.value(b), out, |x, y| x + y))
@@ -28,11 +28,30 @@ impl Tape {
         self.record(Op::MulColBroadcast(a, col), |t, out| t.value(a).mul_col_broadcast_into(t.value(col), out))
     }
 
-    /// `Σ_r weights[r] · x[r, :]` (`weights` is `r × 1`), producing `1 × c`:
-    /// [`Tape::mul_col_broadcast`] then [`Tape::sum_rows`] in one node, with
-    /// the same bits forward and backward.
-    pub fn weighted_row_sum(&mut self, x: Var, weights: Var) -> Var {
-        self.record(Op::WeightedRowSum(x, weights), |t, out| t.value(x).weighted_row_sum_into(t.value(weights), out))
+    /// `Σ_r weights[r] · x[r, :]` (`weights` is `r × 1`) of each segment of
+    /// rows (segment `s` is the next `counts[s]` rows), one output row per
+    /// segment: [`Tape::mul_col_broadcast`] then [`Tape::sum_rows`] in one
+    /// node, with the same bits forward and backward.
+    pub fn weighted_row_sum(&mut self, x: Var, weights: Var, counts: &[usize]) -> Var {
+        let span = self.stash_indices(counts);
+        self.record(Op::WeightedRowSum(x, weights, span), |t, out| {
+            t.value(x).weighted_row_sum_into(t.value(weights), t.indices_of(span), out)
+        })
+    }
+
+    /// `a + b + bias` per segment of rows (segment `s` is the next
+    /// `counts[s]` rows), `bias` a `1 × c` row and `b` one row per row of
+    /// `a` or one per segment: the attention pre-activation of one or more
+    /// entities. A segment whose context is one row — one per segment, or
+    /// the one row of a one-row segment — adds `a + (b + bias)`, as
+    /// broadcasting a single context row does; any other adds
+    /// `(a + b) + bias`.
+    pub fn add_biased(&mut self, a: Var, b: Var, bias: Var, counts: &[usize]) -> Var {
+        let span = self.stash_indices(counts);
+        self.record(Op::AddBiased { a, b, bias, counts: span }, |t, out| {
+            out.copy_from(t.value(a));
+            out.add_biased_assign(t.value(b), t.value(bias), t.indices_of(span));
+        })
     }
 
     /// Scalar multiple `alpha * a`.
@@ -133,10 +152,10 @@ mod tests {
             let x = tape.param(params, x_id);
             let w = tape.param(params, w_id);
             let y = if fused {
-                tape.weighted_row_sum(x, w)
+                tape.weighted_row_sum(x, w, &[4])
             } else {
                 let weighted = tape.mul_col_broadcast(x, w);
-                tape.sum_rows(weighted)
+                tape.sum_rows(weighted, &[4])
             };
             let tv = tape.constant(t.clone());
             let prod = tape.mul(y, tv);
@@ -159,7 +178,7 @@ mod tests {
         assert_gradients_ok(&mut params, move |p, tape| {
             let x = tape.param(p, x_id);
             let w = tape.param(p, w_id);
-            let y = tape.weighted_row_sum(x, w);
+            let y = tape.weighted_row_sum(x, w, &[4]);
             let sq = tape.square(y);
             tape.sum_all(sq)
         });

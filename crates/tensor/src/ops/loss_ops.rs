@@ -3,7 +3,7 @@
 use crate::tape::{Op, Tape, Var};
 use crate::Tensor;
 
-impl Tape {
+impl Tape<'_> {
     /// Numerically stable mean softmax cross-entropy over the rows of
     /// `logits` (`n × C`), against integer class `targets`.
     ///
@@ -16,26 +16,48 @@ impl Tape {
     /// Panics if `targets` (or `weights`) length differs from the row count,
     /// or any target is out of range.
     pub fn softmax_cross_entropy(&mut self, logits: Var, targets: &[usize], weights: Option<&[f32]>) -> Var {
-        let z = self.value(logits);
-        let (n, c) = z.shape();
+        self.cross_entropy(logits, targets, weights, false)
+    }
+
+    /// [`Tape::softmax_cross_entropy`] of each row on its own: an `n × 1`
+    /// column holding the (weighted) loss of each row, with the bits of the
+    /// mean over that row alone.
+    pub fn softmax_cross_entropy_rows(&mut self, logits: Var, targets: &[usize], weights: Option<&[f32]>) -> Var {
+        self.cross_entropy(logits, targets, weights, true)
+    }
+
+    fn cross_entropy(&mut self, logits: Var, targets: &[usize], weights: Option<&[f32]>, per_row: bool) -> Var {
+        let (n, c) = self.value(logits).shape();
         assert_eq!(targets.len(), n, "softmax_cross_entropy: {n} rows vs {} targets", targets.len());
         if let Some(w) = weights {
             assert_eq!(w.len(), n, "softmax_cross_entropy: {n} rows vs {} weights", w.len());
         }
-        let mut total = 0.0;
-        for (r, &t) in targets.iter().enumerate() {
-            assert!(t < c, "softmax_cross_entropy: target {t} out of {c} classes");
-            let row = z.row(r);
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let log_denom = row.iter().map(|&v| (v - m).exp()).sum::<f32>().ln();
-            let nll = -(row[t] - m - log_denom);
-            total += weights.map_or(1.0, |w| w[r]) * nll;
-        }
         let targets = self.stash_indices(targets);
         let weights = weights.map(|w| self.stash_floats(w));
-        self.record(Op::SoftmaxCrossEntropy { logits, targets, weights }, |_, out| {
-            out.reset(1, 1);
-            out.set(0, 0, total / n as f32);
+        self.record(Op::SoftmaxCrossEntropy { logits, targets, weights, per_row }, |t, out| {
+            let (z, targets) = (t.value(logits), t.indices_of(targets));
+            let weights = weights.map(|w| t.floats_of(w));
+            let nll = |r: usize| {
+                let target = targets[r];
+                assert!(target < c, "softmax_cross_entropy: target {target} out of {c} classes");
+                let row = z.row(r);
+                let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let log_denom = row.iter().map(|&v| (v - m).exp()).sum::<f32>().ln();
+                weights.map_or(1.0, |w| w[r]) * -(row[target] - m - log_denom)
+            };
+            if per_row {
+                out.reset(n, 1);
+                for r in 0..n {
+                    out.set(r, 0, (0.0 + nll(r)) / 1.0);
+                }
+            } else {
+                let mut total = 0.0;
+                for r in 0..n {
+                    total += nll(r);
+                }
+                out.reset(1, 1);
+                out.set(0, 0, total / n as f32);
+            }
         })
     }
 
@@ -53,6 +75,16 @@ impl Tape {
     /// ground truth (or any per-example weight). `pred` must be `n × 1`.
     pub fn weighted_mse(&mut self, pred: Var, target: &[f32], weights: &[f32]) -> Var {
         let n = self.value(pred).rows();
+        let weighted = self.weighted_squared_errors(pred, target, weights);
+        let s = self.sum_all(weighted);
+        self.scale(s, 1.0 / n as f32)
+    }
+
+    /// The terms of [`Tape::weighted_mse`], each row's on its own: the
+    /// column `w_i (pred_i − target_i)²`, each row with the bits of the
+    /// loss of that row alone.
+    pub fn weighted_squared_errors(&mut self, pred: Var, target: &[f32], weights: &[f32]) -> Var {
+        let n = self.value(pred).rows();
         assert_eq!(self.value(pred).cols(), 1, "weighted_mse: pred must be a column vector");
         assert_eq!(target.len(), n, "weighted_mse: {n} preds vs {} targets", target.len());
         assert_eq!(weights.len(), n, "weighted_mse: {n} preds vs {} weights", weights.len());
@@ -60,9 +92,7 @@ impl Tape {
         let w = self.constant_from(n, 1, weights);
         let diff = self.sub(pred, t);
         let sq = self.square(diff);
-        let weighted = self.mul(sq, w);
-        let s = self.sum_all(weighted);
-        self.scale(s, 1.0 / n as f32)
+        self.mul(sq, w)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::tape::{Op, Tape, Var};
 
-impl Tape {
+impl Tape<'_> {
     /// Sum of all elements, producing a `1 × 1` node.
     pub fn sum_all(&mut self, a: Var) -> Var {
         self.record(Op::SumAll(a), |t, out| {
@@ -19,9 +19,11 @@ impl Tape {
         })
     }
 
-    /// Column-wise sum over rows, producing `1 × c`.
-    pub fn sum_rows(&mut self, a: Var) -> Var {
-        self.record(Op::SumRows(a), |t, out| t.value(a).sum_rows_into(out))
+    /// Column-wise sum over each segment of rows (segment `s` is the next
+    /// `counts[s]` rows), one output row per segment.
+    pub fn sum_rows(&mut self, a: Var, counts: &[usize]) -> Var {
+        let span = self.stash_indices(counts);
+        self.record(Op::SumRows(a, span), |t, out| t.value(a).sum_rows_into(t.indices_of(span), out))
     }
 
     /// Row-wise sum over columns, producing `r × 1`.
@@ -31,8 +33,9 @@ impl Tape {
 
     /// Mean over rows, producing `1 × c` (sum_rows scaled by `1/r`).
     pub fn mean_rows(&mut self, a: Var) -> Var {
-        let r = self.value(a).rows().max(1) as f32;
-        let s = self.sum_rows(a);
+        let rows = self.value(a).rows();
+        let s = self.sum_rows(a, &[rows]);
+        let r = rows.max(1) as f32;
         self.scale(s, 1.0 / r)
     }
 }
@@ -47,7 +50,7 @@ mod tests {
         let a = tape.constant(Tensor::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
         let s = tape.sum_all(a);
         let m = tape.mean_all(a);
-        let sr = tape.sum_rows(a);
+        let sr = tape.sum_rows(a, &[2]);
         let sc = tape.sum_cols(a);
         let mr = tape.mean_rows(a);
         assert_eq!(tape.value(s).item(), 21.0);

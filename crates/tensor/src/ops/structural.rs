@@ -2,7 +2,7 @@
 
 use crate::tape::{Op, Tape, Var};
 
-impl Tape {
+impl Tape<'_> {
     /// Horizontal concatenation.
     ///
     /// # Panics

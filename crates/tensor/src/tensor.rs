@@ -9,95 +9,9 @@
 //! All shape mismatches are programming errors and panic with a descriptive
 //! message, mirroring the convention of mainstream array libraries.
 
+use crate::kernel::{self, Lhs, Width, NT_BLOCKED_ROWS};
 use std::fmt;
-
-/// Rows of the left factor from which [`Tensor::matmul_nt_into`] transposes
-/// the right one and runs [`blocked_product`]; below it, each row runs
-/// [`transposed_blocks`] on the right factor as it lies. Measured for
-/// `g · w_ctxᵀ` (`k = 16, n = 48`; 2-vCPU Xeon, release build, SSE2): 1 row
-/// takes ≈ 0.21 µs in row blocks and ≈ 0.61 µs transposed, 3 rows ≈ 0.65
-/// and ≈ 0.82 µs, and the two meet at 4–5 rows (at `n = 64` too). Training
-/// calls `matmul_nt` with 1 row (a layer on one vector) and with a tower's
-/// `d` rows: 1–11 for a user (3.8 on average on the bench dataset), 12 for
-/// most items.
-const NT_BLOCKED_ROWS: usize = 4;
-
-/// `out[i][j] = Σ_p a(i, p) · b[p][j]` for an `m × n` `out` and a `k × n`
-/// row-major `b`: every product but the few-row `a · bᵀ` of
-/// [`transposed_blocks`]. A block of outputs of a row — 16 while they last,
-/// then 4, then 1 — stays in registers across the whole inner dimension
-/// and is written once, so no output is reloaded per product; a rank-1
-/// product (`k = 1`) writes each row in one pass. Both kernels keep one
-/// contract: each output sums its products from `+0.0` in ascending `p`,
-/// skipping a zero `a(i, p)`. The skip is exact for finite `b`: an
-/// accumulator that starts at `+0.0` never holds `-0.0`, so adding `±0.0` to
-/// it changes nothing.
-fn blocked_product(m: usize, k: usize, n: usize, a: impl Fn(usize, usize) -> f32, b: &[f32], out: &mut [f32]) {
-    for i in 0..m {
-        let out_row = &mut out[i * n..(i + 1) * n];
-        if k == 1 {
-            match a(i, 0) {
-                0.0 => out_row.fill(0.0),
-                av => out_row.iter_mut().zip(b).for_each(|(o, &bv)| *o = 0.0 + av * bv),
-            }
-            continue;
-        }
-        let j = output_blocks::<16>(k, n, 0, |p| a(i, p), b, out_row);
-        let j = output_blocks::<4>(k, n, j, |p| a(i, p), b, out_row);
-        output_blocks::<1>(k, n, j, |p| a(i, p), b, out_row);
-    }
-}
-
-/// [`blocked_product`]'s blocks of `B` outputs of one row, from column `j`
-/// while a whole block fits; returns the first column left over.
-fn output_blocks<const B: usize>(
-    k: usize,
-    n: usize,
-    mut j: usize,
-    a: impl Fn(usize) -> f32,
-    b: &[f32],
-    out_row: &mut [f32],
-) -> usize {
-    while j + B <= n {
-        let mut acc = [0.0f32; B];
-        for p in 0..k {
-            let av = a(p);
-            if av == 0.0 {
-                continue;
-            }
-            let b_block: &[f32; B] = b[p * n + j..p * n + j + B].try_into().expect("a whole block");
-            for (acc, &bv) in acc.iter_mut().zip(b_block) {
-                *acc += av * bv;
-            }
-        }
-        out_row[j..j + B].copy_from_slice(&acc);
-        j += B;
-    }
-    j
-}
-
-/// `out_row[j] = Σ_p a_row[p] · b[j][p]` for a row-major `b` of
-/// `out_row.len()` rows of `k`, under [`blocked_product`]'s contract:
-/// `B` outputs at a time keep their sums in registers across the inner
-/// dimension, each reading its own row of `b` as it lies (no transpose).
-/// Returns the first output left over, from `j` on.
-fn transposed_blocks<const B: usize>(a_row: &[f32], b: &[f32], k: usize, mut j: usize, out_row: &mut [f32]) -> usize {
-    while j + B <= out_row.len() {
-        let rows: [&[f32]; B] = std::array::from_fn(|t| &b[(j + t) * k..(j + t + 1) * k]);
-        let mut acc = [0.0f32; B];
-        for (p, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            for (acc, row) in acc.iter_mut().zip(&rows) {
-                *acc += av * row[p];
-            }
-        }
-        out_row[j..j + B].copy_from_slice(&acc);
-        j += B;
-    }
-    j
-}
+use std::ops::Range;
 
 /// Logistic sigmoid of one value.
 pub(crate) fn sigmoid(x: f32) -> f32 {
@@ -115,6 +29,16 @@ fn softmax_in_place(xs: &mut [f32]) {
     for x in xs.iter_mut() {
         *x /= denom;
     }
+}
+
+/// The row ranges of consecutive segments of `counts[s]` rows each, which
+/// must cover exactly `rows` rows.
+pub(crate) fn segments(counts: &[usize], rows: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+    assert_eq!(counts.iter().sum::<usize>(), rows, "segments {counts:?} do not cover {rows} rows");
+    counts.iter().scan(0, |start, &n| {
+        *start += n;
+        Some(*start - n..*start)
+    })
 }
 
 /// A dense row-major matrix of `f32` values.
@@ -194,6 +118,15 @@ impl Tensor {
         self.rows = rows;
         self.cols = cols;
         self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Reshapes `self` into a `rows × cols` tensor whose every element the
+    /// caller overwrites, keeping its buffer and skipping the zero fill:
+    /// the elements it holds until then are unspecified.
+    fn reset_for_overwrite(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
         self.data.resize(rows * cols, 0.0);
     }
 
@@ -466,19 +399,24 @@ impl Tensor {
     /// `self.mul_col_broadcast(weights).sum_rows()` without the intermediate.
     pub fn weighted_row_sum(&self, weights: &Tensor) -> Tensor {
         let mut out = Tensor::default();
-        self.weighted_row_sum_into(weights, &mut out);
+        self.weighted_row_sum_into(weights, &[self.rows], &mut out);
         out
     }
 
-    /// [`Tensor::weighted_row_sum`] into `out`'s buffer.
-    pub(crate) fn weighted_row_sum_into(&self, weights: &Tensor, out: &mut Tensor) {
+    /// [`Tensor::weighted_row_sum`] of each segment of rows, one output row
+    /// per segment (`counts.len() × cols`): segment `s` is the next
+    /// `counts[s]` rows, and an empty one pools to `+0.0`.
+    pub(crate) fn weighted_row_sum_into(&self, weights: &Tensor, counts: &[usize], out: &mut Tensor) {
         assert_eq!(weights.cols, 1, "weighted_row_sum: weights must be a column vector");
         assert_eq!(weights.rows, self.rows, "weighted_row_sum: {} rows vs {} weights", self.rows, weights.rows);
-        out.reset(1, self.cols);
-        for r in 0..self.rows {
-            let s = weights.data[r];
-            for (o, &x) in out.data.iter_mut().zip(self.row(r)) {
-                *o += x * s;
+        out.reset(counts.len(), self.cols);
+        for (s, rows) in segments(counts, self.rows).enumerate() {
+            let out_row = &mut out.data[s * self.cols..(s + 1) * self.cols];
+            for r in rows {
+                let w = weights.data[r];
+                for (o, &x) in out_row.iter_mut().zip(self.row(r)) {
+                    *o += x * w;
+                }
             }
         }
     }
@@ -502,8 +440,48 @@ impl Tensor {
     /// the bits of transposing, [`Tensor::softmax_rows`] and transposing
     /// back.
     pub fn softmax_col_assign(&mut self) {
+        self.softmax_col_segments_assign(&[self.rows]);
+    }
+
+    /// [`Tensor::softmax_col_assign`] of each segment of the column on its
+    /// own: segment `s` is the next `counts[s]` rows.
+    pub(crate) fn softmax_col_segments_assign(&mut self, counts: &[usize]) {
         assert_eq!(self.cols, 1, "softmax_col: {} columns, expected one", self.cols);
-        softmax_in_place(&mut self.data);
+        for rows in segments(counts, self.rows) {
+            softmax_in_place(&mut self.data[rows]);
+        }
+    }
+
+    /// `self + b + bias`, `bias` a `1 × cols` row broadcast over the rows,
+    /// per segment of rows (segment `s` is the next `counts[s]` rows) and
+    /// with the association a one-row context has. `b` holds either one
+    /// row per row of `self` or one row per segment. A segment whose
+    /// context is one row — one per segment, or the one row of a one-row
+    /// segment — adds `self + (b + bias)`, as broadcasting a single context
+    /// row over the segment does; a segment with a context row per row adds
+    /// `(self + b) + bias`.
+    pub(crate) fn add_biased_assign(&mut self, b: &Tensor, bias: &Tensor, counts: &[usize]) {
+        let per_row = b.rows == self.rows;
+        assert!(per_row || b.rows == counts.len(), "add_biased: {} context rows for {} rows in {} segments", b.rows, self.rows, counts.len());
+        assert_eq!((b.cols, bias.rows, bias.cols), (self.cols, 1, self.cols), "add_biased: column counts differ");
+        for (s, rows) in segments(counts, self.rows).enumerate() {
+            if !per_row || rows.len() == 1 {
+                let b_row = if per_row { rows.start } else { s };
+                for r in rows {
+                    let out = &mut self.data[r * self.cols..(r + 1) * self.cols];
+                    for ((o, &bv), &biv) in out.iter_mut().zip(b.row(b_row)).zip(&bias.data) {
+                        *o += bv + biv;
+                    }
+                }
+            } else {
+                for r in rows {
+                    let out = &mut self.data[r * self.cols..(r + 1) * self.cols];
+                    for ((o, &bv), &biv) in out.iter_mut().zip(b.row(r)).zip(&bias.data) {
+                        *o = (*o + bv) + biv;
+                    }
+                }
+            }
+        }
     }
 
     /// Matrix product `self · other`, register-blocked: each output summed
@@ -519,14 +497,19 @@ impl Tensor {
 
     /// [`Tensor::matmul`] into `out`'s buffer.
     pub(crate) fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
+        self.matmul_into_on(Width::host(), other, out);
+    }
+
+    /// [`Tensor::matmul_into`] on the `width` copy of the kernel.
+    pub(crate) fn matmul_into_on(&self, width: Width, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols, other.rows,
             "matmul: {}x{} . {}x{} inner dimensions disagree",
             self.rows, self.cols, other.rows, other.cols
         );
         let (m, k, n) = (self.rows, self.cols, other.cols);
-        out.reset(m, n);
-        blocked_product(m, k, n, |i, p| self.data[i * k + p], &other.data, &mut out.data);
+        out.reset_for_overwrite(m, n);
+        kernel::product(width, m, k, n, Lhs::Rows(&self.data), &other.data, &mut out.data);
     }
 
     /// `self · otherᵀ`.
@@ -536,47 +519,61 @@ impl Tensor {
         out
     }
 
-    /// [`Tensor::matmul_nt`] into `out`'s buffer: [`transposed_blocks`] per
-    /// row for a left factor of fewer than [`NT_BLOCKED_ROWS`] rows, else
-    /// [`blocked_product`] over `otherᵀ` written into `other_t`'s buffer.
+    /// [`Tensor::matmul_nt`] into `out`'s buffer: per row blocks on `other`
+    /// as it lies for a left factor of fewer than [`NT_BLOCKED_ROWS`] rows,
+    /// else [`kernel::product`] over `otherᵀ` written into `other_t`'s
+    /// buffer.
     pub(crate) fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor, other_t: &mut Tensor) {
+        self.matmul_nt_into_on(Width::host(), other, out, other_t);
+    }
+
+    /// [`Tensor::matmul_nt_into`] on the `width` copy of the kernel.
+    pub(crate) fn matmul_nt_into_on(&self, width: Width, other: &Tensor, out: &mut Tensor, other_t: &mut Tensor) {
         assert_eq!(
             self.cols, other.cols,
             "matmul_nt: {}x{} . ({}x{})^T inner dimensions disagree",
             self.rows, self.cols, other.rows, other.cols
         );
         let (m, k, n) = (self.rows, self.cols, other.rows);
-        out.reset(m, n);
+        out.reset_for_overwrite(m, n);
         if m >= NT_BLOCKED_ROWS {
             other.transpose_into(other_t);
-            blocked_product(m, k, n, |i, p| self.data[i * k + p], &other_t.data, &mut out.data);
+            kernel::product(width, m, k, n, Lhs::Rows(&self.data), &other_t.data, &mut out.data);
             return;
         }
         for i in 0..m {
             let (a_row, out_row) = (&self.data[i * k..(i + 1) * k], &mut out.data[i * n..(i + 1) * n]);
-            let j = transposed_blocks::<8>(a_row, &other.data, k, 0, out_row);
-            transposed_blocks::<1>(a_row, &other.data, k, j, out_row);
+            let j = kernel::transposed_blocks::<8>(a_row, &other.data, k, 0, out_row);
+            kernel::transposed_blocks::<1>(a_row, &other.data, k, j, out_row);
         }
     }
 
     /// `selfᵀ · other` without materialising the transpose.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
         let mut out = Tensor::default();
-        self.matmul_tn_into(other, &mut out);
+        self.matmul_tn_rows_into(other, 0..self.rows, &mut out);
         out
     }
 
-    /// [`Tensor::matmul_tn`] into `out`'s buffer: [`blocked_product`] with
-    /// the left factor read down `self`'s columns.
-    pub(crate) fn matmul_tn_into(&self, other: &Tensor, out: &mut Tensor) {
+    /// `self[rows]ᵀ · other[rows]` into `out`'s buffer: the
+    /// [`Tensor::matmul_tn`] of the two factors' rows `rows` (one example's
+    /// segment of a stacked batch), with the left factor read down `self`'s
+    /// columns.
+    pub(crate) fn matmul_tn_rows_into(&self, other: &Tensor, rows: Range<usize>, out: &mut Tensor) {
+        self.matmul_tn_rows_into_on(Width::host(), other, rows, out);
+    }
+
+    /// [`Tensor::matmul_tn_rows_into`] on the `width` copy of the kernel.
+    pub(crate) fn matmul_tn_rows_into_on(&self, width: Width, other: &Tensor, rows: Range<usize>, out: &mut Tensor) {
         assert_eq!(
             self.rows, other.rows,
             "matmul_tn: ({}x{})^T . {}x{} inner dimensions disagree",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (m, k, n) = (self.cols, self.rows, other.cols);
-        out.reset(m, n);
-        blocked_product(m, k, n, |i, p| self.data[p * m + i], &other.data, &mut out.data);
+        let (m, n) = (self.cols, other.cols);
+        let (a, b) = (&self.data[rows.start * m..rows.end * m], &other.data[rows.start * n..rows.end * n]);
+        out.reset_for_overwrite(m, n);
+        kernel::product(width, m, rows.len(), n, Lhs::Cols(a), b, &mut out.data);
     }
 
     /// Materialised transpose.
@@ -588,7 +585,7 @@ impl Tensor {
 
     /// [`Tensor::transpose`] into `out`'s buffer.
     pub(crate) fn transpose_into(&self, out: &mut Tensor) {
-        out.reset(self.cols, self.rows);
+        out.reset_for_overwrite(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out.data[c * self.rows + r] = self.data[r * self.cols + c];
@@ -613,15 +610,24 @@ impl Tensor {
     /// Column-wise sum, producing a `1 × cols` tensor.
     pub fn sum_rows(&self) -> Tensor {
         let mut out = Tensor::default();
-        self.sum_rows_into(&mut out);
+        self.sum_rows_into(&[self.rows], &mut out);
         out
     }
 
-    /// [`Tensor::sum_rows`] into `out`'s buffer.
-    pub(crate) fn sum_rows_into(&self, out: &mut Tensor) {
-        out.reset(1, self.cols);
-        for r in 0..self.rows {
-            for (o, &x) in out.data.iter_mut().zip(self.row(r)) {
+    /// [`Tensor::sum_rows`] of each segment of rows into `out`'s buffer, one
+    /// output row per segment (`counts.len() × cols`): segment `s` is the
+    /// next `counts[s]` rows, and an empty one sums to `+0.0`.
+    pub(crate) fn sum_rows_into(&self, counts: &[usize], out: &mut Tensor) {
+        out.reset(counts.len(), self.cols);
+        for (s, rows) in segments(counts, self.rows).enumerate() {
+            self.sum_row_range(rows, &mut out.data[s * self.cols..(s + 1) * self.cols]);
+        }
+    }
+
+    /// `out[c] += Σ_{r ∈ rows} self[r, c]`, in ascending `r`.
+    pub(crate) fn sum_row_range(&self, rows: Range<usize>, out: &mut [f32]) {
+        for r in rows {
+            for (o, &x) in out.iter_mut().zip(self.row(r)) {
                 *o += x;
             }
         }
@@ -736,7 +742,10 @@ impl Tensor {
     /// [`Tensor::slice_cols`] into `out`'s buffer.
     pub(crate) fn slice_cols_into(&self, start: usize, end: usize, out: &mut Tensor) {
         assert!(start <= end && end <= self.cols, "slice_cols: {start}..{end} out of 0..{}", self.cols);
-        out.refill(self.rows, end - start, (0..self.rows).flat_map(|r| self.row(r)[start..end].iter().copied()));
+        out.reset(self.rows, end - start);
+        for r in 0..self.rows {
+            out.row_mut(r).copy_from_slice(&self.row(r)[start..end]);
+        }
     }
 
     /// Gathers the listed rows into a new tensor (duplicates allowed).

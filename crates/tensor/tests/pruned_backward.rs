@@ -1,6 +1,6 @@
-//! The two exactness arguments of the training backward, as properties.
+//! The exactness argument of the pruned training backward, as a property.
 //!
-//! (a) **Pruning moves no bit.** The backward computes no adjoint for a node
+//! **Pruning moves no bit.** The backward computes no adjoint for a node
 //! without a parameter behind it. Random small graphs built from the `nn`
 //! layers (`AttentionPool` over a constant review matrix, `Embedding`
 //! lookups for its context, `Linear`, `FactorizationMachine` over a constant
@@ -9,11 +9,8 @@
 //! parameters' gradients must carry the same bits. The pruned run goes on a
 //! tape reset after an unrelated pass, so stale buffers are covered too.
 //!
-//! (b) **The blocked kernels are the naive ones.** `matmul`, `matmul_nt`
-//! and `matmul_tn` must equal, bit for bit, a triple loop that sums each
-//! output from `+0.0` in ascending inner index — over widths on and off the
-//! block size, all-zero rows, `-0.0` entries and inner or outer dimensions
-//! of 0 and 1 (a 1-row product, a rank-1 one, an empty one).
+//! That the blocked product kernels are the naive triple loop, on both of
+//! their compiled copies, is tested next to them (`src/kernel.rs`).
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -134,79 +131,12 @@ fn pruning_moves_no_bit(seed: u64) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// `out[i][j] = Σ_p a(i, p) · b(p, j)`, each output from `+0.0` in
-/// ascending `p`.
-fn naive(m: usize, k: usize, n: usize, a: impl Fn(usize, usize) -> f32, b: impl Fn(usize, usize) -> f32) -> Tensor {
-    let mut out = Tensor::zeros(m, n);
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for p in 0..k {
-                acc += a(i, p) * b(p, j);
-            }
-            out.set(i, j, acc);
-        }
-    }
-    out
-}
-
-fn kernels_match_the_triple_loop(seed: u64) -> Result<(), TestCaseError> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Widths around one, two and three blocks of 16, and the small ones:
-    // 0 and 1 in a quarter of the draws.
-    let mut dim = || match rng.gen_range(0..4) {
-        0 => rng.gen_range(0..2),
-        1 => rng.gen_range(2..6),
-        _ => rng.gen_range(12..52),
-    };
-    let (m, k, n) = (dim(), dim(), dim());
-    kernels_match_at(m, k, n, seed)
-}
-
-/// [`kernels_match_the_triple_loop`] at one shape.
-fn kernels_match_at(m: usize, k: usize, n: usize, seed: u64) -> Result<(), TestCaseError> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-    let (a, b) = (random_tensor(&mut rng, m, k), random_tensor(&mut rng, k, n));
-    let nn = naive(m, k, n, |i, p| a.get(i, p), |p, j| b.get(p, j));
-    prop_assert_eq!(bits(&a.matmul(&b)), bits(&nn), "matmul {}x{} . {}x{}", m, k, k, n);
-
-    let (a, b) = (random_tensor(&mut rng, m, k), random_tensor(&mut rng, n, k));
-    let nt = naive(m, k, n, |i, p| a.get(i, p), |p, j| b.get(j, p));
-    prop_assert_eq!(bits(&a.matmul_nt(&b)), bits(&nt), "matmul_nt {}x{} . ({}x{})^T", m, k, n, k);
-
-    let (a, b) = (random_tensor(&mut rng, k, m), random_tensor(&mut rng, k, n));
-    let tn = naive(m, k, n, |i, p| a.get(p, i), |p, j| b.get(p, j));
-    prop_assert_eq!(bits(&a.matmul_tn(&b)), bits(&tn), "matmul_tn ({}x{})^T . {}x{}", k, m, k, n);
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn pruned_backward_gives_the_unpruned_parameter_gradients(seed in 0u64..1_000_000) {
         pruning_moves_no_bit(seed)?;
-    }
-
-    #[test]
-    fn blocked_backward_kernels_are_the_naive_triple_loop(seed in 0u64..1_000_000) {
-        kernels_match_the_triple_loop(seed)?;
-    }
-}
-
-/// Every kernel at every shape built from 0, 1, 2, 5 and 17 (one block of
-/// 16 plus one), so the empty, 1-row and rank-1 products are each met.
-#[test]
-fn kernels_match_the_triple_loop_at_the_edge_shapes() {
-    let dims = [0, 1, 2, 5, 17];
-    let mut seed = 0;
-    for m in dims {
-        for k in dims {
-            for n in dims {
-                kernels_match_at(m, k, n, seed).unwrap();
-                seed += 1;
-            }
-        }
     }
 }
 

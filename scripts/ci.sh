@@ -63,5 +63,10 @@ for workload in train_epoch recommend_cold predict_hot scatter_warm ingest_quoru
       run --workload "$workload" --seed 1 --seconds 12 --trace "$trace"
   done
 done
+# A faster cold path moves the traced cold run toward the rate at which it
+# spends the unseen users its span replay needs (ROADMAP blocker 3), and
+# the roadmap's check of it names seeds 1 and 2: run seed 2 traced as well.
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+  run --workload recommend_cold --seed 2 --seconds 12 --trace 1
 
 echo "==> CI gate: all green"
